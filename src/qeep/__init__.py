@@ -11,14 +11,11 @@ from .filterbank import (
     bump,
     bump_fourier,
     bump_norm,
-    cached_filterbank,
     choose_truncation,
     decay_onset,
     evaluate_filter,
     evaluate_filter_series,
     filter_coefficient,
-    load_filterbank,
-    save_filterbank,
     tail_bound,
 )
 from .matrix_pencil import (
@@ -72,7 +69,6 @@ __all__ = [
     "bump",
     "bump_fourier",
     "bump_norm",
-    "cached_filterbank",
     "choose_truncation",
     "decay_onset",
     "dft",
@@ -88,7 +84,6 @@ __all__ = [
     "filter_estimate",
     "generate_clean",
     "hoeffding_shots",
-    "load_filterbank",
     "moment_error_bound",
     "mp_estimate",
     "mp_moment",
@@ -96,7 +91,6 @@ __all__ = [
     "random_spectrum",
     "rescale_physical",
     "sample_shots",
-    "save_filterbank",
     "solve_amplitudes",
     "solve_pencil",
     "tail_bound",

@@ -23,7 +23,7 @@ from .errors import NumericError
 from .filterbank import (
     TruncationMode,
     bin_centers,
-    cached_filterbank,
+    build_filterbank,
     choose_truncation,
     filter_grid,
 )
@@ -204,7 +204,7 @@ def _cmd_estimate(args) -> int:
         eps = float(eps)
         mode = TruncationMode(_merged(args, "truncation", "empirical"))
         n_trunc = int(_merged(args, "n_trunc", None) or choose_truncation(eps, mode))
-        bank = cached_filterbank(eps, n_trunc)
+        bank = build_filterbank(eps, n_trunc)
         dist = estimate_bins(ts, bank)
         mom, deltas = _moments_and_deltas(
             moments, lambda s: estimate_moment(dist, s), eps, spec
@@ -244,7 +244,7 @@ def _cmd_estimate(args) -> int:
 
 def _delta_trials(cfg: ExperimentConfig):
     """Seeded runs shared by the fig5 and appc reproductions."""
-    bank = cached_filterbank(cfg.eps, cfg.n_trunc)
+    bank = build_filterbank(cfg.eps, cfg.n_trunc)
     l_dim = cfg.l_override if cfg.l_override is not None else cfg.n_trunc - 1
     rows = []
     for seed in cfg.seeds:
@@ -348,7 +348,7 @@ def _reproduce_fig5(outdir: Path, cfg: ExperimentConfig) -> None:
 
 def _reproduce_fig6(outdir: Path, cfg: ExperimentConfig) -> None:
     spec = fig6_spectrum()
-    bank = cached_filterbank(cfg.eps, cfg.n_trunc)
+    bank = build_filterbank(cfg.eps, cfg.n_trunc)
     seed = cfg.seeds[0]
     noisy = add_noise(generate_clean(spec, cfg.n_trunc), cfg.eps_prime, seed + NOISE_SEED_OFFSET)
     dist = estimate_bins(noisy, bank)

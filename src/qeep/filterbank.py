@@ -1,4 +1,4 @@
-"""Smooth bin filters and their Fourier coefficient tables.
+"""Smooth bin filters and the radial profile of their Fourier coefficients.
 
 The estimation grid splits ``[-1/2, 1/2]`` into ``M = 1 + 1/eps`` overlapping
 bins of width ``2*eps`` centered at ``center_j = -1/2 + j*eps``. Each bin
@@ -11,53 +11,49 @@ The filters are smooth, non-negative, supported on
 ``[center_j - eps, center_j + eps]``, and form a partition of unity on
 ``[-1/2, 1/2]``. Because they are smooth, their Fourier coefficients
 
-    F_j(k) = 2 * H(k*eps/2) * exp(-i*center_j*k) * sin(k*eps/2) / k
+    F_j(k) = radial(k) * exp(-i*center_j*k),   radial(k) = 2 * H(k*eps/2) * sin(k*eps/2) / k
 
-(``H`` is the transform of the bump) decay super-polynomially, so a truncated
-table of ``F_j(k)`` for ``k < N`` is all the estimators need. This module
-computes the pieces by adaptive quadrature and assembles the immutable
-:class:`FilterBank` table.
+(``H`` is the transform of the bump) decay super-polynomially, so the ``N``
+values ``radial(k)`` for ``k < N`` are all the estimators need; the bin
+phases are applied where the coefficients are used. ``H`` comes from a fixed
+trapezoid rule whose node count follows from the largest frequency requested
+(see :func:`bump_fourier`), and :class:`FilterBank` holds the profile.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad
 
 from .errors import NumericError
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-# Per-coefficient quadrature target; coefficient errors enter the estimated
-# bins linearly M*N times, so this sits well below every downstream tolerance.
-QUAD_EPSABS = 1e-13
 
-_CACHE_ENV = "QEEP_CACHE_DIR"
-_CACHE_VERSION = 1
-
-
-def _bin_count(eps: float) -> int:
-    """Validate that 1/eps is integral and return M = 1 + 1/eps."""
+def _snap_eps(eps: float) -> float:
+    """Validate that 1/eps is integral and return exactly ``1/round(1/eps)``."""
     if not eps > 0:
         raise ValueError("eps must be positive")
     inv = 1.0 / eps
     if abs(inv - round(inv)) > 1e-6 * max(1.0, inv):
         raise ValueError(f"1/eps must be integral, got 1/eps = {inv!r}")
-    return 1 + int(round(inv))
+    return 1.0 / round(inv)
+
+
+def _bin_count(eps: float) -> int:
+    """Validate that 1/eps is integral and return M = 1 + 1/eps."""
+    return 1 + round(1.0 / _snap_eps(eps))
 
 
 def bin_centers(eps: float) -> np.ndarray:
     """The M eigenvalue estimates ``-1/2 + j*eps`` for ``j = 0 .. M-1``."""
-    m = _bin_count(eps)
-    return -0.5 + eps * np.arange(m)
+    eps = _snap_eps(eps)
+    return -0.5 + eps * np.arange(_bin_count(eps))
 
 
 @lru_cache(maxsize=1)
@@ -99,32 +95,32 @@ def _bump_scalar(x: float) -> float:
     return bump_norm() * math.exp(-1.0 / (1.0 - x * x))
 
 
-def bump_fourier(kp: float) -> float:
+def bump_fourier(kp):
     """Fourier transform ``H(kp) = (2*pi)**-0.5 * integral h(x) cos(kp*x) dx``.
 
     Real and even because the bump is real and even; ``H(0) = 1/sqrt(2*pi)``.
-    Uses the oscillatory-weight quadrature rule for ``kp != 0`` with absolute
-    error below 1e-12.
+    Accepts scalars or arrays and evaluates them all with one trapezoid rule
+    on ``[-1, 1]``. The bump and all its derivatives vanish at ``x = +-1``,
+    so by Poisson summation the rule's error at ``kp`` is the sum of the
+    aliases ``H(kp + pi*m*n)``, ``m != 0``, for ``n`` panels (Trefethen &
+    Weideman 2014, SIAM Review 56:385). ``n`` is the smallest even count that
+    puts the nearest alias, at ``pi*n - max|kp|``, where the decay bound
+    ``|H(w)| <= exp(-sqrt(w))`` (see :func:`decay_onset`) is below double
+    precision rounding.
     """
-    kp = abs(float(kp))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            if kp == 0.0:
-                val, _ = quad(_bump_scalar, -1.0, 1.0, epsabs=QUAD_EPSABS)
-            else:
-                val, _ = quad(
-                    _bump_scalar,
-                    -1.0,
-                    1.0,
-                    weight="cos",
-                    wvar=kp,
-                    epsabs=QUAD_EPSABS,
-                    limit=500,
-                )
-        except IntegrationWarning as exc:
-            raise NumericError(f"bump transform quadrature did not converge at kp={kp}") from exc
-    return val / SQRT_2PI
+    kps = np.abs(np.asarray(kp, dtype=float))
+    alias_floor = math.log(1.0 / np.finfo(float).eps) ** 2
+    half = math.ceil((float(kps.max()) + alias_floor) / (2.0 * math.pi))
+    # Even integrand: x = 0 once plus twice each interior node i/half, the
+    # phases e^{i*kp*x} advanced by one complex multiply per node.
+    step = np.exp(1j * kps / half)
+    phase = step.copy()
+    total = np.zeros_like(kps)
+    for weight in bump(np.arange(1, half) / half):
+        total += weight * phase.real
+        phase *= step
+    out = (bump(0.0) + 2.0 * total) / (half * SQRT_2PI)
+    return float(out) if out.ndim == 0 else out
 
 
 def decay_onset(kps=None) -> float:
@@ -137,13 +133,20 @@ def decay_onset(kps=None) -> float:
     if kps is None:
         kps = np.arange(10.0, 201.0, 10.0)
     kps = np.sort(np.asarray(kps, dtype=float))
-    ok = np.array([abs(bump_fourier(kp)) <= math.exp(-math.sqrt(kp)) for kp in kps])
+    ok = np.abs(bump_fourier(kps)) <= np.exp(-np.sqrt(kps))
     failing = np.nonzero(~ok)[0]
     if failing.size == 0:
         return float(kps[0])
     if failing[-1] == kps.size - 1:
         raise NumericError("decay bound fails at the largest scanned frequency")
     return float(kps[failing[-1] + 1])
+
+
+def _radial(k, eps: float):
+    """``radial(k) = 2*H(k*eps/2)*sin(k*eps/2)/k``, the bin-independent factor
+    of ``F_j(k)``; even in k, with the limit ``eps*H(0)`` at ``k = 0``."""
+    half = np.asarray(k, dtype=float) * eps / 2.0
+    return eps * bump_fourier(half) * np.sinc(half / math.pi)
 
 
 def filter_coefficient(j: int, k: int, eps: float) -> complex:
@@ -153,14 +156,12 @@ def filter_coefficient(j: int, k: int, eps: float) -> complex:
     ``2 * H(0) * eps/2 = eps / sqrt(2*pi)``. Satisfies
     ``F_j(-k) = conj(F_j(k))`` and ``|F_j(k)| <= eps / sqrt(2*pi)``.
     """
+    eps = _snap_eps(eps)
     m = _bin_count(eps)
     if not 0 <= j <= m - 1:
         raise ValueError(f"bin index j={j} out of range [0, {m - 1}]")
     center = -0.5 + j * eps
-    if k == 0:
-        return complex(eps * bump_fourier(0.0))
-    radial = 2.0 * bump_fourier(k * eps / 2.0) * math.sin(k * eps / 2.0) / k
-    return radial * complex(math.cos(center * k), -math.sin(center * k))
+    return complex(_radial(k, eps) * np.exp(-1j * center * k))
 
 
 def evaluate_filter(j: int, x: float, eps: float) -> float:
@@ -172,6 +173,7 @@ def evaluate_filter(j: int, x: float, eps: float) -> float:
     below 1e-10. This is the slow reference path the Fourier-series evaluation
     is checked against.
     """
+    eps = _snap_eps(eps)
     m = _bin_count(eps)
     if not 0 <= j <= m - 1:
         raise ValueError(f"bin index j={j} out of range [0, {m - 1}]")
@@ -192,9 +194,7 @@ def evaluate_filter_series(j: int, x, bank: "FilterBank"):
     series is 2*pi-periodic in x; it agrees with the aperiodic filter on
     ``|x| <= 1/2 + eps``, where the periodic images vanish.
     """
-    if not 0 <= j < bank.m_bins:
-        raise ValueError(f"bin index j={j} out of range [0, {bank.m_bins - 1}]")
-    row = bank.coeffs[j]
+    row = bank.row(j)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     k = np.arange(1, bank.n_trunc)
     partial = np.exp(1j * np.outer(xs, k)) @ row[1:]
@@ -255,114 +255,49 @@ def choose_truncation(eps: float, mode: TruncationMode = TruncationMode.EMPIRICA
 
 @dataclass(frozen=True)
 class FilterBank:
-    """Precomputed table of filter Fourier coefficients.
+    """Radial profile of the filter Fourier coefficients.
 
-    ``coeffs[j, k]`` holds ``F_j(k)`` for ``0 <= j < m_bins`` and
-    ``0 <= k < n_trunc``; negative k follow from conjugate symmetry. The table
-    depends only on ``(eps, n_trunc)``, never on a signal, so it is built once
-    and shared (or persisted, see :func:`save_filterbank`).
+    ``radial[k]`` holds ``radial(k)`` for ``0 <= k < n_trunc``; the
+    coefficients follow as ``F_j(k) = radial[k] * exp(-i*center_j*k)`` (see
+    :meth:`row`) and negative k from conjugate symmetry. The profile depends
+    only on ``(eps, n_trunc)``, never on a signal, so it is built once and
+    shared. ``eps`` is stored snapped to ``1/round(1/eps)``.
     """
 
     eps: float
-    m_bins: int
     n_trunc: int
-    coeffs: np.ndarray
-    bump_norm: float
-    quad_tol: float = QUAD_EPSABS
+    radial: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != (self.m_bins, self.n_trunc):
-            raise ValueError("coeffs shape must be (m_bins, n_trunc)")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "eps", _snap_eps(self.eps))
+        r = np.asarray(self.radial, dtype=float)
+        if r.shape != (self.n_trunc,):
+            raise ValueError("radial shape must be (n_trunc,)")
+        r.setflags(write=False)
+        object.__setattr__(self, "radial", r)
+
+    @property
+    def m_bins(self) -> int:
+        return _bin_count(self.eps)
 
     @property
     def centers(self) -> np.ndarray:
         return bin_centers(self.eps)
 
+    def row(self, j: int) -> np.ndarray:
+        """Coefficients ``F_j(k)`` of bin ``j`` for ``0 <= k < n_trunc``."""
+        if not 0 <= j < self.m_bins:
+            raise ValueError(f"bin index j={j} out of range [0, {self.m_bins - 1}]")
+        return self.radial * np.exp(-1j * self.centers[j] * np.arange(self.n_trunc))
+
 
 def build_filterbank(eps: float, n_trunc: int) -> FilterBank:
-    """Tabulate ``F_j(k)`` for all bins and ``k < n_trunc``.
-
-    One oscillatory quadrature per k (the bump transform is bin-independent);
-    the bin phase factors are attached by an outer product, so rebuilding with
-    the same arguments is bit-identical.
-    """
-    m = _bin_count(eps)
+    """Tabulate ``radial(k)`` for ``k < n_trunc`` in one trapezoid pass over
+    the bump; rebuilding with the same arguments is bit-identical."""
+    eps = _snap_eps(eps)
     if n_trunc < 2:
         raise ValueError("n_trunc must be at least 2")
-    ks = np.arange(n_trunc)
-    hvals = np.empty(n_trunc)
-    for k in range(n_trunc):
-        try:
-            hvals[k] = bump_fourier(k * eps / 2.0)
-        except NumericError as exc:
-            raise NumericError(f"coefficient quadrature failed at k={k}") from exc
-    radial = np.empty(n_trunc)
-    radial[0] = eps * hvals[0]  # limit of 2*H(k*eps/2)*sin(k*eps/2)/k at k=0
-    radial[1:] = 2.0 * hvals[1:] * np.sin(ks[1:] * eps / 2.0) / ks[1:]
-    coeffs = radial[None, :] * np.exp(-1j * np.outer(bin_centers(eps), ks))
-    return FilterBank(eps=eps, m_bins=m, n_trunc=n_trunc, coeffs=coeffs, bump_norm=bump_norm())
-
-
-def save_filterbank(bank: FilterBank, path) -> None:
-    """Persist a bank as a versioned binary record (coefficients stored as
-    interleaved re/im float64)."""
-    coeffs_ri = np.stack([bank.coeffs.real, bank.coeffs.imag], axis=-1)
-    np.savez(
-        path,
-        version=np.int64(_CACHE_VERSION),
-        eps=np.float64(bank.eps),
-        n_trunc=np.int64(bank.n_trunc),
-        quad_tol=np.float64(bank.quad_tol),
-        bump_norm=np.float64(bank.bump_norm),
-        coeffs_ri=coeffs_ri,
-    )
-
-
-def load_filterbank(path) -> FilterBank:
-    with np.load(path) as data:
-        version = int(data["version"])
-        if version != _CACHE_VERSION:
-            raise ValueError(f"unsupported filterbank cache version {version}")
-        coeffs_ri = data["coeffs_ri"]
-        coeffs = coeffs_ri[..., 0] + 1j * coeffs_ri[..., 1]
-        eps = float(data["eps"])
-        return FilterBank(
-            eps=eps,
-            m_bins=_bin_count(eps),
-            n_trunc=int(data["n_trunc"]),
-            coeffs=coeffs,
-            bump_norm=float(data["bump_norm"]),
-            quad_tol=float(data["quad_tol"]),
-        )
-
-
-def cached_filterbank(eps: float, n_trunc: int, cache_dir=None) -> FilterBank:
-    """Load the ``(eps, n_trunc)`` table from the cache directory, building
-    and persisting it on a miss.
-
-    The directory is ``cache_dir`` if given, else ``$QEEP_CACHE_DIR``, else a
-    per-user cache location. The table is signal-independent and dominates
-    setup cost, which is the entire point of caching it.
-    """
-    if cache_dir is None:
-        cache_dir = os.environ.get(_CACHE_ENV)
-    if cache_dir is None:
-        cache_dir = Path.home() / ".cache" / "qeep"
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    name = f"filterbank_eps{eps:.12g}_n{n_trunc}_tol{QUAD_EPSABS:.3g}.npz"
-    path = cache_dir / name
-    if path.exists():
-        try:
-            return load_filterbank(path)
-        except (ValueError, OSError, KeyError):
-            path.unlink(missing_ok=True)
-    bank = build_filterbank(eps, n_trunc)
-    save_filterbank(bank, path)
-    return bank
+    return FilterBank(eps=eps, n_trunc=n_trunc, radial=_radial(np.arange(n_trunc), eps))
 
 
 def filter_grid(eps: float, n_points: int = 201) -> tuple[np.ndarray, np.ndarray]:

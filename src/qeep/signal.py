@@ -79,6 +79,8 @@ class TimeSeries:
         v = np.array(self.values, dtype=complex)
         if v.ndim != 1 or v.size < 1:
             raise ValueError("values must be a non-empty 1-d complex array")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("values must be finite")
         if v[0] != 1.0 + 0.0j:
             raise ValueError("values[0] must equal 1 exactly")
         v.setflags(write=False)
@@ -98,9 +100,13 @@ class TimeSeries:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TimeSeries":
-        values = np.asarray(data["values_re"], dtype=float) + 1j * np.asarray(
-            data["values_im"], dtype=float
-        )
+        re = np.asarray(data["values_re"], dtype=float)
+        im = np.asarray(data["values_im"], dtype=float)
+        if re.shape != im.shape:
+            raise ValueError("values_re and values_im must have the same length")
+        if data["n_len"] != re.size:
+            raise ValueError(f"n_len is {data['n_len']} but the record holds {re.size} values")
+        values = re + 1j * im
         return cls(values=values, provenance=Provenance.from_dict(data["provenance"]))
 
 

@@ -94,12 +94,21 @@ def exact_bins(spec: Spectrum, eps: float) -> BinDistribution:
 
 
 def _bins_from_values(values: np.ndarray, bank: FilterBank) -> np.ndarray:
-    """Shared linear form: coefficient row 0 plus twice the real part of the
-    positive-k sum (the negative-k half follows from conjugate symmetry)."""
+    """Shared linear form: the k = 0 term plus twice the real part of the
+    positive-k sum (the negative-k half follows from conjugate symmetry).
+
+    The bin phases ``exp(-i*center_j*k)`` are applied by a recurrence over the
+    bins: the terms start at bin 0 and advance to the next bin by one multiply
+    with ``exp(-i*eps*k)``, so memory stays O(N)."""
     n = bank.n_trunc
-    head = bank.coeffs[:, 0].real / SQRT_2PI
-    tail = math.sqrt(2.0 / math.pi) * np.real(bank.coeffs[:, 1:] @ np.conj(values[1:n]))
-    return head + tail
+    k = np.arange(1, n)
+    terms = bank.radial[1:] * np.conj(values[1:n]) * np.exp(-1j * bank.centers[0] * k)
+    step = np.exp(-1j * bank.eps * k)
+    sums = np.empty(bank.m_bins)
+    for j in range(sums.size):
+        sums[j] = terms.real.sum()
+        terms *= step
+    return bank.radial[0] / SQRT_2PI + math.sqrt(2.0 / math.pi) * sums
 
 
 def truncated_bins(spec: Spectrum, bank: FilterBank) -> BinDistribution:

@@ -21,3 +21,10 @@ def bank_mid_strict():
     """eps = 0.05 at its strict truncation order (N = 4469)."""
     n = choose_truncation(0.05, TruncationMode.STRICT)
     return build_filterbank(0.05, n)
+
+
+@pytest.fixture(scope="session")
+def bank_paper_strict():
+    """The paper's eps = 0.005 at its strict truncation order (N = 95896)."""
+    n = choose_truncation(0.005, TruncationMode.STRICT)
+    return build_filterbank(0.005, n)

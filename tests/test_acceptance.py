@@ -76,12 +76,13 @@ def test_c02_partition_of_unity():
 
 def test_c03_coefficient_identities(bank_appc):
     eps = bank_appc.eps
-    assert np.max(np.abs(bank_appc.coeffs[:, 0] - eps / SQRT_2PI)) <= 1e-10
+    zero_column = np.array([bank_appc.row(j)[0] for j in range(bank_appc.m_bins)])
+    assert np.max(np.abs(zero_column - eps / SQRT_2PI)) <= 1e-10
     for j, k in ((0, 1), (57, 13), (200, 565)):
         assert filter_coefficient(j, -k, eps) == pytest.approx(
             np.conj(filter_coefficient(j, k, eps)), abs=1e-15
         )
-        assert bank_appc.coeffs[j, k] == pytest.approx(
+        assert bank_appc.row(j)[k] == pytest.approx(
             filter_coefficient(j, k, eps), abs=1e-13
         )
     _report("C03", "coefficient-identities")
@@ -95,7 +96,7 @@ def test_c03_coefficient_identities(bank_appc):
 )
 def test_c03_coefficient_cap_as_stated(bank_appc):
     eps = bank_appc.eps
-    max_mag = float(np.max(np.abs(bank_appc.coeffs)))
+    max_mag = max(float(np.max(np.abs(bank_appc.row(j)))) for j in range(bank_appc.m_bins))
     print(
         "ACCEPTANCE C03 coefficient-cap-as-stated: FAIL "
         f"(max |F|={max_mag:.6g} vs stated cap {eps / (2 * math.pi):.6g}; "
@@ -246,6 +247,35 @@ def test_c10_moment_error_bound(bank_mid_strict):
                 violations += 1
     assert violations == 0
     _report("C10", "moment-error-bound", f"50 pairs, worst err/bound={worst_ratio:.3f}")
+
+
+def test_c07_c10_at_paper_eps_strict(bank_paper_strict):
+    # The paper's own eps = 0.005 at its strict truncation order N = 95896,
+    # with noise eps/N per entry.
+    start = time.perf_counter()
+    bank = bank_paper_strict
+    eps, n_trunc = bank.eps, bank.n_trunc
+    assert (eps, n_trunc) == (0.005, 95_896)
+    worst_l1 = worst_moment = 0.0
+    for seed in range(3):
+        spec = random_spectrum(5, 9000 + seed)
+        noisy = add_noise(generate_clean(spec, n_trunc), eps / n_trunc, seed)
+        q = estimate_bins(noisy, bank)
+        l1 = float(np.abs(q.values - exact_bins(spec, eps).values).sum())
+        assert l1 <= eps
+        worst_l1 = max(worst_l1, l1 / eps)
+        for s in (1, 2, 4):
+            bound = eps * (2.0**-s + s * 2.0 ** -(s - 1))
+            err = abs(estimate_moment(q, s) - exact_moment(spec, s))
+            assert err <= bound
+            worst_moment = max(worst_moment, err / bound)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 3.0
+    _report(
+        "C07/C10",
+        "paper-eps-strict",
+        f"3 runs, worst L1/eps={worst_l1:.2e}, worst err/bound={worst_moment:.3f}, {elapsed:.2f}s",
+    )
 
 
 def test_c11_shot_planner():

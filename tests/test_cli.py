@@ -13,11 +13,6 @@ from qeep import (
 from qeep.cli import main
 
 
-@pytest.fixture(autouse=True)
-def isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("QEEP_CACHE_DIR", str(tmp_path / "cache"))
-
-
 def run(*argv) -> int:
     return main([str(a) for a in argv])
 
@@ -158,6 +153,21 @@ class TestEstimate:
         run("synth", "--fig6", "--out", spec_f)
         run("signal", "--spectrum", spec_f, "--n", 16, "--out", sig_f)
         assert run("estimate", "--signal", sig_f, "--method", "ts", "--out", tmp_path / "e.json") == 2
+
+    def test_non_finite_signal_is_usage_error(self, tmp_path):
+        spec_f, sig_f = tmp_path / "s.json", tmp_path / "g.json"
+        run("synth", "--fig6", "--out", spec_f)
+        run("signal", "--spectrum", spec_f, "--n", 16, "--out", sig_f)
+        record = json.loads(sig_f.read_text())
+        record["values_re"][5] = float("nan")
+        sig_f.write_text(json.dumps(record))
+        assert "NaN" in sig_f.read_text()
+        rc = run(
+            "estimate", "--signal", sig_f, "--method", "ts", "--eps", 0.25,
+            "--n-trunc", 16, "--out", tmp_path / "e.json",
+        )
+        assert rc == 2
+        assert not (tmp_path / "e.json").exists()
 
     def test_numeric_failure_maps_to_exit_3(self, tmp_path, monkeypatch):
         spec_f, sig_f = tmp_path / "s.json", tmp_path / "g.json"

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
 
 from qeep import (
     TruncationMode,
@@ -10,17 +12,44 @@ from qeep import (
     bump,
     bump_fourier,
     bump_norm,
-    cached_filterbank,
     choose_truncation,
     decay_onset,
     evaluate_filter,
     evaluate_filter_series,
     filter_coefficient,
-    load_filterbank,
-    save_filterbank,
     tail_bound,
 )
-from qeep.filterbank import SQRT_2PI, filter_grid
+from qeep.filterbank import SQRT_2PI, _snap_eps, filter_grid
+
+
+def _bump_scalar(x: float) -> float:
+    if abs(x) >= 1.0:
+        return 0.0
+    return bump_norm() * math.exp(-1.0 / (1.0 - x * x))
+
+
+def quad_bump_fourier(kp: float) -> float:
+    """Oracle for the bump transform: adaptive oscillatory-weight quadrature
+    (QUADPACK QAWO) with absolute error below 1e-13."""
+    kp = abs(float(kp))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        if kp == 0.0:
+            val, _ = quad(_bump_scalar, -1.0, 1.0, epsabs=1e-13)
+        else:
+            val, _ = quad(
+                _bump_scalar, -1.0, 1.0, weight="cos", wvar=kp, epsabs=1e-13, limit=500
+            )
+    return val / SQRT_2PI
+
+
+def quad_radial(ks, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle ``(H(k*eps/2), radial(k))`` for integer ``ks``: radial is
+    ``2*H(k*eps/2)*sin(k*eps/2)/k``, and ``eps*H(0)`` at ``k = 0``."""
+    ks = np.asarray(ks)
+    h = np.array([quad_bump_fourier(k * eps / 2.0) for k in ks])
+    safe = np.where(ks == 0, 1, ks)
+    return h, np.where(ks == 0, eps * h, 2.0 * h * np.sin(ks * eps / 2.0) / safe)
 
 
 class TestBump:
@@ -80,6 +109,13 @@ class TestBumpFourier:
     def test_decay_onset_recorded(self):
         assert decay_onset() == 10.0
 
+    def test_array_input_matches_scalar_calls(self):
+        kps = np.array([0.0, -3.0, 12.5, 40.0])
+        vals = bump_fourier(kps)
+        assert vals.shape == kps.shape
+        for kp, v in zip(kps, vals):
+            assert v == pytest.approx(bump_fourier(float(kp)), abs=1e-15)
+
     def test_against_dense_cosine_trapezoid_oracle(self):
         xs = np.linspace(-1.0, 1.0, 40_001)
         for kp in (0.0, 2.5, 10.0):
@@ -122,8 +158,8 @@ class TestFilterCoefficient:
     def test_sharp_magnitude_cap(self, bank_appc):
         # |F_j(k)| <= eps/sqrt(2*pi) for every (j, k), attained at k = 0.
         cap = bank_appc.eps / SQRT_2PI + 1e-12
-        assert np.max(np.abs(bank_appc.coeffs)) <= cap
-        assert abs(bank_appc.coeffs[0, 0]) == pytest.approx(bank_appc.eps / SQRT_2PI, abs=1e-12)
+        assert max(np.max(np.abs(bank_appc.row(j))) for j in range(bank_appc.m_bins)) <= cap
+        assert abs(bank_appc.row(0)[0]) == pytest.approx(bank_appc.eps / SQRT_2PI, abs=1e-12)
 
     def test_bin_index_out_of_range(self):
         with pytest.raises(ValueError):
@@ -191,7 +227,7 @@ class TestEvaluateFilterSeries:
         bank = bank_quarter_strict
         j, x = 1, 0.13
         ks = np.arange(1, bank.n_trunc)
-        row = bank.coeffs[j]
+        row = bank.row(j)
         total = row[0] + np.sum(row[1:] * np.exp(1j * x * ks)) + np.sum(
             np.conj(row[1:]) * np.exp(-1j * x * ks)
         )
@@ -249,24 +285,25 @@ class TestBuildFilterBank:
     def test_zero_column_value(self):
         bank = build_filterbank(0.25, 50)
         assert bank.m_bins == 5
-        assert np.allclose(bank.coeffs[:, 0], 0.25 / SQRT_2PI, atol=1e-10)
+        zero_column = [bank.row(j)[0] for j in range(bank.m_bins)]
+        assert np.allclose(zero_column, 0.25 / SQRT_2PI, atol=1e-10)
 
     def test_rebuild_is_bit_identical(self):
         a = build_filterbank(0.25, 64)
         b = build_filterbank(0.25, 64)
-        assert np.array_equal(a.coeffs, b.coeffs)
+        assert np.array_equal(a.radial, b.radial)
 
     def test_table_matches_scalar_coefficients(self):
         bank = build_filterbank(0.25, 32)
         for j in (0, 3):
             for k in (0, 1, 17):
-                assert bank.coeffs[j, k] == pytest.approx(
+                assert bank.row(j)[k] == pytest.approx(
                     filter_coefficient(j, k, 0.25), abs=1e-13
                 )
 
     def test_negative_k_available_through_conjugation(self):
         bank = build_filterbank(0.25, 32)
-        assert np.conj(bank.coeffs[2, 5]) == pytest.approx(
+        assert np.conj(bank.row(2)[5]) == pytest.approx(
             filter_coefficient(2, -5, 0.25), abs=1e-13
         )
 
@@ -278,7 +315,9 @@ class TestBuildFilterBank:
 
     def test_appc_dimensions(self, bank_appc):
         assert bank_appc.m_bins == 201
-        assert bank_appc.coeffs.shape == (201, 566)
+        assert bank_appc.radial.shape == (566,)
+        assert bank_appc.row(200).shape == (566,)
+        assert bank_appc.centers.shape == (201,)
 
     def test_appc_build_time_within_budget(self):
         import time
@@ -288,44 +327,43 @@ class TestBuildFilterBank:
         assert time.perf_counter() - start < 60.0
 
 
-class TestPersistence:
-    def test_save_load_round_trip(self, tmp_path):
-        bank = build_filterbank(0.25, 48)
-        path = tmp_path / "bank.npz"
-        save_filterbank(bank, path)
-        loaded = load_filterbank(path)
-        assert loaded.eps == bank.eps
-        assert loaded.n_trunc == bank.n_trunc
-        assert loaded.bump_norm == bank.bump_norm
-        assert np.array_equal(loaded.coeffs, bank.coeffs)
+class TestRadialAgainstQuadrature:
+    """The trapezoid transform behind every bank against the quadrature oracle."""
 
-    def test_version_mismatch_rejected(self, tmp_path):
-        bank = build_filterbank(0.25, 16)
-        path = tmp_path / "bank.npz"
-        coeffs_ri = np.stack([bank.coeffs.real, bank.coeffs.imag], axis=-1)
-        np.savez(
-            path,
-            version=np.int64(999),
-            eps=np.float64(bank.eps),
-            n_trunc=np.int64(bank.n_trunc),
-            quad_tol=np.float64(bank.quad_tol),
-            bump_norm=np.float64(bank.bump_norm),
-            coeffs_ri=coeffs_ri,
-        )
-        with pytest.raises(ValueError):
-            load_filterbank(path)
+    def test_every_k_at_strict_orders(self, bank_quarter_strict, bank_mid_strict):
+        for bank in (bank_quarter_strict, bank_mid_strict):
+            ks = np.arange(bank.n_trunc)
+            h, radial = quad_radial(ks, bank.eps)
+            assert np.max(np.abs(bank.radial - radial)) <= 1e-12
+            assert np.max(np.abs(bump_fourier(ks * bank.eps / 2.0) - h)) <= 1e-12
 
-    def test_cached_filterbank_uses_directory(self, tmp_path):
-        first = cached_filterbank(0.25, 24, cache_dir=tmp_path)
-        files = list(tmp_path.glob("*.npz"))
-        assert len(files) == 1
-        second = cached_filterbank(0.25, 24, cache_dir=tmp_path)
-        assert np.array_equal(first.coeffs, second.coeffs)
+    def test_sample_at_paper_strict_order(self, bank_paper_strict):
+        bank = bank_paper_strict
+        ks = np.unique(np.linspace(0, bank.n_trunc - 1, 400).astype(int))
+        assert ks[-1] == bank.n_trunc - 1
+        assert np.max(np.abs(bank.radial[ks] - quad_radial(ks, bank.eps)[1])) <= 1e-12
 
-    def test_cached_filterbank_honors_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QEEP_CACHE_DIR", str(tmp_path / "env_cache"))
-        cached_filterbank(0.25, 20)
-        assert list((tmp_path / "env_cache").glob("*.npz"))
+    def test_sample_far_past_strict_frequencies(self):
+        # kp reaches 1000 here, against 240 at the paper's strict order.
+        bank = build_filterbank(0.25, 8001)
+        ks = np.unique(np.linspace(0, bank.n_trunc - 1, 200).astype(int))
+        assert ks[-1] * bank.eps / 2.0 == 1000.0
+        assert np.max(np.abs(bank.radial[ks] - quad_radial(ks, bank.eps)[1])) <= 1e-12
+
+
+class TestEpsSnapping:
+    def test_near_integral_inverse_gives_exact_last_center(self):
+        eps = 0.0050000049
+        assert bin_centers(eps)[-1] == 0.5
+        assert bin_centers(eps).size == 201
+        assert build_filterbank(eps, 8).eps == 0.005
+
+    def test_exact_inverses_keep_their_bits(self):
+        for eps in (0.25, 0.05, 0.005):
+            assert 1.0 / round(1.0 / eps) == eps
+            assert _snap_eps(eps) == eps
+            assert build_filterbank(eps, 4).eps == eps
+            assert np.array_equal(bin_centers(eps), -0.5 + eps * np.arange(1 + round(1 / eps)))
 
 
 def test_filter_grid_support_structure():

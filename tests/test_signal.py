@@ -22,6 +22,11 @@ class TestTimeSeriesType:
         with pytest.raises(ValueError):
             TimeSeries(values=np.array([0.9 + 0j, 1.0]), provenance=Provenance.clean())
 
+    def test_non_finite_values_rejected(self):
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            with pytest.raises(ValueError):
+                TimeSeries(values=np.array([1.0 + 0j, bad]), provenance=Provenance.clean())
+
     def test_values_read_only(self):
         ts = generate_clean(fig6_spectrum(), 4)
         with pytest.raises(ValueError):
@@ -32,6 +37,13 @@ class TestTimeSeriesType:
         again = TimeSeries.from_dict(ts.to_dict())
         assert np.array_equal(again.values, ts.values)
         assert again.provenance == ts.provenance
+
+    def test_from_dict_rejects_inconsistent_lengths(self):
+        record = generate_clean(fig6_spectrum(), 3).to_dict()
+        with pytest.raises(ValueError):
+            TimeSeries.from_dict({**record, "n_len": 99})
+        with pytest.raises(ValueError):
+            TimeSeries.from_dict({**record, "values_im": record["values_im"][:2]})
 
 
 class TestGenerateClean:

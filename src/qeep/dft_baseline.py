@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -45,12 +44,3 @@ def dft(signal) -> DftResult:
     grid = np.where(grid > math.pi, grid - 2.0 * math.pi, grid)
     order = np.argsort(grid)
     return DftResult(coefficients=coeffs[order], frequency_grid=grid[order])
-
-
-def write_dft_csv(result: DftResult, path) -> None:
-    """CSV export with columns ``lambda_prime, re, im``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda_prime", "re", "im"])
-        for f, c in zip(result.frequency_grid, result.coefficients):
-            writer.writerow([format(f, ".17g"), format(c.real, ".17g"), format(c.imag, ".17g")])

@@ -219,15 +219,8 @@ def filter_estimate(
     )
 
 
-def mp_moment(est: MpEstimate, s: int, complex_total: bool = False) -> float:
-    """Moment ``sum_l Re(amp_l) * phase_l**s`` of a pencil estimate.
-
-    With ``complex_total`` the real part is taken once over the full complex
-    sum instead of per term; the two agree because the phase powers are real.
-    """
+def mp_moment(est: MpEstimate, s: int) -> float:
+    """Moment ``sum_l Re(amp_l) * phase_l**s`` of a pencil estimate."""
     if s < 0:
         raise ValueError("moment order s must be non-negative")
-    powers = est.eigenphases**s
-    if complex_total:
-        return float(np.real(np.sum(est.amplitudes * powers)))
-    return float(np.sum(est.amplitudes.real * powers))
+    return float(np.sum(est.amplitudes.real * est.eigenphases**s))

@@ -10,7 +10,6 @@ All stochastic operations are pure functions of their seed.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -179,12 +178,3 @@ def hoeffding_shots(n_len: int, eps_prime: float, confidence: float) -> int:
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie strictly between 0 and 1")
     return math.ceil((2.0 * n_len / eps_prime**2) * math.log(2.0 * n_len / (1.0 - confidence)))
-
-
-def write_timeseries_csv(ts: TimeSeries, path) -> None:
-    """CSV export with columns ``k, re, im`` (deterministic formatting)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "re", "im"])
-        for k, v in enumerate(ts.values):
-            writer.writerow([k, format(v.real, ".17g"), format(v.imag, ".17g")])

@@ -19,7 +19,6 @@ any projection onto the simplex would be a separate post-processing choice.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -166,13 +165,3 @@ def rescale_physical(moment: float, s: int, h_norm: float) -> float:
     if not h_norm > 0:
         raise ValueError("h_norm must be positive")
     return moment * (2.0 * h_norm) ** s
-
-
-def write_bins_csv(dist: BinDistribution, path) -> None:
-    """CSV export with columns ``j, lambda_tilde, value``."""
-    centers = dist.centers
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "lambda_tilde", "value"])
-        for j, (c, v) in enumerate(zip(centers, dist.values)):
-            writer.writerow([j, format(c, ".17g"), format(v, ".17g")])

@@ -169,6 +169,32 @@ class TestEstimate:
         assert rc == 2
         assert not (tmp_path / "e.json").exists()
 
+    def test_zero_truncation_order_is_usage_error(self, tmp_path):
+        spec_f, sig_f = tmp_path / "s.json", tmp_path / "g.json"
+        run("synth", "--fig6", "--out", spec_f)
+        run("signal", "--spectrum", spec_f, "--n", 16, "--out", sig_f)
+        rc = run(
+            "estimate", "--signal", sig_f, "--method", "ts", "--eps", 0.25,
+            "--n-trunc", 0, "--out", tmp_path / "e.json",
+        )
+        assert rc == 2
+        assert not (tmp_path / "e.json").exists()
+
+    def test_mp_delta_without_eps_fails_before_solving(self, tmp_path, monkeypatch):
+        spec_f, sig_f = tmp_path / "s.json", tmp_path / "g.json"
+        run("synth", "--fig6", "--out", spec_f)
+        run("signal", "--spectrum", spec_f, "--n", 16, "--out", sig_f)
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("the pencil was solved before the usage check")
+
+        monkeypatch.setattr("qeep.cli.mp_estimate", unexpected)
+        rc = run(
+            "estimate", "--signal", sig_f, "--method", "mp", "--spectrum", spec_f,
+            "--out", tmp_path / "e.json",
+        )
+        assert rc == 2
+
     def test_numeric_failure_maps_to_exit_3(self, tmp_path, monkeypatch):
         spec_f, sig_f = tmp_path / "s.json", tmp_path / "g.json"
         run("synth", "--fig6", "--out", spec_f)
@@ -264,3 +290,51 @@ class TestConfigFile:
 
     def test_unknown_command_usage_error(self):
         assert run("frobnicate") == 2
+
+    @pytest.mark.parametrize("seeds, moments", [("1,2", "1,2"), ([1, 2], [1, 2])])
+    def test_lists_resolve_like_flags(self, tmp_path, seeds, moments):
+        flags, from_cfg = tmp_path / "flags", tmp_path / "cfg"
+        small = ["--n-trunc", 64]
+        rc = run("reproduce", "fig5", "--outdir", flags, "--seeds", "1,2", "--moments", "1,2", *small)
+        assert rc == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seeds": seeds, "moments": moments, "outdir": str(from_cfg)}))
+        assert run("reproduce", "fig5", "--config", cfg, *small) == 0
+        for name in ("fig5_deltas.csv", "fig5_summary.json"):
+            assert (from_cfg / name).read_bytes() == (flags / name).read_bytes()
+
+    def test_output_and_input_keys_are_honored(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        spec_f, sig_f = tmp_path / "s.json", tmp_path / "g.json"
+
+        cfg.write_text(json.dumps({"fig6": True, "out": str(spec_f)}))
+        assert run("synth", "--config", cfg) == 0
+        assert Spectrum.from_dict(json.loads(spec_f.read_text())).entries == fig6_spectrum().entries
+
+        sig_csv = tmp_path / "g.csv"
+        cfg.write_text(json.dumps({"spectrum": str(spec_f), "n": 16, "csv": str(sig_csv)}))
+        assert run("signal", "--config", cfg, "--out", sig_f) == 0
+        assert len(sig_csv.read_text().splitlines()) == 17
+
+        est = tmp_path / "e.json"
+        cfg.write_text(json.dumps({"spectrum": str(spec_f), "eps": 0.25, "n_trunc": 16}))
+        assert run("estimate", "--config", cfg, "--signal", sig_f, "--out", est) == 0
+        assert set(json.loads(est.read_text())["delta"]) == {"1", "2", "4"}
+
+        plan = tmp_path / "plan.json"
+        entries = {"n": 566, "eps-prime": 0.005, "confidence": 0.99, "out": str(plan)}
+        cfg.write_text(json.dumps(entries))
+        assert run("plan-shots", "--config", cfg) == 0
+        assert json.loads(plan.read_text())["shots"] == 526_919_351
+
+    @pytest.mark.parametrize(
+        "content",
+        [{"frobnicate": 1}, {"se": 1}, [["d", 3]], {"d": "three"}, {"d": 3.5}],
+        ids=["unknown-key", "abbreviated-key", "not-an-object", "not-an-int", "float-for-int"],
+    )
+    def test_bad_config_is_usage_error(self, tmp_path, content):
+        # Checked even where every value the command uses comes from flags.
+        cfg, out = tmp_path / "cfg.json", tmp_path / "spec.json"
+        cfg.write_text(json.dumps(content))
+        assert run("synth", "--config", cfg, "--fig6", "--out", out) == 2
+        assert not out.exists()

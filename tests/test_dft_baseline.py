@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qeep import dft
-from qeep.dft_baseline import write_dft_csv
+from qeep.cli import main
 
 FIG3_M = 20
 FIG3_LAMBDA = 2.0 * math.pi / 80.0
@@ -65,9 +65,12 @@ class TestDft:
 
 
 def test_csv_export(tmp_path):
+    # ``reproduce fig3`` exports the DFT of the figure's tone.
     result = dft(tone(FIG3_LAMBDA, FIG3_M))
-    path = tmp_path / "dft.csv"
-    write_dft_csv(result, path)
-    lines = path.read_text().splitlines()
+    assert main(["reproduce", "fig3", "--outdir", str(tmp_path)]) == 0
+    lines = (tmp_path / "fig3_dft.csv").read_text().splitlines()
     assert lines[0] == "lambda_prime,re,im"
     assert len(lines) == FIG3_M + 1
+    table = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    assert np.array_equal(table[:, 0], result.frequency_grid)
+    assert np.array_equal(table[:, 1] + 1j * table[:, 2], result.coefficients)

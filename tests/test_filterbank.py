@@ -280,6 +280,15 @@ class TestChooseTruncation:
         n = choose_truncation(0.005, TruncationMode.STRICT)
         assert 9e4 <= n <= 1.1e5
 
+    def test_strict_order_is_past_decay_onset(self):
+        # tail_bound holds only from the decay onset on; STRICT never stops
+        # short of it (the smallest margin, y = 20.5 against 10, is at eps = 1).
+        onset = decay_onset()
+        for inv in range(1, 201):
+            eps = 1.0 / inv
+            n = choose_truncation(eps, TruncationMode.STRICT)
+            assert (n - 1) * eps / 2.0 >= onset, inv
+
 
 class TestBuildFilterBank:
     def test_zero_column_value(self):

@@ -258,14 +258,6 @@ class TestMpMoment:
             exact_moment(fig6_spectrum(), 1), abs=1e-6
         )
 
-    def test_complex_total_flag_agrees(self):
-        ts = add_noise(generate_clean(fig6_spectrum(), 32), 0.01, 5)
-        est = mp_estimate(ts, 16)
-        for s in (0, 1, 2, 4):
-            assert mp_moment(est, s, complex_total=True) == pytest.approx(
-                mp_moment(est, s), abs=1e-12
-            )
-
     def test_negative_order_rejected(self):
         est = mp_estimate(generate_clean(fig6_spectrum(), 12), 6)
         with pytest.raises(ValueError):

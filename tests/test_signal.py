@@ -14,7 +14,8 @@ from qeep import (
     random_spectrum,
     sample_shots,
 )
-from qeep.signal import Provenance, write_timeseries_csv
+from qeep.cli import main
+from qeep.signal import Provenance
 
 
 class TestTimeSeriesType:
@@ -188,10 +189,13 @@ class TestHoeffdingShots:
 
 
 def test_csv_export_columns_and_determinism(tmp_path):
-    ts = add_noise(generate_clean(fig6_spectrum(), 8), 0.01, 4)
+    spec = tmp_path / "spec.json"
+    assert main(["synth", "--fig6", "--out", str(spec)]) == 0
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_timeseries_csv(ts, p1)
-    write_timeseries_csv(ts, p2)
+    for path in (p1, p2):
+        argv = ["signal", "--spectrum", str(spec), "--n", "8", "--noise", "0.01", "--seed", "4",
+                "--out", str(tmp_path / "sig.json"), "--csv", str(path)]
+        assert main(argv) == 0
     lines = p1.read_text().splitlines()
     assert lines[0] == "k,re,im"
     assert len(lines) == 9

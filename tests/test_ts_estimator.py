@@ -19,8 +19,8 @@ from qeep import (
     rescale_physical,
     truncated_bins,
 )
+from qeep.cli import main
 from qeep.filterbank import SQRT_2PI
-from qeep.ts_estimator import write_bins_csv
 
 
 def point_mass(lam: float) -> Spectrum:
@@ -232,9 +232,12 @@ class TestBinDistributionType:
         assert np.array_equal(again.values, dist.values)
 
     def test_csv_export(self, tmp_path):
-        dist = exact_bins(fig6_spectrum(), 0.25)
-        path = tmp_path / "bins.csv"
-        write_bins_csv(dist, path)
+        spec, sig, path = tmp_path / "spec.json", tmp_path / "sig.json", tmp_path / "bins.csv"
+        assert main(["synth", "--fig6", "--out", str(spec)]) == 0
+        assert main(["signal", "--spectrum", str(spec), "--n", "8", "--out", str(sig)]) == 0
+        argv = ["estimate", "--signal", str(sig), "--method", "ts", "--eps", "0.25",
+                "--out", str(tmp_path / "est.json"), "--csv", str(path)]
+        assert main(argv) == 0
         lines = path.read_text().splitlines()
         assert lines[0] == "j,lambda_tilde,value"
         assert len(lines) == 6

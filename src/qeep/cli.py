@@ -182,6 +182,10 @@ def _bins_rows(dist):
 
 
 def _cmd_estimate(args) -> int:
+    for dest in ("l_dim",) if args.method == "ts" else ("n_trunc", "csv"):
+        if getattr(args, dest) is not None:
+            flag = "--" + dest.replace("_", "-")
+            raise ValueError(f"{flag} does not apply to --method {args.method}")
     ts = _load_signal(args.signal)
     spec = _load_spectrum(args.spectrum) if args.spectrum else None
     out = Path(args.out)
@@ -215,7 +219,7 @@ def _cmd_estimate(args) -> int:
     if deltas is not None:
         payload["delta"] = deltas
     _write_json(payload, out)
-    if args.csv and args.method == "ts":
+    if args.csv:
         _write_csv(args.csv, ["j", "lambda_tilde", "value"], _bins_rows(dist))
     print(f"wrote {out}")
     return 0
@@ -426,18 +430,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signal", default="signal.json")
     p.add_argument("--method", choices=["ts", "mp"], default="ts")
     p.add_argument("--eps", type=float)
-    p.add_argument("--n-trunc", dest="n_trunc", type=int)
-    p.add_argument("--truncation", choices=["empirical", "strict"], default="empirical")
-    p.add_argument("--l-dim", dest="l_dim", type=int)
+    p.add_argument("--n-trunc", dest="n_trunc", type=int, help="ts only")
+    p.add_argument(
+        "--truncation", choices=["empirical", "strict"], default="empirical", help="ts only"
+    )
+    p.add_argument("--l-dim", dest="l_dim", type=int, help="mp only")
     p.add_argument(
         "--moments", type=_parse_int_list, default=(1, 2, 4), help="comma-separated moment orders"
     )
     p.add_argument("--spectrum", help="ground truth for delta reporting")
     p.add_argument("--out", default="estimate.json")
-    p.add_argument("--csv")
+    p.add_argument("--csv", help="ts only: bin distribution as CSV")
 
     p = command("reproduce", _cmd_reproduce, "rebuild a figure or table bundle")
-    p.add_argument("figure", choices=sorted(_FIGURES))
+    p.add_argument(
+        "figure",
+        choices=sorted(_FIGURES),
+        help="fig3 and fig4 are fixed and ignore every other flag but --outdir; "
+        "fig6 uses only the first of --seeds and ignores --moments and --d",
+    )
     p.add_argument("--outdir", default=".")
     p.add_argument("--seeds", type=_parse_int_list, default=(1, 2, 3, 4, 5))
     p.add_argument("--moments", type=_parse_int_list, default=(1, 2, 4))

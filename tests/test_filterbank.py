@@ -19,7 +19,7 @@ from qeep import (
     filter_coefficient,
     tail_bound,
 )
-from qeep.filterbank import SQRT_2PI, _snap_eps, filter_grid
+from qeep.filterbank import BUMP_NORM, SQRT_2PI, _snap_eps, filter_grid
 
 
 def _bump_scalar(x: float) -> float:
@@ -85,6 +85,15 @@ class TestBumpNorm:
         oracle = 1.0 / np.trapezoid(ys, xs)
         assert bump_norm() == pytest.approx(oracle, abs=1e-6)
         assert bump_norm() == pytest.approx(2.252283621, abs=1e-6)
+
+    def test_literal_matches_adaptive_quadrature(self):
+        # The frozen constant is the double 1/quad(...) returns; another scipy
+        # build may round the integral differently, so allow 2 ulp.
+        val, _ = quad(
+            lambda x: math.exp(-1.0 / (1.0 - x * x)), -1.0, 1.0, epsabs=1e-14, epsrel=1e-13
+        )
+        assert abs(BUMP_NORM - 1.0 / val) <= 2 * math.ulp(BUMP_NORM)
+        assert bump_norm() == BUMP_NORM == 2.2522836210435813
 
     def test_normalizes_bump_to_unit_mass(self):
         xs = np.linspace(-1.0, 1.0, 20_001)

@@ -14,7 +14,6 @@ from .filterbank import (
     choose_truncation,
     decay_onset,
     evaluate_filter,
-    evaluate_filter_series,
     filter_coefficient,
     tail_bound,
 )
@@ -24,7 +23,6 @@ from .matrix_pencil import (
     filter_estimate,
     mp_estimate,
     mp_moment,
-    pencil_eigenphases,
     solve_amplitudes,
     solve_pencil,
 )
@@ -75,7 +73,6 @@ __all__ = [
     "estimate_bins",
     "estimate_moment",
     "evaluate_filter",
-    "evaluate_filter_series",
     "exact_bins",
     "exact_moment",
     "expectation_from_function",
@@ -87,7 +84,6 @@ __all__ = [
     "moment_error_bound",
     "mp_estimate",
     "mp_moment",
-    "pencil_eigenphases",
     "random_spectrum",
     "rescale_physical",
     "sample_shots",

@@ -42,7 +42,9 @@ from .ts_estimator import estimate_bins, estimate_moment
 NOISE_SEED_OFFSET = 2**32
 
 
-def _write_json(obj, path: Path) -> None:
+def _write_json(obj, path) -> None:
+    """Pretty, key-sorted JSON; missing parent directories are created."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -55,7 +57,9 @@ def _read_json(path) -> dict:
 
 def _write_csv(path, header, rows) -> None:
     """CSV with a header row; floats are written as ``.17g`` so they round-trip
-    and a rerun writes the same bytes, everything else as ``str``."""
+    and a rerun writes the same bytes, everything else as ``str``. Missing
+    parent directories are created."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -117,7 +121,6 @@ def _cmd_synth(args) -> int:
         if args.d is None:
             raise ValueError("either --fig6 or --d is required")
         spec = random_spectrum(args.d, args.seed)
-    out.parent.mkdir(parents=True, exist_ok=True)
     _write_json(spec.to_dict(), out)
     print(f"wrote {out}")
     return 0
@@ -144,7 +147,6 @@ def _cmd_signal(args) -> int:
     if planned is not None:
         payload["planned_shots"] = planned
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     _write_json(payload, out)
     if args.csv:
         rows = ((k, v.real, v.imag) for k, v in enumerate(ts.values))
@@ -162,7 +164,7 @@ def _cmd_plan_shots(args) -> int:
         "shots": shots,
     }
     if args.out:
-        _write_json(result, Path(args.out))
+        _write_json(result, args.out)
     print(json.dumps(result, sort_keys=True))
     return 0
 
@@ -189,7 +191,6 @@ def _cmd_estimate(args) -> int:
     ts = _load_signal(args.signal)
     spec = _load_spectrum(args.spectrum) if args.spectrum else None
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
 
     if args.method == "ts":
         if args.eps is None:
@@ -385,7 +386,6 @@ def _cmd_reproduce(args) -> int:
     if args.l_dim is None:
         args.l_dim = args.n_trunc - 1
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     _FIGURES[args.figure](outdir, args)
     print(f"wrote {args.figure} bundle to {outdir}")
     return 0

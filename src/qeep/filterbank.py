@@ -18,6 +18,11 @@ values ``radial(k)`` for ``k < N`` are all the estimators need; the bin
 phases are applied where the coefficients are used. ``H`` comes from a fixed
 trapezoid rule whose node count follows from the largest frequency requested
 (see :func:`bump_fourier`), and :class:`FilterBank` holds the profile.
+
+The truncated Fourier series of every ``f_j`` at a point ``x`` is the
+estimator's own sum applied to the one-line signal ``g_k = exp(-i*x*k)``, so
+it is evaluated as ``truncated_bins`` of the spectrum with a single line at
+``x`` (see :mod:`qeep.ts_estimator`), not by a separate implementation.
 """
 
 from __future__ import annotations
@@ -162,8 +167,9 @@ def evaluate_filter(j: int, x: float, eps: float) -> float:
     Reduces to a single integral of the unit bump over the intersection of
     ``[-1, 1]`` with the shifted bin window; exactly zero outside
     ``|x - center_j| < eps``, exactly one at ``x = center_j``. Absolute error
-    below 1e-10. This is the slow reference path the Fourier-series evaluation
-    is checked against, and the only place the package imports scipy.
+    below 1e-10. This is the slow reference path the truncated series (the
+    estimator on a one-line spectrum) is checked against, and the only place
+    the package imports scipy.
     """
     from scipy.integrate import quad
 
@@ -178,24 +184,6 @@ def evaluate_filter(j: int, x: float, eps: float) -> float:
         return 0.0
     val, _ = quad(_bump_scalar, lo, hi, epsabs=1e-12)
     return val
-
-
-def evaluate_filter_series(j: int, x, bank: "FilterBank"):
-    """Truncated Fourier-series value of the j-th filter at ``x``.
-
-    Computes ``(2*pi)**-0.5 * (F_j(0) + 2*Re sum_{k=1}^{N-1} F_j(k) e^{ixk})``,
-    which is real by conjugate symmetry. Accepts scalar or array ``x``. The
-    series is 2*pi-periodic in x; it agrees with the aperiodic filter on
-    ``|x| <= 1/2 + eps``, where the periodic images vanish.
-    """
-    row = bank.row(j)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    k = np.arange(1, bank.n_trunc)
-    partial = np.exp(1j * np.outer(xs, k)) @ row[1:]
-    out = (row[0].real + 2.0 * partial.real) / SQRT_2PI
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(out[0])
-    return out
 
 
 def tail_bound(n_trunc: int, eps: float) -> float:

@@ -1,9 +1,11 @@
 """Matrix-pencil baseline: Hankel pencil solve, eigenphases, amplitude fit.
 
 Given signal values ``g_0 .. g_{N-1}`` (negative indices via
-``g_{-k} = conj(g_k)``), two shifted Hankel matrices of shape
-``L x (2N - L - 1)`` are built with entries ``g_{l + l' + a - N + 1}`` for
-shift ``a in {0, 1}``. The pencil matrix ``K`` minimizing the Frobenius norm
+``g_{-k} = conj(g_k)``), one Hankel matrix ``H`` of shape ``L x (2N - L)``
+with entries ``H[l, c] = g_{l + c - N + 1}`` is built. Its column windows
+``H0 = H[:, :-1]`` and ``H1 = H[:, 1:]`` form the pencil pair (Hua & Sarkar
+1990, IEEE Trans. ASSP 38:814): ``H1`` is ``H0`` with every index advanced
+by one. The pencil matrix ``K`` minimizing the Frobenius norm
 of ``K @ H0 - H1`` is solved through an SVD pseudoinverse; its eigenvalues
 ``mu = exp(-i * phase)`` carry the eigenvalue estimates, and a Vandermonde
 least-squares fit against the first L signal entries recovers amplitudes.
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericError
 from .signal import TimeSeries
@@ -92,25 +95,18 @@ class AmplitudeFit(NamedTuple):
     rank: int
 
 
-def _extended_values(ts: TimeSeries) -> np.ndarray:
-    """Signal on indices ``-(N-1) .. N-1`` via conjugate symmetry."""
-    v = ts.values
-    return np.concatenate([np.conj(v[:0:-1]), v])
-
-
-def build_hankel(ts: TimeSeries, l_dim: int, shift: int) -> np.ndarray:
-    """Hankel matrix of shape ``(l_dim, 2*N - l_dim - 1)`` with entry
-    ``(l, l') = g_{l + l' + shift - N + 1}``."""
+def build_hankel(ts: TimeSeries, l_dim: int) -> np.ndarray:
+    """Hankel matrix of shape ``(l_dim, 2*N - l_dim)`` with entry
+    ``(l, c) = g_{l + c - N + 1}``: the ``l_dim`` windows of length
+    ``2*N - l_dim`` over the signal on indices ``-(N-1) .. N-1``."""
     n = ts.n_len
     if not 1 <= l_dim <= n - 1:
         raise ValueError(f"l_dim must lie in [1, {n - 1}], got {l_dim}")
-    if shift not in (0, 1):
-        raise ValueError("shift must be 0 or 1")
-    full = _extended_values(ts)
-    cols = 2 * n - l_dim - 1
-    l = np.arange(l_dim)[:, None]
-    lp = np.arange(cols)[None, :]
-    return full[(l + lp + shift - n + 1) + (n - 1)]
+    v = ts.values
+    full = np.concatenate([np.conj(v[:0:-1]), v])
+    # Copied because the rows of the window view overlap in memory, which
+    # would keep the column windows off the BLAS matrix product.
+    return sliding_window_view(full, 2 * n - l_dim).copy()
 
 
 def solve_pencil(h0: np.ndarray, h1: np.ndarray) -> np.ndarray:
@@ -141,15 +137,6 @@ def _eigenphase_pairs(k_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return phases, mu
 
 
-def pencil_eigenphases(k_matrix: np.ndarray) -> np.ndarray:
-    """All eigenphases of the pencil matrix, sorted ascending in ``(-pi, pi]``."""
-    k_matrix = np.asarray(k_matrix, dtype=complex)
-    if k_matrix.ndim != 2 or k_matrix.shape[0] != k_matrix.shape[1]:
-        raise ValueError("k_matrix must be square")
-    phases, _ = _eigenphase_pairs(k_matrix)
-    return np.sort(phases)
-
-
 def solve_amplitudes(eigenphases, ts: TimeSeries, l_dim: int) -> AmplitudeFit:
     """Least-squares amplitudes against the first ``l_dim`` signal entries.
 
@@ -171,14 +158,14 @@ def solve_amplitudes(eigenphases, ts: TimeSeries, l_dim: int) -> AmplitudeFit:
 
 
 def mp_estimate(ts: TimeSeries, l_dim: int | None = None) -> MpEstimate:
-    """Full pencil pipeline: Hankel pair, pencil solve, eigenphases, amplitude
-    fit. ``l_dim`` defaults to ``N - 1``. All eigenphases are kept."""
+    """Full pencil pipeline: one Hankel matrix, the pencil solve on its column
+    windows, eigenphases, amplitude fit. ``l_dim`` defaults to ``N - 1``. All
+    eigenphases are kept."""
     n = ts.n_len
     if l_dim is None:
         l_dim = n - 1
-    h0 = build_hankel(ts, l_dim, 0)
-    h1 = build_hankel(ts, l_dim, 1)
-    k = solve_pencil(h0, h1)
+    h = build_hankel(ts, l_dim)
+    k = solve_pencil(h[:, :-1], h[:, 1:])
     phases, mu = _eigenphase_pairs(k)
     fit = solve_amplitudes(phases, ts, l_dim)
     order = np.argsort(phases)

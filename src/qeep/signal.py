@@ -21,15 +21,36 @@ CLEAN = "clean"
 ADDITIVE_NOISE = "additive_noise"
 SHOT_SAMPLED = "shot_sampled"
 
+# The optional fields each provenance kind carries: exactly those its
+# constructor sets.
+_KIND_FIELDS = {
+    CLEAN: (),
+    ADDITIVE_NOISE: ("eps_prime", "seed"),
+    SHOT_SAMPLED: ("shots_per_point", "seed"),
+}
+
 
 @dataclass(frozen=True)
 class Provenance:
-    """How a time series was produced; part of the experiment record."""
+    """How a time series was produced; part of the experiment record.
+
+    ``kind`` is one of ``clean``, ``additive_noise`` or ``shot_sampled``, and
+    the record carries exactly the fields that kind's constructor sets.
+    """
 
     kind: str
     eps_prime: float | None = None
     seed: int | None = None
     shots_per_point: int | None = None
+
+    def __post_init__(self):
+        if not (isinstance(self.kind, str) and self.kind in _KIND_FIELDS):
+            raise ValueError(f"unknown provenance kind {self.kind!r}")
+        for name in ("eps_prime", "seed", "shots_per_point"):
+            given = getattr(self, name) is not None
+            if given != (name in _KIND_FIELDS[self.kind]):
+                verb = "cannot carry" if given else "needs"
+                raise ValueError(f"{self.kind} provenance {verb} {name}")
 
     @classmethod
     def clean(cls) -> "Provenance":

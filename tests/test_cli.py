@@ -104,6 +104,31 @@ class TestPlanShots:
         assert run("plan-shots", "--n", 10, "--eps-prime", 0.1, "--confidence", 1.5) == 2
 
 
+class TestOutputPaths:
+    """Every output path gets its missing parent directories, so a command
+    never fails half-way with its first file written."""
+
+    def test_plan_shots_creates_parent(self, tmp_path):
+        out = tmp_path / "new" / "deeper" / "plan.json"
+        assert run("plan-shots", "--n", 10, "--eps-prime", 0.1, "--confidence", 0.9, "--out", out) == 0
+        assert json.loads(out.read_text())["n_len"] == 10
+
+    def test_csv_parents_are_created(self, tmp_path):
+        spec_f = tmp_path / "s.json"
+        sig_f, sig_csv = tmp_path / "sig" / "g.json", tmp_path / "sig_csv" / "g.csv"
+        est_f, est_csv = tmp_path / "est" / "e.json", tmp_path / "est_csv" / "e.csv"
+        run("synth", "--fig6", "--out", spec_f)
+        assert run("signal", "--spectrum", spec_f, "--n", 16, "--out", sig_f, "--csv", sig_csv) == 0
+        assert sig_csv.read_text().startswith("k,re,im")
+        rc = run(
+            "estimate", "--signal", sig_f, "--method", "ts", "--eps", 0.25,
+            "--n-trunc", 16, "--out", est_f, "--csv", est_csv,
+        )
+        assert rc == 0
+        assert est_f.exists()
+        assert len(est_csv.read_text().splitlines()) == 1 + 5
+
+
 class TestEstimate:
     def test_ts_on_clean_signal_matches_truncated_bins(self, tmp_path):
         spec_f, sig_f, out_f = tmp_path / "s.json", tmp_path / "g.json", tmp_path / "e.json"
@@ -167,6 +192,21 @@ class TestEstimate:
         record["values_re"][5] = float("nan")
         sig_f.write_text(json.dumps(record))
         assert "NaN" in sig_f.read_text()
+        rc = run(
+            "estimate", "--signal", sig_f, "--method", "ts", "--eps", 0.25,
+            "--n-trunc", 16, "--out", tmp_path / "e.json",
+        )
+        assert rc == 2
+        assert not (tmp_path / "e.json").exists()
+
+    @pytest.mark.parametrize("provenance", [{"kind": "bogus"}, {"kind": "additive_noise"}])
+    def test_malformed_provenance_is_usage_error(self, tmp_path, provenance):
+        spec_f, sig_f = tmp_path / "s.json", tmp_path / "g.json"
+        run("synth", "--fig6", "--out", spec_f)
+        run("signal", "--spectrum", spec_f, "--n", 16, "--out", sig_f)
+        record = json.loads(sig_f.read_text())
+        record["provenance"] = provenance
+        sig_f.write_text(json.dumps(record))
         rc = run(
             "estimate", "--signal", sig_f, "--method", "ts", "--eps", 0.25,
             "--n-trunc", 16, "--out", tmp_path / "e.json",

@@ -10,7 +10,9 @@ must say why and record new hashes.
 Hashes recorded with Python 3.11.7, numpy 2.4.6, scipy 1.17.1 and
 OpenBLAS 0.3.31 (scipy-openblas, x86-64). The matrix-pencil and random-draw
 outputs go through numpy's LAPACK and generators, so another numpy or BLAS
-build may change their last digits.
+build may change their last digits. scipy reaches only the ``fig4`` bytes
+(its filter curves come from adaptive quadrature); every other command
+imports numpy alone, so another scipy build can move only that case.
 """
 
 import hashlib

@@ -3,9 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
 from qeep import (
+    Spectrum,
     TruncationMode,
     bin_centers,
     build_filterbank,
@@ -15,9 +18,9 @@ from qeep import (
     choose_truncation,
     decay_onset,
     evaluate_filter,
-    evaluate_filter_series,
     filter_coefficient,
     tail_bound,
+    truncated_bins,
 )
 from qeep.filterbank import BUMP_NORM, SQRT_2PI, _snap_eps, filter_grid
 
@@ -214,21 +217,25 @@ class TestEvaluateFilter:
             evaluate_filter(9, 0.0, 0.25)
 
 
+def series(bank, x: float) -> np.ndarray:
+    """Truncated Fourier series of every bin filter at ``x``: the estimator's
+    own sum applied to the one-line signal ``g_k = exp(-i*x*k)``."""
+    return truncated_bins(Spectrum(lambdas=[x], weights=[1.0]), bank).values
+
+
 class TestEvaluateFilterSeries:
     def test_center_value_against_quadrature(self):
         # At N = 200 the truncated series sits ~1.3e-4 off the exact value.
         bank = build_filterbank(0.25, 200)
-        series = evaluate_filter_series(2, 0.0, bank)
         oracle = evaluate_filter(2, 0.0, 0.25)
-        assert series == pytest.approx(oracle, abs=2e-4)
+        assert series(bank, 0.0)[2] == pytest.approx(oracle, abs=2e-4)
 
     def test_matches_quadrature_tightly_at_strict_truncation(self, bank_quarter_strict):
         bank = bank_quarter_strict
-        for j in (0, 2, 4):
-            for x in (-0.4, -0.1, 0.0, 0.23):
-                assert evaluate_filter_series(j, x, bank) == pytest.approx(
-                    evaluate_filter(j, x, bank.eps), abs=1e-5
-                )
+        for x in (-0.4, -0.1, 0.0, 0.23):
+            values = series(bank, x)
+            for j in (0, 2, 4):
+                assert values[j] == pytest.approx(evaluate_filter(j, x, bank.eps), abs=1e-5)
 
     def test_unsymmetrized_sum_is_real(self, bank_quarter_strict):
         # Materializing the negative-k half explicitly must cancel the
@@ -241,15 +248,28 @@ class TestEvaluateFilterSeries:
             np.conj(row[1:]) * np.exp(-1j * x * ks)
         )
         assert abs(total.imag) <= 1e-12
-        assert total.real / SQRT_2PI == pytest.approx(
-            evaluate_filter_series(j, x, bank), abs=1e-12
-        )
+        assert total.real / SQRT_2PI == pytest.approx(series(bank, x)[j], abs=1e-12)
 
-    def test_vectorized_over_x(self, bank_quarter_strict):
+    def test_lines_superpose(self, bank_quarter_strict):
+        # The estimator is linear in the signal, so on a multi-line spectrum
+        # it is the weighted sum of the one-line series.
+        bank = bank_quarter_strict
         xs = np.linspace(-0.5, 0.5, 7)
-        vals = evaluate_filter_series(2, xs, bank_quarter_strict)
-        assert vals.shape == xs.shape
-        assert vals[3] == pytest.approx(evaluate_filter_series(2, 0.0, bank_quarter_strict))
+        weights = np.arange(1.0, 8.0) / 28.0
+        spec = Spectrum(lambdas=xs, weights=weights)
+        expected = sum(w * series(bank, float(x)) for x, w in zip(xs, weights))
+        assert np.max(np.abs(truncated_bins(spec, bank).values - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("bank_name", ["bank_quarter_strict", "bank_mid_strict"])
+    def test_partition_of_unity_at_strict_order(self, request, bank_name):
+        bank = request.getfixturevalue(bank_name)
+
+        @settings(max_examples=200, deadline=None)
+        @given(x=st.floats(-0.5, 0.5))
+        def check(x):
+            assert abs(series(bank, x).sum() - 1.0) <= bank.eps / (2 * bank.m_bins)
+
+        check()
 
 
 class TestTailBound:

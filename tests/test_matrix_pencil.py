@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qeep import (
     MpEstimate,
     NumericError,
     Spectrum,
+    TimeSeries,
     add_noise,
     build_hankel,
     exact_moment,
@@ -15,10 +18,11 @@ from qeep import (
     generate_clean,
     mp_estimate,
     mp_moment,
-    pencil_eigenphases,
     solve_amplitudes,
     solve_pencil,
 )
+from qeep.matrix_pencil import _eigenphase_pairs
+from qeep.signal import Provenance
 
 
 def point_mass(lam: float) -> Spectrum:
@@ -28,49 +32,72 @@ def point_mass(lam: float) -> Spectrum:
 class TestBuildHankel:
     def test_shape_and_corner_entries(self):
         ts = generate_clean(fig6_spectrum(), 3)
-        h0 = build_hankel(ts, 2, 0)
-        assert h0.shape == (2, 3)
-        # entry (l, l') = g_{l + l' + shift - N + 1}; (0, 0) reaches g_{-2}.
-        assert h0[0, 0] == np.conj(ts.values[2])
-        assert h0[1, 2] == ts.values[1]
+        h = build_hankel(ts, 2)
+        assert h.shape == (2, 4)
+        # entry (l, c) = g_{l + c - N + 1}; (0, 0) reaches g_{-2}.
+        assert h[0, 0] == np.conj(ts.values[2])
+        assert h[1, 2] == ts.values[1]
+        assert h[1, 3] == ts.values[2]
 
     def test_hand_built_reference(self):
         ts = generate_clean(fig6_spectrum(), 4)
         g = ts.values
         full = {k: g[k] for k in range(4)}
         full.update({-k: np.conj(g[k]) for k in range(1, 4)})
-        for shift in (0, 1):
-            h = build_hankel(ts, 2, shift)
-            for l in range(2):
-                for lp in range(5):
-                    assert h[l, lp] == full[l + lp + shift - 4 + 1]
+        h = build_hankel(ts, 2)
+        for l in range(2):
+            for c in range(6):
+                assert h[l, c] == full[l + c - 4 + 1]
 
     def test_shift_advances_every_index_by_one(self):
+        # The pencil pair is the column windows H0 = H[:, :-1], H1 = H[:, 1:];
+        # H1 is H0 with every index advanced by one, i.e. H0 one row down.
         ts = generate_clean(fig6_spectrum(), 5)
-        h0 = build_hankel(ts, 3, 0)
-        h1 = build_hankel(ts, 3, 1)
-        assert np.array_equal(h1[:, :-1], h0[:, 1:])
+        h = build_hankel(ts, 3)
+        h0, h1 = h[:, :-1], h[:, 1:]
+        assert np.array_equal(h1[:-1], h0[1:])
 
     def test_constant_signal_gives_all_ones(self):
         ts = generate_clean(point_mass(0.0), 4)
-        for shift in (0, 1):
-            assert np.array_equal(build_hankel(ts, 2, shift), np.ones((2, 5), dtype=complex))
+        assert np.array_equal(build_hankel(ts, 2), np.ones((2, 6), dtype=complex))
 
     def test_invalid_arguments(self):
         ts = generate_clean(fig6_spectrum(), 4)
         with pytest.raises(ValueError):
-            build_hankel(ts, 0, 0)
+            build_hankel(ts, 0)
         with pytest.raises(ValueError):
-            build_hankel(ts, 4, 0)
-        with pytest.raises(ValueError):
-            build_hankel(ts, 2, 2)
+            build_hankel(ts, 4)
+
+    @settings(max_examples=60, deadline=None)
+    @example(shape=(2, 1), seed=0)
+    @example(shape=(40, 1), seed=1)
+    @example(shape=(40, 39), seed=2)
+    @given(
+        shape=st.integers(2, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_entry_rule_property(self, shape, seed):
+        n, l_dim = shape
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=n) + 1j * rng.normal(size=n)
+        g[0] = 1.0
+        h = build_hankel(TimeSeries(values=g, provenance=Provenance.clean()), l_dim)
+        assert h.shape == (l_dim, 2 * n - l_dim)
+        index = np.arange(l_dim)[:, None] + np.arange(2 * n - l_dim)[None, :] - n + 1
+        expected = np.where(index >= 0, g[np.abs(index)], np.conj(g[np.abs(index)]))
+        assert np.array_equal(h, expected)
+
+
+def pencil_pair(ts, l_dim):
+    h = build_hankel(ts, l_dim)
+    return h[:, :-1], h[:, 1:]
 
 
 class TestSolvePencil:
     def test_single_eigenvalue_rank_one_shift(self):
         lam = 0.37
         ts = generate_clean(point_mass(lam), 8)
-        k = solve_pencil(build_hankel(ts, 3, 0), build_hankel(ts, 3, 1))
+        k = solve_pencil(*pencil_pair(ts, 3))
         mu = np.linalg.eigvals(k)
         top = mu[np.argmax(np.abs(mu))]
         assert top == pytest.approx(np.exp(-1j * lam), abs=1e-10)
@@ -79,22 +106,21 @@ class TestSolvePencil:
         # rank-1 signal: K = h0 @ pinv(h0) projects onto the signal subspace,
         # so the spectrum is one unit eigenvalue plus zeros.
         ts = generate_clean(point_mass(0.0), 6)
-        h0 = build_hankel(ts, 2, 0)
+        h0, _ = pencil_pair(ts, 2)
         mu = np.sort(np.abs(np.linalg.eigvals(solve_pencil(h0, h0))))
         assert mu[-1] == pytest.approx(1.0, abs=1e-10)
         assert np.all(mu[:-1] <= 1e-10)
 
     def test_rank_structure_for_five_lines(self):
         ts = generate_clean(fig6_spectrum(), 20)
-        k = solve_pencil(build_hankel(ts, 10, 0), build_hankel(ts, 10, 1))
+        k = solve_pencil(*pencil_pair(ts, 10))
         mu = np.sort(np.abs(np.linalg.eigvals(k)))
         assert np.all(np.abs(mu[-5:] - 1.0) <= 1e-6)
         assert np.all(mu[:-5] <= 1e-6)
 
     def test_residual_of_noiseless_pencil(self):
         ts = generate_clean(fig6_spectrum(), 20)
-        h0 = build_hankel(ts, 10, 0)
-        h1 = build_hankel(ts, 10, 1)
+        h0, h1 = pencil_pair(ts, 10)
         k = solve_pencil(h0, h1)
         assert np.linalg.norm(k @ h0 - h1) <= 1e-8
 
@@ -111,19 +137,17 @@ class TestSolvePencil:
 class TestPencilEigenphases:
     def test_diagonal_case(self):
         k = np.diag([np.exp(-1j * 0.3)])
-        assert pencil_eigenphases(k) == pytest.approx([0.3], abs=1e-14)
+        phases, mu = _eigenphase_pairs(k)
+        assert phases == pytest.approx([0.3], abs=1e-14)
+        assert mu == pytest.approx([np.exp(-1j * 0.3)], abs=1e-14)
 
     def test_sorted_and_in_half_open_interval(self):
         k = np.diag([np.exp(-1j * 0.5), np.exp(1j * 0.2), -1.0])
-        phases = pencil_eigenphases(k)
+        phases = np.sort(_eigenphase_pairs(k)[0])
         assert np.all(np.diff(phases) >= 0)
         assert np.all((phases > -math.pi) & (phases <= math.pi))
         # -1 = exp(-i*pi): the phase lands on pi, not -pi.
         assert phases[-1] == pytest.approx(math.pi, abs=1e-12)
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            pencil_eigenphases(np.ones((2, 3)))
 
 
 class TestSolveAmplitudes:

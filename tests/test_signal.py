@@ -47,6 +47,27 @@ class TestTimeSeriesType:
             TimeSeries.from_dict({**record, "values_im": record["values_im"][:2]})
 
 
+class TestProvenance:
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"kind": "bogus"},
+            {"kind": ["clean"]},
+            {"kind": "additive_noise"},
+            {"kind": "additive_noise", "eps_prime": 0.01},
+            {"kind": "additive_noise", "seed": 5},
+            {"kind": "shot_sampled", "seed": 5},
+            {"kind": "clean", "seed": 5},
+            {"kind": "additive_noise", "eps_prime": 0.01, "seed": 5, "shots_per_point": 9},
+        ],
+    )
+    def test_malformed_record_rejected(self, record):
+        with pytest.raises(ValueError):
+            Provenance.from_dict(record)
+        with pytest.raises(ValueError):
+            Provenance(**record)
+
+
 class TestGenerateClean:
     def test_zero_eigenvalue_gives_constant_signal(self):
         spec = Spectrum(lambdas=[0.0], weights=[1.0])

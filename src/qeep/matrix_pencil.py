@@ -1,13 +1,13 @@
 """Matrix-pencil baseline: Hankel pencil solve, eigenphases, amplitude fit.
 
 Given signal values ``g_0 .. g_{N-1}`` (negative indices via
-``g_{-k} = conj(g_k)``), one Hankel matrix ``H`` of shape ``L x (2N - L)``
-with entries ``H[l, c] = g_{l + c - N + 1}`` is built. Its column windows
-``H0 = H[:, :-1]`` and ``H1 = H[:, 1:]`` form the pencil pair (Hua & Sarkar
-1990, IEEE Trans. ASSP 38:814): ``H1`` is ``H0`` with every index advanced
-by one. The pencil matrix ``K`` minimizing the Frobenius norm
-of ``K @ H0 - H1`` is solved through an SVD pseudoinverse; its eigenvalues
-``mu = exp(-i * phase)`` carry the eigenvalue estimates, and a Vandermonde
+``g_{-k} = conj(g_k)``), one Hankel matrix ``G`` of shape ``(L+1) x (2N-L-1)``
+with entries ``G[l, c] = g_{l + c - N + 1}`` is built. Its row windows
+``H0 = G[:-1]`` and ``H1 = G[1:]`` form the pencil pair (Hua & Sarkar 1990,
+IEEE Trans. ASSP 38:814). ``K = H1 @ pinv(H0)`` comes from the R factor of one
+QR, ``G^H = Q R``: ``K = R[:-1, 1:]^H @ pinv(R[:-1, :-1]^H)``, and the L x L
+block ``R[:-1, :-1]`` has the singular values of ``H0``. The eigenvalues
+``mu = exp(-i * phase)`` of ``K`` carry the estimates, and a Vandermonde
 least-squares fit against the first L signal entries recovers amplitudes.
 
 On an exact signal this recovers the spectrum to machine precision. Under
@@ -96,33 +96,33 @@ class AmplitudeFit(NamedTuple):
 
 
 def build_hankel(ts: TimeSeries, l_dim: int) -> np.ndarray:
-    """Hankel matrix of shape ``(l_dim, 2*N - l_dim)`` with entry
-    ``(l, c) = g_{l + c - N + 1}``: the ``l_dim`` windows of length
-    ``2*N - l_dim`` over the signal on indices ``-(N-1) .. N-1``."""
+    """Read-only Hankel view of shape ``(l_dim + 1, 2*N - l_dim - 1)`` with entry
+    ``(l, c) = g_{l + c - N + 1}``: the ``l_dim + 1`` windows of length
+    ``2*N - l_dim - 1`` over the signal on indices ``-(N-1) .. N-1``."""
     n = ts.n_len
     if not 1 <= l_dim <= n - 1:
         raise ValueError(f"l_dim must lie in [1, {n - 1}], got {l_dim}")
     v = ts.values
-    full = np.concatenate([np.conj(v[:0:-1]), v])
-    # Copied because the rows of the window view overlap in memory, which
-    # would keep the column windows off the BLAS matrix product.
-    return sliding_window_view(full, 2 * n - l_dim).copy()
+    return sliding_window_view(np.concatenate([np.conj(v[:0:-1]), v]), 2 * n - l_dim - 1)
 
 
-def solve_pencil(h0: np.ndarray, h1: np.ndarray) -> np.ndarray:
-    """Least-squares pencil matrix ``K = H1 @ pinv(H0)`` (Frobenius objective),
-    with singular values below ``SVD_RCOND`` times the largest treated as zero."""
-    h0 = np.asarray(h0, dtype=complex)
-    h1 = np.asarray(h1, dtype=complex)
-    if h0.shape != h1.shape or h0.ndim != 2:
-        raise ValueError("h0 and h1 must be 2-d arrays of identical shape")
-    if not np.any(h0):
-        raise NumericError("degenerate pencil: h0 is identically zero")
+def solve_pencil(g: np.ndarray) -> np.ndarray:
+    """Least-squares pencil matrix ``K = H1 @ pinv(H0)`` (Frobenius objective)
+    of the row windows ``H0 = g[:-1]``, ``H1 = g[1:]`` of a matrix no taller than
+    wide, with singular values below ``SVD_RCOND`` times the largest treated as zero."""
+    g = np.asarray(g)
+    if g.ndim != 2 or not 2 <= g.shape[0] <= g.shape[1]:
+        raise ValueError("g must be a 2-d array with 2 <= rows <= columns")
     try:
-        pinv = np.linalg.pinv(h0, rcond=SVD_RCOND)
+        # The R factor of g^T, conjugated, is one of g^H, without a conjugated copy of g.
+        r = np.linalg.qr(g.T, mode="r").conj()
+        u, s, vh = np.linalg.svd(r[:-1, :-1])
     except np.linalg.LinAlgError as exc:
         raise NumericError("pencil pseudoinverse did not converge") from exc
-    return h1 @ pinv
+    if not s[0]:
+        raise NumericError("degenerate pencil: h0 is identically zero")
+    cut = s > SVD_RCOND * s[0]
+    return (r[:-1, 1:].conj().T @ u[:, cut]) / s[cut] @ vh[cut]
 
 
 def _eigenphase_pairs(k_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,13 +137,14 @@ def _eigenphase_pairs(k_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return phases, mu
 
 
-def solve_amplitudes(eigenphases, ts: TimeSeries, l_dim: int) -> AmplitudeFit:
+def solve_amplitudes(eigenphases, ts: TimeSeries, l_dim: int, moduli=None) -> AmplitudeFit:
     """Least-squares amplitudes against the first ``l_dim`` signal entries.
 
     The system matrix has entries ``exp(-i * phase_{l'} * l)``. Duplicate or
     clustered eigenphases make it rank deficient; the cutoff pseudoinverse
     then returns the minimum-norm solution and the deficiency shows up in the
-    reported rank.
+    reported rank. Eigenvalue ``moduli`` at most ``SVD_RCOND`` times the largest
+    get amplitude zero: they are a rank-deficient pencil's zeros, whose phase is noise.
     """
     phases = np.asarray(eigenphases, dtype=float)
     if phases.ndim != 1 or phases.size != l_dim:
@@ -151,6 +152,8 @@ def solve_amplitudes(eigenphases, ts: TimeSeries, l_dim: int) -> AmplitudeFit:
     if l_dim > ts.n_len:
         raise ValueError("l_dim cannot exceed the signal length")
     b = np.exp(-1j * np.outer(np.arange(l_dim), phases))
+    if moduli is not None:
+        b[:, np.asarray(moduli) <= SVD_RCOND * np.max(moduli)] = 0.0
     target = ts.values[:l_dim]
     solution, _, rank, _ = np.linalg.lstsq(b, target, rcond=SVD_RCOND)
     residual = float(np.linalg.norm(b @ solution - target))
@@ -158,21 +161,21 @@ def solve_amplitudes(eigenphases, ts: TimeSeries, l_dim: int) -> AmplitudeFit:
 
 
 def mp_estimate(ts: TimeSeries, l_dim: int | None = None) -> MpEstimate:
-    """Full pencil pipeline: one Hankel matrix, the pencil solve on its column
+    """Full pencil pipeline: one Hankel matrix, the pencil solve on its row
     windows, eigenphases, amplitude fit. ``l_dim`` defaults to ``N - 1``. All
     eigenphases are kept."""
     n = ts.n_len
     if l_dim is None:
         l_dim = n - 1
-    h = build_hankel(ts, l_dim)
-    k = solve_pencil(h[:, :-1], h[:, 1:])
+    k = solve_pencil(build_hankel(ts, l_dim))
     phases, mu = _eigenphase_pairs(k)
-    fit = solve_amplitudes(phases, ts, l_dim)
+    moduli = np.abs(mu)
+    fit = solve_amplitudes(phases, ts, l_dim, moduli)
     order = np.argsort(phases)
     return MpEstimate(
         eigenphases=phases[order],
         amplitudes=fit.amplitudes[order],
-        moduli=np.abs(mu)[order],
+        moduli=moduli[order],
         l_dim=l_dim,
         residual=fit.residual,
         filters=None,

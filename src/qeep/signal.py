@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -28,6 +29,8 @@ _KIND_FIELDS = {
     ADDITIVE_NOISE: ("eps_prime", "seed"),
     SHOT_SAMPLED: ("shots_per_point", "seed"),
 }
+# Each optional field's number type and least value; a bool is no number here.
+_FIELD_RULES = {"eps_prime": (Real, 0), "seed": (Integral, 0), "shots_per_point": (Integral, 1)}
 
 
 @dataclass(frozen=True)
@@ -46,11 +49,15 @@ class Provenance:
     def __post_init__(self):
         if not (isinstance(self.kind, str) and self.kind in _KIND_FIELDS):
             raise ValueError(f"unknown provenance kind {self.kind!r}")
-        for name in ("eps_prime", "seed", "shots_per_point"):
-            given = getattr(self, name) is not None
+        for name, (number, least) in _FIELD_RULES.items():
+            value = getattr(self, name)
+            given = value is not None
             if given != (name in _KIND_FIELDS[self.kind]):
                 verb = "cannot carry" if given else "needs"
                 raise ValueError(f"{self.kind} provenance {verb} {name}")
+            bad = isinstance(value, bool) or not isinstance(value, number) or not least <= value < math.inf
+            if given and bad:
+                raise ValueError(f"{name} must be a finite {number.__name__} number >= {least}, got {value!r}")
 
     @classmethod
     def clean(cls) -> "Provenance":

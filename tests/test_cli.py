@@ -199,7 +199,16 @@ class TestEstimate:
         assert rc == 2
         assert not (tmp_path / "e.json").exists()
 
-    @pytest.mark.parametrize("provenance", [{"kind": "bogus"}, {"kind": "additive_noise"}])
+    @pytest.mark.parametrize(
+        "provenance",
+        [
+            {"kind": "bogus"},
+            {"kind": "additive_noise"},
+            {"kind": "additive_noise", "eps_prime": "abc", "seed": -2.5},
+            {"kind": "additive_noise", "eps_prime": 0.005, "seed": -1},
+            {"kind": "shot_sampled", "shots_per_point": 0, "seed": 3},
+        ],
+    )
     def test_malformed_provenance_is_usage_error(self, tmp_path, provenance):
         spec_f, sig_f = tmp_path / "s.json", tmp_path / "g.json"
         run("synth", "--fig6", "--out", spec_f)

@@ -21,7 +21,7 @@ from qeep import (
     solve_amplitudes,
     solve_pencil,
 )
-from qeep.matrix_pencil import _eigenphase_pairs
+from qeep.matrix_pencil import SVD_RCOND, _eigenphase_pairs
 from qeep.signal import Provenance
 
 
@@ -33,11 +33,11 @@ class TestBuildHankel:
     def test_shape_and_corner_entries(self):
         ts = generate_clean(fig6_spectrum(), 3)
         h = build_hankel(ts, 2)
-        assert h.shape == (2, 4)
+        assert h.shape == (3, 3)
         # entry (l, c) = g_{l + c - N + 1}; (0, 0) reaches g_{-2}.
         assert h[0, 0] == np.conj(ts.values[2])
         assert h[1, 2] == ts.values[1]
-        assert h[1, 3] == ts.values[2]
+        assert h[2, 2] == ts.values[2]
 
     def test_hand_built_reference(self):
         ts = generate_clean(fig6_spectrum(), 4)
@@ -45,21 +45,22 @@ class TestBuildHankel:
         full = {k: g[k] for k in range(4)}
         full.update({-k: np.conj(g[k]) for k in range(1, 4)})
         h = build_hankel(ts, 2)
-        for l in range(2):
-            for c in range(6):
+        assert h.shape == (3, 5)
+        for l in range(3):
+            for c in range(5):
                 assert h[l, c] == full[l + c - 4 + 1]
 
     def test_shift_advances_every_index_by_one(self):
-        # The pencil pair is the column windows H0 = H[:, :-1], H1 = H[:, 1:];
-        # H1 is H0 with every index advanced by one, i.e. H0 one row down.
+        # The pencil pair is the row windows H0 = G[:-1], H1 = G[1:]; H1 is
+        # H0 with every index advanced by one, i.e. H0 one column left.
         ts = generate_clean(fig6_spectrum(), 5)
-        h = build_hankel(ts, 3)
-        h0, h1 = h[:, :-1], h[:, 1:]
-        assert np.array_equal(h1[:-1], h0[1:])
+        g = build_hankel(ts, 3)
+        h0, h1 = g[:-1], g[1:]
+        assert np.array_equal(h1[:, :-1], h0[:, 1:])
 
     def test_constant_signal_gives_all_ones(self):
         ts = generate_clean(point_mass(0.0), 4)
-        assert np.array_equal(build_hankel(ts, 2), np.ones((2, 6), dtype=complex))
+        assert np.array_equal(build_hankel(ts, 2), np.ones((3, 5), dtype=complex))
 
     def test_invalid_arguments(self):
         ts = generate_clean(fig6_spectrum(), 4)
@@ -82,56 +83,90 @@ class TestBuildHankel:
         g = rng.normal(size=n) + 1j * rng.normal(size=n)
         g[0] = 1.0
         h = build_hankel(TimeSeries(values=g, provenance=Provenance.clean()), l_dim)
-        assert h.shape == (l_dim, 2 * n - l_dim)
-        index = np.arange(l_dim)[:, None] + np.arange(2 * n - l_dim)[None, :] - n + 1
+        assert h.shape == (l_dim + 1, 2 * n - l_dim - 1)
+        index = np.arange(l_dim + 1)[:, None] + np.arange(2 * n - l_dim - 1)[None, :] - n + 1
         expected = np.where(index >= 0, g[np.abs(index)], np.conj(g[np.abs(index)]))
         assert np.array_equal(h, expected)
 
 
-def pencil_pair(ts, l_dim):
-    h = build_hankel(ts, l_dim)
-    return h[:, :-1], h[:, 1:]
+def unit_phases(k):
+    """Sorted eigenphases of K whose eigenvalue lies within 0.5 of the unit circle."""
+    phases, mu = _eigenphase_pairs(k)
+    return np.sort(phases[np.abs(np.abs(mu) - 1.0) <= 0.5])
 
 
 class TestSolvePencil:
     def test_single_eigenvalue_rank_one_shift(self):
         lam = 0.37
         ts = generate_clean(point_mass(lam), 8)
-        k = solve_pencil(*pencil_pair(ts, 3))
+        k = solve_pencil(build_hankel(ts, 3))
         mu = np.linalg.eigvals(k)
         top = mu[np.argmax(np.abs(mu))]
         assert top == pytest.approx(np.exp(-1j * lam), abs=1e-10)
 
     def test_identity_shift_has_unit_eigenvalue(self):
-        # rank-1 signal: K = h0 @ pinv(h0) projects onto the signal subspace,
-        # so the spectrum is one unit eigenvalue plus zeros.
-        ts = generate_clean(point_mass(0.0), 6)
-        h0, _ = pencil_pair(ts, 2)
-        mu = np.sort(np.abs(np.linalg.eigvals(solve_pencil(h0, h0))))
+        # A constant signal has equal rows, so H1 = H0 and K = H0 @ pinv(H0)
+        # projects onto the rank-1 signal subspace: one unit eigenvalue plus
+        # zeros.
+        g = build_hankel(generate_clean(point_mass(0.0), 6), 2)
+        assert np.array_equal(g[:-1], g[1:])
+        mu = np.sort(np.abs(np.linalg.eigvals(solve_pencil(g))))
         assert mu[-1] == pytest.approx(1.0, abs=1e-10)
         assert np.all(mu[:-1] <= 1e-10)
 
     def test_rank_structure_for_five_lines(self):
         ts = generate_clean(fig6_spectrum(), 20)
-        k = solve_pencil(*pencil_pair(ts, 10))
+        k = solve_pencil(build_hankel(ts, 10))
         mu = np.sort(np.abs(np.linalg.eigvals(k)))
         assert np.all(np.abs(mu[-5:] - 1.0) <= 1e-6)
         assert np.all(mu[:-5] <= 1e-6)
 
     def test_residual_of_noiseless_pencil(self):
         ts = generate_clean(fig6_spectrum(), 20)
-        h0, h1 = pencil_pair(ts, 10)
-        k = solve_pencil(h0, h1)
-        assert np.linalg.norm(k @ h0 - h1) <= 1e-8
+        g = build_hankel(ts, 10)
+        k = solve_pencil(g)
+        assert np.linalg.norm(k @ g[:-1] - g[1:]) <= 1e-8
 
     def test_zero_pencil_rejected(self):
-        zero = np.zeros((2, 3), dtype=complex)
         with pytest.raises(NumericError):
-            solve_pencil(zero, zero)
+            solve_pencil(np.zeros((2, 3), dtype=complex))
+        # Only H0 = G[:-1] matters: a nonzero last row does not rescue it.
+        g = np.zeros((3, 4), dtype=complex)
+        g[-1] = 1.0
+        with pytest.raises(NumericError):
+            solve_pencil(g)
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            solve_pencil(np.ones((2, 3)), np.ones((2, 4)))
+        for g in (np.ones(4), np.ones((1, 3)), np.ones((3, 2)), np.ones((2, 2, 2))):
+            with pytest.raises(ValueError):
+                solve_pencil(g)
+
+    # Wide pencils (L << N), where the QR reduction avoids the SVD of the
+    # wide H0, and square ones (L = N - 1, the CLI default).
+    @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
+    @pytest.mark.parametrize("n_len, l_dim", [(4469, 64), (566, 565), (64, 63), (20, 10)])
+    def test_matches_pinv_oracle(self, n_len, l_dim, noisy):
+        from qeep import random_spectrum
+
+        ts = generate_clean(random_spectrum(5, 4), n_len)
+        if noisy:
+            ts = add_noise(ts, 0.005, 11)
+        g = build_hankel(ts, l_dim)
+        h0, h1 = g[:-1], g[1:]
+        expected = h1 @ np.linalg.pinv(h0, rcond=SVD_RCOND)
+        k = solve_pencil(g)
+        assert np.linalg.norm(k - expected) <= 1e-9 * np.linalg.norm(expected)
+        # R[:-1, :-1] of G^H = QR keeps the singular values of H0, so the
+        # cutoff keeps as many of them.
+        r = np.linalg.qr(np.conj(g).T, mode="r")
+        s_h0 = np.linalg.svd(h0, compute_uv=False)
+        s_r = np.linalg.svd(r[:-1, :-1], compute_uv=False)
+        assert np.sum(s_r > SVD_RCOND * s_r[0]) == np.sum(s_h0 > SVD_RCOND * s_h0[0])
+        if not noisy:
+            assert np.sum(s_h0 > SVD_RCOND * s_h0[0]) == 5
+            ref, got = unit_phases(expected), unit_phases(k)
+            assert ref.size == got.size == 5
+            assert np.max(np.abs(got - ref)) <= 1e-12
 
 
 class TestPencilEigenphases:
@@ -171,6 +206,18 @@ class TestSolveAmplitudes:
         assert np.all(np.isfinite(fit.amplitudes))
         assert fit.rank < 3
         assert fit.residual <= 1e-10
+
+    def test_zero_eigenvalues_get_no_amplitude(self):
+        # A rank-deficient pencil's zero eigenvalues have rounding-noise phases;
+        # one that lands on a line would split its weight (the minimum-norm
+        # solution of the rank-1 system below), so given the moduli it gets none.
+        ts = generate_clean(point_mass(0.2), 4)
+        phases = np.array([0.2, 0.2])
+        assert solve_amplitudes(phases, ts, 2).amplitudes == pytest.approx([0.5, 0.5], abs=1e-12)
+        fit = solve_amplitudes(phases, ts, 2, np.array([1.0, 1e-17]))
+        assert fit.amplitudes == pytest.approx([1.0, 0.0], abs=1e-12)
+        assert fit.rank == 1
+        assert fit.residual <= 1e-12
 
     def test_length_validation(self):
         ts = generate_clean(fig6_spectrum(), 4)
@@ -225,6 +272,36 @@ class TestMpEstimate:
         order = np.argsort(est.eigenphases[keep])
         assert np.max(np.abs(est.eigenphases[keep][order] - spec.lambdas)) <= 1e-6
         assert np.max(np.abs(est.amplitudes[keep][order] - spec.weights)) <= 1e-6
+
+    # Clean signals of one to five lines at least 0.06 apart, each weighing
+    # at least 0.04: on wide pencils (L << N, 2D <= L <= 16) and on square
+    # ones (L = N - 1), the lines near the unit circle are the spectrum.
+    @settings(max_examples=40, deadline=None)
+    @example(slots=[0, 9], jitter=[0.0, 0.04], raw_weights=[1.0, 0.2], wide=True, size=0.0)
+    @example(slots=[0, 2, 4, 6, 8], jitter=[0.0] * 5, raw_weights=[0.2] * 5, wide=False, size=0.0)
+    @given(
+        slots=st.lists(st.integers(0, 9), min_size=1, max_size=5, unique=True),
+        jitter=st.lists(st.floats(0.0, 0.04), min_size=5, max_size=5),
+        raw_weights=st.lists(st.floats(0.2, 1.0), min_size=5, max_size=5),
+        wide=st.booleans(),
+        size=st.floats(0.0, 1.0),
+    )
+    def test_noiseless_recovery_property(self, slots, jitter, raw_weights, wide, size):
+        d = len(slots)
+        lambdas = np.sort([-0.5 + 0.1 * i + jitter[j] for j, i in enumerate(slots)])
+        weights = np.array(raw_weights[:d]) / sum(raw_weights[:d])
+        spec = Spectrum(lambdas=lambdas, weights=weights)
+        if wide:
+            n_len = 64 + int(size * 536)
+            l_dim = 2 * d + int(size * (16 - 2 * d))
+        else:
+            n_len = 2 * d + 1 + int(size * (80 - 2 * d - 1))
+            l_dim = n_len - 1
+        est = mp_estimate(generate_clean(spec, n_len), l_dim)
+        keep = np.abs(est.moduli - 1.0) <= 0.5
+        assert keep.sum() == d
+        assert np.max(np.abs(est.eigenphases[keep] - spec.lambdas)) <= 1e-8
+        assert np.max(np.abs(est.amplitudes[keep] - spec.weights)) <= 1e-8
 
     def test_phases_sorted_ascending(self):
         est = mp_estimate(generate_clean(fig6_spectrum(), 20), 10)

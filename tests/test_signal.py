@@ -59,6 +59,20 @@ class TestProvenance:
             {"kind": "shot_sampled", "seed": 5},
             {"kind": "clean", "seed": 5},
             {"kind": "additive_noise", "eps_prime": 0.01, "seed": 5, "shots_per_point": 9},
+            # Values outside each field's type or range.
+            {"kind": "additive_noise", "eps_prime": "abc", "seed": -2.5},
+            {"kind": "additive_noise", "eps_prime": "0.01", "seed": 5},
+            {"kind": "additive_noise", "eps_prime": -0.01, "seed": 5},
+            {"kind": "additive_noise", "eps_prime": float("nan"), "seed": 5},
+            {"kind": "additive_noise", "eps_prime": float("inf"), "seed": 5},
+            {"kind": "additive_noise", "eps_prime": True, "seed": 5},
+            {"kind": "additive_noise", "eps_prime": 0.01, "seed": -1},
+            {"kind": "additive_noise", "eps_prime": 0.01, "seed": 2.0},
+            {"kind": "additive_noise", "eps_prime": 0.01, "seed": False},
+            {"kind": "shot_sampled", "shots_per_point": 0, "seed": 5},
+            {"kind": "shot_sampled", "shots_per_point": 1.5, "seed": 5},
+            {"kind": "shot_sampled", "shots_per_point": True, "seed": 5},
+            {"kind": "shot_sampled", "shots_per_point": 9, "seed": "5"},
         ],
     )
     def test_malformed_record_rejected(self, record):
@@ -66,6 +80,24 @@ class TestProvenance:
             Provenance.from_dict(record)
         with pytest.raises(ValueError):
             Provenance(**record)
+
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"kind": "clean"},
+            {"kind": "additive_noise", "eps_prime": 0.0, "seed": 0},
+            {"kind": "additive_noise", "eps_prime": 0, "seed": 2**70},
+            {"kind": "shot_sampled", "shots_per_point": 1, "seed": 0},
+        ],
+    )
+    def test_edge_values_accepted(self, record):
+        assert Provenance.from_dict(record).to_dict() == record
+
+    def test_constructors_accept_numpy_numbers(self):
+        prov = Provenance.additive_noise(np.float64(0.01), np.int64(3))
+        assert prov == Provenance(kind="additive_noise", eps_prime=0.01, seed=3)
+        assert Provenance.shot_sampled(np.int64(9), 2).shots_per_point == 9
 
 
 class TestGenerateClean:

@@ -103,7 +103,8 @@ def build_hankel(ts: TimeSeries, l_dim: int) -> np.ndarray:
     if not 1 <= l_dim <= n - 1:
         raise ValueError(f"l_dim must lie in [1, {n - 1}], got {l_dim}")
     v = ts.values
-    return sliding_window_view(np.concatenate([np.conj(v[:0:-1]), v]), 2 * n - l_dim - 1)
+    full = np.concatenate([np.conj(v[:0:-1]), v])
+    return sliding_window_view(full, 2 * n - l_dim - 1)
 
 
 def solve_pencil(g: np.ndarray) -> np.ndarray:
@@ -137,7 +138,7 @@ def _eigenphase_pairs(k_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return phases, mu
 
 
-def solve_amplitudes(eigenphases, ts: TimeSeries, l_dim: int, moduli=None) -> AmplitudeFit:
+def solve_amplitudes(eigenphases, ts: TimeSeries, l_dim: int, moduli) -> AmplitudeFit:
     """Least-squares amplitudes against the first ``l_dim`` signal entries.
 
     The system matrix has entries ``exp(-i * phase_{l'} * l)``. Duplicate or
@@ -147,13 +148,13 @@ def solve_amplitudes(eigenphases, ts: TimeSeries, l_dim: int, moduli=None) -> Am
     get amplitude zero: they are a rank-deficient pencil's zeros, whose phase is noise.
     """
     phases = np.asarray(eigenphases, dtype=float)
-    if phases.ndim != 1 or phases.size != l_dim:
-        raise ValueError("eigenphases must be a vector of length l_dim")
+    moduli = np.asarray(moduli, dtype=float)
+    if phases.ndim != 1 or phases.size != l_dim or moduli.shape != phases.shape:
+        raise ValueError("eigenphases and moduli must be vectors of length l_dim")
     if l_dim > ts.n_len:
         raise ValueError("l_dim cannot exceed the signal length")
     b = np.exp(-1j * np.outer(np.arange(l_dim), phases))
-    if moduli is not None:
-        b[:, np.asarray(moduli) <= SVD_RCOND * np.max(moduli)] = 0.0
+    b[:, moduli <= SVD_RCOND * np.max(moduli)] = 0.0
     target = ts.values[:l_dim]
     solution, _, rank, _ = np.linalg.lstsq(b, target, rcond=SVD_RCOND)
     residual = float(np.linalg.norm(b @ solution - target))

@@ -29,7 +29,8 @@ _KIND_FIELDS = {
     ADDITIVE_NOISE: ("eps_prime", "seed"),
     SHOT_SAMPLED: ("shots_per_point", "seed"),
 }
-# Each optional field's number type and least value; a bool is no number here.
+# The optional fields in record order, each with its number type and least
+# value; a bool is no number here.
 _FIELD_RULES = {"eps_prime": (Real, 0), "seed": (Integral, 0), "shots_per_point": (Integral, 1)}
 
 
@@ -55,9 +56,14 @@ class Provenance:
             if given != (name in _KIND_FIELDS[self.kind]):
                 verb = "cannot carry" if given else "needs"
                 raise ValueError(f"{self.kind} provenance {verb} {name}")
-            bad = isinstance(value, bool) or not isinstance(value, number) or not least <= value < math.inf
-            if given and bad:
-                raise ValueError(f"{name} must be a finite {number.__name__} number >= {least}, got {value!r}")
+            if given and (
+                isinstance(value, bool)
+                or not isinstance(value, number)
+                or not least <= value < math.inf
+            ):
+                raise ValueError(
+                    f"{name} must be a finite {number.__name__} number >= {least}, got {value!r}"
+                )
 
     @classmethod
     def clean(cls) -> "Provenance":
@@ -73,22 +79,14 @@ class Provenance:
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind}
-        if self.eps_prime is not None:
-            out["eps_prime"] = self.eps_prime
-        if self.seed is not None:
-            out["seed"] = self.seed
-        if self.shots_per_point is not None:
-            out["shots_per_point"] = self.shots_per_point
+        for name in _FIELD_RULES:
+            if getattr(self, name) is not None:
+                out[name] = getattr(self, name)
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "Provenance":
-        return cls(
-            kind=data["kind"],
-            eps_prime=data.get("eps_prime"),
-            seed=data.get("seed"),
-            shots_per_point=data.get("shots_per_point"),
-        )
+        return cls(kind=data["kind"], **{name: data.get(name) for name in _FIELD_RULES})
 
 
 @dataclass(frozen=True)

@@ -188,33 +188,31 @@ class TestPencilEigenphases:
 class TestSolveAmplitudes:
     def test_single_line_unit_amplitude(self):
         ts = generate_clean(point_mass(0.2), 4)
-        fit = solve_amplitudes(np.array([0.2]), ts, 1)
+        fit = solve_amplitudes(np.array([0.2]), ts, 1, np.ones(1))
         assert fit.amplitudes[0] == pytest.approx(1.0, abs=1e-12)
         assert fit.rank == 1
 
     def test_exact_phases_recover_weights(self):
         spec = fig6_spectrum()
         ts = generate_clean(spec, 12)
-        fit = solve_amplitudes(spec.lambdas, ts, 5)
+        fit = solve_amplitudes(spec.lambdas, ts, 5, np.ones(5))
         assert np.max(np.abs(fit.amplitudes.real - spec.weights)) <= 1e-6
         assert np.max(np.abs(fit.amplitudes.imag)) <= 1e-6
         assert fit.residual <= 1e-8
 
     def test_duplicate_phases_finite_solution(self):
         ts = generate_clean(point_mass(0.1), 6)
-        fit = solve_amplitudes(np.array([0.1, 0.1, 0.1]), ts, 3)
+        fit = solve_amplitudes(np.array([0.1, 0.1, 0.1]), ts, 3, np.ones(3))
         assert np.all(np.isfinite(fit.amplitudes))
         assert fit.rank < 3
         assert fit.residual <= 1e-10
 
     def test_zero_eigenvalues_get_no_amplitude(self):
         # A rank-deficient pencil's zero eigenvalues have rounding-noise phases;
-        # one that lands on a line would split its weight (the minimum-norm
-        # solution of the rank-1 system below), so given the moduli it gets none.
+        # one that lands on a line would split its weight as in the duplicate
+        # case above, so it gets none.
         ts = generate_clean(point_mass(0.2), 4)
-        phases = np.array([0.2, 0.2])
-        assert solve_amplitudes(phases, ts, 2).amplitudes == pytest.approx([0.5, 0.5], abs=1e-12)
-        fit = solve_amplitudes(phases, ts, 2, np.array([1.0, 1e-17]))
+        fit = solve_amplitudes(np.array([0.2, 0.2]), ts, 2, np.array([1.0, 1e-17]))
         assert fit.amplitudes == pytest.approx([1.0, 0.0], abs=1e-12)
         assert fit.rank == 1
         assert fit.residual <= 1e-12
@@ -222,9 +220,11 @@ class TestSolveAmplitudes:
     def test_length_validation(self):
         ts = generate_clean(fig6_spectrum(), 4)
         with pytest.raises(ValueError):
-            solve_amplitudes(np.array([0.1, 0.2]), ts, 3)
+            solve_amplitudes(np.array([0.1, 0.2]), ts, 3, np.ones(2))
         with pytest.raises(ValueError):
-            solve_amplitudes(np.arange(5.0), ts, 5)
+            solve_amplitudes(np.arange(5.0), ts, 5, np.ones(5))
+        with pytest.raises(ValueError):
+            solve_amplitudes(np.array([0.1, 0.2]), ts, 2, np.ones(3))
 
 
 class TestMpEstimate:

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -234,23 +236,53 @@ def _cmd_estimate(args) -> int:
 DELTA_HEADER = ["seed", "s", "delta_ts", "delta_mp"]
 
 
+def _trial_rows(args, bank, seed):
+    """The ``DELTA_HEADER`` rows of one seeded run: one per moment order."""
+    spec = random_spectrum(args.d, seed)
+    clean = generate_clean(spec, args.n_trunc)
+    noisy = add_noise(clean, args.eps_prime, seed + NOISE_SEED_OFFSET)
+    dist = estimate_bins(noisy, bank)
+    pencil = mp_estimate(noisy, args.l_dim)
+    rows = []
+    for s in args.moments:
+        tau = exact_moment(spec, s)
+        delta_ts = (tau - estimate_moment(dist, s)) / args.eps
+        delta_mp = (tau - mp_moment(pencil, s)) / args.eps
+        rows.append((seed, s, delta_ts, delta_mp))
+    return rows
+
+
+# The thread-count variables of the BLAS builds numpy ships with.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _delta_trials(args):
     """Seeded runs shared by the fig5 and appc reproductions, as rows of
-    ``DELTA_HEADER``."""
+    ``DELTA_HEADER`` in ``--seeds`` order.
+
+    The seeds share only the filter bank, so each runs in a worker of a pool
+    of spawned processes, one seed included. The workers start with one BLAS
+    thread: a multi-threaded pencil solve sums in another order and moves the
+    last digits of ``delta_mp``, so the rows would depend on the machine.
+    """
+    import multiprocessing
+
     bank = build_filterbank(args.eps, args.n_trunc)
-    rows = []
-    for seed in args.seeds:
-        spec = random_spectrum(args.d, seed)
-        clean = generate_clean(spec, args.n_trunc)
-        noisy = add_noise(clean, args.eps_prime, seed + NOISE_SEED_OFFSET)
-        dist = estimate_bins(noisy, bank)
-        pencil = mp_estimate(noisy, args.l_dim)
-        for s in args.moments:
-            tau = exact_moment(spec, s)
-            delta_ts = (tau - estimate_moment(dist, s)) / args.eps
-            delta_mp = (tau - mp_moment(pencil, s)) / args.eps
-            rows.append((seed, s, delta_ts, delta_mp))
-    return rows
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        # A new interpreter reads the variables when it loads the BLAS, and
+        # the pool starts all its workers here.
+        pool = multiprocessing.get_context("spawn").Pool(min(len(args.seeds), os.cpu_count() or 1))
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+    with pool:
+        per_seed = pool.map(functools.partial(_trial_rows, args, bank), args.seeds)
+    return [row for rows in per_seed for row in rows]
 
 
 def _delta_summary(rows, moments):
@@ -385,6 +417,9 @@ def _cmd_reproduce(args) -> int:
         args.n_trunc = choose_truncation(args.eps, TruncationMode(args.truncation))
     if args.l_dim is None:
         args.l_dim = args.n_trunc - 1
+    if not 1 <= args.l_dim <= args.n_trunc - 1:
+        raise ValueError(f"l_dim must lie in [1, n_trunc - 1] = [1, {args.n_trunc - 1}], "
+                         f"got {args.l_dim}")
     outdir = Path(args.outdir)
     _FIGURES[args.figure](outdir, args)
     print(f"wrote {args.figure} bundle to {outdir}")

@@ -6,6 +6,8 @@ mathematically unattainable exactly as stated; each carries an inline
 explanation and a passing sharp counterpart elsewhere in the suite.
 """
 
+import csv
+import json
 import math
 import time
 
@@ -30,11 +32,10 @@ from qeep import (
     generate_clean,
     hoeffding_shots,
     mp_estimate,
-    mp_moment,
     random_spectrum,
     truncated_bins,
 )
-from qeep.cli import NOISE_SEED_OFFSET
+from qeep.cli import main
 from qeep.filterbank import SQRT_2PI, filter_grid
 
 
@@ -180,24 +181,30 @@ def test_c07_noisy_l1_bound(bank_quarter_strict, bank_mid_strict):
     _report("C07", "noisy-l1-bound", f"20 runs, worst L1/eps={worst_ratio:.2e}")
 
 
-def test_c08_reference_table_bands(bank_appc):
+def test_c08_reference_table_bands(tmp_path):
+    # The shipped path: `reproduce fig5` at the paper's defaults, whose seeds
+    # run in the CLI's worker pool.
     start = time.perf_counter()
-    eps = eps_prime = 0.005
-    n_trunc = bank_appc.n_trunc
-    seeds = (1, 2, 3, 4, 5)
+    assert main(["reproduce", "fig5", "--outdir", str(tmp_path)]) == 0
+    parameters = json.loads((tmp_path / "fig5_summary.json").read_text())["parameters"]
+    assert parameters == {
+        "eps": 0.005,
+        "eps_prime": 0.005,
+        "m_bins": 201,
+        "n_trunc": 566,
+        "d_spectrum": 5,
+        "seeds": [1, 2, 3, 4, 5],
+    }
     bands = {1: 1.5, 2: 0.6, 4: 0.3}
     delta_ts = {s: [] for s in bands}
     delta_mp = {s: [] for s in bands}
-    for seed in seeds:
-        spec = random_spectrum(5, seed)
-        noisy = add_noise(generate_clean(spec, n_trunc), eps_prime, seed + NOISE_SEED_OFFSET)
-        q = estimate_bins(noisy, bank_appc)
-        pencil = mp_estimate(noisy, n_trunc - 1)
-        for s in bands:
-            tau = exact_moment(spec, s)
-            delta_ts[s].append((tau - estimate_moment(q, s)) / eps)
-            delta_mp[s].append((tau - mp_moment(pencil, s)) / eps)
+    with open(tmp_path / "fig5_deltas.csv", newline="") as fh:
+        for row in csv.DictReader(fh):
+            s = int(row["s"])
+            delta_ts[s].append(float(row["delta_ts"]))
+            delta_mp[s].append(float(row["delta_mp"]))
     for s, band in bands.items():
+        assert len(delta_ts[s]) == 5
         within = sum(abs(d) <= band for d in delta_ts[s])
         assert within >= 4, f"s={s}: only {within}/5 runs within |delta|<={band}"
     mean_mp4 = float(np.mean(np.abs(delta_mp[4])))

@@ -347,6 +347,47 @@ class TestReproduce:
     def test_invalid_eps_is_usage_error(self, tmp_path):
         assert run("reproduce", "fig5", "--outdir", tmp_path, "--eps", 0.24) == 2
 
+    def test_l_dim_outside_range_fails_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("the bank was built before the usage check")
+
+        monkeypatch.setattr("qeep.cli.build_filterbank", unexpected)
+        environ = dict(os.environ)
+        outdir = tmp_path / "figs"
+        rc = run(
+            "reproduce", "fig5", "--outdir", outdir, "--n-trunc", 64, "--l-dim", 64,
+            "--seeds", "1,2",
+        )
+        assert rc == 2
+        assert "l_dim must lie in [1, n_trunc - 1] = [1, 63], got 64" in capsys.readouterr().err
+        assert not outdir.exists()
+        assert dict(os.environ) == environ
+
+    def test_rows_do_not_depend_on_scheduling(self, tmp_path):
+        small = ["--n-trunc", 64, "--moments", "1,2,4"]
+        assert run("reproduce", "fig5", "--outdir", tmp_path / "all", "--seeds", "3,1,2", *small) == 0
+        header, *rows = (tmp_path / "all" / "fig5_deltas.csv").read_text().splitlines()
+        assert [int(r.split(",")[0]) for r in rows] == [3, 3, 3, 1, 1, 1, 2, 2, 2]
+        for seed in (3, 1, 2):
+            outdir = tmp_path / f"seed{seed}"
+            assert run("reproduce", "fig5", "--outdir", outdir, "--seeds", seed, *small) == 0
+            alone = (outdir / "fig5_deltas.csv").read_text().splitlines()
+            assert alone == [header] + [r for r in rows if r.startswith(f"{seed},")]
+
+    def test_error_in_a_worker_keeps_its_exit_code(self, tmp_path, capsys):
+        outdir = tmp_path / "figs"
+        assert run("reproduce", "fig5", "--outdir", outdir, "--n-trunc", 64, "--seeds", "1,-1") == 2
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_blas_thread_variables_are_restored(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        environ = dict(os.environ)
+        assert run("reproduce", "appc", "--outdir", tmp_path, "--n-trunc", 64, "--seeds", "1") == 0
+        assert dict(os.environ) == environ
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_override(self, tmp_path):
@@ -430,6 +471,30 @@ for argv in [
     assert main(argv) == 0, argv
 print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """
+
+
+# The smallest N at which the reproduction's bytes moved with the BLAS thread
+# count when every pencil ran in the calling process (OpenBLAS 0.3.31).
+_THREAD_SENSITIVE_RUN = ["reproduce", "fig5", "--n-trunc", "66", "--seeds", "1,2"]
+
+
+def test_reproduce_outputs_do_not_depend_on_blas_threads(tmp_path):
+    src = str(Path(qeep.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        outdir = tmp_path / f"threads{threads}"
+        blas = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "qeep.cli", *_THREAD_SENSITIVE_RUN, "--outdir", str(outdir)],
+            env={**os.environ, **blas, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({p.name: p.read_bytes() for p in outdir.iterdir()})
+    assert set(outputs[0]) == {"fig5_deltas.csv", "fig5_summary.json"}
+    assert outputs[0] == outputs[1]
 
 
 def test_commands_outside_quadrature_reference_do_not_import_scipy(tmp_path):

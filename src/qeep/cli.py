@@ -236,13 +236,17 @@ def _cmd_estimate(args) -> int:
 DELTA_HEADER = ["seed", "s", "delta_ts", "delta_mp"]
 
 
+def _seeded_estimates(spec, args, bank, seed):
+    """The TS bins and the pencil estimate of one seeded noisy signal of ``spec``."""
+    clean = generate_clean(spec, args.n_trunc)
+    noisy = add_noise(clean, args.eps_prime, seed + NOISE_SEED_OFFSET)
+    return estimate_bins(noisy, bank), mp_estimate(noisy, args.l_dim)
+
+
 def _trial_rows(args, bank, seed):
     """The ``DELTA_HEADER`` rows of one seeded run: one per moment order."""
     spec = random_spectrum(args.d, seed)
-    clean = generate_clean(spec, args.n_trunc)
-    noisy = add_noise(clean, args.eps_prime, seed + NOISE_SEED_OFFSET)
-    dist = estimate_bins(noisy, bank)
-    pencil = mp_estimate(noisy, args.l_dim)
+    dist, pencil = _seeded_estimates(spec, args, bank, seed)
     rows = []
     for s in args.moments:
         tau = exact_moment(spec, s)
@@ -256,24 +260,22 @@ def _trial_rows(args, bank, seed):
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _delta_trials(args):
-    """Seeded runs shared by the fig5 and appc reproductions, as rows of
-    ``DELTA_HEADER`` in ``--seeds`` order.
+def _map_single_blas_thread(func, items):
+    """``[func(item) for item in items]``, each call in a worker of a pool of
+    spawned processes, one item included.
 
-    The seeds share only the filter bank, so each runs in a worker of a pool
-    of spawned processes, one seed included. The workers start with one BLAS
-    thread: a multi-threaded pencil solve sums in another order and moves the
-    last digits of ``delta_mp``, so the rows would depend on the machine.
+    The workers start with one BLAS thread: a multi-threaded pencil solve sums
+    in another order and moves the last digits of its result, so the outputs
+    would depend on the machine.
     """
     import multiprocessing
 
-    bank = build_filterbank(args.eps, args.n_trunc)
     saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:
         # A new interpreter reads the variables when it loads the BLAS, and
         # the pool starts all its workers here.
-        pool = multiprocessing.get_context("spawn").Pool(min(len(args.seeds), os.cpu_count() or 1))
+        pool = multiprocessing.get_context("spawn").Pool(min(len(items), os.cpu_count() or 1))
     finally:
         for name, value in saved.items():
             if value is None:
@@ -281,7 +283,15 @@ def _delta_trials(args):
             else:
                 os.environ[name] = value
     with pool:
-        per_seed = pool.map(functools.partial(_trial_rows, args, bank), args.seeds)
+        return pool.map(func, items)
+
+
+def _delta_trials(args):
+    """Seeded runs shared by the fig5 and appc reproductions, as rows of
+    ``DELTA_HEADER`` in ``--seeds`` order. The seeds share only the filter
+    bank, so each runs in its own worker."""
+    bank = build_filterbank(args.eps, args.n_trunc)
+    per_seed = _map_single_blas_thread(functools.partial(_trial_rows, args, bank), args.seeds)
     return [row for rows in per_seed for row in rows]
 
 
@@ -369,9 +379,8 @@ def _reproduce_fig6(outdir: Path, args) -> None:
     spec = fig6_spectrum()
     bank = build_filterbank(args.eps, args.n_trunc)
     seed = args.seeds[0]
-    noisy = add_noise(generate_clean(spec, args.n_trunc), args.eps_prime, seed + NOISE_SEED_OFFSET)
-    dist = estimate_bins(noisy, bank)
-    pencil = mp_estimate(noisy, args.l_dim)
+    estimates = functools.partial(_seeded_estimates, spec, args, bank)
+    [(dist, pencil)] = _map_single_blas_thread(estimates, [seed])
 
     _write_csv(outdir / "fig6_true.csv", ["lambda", "weight"], spec.entries)
     _write_csv(outdir / "fig6_ts.csv", ["j", "lambda_tilde", "value"], _bins_rows(dist))

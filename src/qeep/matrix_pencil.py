@@ -6,7 +6,12 @@ with entries ``G[l, c] = g_{l + c - N + 1}`` is built. Its row windows
 ``H0 = G[:-1]`` and ``H1 = G[1:]`` form the pencil pair (Hua & Sarkar 1990,
 IEEE Trans. ASSP 38:814). ``K = H1 @ pinv(H0)`` comes from the R factor of one
 QR, ``G^H = Q R``: ``K = R[:-1, 1:]^H @ pinv(R[:-1, :-1]^H)``, and the L x L
-block ``R[:-1, :-1]`` has the singular values of ``H0``. The eigenvalues
+block ``R[:-1, :-1]`` has the singular values of ``H0``. A wide pencil's
+``G^H`` is tall and skinny, and its R factor comes from a blocked QR (Demmel,
+Grigori, Hoemmen & Langou 2012, SIAM J. Sci. Comput. 34:A206): cache-sized row
+blocks are factored at once, then the stack of their R factors. That R may
+differ from a direct QR's by a unitary diagonal ``D``, on the left, but ``K``
+depends on R only through ``R^H R = G G^H``, so ``D`` drops out. The eigenvalues
 ``mu = exp(-i * phase)`` of ``K`` carry the estimates, and a Vandermonde
 least-squares fit against the first L signal entries recovers amplitudes.
 
@@ -32,6 +37,14 @@ from .signal import TimeSeries
 # Relative singular-value cutoff for all pseudoinverse solves. The noiseless
 # Hankel matrix has rank D << L, so a cutoff is mandatory.
 SVD_RCOND = 1e-12
+
+# The blocked QR factors row blocks of this many rows per column: at L = 64 a
+# block is 520 x 65 complex entries (0.5 MiB), which fits in a core's L2 cache.
+# The blocks cost about 8% more flops than one QR, which pays only for a matrix
+# larger than about half a 4 MiB L2 cache (2-vCPU Xeon); below that, blocking
+# measured up to 2x slower, so smaller matrices take one direct QR.
+_QR_BLOCK_ROWS_PER_COLUMN = 8
+_QR_BLOCKED_MIN_BYTES = 2**21
 
 
 @dataclass(frozen=True)
@@ -76,9 +89,9 @@ class MpEstimate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MpEstimate":
-        amps = np.asarray(data["amplitudes_re"], dtype=float) + 1j * np.asarray(
-            data["amplitudes_im"], dtype=float
-        )
+        # Part by part: re + 1j * im would turn an imaginary -0.0 into 0.0.
+        amps = np.asarray(data["amplitudes_re"], dtype=float).astype(complex)
+        amps.imag = data["amplitudes_im"]
         return cls(
             eigenphases=np.asarray(data["eigenphases"], dtype=float),
             amplitudes=amps,
@@ -107,6 +120,19 @@ def build_hankel(ts: TimeSeries, l_dim: int) -> np.ndarray:
     return sliding_window_view(full, 2 * n - l_dim - 1)
 
 
+def _r_factor(a: np.ndarray) -> np.ndarray:
+    """R factor of a tall ``a`` (m x n, m >= n): of one QR of ``a``, or, for a
+    large matrix with at least two row blocks, of the QR of its blocks' stacked
+    R factors over the leftover rows."""
+    m, n = a.shape
+    rows = _QR_BLOCK_ROWS_PER_COLUMN * n
+    b = m // rows
+    if b < 2 or a.nbytes < _QR_BLOCKED_MIN_BYTES:
+        return np.linalg.qr(a, mode="r")
+    blocks = np.linalg.qr(a[: b * rows].reshape(b, rows, n), mode="r")
+    return np.linalg.qr(np.concatenate([blocks.reshape(b * n, n), a[b * rows :]]), mode="r")
+
+
 def solve_pencil(g: np.ndarray) -> np.ndarray:
     """Least-squares pencil matrix ``K = H1 @ pinv(H0)`` (Frobenius objective)
     of the row windows ``H0 = g[:-1]``, ``H1 = g[1:]`` of a matrix no taller than
@@ -115,8 +141,10 @@ def solve_pencil(g: np.ndarray) -> np.ndarray:
     if g.ndim != 2 or not 2 <= g.shape[0] <= g.shape[1]:
         raise ValueError("g must be a 2-d array with 2 <= rows <= columns")
     try:
-        # The R factor of g^T, conjugated, is one of g^H, without a conjugated copy of g.
-        r = np.linalg.qr(g.T, mode="r").conj()
+        # The R factor of g^T, conjugated, is one of g^H, without a conjugated
+        # copy of g. Blocked or direct, it is unique only up to a unitary
+        # diagonal D (R -> D R), and K below does not depend on D.
+        r = _r_factor(g.T).conj()
         u, s, vh = np.linalg.svd(r[:-1, :-1])
     except np.linalg.LinAlgError as exc:
         raise NumericError("pencil pseudoinverse did not converge") from exc

@@ -131,7 +131,9 @@ class TimeSeries:
             raise ValueError("values_re and values_im must have the same length")
         if data["n_len"] != re.size:
             raise ValueError(f"n_len is {data['n_len']} but the record holds {re.size} values")
-        values = re + 1j * im
+        # Part by part: re + 1j * im would turn an imaginary -0.0 into 0.0.
+        values = re.astype(complex)
+        values.imag = im
         return cls(values=values, provenance=Provenance.from_dict(data["provenance"]))
 
 

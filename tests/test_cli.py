@@ -473,28 +473,33 @@ print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("
 """
 
 
-# The smallest N at which the reproduction's bytes moved with the BLAS thread
-# count when every pencil ran in the calling process (OpenBLAS 0.3.31).
-_THREAD_SENSITIVE_RUN = ["reproduce", "fig5", "--n-trunc", "66", "--seeds", "1,2"]
+# The smallest N at which each reproduction's bytes moved with the BLAS thread
+# count when its pencils ran in the calling process (OpenBLAS 0.3.31), and the
+# files it writes.
+_THREAD_SENSITIVE_RUNS = [
+    (["reproduce", "fig5", "--n-trunc", "66", "--seeds", "1,2"], {"fig5_deltas.csv", "fig5_summary.json"}),
+    (["reproduce", "fig6", "--n-trunc", "66"], {"fig6_true.csv", "fig6_ts.csv", "fig6_mp.csv", "fig6_summary.json"}),
+]
 
 
 def test_reproduce_outputs_do_not_depend_on_blas_threads(tmp_path):
     src = str(Path(qeep.__file__).resolve().parents[1])
-    outputs = []
-    for threads in ("1", "2"):
-        outdir = tmp_path / f"threads{threads}"
-        blas = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads)
-        proc = subprocess.run(
-            [sys.executable, "-m", "qeep.cli", *_THREAD_SENSITIVE_RUN, "--outdir", str(outdir)],
-            env={**os.environ, **blas, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append({p.name: p.read_bytes() for p in outdir.iterdir()})
-    assert set(outputs[0]) == {"fig5_deltas.csv", "fig5_summary.json"}
-    assert outputs[0] == outputs[1]
+    for argv, names in _THREAD_SENSITIVE_RUNS:
+        outputs = []
+        for threads in ("1", "2"):
+            outdir = tmp_path / argv[1] / f"threads{threads}"
+            blas = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "qeep.cli", *argv, "--outdir", str(outdir)],
+                env={**os.environ, **blas, "PYTHONPATH": src},
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append({p.name: p.read_bytes() for p in outdir.iterdir()})
+        assert set(outputs[0]) == names
+        assert outputs[0] == outputs[1], argv[1]
 
 
 def test_commands_outside_quadrature_reference_do_not_import_scipy(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -21,8 +22,35 @@ from qeep import (
     solve_amplitudes,
     solve_pencil,
 )
-from qeep.matrix_pencil import SVD_RCOND, _eigenphase_pairs
+from qeep.matrix_pencil import (
+    _QR_BLOCK_ROWS_PER_COLUMN,
+    _QR_BLOCKED_MIN_BYTES,
+    SVD_RCOND,
+    _eigenphase_pairs,
+    _r_factor,
+)
 from qeep.signal import Provenance
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def mp_estimates(draw):
+    size = draw(st.integers(0, 8))
+    floats = st.lists(FINITE, min_size=size, max_size=size)
+    amps = [complex(re, im) for re, im in zip(draw(floats), draw(floats))]
+    filters = st.fixed_dictionaries(
+        {"delta_mu": st.none() | st.floats(0.0, allow_infinity=False), "restrict_range": st.booleans()}
+    )
+    return MpEstimate(
+        eigenphases=np.array(draw(floats)),
+        amplitudes=np.array(amps, dtype=complex),
+        moduli=np.array(draw(floats)),
+        l_dim=draw(st.integers(1)),
+        residual=draw(st.floats(0.0, allow_infinity=False)),
+        filters=draw(st.none() | filters),
+    )
 
 
 def point_mass(lam: float) -> Spectrum:
@@ -142,9 +170,13 @@ class TestSolvePencil:
                 solve_pencil(g)
 
     # Wide pencils (L << N), where the QR reduction avoids the SVD of the
-    # wide H0, and square ones (L = N - 1, the CLI default).
+    # wide H0: G^H of (4469, 64) is factored in 17 row blocks, of (2000, 180)
+    # in two blocks and a leftover of 923 rows. Square ones (L = N - 1, the
+    # CLI default) and small ones take one direct QR.
     @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
-    @pytest.mark.parametrize("n_len, l_dim", [(4469, 64), (566, 565), (64, 63), (20, 10)])
+    @pytest.mark.parametrize(
+        "n_len, l_dim", [(4469, 64), (2000, 180), (566, 565), (64, 63), (20, 10)]
+    )
     def test_matches_pinv_oracle(self, n_len, l_dim, noisy):
         from qeep import random_spectrum
 
@@ -158,7 +190,7 @@ class TestSolvePencil:
         assert np.linalg.norm(k - expected) <= 1e-9 * np.linalg.norm(expected)
         # R[:-1, :-1] of G^H = QR keeps the singular values of H0, so the
         # cutoff keeps as many of them.
-        r = np.linalg.qr(np.conj(g).T, mode="r")
+        r = _r_factor(np.conj(g).T)
         s_h0 = np.linalg.svd(h0, compute_uv=False)
         s_r = np.linalg.svd(r[:-1, :-1], compute_uv=False)
         assert np.sum(s_r > SVD_RCOND * s_r[0]) == np.sum(s_h0 > SVD_RCOND * s_h0[0])
@@ -167,6 +199,42 @@ class TestSolvePencil:
             ref, got = unit_phases(expected), unit_phases(k)
             assert ref.size == got.size == 5
             assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+def pencil_transpose(n_len, l_dim, noisy):
+    """G^T of a five-line pencil: rank 5 when clean."""
+    from qeep import random_spectrum
+
+    ts = generate_clean(random_spectrum(5, 4), n_len)
+    if noisy:
+        ts = add_noise(ts, 0.005, 11)
+    return build_hankel(ts, l_dim).T
+
+
+class TestRFactor:
+    # Fewer than two row blocks (square pencils, and (2000, 250) at 15 MB),
+    # or under the size at which blocking pays ((600, 64) has two blocks).
+    @pytest.mark.parametrize("n_len, l_dim", [(566, 565), (64, 63), (2000, 250), (600, 64)])
+    def test_small_or_unblockable_matrix_takes_one_direct_qr(self, n_len, l_dim):
+        a = pencil_transpose(n_len, l_dim, noisy=True)
+        assert np.array_equal(_r_factor(a), np.linalg.qr(a, mode="r"))
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
+    @pytest.mark.parametrize("n_len, l_dim", [(4469, 64), (2000, 180)])
+    def test_blocked_r_matches_direct_qr(self, n_len, l_dim, noisy):
+        a = pencil_transpose(n_len, l_dim, noisy)
+        m, n = a.shape
+        rows = _QR_BLOCK_ROWS_PER_COLUMN * n
+        assert m // rows >= 2 and m % rows and a.nbytes >= _QR_BLOCKED_MIN_BYTES
+        r = _r_factor(a)
+        assert r.shape == (n, n)
+        assert np.array_equal(r, np.triu(r))
+        # At full rank R^H R = A^H A fixes R up to a unitary diagonal, so
+        # |diag R| agrees; past a clean pencil's rank 5 both are rounding noise.
+        gram = a.conj().T @ a
+        assert np.linalg.norm(r.conj().T @ r - gram) <= 1e-12 * np.linalg.norm(gram)
+        direct = np.abs(np.diag(np.linalg.qr(a, mode="r")))
+        assert np.max(np.abs(np.abs(np.diag(r)) - direct)) <= 1e-12 * direct.max()
 
 
 class TestPencilEigenphases:
@@ -325,6 +393,20 @@ class TestMpEstimate:
         assert np.array_equal(again.eigenphases, est.eigenphases)
         assert np.array_equal(again.amplitudes, est.amplitudes)
         assert again.l_dim == est.l_dim
+
+
+    @settings(max_examples=60, deadline=None)
+    @example(
+        est=MpEstimate(
+            eigenphases=[0.1], amplitudes=[complex(0.0, -0.0)], moduli=[1e-17], l_dim=1, residual=0.0
+        )
+    )
+    @given(est=mp_estimates())
+    def test_json_text_round_trip_is_exact_property(self, est):
+        again = MpEstimate.from_dict(json.loads(json.dumps(est.to_dict())))
+        for name in ("eigenphases", "amplitudes", "moduli"):
+            assert getattr(again, name).tobytes() == getattr(est, name).tobytes(), name
+        assert (again.l_dim, again.residual, again.filters) == (est.l_dim, est.residual, est.filters)
 
 
 class TestFilterEstimate:

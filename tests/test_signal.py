@@ -1,8 +1,11 @@
 import cmath
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qeep import (
     Spectrum,
@@ -16,6 +19,15 @@ from qeep import (
 )
 from qeep.cli import main
 from qeep.signal import Provenance
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+PROVENANCES = st.one_of(
+    st.just(Provenance.clean()),
+    st.builds(Provenance.additive_noise, st.floats(0.0, allow_infinity=False), st.integers(0)),
+    st.builds(Provenance.shot_sampled, st.integers(1), st.integers(0)),
+)
 
 
 class TestTimeSeriesType:
@@ -37,6 +49,16 @@ class TestTimeSeriesType:
         ts = add_noise(generate_clean(fig6_spectrum(), 16), 0.01, 5)
         again = TimeSeries.from_dict(ts.to_dict())
         assert np.array_equal(again.values, ts.values)
+        assert again.provenance == ts.provenance
+
+    @settings(max_examples=60, deadline=None)
+    @example(tail=[(0.0, -0.0), (-0.0, -0.0)], provenance=Provenance.clean())
+    @given(tail=st.lists(st.tuples(FINITE, FINITE), max_size=12), provenance=PROVENANCES)
+    def test_json_text_round_trip_is_exact_property(self, tail, provenance):
+        values = np.array([1.0 + 0j] + [complex(re, im) for re, im in tail])
+        ts = TimeSeries(values=values, provenance=provenance)
+        again = TimeSeries.from_dict(json.loads(json.dumps(ts.to_dict())))
+        assert again.values.tobytes() == ts.values.tobytes()
         assert again.provenance == ts.provenance
 
     def test_from_dict_rejects_inconsistent_lengths(self):

@@ -1,10 +1,15 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qeep import (
     BinDistribution,
     BinKind,
     Spectrum,
+    TimeSeries,
     add_noise,
     bin_centers,
     estimate_bins,
@@ -21,6 +26,9 @@ from qeep import (
 )
 from qeep.cli import main
 from qeep.filterbank import SQRT_2PI
+from qeep.signal import Provenance
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def point_mass(lam: float) -> Spectrum:
@@ -115,6 +123,33 @@ class TestEstimateBins:
             noisy = add_noise(clean, bank.eps / bank.n_trunc, seed)
             q = estimate_bins(noisy, bank)
             assert np.abs(q.values - pp.values).sum() <= bank.eps / 2
+
+    # The estimator is real-linear in the entries k >= 1 (g_0 is pinned to
+    # 1): q(a*x + b*y) - q(0) = a*(q(x) - q(0)) + b*(q(y) - q(0)).
+    @settings(max_examples=40, deadline=None)
+    @given(
+        eps=st.sampled_from([0.25, 0.1, 0.05]),
+        n_trunc=st.integers(2, 64),
+        a=st.floats(-10.0, 10.0),
+        b=st.floats(-10.0, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_linear_in_the_signal_property(self, eps, n_trunc, a, b, seed):
+        from qeep import build_filterbank
+
+        bank = build_filterbank(eps, n_trunc)
+        rng = np.random.default_rng(seed)
+        x, y = rng.normal(size=(2, n_trunc - 1)) + 1j * rng.normal(size=(2, n_trunc - 1))
+
+        def q(tail):
+            values = np.concatenate([[1.0], tail])
+            return estimate_bins(TimeSeries(values=values, provenance=Provenance.clean()), bank).values
+
+        zero = q(np.zeros(n_trunc - 1))
+        lhs = q(a * x + b * y) - zero
+        rhs = a * (q(x) - zero) + b * (q(y) - zero)
+        scale = (1.0 + abs(a) + abs(b)) * np.sum(np.abs(bank.radial)) * np.max(np.abs([x, y]))
+        assert np.max(np.abs(lhs - rhs)) <= 1e-13 * scale
 
     def test_short_signal_rejected(self, bank_quarter_strict):
         ts = generate_clean(fig6_spectrum(), bank_quarter_strict.n_trunc - 1)
@@ -230,6 +265,18 @@ class TestBinDistributionType:
         again = BinDistribution.from_dict(dist.to_dict())
         assert again.kind is dist.kind
         assert np.array_equal(again.values, dist.values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(FINITE, max_size=12),
+        eps=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        kind=st.sampled_from([BinKind.TRUNCATED_P, BinKind.ESTIMATED_Q]),
+    )
+    def test_json_text_round_trip_is_exact_property(self, values, eps, kind):
+        dist = BinDistribution(values=np.array(values, dtype=float), eps=eps, kind=kind)
+        again = BinDistribution.from_dict(json.loads(json.dumps(dist.to_dict())))
+        assert again.values.tobytes() == dist.values.tobytes()
+        assert (again.eps, again.kind) == (dist.eps, dist.kind)
 
     def test_csv_export(self, tmp_path):
         spec, sig, path = tmp_path / "spec.json", tmp_path / "sig.json", tmp_path / "bins.csv"

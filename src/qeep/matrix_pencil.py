@@ -39,10 +39,11 @@ from .signal import TimeSeries
 SVD_RCOND = 1e-12
 
 # The blocked QR factors row blocks of this many rows per column: at L = 64 a
-# block is 520 x 65 complex entries (0.5 MiB), which fits in a core's L2 cache.
-# The blocks cost about 8% more flops than one QR, which pays only for a matrix
-# larger than about half a 4 MiB L2 cache (2-vCPU Xeon); below that, blocking
-# measured up to 2x slower, so smaller matrices take one direct QR.
+# block is 520 x 65 complex entries (0.5 MiB), well inside a core's L2 cache
+# (2 MiB on the 2-vCPU Xeon measured). The blocks cost about 8% more flops
+# than one QR, which pays only for a matrix that does not fit in that cache;
+# below it, blocking measured up to 2x slower, so smaller matrices take one
+# direct QR.
 _QR_BLOCK_ROWS_PER_COLUMN = 8
 _QR_BLOCKED_MIN_BYTES = 2**21
 
@@ -89,9 +90,13 @@ class MpEstimate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MpEstimate":
+        re = np.asarray(data["amplitudes_re"], dtype=float)
+        im = np.asarray(data["amplitudes_im"], dtype=float)
+        if re.shape != im.shape:
+            raise ValueError("amplitudes_re and amplitudes_im must have the same length")
         # Part by part: re + 1j * im would turn an imaginary -0.0 into 0.0.
-        amps = np.asarray(data["amplitudes_re"], dtype=float).astype(complex)
-        amps.imag = data["amplitudes_im"]
+        amps = re.astype(complex)
+        amps.imag = im
         return cls(
             eigenphases=np.asarray(data["eigenphases"], dtype=float),
             amplitudes=amps,
@@ -142,8 +147,9 @@ def solve_pencil(g: np.ndarray) -> np.ndarray:
         raise ValueError("g must be a 2-d array with 2 <= rows <= columns")
     try:
         # The R factor of g^T, conjugated, is one of g^H, without a conjugated
-        # copy of g. Blocked or direct, it is unique only up to a unitary
-        # diagonal D (R -> D R), and K below does not depend on D.
+        # copy of g. K below depends on R only through R^H R = g g^H, so the
+        # blocked and the direct R, which at full rank differ by a unitary
+        # diagonal D (R -> D R), give the same K.
         r = _r_factor(g.T).conj()
         u, s, vh = np.linalg.svd(r[:-1, :-1])
     except np.linalg.LinAlgError as exc:

@@ -477,8 +477,14 @@ print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("
 # count when its pencils ran in the calling process (OpenBLAS 0.3.31), and the
 # files it writes.
 _THREAD_SENSITIVE_RUNS = [
-    (["reproduce", "fig5", "--n-trunc", "66", "--seeds", "1,2"], {"fig5_deltas.csv", "fig5_summary.json"}),
-    (["reproduce", "fig6", "--n-trunc", "66"], {"fig6_true.csv", "fig6_ts.csv", "fig6_mp.csv", "fig6_summary.json"}),
+    (
+        ["reproduce", "fig5", "--n-trunc", "66", "--seeds", "1,2"],
+        {"fig5_deltas.csv", "fig5_summary.json"},
+    ),
+    (
+        ["reproduce", "fig6", "--n-trunc", "66"],
+        {"fig6_true.csv", "fig6_ts.csv", "fig6_mp.csv", "fig6_summary.json"},
+    ),
 ]
 
 
@@ -488,7 +494,9 @@ def test_reproduce_outputs_do_not_depend_on_blas_threads(tmp_path):
         outputs = []
         for threads in ("1", "2"):
             outdir = tmp_path / argv[1] / f"threads{threads}"
-            blas = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads)
+            blas = dict.fromkeys(
+                ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads
+            )
             proc = subprocess.run(
                 [sys.executable, "-m", "qeep.cli", *argv, "--outdir", str(outdir)],
                 env={**os.environ, **blas, "PYTHONPATH": src},

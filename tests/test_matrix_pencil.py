@@ -24,7 +24,6 @@ from qeep import (
 )
 from qeep.matrix_pencil import (
     _QR_BLOCK_ROWS_PER_COLUMN,
-    _QR_BLOCKED_MIN_BYTES,
     SVD_RCOND,
     _eigenphase_pairs,
     _r_factor,
@@ -41,7 +40,10 @@ def mp_estimates(draw):
     floats = st.lists(FINITE, min_size=size, max_size=size)
     amps = [complex(re, im) for re, im in zip(draw(floats), draw(floats))]
     filters = st.fixed_dictionaries(
-        {"delta_mu": st.none() | st.floats(0.0, allow_infinity=False), "restrict_range": st.booleans()}
+        {
+            "delta_mu": st.none() | st.floats(0.0, allow_infinity=False),
+            "restrict_range": st.booleans(),
+        }
     )
     return MpEstimate(
         eigenphases=np.array(draw(floats)),
@@ -221,12 +223,21 @@ class TestRFactor:
 
     @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
     @pytest.mark.parametrize("n_len, l_dim", [(4469, 64), (2000, 180)])
-    def test_blocked_r_matches_direct_qr(self, n_len, l_dim, noisy):
+    def test_blocked_r_matches_direct_qr(self, n_len, l_dim, noisy, monkeypatch):
         a = pencil_transpose(n_len, l_dim, noisy)
         m, n = a.shape
         rows = _QR_BLOCK_ROWS_PER_COLUMN * n
-        assert m // rows >= 2 and m % rows and a.nbytes >= _QR_BLOCKED_MIN_BYTES
+        b, leftover = divmod(m, rows)
+        assert leftover
+        qr, shapes = np.linalg.qr, []
+        monkeypatch.setattr(
+            np.linalg, "qr", lambda x, mode: shapes.append(x.shape) or qr(x, mode=mode)
+        )
         r = _r_factor(a)
+        monkeypatch.undo()
+        # One batched QR of the whole blocks, then one of their R factors over
+        # the leftover rows.
+        assert shapes == [(b, rows, n), (b * n + leftover, n)]
         assert r.shape == (n, n)
         assert np.array_equal(r, np.triu(r))
         # At full rank R^H R = A^H A fixes R up to a unitary diagonal, so
@@ -395,10 +406,19 @@ class TestMpEstimate:
         assert again.l_dim == est.l_dim
 
 
+    def test_from_dict_rejects_unequal_amplitude_parts(self):
+        record = mp_estimate(generate_clean(fig6_spectrum(), 12), 2).to_dict()
+        with pytest.raises(ValueError):
+            MpEstimate.from_dict({**record, "amplitudes_im": record["amplitudes_im"][:1]})
+
     @settings(max_examples=60, deadline=None)
     @example(
         est=MpEstimate(
-            eigenphases=[0.1], amplitudes=[complex(0.0, -0.0)], moduli=[1e-17], l_dim=1, residual=0.0
+            eigenphases=[0.1],
+            amplitudes=[complex(0.0, -0.0)],
+            moduli=[1e-17],
+            l_dim=1,
+            residual=0.0,
         )
     )
     @given(est=mp_estimates())
@@ -406,7 +426,8 @@ class TestMpEstimate:
         again = MpEstimate.from_dict(json.loads(json.dumps(est.to_dict())))
         for name in ("eigenphases", "amplitudes", "moduli"):
             assert getattr(again, name).tobytes() == getattr(est, name).tobytes(), name
-        assert (again.l_dim, again.residual, again.filters) == (est.l_dim, est.residual, est.filters)
+        for name in ("l_dim", "residual", "filters"):
+            assert getattr(again, name) == getattr(est, name), name
 
 
 class TestFilterEstimate:

@@ -40,12 +40,9 @@ SVD_RCOND = 1e-12
 
 # The blocked QR factors row blocks of this many rows per column: at L = 64 a
 # block is 520 x 65 complex entries (0.5 MiB), well inside a core's L2 cache
-# (2 MiB on the 2-vCPU Xeon measured). The blocks cost about 8% more flops
-# than one QR, which pays only for a matrix that does not fit in that cache;
-# below it, blocking measured up to 2x slower, so smaller matrices take one
-# direct QR.
+# (2 MiB per core on the 2-vCPU Xeon measured), while the whole 8873 x 65
+# matrix of a `trials` pencil (9 MiB) is not.
 _QR_BLOCK_ROWS_PER_COLUMN = 8
-_QR_BLOCKED_MIN_BYTES = 2**21
 
 
 @dataclass(frozen=True)
@@ -127,12 +124,12 @@ def build_hankel(ts: TimeSeries, l_dim: int) -> np.ndarray:
 
 def _r_factor(a: np.ndarray) -> np.ndarray:
     """R factor of a tall ``a`` (m x n, m >= n): of one QR of ``a``, or, for a
-    large matrix with at least two row blocks, of the QR of its blocks' stacked
-    R factors over the leftover rows."""
+    matrix with at least two row blocks, of the QR of its blocks' stacked R
+    factors over the leftover rows."""
     m, n = a.shape
     rows = _QR_BLOCK_ROWS_PER_COLUMN * n
     b = m // rows
-    if b < 2 or a.nbytes < _QR_BLOCKED_MIN_BYTES:
+    if b < 2:
         return np.linalg.qr(a, mode="r")
     blocks = np.linalg.qr(a[: b * rows].reshape(b, rows, n), mode="r")
     return np.linalg.qr(np.concatenate([blocks.reshape(b * n, n), a[b * rows :]]), mode="r")

@@ -214,10 +214,9 @@ def pencil_transpose(n_len, l_dim, noisy):
 
 
 class TestRFactor:
-    # Fewer than two row blocks (square pencils, and (2000, 250) at 15 MB),
-    # or under the size at which blocking pays ((600, 64) has two blocks).
-    @pytest.mark.parametrize("n_len, l_dim", [(566, 565), (64, 63), (2000, 250), (600, 64)])
-    def test_small_or_unblockable_matrix_takes_one_direct_qr(self, n_len, l_dim):
+    # Fewer than two row blocks: square pencils, and (2000, 250) with one.
+    @pytest.mark.parametrize("n_len, l_dim", [(566, 565), (64, 63), (2000, 250)])
+    def test_unblockable_matrix_takes_one_direct_qr(self, n_len, l_dim):
         a = pencil_transpose(n_len, l_dim, noisy=True)
         assert np.array_equal(_r_factor(a), np.linalg.qr(a, mode="r"))
 

@@ -10,11 +10,9 @@ from .filterbank import (
     build_filterbank,
     bump,
     bump_fourier,
-    bump_norm,
     choose_truncation,
     decay_onset,
-    evaluate_filter,
-    filter_coefficient,
+    filter_values,
     tail_bound,
 )
 from .matrix_pencil import (
@@ -66,19 +64,17 @@ __all__ = [
     "build_hankel",
     "bump",
     "bump_fourier",
-    "bump_norm",
     "choose_truncation",
     "decay_onset",
     "dft",
     "estimate_bins",
     "estimate_moment",
-    "evaluate_filter",
     "exact_bins",
     "exact_moment",
     "expectation_from_function",
     "fig6_spectrum",
-    "filter_coefficient",
     "filter_estimate",
+    "filter_values",
     "generate_clean",
     "hoeffding_shots",
     "moment_error_bound",

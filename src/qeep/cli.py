@@ -26,7 +26,7 @@ from .filterbank import (
     bin_centers,
     build_filterbank,
     choose_truncation,
-    filter_grid,
+    filter_values,
 )
 from .matrix_pencil import mp_estimate, mp_moment
 from .signal import (
@@ -37,7 +37,7 @@ from .signal import (
     sample_shots,
 )
 from .spectrum import Spectrum, exact_moment, fig6_spectrum, random_spectrum
-from .ts_estimator import estimate_bins, estimate_moment
+from .ts_estimator import MAX_MOMENT_ORDER, estimate_bins, estimate_moment
 
 # Offset used to derive the noise stream from a run seed so that spectrum and
 # noise draws never share a generator state.
@@ -83,6 +83,25 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         return tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise ValueError(f"expected a comma-separated integer list, got {text!r}") from exc
+
+
+def _moment_orders(text: str) -> tuple[int, ...]:
+    """A non-empty comma-separated list of moment orders in
+    ``[0, MAX_MOMENT_ORDER]``."""
+    orders = _parse_int_list(text)
+    if not orders or not all(0 <= s <= MAX_MOMENT_ORDER for s in orders):
+        raise argparse.ArgumentTypeError(
+            f"expected moment orders in [0, {MAX_MOMENT_ORDER}], got {text!r}"
+        )
+    return orders
+
+
+def _magnitude(text: str) -> float:
+    """A noise magnitude bound: a finite, non-negative number."""
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {text!r}")
+    return value
 
 
 def _config_tokens(path, args: argparse.Namespace) -> list[str]:
@@ -365,7 +384,8 @@ def _reproduce_fig3(outdir: Path, args) -> None:
 
 def _reproduce_fig4(outdir: Path, args) -> None:
     eps = 0.25
-    xs, table = filter_grid(eps, 201)
+    xs = np.linspace(-0.5, 0.5, 201)
+    table = filter_values(xs, eps)
     for j in range(table.shape[0]):
         _write_csv(outdir / f"fig4_filter_{j}.csv", ["x", "value"], zip(xs, table[j]))
     total = table.sum(axis=0)
@@ -416,8 +436,6 @@ _FIGURES = {
 
 def _cmd_reproduce(args) -> int:
     bin_centers(args.eps)  # checks eps > 0 and 1/eps integral
-    if args.eps_prime < 0:
-        raise ValueError("eps_prime must be non-negative")
     if args.d < 1:
         raise ValueError("d_spectrum must be positive")
     if not args.seeds:
@@ -456,7 +474,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("signal", _cmd_signal, "generate a time series from a spectrum file")
     p.add_argument("--spectrum", default="spectrum.json")
     p.add_argument("--n", type=int, default=0, help="signal length")
-    p.add_argument("--noise", type=float, help="additive noise magnitude bound")
+    p.add_argument("--noise", type=_magnitude, help="additive noise magnitude bound")
     p.add_argument("--shots", help="shots per point (integer) or 'auto'")
     p.add_argument("--eps-prime", dest="eps_prime", type=float)
     p.add_argument("--confidence", type=float)
@@ -480,7 +498,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--l-dim", dest="l_dim", type=int, help="mp only")
     p.add_argument(
-        "--moments", type=_parse_int_list, default=(1, 2, 4), help="comma-separated moment orders"
+        "--moments", type=_moment_orders, default=(1, 2, 4), help="comma-separated moment orders"
     )
     p.add_argument("--spectrum", help="ground truth for delta reporting")
     p.add_argument("--out", default="estimate.json")
@@ -495,9 +513,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--outdir", default=".")
     p.add_argument("--seeds", type=_parse_int_list, default=(1, 2, 3, 4, 5))
-    p.add_argument("--moments", type=_parse_int_list, default=(1, 2, 4))
+    p.add_argument("--moments", type=_moment_orders, default=(1, 2, 4))
     p.add_argument("--eps", type=float, default=0.005)
-    p.add_argument("--eps-prime", dest="eps_prime", type=float, default=0.005)
+    p.add_argument("--eps-prime", dest="eps_prime", type=_magnitude, default=0.005)
     p.add_argument("--d", type=int, default=5)
     p.add_argument("--n-trunc", dest="n_trunc", type=int)
     p.add_argument("--l-dim", dest="l_dim", type=int)

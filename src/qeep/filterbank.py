@@ -19,6 +19,9 @@ phases are applied where the coefficients are used. ``H`` comes from a fixed
 trapezoid rule whose node count follows from the largest frequency requested
 (see :func:`bump_fourier`), and :class:`FilterBank` holds the profile.
 
+A filter value is a difference of the bump's CDF at the two ends of the bin
+window, evaluated for every bin and point at once by :func:`filter_values`.
+
 The truncated Fourier series of every ``f_j`` at a point ``x`` is the
 estimator's own sum applied to the one-line signal ``g_k = exp(-i*x*k)``, so
 it is evaluated as ``truncated_bins`` of the spectrum with a single line at
@@ -60,15 +63,9 @@ def bin_centers(eps: float) -> np.ndarray:
 
 
 # Normalization ``a = 1 / integral_{-1}^{1} exp(-1/(1-x**2)) dx`` of the bump,
-# the double that adaptive quadrature (scipy ``quad``, epsabs 1e-14, epsrel
-# 1e-13) returns; a fixed number, so it is written out rather than recomputed.
+# the double that adaptive quadrature (QUADPACK, epsabs 1e-14, epsrel 1e-13)
+# returns; a fixed number, so it is written out rather than recomputed.
 BUMP_NORM = 2.2522836210435813
-
-
-def bump_norm() -> float:
-    """Normalization constant ``a = 1 / integral_{-1}^{1} exp(-1/(1-x**2)) dx``
-    of the bump, numerically ``a = 2.2522836...`` (:data:`BUMP_NORM`)."""
-    return BUMP_NORM
 
 
 def bump(x):
@@ -86,10 +83,22 @@ def bump(x):
     return out
 
 
-def _bump_scalar(x: float) -> float:
-    if abs(x) >= 1.0:
-        return 0.0
-    return BUMP_NORM * math.exp(-1.0 / (1.0 - x * x))
+def _bump_cdf(t: np.ndarray) -> np.ndarray:
+    """CDF ``B(t) = integral_{-1}^{t} h`` of the bump for ``|t| < 1``.
+
+    ``B(t)`` for ``t <= 0`` is a 64-node Gauss-Legendre rule on ``[-1, t]``
+    (Golub & Welsch 1969, Math. Comp. 23:221), and ``B(t) = 1 - B(-t)`` for
+    ``t > 0`` because the bump is even and has unit mass, so no rule spans
+    more than half the bump. The nodes are computed here, not at import,
+    because ``numpy.polynomial`` is slow to load and most commands never
+    evaluate a filter.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(64)
+    half = (1.0 - np.abs(t)) / 2.0
+    lower = half * (bump(half[:, None] * (nodes + 1.0) - 1.0) @ weights)
+    return np.where(t > 0.0, 1.0 - lower, lower)
 
 
 def bump_fourier(kp):
@@ -146,44 +155,31 @@ def _radial(k, eps: float):
     return eps * bump_fourier(half) * np.sinc(half / math.pi)
 
 
-def filter_coefficient(j: int, k: int, eps: float) -> complex:
-    """Fourier coefficient ``F_j(k)`` of the j-th bin filter.
+def filter_values(x, eps: float) -> np.ndarray:
+    """Filter values ``f_j(x_i)`` of every bin at every point of ``x``, as the
+    ``(M, len(x))`` table ``values[j, i]``.
 
-    The removable singularity at ``k = 0`` is evaluated as the limit
-    ``2 * H(0) * eps/2 = eps / sqrt(2*pi)``. Satisfies
-    ``F_j(-k) = conj(F_j(k))`` and ``|F_j(k)| <= eps / sqrt(2*pi)``.
+    ``f_j(x) = B(u_{j+1}) - B(u_j)`` with ``u_j = 2*(center_j - x)/eps - 1``
+    (:func:`_bump_cdf`, ``center_M`` one step past the last bin): adjacent
+    bins share a window endpoint, so the window of bin ``j`` is
+    ``[u_j, u_{j+1}]`` in bump units. The ``u_j`` of a point are 2 apart, so
+    at most one lies in ``(-1, 1)`` and every other ``B`` is exactly 0 or 1.
+    Hence the values are non-negative, exactly zero outside
+    ``|x - center_j| < eps``, exactly one at ``x = center_j``, and sum to one
+    on ``[-1/2, 1/2]``.
     """
     eps = _snap_eps(eps)
-    m = _bin_count(eps)
-    if not 0 <= j <= m - 1:
-        raise ValueError(f"bin index j={j} out of range [0, {m - 1}]")
-    center = -0.5 + j * eps
-    return complex(_radial(k, eps) * np.exp(-1j * center * k))
-
-
-def evaluate_filter(j: int, x: float, eps: float) -> float:
-    """Filter value ``f_j(x)`` by direct quadrature of the convolution.
-
-    Reduces to a single integral of the unit bump over the intersection of
-    ``[-1, 1]`` with the shifted bin window; exactly zero outside
-    ``|x - center_j| < eps``, exactly one at ``x = center_j``. Absolute error
-    below 1e-10. This is the slow reference path the truncated series (the
-    estimator on a one-line spectrum) is checked against, and the only place
-    the package imports scipy.
-    """
-    from scipy.integrate import quad
-
-    eps = _snap_eps(eps)
-    m = _bin_count(eps)
-    if not 0 <= j <= m - 1:
-        raise ValueError(f"bin index j={j} out of range [0, {m - 1}]")
-    c = 2.0 * ((-0.5 + j * eps) - x) / eps
-    lo = max(-1.0, c - 1.0)
-    hi = min(1.0, c + 1.0)
-    if hi <= lo:
-        return 0.0
-    val, _ = quad(_bump_scalar, lo, hi, epsabs=1e-12)
-    return val
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim != 1:
+        raise ValueError("x must be a 1-d array")
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("x must be finite")
+    edges = -0.5 + eps * np.arange(_bin_count(eps) + 1)
+    u = 2.0 * (edges[:, None] - xs) / eps - 1.0
+    cdf = (u >= 1.0).astype(float)
+    inside = np.abs(u) < 1.0
+    cdf[inside] = _bump_cdf(u[inside])
+    return cdf[1:] - cdf[:-1]
 
 
 def tail_bound(n_trunc: int, eps: float) -> float:
@@ -280,19 +276,3 @@ def build_filterbank(eps: float, n_trunc: int) -> FilterBank:
     if n_trunc < 2:
         raise ValueError("n_trunc must be at least 2")
     return FilterBank(eps=eps, n_trunc=n_trunc, radial=_radial(np.arange(n_trunc), eps))
-
-
-def filter_grid(eps: float, n_points: int = 201) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature values of every filter on a uniform grid over [-1/2, 1/2].
-
-    Returns ``(x, table)`` with ``table[j, i] = f_j(x_i)``; used for the
-    filter-curve CSV dumps.
-    """
-    m = _bin_count(eps)
-    xs = np.linspace(-0.5, 0.5, n_points)
-    table = np.zeros((m, n_points))
-    for i, x in enumerate(xs):
-        j0 = math.floor((x + 0.5) / eps)
-        for j in range(max(0, j0 - 1), min(m, j0 + 2)):
-            table[j, i] = evaluate_filter(j, float(x), eps)
-    return xs, table

@@ -154,8 +154,8 @@ def add_noise(ts: TimeSeries, eps_prime: float, seed: int) -> TimeSeries:
     Magnitudes are drawn first, then phases, from one ``default_rng(seed)``
     stream, so results are bit-reproducible for a fixed seed.
     """
-    if eps_prime < 0:
-        raise ValueError("eps_prime must be non-negative")
+    if not 0.0 <= eps_prime < math.inf:
+        raise ValueError(f"eps_prime must be finite and non-negative, got {eps_prime!r}")
     if ts.provenance.kind != CLEAN:
         raise ValueError("add_noise expects a clean input series")
     rng = np.random.default_rng(seed)

@@ -2,7 +2,7 @@
 
 Three routes produce a distribution over the M bin centers:
 
-* :func:`exact_bins` — quadrature of the filters at the true eigenvalues
+* :func:`exact_bins` — the filters' values at the true eigenvalues
   (the oracle; needs the ground-truth spectrum),
 * :func:`truncated_bins` — the truncated Fourier form applied to the exact
   signal (isolates the truncation error),
@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .filterbank import SQRT_2PI, FilterBank, bin_centers, evaluate_filter
+from .filterbank import SQRT_2PI, FilterBank, bin_centers, filter_values
 from .signal import TimeSeries, generate_clean
 from .spectrum import Spectrum
 
@@ -81,14 +81,7 @@ def exact_bins(spec: Spectrum, eps: float) -> BinDistribution:
     it, and those contributions sum to its full weight, so the result is a
     probability vector.
     """
-    centers = bin_centers(eps)
-    m = centers.size
-    p = np.zeros(m)
-    for lam, w in zip(spec.lambdas, spec.weights):
-        j0 = math.floor((lam + 0.5) / eps)
-        for j in range(max(0, j0 - 1), min(m, j0 + 2)):
-            if abs(lam - centers[j]) < eps:
-                p[j] += w * evaluate_filter(j, float(lam), eps)
+    p = filter_values(spec.lambdas, eps) @ spec.weights
     return BinDistribution(values=p, eps=eps, kind=BinKind.EXACT_P)
 
 

@@ -83,6 +83,22 @@ class TestSignal:
         assert payload["provenance"]["kind"] == "shot_sampled"
         assert payload["provenance"]["shots_per_point"] == payload["planned_shots"]
 
+    @pytest.mark.parametrize("noise", ["-0.5", "nan", "inf"])
+    def test_bad_noise_magnitude_is_usage_error(self, tmp_path, capsys, noise):
+        spec, out = tmp_path / "spec.json", tmp_path / "sig.json"
+        run("synth", "--fig6", "--out", spec)
+        capsys.readouterr()
+        assert run("signal", "--spectrum", spec, "--n", 8, "--noise", noise, "--out", out) == 2
+        assert "finite non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_noise_writes_clean_signal(self, tmp_path):
+        spec, clean, zero = tmp_path / "spec.json", tmp_path / "clean.json", tmp_path / "zero.json"
+        run("synth", "--fig6", "--out", spec)
+        assert run("signal", "--spectrum", spec, "--n", 8, "--out", clean) == 0
+        assert run("signal", "--spectrum", spec, "--n", 8, "--noise", 0, "--out", zero) == 0
+        assert zero.read_bytes() == clean.read_bytes()
+
     def test_noise_and_shots_conflict(self, tmp_path):
         spec = tmp_path / "spec.json"
         run("synth", "--fig6", "--out", spec)
@@ -268,6 +284,22 @@ class TestEstimate:
         assert f"does not apply to --method {method}" in capsys.readouterr().err
         assert not out_f.exists()
 
+    @pytest.mark.parametrize("method", ["ts", "mp"])
+    @pytest.mark.parametrize("moments", ["65", "-1", "one", ""])
+    def test_bad_moments_are_usage_error_for_both_methods(self, tmp_path, capsys, method,
+                                                          moments):
+        spec_f, sig_f, out_f = tmp_path / "s.json", tmp_path / "g.json", tmp_path / "e.json"
+        run("synth", "--fig6", "--out", spec_f)
+        run("signal", "--spectrum", spec_f, "--n", 16, "--out", sig_f)
+        capsys.readouterr()
+        rc = run(
+            "estimate", "--signal", sig_f, "--method", method, "--eps", 0.25,
+            f"--moments={moments}", "--out", out_f,
+        )
+        assert rc == 2
+        assert "argument --moments" in capsys.readouterr().err
+        assert not out_f.exists()
+
     def test_numeric_failure_maps_to_exit_3(self, tmp_path, monkeypatch):
         spec_f, sig_f = tmp_path / "s.json", tmp_path / "g.json"
         run("synth", "--fig6", "--out", spec_f)
@@ -363,6 +395,32 @@ class TestReproduce:
         assert not outdir.exists()
         assert dict(os.environ) == environ
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--eps-prime", "nan"], "finite non-negative"),
+            (["--eps-prime", "inf"], "finite non-negative"),
+            (["--eps-prime", "-0.1"], "finite non-negative"),
+            (["--moments=-1"], "moment orders in [0, 64]"),
+            (["--moments=65"], "moment orders in [0, 64]"),
+            (["--moments="], "moment orders in [0, 64]"),
+        ],
+        ids=["eps-prime-nan", "eps-prime-inf", "eps-prime-negative", "moment-negative",
+             "moment-too-high", "no-moments"],
+    )
+    @pytest.mark.parametrize("figure", ["fig5", "appc", "fig6"])
+    def test_bad_flag_fails_before_any_work(self, tmp_path, capsys, monkeypatch, figure, flags,
+                                            message):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("the bank was built before the usage check")
+
+        monkeypatch.setattr("qeep.cli.build_filterbank", unexpected)
+        outdir = tmp_path / "figs"
+        rc = run("reproduce", figure, "--outdir", outdir, "--n-trunc", 64, "--seeds", "1", *flags)
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_rows_do_not_depend_on_scheduling(self, tmp_path):
         rc = run("reproduce", "fig5", "--outdir", tmp_path / "all", "--seeds", "3,1,2", "--n-trunc", 64)
         assert rc == 0
@@ -401,6 +459,25 @@ class TestConfigFile:
         assert run("synth", "--config", cfg, "--d", 4, "--out", override) == 0
         spec2 = Spectrum.from_dict(json.loads(override.read_text()))
         assert len(spec2) == 4
+
+    @pytest.mark.parametrize(
+        "command, content",
+        [
+            ("reproduce", {"moments": []}),
+            ("reproduce", {"moments": [1, 65]}),
+            ("reproduce", {"eps_prime": "nan"}),
+            ("estimate", {"moments": [-1]}),
+        ],
+        ids=["reproduce-no-moments", "reproduce-moment-too-high", "reproduce-eps-prime-nan",
+             "estimate-moment-negative"],
+    )
+    def test_config_values_get_the_flag_checks(self, tmp_path, capsys, command, content):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps(content))
+        argv = ["fig5", "--outdir", out] if command == "reproduce" else ["--out", out]
+        assert run(command, *argv, "--config", cfg) == 2
+        assert "argument --" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_command_usage_error(self):
         assert run("frobnicate") == 2
@@ -454,21 +531,51 @@ class TestConfigFile:
         assert not out.exists()
 
 
-# The test modules import scipy themselves, so the import check runs the CLI in
-# a fresh interpreter.
+# The test modules import scipy themselves, so the numpy-only check runs in a
+# fresh interpreter. This module goes on its path as ``sitecustomize``, so every
+# interpreter of the run, the spawned workers of ``reproduce`` included,
+# installs the blocker at start-up, before anything imports qeep.
+_BLOCK_SCIPY = """
+import sys
+
+
+class _BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(f"import of {name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, _BlockScipy())
+"""
+
 _NUMPY_ONLY_RUN = """
 import json
 import sys
+
+from qeep import exact_bins, fig6_spectrum
 from qeep.cli import main
 
-for argv in [
-    ["synth", "--fig6"],
-    ["signal", "--n", "414", "--noise", "0.0005", "--seed", "3"],
-    ["estimate", "--method", "ts", "--truncation", "strict", "--eps", "0.25"],
-    ["estimate", "--method", "mp", "--l-dim", "32", "--out", "mp.json"],
-    ["reproduce", "fig5", "--n-trunc", "64", "--seeds", "1"],
-]:
-    assert main(argv) == 0, argv
+def run(*argv):
+    assert main(list(argv)) == 0, argv
+
+run("synth", "--fig6")
+run("signal", "--n", "32", "--out", "clean.json")
+run("signal", "--n", "414", "--noise", "0.0005", "--seed", "3")
+run("signal", "--n", "16", "--shots", "100", "--seed", "1", "--out", "shots.json")
+run("signal", "--n", "8", "--shots", "auto", "--eps-prime", "0.5", "--confidence", "0.9",
+    "--out", "auto.json")
+run("plan-shots", "--n", "566", "--eps-prime", "0.005", "--confidence", "0.99")
+run("estimate", "--method", "ts", "--truncation", "strict", "--eps", "0.25")
+run("estimate", "--method", "mp", "--l-dim", "32", "--out", "mp.json")
+run("reproduce", "fig3", "--outdir", "out")
+run("reproduce", "fig5", "--n-trunc", "64", "--seeds", "1", "--outdir", "out")
+# Only a filter value needs the Gauss-Legendre nodes, and so numpy.polynomial.
+assert "numpy.polynomial" not in sys.modules
+run("reproduce", "appc", "--n-trunc", "64", "--seeds", "1", "--outdir", "out")
+run("reproduce", "fig6", "--n-trunc", "64", "--outdir", "out")
+run("reproduce", "fig4", "--outdir", "out")
+assert abs(exact_bins(fig6_spectrum(), 0.005).values.sum() - 1.0) <= 1e-9
 print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """
 
@@ -510,12 +617,15 @@ def test_reproduce_outputs_do_not_depend_on_blas_threads(tmp_path):
         assert outputs[0] == outputs[1], argv[1]
 
 
-def test_commands_outside_quadrature_reference_do_not_import_scipy(tmp_path):
+def test_every_command_runs_without_scipy(tmp_path):
     src = str(Path(qeep.__file__).resolve().parents[1])
+    site = tmp_path / "site"
+    site.mkdir()
+    (site / "sitecustomize.py").write_text(_BLOCK_SCIPY)
     proc = subprocess.run(
         [sys.executable, "-c", _NUMPY_ONLY_RUN],
         cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(site), src])},
         capture_output=True,
         text=True,
         timeout=120,

@@ -7,12 +7,10 @@ bytes of a ``reproduce``, ``synth``, ``signal``, ``estimate`` or
 ``plan-shots`` output fails here; a change that is meant to alter an output
 must say why and record new hashes.
 
-Hashes recorded with Python 3.11.7, numpy 2.4.6, scipy 1.17.1 and
-OpenBLAS 0.3.31 (scipy-openblas, x86-64). The matrix-pencil and random-draw
-outputs go through numpy's LAPACK and generators, so another numpy or BLAS
-build may change their last digits. scipy reaches only the ``fig4`` bytes
-(its filter curves come from adaptive quadrature); every other command
-imports numpy alone, so another scipy build can move only that case.
+Hashes recorded with Python 3.11.7, numpy 2.4.6 and OpenBLAS 0.3.31
+(scipy-openblas, x86-64). The matrix-pencil and random-draw outputs go
+through numpy's LAPACK and generators, so another numpy or BLAS build may
+change their last digits.
 
 The matrix-pencil bytes were re-recorded once, when the pencil solve moved from
 ``np.linalg.pinv`` of the wide ``H0`` to the R factor of one QR of the
@@ -21,6 +19,12 @@ The matrix-pencil bytes were re-recorded once, when the pencil solve moved from
 ``reproduce-appc`` (``appc_delta_table.csv``, ``appc_summary.json``) and
 ``reproduce-fig6`` (``fig6_mp.csv`` only). The two solves agree to rounding,
 not bit for bit; the TS columns and files of those cases did not move.
+
+The six ``reproduce-fig4`` hashes were re-recorded once, when the filter
+curves moved from adaptive quadrature (scipy ``quad``, epsabs 1e-12) to the
+difference of a Gauss-Legendre bump CDF. The values moved by at most 3.7e-12,
+the quadrature's own tolerance, and the unit sum in ``fig4_summary.json``
+became exact.
 """
 
 import hashlib
@@ -53,12 +57,12 @@ CASES = {
     "reproduce-fig4": (
         ["reproduce", "fig4", "--outdir", "out"],
         {
-            "out/fig4_filter_0.csv": "d117795dde9a1675ca4090304772cc56852352f9a0ab91801eb42682de7c645b",
-            "out/fig4_filter_1.csv": "49b9f7e21dbf81ca7db36d2ad6ea0a92df3bdb28c3dfa6743f11abd6826e7392",
-            "out/fig4_filter_2.csv": "304d30e70030a853365305056f1e36e82bea37452853bf11db728e17202c338d",
-            "out/fig4_filter_3.csv": "638412dacff0db05e6ff8e0e5cc7a490c1230a02360a6836727f56792c3f8235",
-            "out/fig4_filter_4.csv": "73f330ccad4aeee0e6de00e268b9536fd860cb9c7abbb3eacfa2fa82450512d4",
-            "out/fig4_summary.json": "1f653460a238e18f15f27e88219fdd30f860cbd999c5af25ffa2b1c514383983",
+            "out/fig4_filter_0.csv": "818a3b8efd210f3402f3853ef532706d6ed7b57b8e8a781f7938b17b29410d13",
+            "out/fig4_filter_1.csv": "df57c34a6a5a104841d6f3bb8719aeda1a6d40916d6744c868dd5834cf9dd052",
+            "out/fig4_filter_2.csv": "340194d8952cdbb0d2a00ea0e58ee75dee5ca57655133fc28c9556e0a5d08e36",
+            "out/fig4_filter_3.csv": "785c3adbce4443ce8d2bced971117bda35d1f9885c26f47c62391bd89b9833af",
+            "out/fig4_filter_4.csv": "4b97cf350b6fe671bffa35ff33202d3d4611ac9341633b2f89dbcf123b2d4c97",
+            "out/fig4_summary.json": "452bdbebf8cc76d61a28c2f8c97d2813fb2fb221e3d0f12ea6ac4d440c6ddad8",
         },
     ),
     "reproduce-fig5": (

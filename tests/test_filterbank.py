@@ -14,21 +14,46 @@ from qeep import (
     build_filterbank,
     bump,
     bump_fourier,
-    bump_norm,
     choose_truncation,
     decay_onset,
-    evaluate_filter,
-    filter_coefficient,
+    filter_values,
     tail_bound,
     truncated_bins,
 )
-from qeep.filterbank import BUMP_NORM, SQRT_2PI, _snap_eps, filter_grid
+from qeep.filterbank import BUMP_NORM, SQRT_2PI, _radial, _snap_eps
 
 
 def _bump_scalar(x: float) -> float:
     if abs(x) >= 1.0:
         return 0.0
-    return bump_norm() * math.exp(-1.0 / (1.0 - x * x))
+    return BUMP_NORM * math.exp(-1.0 / (1.0 - x * x))
+
+
+def quad_filter(j: int, x: float, eps: float) -> float:
+    """Oracle filter value ``f_j(x)``: adaptive quadrature of the unit bump
+    over the intersection of ``[-1, 1]`` with bin j's window in bump units.
+
+    Asked for 1e-13 relative, QUADPACK warns that roundoff stops it short of
+    that, but it agrees with the Gauss-Legendre CDF to about 1e-15 on bin
+    windows of eps = 0.25 and 0.05; its default epsrel (1.5e-8) left errors
+    of 3e-10."""
+    c = 2.0 * ((-0.5 + j * eps) - x) / eps
+    lo, hi = max(-1.0, c - 1.0), min(1.0, c + 1.0)
+    if hi <= lo:
+        return 0.0
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "The occurrence of roundoff", IntegrationWarning)
+        val, _ = quad(_bump_scalar, lo, hi, epsabs=1e-15, epsrel=1e-13)
+    return val
+
+
+def coefficient(j: int, k: int, eps: float) -> complex:
+    """Closed form ``F_j(k) = 2*H(k*eps/2)*sin(k*eps/2)/k * exp(-i*center_j*k)``,
+    with the limit ``eps*H(0)`` at ``k = 0``, for any integer k."""
+    kp = k * eps / 2.0
+    radial = eps * bump_fourier(0.0) if k == 0 else 2.0 * bump_fourier(kp) * math.sin(kp) / k
+    phase = bin_centers(eps)[j] * k
+    return radial * complex(math.cos(phase), -math.sin(phase))
 
 
 def quad_bump_fourier(kp: float) -> float:
@@ -62,7 +87,7 @@ class TestBump:
         assert bump(2.0) == 0.0
 
     def test_center_value(self):
-        assert bump(0.0) == pytest.approx(bump_norm() * math.exp(-1.0), rel=1e-14)
+        assert bump(0.0) == pytest.approx(BUMP_NORM * math.exp(-1.0), rel=1e-14)
 
     def test_even_symmetry(self):
         assert bump(0.3) == bump(-0.3)
@@ -76,7 +101,7 @@ class TestBump:
 
 class TestBumpNorm:
     def test_reference_band(self):
-        assert 2.24 <= bump_norm() <= 2.26
+        assert 2.24 <= BUMP_NORM <= 2.26
 
     def test_against_dense_trapezoid_oracle(self):
         # Independent reference: 20001-node trapezoid; the integrand is smooth
@@ -86,17 +111,17 @@ class TestBumpNorm:
         with np.errstate(divide="ignore", over="ignore"):
             ys = np.where(np.abs(xs) < 1.0, np.exp(-1.0 / (1.0 - xs**2)), 0.0)
         oracle = 1.0 / np.trapezoid(ys, xs)
-        assert bump_norm() == pytest.approx(oracle, abs=1e-6)
-        assert bump_norm() == pytest.approx(2.252283621, abs=1e-6)
+        assert BUMP_NORM == pytest.approx(oracle, abs=1e-6)
+        assert BUMP_NORM == pytest.approx(2.252283621, abs=1e-6)
 
     def test_literal_matches_adaptive_quadrature(self):
-        # The frozen constant is the double 1/quad(...) returns; another scipy
-        # build may round the integral differently, so allow 2 ulp.
+        # The frozen constant is the double 1/quad(...) returns; another
+        # QUADPACK build may round the integral differently, so allow 2 ulp.
         val, _ = quad(
             lambda x: math.exp(-1.0 / (1.0 - x * x)), -1.0, 1.0, epsabs=1e-14, epsrel=1e-13
         )
         assert abs(BUMP_NORM - 1.0 / val) <= 2 * math.ulp(BUMP_NORM)
-        assert bump_norm() == BUMP_NORM == 2.2522836210435813
+        assert BUMP_NORM == 2.2522836210435813
 
     def test_normalizes_bump_to_unit_mass(self):
         xs = np.linspace(-1.0, 1.0, 20_001)
@@ -136,36 +161,43 @@ class TestBumpFourier:
 
 
 class TestFilterCoefficient:
+    """The coefficients ``F_j(k)``, read from ``bank.row(j)``."""
+
     def test_zero_frequency_coefficient(self):
         for eps in (0.25, 0.005):
             for j in (0, 2):
-                assert filter_coefficient(j, 0, eps) == pytest.approx(
+                assert build_filterbank(eps, 2).row(j)[0] == pytest.approx(
                     eps / SQRT_2PI, abs=1e-10
                 )
 
     def test_conjugate_symmetry(self):
+        # F_j(-k) = radial(-k) * exp(i*center_j*k) = conj(F_j(k)) because the
+        # radial profile is real and even.
+        bank = build_filterbank(0.25, 41)
         for j, k in ((0, 1), (2, 7), (4, 40)):
-            assert filter_coefficient(j, -k, 0.25) == pytest.approx(
-                filter_coefficient(j, k, 0.25).conjugate(), abs=1e-15
-            )
+            assert _radial(-k, 0.25) == _radial(k, 0.25)
+            f_minus = _radial(-k, 0.25) * np.exp(1j * bank.centers[j] * k)
+            assert f_minus == pytest.approx(bank.row(j)[k].conjugate(), abs=1e-15)
+
+    @settings(max_examples=50, deadline=None)
+    @given(k=st.integers(0, 20_000), inv=st.integers(1, 400))
+    def test_radial_is_even_property(self, k, inv):
+        assert _radial(-k, 1.0 / inv) == _radial(k, 1.0 / inv)
 
     def test_matches_transform_of_quadrature_filter(self):
         # Independent route: integrate the quadrature-evaluated filter against
         # the Fourier kernel directly, with no use of the closed form.
-        from scipy.integrate import quad as _quad
-
         eps, j = 0.25, 2
         center = bin_centers(eps)[j]
         lo, hi = center - eps, center + eps
+        row = build_filterbank(eps, 6).row(j)
         for k in (0, 1, 5):
-            re, _ = _quad(
-                lambda x: evaluate_filter(j, x, eps) * math.cos(k * x), lo, hi, epsabs=1e-11
-            )
-            im, _ = _quad(
-                lambda x: -evaluate_filter(j, x, eps) * math.sin(k * x), lo, hi, epsabs=1e-11
+            re, _ = quad(lambda x: quad_filter(j, x, eps) * math.cos(k * x), lo, hi, epsabs=1e-11)
+            im, _ = quad(
+                lambda x: -quad_filter(j, x, eps) * math.sin(k * x), lo, hi, epsabs=1e-11
             )
             oracle = (re + 1j * im) / SQRT_2PI
-            assert filter_coefficient(j, k, eps) == pytest.approx(oracle, abs=1e-9)
+            assert row[k] == pytest.approx(oracle, abs=1e-9)
 
     def test_sharp_magnitude_cap(self, bank_appc):
         # |F_j(k)| <= eps/sqrt(2*pi) for every (j, k), attained at k = 0.
@@ -175,46 +207,79 @@ class TestFilterCoefficient:
 
     def test_bin_index_out_of_range(self):
         with pytest.raises(ValueError):
-            filter_coefficient(5, 1, 0.25)
+            build_filterbank(0.25, 2).row(5)
 
     def test_fractional_bin_count_rejected(self):
         with pytest.raises(ValueError):
-            filter_coefficient(0, 1, 0.24)
+            build_filterbank(0.24, 2)
 
 
 class TestEvaluateFilter:
+    """Filter values ``f_j(x)`` from :func:`filter_values`."""
+
     def test_unit_value_at_bin_center(self):
         for eps, j in ((0.25, 2), (0.005, 100)):
             center = bin_centers(eps)[j]
-            assert evaluate_filter(j, center, eps) == pytest.approx(1.0, abs=1e-9)
+            assert filter_values([center], eps)[j, 0] == pytest.approx(1.0, abs=1e-9)
 
     def test_exact_zero_at_and_beyond_support_edge(self):
         eps, j = 0.25, 2
         center = bin_centers(eps)[j]
-        for x in (center - eps, center + eps, center + 2 * eps, -10.0):
-            assert evaluate_filter(j, x, eps) == 0.0
+        xs = [center - eps, center + eps, center + 2 * eps, -10.0]
+        assert np.all(filter_values(xs, eps)[j] == 0.0)
 
     def test_adjacent_filters_sum_to_one_in_overlap(self):
         eps, j = 0.25, 1
         centers = bin_centers(eps)
-        for x in np.linspace(centers[j], centers[j + 1], 20):
-            total = evaluate_filter(j, float(x), eps) + evaluate_filter(j + 1, float(x), eps)
+        table = filter_values(np.linspace(centers[j], centers[j + 1], 20), eps)
+        for total in table[j] + table[j + 1]:
             assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_non_negative_everywhere(self):
-        eps = 0.25
-        for j in range(5):
-            for x in np.linspace(-0.5, 0.5, 41):
-                assert evaluate_filter(j, float(x), eps) >= -1e-12
+        table = filter_values(np.linspace(-0.5, 0.5, 41), 0.25)
+        assert np.all(table >= -1e-12)
 
     def test_partition_of_unity_on_grid(self):
-        eps = 0.25
-        _, table = filter_grid(eps, 201)
+        table = filter_values(np.linspace(-0.5, 0.5, 201), 0.25)
         assert np.max(np.abs(table.sum(axis=0) - 1.0)) <= 1e-9
 
     def test_bin_index_out_of_range(self):
+        bank = build_filterbank(0.25, 2)
+        for j in (9, -1):
+            with pytest.raises(ValueError):
+                bank.row(j)
+
+    @pytest.mark.parametrize("x", [[0.1, math.nan], [math.inf], [[0.0]]])
+    def test_bad_points_rejected(self, x):
         with pytest.raises(ValueError):
-            evaluate_filter(9, 0.0, 0.25)
+            filter_values(x, 0.25)
+
+    @pytest.mark.parametrize("eps", [0.25, 0.05, 0.005])
+    def test_matches_quadrature_oracle(self, eps):
+        xs = np.concatenate(
+            [np.linspace(-0.5, 0.5, 201), np.random.default_rng(11).uniform(-0.5, 0.5, 100)]
+        )
+        table = filter_values(xs, eps)
+        centers = bin_centers(eps)
+        assert table.shape == (centers.size, xs.size)
+        support = np.abs(centers[:, None] - xs) < eps
+        assert np.all(table[~support] == 0.0)
+        oracle = [quad_filter(j, xs[i], eps) for j, i in zip(*np.nonzero(support))]
+        assert np.max(np.abs(table[support] - oracle)) <= 1e-13
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        inv=st.integers(1, 400),
+        xs=st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=20),
+    )
+    def test_partition_support_and_center_property(self, inv, xs):
+        eps = 1.0 / inv
+        centers = bin_centers(eps)
+        table = filter_values(xs, eps)
+        assert np.max(np.abs(table.sum(axis=0) - 1.0)) <= 1e-15
+        assert np.all(table >= 0.0)
+        assert np.all(table[np.abs(centers[:, None] - np.asarray(xs)) >= eps] == 0.0)
+        assert np.all(np.diag(filter_values(centers, eps)) == 1.0)
 
 
 def series(bank, x: float) -> np.ndarray:
@@ -227,15 +292,17 @@ class TestEvaluateFilterSeries:
     def test_center_value_against_quadrature(self):
         # At N = 200 the truncated series sits ~1.3e-4 off the exact value.
         bank = build_filterbank(0.25, 200)
-        oracle = evaluate_filter(2, 0.0, 0.25)
+        oracle = filter_values([0.0], 0.25)[2, 0]
         assert series(bank, 0.0)[2] == pytest.approx(oracle, abs=2e-4)
 
     def test_matches_quadrature_tightly_at_strict_truncation(self, bank_quarter_strict):
         bank = bank_quarter_strict
-        for x in (-0.4, -0.1, 0.0, 0.23):
+        xs = [-0.4, -0.1, 0.0, 0.23]
+        table = filter_values(xs, bank.eps)
+        for i, x in enumerate(xs):
             values = series(bank, x)
             for j in (0, 2, 4):
-                assert values[j] == pytest.approx(evaluate_filter(j, x, bank.eps), abs=1e-5)
+                assert values[j] == pytest.approx(table[j, i], abs=1e-5)
 
     def test_unsymmetrized_sum_is_real(self, bank_quarter_strict):
         # Materializing the negative-k half explicitly must cancel the
@@ -335,15 +402,11 @@ class TestBuildFilterBank:
         bank = build_filterbank(0.25, 32)
         for j in (0, 3):
             for k in (0, 1, 17):
-                assert bank.row(j)[k] == pytest.approx(
-                    filter_coefficient(j, k, 0.25), abs=1e-13
-                )
+                assert bank.row(j)[k] == pytest.approx(coefficient(j, k, 0.25), abs=1e-13)
 
     def test_negative_k_available_through_conjugation(self):
         bank = build_filterbank(0.25, 32)
-        assert np.conj(bank.row(2)[5]) == pytest.approx(
-            filter_coefficient(2, -5, 0.25), abs=1e-13
-        )
+        assert np.conj(bank.row(2)[5]) == pytest.approx(coefficient(2, -5, 0.25), abs=1e-13)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -405,7 +468,8 @@ class TestEpsSnapping:
 
 
 def test_filter_grid_support_structure():
-    xs, table = filter_grid(0.25, 101)
+    xs = np.linspace(-0.5, 0.5, 101)
+    table = filter_values(xs, 0.25)
     assert table.shape == (5, 101)
     centers = bin_centers(0.25)
     for j in range(5):

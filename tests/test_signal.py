@@ -195,6 +195,11 @@ class TestAddNoise:
         with pytest.raises(ValueError):
             add_noise(generate_clean(fig6_spectrum(), 8), -0.1, 1)
 
+    @pytest.mark.parametrize("eps_prime", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eps_prime_rejected(self, eps_prime):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            add_noise(generate_clean(fig6_spectrum(), 8), eps_prime, 1)
+
 
 class TestSampleShots:
     def test_certain_outcome_is_exact(self):

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qeep import Spectrum, exact_moment, fig6_spectrum, random_spectrum
 
@@ -38,6 +42,21 @@ class TestSpectrumType:
         again = Spectrum.from_dict(spec.to_dict())
         assert np.array_equal(again.lambdas, spec.lambdas)
         assert np.array_equal(again.weights, spec.weights)
+
+    @settings(max_examples=60, deadline=None)
+    @example(entries=[(-0.0, 1.0)])
+    @example(entries=[(-0.5, 0.1), (0.5, 0.2), (5e-324, 0.7)])
+    @given(
+        entries=st.lists(
+            st.tuples(st.floats(-0.5, 0.5), st.floats(0.0, 1.0)), min_size=1, max_size=12
+        ).filter(lambda e: sum(w for _, w in e) > 0)
+    )
+    def test_json_text_round_trip_is_exact_property(self, entries):
+        lambdas, weights = np.array(entries).T
+        spec = Spectrum(lambdas=lambdas, weights=weights / weights.sum())
+        again = Spectrum.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert again.lambdas.tobytes() == spec.lambdas.tobytes()
+        assert again.weights.tobytes() == spec.weights.tobytes()
 
 
 class TestRandomSpectrum:

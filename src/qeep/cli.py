@@ -104,6 +104,17 @@ def _magnitude(text: str) -> float:
     return value
 
 
+def _bin_width(text: str) -> float:
+    """A bin width ``eps``: positive, with ``1/eps`` a positive integer. The
+    value is returned as given; the estimators snap it themselves."""
+    value = float(text)
+    try:
+        bin_centers(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
 def _config_tokens(path, args: argparse.Namespace) -> list[str]:
     """The entries of a JSON config file as ``--flag=value`` tokens.
 
@@ -234,7 +245,9 @@ def _cmd_estimate(args) -> int:
     else:
         if spec is not None and args.eps is None:
             raise ValueError("--eps is required to report delta against a spectrum")
-        est = mp_estimate(ts, args.l_dim)
+        # One worker with one BLAS thread, so the bytes do not depend on the
+        # machine, as for the reproductions.
+        [est] = _map_single_blas_thread(functools.partial(mp_estimate, l_dim=args.l_dim), [ts])
         eps = args.eps if args.eps is not None else 1.0
         mom, deltas = _moments_and_deltas(args.moments, lambda s: mp_moment(est, s), eps, spec)
         payload = {"method": "mp", "estimate": est.to_dict(), "moments": mom}
@@ -435,7 +448,6 @@ _FIGURES = {
 
 
 def _cmd_reproduce(args) -> int:
-    bin_centers(args.eps)  # checks eps > 0 and 1/eps integral
     if args.d < 1:
         raise ValueError("d_spectrum must be positive")
     if not args.seeds:
@@ -491,7 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("estimate", _cmd_estimate, "run the ts or mp estimator on a signal file")
     p.add_argument("--signal", default="signal.json")
     p.add_argument("--method", choices=["ts", "mp"], default="ts")
-    p.add_argument("--eps", type=float)
+    p.add_argument("--eps", type=_bin_width)
     p.add_argument("--n-trunc", dest="n_trunc", type=int, help="ts only")
     p.add_argument(
         "--truncation", choices=["empirical", "strict"], default="empirical", help="ts only"
@@ -514,7 +526,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outdir", default=".")
     p.add_argument("--seeds", type=_parse_int_list, default=(1, 2, 3, 4, 5))
     p.add_argument("--moments", type=_moment_orders, default=(1, 2, 4))
-    p.add_argument("--eps", type=float, default=0.005)
+    p.add_argument("--eps", type=_bin_width, default=0.005)
     p.add_argument("--eps-prime", dest="eps_prime", type=_magnitude, default=0.005)
     p.add_argument("--d", type=int, default=5)
     p.add_argument("--n-trunc", dest="n_trunc", type=int)

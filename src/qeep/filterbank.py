@@ -42,12 +42,12 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _snap_eps(eps: float) -> float:
-    """Validate that 1/eps is integral and return exactly ``1/round(1/eps)``."""
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    """Validate that 1/eps is a positive integer and return exactly ``1/round(1/eps)``."""
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     inv = 1.0 / eps
-    if abs(inv - round(inv)) > 1e-6 * max(1.0, inv):
-        raise ValueError(f"1/eps must be integral, got 1/eps = {inv!r}")
+    if not (inv < math.inf and round(inv) >= 1) or abs(inv - round(inv)) > 1e-6 * max(1.0, inv):
+        raise ValueError(f"1/eps must be a positive integer, got 1/eps = {inv!r}")
     return 1.0 / round(inv)
 
 

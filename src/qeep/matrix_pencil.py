@@ -6,12 +6,25 @@ with entries ``G[l, c] = g_{l + c - N + 1}`` is built. Its row windows
 ``H0 = G[:-1]`` and ``H1 = G[1:]`` form the pencil pair (Hua & Sarkar 1990,
 IEEE Trans. ASSP 38:814). ``K = H1 @ pinv(H0)`` comes from the R factor of one
 QR, ``G^H = Q R``: ``K = R[:-1, 1:]^H @ pinv(R[:-1, :-1]^H)``, and the L x L
-block ``R[:-1, :-1]`` has the singular values of ``H0``. A wide pencil's
-``G^H`` is tall and skinny, and its R factor comes from a blocked QR (Demmel,
-Grigori, Hoemmen & Langou 2012, SIAM J. Sci. Comput. 34:A206): cache-sized row
-blocks are factored at once, then the stack of their R factors. That R may
-differ from a direct QR's by a unitary diagonal ``D``, on the left, but ``K``
-depends on R only through ``R^H R = G G^H``, so ``D`` drops out. The eigenvalues
+block ``R[:-1, :-1]`` has the singular values of ``H0``.
+
+Because ``g_{-k} = conj(g_k)``, ``G`` is conjugate-centrosymmetric: with
+``m = 2N - L - 1`` columns, ``G[L - l, m - 1 - c] = g_{N - 1 - l - c} =
+conj(G[l, c])``, that is ``G == conj(G[::-1, ::-1])``. Row ``m - 1 - c`` of
+``G^T`` is row ``c`` conjugated and column-reversed. A wide pencil's ``G^T``
+is tall and skinny, and its R factor comes from a blocked QR (Demmel, Grigori,
+Hoemmen & Langou 2012, SIAM J. Sci. Comput. 34:A206): cache-sized row blocks
+are factored at once, then the stack of their R factors. The R of a stack
+has ``R^H R`` equal to the sum of its parts' Gram matrices ``B^H B``, so any
+part may be replaced by one with the same Gram matrix, and row order does not
+change a Gram matrix. The block ``B' = J conj(B) J``
+that mirrors a block ``B = Q R`` (``J`` reverses the order) has
+``B'^H B' = J conj(B^H B) J``, the Gram matrix of ``conj(R) J``, so only the
+top half of the blocks is factored and ``conj(R)[:, ::-1]`` stands in for each
+mirror's R factor (the structure unitary ESPRIT uses, Haardt & Nossek 1995,
+IEEE Trans. SP 43:1232, here only to skip duplicate work). That R may differ
+from a direct QR's by a unitary diagonal ``D``, on the left, but ``K`` depends
+on R only through ``R^H R = G G^H``, so ``D`` drops out. The eigenvalues
 ``mu = exp(-i * phase)`` of ``K`` carry the estimates, and a Vandermonde
 least-squares fit against the first L signal entries recovers amplitudes.
 
@@ -123,25 +136,44 @@ def build_hankel(ts: TimeSeries, l_dim: int) -> np.ndarray:
 
 
 def _r_factor(a: np.ndarray) -> np.ndarray:
-    """R factor of a tall ``a`` (m x n, m >= n): of one QR of ``a``, or, for a
-    matrix with at least two row blocks, of the QR of its blocks' stacked R
-    factors over the leftover rows."""
+    """R factor of a tall, conjugate-centrosymmetric ``a`` (m x n, m >= n,
+    ``a == conj(a[::-1, ::-1])``): of one QR of ``a``, or, for a matrix with at
+    least two whole row blocks (``b`` of them), of the QR of a stack: the R
+    factors of the top ``p = b // 2`` blocks, their mirrors, and the rows between
+    the top and the bottom ``p`` blocks.
+
+    The bottom ``p`` blocks are the top ones conjugated and reversed in rows
+    and columns, ``a[m - 1 - i] = conj(a[i, ::-1])``. A block ``B = Q R`` and its
+    mirror ``J conj(B) J`` have the Gram matrices ``R^H R`` and
+    ``J conj(R^H R) J``, the latter that of ``conj(R)[:, ::-1]``, so only the
+    top blocks are factored, and the stack has ``a``'s Gram matrix.
+    """
     m, n = a.shape
     rows = _QR_BLOCK_ROWS_PER_COLUMN * n
-    b = m // rows
-    if b < 2:
+    p = m // rows // 2
+    if not p:
         return np.linalg.qr(a, mode="r")
-    blocks = np.linalg.qr(a[: b * rows].reshape(b, rows, n), mode="r")
-    return np.linalg.qr(np.concatenate([blocks.reshape(b * n, n), a[b * rows :]]), mode="r")
+    top = np.linalg.qr(a[: p * rows].reshape(p, rows, n), mode="r").reshape(p * n, n)
+    middle = a[p * rows : m - p * rows]
+    return np.linalg.qr(np.concatenate([top, top.conj()[:, ::-1], middle]), mode="r")
 
 
 def solve_pencil(g: np.ndarray) -> np.ndarray:
     """Least-squares pencil matrix ``K = H1 @ pinv(H0)`` (Frobenius objective)
     of the row windows ``H0 = g[:-1]``, ``H1 = g[1:]`` of a matrix no taller than
-    wide, with singular values below ``SVD_RCOND`` times the largest treated as zero."""
+    wide, with singular values below ``SVD_RCOND`` times the largest treated as zero.
+
+    ``g`` must be conjugate-centrosymmetric, ``g == conj(g[::-1, ::-1])`` exactly,
+    as every Hankel matrix of a signal with ``g_{-k} = conj(g_k)`` is; any other
+    ``g`` raises ``ValueError``.
+    """
     g = np.asarray(g)
     if g.ndim != 2 or not 2 <= g.shape[0] <= g.shape[1]:
         raise ValueError("g must be a 2-d array with 2 <= rows <= columns")
+    # The first ceil(rows / 2) rows hold one row of every mirrored pair.
+    half = (g.shape[0] + 1) // 2
+    if not np.array_equal(g[:half], np.conj(g[::-1, ::-1][:half])):
+        raise ValueError("g must be conjugate-centrosymmetric: g == conj(g[::-1, ::-1])")
     try:
         # The R factor of g^T, conjugated, is one of g^H, without a conjugated
         # copy of g. K below depends on R only through R^H R = g g^H, so the

@@ -201,8 +201,8 @@ def hoeffding_shots(n_len: int, eps_prime: float, confidence: float) -> int:
     """
     if n_len < 1:
         raise ValueError("n_len must be a positive integer")
-    if eps_prime <= 0:
-        raise ValueError("eps_prime must be positive")
+    if not 0.0 < eps_prime < math.inf:
+        raise ValueError(f"eps_prime must be positive and finite, got {eps_prime!r}")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie strictly between 0 and 1")
     return math.ceil((2.0 * n_len / eps_prime**2) * math.log(2.0 * n_len / (1.0 - confidence)))

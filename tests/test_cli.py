@@ -119,6 +119,23 @@ class TestPlanShots:
     def test_invalid_confidence(self):
         assert run("plan-shots", "--n", 10, "--eps-prime", 0.1, "--confidence", 1.5) == 2
 
+    @pytest.mark.parametrize("eps_prime", ["inf", "nan"])
+    def test_bad_eps_prime_is_usage_error(self, tmp_path, capsys, eps_prime):
+        # Checked where it enters the planner, for plan-shots and --shots auto.
+        spec, plan, sig = tmp_path / "spec.json", tmp_path / "plan.json", tmp_path / "sig.json"
+        run("synth", "--fig6", "--out", spec)
+        capsys.readouterr()
+        rc = run("plan-shots", "--n", 10, "--eps-prime", eps_prime, "--confidence", 0.9, "--out", plan)
+        assert rc == 2
+        assert "eps_prime must be positive and finite" in capsys.readouterr().err
+        rc = run(
+            "signal", "--spectrum", spec, "--n", 8, "--shots", "auto", "--eps-prime", eps_prime,
+            "--confidence", 0.9, "--out", sig,
+        )
+        assert rc == 2
+        assert "eps_prime must be positive and finite" in capsys.readouterr().err
+        assert not plan.exists() and not sig.exists()
+
 
 class TestOutputPaths:
     """Every output path gets its missing parent directories, so a command
@@ -300,17 +317,36 @@ class TestEstimate:
         assert "argument --moments" in capsys.readouterr().err
         assert not out_f.exists()
 
-    def test_numeric_failure_maps_to_exit_3(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("method", ["ts", "mp"])
+    @pytest.mark.parametrize("eps", ["nan", "inf", "0.24", "4", "5e-324"])
+    def test_bad_eps_is_usage_error_for_both_methods(self, tmp_path, capsys, method, eps):
+        spec_f, sig_f, out_f = tmp_path / "s.json", tmp_path / "g.json", tmp_path / "e.json"
+        run("synth", "--fig6", "--out", spec_f)
+        run("signal", "--spectrum", spec_f, "--n", 16, "--out", sig_f)
+        capsys.readouterr()
+        rc = run(
+            "estimate", "--signal", sig_f, "--method", method, "--eps", eps,
+            "--spectrum", spec_f, "--out", out_f,
+        )
+        assert rc == 2
+        assert "argument --eps" in capsys.readouterr().err
+        assert not out_f.exists()
+
+    def test_numeric_failure_maps_to_exit_3(self, tmp_path, capsys):
+        # The pencil is solved in a spawned worker, so the failure comes from
+        # the data there: a finite entry near the largest double overflows the
+        # QR, and the SVD of its R factor does not converge.
         spec_f, sig_f = tmp_path / "s.json", tmp_path / "g.json"
         run("synth", "--fig6", "--out", spec_f)
         run("signal", "--spectrum", spec_f, "--n", 16, "--out", sig_f)
-
-        def boom(*args, **kwargs):
-            raise np.linalg.LinAlgError("forced failure")
-
-        monkeypatch.setattr(np.linalg, "eigvals", boom)
+        record = json.loads(sig_f.read_text())
+        record["values_re"][5] = 1.7e308
+        sig_f.write_text(json.dumps(record))
+        capsys.readouterr()
         rc = run("estimate", "--signal", sig_f, "--method", "mp", "--out", tmp_path / "e.json")
         assert rc == 3
+        assert "numeric failure: pencil pseudoinverse did not converge" in capsys.readouterr().err
+        assert not (tmp_path / "e.json").exists()
 
 
 class TestReproduce:
@@ -580,32 +616,43 @@ print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("
 """
 
 
-# The smallest N at which each reproduction's bytes moved with the BLAS thread
-# count when its pencils ran in the calling process (OpenBLAS 0.3.31), and the
-# files it writes.
+# The smallest N at which each run's bytes moved with the BLAS thread count
+# when its pencils ran in the calling process (OpenBLAS 0.3.31), and the files
+# it writes into its directory. ``estimate`` reads the 66-entry noisy signal the
+# test writes first.
 _THREAD_SENSITIVE_RUNS = [
     (
-        ["reproduce", "fig5", "--n-trunc", "66", "--seeds", "1,2"],
+        ["reproduce", "fig5", "--n-trunc", "66", "--seeds", "1,2", "--outdir", "."],
         {"fig5_deltas.csv", "fig5_summary.json"},
     ),
     (
-        ["reproduce", "fig6", "--n-trunc", "66"],
+        ["reproduce", "fig6", "--n-trunc", "66", "--outdir", "."],
         {"fig6_true.csv", "fig6_ts.csv", "fig6_mp.csv", "fig6_summary.json"},
+    ),
+    (
+        ["estimate", "--signal", "../../sig.json", "--method", "mp", "--out", "mp.json"],
+        {"mp.json"},
     ),
 ]
 
 
 def test_reproduce_outputs_do_not_depend_on_blas_threads(tmp_path):
     src = str(Path(qeep.__file__).resolve().parents[1])
+    spec_f = tmp_path / "spec.json"
+    assert run("synth", "--fig6", "--out", spec_f) == 0
+    assert run("signal", "--spectrum", spec_f, "--n", 66, "--noise", 0.005, "--seed", 7,
+               "--out", tmp_path / "sig.json") == 0
     for argv, names in _THREAD_SENSITIVE_RUNS:
         outputs = []
         for threads in ("1", "2"):
             outdir = tmp_path / argv[1] / f"threads{threads}"
+            outdir.mkdir(parents=True)
             blas = dict.fromkeys(
                 ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads
             )
             proc = subprocess.run(
-                [sys.executable, "-m", "qeep.cli", *argv, "--outdir", str(outdir)],
+                [sys.executable, "-m", "qeep.cli", *argv],
+                cwd=outdir,
                 env={**os.environ, **blas, "PYTHONPATH": src},
                 capture_output=True,
                 text=True,

@@ -117,6 +117,9 @@ class TestBuildHankel:
         index = np.arange(l_dim + 1)[:, None] + np.arange(2 * n - l_dim - 1)[None, :] - n + 1
         expected = np.where(index >= 0, g[np.abs(index)], np.conj(g[np.abs(index)]))
         assert np.array_equal(h, expected)
+        # g_{-k} = conj(g_k) mirrors G bit for bit, which the blocked R factor
+        # relies on: G == conj(G[::-1, ::-1]).
+        assert np.array_equal(h, np.conj(h[::-1, ::-1]))
 
 
 def unit_phases(k):
@@ -158,13 +161,27 @@ class TestSolvePencil:
         assert np.linalg.norm(k @ g[:-1] - g[1:]) <= 1e-8
 
     def test_zero_pencil_rejected(self):
-        with pytest.raises(NumericError):
-            solve_pencil(np.zeros((2, 3), dtype=complex))
-        # Only H0 = G[:-1] matters: a nonzero last row does not rescue it.
+        for shape in ((2, 3), (3, 4)):
+            with pytest.raises(NumericError):
+                solve_pencil(np.zeros(shape, dtype=complex))
+        # A zero H0 = G[:-1] with a nonzero last row is not the Hankel matrix of
+        # a signal: its mirror, the first row, would be nonzero too.
         g = np.zeros((3, 4), dtype=complex)
         g[-1] = 1.0
-        with pytest.raises(NumericError):
+        with pytest.raises(ValueError):
             solve_pencil(g)
+
+    @pytest.mark.parametrize("n_len, l_dim", [(4469, 64), (2000, 180), (20, 10), (20, 19)])
+    def test_non_conjugate_centrosymmetric_rejected(self, n_len, l_dim):
+        # On the blocked and the direct path alike, one changed entry in any
+        # row, the middle row of an odd-height matrix included, is rejected.
+        g = np.array(pencil_transpose(n_len, l_dim, noisy=True).T)
+        solve_pencil(g)
+        for row in (0, l_dim // 2, l_dim):
+            bad = g.copy()
+            bad[row, 3] += 1e-13j
+            with pytest.raises(ValueError, match="conjugate-centrosymmetric"):
+                solve_pencil(bad)
 
     def test_shape_mismatch_rejected(self):
         for g in (np.ones(4), np.ones((1, 3)), np.ones((3, 2)), np.ones((2, 2, 2))):
@@ -220,29 +237,33 @@ class TestRFactor:
         a = pencil_transpose(n_len, l_dim, noisy=True)
         assert np.array_equal(_r_factor(a), np.linalg.qr(a, mode="r"))
 
+    # G^T of (4469, 64) has 17 row blocks, of (2000, 180) two and of
+    # (20000, 64) 76, each with leftover rows.
     @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
-    @pytest.mark.parametrize("n_len, l_dim", [(4469, 64), (2000, 180)])
+    @pytest.mark.parametrize("n_len, l_dim", [(4469, 64), (2000, 180), (20000, 64)])
     def test_blocked_r_matches_direct_qr(self, n_len, l_dim, noisy, monkeypatch):
         a = pencil_transpose(n_len, l_dim, noisy)
         m, n = a.shape
         rows = _QR_BLOCK_ROWS_PER_COLUMN * n
-        b, leftover = divmod(m, rows)
-        assert leftover
+        p = m // rows // 2
+        assert p and m % rows
         qr, shapes = np.linalg.qr, []
         monkeypatch.setattr(
             np.linalg, "qr", lambda x, mode: shapes.append(x.shape) or qr(x, mode=mode)
         )
         r = _r_factor(a)
         monkeypatch.undo()
-        # One batched QR of the whole blocks, then one of their R factors over
-        # the leftover rows.
-        assert shapes == [(b, rows, n), (b * n + leftover, n)]
+        # One batched QR of the top p blocks, then one of their R factors,
+        # their mirrors and the rows between the top and the bottom p blocks.
+        assert shapes == [(p, rows, n), (2 * p * n + m - 2 * p * rows, n)]
         assert r.shape == (n, n)
         assert np.array_equal(r, np.triu(r))
-        # At full rank R^H R = A^H A fixes R up to a unitary diagonal, so
+        # solve_pencil reads R, conjugated, as an R factor of G^H: R^H R is
+        # G G^H. At full rank that fixes R up to a unitary diagonal, so
         # |diag R| agrees; past a clean pencil's rank 5 both are rounding noise.
-        gram = a.conj().T @ a
-        assert np.linalg.norm(r.conj().T @ r - gram) <= 1e-12 * np.linalg.norm(gram)
+        g, rc = a.T, r.conj()
+        gram = g @ g.conj().T
+        assert np.linalg.norm(rc.conj().T @ rc - gram) <= 1e-12 * np.linalg.norm(gram)
         direct = np.abs(np.diag(np.linalg.qr(a, mode="r")))
         assert np.max(np.abs(np.abs(np.diag(r)) - direct)) <= 1e-12 * direct.max()
 

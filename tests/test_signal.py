@@ -267,6 +267,11 @@ class TestHoeffdingShots:
         with pytest.raises(ValueError):
             hoeffding_shots(10, 0.01, 1.0)
 
+    @pytest.mark.parametrize("eps_prime", [math.inf, math.nan])
+    def test_non_finite_eps_prime_rejected(self, eps_prime):
+        with pytest.raises(ValueError, match="eps_prime must be positive and finite"):
+            hoeffding_shots(10, eps_prime, 0.9)
+
 
 def test_csv_export_columns_and_determinism(tmp_path):
     spec = tmp_path / "spec.json"

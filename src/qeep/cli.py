@@ -245,6 +245,8 @@ def _cmd_estimate(args) -> int:
     else:
         if spec is not None and args.eps is None:
             raise ValueError("--eps is required to report delta against a spectrum")
+        if args.l_dim is not None and not 1 <= args.l_dim <= ts.n_len - 1:
+            raise ValueError(f"l_dim must lie in [1, {ts.n_len - 1}], got {args.l_dim}")
         # One worker with one BLAS thread, so the bytes do not depend on the
         # machine, as for the reproductions.
         [est] = _map_single_blas_thread(functools.partial(mp_estimate, l_dim=args.l_dim), [ts])

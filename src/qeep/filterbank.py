@@ -45,10 +45,11 @@ def _snap_eps(eps: float) -> float:
     """Validate that 1/eps is a positive integer and return exactly ``1/round(1/eps)``."""
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    inv = 1.0 / eps
-    if not (inv < math.inf and round(inv) >= 1) or abs(inv - round(inv)) > 1e-6 * max(1.0, inv):
+    inv = 1.0 / eps  # inf for a subnormal eps
+    n = round(inv) if inv < math.inf else 0
+    if n < 1 or abs(inv - n) > 1e-6 * max(1.0, inv):
         raise ValueError(f"1/eps must be a positive integer, got 1/eps = {inv!r}")
-    return 1.0 / round(inv)
+    return 1.0 / n
 
 
 def _bin_count(eps: float) -> int:

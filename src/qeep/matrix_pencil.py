@@ -17,12 +17,12 @@ Hoemmen & Langou 2012, SIAM J. Sci. Comput. 34:A206): cache-sized row blocks
 are factored at once, then the stack of their R factors. The R of a stack
 has ``R^H R`` equal to the sum of its parts' Gram matrices ``B^H B``, so any
 part may be replaced by one with the same Gram matrix, and row order does not
-change a Gram matrix. The block ``B' = J conj(B) J``
-that mirrors a block ``B = Q R`` (``J`` reverses the order) has
-``B'^H B' = J conj(B^H B) J``, the Gram matrix of ``conj(R) J``, so only the
-top half of the blocks is factored and ``conj(R)[:, ::-1]`` stands in for each
-mirror's R factor (the structure unitary ESPRIT uses, Haardt & Nossek 1995,
-IEEE Trans. SP 43:1232, here only to skip duplicate work). That R may differ
+change a Gram matrix. The block ``B' = J conj(B) J`` that mirrors a block
+``B = Q R`` (``J`` reverses the order) has ``B'^H B' = J conj(B^H B) J``, the
+Gram matrix of ``conj(R) J``. So only the top half of the blocks is factored,
+and ``conj(R)[:, ::-1]`` stands in for each mirror's R factor: the structure
+unitary ESPRIT uses (Haardt & Nossek 1995, IEEE Trans. SP 43:1232), here only
+to skip duplicate work. That R may differ
 from a direct QR's by a unitary diagonal ``D``, on the left, but ``K`` depends
 on R only through ``R^H R = G G^H``, so ``D`` drops out. The eigenvalues
 ``mu = exp(-i * phase)`` of ``K`` carry the estimates, and a Vandermonde

@@ -282,6 +282,23 @@ class TestEstimate:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("l_dim", [0, 16])
+    def test_mp_l_dim_outside_range_fails_before_the_worker(self, tmp_path, capsys, monkeypatch,
+                                                          l_dim):
+        spec_f, sig_f, out_f = tmp_path / "s.json", tmp_path / "g.json", tmp_path / "e.json"
+        run("synth", "--fig6", "--out", spec_f)
+        run("signal", "--spectrum", spec_f, "--n", 16, "--out", sig_f)
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("the worker was started before the usage check")
+
+        monkeypatch.setattr("qeep.cli._map_single_blas_thread", unexpected)
+        capsys.readouterr()
+        rc = run("estimate", "--signal", sig_f, "--method", "mp", "--l-dim", l_dim, "--out", out_f)
+        assert rc == 2
+        assert f"l_dim must lie in [1, 15], got {l_dim}" in capsys.readouterr().err
+        assert not out_f.exists()
+
     @pytest.mark.parametrize(
         "method, flags",
         [
@@ -642,10 +659,10 @@ def test_reproduce_outputs_do_not_depend_on_blas_threads(tmp_path):
     assert run("synth", "--fig6", "--out", spec_f) == 0
     assert run("signal", "--spectrum", spec_f, "--n", 66, "--noise", 0.005, "--seed", 7,
                "--out", tmp_path / "sig.json") == 0
-    for argv, names in _THREAD_SENSITIVE_RUNS:
+    for i, (argv, names) in enumerate(_THREAD_SENSITIVE_RUNS):
         outputs = []
         for threads in ("1", "2"):
-            outdir = tmp_path / argv[1] / f"threads{threads}"
+            outdir = tmp_path / f"run{i}" / f"threads{threads}"
             outdir.mkdir(parents=True)
             blas = dict.fromkeys(
                 ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads
@@ -661,7 +678,7 @@ def test_reproduce_outputs_do_not_depend_on_blas_threads(tmp_path):
             assert proc.returncode == 0, proc.stderr
             outputs.append({p.name: p.read_bytes() for p in outdir.iterdir()})
         assert set(outputs[0]) == names
-        assert outputs[0] == outputs[1], argv[1]
+        assert outputs[0] == outputs[1], argv
 
 
 def test_every_command_runs_without_scipy(tmp_path):

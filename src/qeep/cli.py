@@ -3,7 +3,7 @@
 Every subcommand is deterministic given its flags (seeds included), so
 re-running writes byte-identical files. Flags can also be supplied through a
 JSON config file via ``--config``; explicit flags win. Exit codes: 0 success,
-2 usage or validation error, 3 numeric failure.
+2 usage or validation error, 3 numeric failure or a worker process that died.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 import numpy as np
@@ -216,10 +217,9 @@ def _bins_rows(dist):
 
 
 def _cmd_estimate(args) -> int:
-    for dest in ("l_dim",) if args.method == "ts" else ("n_trunc", "csv"):
+    for dest in ("l_dim",) if args.method == "ts" else ("n_trunc", "truncation", "csv"):
         if getattr(args, dest) is not None:
-            flag = "--" + dest.replace("_", "-")
-            raise ValueError(f"{flag} does not apply to --method {args.method}")
+            raise ValueError(f"--{dest.replace('_', '-')} does not apply to --method {args.method}")
     ts = _load_signal(args.signal)
     spec = _load_spectrum(args.spectrum) if args.spectrum else None
     out = Path(args.out)
@@ -229,7 +229,7 @@ def _cmd_estimate(args) -> int:
             raise ValueError("--eps is required for the ts method")
         n_trunc = args.n_trunc
         if n_trunc is None:
-            n_trunc = choose_truncation(args.eps, TruncationMode(args.truncation))
+            n_trunc = choose_truncation(args.eps, TruncationMode(args.truncation or "empirical"))
         bank = build_filterbank(args.eps, n_trunc)
         dist = estimate_bins(ts, bank)
         mom, deltas = _moments_and_deltas(
@@ -245,11 +245,12 @@ def _cmd_estimate(args) -> int:
     else:
         if spec is not None and args.eps is None:
             raise ValueError("--eps is required to report delta against a spectrum")
-        if args.l_dim is not None and not 1 <= args.l_dim <= ts.n_len - 1:
-            raise ValueError(f"l_dim must lie in [1, {ts.n_len - 1}], got {args.l_dim}")
+        l_dim = ts.n_len - 1 if args.l_dim is None else args.l_dim
+        if not 1 <= l_dim <= ts.n_len - 1:
+            raise ValueError(f"l_dim must lie in [1, {ts.n_len - 1}], got {l_dim}")
         # One worker with one BLAS thread, so the bytes do not depend on the
         # machine, as for the reproductions.
-        [est] = _map_single_blas_thread(functools.partial(mp_estimate, l_dim=args.l_dim), [ts])
+        [est] = _map_single_blas_thread(functools.partial(mp_estimate, l_dim=l_dim), [ts])
         eps = args.eps if args.eps is not None else 1.0
         mom, deltas = _moments_and_deltas(args.moments, lambda s: mp_moment(est, s), eps, spec)
         payload = {"method": "mp", "estimate": est.to_dict(), "moments": mom}
@@ -300,16 +301,20 @@ def _map_single_blas_thread(func, items):
 
     The workers start with one BLAS thread: a multi-threaded pencil solve sums
     in another order and moves the last digits of its result, so the outputs
-    would depend on the machine.
+    would depend on the machine. A worker that dies raises ``BrokenExecutor``
+    instead of leaving its item waiting forever.
     """
     import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
     saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    spawn = multiprocessing.get_context("spawn")
+    pool = ProcessPoolExecutor(min(len(items), os.cpu_count() or 1), mp_context=spawn)
     try:
         # A new interpreter reads the variables when it loads the BLAS, and
-        # the pool starts all its workers here.
-        pool = multiprocessing.get_context("spawn").Pool(min(len(items), os.cpu_count() or 1))
+        # map submits every item, which starts every worker, before it returns.
+        results = pool.map(func, items)
     finally:
         for name, value in saved.items():
             if value is None:
@@ -317,7 +322,7 @@ def _map_single_blas_thread(func, items):
             else:
                 os.environ[name] = value
     with pool:
-        return pool.map(func, items)
+        return list(results)
 
 
 def _delta_trials(args):
@@ -508,7 +513,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_bin_width)
     p.add_argument("--n-trunc", dest="n_trunc", type=int, help="ts only")
     p.add_argument(
-        "--truncation", choices=["empirical", "strict"], default="empirical", help="ts only"
+        "--truncation", choices=["empirical", "strict"], help="ts only (default empirical)"
     )
     p.add_argument("--l-dim", dest="l_dim", type=int, help="mp only")
     p.add_argument(
@@ -555,6 +560,9 @@ def main(argv=None) -> int:
         return 2
     except (NumericError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
+    except BrokenExecutor as exc:
+        print(f"worker failure: {exc}", file=sys.stderr)
         return 3
 
 

@@ -208,14 +208,15 @@ def choose_truncation(eps: float, mode: TruncationMode = TruncationMode.EMPIRICA
     """Truncation order N for the coefficient table.
 
     EMPIRICAL uses ``ceil(ln(M)**2 * M / 10)``, the prefactor observed to be
-    sufficient for moment estimation at desk scale (eps = 0.005 gives 566).
+    sufficient for moment estimation at desk scale (eps = 0.005 gives 566),
+    and at least 2, the smallest order a bank takes.
     STRICT bisects :func:`tail_bound` down to ``eps / (2*M)``, the level at
     which the L1 distance between truncated and exact bin probabilities is
     provably at most ``eps/2`` (eps = 0.005 gives about 9.6e4).
     """
     m = _bin_count(eps)
     if mode is TruncationMode.EMPIRICAL:
-        return math.ceil(math.log(m) ** 2 * m / 10.0)
+        return max(2, math.ceil(math.log(m) ** 2 * m / 10.0))
     if mode is TruncationMode.STRICT:
         target = eps / (2.0 * m)
         hi = 2

@@ -22,9 +22,9 @@ change a Gram matrix. The block ``B' = J conj(B) J`` that mirrors a block
 Gram matrix of ``conj(R) J``. So only the top half of the blocks is factored,
 and ``conj(R)[:, ::-1]`` stands in for each mirror's R factor: the structure
 unitary ESPRIT uses (Haardt & Nossek 1995, IEEE Trans. SP 43:1232), here only
-to skip duplicate work. That R may differ
-from a direct QR's by a unitary diagonal ``D``, on the left, but ``K`` depends
-on R only through ``R^H R = G G^H``, so ``D`` drops out. The eigenvalues
+to skip duplicate work. That R may differ from a direct QR's by a unitary
+diagonal ``D``, on the left, but ``K`` depends on R only through
+``R^H R = G G^H``, so ``D`` drops out. The eigenvalues
 ``mu = exp(-i * phase)`` of ``K`` carry the estimates, and a Vandermonde
 least-squares fit against the first L signal entries recovers amplitudes.
 
@@ -158,33 +158,21 @@ def _r_factor(a: np.ndarray) -> np.ndarray:
     return np.linalg.qr(np.concatenate([top, top.conj()[:, ::-1], middle]), mode="r")
 
 
-def solve_pencil(g: np.ndarray) -> np.ndarray:
+def solve_pencil(ts: TimeSeries, l_dim: int) -> np.ndarray:
     """Least-squares pencil matrix ``K = H1 @ pinv(H0)`` (Frobenius objective)
-    of the row windows ``H0 = g[:-1]``, ``H1 = g[1:]`` of a matrix no taller than
-    wide, with singular values below ``SVD_RCOND`` times the largest treated as zero.
-
-    ``g`` must be conjugate-centrosymmetric, ``g == conj(g[::-1, ::-1])`` exactly,
-    as every Hankel matrix of a signal with ``g_{-k} = conj(g_k)`` is; any other
-    ``g`` raises ``ValueError``.
+    of the row windows ``H0 = G[:-1]``, ``H1 = G[1:]`` of ``G = build_hankel(ts,
+    l_dim)``, with singular values below ``SVD_RCOND`` times the largest treated
+    as zero. ``G`` is conjugate-centrosymmetric by construction, as the blocked
+    R factor needs, and ``H0`` holds ``g_0 = 1``, so it is never zero.
     """
-    g = np.asarray(g)
-    if g.ndim != 2 or not 2 <= g.shape[0] <= g.shape[1]:
-        raise ValueError("g must be a 2-d array with 2 <= rows <= columns")
-    # The first ceil(rows / 2) rows hold one row of every mirrored pair.
-    half = (g.shape[0] + 1) // 2
-    if not np.array_equal(g[:half], np.conj(g[::-1, ::-1][:half])):
-        raise ValueError("g must be conjugate-centrosymmetric: g == conj(g[::-1, ::-1])")
+    g = build_hankel(ts, l_dim)
     try:
-        # The R factor of g^T, conjugated, is one of g^H, without a conjugated
-        # copy of g. K below depends on R only through R^H R = g g^H, so the
-        # blocked and the direct R, which at full rank differ by a unitary
-        # diagonal D (R -> D R), give the same K.
+        # The R factor of G^T, conjugated, is one of G^H, without a conjugated
+        # copy of G; K below depends on R only through R^H R = G G^H.
         r = _r_factor(g.T).conj()
         u, s, vh = np.linalg.svd(r[:-1, :-1])
     except np.linalg.LinAlgError as exc:
         raise NumericError("pencil pseudoinverse did not converge") from exc
-    if not s[0]:
-        raise NumericError("degenerate pencil: h0 is identically zero")
     cut = s > SVD_RCOND * s[0]
     return (r[:-1, 1:].conj().T @ u[:, cut]) / s[cut] @ vh[cut]
 
@@ -228,10 +216,9 @@ def mp_estimate(ts: TimeSeries, l_dim: int | None = None) -> MpEstimate:
     """Full pencil pipeline: one Hankel matrix, the pencil solve on its row
     windows, eigenphases, amplitude fit. ``l_dim`` defaults to ``N - 1``. All
     eigenphases are kept."""
-    n = ts.n_len
     if l_dim is None:
-        l_dim = n - 1
-    k = solve_pencil(build_hankel(ts, l_dim))
+        l_dim = ts.n_len - 1
+    k = solve_pencil(ts, l_dim)
     phases, mu = _eigenphase_pairs(k)
     moduli = np.abs(mu)
     fit = solve_amplitudes(phases, ts, l_dim, moduli)

@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .filterbank import SQRT_2PI, FilterBank, bin_centers, filter_values
+from .filterbank import SQRT_2PI, FilterBank, _bin_count, bin_centers, filter_values
 from .signal import TimeSeries, generate_clean
 from .spectrum import Spectrum
 
@@ -40,7 +40,7 @@ class BinKind(Enum):
 
 @dataclass(frozen=True)
 class BinDistribution:
-    """Real vector over the M bin centers ``-1/2 + j*eps``."""
+    """Real vector of ``M = 1 + 1/eps`` finite values over the bin centers ``-1/2 + j*eps``."""
 
     values: np.ndarray
     eps: float
@@ -48,8 +48,9 @@ class BinDistribution:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1:
-            raise ValueError("values must be a 1-d real array")
+        m_bins = _bin_count(self.eps)
+        if v.shape != (m_bins,) or not np.all(np.isfinite(v)):
+            raise ValueError(f"values must be 1 + 1/eps = {m_bins} finite reals")
         if self.kind is BinKind.EXACT_P:
             if np.any(v < -1e-12) or np.any(v > 1.0 + 1e-12):
                 raise ValueError("exact bin probabilities must lie in [0, 1]")

@@ -2,10 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qeep
 from qeep import (
@@ -282,21 +285,27 @@ class TestEstimate:
         )
         assert rc == 2
 
-    @pytest.mark.parametrize("l_dim", [0, 16])
+    # A 1-entry signal has no valid pencil dimension, the default N - 1 = 0
+    # included.
+    @pytest.mark.parametrize(
+        "n_len, l_dim", [(16, 0), (16, 16), (1, None)], ids=["0", "16", "one-entry-default"]
+    )
     def test_mp_l_dim_outside_range_fails_before_the_worker(self, tmp_path, capsys, monkeypatch,
-                                                          l_dim):
+                                                          n_len, l_dim):
         spec_f, sig_f, out_f = tmp_path / "s.json", tmp_path / "g.json", tmp_path / "e.json"
         run("synth", "--fig6", "--out", spec_f)
-        run("signal", "--spectrum", spec_f, "--n", 16, "--out", sig_f)
+        run("signal", "--spectrum", spec_f, "--n", n_len, "--out", sig_f)
 
         def unexpected(*args, **kwargs):
             raise AssertionError("the worker was started before the usage check")
 
         monkeypatch.setattr("qeep.cli._map_single_blas_thread", unexpected)
         capsys.readouterr()
-        rc = run("estimate", "--signal", sig_f, "--method", "mp", "--l-dim", l_dim, "--out", out_f)
+        flags = [] if l_dim is None else ["--l-dim", l_dim]
+        rc = run("estimate", "--signal", sig_f, "--method", "mp", *flags, "--out", out_f)
         assert rc == 2
-        assert f"l_dim must lie in [1, 15], got {l_dim}" in capsys.readouterr().err
+        got = n_len - 1 if l_dim is None else l_dim
+        assert f"l_dim must lie in [1, {n_len - 1}], got {got}" in capsys.readouterr().err
         assert not out_f.exists()
 
     @pytest.mark.parametrize(
@@ -304,9 +313,10 @@ class TestEstimate:
         [
             ("mp", ["--csv", "bins.csv"]),
             ("mp", ["--n-trunc", 16]),
+            ("mp", ["--truncation", "strict"]),
             ("ts", ["--eps", 0.25, "--l-dim", 8]),
         ],
-        ids=["mp-csv", "mp-n-trunc", "ts-l-dim"],
+        ids=["mp-csv", "mp-n-trunc", "mp-truncation", "ts-l-dim"],
     )
     def test_flag_the_method_never_reads_is_usage_error(self, tmp_path, capsys, method, flags):
         spec_f, sig_f, out_f = tmp_path / "s.json", tmp_path / "g.json", tmp_path / "e.json"
@@ -500,6 +510,55 @@ class TestReproduce:
         assert dict(os.environ) == environ
 
 
+@st.composite
+def synth_signal_estimate_flags(draw):
+    """Valid flag sets for ``synth``, ``signal`` and ``estimate --method ts``."""
+    seeds = st.integers(0, 2**63)
+    if draw(st.booleans()):
+        synth = ["--fig6"]
+    else:
+        synth = ["--d", draw(st.integers(1, 8)), "--seed", draw(seeds)]
+    n_len = draw(st.integers(8, 64))
+    signal = ["--n", n_len, "--seed", draw(seeds)]
+    source = draw(st.sampled_from(["clean", "noise", "shots"]))
+    if source == "noise":
+        signal += ["--noise", draw(st.floats(0.0, 0.1))]
+    elif source == "shots":
+        signal += ["--shots", draw(st.integers(1, 100))]
+    moments = draw(st.lists(st.integers(0, 64), min_size=1, max_size=4))
+    estimate = [
+        "--eps", draw(st.sampled_from([1.0, 0.5, 0.25, 0.2, 0.1])),
+        "--moments", ",".join(map(str, moments)),
+    ]
+    truncation = draw(st.sampled_from(["default", "empirical", "n-trunc"]))
+    if truncation == "empirical":
+        estimate += ["--truncation", "empirical"]
+    elif truncation == "n-trunc":
+        estimate += ["--n-trunc", draw(st.integers(2, n_len))]
+    return synth, signal, estimate
+
+
+class TestDeterminism:
+    @settings(max_examples=15, deadline=None)
+    @given(flags=synth_signal_estimate_flags())
+    def test_same_flags_write_the_same_bytes_property(self, flags):
+        synth, signal, estimate = flags
+        outputs = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for side in ("a", "b"):
+                d = Path(tmp) / side
+                spec_f, sig_f = d / "spec.json", d / "sig.json"
+                assert run("synth", *synth, "--out", spec_f) == 0
+                assert run("signal", "--spectrum", spec_f, *signal, "--out", sig_f,
+                           "--csv", d / "sig.csv") == 0
+                assert run("estimate", "--signal", sig_f, "--method", "ts", *estimate,
+                           "--spectrum", spec_f, "--out", d / "est.json",
+                           "--csv", d / "bins.csv") == 0
+                outputs.append({p.name: p.read_bytes() for p in d.iterdir()})
+        assert len(outputs[0]) == 5
+        assert outputs[0] == outputs[1]
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -631,6 +690,38 @@ run("reproduce", "fig4", "--outdir", "out")
 assert abs(exact_bins(fig6_spectrum(), 0.005).values.sum() - 1.0) <= 1e-9
 print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """
+
+
+# Replaces every pool task with one that kills its worker.
+_DEAD_WORKER_RUN = """
+import os
+import sys
+
+from qeep import cli
+
+pool_map = cli._map_single_blas_thread
+cli._map_single_blas_thread = lambda func, items: pool_map(os._exit, [1])
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_dead_worker_is_exit_3_not_a_hang(tmp_path):
+    # Under a timeout, so that a pool that waits forever for the lost item
+    # fails the test instead of blocking it.
+    src = str(Path(qeep.__file__).resolve().parents[1])
+    argv = ["reproduce", "fig5", "--n-trunc", "64", "--seeds", "1,2", "--outdir", "out"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _DEAD_WORKER_RUN, *argv],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("worker failure: ")
+    assert proc.stderr.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 # The smallest N at which each run's bytes moved with the BLAS thread count

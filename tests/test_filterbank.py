@@ -361,6 +361,12 @@ class TestChooseTruncation:
         m = 101
         assert choose_truncation(0.01) == math.ceil(math.log(m) ** 2 * m / 10)
 
+    def test_empirical_order_is_at_least_two(self):
+        # The formula gives 1 for M = 2 and 3 bins, below the bank's least order.
+        for eps in (1.0, 0.5):
+            assert choose_truncation(eps) == 2
+            assert build_filterbank(eps, choose_truncation(eps)).n_trunc == 2
+
     def test_strict_matches_independent_bisection(self):
         for eps in (0.25, 0.05, 0.005):
             m = 1 + round(1 / eps)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from qeep import (
     MpEstimate,
-    NumericError,
     Spectrum,
     TimeSeries,
     add_noise,
@@ -132,7 +131,7 @@ class TestSolvePencil:
     def test_single_eigenvalue_rank_one_shift(self):
         lam = 0.37
         ts = generate_clean(point_mass(lam), 8)
-        k = solve_pencil(build_hankel(ts, 3))
+        k = solve_pencil(ts, 3)
         mu = np.linalg.eigvals(k)
         top = mu[np.argmax(np.abs(mu))]
         assert top == pytest.approx(np.exp(-1j * lam), abs=1e-10)
@@ -141,15 +140,16 @@ class TestSolvePencil:
         # A constant signal has equal rows, so H1 = H0 and K = H0 @ pinv(H0)
         # projects onto the rank-1 signal subspace: one unit eigenvalue plus
         # zeros.
-        g = build_hankel(generate_clean(point_mass(0.0), 6), 2)
+        ts = generate_clean(point_mass(0.0), 6)
+        g = build_hankel(ts, 2)
         assert np.array_equal(g[:-1], g[1:])
-        mu = np.sort(np.abs(np.linalg.eigvals(solve_pencil(g))))
+        mu = np.sort(np.abs(np.linalg.eigvals(solve_pencil(ts, 2))))
         assert mu[-1] == pytest.approx(1.0, abs=1e-10)
         assert np.all(mu[:-1] <= 1e-10)
 
     def test_rank_structure_for_five_lines(self):
         ts = generate_clean(fig6_spectrum(), 20)
-        k = solve_pencil(build_hankel(ts, 10))
+        k = solve_pencil(ts, 10)
         mu = np.sort(np.abs(np.linalg.eigvals(k)))
         assert np.all(np.abs(mu[-5:] - 1.0) <= 1e-6)
         assert np.all(mu[:-5] <= 1e-6)
@@ -157,36 +157,8 @@ class TestSolvePencil:
     def test_residual_of_noiseless_pencil(self):
         ts = generate_clean(fig6_spectrum(), 20)
         g = build_hankel(ts, 10)
-        k = solve_pencil(g)
+        k = solve_pencil(ts, 10)
         assert np.linalg.norm(k @ g[:-1] - g[1:]) <= 1e-8
-
-    def test_zero_pencil_rejected(self):
-        for shape in ((2, 3), (3, 4)):
-            with pytest.raises(NumericError):
-                solve_pencil(np.zeros(shape, dtype=complex))
-        # A zero H0 = G[:-1] with a nonzero last row is not the Hankel matrix of
-        # a signal: its mirror, the first row, would be nonzero too.
-        g = np.zeros((3, 4), dtype=complex)
-        g[-1] = 1.0
-        with pytest.raises(ValueError):
-            solve_pencil(g)
-
-    @pytest.mark.parametrize("n_len, l_dim", [(4469, 64), (2000, 180), (20, 10), (20, 19)])
-    def test_non_conjugate_centrosymmetric_rejected(self, n_len, l_dim):
-        # On the blocked and the direct path alike, one changed entry in any
-        # row, the middle row of an odd-height matrix included, is rejected.
-        g = np.array(pencil_transpose(n_len, l_dim, noisy=True).T)
-        solve_pencil(g)
-        for row in (0, l_dim // 2, l_dim):
-            bad = g.copy()
-            bad[row, 3] += 1e-13j
-            with pytest.raises(ValueError, match="conjugate-centrosymmetric"):
-                solve_pencil(bad)
-
-    def test_shape_mismatch_rejected(self):
-        for g in (np.ones(4), np.ones((1, 3)), np.ones((3, 2)), np.ones((2, 2, 2))):
-            with pytest.raises(ValueError):
-                solve_pencil(g)
 
     # Wide pencils (L << N), where the QR reduction avoids the SVD of the
     # wide H0: G^H of (4469, 64) is factored in 17 row blocks, of (2000, 180)
@@ -205,7 +177,7 @@ class TestSolvePencil:
         g = build_hankel(ts, l_dim)
         h0, h1 = g[:-1], g[1:]
         expected = h1 @ np.linalg.pinv(h0, rcond=SVD_RCOND)
-        k = solve_pencil(g)
+        k = solve_pencil(ts, l_dim)
         assert np.linalg.norm(k - expected) <= 1e-9 * np.linalg.norm(expected)
         # R[:-1, :-1] of G^H = QR keeps the singular values of H0, so the
         # cutoff keeps as many of them.

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qeep import (
@@ -29,6 +29,26 @@ from qeep.filterbank import SQRT_2PI
 from qeep.signal import Provenance
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def spectra(draw):
+    """One to eight lines anywhere in ``[-1/2, 1/2]``, each weighing at least
+    1% of the heaviest."""
+    d = draw(st.integers(1, 8))
+    lambdas = draw(st.lists(st.floats(-0.5, 0.5), min_size=d, max_size=d))
+    raw = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=d, max_size=d)))
+    return Spectrum(lambdas=lambdas, weights=raw / raw.sum())
+
+
+@st.composite
+def bin_records(draw):
+    """Valid ``BinDistribution`` fields: ``1/eps`` an integer within the 1e-6
+    relative tolerance of ``bin_centers``, and ``1 + 1/eps`` finite values."""
+    inv = draw(st.integers(1, 11))
+    eps = draw(st.floats(1.0 - 5e-7, 1.0 + 5e-7)) / inv
+    values = draw(st.lists(FINITE, min_size=inv + 1, max_size=inv + 1))
+    return values, eps
 
 
 def point_mass(lam: float) -> Spectrum:
@@ -187,6 +207,21 @@ class TestMoments:
                 bound = moment_error_bound(bank.eps, 2.0**-s, s * 2.0 ** -(s - 1))
                 assert abs(estimate_moment(q, s) - exact_moment(spec, s)) <= bound
 
+    # C10 over arbitrary spectra, lines on the range's ends included: at the
+    # strict truncation order with noise eps/N per entry, the moment error of
+    # T(x) = x**s stays within eps * (sup|T| + sup|T'|) on |x| <= 1/2.
+    @settings(max_examples=30, deadline=None)
+    @example(spec=Spectrum(lambdas=[-0.5, 0.5], weights=[0.5, 0.5]), seed=0)
+    @example(spec=Spectrum(lambdas=[0.0], weights=[1.0]), seed=1)
+    @given(spec=spectra(), seed=st.integers(0, 2**32 - 1))
+    def test_moment_error_within_a_priori_bound_property(self, bank_mid_strict, spec, seed):
+        bank = bank_mid_strict
+        noisy = add_noise(generate_clean(spec, bank.n_trunc), bank.eps / bank.n_trunc, seed)
+        q = estimate_bins(noisy, bank)
+        for s in (1, 2, 3, 4, 8):
+            bound = moment_error_bound(bank.eps, 2.0**-s, s * 2.0 ** -(s - 1))
+            assert abs(estimate_moment(q, s) - exact_moment(spec, s)) <= bound
+
 
 class TestExpectationFromFunction:
     def test_constant_function_gives_total_mass(self):
@@ -266,13 +301,30 @@ class TestBinDistributionType:
         assert again.kind is dist.kind
         assert np.array_equal(again.values, dist.values)
 
+    @pytest.mark.parametrize(
+        "eps, values",
+        [
+            (0.25, [0.5]),
+            (0.25, [0.2] * 6),
+            (0.3, [0.25] * 4),
+            (0.0, [1.0]),
+            (0.5, [0.1, float("nan"), 0.9]),
+            (0.5, [0.1, float("inf"), 0.9]),
+        ],
+        ids=["too-few", "too-many", "non-integer-inverse", "zero-eps", "nan", "inf"],
+    )
+    def test_malformed_record_rejected(self, eps, values):
+        record = {"eps": eps, "kind": "estimated_q", "values": values}
+        with pytest.raises(ValueError):
+            BinDistribution.from_dict(record)
+
     @settings(max_examples=60, deadline=None)
     @given(
-        values=st.lists(FINITE, max_size=12),
-        eps=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        record=bin_records(),
         kind=st.sampled_from([BinKind.TRUNCATED_P, BinKind.ESTIMATED_Q]),
     )
-    def test_json_text_round_trip_is_exact_property(self, values, eps, kind):
+    def test_json_text_round_trip_is_exact_property(self, record, kind):
+        values, eps = record
         dist = BinDistribution(values=np.array(values, dtype=float), eps=eps, kind=kind)
         again = BinDistribution.from_dict(json.loads(json.dumps(dist.to_dict())))
         assert again.values.tobytes() == dist.values.tobytes()

@@ -79,22 +79,49 @@ def _load_signal(path) -> TimeSeries:
     return TimeSeries.from_dict(_read_json(path))
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
+def _int_list(what: str, top: float = math.inf):
+    """The argparse type of a non-empty comma-separated list of ``what``, each
+    an integer in ``[0, top]``."""
+
+    def parse(text: str) -> tuple[int, ...]:
+        try:
+            values = tuple(int(tok) for tok in text.split(",") if tok.strip())
+        except ValueError:
+            values = ()
+        if not values or not all(0 <= v <= top for v in values):
+            raise argparse.ArgumentTypeError(f"expected {what} in [0, {top}], got {text!r}")
+        return values
+
+    return parse
+
+
+_moment_orders = _int_list("moment orders", MAX_MOMENT_ORDER)
+_seeds = _int_list("seeds")
+
+
+def _truncation(text: str) -> TruncationMode | int:
+    """A truncation order: ``empirical``, ``strict`` or an integer N >= 2, the
+    smallest order a filter bank takes."""
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ValueError(f"expected a comma-separated integer list, got {text!r}") from exc
-
-
-def _moment_orders(text: str) -> tuple[int, ...]:
-    """A non-empty comma-separated list of moment orders in
-    ``[0, MAX_MOMENT_ORDER]``."""
-    orders = _parse_int_list(text)
-    if not orders or not all(0 <= s <= MAX_MOMENT_ORDER for s in orders):
+        return TruncationMode(text)
+    except ValueError:
+        pass
+    try:
+        n_trunc = int(text)
+    except ValueError:
+        n_trunc = 0
+    if n_trunc < 2:
         raise argparse.ArgumentTypeError(
-            f"expected moment orders in [0, {MAX_MOMENT_ORDER}], got {text!r}"
+            f"expected 'empirical', 'strict' or an integer order >= 2, got {text!r}"
         )
-    return orders
+    return n_trunc
+
+
+def _truncation_order(eps: float, truncation: TruncationMode | int) -> int:
+    """N itself, or the order ``choose_truncation`` picks for the mode."""
+    if isinstance(truncation, TruncationMode):
+        return choose_truncation(eps, truncation)
+    return truncation
 
 
 def _magnitude(text: str) -> float:
@@ -116,24 +143,31 @@ def _bin_width(text: str) -> float:
     return value
 
 
-def _config_tokens(path, args: argparse.Namespace) -> list[str]:
-    """The entries of a JSON config file as ``--flag=value`` tokens.
-
-    Keys are flag names (``eps_prime`` or ``eps-prime``); a list becomes a
-    comma-separated value, ``true`` a bare flag, and ``false`` or ``null``
-    leaves the flag unset. A key must name an attribute of ``args`` exactly,
-    so argparse never expands it as an abbreviation of a longer flag; keys
-    that name no flag (``func``, ``figure``) argparse rejects itself.
-    """
+def _read_config(argv: list[str]) -> dict:
+    """The JSON object in the ``--config`` file among ``argv``, or ``{}``. It is
+    read before the full parse, so that its entries meet every check of that
+    parse, the required options included."""
+    pre = argparse.ArgumentParser(prog="qeep", add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return {}
     cfg = _read_json(path)
     if not isinstance(cfg, dict):
         raise ValueError(f"config {path} must hold a JSON object")
+    return cfg
+
+
+def _config_tokens(cfg: dict) -> list[str]:
+    """The entries of a config as ``--flag=value`` tokens.
+
+    Keys are flag names (``eps_prime`` or ``eps-prime``); a list becomes a
+    comma-separated value, ``true`` a bare flag, and ``false`` or ``null``
+    leaves the flag unset.
+    """
     tokens = []
     for key, value in cfg.items():
-        dest = key.replace("-", "_")
-        if dest == "config" or dest not in vars(args):
-            raise ValueError(f"unknown config key {key!r} for {args.command}")
-        flag = "--" + dest.replace("_", "-")
+        flag = "--" + key.replace("_", "-")
         if value is True:
             tokens.append(flag)
         elif value is not False and value is not None:
@@ -143,17 +177,22 @@ def _config_tokens(path, args: argparse.Namespace) -> list[str]:
     return tokens
 
 
+def _check_config_keys(cfg: dict, args: argparse.Namespace) -> None:
+    """A key must name an attribute of ``args`` exactly, so that one argparse
+    expanded as an abbreviation of a longer flag is rejected too; keys that
+    name no flag (``func``, ``figure``) argparse rejects itself."""
+    for key in cfg:
+        dest = key.replace("-", "_")
+        if dest == "config" or dest not in vars(args):
+            raise ValueError(f"unknown config key {key!r} for {args.command}")
+
+
 # ---------------------------------------------------------------- subcommands
 
 
 def _cmd_synth(args) -> int:
     out = Path(args.out)
-    if args.fig6:
-        spec = fig6_spectrum()
-    else:
-        if args.d is None:
-            raise ValueError("either --fig6 or --d is required")
-        spec = random_spectrum(args.d, args.seed)
+    spec = fig6_spectrum() if args.fig6 else random_spectrum(args.d, args.seed)
     _write_json(spec.to_dict(), out)
     print(f"wrote {out}")
     return 0
@@ -162,8 +201,6 @@ def _cmd_synth(args) -> int:
 def _cmd_signal(args) -> int:
     spec = _load_spectrum(args.spectrum)
     shots = args.shots
-    if args.noise is not None and shots is not None:
-        raise ValueError("--noise and --shots are mutually exclusive")
     planned = None
     if shots == "auto":
         if args.eps_prime is None or args.confidence is None:
@@ -217,7 +254,7 @@ def _bins_rows(dist):
 
 
 def _cmd_estimate(args) -> int:
-    for dest in ("l_dim",) if args.method == "ts" else ("n_trunc", "truncation", "csv"):
+    for dest in ("l_dim",) if args.method == "ts" else ("truncation", "csv"):
         if getattr(args, dest) is not None:
             raise ValueError(f"--{dest.replace('_', '-')} does not apply to --method {args.method}")
     ts = _load_signal(args.signal)
@@ -227,9 +264,9 @@ def _cmd_estimate(args) -> int:
     if args.method == "ts":
         if args.eps is None:
             raise ValueError("--eps is required for the ts method")
-        n_trunc = args.n_trunc
-        if n_trunc is None:
-            n_trunc = choose_truncation(args.eps, TruncationMode(args.truncation or "empirical"))
+        n_trunc = _truncation_order(args.eps, args.truncation or TruncationMode.EMPIRICAL)
+        if n_trunc > ts.n_len:
+            raise ValueError(f"signal has {ts.n_len} entries but the filter bank needs {n_trunc}")
         bank = build_filterbank(args.eps, n_trunc)
         dist = estimate_bins(ts, bank)
         mom, deltas = _moments_and_deltas(
@@ -457,10 +494,7 @@ _FIGURES = {
 def _cmd_reproduce(args) -> int:
     if args.d < 1:
         raise ValueError("d_spectrum must be positive")
-    if not args.seeds:
-        raise ValueError("at least one seed is required")
-    if args.n_trunc is None:
-        args.n_trunc = choose_truncation(args.eps, TruncationMode(args.truncation))
+    args.n_trunc = _truncation_order(args.eps, args.truncation)
     if args.l_dim is None:
         args.l_dim = args.n_trunc - 1
     if not 1 <= args.l_dim <= args.n_trunc - 1:
@@ -485,16 +519,18 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("synth", _cmd_synth, "write a spectrum file")
-    p.add_argument("--fig6", action="store_true", help="use the fixed five-line spectrum")
-    p.add_argument("--d", type=int, help="number of random eigenvalues")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--fig6", action="store_true", help="use the fixed five-line spectrum")
+    source.add_argument("--d", type=int, help="number of random eigenvalues")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="spectrum.json")
 
     p = command("signal", _cmd_signal, "generate a time series from a spectrum file")
     p.add_argument("--spectrum", default="spectrum.json")
     p.add_argument("--n", type=int, default=0, help="signal length")
-    p.add_argument("--noise", type=_magnitude, help="additive noise magnitude bound")
-    p.add_argument("--shots", help="shots per point (integer) or 'auto'")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--noise", type=_magnitude, help="additive noise magnitude bound")
+    source.add_argument("--shots", help="shots per point (integer) or 'auto'")
     p.add_argument("--eps-prime", dest="eps_prime", type=float)
     p.add_argument("--confidence", type=float)
     p.add_argument("--seed", type=int, default=0)
@@ -511,9 +547,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signal", default="signal.json")
     p.add_argument("--method", choices=["ts", "mp"], default="ts")
     p.add_argument("--eps", type=_bin_width)
-    p.add_argument("--n-trunc", dest="n_trunc", type=int, help="ts only")
     p.add_argument(
-        "--truncation", choices=["empirical", "strict"], help="ts only (default empirical)"
+        "--truncation", type=_truncation, help="ts only: empirical (default), strict or N >= 2"
     )
     p.add_argument("--l-dim", dest="l_dim", type=int, help="mp only")
     p.add_argument(
@@ -531,27 +566,28 @@ def _build_parser() -> argparse.ArgumentParser:
         "fig6 uses only the first of --seeds and ignores --moments and --d",
     )
     p.add_argument("--outdir", default=".")
-    p.add_argument("--seeds", type=_parse_int_list, default=(1, 2, 3, 4, 5))
+    p.add_argument("--seeds", type=_seeds, default=(1, 2, 3, 4, 5))
     p.add_argument("--moments", type=_moment_orders, default=(1, 2, 4))
     p.add_argument("--eps", type=_bin_width, default=0.005)
     p.add_argument("--eps-prime", dest="eps_prime", type=_magnitude, default=0.005)
     p.add_argument("--d", type=int, default=5)
-    p.add_argument("--n-trunc", dest="n_trunc", type=int)
     p.add_argument("--l-dim", dest="l_dim", type=int)
-    p.add_argument("--truncation", choices=["empirical", "strict"], default="empirical")
+    p.add_argument(
+        "--truncation", type=_truncation, default=TruncationMode.EMPIRICAL,
+        help="empirical (default), strict or N >= 2",
+    )
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-        if args.config:
-            # Config entries go right after the subcommand name, so explicit
-            # flags, which come later, win, and argparse checks both alike.
-            args = parser.parse_args(argv[:1] + _config_tokens(args.config, args) + argv[1:])
+        cfg = _read_config(argv)
+        # Config entries go right after the subcommand name, so explicit
+        # flags, which come later, win, and argparse checks both alike.
+        args = _build_parser().parse_args(argv[:1] + _config_tokens(cfg) + argv[1:])
+        _check_config_keys(cfg, args)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

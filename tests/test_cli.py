@@ -18,7 +18,7 @@ from qeep import (
     fig6_spectrum,
     truncated_bins,
 )
-from qeep.cli import main
+from qeep.cli import _map_single_blas_thread, main
 
 
 def run(*argv) -> int:
@@ -43,6 +43,12 @@ class TestSynth:
 
     def test_missing_source_is_usage_error(self, tmp_path):
         assert run("synth", "--out", tmp_path / "x.json") == 2
+
+    def test_both_sources_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert run("synth", "--fig6", "--d", 3, "--out", out) == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSignal:
@@ -158,7 +164,7 @@ class TestOutputPaths:
         assert sig_csv.read_text().startswith("k,re,im")
         rc = run(
             "estimate", "--signal", sig_f, "--method", "ts", "--eps", 0.25,
-            "--n-trunc", 16, "--out", est_f, "--csv", est_csv,
+            "--truncation", 16, "--out", est_f, "--csv", est_csv,
         )
         assert rc == 0
         assert est_f.exists()
@@ -172,7 +178,7 @@ class TestEstimate:
         run("signal", "--spectrum", spec_f, "--n", 64, "--out", sig_f)
         rc = run(
             "estimate", "--signal", sig_f, "--method", "ts", "--eps", 0.25,
-            "--n-trunc", 50, "--spectrum", spec_f, "--out", out_f,
+            "--truncation", 50, "--spectrum", spec_f, "--out", out_f,
         )
         assert rc == 0
         payload = json.loads(out_f.read_text())
@@ -230,7 +236,7 @@ class TestEstimate:
         assert "NaN" in sig_f.read_text()
         rc = run(
             "estimate", "--signal", sig_f, "--method", "ts", "--eps", 0.25,
-            "--n-trunc", 16, "--out", tmp_path / "e.json",
+            "--truncation", 16, "--out", tmp_path / "e.json",
         )
         assert rc == 2
         assert not (tmp_path / "e.json").exists()
@@ -254,7 +260,7 @@ class TestEstimate:
         sig_f.write_text(json.dumps(record))
         rc = run(
             "estimate", "--signal", sig_f, "--method", "ts", "--eps", 0.25,
-            "--n-trunc", 16, "--out", tmp_path / "e.json",
+            "--truncation", 16, "--out", tmp_path / "e.json",
         )
         assert rc == 2
         assert not (tmp_path / "e.json").exists()
@@ -265,7 +271,7 @@ class TestEstimate:
         run("signal", "--spectrum", spec_f, "--n", 16, "--out", sig_f)
         rc = run(
             "estimate", "--signal", sig_f, "--method", "ts", "--eps", 0.25,
-            "--n-trunc", 0, "--out", tmp_path / "e.json",
+            "--truncation", 0, "--out", tmp_path / "e.json",
         )
         assert rc == 2
         assert not (tmp_path / "e.json").exists()
@@ -309,14 +315,42 @@ class TestEstimate:
         assert not out_f.exists()
 
     @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--truncation", "strict", "--n-trunc", 16], "unrecognized arguments: --n-trunc"),
+            (["--truncation", 1], "argument --truncation"),
+            (["--truncation", "x"], "argument --truncation"),
+            (["--truncation", 17], "signal has 16 entries but the filter bank needs 17"),
+            (["--truncation", "strict"], "signal has 16 entries but the filter bank needs 414"),
+        ],
+        ids=["n-trunc", "order-one", "not-an-order", "order-above-length", "strict-above-length"],
+    )
+    def test_bad_truncation_fails_before_any_work(self, tmp_path, capsys, monkeypatch, flags,
+                                                  message):
+        spec_f, sig_f, out_f = tmp_path / "s.json", tmp_path / "g.json", tmp_path / "e.json"
+        run("synth", "--fig6", "--out", spec_f)
+        run("signal", "--spectrum", spec_f, "--n", 16, "--out", sig_f)
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("the bank was built before the usage check")
+
+        monkeypatch.setattr("qeep.cli.build_filterbank", unexpected)
+        capsys.readouterr()
+        rc = run("estimate", "--signal", sig_f, "--method", "ts", "--eps", 0.25, *flags,
+                 "--out", out_f)
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out_f.exists()
+
+    @pytest.mark.parametrize(
         "method, flags",
         [
             ("mp", ["--csv", "bins.csv"]),
-            ("mp", ["--n-trunc", 16]),
+            ("mp", ["--truncation", 16]),
             ("mp", ["--truncation", "strict"]),
             ("ts", ["--eps", 0.25, "--l-dim", 8]),
         ],
-        ids=["mp-csv", "mp-n-trunc", "mp-truncation", "ts-l-dim"],
+        ids=["mp-csv", "mp-truncation-order", "mp-truncation", "ts-l-dim"],
     )
     def test_flag_the_method_never_reads_is_usage_error(self, tmp_path, capsys, method, flags):
         spec_f, sig_f, out_f = tmp_path / "s.json", tmp_path / "g.json", tmp_path / "e.json"
@@ -409,7 +443,7 @@ class TestReproduce:
         outdir = tmp_path / "figs"
         rc = run(
             "reproduce", "fig5", "--outdir", outdir, "--seeds", "1,2",
-            "--n-trunc", 64, "--moments", "1,2",
+            "--truncation", 64, "--moments", "1,2",
         )
         assert rc == 0
         rows = (outdir / "fig5_deltas.csv").read_text().splitlines()
@@ -420,7 +454,7 @@ class TestReproduce:
 
     def test_fig6_small_configuration(self, tmp_path):
         outdir = tmp_path / "figs"
-        rc = run("reproduce", "fig6", "--outdir", outdir, "--seeds", "7", "--n-trunc", 64)
+        rc = run("reproduce", "fig6", "--outdir", outdir, "--seeds", "7", "--truncation", 64)
         assert rc == 0
         assert (outdir / "fig6_true.csv").exists()
         assert (outdir / "fig6_ts.csv").exists()
@@ -432,7 +466,7 @@ class TestReproduce:
         outdir = tmp_path / "figs"
         rc = run(
             "reproduce", "appc", "--outdir", outdir, "--seeds", "1,2",
-            "--n-trunc", 64, "--moments", "4",
+            "--truncation", 64, "--moments", "4",
         )
         assert rc == 0
         summary = json.loads((outdir / "appc_summary.json").read_text())
@@ -450,7 +484,7 @@ class TestReproduce:
         environ = dict(os.environ)
         outdir = tmp_path / "figs"
         rc = run(
-            "reproduce", "fig5", "--outdir", outdir, "--n-trunc", 64, "--l-dim", 64,
+            "reproduce", "fig5", "--outdir", outdir, "--truncation", 64, "--l-dim", 64,
             "--seeds", "1,2",
         )
         assert rc == 2
@@ -467,9 +501,14 @@ class TestReproduce:
             (["--moments=-1"], "moment orders in [0, 64]"),
             (["--moments=65"], "moment orders in [0, 64]"),
             (["--moments="], "moment orders in [0, 64]"),
+            (["--seeds=-1,1"], "seeds in [0, inf]"),
+            (["--truncation=1"], "argument --truncation"),
+            (["--truncation=x"], "argument --truncation"),
+            (["--n-trunc=64"], "unrecognized arguments: --n-trunc"),
         ],
         ids=["eps-prime-nan", "eps-prime-inf", "eps-prime-negative", "moment-negative",
-             "moment-too-high", "no-moments"],
+             "moment-too-high", "no-moments", "seed-negative", "order-one", "not-an-order",
+             "n-trunc"],
     )
     @pytest.mark.parametrize("figure", ["fig5", "appc", "fig6"])
     def test_bad_flag_fails_before_any_work(self, tmp_path, capsys, monkeypatch, figure, flags,
@@ -479,34 +518,34 @@ class TestReproduce:
 
         monkeypatch.setattr("qeep.cli.build_filterbank", unexpected)
         outdir = tmp_path / "figs"
-        rc = run("reproduce", figure, "--outdir", outdir, "--n-trunc", 64, "--seeds", "1", *flags)
+        rc = run("reproduce", figure, "--outdir", outdir, "--truncation", 64, "--seeds", "1", *flags)
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not outdir.exists()
 
     def test_rows_do_not_depend_on_scheduling(self, tmp_path):
-        rc = run("reproduce", "fig5", "--outdir", tmp_path / "all", "--seeds", "3,1,2", "--n-trunc", 64)
+        rc = run("reproduce", "fig5", "--outdir", tmp_path / "all", "--seeds", "3,1,2", "--truncation", 64)
         assert rc == 0
         header, *rows = (tmp_path / "all" / "fig5_deltas.csv").read_text().splitlines()
         assert [int(r.split(",")[0]) for r in rows] == [3, 3, 3, 1, 1, 1, 2, 2, 2]
         for seed in (3, 1, 2):
             outdir = tmp_path / f"seed{seed}"
-            assert run("reproduce", "fig5", "--outdir", outdir, "--seeds", seed, "--n-trunc", 64) == 0
+            assert run("reproduce", "fig5", "--outdir", outdir, "--seeds", seed, "--truncation", 64) == 0
             alone = (outdir / "fig5_deltas.csv").read_text().splitlines()
             assert alone == [header] + [r for r in rows if r.startswith(f"{seed},")]
 
-    def test_error_in_a_worker_keeps_its_exit_code(self, tmp_path, capsys):
-        outdir = tmp_path / "figs"
-        assert run("reproduce", "fig5", "--outdir", outdir, "--n-trunc", 64, "--seeds", "1,-1") == 2
-        assert "seed must be a non-negative integer" in capsys.readouterr().err
-        assert not outdir.exists()
+    def test_error_in_a_worker_keeps_its_exit_code(self):
+        # A ValueError raised in a spawned worker reaches the caller as itself,
+        # so ``main`` maps it to exit code 2 and not to a worker failure.
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            _map_single_blas_thread(int, ["1", "x"])
 
     def test_blas_thread_variables_are_restored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         environ = dict(os.environ)
-        assert run("reproduce", "appc", "--outdir", tmp_path, "--n-trunc", 64, "--seeds", "1") == 0
+        assert run("reproduce", "appc", "--outdir", tmp_path, "--truncation", 64, "--seeds", "1") == 0
         assert dict(os.environ) == environ
 
 
@@ -530,11 +569,11 @@ def synth_signal_estimate_flags(draw):
         "--eps", draw(st.sampled_from([1.0, 0.5, 0.25, 0.2, 0.1])),
         "--moments", ",".join(map(str, moments)),
     ]
-    truncation = draw(st.sampled_from(["default", "empirical", "n-trunc"]))
+    truncation = draw(st.sampled_from(["default", "empirical", "order"]))
     if truncation == "empirical":
         estimate += ["--truncation", "empirical"]
-    elif truncation == "n-trunc":
-        estimate += ["--n-trunc", draw(st.integers(2, n_len))]
+    elif truncation == "order":
+        estimate += ["--truncation", draw(st.integers(2, n_len))]
     return synth, signal, estimate
 
 
@@ -597,7 +636,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("seeds, moments", [("1,2", "1,2"), ([1, 2], [1, 2])])
     def test_lists_resolve_like_flags(self, tmp_path, seeds, moments):
         flags, from_cfg = tmp_path / "flags", tmp_path / "cfg"
-        small = ["--n-trunc", 64]
+        small = ["--truncation", 64]
         rc = run("reproduce", "fig5", "--outdir", flags, "--seeds", "1,2", "--moments", "1,2", *small)
         assert rc == 0
         cfg = tmp_path / "cfg.json"
@@ -620,7 +659,7 @@ class TestConfigFile:
         assert len(sig_csv.read_text().splitlines()) == 17
 
         est = tmp_path / "e.json"
-        cfg.write_text(json.dumps({"spectrum": str(spec_f), "eps": 0.25, "n_trunc": 16}))
+        cfg.write_text(json.dumps({"spectrum": str(spec_f), "eps": 0.25, "truncation": 16}))
         assert run("estimate", "--config", cfg, "--signal", sig_f, "--out", est) == 0
         assert set(json.loads(est.read_text())["delta"]) == {"1", "2", "4"}
 
@@ -631,15 +670,24 @@ class TestConfigFile:
         assert json.loads(plan.read_text())["shots"] == 526_919_351
 
     @pytest.mark.parametrize(
-        "content",
-        [{"frobnicate": 1}, {"se": 1}, [["d", 3]], {"d": "three"}, {"d": 3.5}],
-        ids=["unknown-key", "abbreviated-key", "not-an-object", "not-an-int", "float-for-int"],
+        "command, content",
+        [
+            ("synth", {"frobnicate": 1}),
+            ("synth", {"se": 1}),
+            ("synth", [["d", 3]]),
+            ("synth", {"d": "three"}),
+            ("synth", {"d": 3.5}),
+            ("reproduce", {"n_trunc": 64}),
+        ],
+        ids=["unknown-key", "abbreviated-key", "not-an-object", "not-an-int", "float-for-int",
+             "n-trunc"],
     )
-    def test_bad_config_is_usage_error(self, tmp_path, content):
+    def test_bad_config_is_usage_error(self, tmp_path, command, content):
         # Checked even where every value the command uses comes from flags.
-        cfg, out = tmp_path / "cfg.json", tmp_path / "spec.json"
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
         cfg.write_text(json.dumps(content))
-        assert run("synth", "--config", cfg, "--fig6", "--out", out) == 2
+        argv = ["fig3", "--outdir", out] if command == "reproduce" else ["--fig6", "--out", out]
+        assert run(command, "--config", cfg, *argv) == 2
         assert not out.exists()
 
 
@@ -681,11 +729,11 @@ run("plan-shots", "--n", "566", "--eps-prime", "0.005", "--confidence", "0.99")
 run("estimate", "--method", "ts", "--truncation", "strict", "--eps", "0.25")
 run("estimate", "--method", "mp", "--l-dim", "32", "--out", "mp.json")
 run("reproduce", "fig3", "--outdir", "out")
-run("reproduce", "fig5", "--n-trunc", "64", "--seeds", "1", "--outdir", "out")
+run("reproduce", "fig5", "--truncation", "64", "--seeds", "1", "--outdir", "out")
 # Only a filter value needs the Gauss-Legendre nodes, and so numpy.polynomial.
 assert "numpy.polynomial" not in sys.modules
-run("reproduce", "appc", "--n-trunc", "64", "--seeds", "1", "--outdir", "out")
-run("reproduce", "fig6", "--n-trunc", "64", "--outdir", "out")
+run("reproduce", "appc", "--truncation", "64", "--seeds", "1", "--outdir", "out")
+run("reproduce", "fig6", "--truncation", "64", "--outdir", "out")
 run("reproduce", "fig4", "--outdir", "out")
 assert abs(exact_bins(fig6_spectrum(), 0.005).values.sum() - 1.0) <= 1e-9
 print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
@@ -709,7 +757,7 @@ def test_dead_worker_is_exit_3_not_a_hang(tmp_path):
     # Under a timeout, so that a pool that waits forever for the lost item
     # fails the test instead of blocking it.
     src = str(Path(qeep.__file__).resolve().parents[1])
-    argv = ["reproduce", "fig5", "--n-trunc", "64", "--seeds", "1,2", "--outdir", "out"]
+    argv = ["reproduce", "fig5", "--truncation", "64", "--seeds", "1,2", "--outdir", "out"]
     proc = subprocess.run(
         [sys.executable, "-c", _DEAD_WORKER_RUN, *argv],
         cwd=tmp_path,
@@ -730,11 +778,11 @@ def test_dead_worker_is_exit_3_not_a_hang(tmp_path):
 # test writes first.
 _THREAD_SENSITIVE_RUNS = [
     (
-        ["reproduce", "fig5", "--n-trunc", "66", "--seeds", "1,2", "--outdir", "."],
+        ["reproduce", "fig5", "--truncation", "66", "--seeds", "1,2", "--outdir", "."],
         {"fig5_deltas.csv", "fig5_summary.json"},
     ),
     (
-        ["reproduce", "fig6", "--n-trunc", "66", "--outdir", "."],
+        ["reproduce", "fig6", "--truncation", "66", "--outdir", "."],
         {"fig6_true.csv", "fig6_ts.csv", "fig6_mp.csv", "fig6_summary.json"},
     ),
     (

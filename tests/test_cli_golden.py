@@ -37,14 +37,14 @@ from qeep.cli import main
 # Inputs every case finds in its directory: the fixed five-line spectrum, a
 # 64-sample noisy signal of it (both pinned by their own cases below), and a
 # config file holding the flags of the small fig5 run.
-CONFIG = {"seeds": [1, 2], "n_trunc": 64, "outdir": "out"}
+CONFIG = {"seeds": [1, 2], "truncation": 64, "outdir": "out"}
 INPUTS = [
     ["synth", "--fig6", "--out", "in_spec.json"],
     ["signal", "--spectrum", "in_spec.json", "--n", "64", "--noise", "0.005", "--seed", "7",
      "--out", "in_sig.json"],
 ]
 
-SMALL = ["--n-trunc", "64", "--seeds", "1,2"]
+SMALL = ["--truncation", "64", "--seeds", "1,2"]
 
 CASES = {
     "reproduce-fig3": (

@@ -1,9 +1,11 @@
 """Experiment CLI: synth, signal, estimate, plan-shots, reproduce.
 
 Every subcommand is deterministic given its flags (seeds included), so
-re-running writes byte-identical files. Flags can also be supplied through a
-JSON config file via ``--config``; explicit flags win. Exit codes: 0 success,
-2 usage or validation error, 3 numeric failure or a worker process that died.
+re-running writes byte-identical files. Flags can also come from an argument
+file, ``qeep reproduce fig5 @paper.args``, which holds one token per line (such
+as ``--seeds=1,2``) and is read as if its tokens stood in its place, so later
+tokens win. Exit codes: 0 success, 2 usage or validation error, 3 numeric
+failure or a worker process that died.
 """
 
 from __future__ import annotations
@@ -143,50 +145,6 @@ def _bin_width(text: str) -> float:
     return value
 
 
-def _read_config(argv: list[str]) -> dict:
-    """The JSON object in the ``--config`` file among ``argv``, or ``{}``. It is
-    read before the full parse, so that its entries meet every check of that
-    parse, the required options included."""
-    pre = argparse.ArgumentParser(prog="qeep", add_help=False)
-    pre.add_argument("--config")
-    path = pre.parse_known_args(argv)[0].config
-    if path is None:
-        return {}
-    cfg = _read_json(path)
-    if not isinstance(cfg, dict):
-        raise ValueError(f"config {path} must hold a JSON object")
-    return cfg
-
-
-def _config_tokens(cfg: dict) -> list[str]:
-    """The entries of a config as ``--flag=value`` tokens.
-
-    Keys are flag names (``eps_prime`` or ``eps-prime``); a list becomes a
-    comma-separated value, ``true`` a bare flag, and ``false`` or ``null``
-    leaves the flag unset.
-    """
-    tokens = []
-    for key, value in cfg.items():
-        flag = "--" + key.replace("_", "-")
-        if value is True:
-            tokens.append(flag)
-        elif value is not False and value is not None:
-            if isinstance(value, list):
-                value = ",".join(str(v) for v in value)
-            tokens.append(f"{flag}={value}")
-    return tokens
-
-
-def _check_config_keys(cfg: dict, args: argparse.Namespace) -> None:
-    """A key must name an attribute of ``args`` exactly, so that one argparse
-    expanded as an abbreviation of a longer flag is rejected too; keys that
-    name no flag (``func``, ``figure``) argparse rejects itself."""
-    for key in cfg:
-        dest = key.replace("-", "_")
-        if dest == "config" or dest not in vars(args):
-            raise ValueError(f"unknown config key {key!r} for {args.command}")
-
-
 # ---------------------------------------------------------------- subcommands
 
 
@@ -199,6 +157,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_signal(args) -> int:
+    if args.shots != "auto" and (args.eps_prime, args.confidence) != (None, None):
+        raise ValueError("--eps-prime and --confidence apply only to --shots auto")
     spec = _load_spectrum(args.spectrum)
     shots = args.shots
     planned = None
@@ -288,8 +248,9 @@ def _cmd_estimate(args) -> int:
         # One worker with one BLAS thread, so the bytes do not depend on the
         # machine, as for the reproductions.
         [est] = _map_single_blas_thread(functools.partial(mp_estimate, l_dim=l_dim), [ts])
-        eps = args.eps if args.eps is not None else 1.0
-        mom, deltas = _moments_and_deltas(args.moments, lambda s: mp_moment(est, s), eps, spec)
+        mom, deltas = _moments_and_deltas(
+            args.moments, lambda s: mp_moment(est, s), args.eps, spec
+        )
         payload = {"method": "mp", "estimate": est.to_dict(), "moments": mom}
     if deltas is not None:
         payload["delta"] = deltas
@@ -509,12 +470,11 @@ def _cmd_reproduce(args) -> int:
 # -------------------------------------------------------------------- parser
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qeep", description=__doc__)
+    parser = argparse.ArgumentParser(prog="qeep", description=__doc__, fromfile_prefix_chars="@")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, help):
         p = sub.add_parser(name, help=help)
-        p.add_argument("--config", help="JSON object of flag values; explicit flags win")
         p.set_defaults(func=func)
         return p
 
@@ -527,20 +487,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("signal", _cmd_signal, "generate a time series from a spectrum file")
     p.add_argument("--spectrum", default="spectrum.json")
-    p.add_argument("--n", type=int, default=0, help="signal length")
+    p.add_argument("--n", type=int, required=True, help="signal length")
     source = p.add_mutually_exclusive_group()
     source.add_argument("--noise", type=_magnitude, help="additive noise magnitude bound")
     source.add_argument("--shots", help="shots per point (integer) or 'auto'")
-    p.add_argument("--eps-prime", dest="eps_prime", type=float)
-    p.add_argument("--confidence", type=float)
+    p.add_argument("--eps-prime", dest="eps_prime", type=float, help="--shots auto only")
+    p.add_argument("--confidence", type=float, help="--shots auto only")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="signal.json")
     p.add_argument("--csv")
 
     p = command("plan-shots", _cmd_plan_shots, "Hoeffding shot count for a target precision")
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--eps-prime", dest="eps_prime", type=float, default=0.0)
-    p.add_argument("--confidence", type=float, default=0.0)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--eps-prime", dest="eps_prime", type=float, required=True)
+    p.add_argument("--confidence", type=float, required=True)
     p.add_argument("--out")
 
     p = command("estimate", _cmd_estimate, "run the ts or mp estimator on a signal file")
@@ -562,7 +522,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "figure",
         choices=sorted(_FIGURES),
-        help="fig3 and fig4 are fixed and ignore every other flag but --outdir; "
+        help="fig3 and fig4 are fixed and read only --outdir, but every flag is still checked; "
         "fig6 uses only the first of --seeds and ignores --moments and --d",
     )
     p.add_argument("--outdir", default=".")
@@ -581,13 +541,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        cfg = _read_config(argv)
-        # Config entries go right after the subcommand name, so explicit
-        # flags, which come later, win, and argparse checks both alike.
-        args = _build_parser().parse_args(argv[:1] + _config_tokens(cfg) + argv[1:])
-        _check_config_keys(cfg, args)
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -45,7 +45,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericError
-from .signal import TimeSeries
+from .signal import TimeSeries, _complex_from_parts
 
 # Relative singular-value cutoff for all pseudoinverse solves. The noiseless
 # Hankel matrix has rank D << L, so a cutoff is mandatory.
@@ -100,16 +100,9 @@ class MpEstimate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MpEstimate":
-        re = np.asarray(data["amplitudes_re"], dtype=float)
-        im = np.asarray(data["amplitudes_im"], dtype=float)
-        if re.shape != im.shape:
-            raise ValueError("amplitudes_re and amplitudes_im must have the same length")
-        # Part by part: re + 1j * im would turn an imaginary -0.0 into 0.0.
-        amps = re.astype(complex)
-        amps.imag = im
         return cls(
             eigenphases=np.asarray(data["eigenphases"], dtype=float),
-            amplitudes=amps,
+            amplitudes=_complex_from_parts(data, "amplitudes"),
             moduli=np.asarray(data["moduli"], dtype=float),
             l_dim=int(data["l_dim"]),
             residual=float(data["residual"]),

@@ -125,16 +125,23 @@ class TimeSeries:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TimeSeries":
-        re = np.asarray(data["values_re"], dtype=float)
-        im = np.asarray(data["values_im"], dtype=float)
-        if re.shape != im.shape:
-            raise ValueError("values_re and values_im must have the same length")
-        if data["n_len"] != re.size:
-            raise ValueError(f"n_len is {data['n_len']} but the record holds {re.size} values")
-        # Part by part: re + 1j * im would turn an imaginary -0.0 into 0.0.
-        values = re.astype(complex)
-        values.imag = im
+        values = _complex_from_parts(data, "values")
+        if data["n_len"] != values.size:
+            raise ValueError(f"n_len is {data['n_len']} but the record holds {values.size} values")
         return cls(values=values, provenance=Provenance.from_dict(data["provenance"]))
+
+
+def _complex_from_parts(data: dict, name: str) -> np.ndarray:
+    """The complex array a JSON record stores as the lists ``{name}_re`` and
+    ``{name}_im``, which must have the same length."""
+    re = np.asarray(data[f"{name}_re"], dtype=float)
+    im = np.asarray(data[f"{name}_im"], dtype=float)
+    if re.shape != im.shape:
+        raise ValueError(f"{name}_re and {name}_im must have the same length")
+    # Part by part: re + 1j * im would turn an imaginary -0.0 into 0.0.
+    values = re.astype(complex)
+    values.imag = im
+    return values
 
 
 def generate_clean(spec: Spectrum, n_len: int) -> TimeSeries:

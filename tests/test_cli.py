@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -18,7 +20,7 @@ from qeep import (
     fig6_spectrum,
     truncated_bins,
 )
-from qeep.cli import _map_single_blas_thread, main
+from qeep.cli import _build_parser, _map_single_blas_thread, main
 
 
 def run(*argv) -> int:
@@ -127,6 +129,21 @@ class TestPlanShots:
 
     def test_invalid_confidence(self):
         assert run("plan-shots", "--n", 10, "--eps-prime", 0.1, "--confidence", 1.5) == 2
+
+    @pytest.mark.parametrize(
+        "argv, missing",
+        [
+            (["plan-shots"], "--n, --eps-prime, --confidence"),
+            (["plan-shots", "--n", 10], "--eps-prime, --confidence"),
+            (["signal", "--noise", 0.1], "--n"),
+        ],
+        ids=["plan-shots-none", "plan-shots-n-only", "signal"],
+    )
+    def test_missing_required_flag_is_usage_error(self, tmp_path, capsys, argv, missing):
+        out = tmp_path / "out.json"
+        assert run(*argv, "--out", out) == 2
+        assert f"the following arguments are required: {missing}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("eps_prime", ["inf", "nan"])
     def test_bad_eps_prime_is_usage_error(self, tmp_path, capsys, eps_prime):
@@ -342,24 +359,35 @@ class TestEstimate:
         assert message in capsys.readouterr().err
         assert not out_f.exists()
 
+    # The signal cases: only --shots auto plans shots, so only it reads the
+    # planner's --eps-prime and --confidence.
     @pytest.mark.parametrize(
-        "method, flags",
+        "command, flags, message",
         [
-            ("mp", ["--csv", "bins.csv"]),
-            ("mp", ["--truncation", 16]),
-            ("mp", ["--truncation", "strict"]),
-            ("ts", ["--eps", 0.25, "--l-dim", 8]),
+            ("estimate", ["--method", "mp", "--csv", "bins.csv"], "does not apply to --method mp"),
+            ("estimate", ["--method", "mp", "--truncation", 16], "does not apply to --method mp"),
+            ("estimate", ["--method", "mp", "--truncation", "strict"],
+             "does not apply to --method mp"),
+            ("estimate", ["--method", "ts", "--eps", 0.25, "--l-dim", 8],
+             "does not apply to --method ts"),
+            ("signal", ["--noise", 0.01, "--eps-prime", 0.1], "apply only to --shots auto"),
+            ("signal", ["--shots", 10, "--eps-prime", 0.1, "--confidence", 0.5],
+             "apply only to --shots auto"),
+            ("signal", ["--confidence", 0.5], "apply only to --shots auto"),
         ],
-        ids=["mp-csv", "mp-truncation-order", "mp-truncation", "ts-l-dim"],
+        ids=["mp-csv", "mp-truncation-order", "mp-truncation", "ts-l-dim", "signal-noise",
+             "signal-shots", "signal-clean"],
     )
-    def test_flag_the_method_never_reads_is_usage_error(self, tmp_path, capsys, method, flags):
+    def test_flag_the_method_never_reads_is_usage_error(self, tmp_path, capsys, command, flags,
+                                                        message):
         spec_f, sig_f, out_f = tmp_path / "s.json", tmp_path / "g.json", tmp_path / "e.json"
         run("synth", "--fig6", "--out", spec_f)
         run("signal", "--spectrum", spec_f, "--n", 16, "--out", sig_f)
         capsys.readouterr()
-        rc = run("estimate", "--signal", sig_f, "--method", method, *flags, "--out", out_f)
+        inputs = ["--signal", sig_f] if command == "estimate" else ["--spectrum", spec_f, "--n", 16]
+        rc = run(command, *inputs, *flags, "--out", out_f)
         assert rc == 2
-        assert f"does not apply to --method {method}" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out_f.exists()
 
     @pytest.mark.parametrize("method", ["ts", "mp"])
@@ -598,96 +626,114 @@ class TestDeterminism:
         assert outputs[0] == outputs[1]
 
 
+def _args_file(path, *tokens) -> str:
+    """Write ``tokens`` to ``path``, one per line, and return the ``@path``
+    token that reads them back."""
+    path.write_text("".join(f"{t}\n" for t in tokens))
+    return f"@{path}"
+
+
 class TestConfigFile:
-    def test_config_supplies_defaults_and_flags_override(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"d": 3, "seed": 11, "out": str(tmp_path / "from_cfg.json")}))
-        assert run("synth", "--config", cfg) == 0
+    """Flags read from an argument file, ``@path``: its tokens take its place
+    in the command line and go through the same single parse."""
+
+    def test_config_supplies_defaults_and_flags_override(self, tmp_path, capsys):
+        cfg = _args_file(tmp_path / "cfg.args", "--d=3", "--seed=11",
+                         f"--out={tmp_path / 'from_cfg.json'}")
+        assert run("synth", cfg) == 0
         spec = Spectrum.from_dict(json.loads((tmp_path / "from_cfg.json").read_text()))
         assert len(spec) == 3
 
         override = tmp_path / "override.json"
-        assert run("synth", "--config", cfg, "--d", 4, "--out", override) == 0
+        assert run("synth", cfg, "--d", 4, "--out", override) == 0
         spec2 = Spectrum.from_dict(json.loads(override.read_text()))
         assert len(spec2) == 4
 
+        # Either-or flags conflict wherever they come from; the later does not win.
+        capsys.readouterr()
+        conflict = tmp_path / "conflict.json"
+        cfg = _args_file(tmp_path / "fig6.args", "--fig6")
+        assert run("synth", cfg, "--d", 4, "--out", conflict) == 2
+        assert "not allowed with argument --fig6" in capsys.readouterr().err
+        assert not conflict.exists()
+
     @pytest.mark.parametrize(
-        "command, content",
+        "command, token",
         [
-            ("reproduce", {"moments": []}),
-            ("reproduce", {"moments": [1, 65]}),
-            ("reproduce", {"eps_prime": "nan"}),
-            ("estimate", {"moments": [-1]}),
+            ("reproduce", "--moments="),
+            ("reproduce", "--moments=1,65"),
+            ("reproduce", "--eps-prime=nan"),
+            ("estimate", "--moments=-1"),
         ],
         ids=["reproduce-no-moments", "reproduce-moment-too-high", "reproduce-eps-prime-nan",
              "estimate-moment-negative"],
     )
-    def test_config_values_get_the_flag_checks(self, tmp_path, capsys, command, content):
-        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
-        cfg.write_text(json.dumps(content))
+    def test_config_values_get_the_flag_checks(self, tmp_path, capsys, command, token):
+        out = tmp_path / "out"
+        cfg = _args_file(tmp_path / "cfg.args", token)
         argv = ["fig5", "--outdir", out] if command == "reproduce" else ["--out", out]
-        assert run(command, *argv, "--config", cfg) == 2
-        assert "argument --" in capsys.readouterr().err
+        assert run(command, *argv, cfg) == 2
+        assert f"argument {token.split('=')[0]}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_command_usage_error(self):
         assert run("frobnicate") == 2
 
-    @pytest.mark.parametrize("seeds, moments", [("1,2", "1,2"), ([1, 2], [1, 2])])
+    @pytest.mark.parametrize("seeds, moments", [("1,2", "1,2")])
     def test_lists_resolve_like_flags(self, tmp_path, seeds, moments):
         flags, from_cfg = tmp_path / "flags", tmp_path / "cfg"
         small = ["--truncation", 64]
-        rc = run("reproduce", "fig5", "--outdir", flags, "--seeds", "1,2", "--moments", "1,2", *small)
+        rc = run("reproduce", "fig5", "--outdir", flags, "--seeds", seeds, "--moments", moments,
+                 *small)
         assert rc == 0
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seeds": seeds, "moments": moments, "outdir": str(from_cfg)}))
-        assert run("reproduce", "fig5", "--config", cfg, *small) == 0
+        # A flag and its value may also take a line each, as in the command line.
+        cfg = _args_file(tmp_path / "cfg.args", "--seeds", seeds, f"--moments={moments}",
+                         f"--outdir={from_cfg}")
+        assert run("reproduce", "fig5", cfg, *small) == 0
         for name in ("fig5_deltas.csv", "fig5_summary.json"):
             assert (from_cfg / name).read_bytes() == (flags / name).read_bytes()
 
     def test_output_and_input_keys_are_honored(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
+        path = tmp_path / "cfg.args"
         spec_f, sig_f = tmp_path / "s.json", tmp_path / "g.json"
 
-        cfg.write_text(json.dumps({"fig6": True, "out": str(spec_f)}))
-        assert run("synth", "--config", cfg) == 0
+        assert run("synth", _args_file(path, "--fig6", f"--out={spec_f}")) == 0
         assert Spectrum.from_dict(json.loads(spec_f.read_text())).entries == fig6_spectrum().entries
 
         sig_csv = tmp_path / "g.csv"
-        cfg.write_text(json.dumps({"spectrum": str(spec_f), "n": 16, "csv": str(sig_csv)}))
-        assert run("signal", "--config", cfg, "--out", sig_f) == 0
+        cfg = _args_file(path, f"--spectrum={spec_f}", "--n=16", f"--csv={sig_csv}")
+        assert run("signal", cfg, "--out", sig_f) == 0
         assert len(sig_csv.read_text().splitlines()) == 17
 
         est = tmp_path / "e.json"
-        cfg.write_text(json.dumps({"spectrum": str(spec_f), "eps": 0.25, "truncation": 16}))
-        assert run("estimate", "--config", cfg, "--signal", sig_f, "--out", est) == 0
+        cfg = _args_file(path, f"--spectrum={spec_f}", "--eps=0.25", "--truncation=16")
+        assert run("estimate", cfg, "--signal", sig_f, "--out", est) == 0
         assert set(json.loads(est.read_text())["delta"]) == {"1", "2", "4"}
 
+        # Every required flag of plan-shots comes from the file.
         plan = tmp_path / "plan.json"
-        entries = {"n": 566, "eps-prime": 0.005, "confidence": 0.99, "out": str(plan)}
-        cfg.write_text(json.dumps(entries))
-        assert run("plan-shots", "--config", cfg) == 0
+        cfg = _args_file(path, "--n=566", "--eps-prime=0.005", "--confidence=0.99", f"--out={plan}")
+        assert run("plan-shots", cfg) == 0
         assert json.loads(plan.read_text())["shots"] == 526_919_351
 
     @pytest.mark.parametrize(
-        "command, content",
+        "command, token, message",
         [
-            ("synth", {"frobnicate": 1}),
-            ("synth", {"se": 1}),
-            ("synth", [["d", 3]]),
-            ("synth", {"d": "three"}),
-            ("synth", {"d": 3.5}),
-            ("reproduce", {"n_trunc": 64}),
+            ("synth", "--frobnicate=1", "unrecognized arguments: --frobnicate=1"),
+            ("synth", "--d=three", "argument --d: invalid int value: 'three'"),
+            ("synth", "--d=3.5", "argument --d: invalid int value: '3.5'"),
+            ("reproduce", "--n-trunc=64", "unrecognized arguments: --n-trunc=64"),
+            ("synth", None, "No such file or directory"),
         ],
-        ids=["unknown-key", "abbreviated-key", "not-an-object", "not-an-int", "float-for-int",
-             "n-trunc"],
+        ids=["unknown-key", "not-an-int", "float-for-int", "n-trunc", "missing-file"],
     )
-    def test_bad_config_is_usage_error(self, tmp_path, command, content):
+    def test_bad_config_is_usage_error(self, tmp_path, capsys, command, token, message):
         # Checked even where every value the command uses comes from flags.
-        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
-        cfg.write_text(json.dumps(content))
+        out, path = tmp_path / "out", tmp_path / "cfg.args"
+        cfg = f"@{path}" if token is None else _args_file(path, token)
         argv = ["fig3", "--outdir", out] if command == "reproduce" else ["--fig6", "--out", out]
-        assert run(command, "--config", cfg, *argv) == 2
+        assert run(command, cfg, *argv) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -836,3 +882,19 @@ def test_every_command_runs_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
     assert json.loads((tmp_path / "estimate.json").read_text())["n_trunc"] == 414
+
+
+def test_readme_cli_flags_match_the_parser():
+    """The flags the README's CLI section names are exactly the parser's."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z0-9-]*", section))
+    [commands] = [a for a in _build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        flag
+        for sub in commands.choices.values()
+        for action in sub._actions
+        for flag in action.option_strings
+    } - {"-h", "--help"}
+    assert documented == options

@@ -28,16 +28,15 @@ became exact.
 """
 
 import hashlib
-import json
 
 import pytest
 
 from qeep.cli import main
 
 # Inputs every case finds in its directory: the fixed five-line spectrum, a
-# 64-sample noisy signal of it (both pinned by their own cases below), and a
-# config file holding the flags of the small fig5 run.
-CONFIG = {"seeds": [1, 2], "truncation": 64, "outdir": "out"}
+# 64-sample noisy signal of it (both pinned by their own cases below), and an
+# argument file holding the flags of the small fig5 run, one token per line.
+ARGS_FILE = "--seeds=1,2\n--truncation=64\n--outdir=out\n"
 INPUTS = [
     ["synth", "--fig6", "--out", "in_spec.json"],
     ["signal", "--spectrum", "in_spec.json", "--n", "64", "--noise", "0.005", "--seed", "7",
@@ -72,9 +71,9 @@ CASES = {
             "out/fig5_summary.json": "641f89b5f42dd5a7c86c6ebc54554f5222715d042395d24b9d900aa6c5a1e554",
         },
     ),
-    # The same run configured from a file writes the same bytes.
+    # The same run with its flags read from an argument file writes the same bytes.
     "reproduce-fig5-config": (
-        ["reproduce", "fig5", "--config", "cfg.json"],
+        ["reproduce", "fig5", "@cfg.args"],
         {
             "out/fig5_deltas.csv": "04c0c2b4bcd8124eb78edfbefd18450cc4892e8f1ea511e8711b26e913a95d92",
             "out/fig5_summary.json": "641f89b5f42dd5a7c86c6ebc54554f5222715d042395d24b9d900aa6c5a1e554",
@@ -175,7 +174,7 @@ def _files(root) -> set:
 def test_outputs_are_byte_identical(name, tmp_path, monkeypatch):
     argv, expected = CASES[name]
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
+    (tmp_path / "cfg.args").write_text(ARGS_FILE)
     for inputs in INPUTS:
         assert main(inputs) == 0
     before = _files(tmp_path)

@@ -31,8 +31,9 @@ from .filterbank import (
     choose_truncation,
     filter_values,
 )
-from .matrix_pencil import mp_estimate, mp_moment
+from .matrix_pencil import _pencil_dimension, mp_estimate, mp_moment
 from .signal import (
+    MAX_SHOTS_PER_POINT,
     TimeSeries,
     add_noise,
     generate_clean,
@@ -40,7 +41,7 @@ from .signal import (
     sample_shots,
 )
 from .spectrum import Spectrum, exact_moment, fig6_spectrum, random_spectrum
-from .ts_estimator import MAX_MOMENT_ORDER, estimate_bins, estimate_moment
+from .ts_estimator import MAX_MOMENT_ORDER, _check_signal_length, estimate_bins, estimate_moment
 
 # Offset used to derive the noise stream from a run seed so that spectrum and
 # noise draws never share a generator state.
@@ -73,14 +74,6 @@ def _write_csv(path, header, rows) -> None:
         )
 
 
-def _load_spectrum(path) -> Spectrum:
-    return Spectrum.from_dict(_read_json(path))
-
-
-def _load_signal(path) -> TimeSeries:
-    return TimeSeries.from_dict(_read_json(path))
-
-
 def _int_list(what: str, top: float = math.inf):
     """The argparse type of a non-empty comma-separated list of ``what``, each
     an integer in ``[0, top]``."""
@@ -101,22 +94,28 @@ _moment_orders = _int_list("moment orders", MAX_MOMENT_ORDER)
 _seeds = _int_list("seeds")
 
 
-def _truncation(text: str) -> TruncationMode | int:
-    """A truncation order: ``empirical``, ``strict`` or an integer N >= 2, the
-    smallest order a filter bank takes."""
-    try:
-        return TruncationMode(text)
-    except ValueError:
-        pass
-    try:
-        n_trunc = int(text)
-    except ValueError:
-        n_trunc = 0
-    if n_trunc < 2:
-        raise argparse.ArgumentTypeError(
-            f"expected 'empirical', 'strict' or an integer order >= 2, got {text!r}"
-        )
-    return n_trunc
+def _word_or_int(words: dict, least: int, top: float = math.inf):
+    """The argparse type of a key of ``words``, read as its value, or of an
+    integer in ``[least, top]``."""
+    expected = " or ".join([*map(repr, words), f"an integer in [{least}, {top}]"])
+
+    def parse(text: str):
+        if text in words:
+            return words[text]
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if not least <= value <= top:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+# A truncation mode, or an order N >= 2, the smallest a filter bank takes.
+_truncation = _word_or_int({mode.value: mode for mode in TruncationMode}, 2)
+_shots = _word_or_int({"auto": "auto"}, 1, MAX_SHOTS_PER_POINT)
 
 
 def _truncation_order(eps: float, truncation: TruncationMode | int) -> int:
@@ -157,18 +156,14 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_signal(args) -> int:
-    if args.shots != "auto" and (args.eps_prime, args.confidence) != (None, None):
-        raise ValueError("--eps-prime and --confidence apply only to --shots auto")
-    spec = _load_spectrum(args.spectrum)
-    shots = args.shots
-    planned = None
-    if shots == "auto":
-        if args.eps_prime is None or args.confidence is None:
-            raise ValueError("--shots auto requires --eps-prime and --confidence")
-        planned = hoeffding_shots(args.n, args.eps_prime, args.confidence)
-        shots = planned
+    auto = args.shots == "auto"
+    if (args.eps_prime is None) == auto or (args.confidence is None) == auto:
+        raise ValueError("--eps-prime and --confidence (both needed) apply only to --shots auto")
+    spec = Spectrum.from_dict(_read_json(args.spectrum))
+    planned = hoeffding_shots(args.n, args.eps_prime, args.confidence) if auto else None
+    shots = planned or args.shots
     if shots is not None:
-        ts = sample_shots(spec, args.n, int(shots), args.seed)
+        ts = sample_shots(spec, args.n, shots, args.seed)
     elif args.noise is not None and args.noise > 0:
         ts = add_noise(generate_clean(spec, args.n), args.noise, args.seed)
     else:
@@ -217,16 +212,15 @@ def _cmd_estimate(args) -> int:
     for dest in ("l_dim",) if args.method == "ts" else ("truncation", "csv"):
         if getattr(args, dest) is not None:
             raise ValueError(f"--{dest.replace('_', '-')} does not apply to --method {args.method}")
-    ts = _load_signal(args.signal)
-    spec = _load_spectrum(args.spectrum) if args.spectrum else None
+    ts = TimeSeries.from_dict(_read_json(args.signal))
+    spec = Spectrum.from_dict(_read_json(args.spectrum)) if args.spectrum else None
     out = Path(args.out)
 
     if args.method == "ts":
         if args.eps is None:
             raise ValueError("--eps is required for the ts method")
         n_trunc = _truncation_order(args.eps, args.truncation or TruncationMode.EMPIRICAL)
-        if n_trunc > ts.n_len:
-            raise ValueError(f"signal has {ts.n_len} entries but the filter bank needs {n_trunc}")
+        _check_signal_length(ts, n_trunc)
         bank = build_filterbank(args.eps, n_trunc)
         dist = estimate_bins(ts, bank)
         mom, deltas = _moments_and_deltas(
@@ -242,9 +236,7 @@ def _cmd_estimate(args) -> int:
     else:
         if spec is not None and args.eps is None:
             raise ValueError("--eps is required to report delta against a spectrum")
-        l_dim = ts.n_len - 1 if args.l_dim is None else args.l_dim
-        if not 1 <= l_dim <= ts.n_len - 1:
-            raise ValueError(f"l_dim must lie in [1, {ts.n_len - 1}], got {l_dim}")
+        l_dim = _pencil_dimension(ts.n_len, args.l_dim)
         # One worker with one BLAS thread, so the bytes do not depend on the
         # machine, as for the reproductions.
         [est] = _map_single_blas_thread(functools.partial(mp_estimate, l_dim=l_dim), [ts])
@@ -295,9 +287,10 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 
 def _map_single_blas_thread(func, items):
     """``[func(item) for item in items]``, each call in a worker of a pool of
-    spawned processes, one item included.
+    spawned processes, one per item and at most one per usable CPU.
 
-    The workers start with one BLAS thread: a multi-threaded pencil solve sums
+    The workers start with one BLAS thread, which a new interpreter reads from
+    the environment when it loads the BLAS: a multi-threaded pencil solve sums
     in another order and moves the last digits of its result, so the outputs
     would depend on the machine. A worker that dies raises ``BrokenExecutor``
     instead of leaving its item waiting forever.
@@ -305,22 +298,18 @@ def _map_single_blas_thread(func, items):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(len(items), cpus or 1)
     spawn = multiprocessing.get_context("spawn")
-    pool = ProcessPoolExecutor(min(len(items), os.cpu_count() or 1), mp_context=spawn)
+    saved = {name: os.environ[name] for name in _BLAS_THREAD_VARS if name in os.environ}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:
-        # A new interpreter reads the variables when it loads the BLAS, and
-        # map submits every item, which starts every worker, before it returns.
-        results = pool.map(func, items)
+        with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
+            return list(pool.map(func, items))
     finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-    with pool:
-        return list(results)
+        for name in _BLAS_THREAD_VARS:
+            os.environ.pop(name, None)
+        os.environ.update(saved)
 
 
 def _delta_trials(args):
@@ -453,14 +442,8 @@ _FIGURES = {
 
 
 def _cmd_reproduce(args) -> int:
-    if args.d < 1:
-        raise ValueError("d_spectrum must be positive")
     args.n_trunc = _truncation_order(args.eps, args.truncation)
-    if args.l_dim is None:
-        args.l_dim = args.n_trunc - 1
-    if not 1 <= args.l_dim <= args.n_trunc - 1:
-        raise ValueError(f"l_dim must lie in [1, n_trunc - 1] = [1, {args.n_trunc - 1}], "
-                         f"got {args.l_dim}")
+    args.l_dim = _pencil_dimension(args.n_trunc, args.l_dim)
     outdir = Path(args.outdir)
     _FIGURES[args.figure](outdir, args)
     print(f"wrote {args.figure} bundle to {outdir}")
@@ -490,7 +473,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="signal length")
     source = p.add_mutually_exclusive_group()
     source.add_argument("--noise", type=_magnitude, help="additive noise magnitude bound")
-    source.add_argument("--shots", help="shots per point (integer) or 'auto'")
+    source.add_argument("--shots", type=_shots, help="shots per point (integer) or 'auto'")
     p.add_argument("--eps-prime", dest="eps_prime", type=float, help="--shots auto only")
     p.add_argument("--confidence", type=float, help="--shots auto only")
     p.add_argument("--seed", type=int, default=0)
@@ -530,7 +513,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--moments", type=_moment_orders, default=(1, 2, 4))
     p.add_argument("--eps", type=_bin_width, default=0.005)
     p.add_argument("--eps-prime", dest="eps_prime", type=_magnitude, default=0.005)
-    p.add_argument("--d", type=int, default=5)
+    p.add_argument("--d", type=_word_or_int({}, 1), default=5)
     p.add_argument("--l-dim", dest="l_dim", type=int)
     p.add_argument(
         "--truncation", type=_truncation, default=TruncationMode.EMPIRICAL,

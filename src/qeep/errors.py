@@ -2,8 +2,8 @@
 
 
 class NumericError(RuntimeError):
-    """A numerical routine failed to converge or produced a degenerate result.
-
-    Raised for quadrature non-convergence, eigensolver failures, and
-    degenerate pencil inputs. Invalid arguments raise ``ValueError`` instead.
+    """A numerical routine failed: the pencil's R factor, SVD or eigensolve
+    did not converge, or :func:`~qeep.filterbank.decay_onset` found the decay
+    bound failing at its largest scanned frequency. Invalid arguments raise
+    ``ValueError`` instead.
     """

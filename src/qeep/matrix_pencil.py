@@ -11,10 +11,10 @@ block ``R[:-1, :-1]`` has the singular values of ``H0``.
 Because ``g_{-k} = conj(g_k)``, ``G`` is conjugate-centrosymmetric: with
 ``m = 2N - L - 1`` columns, ``G[L - l, m - 1 - c] = g_{N - 1 - l - c} =
 conj(G[l, c])``, that is ``G == conj(G[::-1, ::-1])``. Row ``m - 1 - c`` of
-``G^T`` is row ``c`` conjugated and column-reversed. A wide pencil's ``G^T``
-is tall and skinny, and its R factor comes from a blocked QR (Demmel, Grigori,
-Hoemmen & Langou 2012, SIAM J. Sci. Comput. 34:A206): cache-sized row blocks
-are factored at once, then the stack of their R factors. The R of a stack
+``G^T`` is row ``c`` conjugated and column-reversed. Its R factor comes from a
+blocked QR (Demmel, Grigori, Hoemmen & Langou 2012, SIAM J. Sci. Comput.
+34:A206): cache-sized row blocks are factored at once, then the stack of their
+R factors, which is ``G^T`` itself below two blocks. The R of a stack
 has ``R^H R`` equal to the sum of its parts' Gram matrices ``B^H B``, so any
 part may be replaced by one with the same Gram matrix, and row order does not
 change a Gram matrix. The block ``B' = J conj(B) J`` that mirrors a block
@@ -116,13 +116,22 @@ class AmplitudeFit(NamedTuple):
     rank: int
 
 
+def _pencil_dimension(n_len: int, l_dim: int | None) -> int:
+    """The pencil dimension of a signal of ``n_len`` entries: ``l_dim``, which
+    must lie in ``[1, n_len - 1]``, or ``n_len - 1`` for ``None``."""
+    if l_dim is None:
+        l_dim = n_len - 1
+    if not 1 <= l_dim <= n_len - 1:
+        raise ValueError(f"l_dim must lie in [1, {n_len - 1}], got {l_dim}")
+    return l_dim
+
+
 def build_hankel(ts: TimeSeries, l_dim: int) -> np.ndarray:
     """Read-only Hankel view of shape ``(l_dim + 1, 2*N - l_dim - 1)`` with entry
     ``(l, c) = g_{l + c - N + 1}``: the ``l_dim + 1`` windows of length
     ``2*N - l_dim - 1`` over the signal on indices ``-(N-1) .. N-1``."""
     n = ts.n_len
-    if not 1 <= l_dim <= n - 1:
-        raise ValueError(f"l_dim must lie in [1, {n - 1}], got {l_dim}")
+    _pencil_dimension(n, l_dim)
     v = ts.values
     full = np.concatenate([np.conj(v[:0:-1]), v])
     return sliding_window_view(full, 2 * n - l_dim - 1)
@@ -130,22 +139,21 @@ def build_hankel(ts: TimeSeries, l_dim: int) -> np.ndarray:
 
 def _r_factor(a: np.ndarray) -> np.ndarray:
     """R factor of a tall, conjugate-centrosymmetric ``a`` (m x n, m >= n,
-    ``a == conj(a[::-1, ::-1])``): of one QR of ``a``, or, for a matrix with at
-    least two whole row blocks (``b`` of them), of the QR of a stack: the R
-    factors of the top ``p = b // 2`` blocks, their mirrors, and the rows between
-    the top and the bottom ``p`` blocks.
+    ``a == conj(a[::-1, ::-1])``), with ``b`` whole row blocks: of the QR of a
+    stack of the R factors of the top ``p = b // 2`` blocks, their mirrors, and
+    the rows between the top and the bottom ``p`` blocks.
 
     The bottom ``p`` blocks are the top ones conjugated and reversed in rows
     and columns, ``a[m - 1 - i] = conj(a[i, ::-1])``. A block ``B = Q R`` and its
     mirror ``J conj(B) J`` have the Gram matrices ``R^H R`` and
     ``J conj(R^H R) J``, the latter that of ``conj(R)[:, ::-1]``, so only the
-    top blocks are factored, and the stack has ``a``'s Gram matrix.
+    top blocks are factored, and the stack has ``a``'s Gram matrix. With fewer
+    than two blocks (``p = 0``: square pencils and small ones) the top and the
+    mirrors are empty and the stack is ``a``, so this is one direct QR of ``a``.
     """
     m, n = a.shape
     rows = _QR_BLOCK_ROWS_PER_COLUMN * n
     p = m // rows // 2
-    if not p:
-        return np.linalg.qr(a, mode="r")
     top = np.linalg.qr(a[: p * rows].reshape(p, rows, n), mode="r").reshape(p * n, n)
     middle = a[p * rows : m - p * rows]
     return np.linalg.qr(np.concatenate([top, top.conj()[:, ::-1], middle]), mode="r")
@@ -207,10 +215,9 @@ def solve_amplitudes(eigenphases, ts: TimeSeries, l_dim: int, moduli) -> Amplitu
 
 def mp_estimate(ts: TimeSeries, l_dim: int | None = None) -> MpEstimate:
     """Full pencil pipeline: one Hankel matrix, the pencil solve on its row
-    windows, eigenphases, amplitude fit. ``l_dim`` defaults to ``N - 1``. All
-    eigenphases are kept."""
-    if l_dim is None:
-        l_dim = ts.n_len - 1
+    windows, eigenphases, amplitude fit. ``l_dim`` must lie in ``[1, N - 1]``
+    and defaults to ``N - 1``. All eigenphases are kept."""
+    l_dim = _pencil_dimension(ts.n_len, l_dim)
     k = solve_pencil(ts, l_dim)
     phases, mu = _eigenphase_pairs(k)
     moduli = np.abs(mu)
@@ -222,7 +229,6 @@ def mp_estimate(ts: TimeSeries, l_dim: int | None = None) -> MpEstimate:
         moduli=moduli[order],
         l_dim=l_dim,
         residual=fit.residual,
-        filters=None,
     )
 
 

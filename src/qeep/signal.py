@@ -22,6 +22,9 @@ CLEAN = "clean"
 ADDITIVE_NOISE = "additive_noise"
 SHOT_SAMPLED = "shot_sampled"
 
+# The largest shot count per point: rng.binomial takes a C long.
+MAX_SHOTS_PER_POINT = 2**63 - 1
+
 # The optional fields each provenance kind carries: exactly those its
 # constructor sets.
 _KIND_FIELDS = {
@@ -183,10 +186,10 @@ def sample_shots(spec: Spectrum, n_len: int, shots_per_point: int, seed: int) ->
     mean of an independent batch with ``P(+1) = (1 + Im g_k) / 2``. Real draws
     for all k happen before imaginary draws.
     """
-    if n_len < 1:
-        raise ValueError("n_len must be a positive integer")
-    if shots_per_point < 1:
-        raise ValueError("shots_per_point must be a positive integer")
+    if not 1 <= shots_per_point <= MAX_SHOTS_PER_POINT:
+        raise ValueError(
+            f"shots_per_point must lie in [1, {MAX_SHOTS_PER_POINT}], got {shots_per_point}"
+        )
     rng = np.random.default_rng(seed)
     g = generate_clean(spec, n_len).values
     p_re = np.clip((1.0 + g.real[1:]) / 2.0, 0.0, 1.0)
@@ -204,7 +207,8 @@ def sample_shots(spec: Spectrum, n_len: int, shots_per_point: int, seed: int) ->
 def hoeffding_shots(n_len: int, eps_prime: float, confidence: float) -> int:
     """Number of +/-1 samples sufficient to estimate all ``n_len`` signal
     entries within ``eps_prime`` at overall confidence ``confidence``:
-    ``ceil((2*n_len/eps_prime**2) * ln(2*n_len/(1-confidence)))``.
+    ``ceil((2*n_len/eps_prime**2) * ln(2*n_len/(1-confidence)))``; a count that
+    is not finite raises ``ValueError``.
     """
     if n_len < 1:
         raise ValueError("n_len must be a positive integer")
@@ -212,4 +216,7 @@ def hoeffding_shots(n_len: int, eps_prime: float, confidence: float) -> int:
         raise ValueError(f"eps_prime must be positive and finite, got {eps_prime!r}")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie strictly between 0 and 1")
-    return math.ceil((2.0 * n_len / eps_prime**2) * math.log(2.0 * n_len / (1.0 - confidence)))
+    try:
+        return math.ceil((2.0 * n_len / eps_prime**2) * math.log(2.0 * n_len / (1.0 - confidence)))
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(f"no finite shot count: n_len={n_len}, eps_prime={eps_prime!r}") from None

@@ -113,13 +113,16 @@ def truncated_bins(spec: Spectrum, bank: FilterBank) -> BinDistribution:
     )
 
 
+def _check_signal_length(ts: TimeSeries, n_trunc: int) -> None:
+    """Reject a signal shorter than the truncation order ``n_trunc``."""
+    if ts.n_len < n_trunc:
+        raise ValueError(f"signal has {ts.n_len} entries but the filter bank needs {n_trunc}")
+
+
 def estimate_bins(ts: TimeSeries, bank: FilterBank) -> BinDistribution:
     """The time-series estimator: the truncated linear form applied to the
     first ``bank.n_trunc`` entries of a (possibly noisy) signal."""
-    if ts.n_len < bank.n_trunc:
-        raise ValueError(
-            f"signal has {ts.n_len} entries but the filter bank needs {bank.n_trunc}"
-        )
+    _check_signal_length(ts, bank.n_trunc)
     return BinDistribution(
         values=_bins_from_values(ts.values, bank), eps=bank.eps, kind=BinKind.ESTIMATED_Q
     )

@@ -110,6 +110,39 @@ class TestSignal:
         assert run("signal", "--spectrum", spec, "--n", 8, "--noise", 0, "--out", zero) == 0
         assert zero.read_bytes() == clean.read_bytes()
 
+    # rng.binomial takes a C long, so a count above 2**63 - 1 is a usage error.
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--shots", 10**19], "argument --shots: expected 'auto' or an integer in "
+             "[1, 9223372036854775807], got '10000000000000000000'"),
+            (["--shots", 1.5], "argument --shots: expected 'auto' or an integer in "
+             "[1, 9223372036854775807], got '1.5'"),
+            (["--shots", "auto", "--eps-prime", 1e-9, "--confidence", 0.9],
+             "error: shots_per_point must lie in [1, 9223372036854775807], got 8"),
+        ],
+        ids=["above-c-long", "not-an-integer", "auto-above-c-long"],
+    )
+    def test_bad_shot_count_is_usage_error(self, tmp_path, capsys, flags, message):
+        spec, out = tmp_path / "spec.json", tmp_path / "sig.json"
+        run("synth", "--fig6", "--out", spec)
+        capsys.readouterr()
+        assert run("signal", "--spectrum", spec, "--n", 8, *flags, "--out", out) == 2
+        [line] = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+        assert message in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags", [["--eps-prime", 0.5], ["--confidence", 0.9]], ids=["no-confidence", "no-eps-prime"]
+    )
+    def test_auto_shots_needs_both_plan_flags(self, tmp_path, capsys, flags):
+        spec, out = tmp_path / "spec.json", tmp_path / "sig.json"
+        run("synth", "--fig6", "--out", spec)
+        capsys.readouterr()
+        assert run("signal", "--spectrum", spec, "--n", 8, "--shots", "auto", *flags, "--out", out) == 2
+        assert "(both needed) apply only to --shots auto" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_noise_and_shots_conflict(self, tmp_path):
         spec = tmp_path / "spec.json"
         run("synth", "--fig6", "--out", spec)
@@ -161,6 +194,17 @@ class TestPlanShots:
         assert rc == 2
         assert "eps_prime must be positive and finite" in capsys.readouterr().err
         assert not plan.exists() and not sig.exists()
+
+    # eps_prime**2 underflows to zero at 1e-200 and to a subnormal whose
+    # quotient is infinite at 1e-160.
+    @pytest.mark.parametrize("eps_prime", ["1e-200", "1e-160"])
+    def test_eps_prime_without_a_finite_plan_is_usage_error(self, tmp_path, capsys, eps_prime):
+        out = tmp_path / "plan.json"
+        rc = run("plan-shots", "--n", 10, "--eps-prime", eps_prime, "--confidence", 0.9, "--out", out)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: no finite shot count: n_len=10, eps_prime={float(eps_prime)!r}\n"
+        assert not out.exists()
 
 
 class TestOutputPaths:
@@ -516,7 +560,7 @@ class TestReproduce:
             "--seeds", "1,2",
         )
         assert rc == 2
-        assert "l_dim must lie in [1, n_trunc - 1] = [1, 63], got 64" in capsys.readouterr().err
+        assert "l_dim must lie in [1, 63], got 64" in capsys.readouterr().err
         assert not outdir.exists()
         assert dict(os.environ) == environ
 
@@ -533,10 +577,11 @@ class TestReproduce:
             (["--truncation=1"], "argument --truncation"),
             (["--truncation=x"], "argument --truncation"),
             (["--n-trunc=64"], "unrecognized arguments: --n-trunc"),
+            (["--d=0"], "argument --d: expected an integer in [1, inf], got '0'"),
         ],
         ids=["eps-prime-nan", "eps-prime-inf", "eps-prime-negative", "moment-negative",
              "moment-too-high", "no-moments", "seed-negative", "order-one", "not-an-order",
-             "n-trunc"],
+             "n-trunc", "d-zero"],
     )
     @pytest.mark.parametrize("figure", ["fig5", "appc", "fig6"])
     def test_bad_flag_fails_before_any_work(self, tmp_path, capsys, monkeypatch, figure, flags,
@@ -567,6 +612,22 @@ class TestReproduce:
         # so ``main`` maps it to exit code 2 and not to a worker failure.
         with pytest.raises(ValueError, match="invalid literal for int"):
             _map_single_blas_thread(int, ["1", "x"])
+
+    def test_pool_has_at_most_one_worker_per_usable_cpu(self, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _map_single_blas_thread(abs, [-1, -2, -3]) == [1, 2, 3]
+        assert sizes == [1]
 
     def test_blas_thread_variables_are_restored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")

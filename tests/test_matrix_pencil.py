@@ -203,8 +203,12 @@ def pencil_transpose(n_len, l_dim, noisy):
 
 
 class TestRFactor:
-    # Fewer than two row blocks: square pencils, and (2000, 250) with one.
-    @pytest.mark.parametrize("n_len, l_dim", [(566, 565), (64, 63), (2000, 250)])
+    # Fewer than two row blocks, so the stack is the matrix itself: square
+    # pencils (the paper's N = 566, L = 565 among them), small wide ones down
+    # to the 2 x 2 pencil, and (2000, 250) with one block.
+    @pytest.mark.parametrize(
+        "n_len, l_dim", [(566, 565), (64, 63), (2000, 250), (66, 65), (64, 20), (16, 8), (2, 1)]
+    )
     def test_unblockable_matrix_takes_one_direct_qr(self, n_len, l_dim):
         a = pencil_transpose(n_len, l_dim, noisy=True)
         assert np.array_equal(_r_factor(a), np.linalg.qr(a, mode="r"))

@@ -18,7 +18,7 @@ from qeep import (
     sample_shots,
 )
 from qeep.cli import main
-from qeep.signal import Provenance
+from qeep.signal import MAX_SHOTS_PER_POINT, Provenance
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -246,6 +246,12 @@ class TestSampleShots:
         with pytest.raises(ValueError):
             sample_shots(fig6_spectrum(), 4, 0, 1)
 
+    def test_shot_count_bound_is_what_binomial_takes(self):
+        ts = sample_shots(fig6_spectrum(), 4, MAX_SHOTS_PER_POINT, 1)
+        assert np.all(np.abs(ts.values.real) <= 1.0) and np.all(np.abs(ts.values.imag) <= 1.0)
+        with pytest.raises(ValueError, match="shots_per_point must lie in"):
+            sample_shots(fig6_spectrum(), 4, MAX_SHOTS_PER_POINT + 1, 1)
+
 
 class TestHoeffdingShots:
     def test_reference_configuration(self):
@@ -270,6 +276,13 @@ class TestHoeffdingShots:
     @pytest.mark.parametrize("eps_prime", [math.inf, math.nan])
     def test_non_finite_eps_prime_rejected(self, eps_prime):
         with pytest.raises(ValueError, match="eps_prime must be positive and finite"):
+            hoeffding_shots(10, eps_prime, 0.9)
+
+    # 1e-200**2 is zero (ZeroDivisionError), 2 * 10 / 1e-160**2 is infinite
+    # (OverflowError in ceil).
+    @pytest.mark.parametrize("eps_prime", [1e-200, 1e-160])
+    def test_count_that_is_not_finite_rejected(self, eps_prime):
+        with pytest.raises(ValueError, match="no finite shot count"):
             hoeffding_shots(10, eps_prime, 0.9)
 
 

@@ -1,90 +1,66 @@
 """Time-series eigenvalue estimation with smooth bin filters, plus
-matrix-pencil and DFT baselines and a seeded experiment CLI."""
+matrix-pencil and DFT baselines and a seeded experiment CLI.
 
-from .dft_baseline import DftResult, dft
-from .errors import NumericError
-from .filterbank import (
-    FilterBank,
-    TruncationMode,
-    bin_centers,
-    build_filterbank,
-    bump,
-    bump_fourier,
-    choose_truncation,
-    decay_onset,
-    filter_values,
-    tail_bound,
-)
-from .matrix_pencil import (
-    MpEstimate,
-    build_hankel,
-    filter_estimate,
-    mp_estimate,
-    mp_moment,
-    solve_amplitudes,
-    solve_pencil,
-)
-from .signal import (
-    Provenance,
-    TimeSeries,
-    add_noise,
-    generate_clean,
-    hoeffding_shots,
-    sample_shots,
-)
-from .spectrum import Spectrum, exact_moment, fig6_spectrum, random_spectrum
-from .ts_estimator import (
-    BinDistribution,
-    BinKind,
-    estimate_bins,
-    estimate_moment,
-    exact_bins,
-    expectation_from_function,
-    moment_error_bound,
-    rescale_physical,
-    truncated_bins,
-)
+The public names load lazily (PEP 562): ``import qeep`` imports no submodule
+and so no numpy, and each name imports its submodule on first use. This lets
+``python -m qeep.cli`` and the ``qeep`` script reach the CLI module before
+numpy loads, so the CLI can pin numpy's BLAS to one thread (see
+:mod:`qeep.cli`).
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinDistribution",
-    "BinKind",
-    "DftResult",
-    "FilterBank",
-    "MpEstimate",
-    "NumericError",
-    "Provenance",
-    "Spectrum",
-    "TimeSeries",
-    "TruncationMode",
-    "add_noise",
-    "bin_centers",
-    "build_filterbank",
-    "build_hankel",
-    "bump",
-    "bump_fourier",
-    "choose_truncation",
-    "decay_onset",
-    "dft",
-    "estimate_bins",
-    "estimate_moment",
-    "exact_bins",
-    "exact_moment",
-    "expectation_from_function",
-    "fig6_spectrum",
-    "filter_estimate",
-    "filter_values",
-    "generate_clean",
-    "hoeffding_shots",
-    "moment_error_bound",
-    "mp_estimate",
-    "mp_moment",
-    "random_spectrum",
-    "rescale_physical",
-    "sample_shots",
-    "solve_amplitudes",
-    "solve_pencil",
-    "tail_bound",
-    "truncated_bins",
-]
+# Each public name and the submodule that defines it.
+_EXPORTS = {
+    "DftResult": "dft_baseline",
+    "dft": "dft_baseline",
+    "NumericError": "errors",
+    "FilterBank": "filterbank",
+    "TruncationMode": "filterbank",
+    "bin_centers": "filterbank",
+    "build_filterbank": "filterbank",
+    "bump": "filterbank",
+    "bump_fourier": "filterbank",
+    "choose_truncation": "filterbank",
+    "decay_onset": "filterbank",
+    "filter_values": "filterbank",
+    "tail_bound": "filterbank",
+    "MpEstimate": "matrix_pencil",
+    "build_hankel": "matrix_pencil",
+    "filter_estimate": "matrix_pencil",
+    "mp_estimate": "matrix_pencil",
+    "mp_moment": "matrix_pencil",
+    "solve_amplitudes": "matrix_pencil",
+    "solve_pencil": "matrix_pencil",
+    "Provenance": "signal",
+    "TimeSeries": "signal",
+    "add_noise": "signal",
+    "generate_clean": "signal",
+    "hoeffding_shots": "signal",
+    "sample_shots": "signal",
+    "Spectrum": "spectrum",
+    "exact_moment": "spectrum",
+    "fig6_spectrum": "spectrum",
+    "random_spectrum": "spectrum",
+    "BinDistribution": "ts_estimator",
+    "BinKind": "ts_estimator",
+    "estimate_bins": "ts_estimator",
+    "estimate_moment": "ts_estimator",
+    "exact_bins": "ts_estimator",
+    "expectation_from_function": "ts_estimator",
+    "moment_error_bound": "ts_estimator",
+    "rescale_physical": "ts_estimator",
+    "truncated_bins": "ts_estimator",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value

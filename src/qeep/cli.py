@@ -6,6 +6,12 @@ file, ``qeep reproduce fig5 @paper.args``, which holds one token per line (such
 as ``--seeds=1,2``) and is read as if its tokens stood in its place, so later
 tokens win. Exit codes: 0 success, 2 usage or validation error, 3 numeric
 failure or a worker process that died.
+
+Matrix-pencil solves run in worker processes with one BLAS thread, so their
+bytes do not depend on the machine. Loaded before numpy, as by ``python -m
+qeep.cli`` or the ``qeep`` script, this module sets the BLAS thread variables
+to one for the life of the process and forks its workers; loaded after numpy,
+it spawns them.
 """
 
 from __future__ import annotations
@@ -20,6 +26,15 @@ import sys
 from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
+# The thread-count variables of the BLAS builds numpy ships with.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Whether numpy loads below, after its BLAS was pinned to one thread. It does
+# unless the process imported numpy before this module (a library caller).
+_NUMPY_LOADED_PINNED = "numpy" not in sys.modules
+if _NUMPY_LOADED_PINNED:
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+
 import numpy as np
 
 from .dft_baseline import dft
@@ -31,7 +46,7 @@ from .filterbank import (
     choose_truncation,
     filter_values,
 )
-from .matrix_pencil import _pencil_dimension, mp_estimate, mp_moment
+from .matrix_pencil import _pencil_dimension, filter_estimate, mp_estimate, mp_moment
 from .signal import (
     MAX_SHOTS_PER_POINT,
     TimeSeries,
@@ -281,30 +296,30 @@ def _trial_rows(args, bank, seed):
     return rows
 
 
-# The thread-count variables of the BLAS builds numpy ships with.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
 def _map_single_blas_thread(func, items):
-    """``[func(item) for item in items]``, each call in a worker of a pool of
-    spawned processes, one per item and at most one per usable CPU.
+    """``[func(item) for item in items]``, each call in a worker of a process
+    pool, one worker per item and at most one per usable CPU.
 
-    The workers start with one BLAS thread, which a new interpreter reads from
-    the environment when it loads the BLAS: a multi-threaded pencil solve sums
+    The workers run with one BLAS thread: a multi-threaded pencil solve sums
     in another order and moves the last digits of its result, so the outputs
-    would depend on the machine. A worker that dies raises ``BrokenExecutor``
-    instead of leaving its item waiting forever.
+    would depend on the machine. On Linux, when this module loaded numpy under
+    its one-thread pin, the workers are forked and inherit that BLAS; the
+    process has started no BLAS threads, so it is safe to fork. Otherwise
+    numpy's BLAS may already run several threads, so the workers are spawned
+    and load their own BLAS under the variables set here. A worker that dies
+    raises ``BrokenExecutor`` instead of leaving its item waiting forever.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(len(items), cpus or 1)
-    spawn = multiprocessing.get_context("spawn")
+    fork = _NUMPY_LOADED_PINNED and sys.platform == "linux"
+    context = multiprocessing.get_context("fork" if fork else "spawn")
     saved = {name: os.environ[name] for name in _BLAS_THREAD_VARS if name in os.environ}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:
-        with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
             return list(pool.map(func, items))
     finally:
         for name in _BLAS_THREAD_VARS:
@@ -426,7 +441,8 @@ def _reproduce_fig6(outdir: Path, args) -> None:
         {
             "seed": seed,
             "ts_near_mass_fraction": float(dist.values[near].sum() / dist.values.sum()),
-            "mp_phases_outside_range": int(np.sum(np.abs(pencil.eigenphases) > 0.5)),
+            "mp_phases_outside_range": pencil.eigenphases.size
+            - filter_estimate(pencil, delta_mu=None, restrict_range=True).eigenphases.size,
         },
         outdir / "fig6_summary.json",
     )

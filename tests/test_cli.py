@@ -20,7 +20,7 @@ from qeep import (
     fig6_spectrum,
     truncated_bins,
 )
-from qeep.cli import _build_parser, _map_single_blas_thread, main
+from qeep.cli import _BLAS_THREAD_VARS, _build_parser, _map_single_blas_thread, main
 
 
 def run(*argv) -> int:
@@ -629,6 +629,22 @@ class TestReproduce:
         assert _map_single_blas_thread(abs, [-1, -2, -3]) == [1, 2, 3]
         assert sizes == [1]
 
+    def test_pool_spawns_when_numpy_was_loaded_first(self, monkeypatch):
+        # The test modules import numpy before qeep.cli, so this process's
+        # BLAS may run several threads and must not be forked.
+        import concurrent.futures
+
+        methods = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, mp_context):
+                methods.append(mp_context.get_start_method())
+                super().__init__(max_workers, mp_context=mp_context)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        assert _map_single_blas_thread(abs, [-1]) == [1]
+        assert methods == ["spawn"]
+
     def test_blas_thread_variables_are_restored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
@@ -879,6 +895,79 @@ def test_dead_worker_is_exit_3_not_a_hang(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+_LAZY_IMPORT_RUN = """
+import sys
+
+import qeep
+
+assert "numpy" not in sys.modules
+for name in qeep.__all__:
+    getattr(qeep, name)
+"""
+
+# Loads the CLI before numpy, as ``python -m qeep.cli`` and the ``qeep``
+# script do, and reports the pool's start method and the native threads of
+# the process before the pool starts and of each worker.
+_PINNED_POOL_RUN = """
+import concurrent.futures
+import json
+import os
+
+from qeep import cli
+
+methods = []
+
+
+class Recording(concurrent.futures.ProcessPoolExecutor):
+    def __init__(self, max_workers, mp_context):
+        methods.append(mp_context.get_start_method())
+        super().__init__(max_workers, mp_context=mp_context)
+
+
+def threads(_):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("Threads:"))
+
+
+concurrent.futures.ProcessPoolExecutor = Recording
+before = threads(None)
+workers = cli._map_single_blas_thread(threads, [0, 1])
+env = {name: os.environ.get(name) for name in cli._BLAS_THREAD_VARS}
+print(json.dumps({"methods": methods, "before": before, "workers": workers, "env": env}))
+"""
+
+
+def _fresh_interpreter(script, cwd, blas_env):
+    """Runs ``script`` under ``blas_env`` in place of the three BLAS variables."""
+    src = str(Path(qeep.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=cwd,
+        env={**env, **blas_env, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def test_import_qeep_loads_no_numpy(tmp_path):
+    proc = _fresh_interpreter(_LAZY_IMPORT_RUN, tmp_path, {})
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the pool forks only on Linux")
+def test_cli_loaded_before_numpy_forks_a_single_threaded_process(tmp_path):
+    # A set variable is overridden too: the pin holds for the whole process.
+    proc = _fresh_interpreter(_PINNED_POOL_RUN, tmp_path, {"OPENBLAS_NUM_THREADS": "2"})
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["methods"] == ["fork"]
+    assert report["before"] == 1
+    assert report["workers"] == [1, 1]
+    assert report["env"] == dict.fromkeys(_BLAS_THREAD_VARS, "1")
+
+
 # The smallest N at which each run's bytes moved with the BLAS thread count
 # when its pencils ran in the calling process (OpenBLAS 0.3.31), and the files
 # it writes into its directory. ``estimate`` reads the 66-entry noisy signal the
@@ -900,23 +989,25 @@ _THREAD_SENSITIVE_RUNS = [
 
 
 def test_reproduce_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # With the variables unset, the CLI's own pin decides the thread count.
+    # Python 3.12+ warns when a multi-threaded process forks, so the runs turn
+    # that warning into an error.
     src = str(Path(qeep.__file__).resolve().parents[1])
+    unset = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
     spec_f = tmp_path / "spec.json"
     assert run("synth", "--fig6", "--out", spec_f) == 0
     assert run("signal", "--spectrum", spec_f, "--n", 66, "--noise", 0.005, "--seed", 7,
                "--out", tmp_path / "sig.json") == 0
     for i, (argv, names) in enumerate(_THREAD_SENSITIVE_RUNS):
         outputs = []
-        for threads in ("1", "2"):
+        for threads in ("1", "2", "unset"):
             outdir = tmp_path / f"run{i}" / f"threads{threads}"
             outdir.mkdir(parents=True)
-            blas = dict.fromkeys(
-                ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads
-            )
+            blas = {} if threads == "unset" else dict.fromkeys(_BLAS_THREAD_VARS, threads)
             proc = subprocess.run(
-                [sys.executable, "-m", "qeep.cli", *argv],
+                [sys.executable, "-W", "error::DeprecationWarning", "-m", "qeep.cli", *argv],
                 cwd=outdir,
-                env={**os.environ, **blas, "PYTHONPATH": src},
+                env={**unset, **blas, "PYTHONPATH": src},
                 capture_output=True,
                 text=True,
                 timeout=120,
@@ -924,7 +1015,7 @@ def test_reproduce_outputs_do_not_depend_on_blas_threads(tmp_path):
             assert proc.returncode == 0, proc.stderr
             outputs.append({p.name: p.read_bytes() for p in outdir.iterdir()})
         assert set(outputs[0]) == names
-        assert outputs[0] == outputs[1], argv
+        assert outputs[0] == outputs[1] == outputs[2], argv
 
 
 def test_every_command_runs_without_scipy(tmp_path):

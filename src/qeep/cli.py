@@ -1,11 +1,13 @@
 """Experiment CLI: synth, signal, estimate, plan-shots, reproduce.
 
 Every subcommand is deterministic given its flags (seeds included), so
-re-running writes byte-identical files. Flags can also come from an argument
-file, ``qeep reproduce fig5 @paper.args``, which holds one token per line (such
-as ``--seeds=1,2``) and is read as if its tokens stood in its place, so later
-tokens win. Exit codes: 0 success, 2 usage or validation error, 3 numeric
-failure or a worker process that died.
+re-running writes byte-identical files; each ``reproduce`` figure is a
+subcommand that takes only the flags it reads. Flags can also come from an
+argument file, ``qeep reproduce fig5 @paper.args``, which holds one token per
+line (such as ``--seeds=1,2``) and is read as if its tokens stood in its place,
+so later tokens win; figure flags go after the figure name. Exit codes: 0
+success, 2 usage or validation error, 3 numeric failure or a worker process
+that died.
 
 Matrix-pencil solves run in worker processes with one BLAS thread, so their
 bytes do not depend on the machine. Loaded before numpy, as by ``python -m
@@ -71,9 +73,13 @@ def _write_json(obj, path) -> None:
         fh.write("\n")
 
 
-def _read_json(path) -> dict:
+def _read_record(cls, path):
+    """The ``cls`` record in the JSON file at ``path``, or a ValueError naming it."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return cls.from_dict(json.load(fh))
+        except (TypeError, KeyError, ValueError) as exc:
+            raise ValueError(f"{path}: not a {cls.__name__} record: {exc}") from None
 
 
 def _write_csv(path, header, rows) -> None:
@@ -130,7 +136,9 @@ def _word_or_int(words: dict, least: int, top: float = math.inf):
 
 # A truncation mode, or an order N >= 2, the smallest a filter bank takes.
 _truncation = _word_or_int({mode.value: mode for mode in TruncationMode}, 2)
-_shots = _word_or_int({"auto": "auto"}, 1, MAX_SHOTS_PER_POINT)
+_shots = _word_or_int({}, 1, MAX_SHOTS_PER_POINT)
+_seed = _word_or_int({}, 0)
+_spectrum_size = _word_or_int({}, 1)
 
 
 def _truncation_order(eps: float, truncation: TruncationMode | int) -> int:
@@ -171,11 +179,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_signal(args) -> int:
-    auto = args.shots == "auto"
-    if (args.eps_prime is None) == auto or (args.confidence is None) == auto:
-        raise ValueError("--eps-prime and --confidence (both needed) apply only to --shots auto")
-    spec = Spectrum.from_dict(_read_json(args.spectrum))
-    planned = hoeffding_shots(args.n, args.eps_prime, args.confidence) if auto else None
+    spec = _read_record(Spectrum, args.spectrum)
+    planned = hoeffding_shots(args.n, *args.plan) if args.plan else None
     shots = planned or args.shots
     if shots is not None:
         ts = sample_shots(spec, args.n, shots, args.seed)
@@ -227,8 +232,8 @@ def _cmd_estimate(args) -> int:
     for dest in ("l_dim",) if args.method == "ts" else ("truncation", "csv"):
         if getattr(args, dest) is not None:
             raise ValueError(f"--{dest.replace('_', '-')} does not apply to --method {args.method}")
-    ts = TimeSeries.from_dict(_read_json(args.signal))
-    spec = Spectrum.from_dict(_read_json(args.spectrum)) if args.spectrum else None
+    ts = _read_record(TimeSeries, args.signal)
+    spec = _read_record(Spectrum, args.spectrum) if args.spectrum else None
     out = Path(args.out)
 
     if args.method == "ts":
@@ -269,9 +274,6 @@ def _cmd_estimate(args) -> int:
 
 
 # ------------------------------------------------------------- reproductions
-#
-# Each reproduction takes the parsed ``reproduce`` arguments with ``n_trunc``
-# and ``l_dim`` resolved to numbers.
 
 DELTA_HEADER = ["seed", "s", "delta_ts", "delta_mp"]
 
@@ -327,13 +329,14 @@ def _map_single_blas_thread(func, items):
         os.environ.update(saved)
 
 
-def _delta_trials(args):
-    """Seeded runs shared by the fig5 and appc reproductions, as rows of
-    ``DELTA_HEADER`` in ``--seeds`` order. The seeds share only the filter
-    bank, so each runs in its own worker."""
+def _map_seeds(func, args, seeds):
+    """``[func(args, bank, seed) for seed in seeds]``, one worker per seed; the
+    seeds share only the filter bank. ``n_trunc`` and ``l_dim`` are resolved on
+    ``args`` first, so a bad ``--l-dim`` fails before the bank is built."""
+    args.n_trunc = _truncation_order(args.eps, args.truncation)
+    args.l_dim = _pencil_dimension(args.n_trunc, args.l_dim)
     bank = build_filterbank(args.eps, args.n_trunc)
-    per_seed = _map_single_blas_thread(functools.partial(_trial_rows, args, bank), args.seeds)
-    return [row for rows in per_seed for row in rows]
+    return _map_single_blas_thread(functools.partial(func, args, bank), seeds)
 
 
 def _delta_summary(rows, moments):
@@ -362,7 +365,7 @@ _DELTA_TABLES = {
 
 def _reproduce_deltas(outdir: Path, args) -> None:
     csv_name, summary_name, summary_key, with_l_dim = _DELTA_TABLES[args.figure]
-    rows = _delta_trials(args)
+    rows = [row for seed_rows in _map_seeds(_trial_rows, args, args.seeds) for row in seed_rows]
     _write_csv(outdir / csv_name, DELTA_HEADER, rows)
     parameters = {
         "eps": args.eps,
@@ -419,10 +422,7 @@ def _reproduce_fig4(outdir: Path, args) -> None:
 
 def _reproduce_fig6(outdir: Path, args) -> None:
     spec = fig6_spectrum()
-    bank = build_filterbank(args.eps, args.n_trunc)
-    seed = args.seeds[0]
-    estimates = functools.partial(_seeded_estimates, spec, args, bank)
-    [(dist, pencil)] = _map_single_blas_thread(estimates, [seed])
+    [(dist, pencil)] = _map_seeds(functools.partial(_seeded_estimates, spec), args, [args.seed])
 
     _write_csv(outdir / "fig6_true.csv", ["lambda", "weight"], spec.entries)
     _write_csv(outdir / "fig6_ts.csv", ["j", "lambda_tilde", "value"], _bins_rows(dist))
@@ -439,7 +439,7 @@ def _reproduce_fig6(outdir: Path, args) -> None:
         near |= np.abs(centers - lam) <= 2.0 * args.eps + 1e-15
     _write_json(
         {
-            "seed": seed,
+            "seed": args.seed,
             "ts_near_mass_fraction": float(dist.values[near].sum() / dist.values.sum()),
             "mp_phases_outside_range": pencil.eigenphases.size
             - filter_estimate(pencil, delta_mu=None, restrict_range=True).eigenphases.size,
@@ -448,20 +448,9 @@ def _reproduce_fig6(outdir: Path, args) -> None:
     )
 
 
-_FIGURES = {
-    "fig3": _reproduce_fig3,
-    "fig4": _reproduce_fig4,
-    "fig5": _reproduce_deltas,
-    "fig6": _reproduce_fig6,
-    "appc": _reproduce_deltas,
-}
-
-
 def _cmd_reproduce(args) -> int:
-    args.n_trunc = _truncation_order(args.eps, args.truncation)
-    args.l_dim = _pencil_dimension(args.n_trunc, args.l_dim)
     outdir = Path(args.outdir)
-    _FIGURES[args.figure](outdir, args)
+    args.reproduce(outdir, args)
     print(f"wrote {args.figure} bundle to {outdir}")
     return 0
 
@@ -480,8 +469,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("synth", _cmd_synth, "write a spectrum file")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--fig6", action="store_true", help="use the fixed five-line spectrum")
-    source.add_argument("--d", type=int, help="number of random eigenvalues")
-    p.add_argument("--seed", type=int, default=0)
+    source.add_argument("--d", type=_spectrum_size, help="number of random eigenvalues")
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="spectrum.json")
 
     p = command("signal", _cmd_signal, "generate a time series from a spectrum file")
@@ -489,10 +478,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="signal length")
     source = p.add_mutually_exclusive_group()
     source.add_argument("--noise", type=_magnitude, help="additive noise magnitude bound")
-    source.add_argument("--shots", type=_shots, help="shots per point (integer) or 'auto'")
-    p.add_argument("--eps-prime", dest="eps_prime", type=float, help="--shots auto only")
-    p.add_argument("--confidence", type=float, help="--shots auto only")
-    p.add_argument("--seed", type=int, default=0)
+    source.add_argument("--shots", type=_shots, help="shots per point")
+    source.add_argument(
+        "--plan", nargs=2, type=float, metavar=("EPS_PRIME", "CONFIDENCE"), help="plan-shots' count"
+    )
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="signal.json")
     p.add_argument("--csv")
 
@@ -517,24 +507,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="estimate.json")
     p.add_argument("--csv", help="ts only: bin distribution as CSV")
 
-    p = command("reproduce", _cmd_reproduce, "rebuild a figure or table bundle")
-    p.add_argument(
-        "figure",
-        choices=sorted(_FIGURES),
-        help="fig3 and fig4 are fixed and read only --outdir, but every flag is still checked; "
-        "fig6 uses only the first of --seeds and ignores --moments and --d",
-    )
-    p.add_argument("--outdir", default=".")
-    p.add_argument("--seeds", type=_seeds, default=(1, 2, 3, 4, 5))
-    p.add_argument("--moments", type=_moment_orders, default=(1, 2, 4))
-    p.add_argument("--eps", type=_bin_width, default=0.005)
-    p.add_argument("--eps-prime", dest="eps_prime", type=_magnitude, default=0.005)
-    p.add_argument("--d", type=_word_or_int({}, 1), default=5)
-    p.add_argument("--l-dim", dest="l_dim", type=int)
-    p.add_argument(
+    # Figure flags: ``outdir`` for all, ``pencil`` with a pencil, ``deltas`` with moment errors.
+    outdir = argparse.ArgumentParser(add_help=False)
+    outdir.add_argument("--outdir", default=".")
+    pencil = argparse.ArgumentParser(add_help=False, parents=[outdir])
+    pencil.add_argument("--eps", type=_bin_width, default=0.005)
+    pencil.add_argument("--eps-prime", dest="eps_prime", type=_magnitude, default=0.005)
+    pencil.add_argument("--l-dim", dest="l_dim", type=int)
+    pencil.add_argument(
         "--truncation", type=_truncation, default=TruncationMode.EMPIRICAL,
         help="empirical (default), strict or N >= 2",
     )
+    deltas = argparse.ArgumentParser(add_help=False, parents=[pencil])
+    deltas.add_argument("--seeds", type=_seeds, default=(1, 2, 3, 4, 5))
+    deltas.add_argument("--moments", type=_moment_orders, default=(1, 2, 4))
+    deltas.add_argument("--d", type=_spectrum_size, default=5)
+
+    p = command("reproduce", _cmd_reproduce, "rebuild a figure or table bundle")
+    figures = p.add_subparsers(dest="figure", required=True)
+    for name, parent, func, help in [
+        ("fig3", outdir, _reproduce_fig3, "DFT leakage of an off-grid tone"),
+        ("fig4", outdir, _reproduce_fig4, "filter curves and their unit sum"),
+        ("fig5", deltas, _reproduce_deltas, "seeded moment errors of both estimators"),
+        ("fig6", pencil, _reproduce_fig6, "true spectrum and both estimates"),
+        ("appc", deltas, _reproduce_deltas, "fig5 with the pencil dimension recorded"),
+    ]:
+        figures.add_parser(name, parents=[parent], help=help).set_defaults(reproduce=func)
+    figures.choices["fig6"].add_argument("--seed", type=_seed, default=1)
 
     return parser
 
@@ -545,7 +544,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, np.linalg.LinAlgError) as exc:

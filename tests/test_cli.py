@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import json
 import os
 import re
@@ -84,8 +85,8 @@ class TestSignal:
         # small precision target keeps the sampling itself cheap
         assert (
             run(
-                "signal", "--spectrum", spec, "--n", 8, "--shots", "auto",
-                "--eps-prime", 0.5, "--confidence", 0.9, "--seed", 1, "--out", sig,
+                "signal", "--spectrum", spec, "--n", 8, "--plan", 0.5, 0.9, "--seed", 1,
+                "--out", sig,
             )
             == 0
         )
@@ -114,11 +115,11 @@ class TestSignal:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--shots", 10**19], "argument --shots: expected 'auto' or an integer in "
+            (["--shots", 10**19], "argument --shots: expected an integer in "
              "[1, 9223372036854775807], got '10000000000000000000'"),
-            (["--shots", 1.5], "argument --shots: expected 'auto' or an integer in "
+            (["--shots", 1.5], "argument --shots: expected an integer in "
              "[1, 9223372036854775807], got '1.5'"),
-            (["--shots", "auto", "--eps-prime", 1e-9, "--confidence", 0.9],
+            (["--plan", 1e-9, 0.9],
              "error: shots_per_point must lie in [1, 9223372036854775807], got 8"),
         ],
         ids=["above-c-long", "not-an-integer", "auto-above-c-long"],
@@ -132,15 +133,41 @@ class TestSignal:
         assert message in line
         assert not out.exists()
 
+    # --plan takes both targets; the planner flags of plan-shots are not
+    # signal's.
     @pytest.mark.parametrize(
-        "flags", [["--eps-prime", 0.5], ["--confidence", 0.9]], ids=["no-confidence", "no-eps-prime"]
+        "flags, message",
+        [
+            (["--plan", 0.5], "argument --plan: expected 2 arguments"),
+            (["--confidence", 0.9], "unrecognized arguments: --confidence 0.9"),
+        ],
+        ids=["no-confidence", "no-eps-prime"],
     )
-    def test_auto_shots_needs_both_plan_flags(self, tmp_path, capsys, flags):
+    def test_auto_shots_needs_both_plan_flags(self, tmp_path, capsys, flags, message):
         spec, out = tmp_path / "spec.json", tmp_path / "sig.json"
         run("synth", "--fig6", "--out", spec)
         capsys.readouterr()
-        assert run("signal", "--spectrum", spec, "--n", 8, "--shots", "auto", *flags, "--out", out) == 2
-        assert "(both needed) apply only to --shots auto" in capsys.readouterr().err
+        assert run("signal", "--spectrum", spec, "--n", 8, *flags, "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    # One parse-time check for every --seed, whatever the source of the signal.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--d", 3],
+            ["signal", "--n", 8],
+            ["signal", "--n", 8, "--noise", 0.1],
+            ["signal", "--n", 8, "--shots", 10],
+            ["reproduce", "fig6"],
+        ],
+        ids=["synth", "signal-clean", "signal-noise", "signal-shots", "reproduce-fig6"],
+    )
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        output = ["--outdir", out] if argv[0] == "reproduce" else ["--out", out]
+        assert run(*argv, "--seed", -1, *output) == 2
+        assert "argument --seed: expected an integer in [0, inf], got '-1'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_noise_and_shots_conflict(self, tmp_path):
@@ -180,17 +207,14 @@ class TestPlanShots:
 
     @pytest.mark.parametrize("eps_prime", ["inf", "nan"])
     def test_bad_eps_prime_is_usage_error(self, tmp_path, capsys, eps_prime):
-        # Checked where it enters the planner, for plan-shots and --shots auto.
+        # Checked where it enters the planner, for plan-shots and signal --plan.
         spec, plan, sig = tmp_path / "spec.json", tmp_path / "plan.json", tmp_path / "sig.json"
         run("synth", "--fig6", "--out", spec)
         capsys.readouterr()
         rc = run("plan-shots", "--n", 10, "--eps-prime", eps_prime, "--confidence", 0.9, "--out", plan)
         assert rc == 2
         assert "eps_prime must be positive and finite" in capsys.readouterr().err
-        rc = run(
-            "signal", "--spectrum", spec, "--n", 8, "--shots", "auto", "--eps-prime", eps_prime,
-            "--confidence", 0.9, "--out", sig,
-        )
+        rc = run("signal", "--spectrum", spec, "--n", 8, "--plan", eps_prime, 0.9, "--out", sig)
         assert rc == 2
         assert "eps_prime must be positive and finite" in capsys.readouterr().err
         assert not plan.exists() and not sig.exists()
@@ -215,6 +239,19 @@ class TestOutputPaths:
         out = tmp_path / "new" / "deeper" / "plan.json"
         assert run("plan-shots", "--n", 10, "--eps-prime", 0.1, "--confidence", 0.9, "--out", out) == 0
         assert json.loads(out.read_text())["n_len"] == 10
+
+    # A directory where a file is read or written.
+    @pytest.mark.parametrize("command", ["estimate", "synth"])
+    def test_directory_path_is_usage_error(self, tmp_path, capsys, command):
+        out = tmp_path / "e.json"
+        if command == "estimate":
+            argv = ["estimate", "--signal", tmp_path, "--eps", 0.25, "--out", out]
+        else:
+            argv = ["synth", "--fig6", "--out", tmp_path]
+        assert run(*argv) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"error: [Errno 21] Is a directory: '{tmp_path}'"
+        assert not out.exists()
 
     def test_csv_parents_are_created(self, tmp_path):
         spec_f = tmp_path / "s.json"
@@ -302,29 +339,40 @@ class TestEstimate:
         assert rc == 2
         assert not (tmp_path / "e.json").exists()
 
+    # Each malformed record the CLI reads is one error line naming its file:
+    # ``key`` of the signal (estimate) or spectrum (signal) record set to
+    # ``value``, or with ``key`` None the whole record replaced.
     @pytest.mark.parametrize(
-        "provenance",
+        "command, key, value",
         [
-            {"kind": "bogus"},
-            {"kind": "additive_noise"},
-            {"kind": "additive_noise", "eps_prime": "abc", "seed": -2.5},
-            {"kind": "additive_noise", "eps_prime": 0.005, "seed": -1},
-            {"kind": "shot_sampled", "shots_per_point": 0, "seed": 3},
+            ("estimate", "provenance", {"kind": "bogus"}),
+            ("estimate", "provenance", {"kind": "additive_noise"}),
+            ("estimate", "provenance", {"kind": "additive_noise", "eps_prime": "abc", "seed": -2.5}),
+            ("estimate", "provenance", {"kind": "additive_noise", "eps_prime": 0.005, "seed": -1}),
+            ("estimate", "provenance", {"kind": "shot_sampled", "shots_per_point": 0, "seed": 3}),
+            ("estimate", "provenance", "clean"),
+            ("signal", "entries", 5),
+            ("signal", None, [{"lambda": 0.1, "weight": 1.0}]),
         ],
+        ids=[*(f"provenance{i}" for i in range(5)), "provenance-string", "entries-number",
+             "spectrum-list"],
     )
-    def test_malformed_provenance_is_usage_error(self, tmp_path, provenance):
-        spec_f, sig_f = tmp_path / "s.json", tmp_path / "g.json"
+    def test_malformed_provenance_is_usage_error(self, tmp_path, capsys, command, key, value):
+        spec_f, sig_f, out_f = tmp_path / "s.json", tmp_path / "g.json", tmp_path / "e.json"
         run("synth", "--fig6", "--out", spec_f)
         run("signal", "--spectrum", spec_f, "--n", 16, "--out", sig_f)
-        record = json.loads(sig_f.read_text())
-        record["provenance"] = provenance
-        sig_f.write_text(json.dumps(record))
-        rc = run(
-            "estimate", "--signal", sig_f, "--method", "ts", "--eps", 0.25,
-            "--truncation", 16, "--out", tmp_path / "e.json",
-        )
-        assert rc == 2
-        assert not (tmp_path / "e.json").exists()
+        path = sig_f if command == "estimate" else spec_f
+        record = value if key is None else {**json.loads(path.read_text()), key: value}
+        path.write_text(json.dumps(record))
+        capsys.readouterr()
+        if command == "estimate":
+            inputs = ["--signal", sig_f, "--method", "ts", "--eps", 0.25, "--truncation", 16]
+        else:
+            inputs = ["--spectrum", spec_f, "--n", 16]
+        assert run(command, *inputs, "--out", out_f) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {path}: not a ")
+        assert not out_f.exists()
 
     def test_zero_truncation_order_is_usage_error(self, tmp_path):
         spec_f, sig_f = tmp_path / "s.json", tmp_path / "g.json"
@@ -403,8 +451,8 @@ class TestEstimate:
         assert message in capsys.readouterr().err
         assert not out_f.exists()
 
-    # The signal cases: only --shots auto plans shots, so only it reads the
-    # planner's --eps-prime and --confidence.
+    # signal plans shots only for --plan, which replaces the planner flags of
+    # plan-shots; each reproduce figure takes only the flags it reads.
     @pytest.mark.parametrize(
         "command, flags, message",
         [
@@ -414,25 +462,35 @@ class TestEstimate:
              "does not apply to --method mp"),
             ("estimate", ["--method", "ts", "--eps", 0.25, "--l-dim", 8],
              "does not apply to --method ts"),
-            ("signal", ["--noise", 0.01, "--eps-prime", 0.1], "apply only to --shots auto"),
-            ("signal", ["--shots", 10, "--eps-prime", 0.1, "--confidence", 0.5],
-             "apply only to --shots auto"),
-            ("signal", ["--confidence", 0.5], "apply only to --shots auto"),
+            ("signal", ["--noise", 0.01, "--eps-prime", 0.1],
+             "unrecognized arguments: --eps-prime 0.1"),
+            ("signal", ["--shots", 10, "--plan", 0.1, 0.5],
+             "argument --plan: not allowed with argument --shots"),
+            ("signal", ["--confidence", 0.5], "unrecognized arguments: --confidence 0.5"),
+            ("reproduce", ["fig3", "--seeds", "1,2"], "unrecognized arguments: --seeds 1,2"),
+            ("reproduce", ["fig4", "--eps", 0.25], "unrecognized arguments: --eps 0.25"),
+            ("reproduce", ["fig6", "--truncation", 64, "--seeds", "1,2"],
+             "unrecognized arguments: --seeds 1,2"),
+            ("reproduce", ["fig6", "--truncation", 64, "--moments", "1,2"],
+             "unrecognized arguments: --moments 1,2"),
+            ("reproduce", ["fig6", "--truncation", 64, "--d", 3], "unrecognized arguments: --d 3"),
         ],
         ids=["mp-csv", "mp-truncation-order", "mp-truncation", "ts-l-dim", "signal-noise",
-             "signal-shots", "signal-clean"],
+             "signal-shots", "signal-clean", "fig3-seeds", "fig4-eps", "fig6-seeds",
+             "fig6-moments", "fig6-d"],
     )
     def test_flag_the_method_never_reads_is_usage_error(self, tmp_path, capsys, command, flags,
                                                         message):
-        spec_f, sig_f, out_f = tmp_path / "s.json", tmp_path / "g.json", tmp_path / "e.json"
+        spec_f, sig_f, out = tmp_path / "s.json", tmp_path / "g.json", tmp_path / "out"
         run("synth", "--fig6", "--out", spec_f)
         run("signal", "--spectrum", spec_f, "--n", 16, "--out", sig_f)
         capsys.readouterr()
-        inputs = ["--signal", sig_f] if command == "estimate" else ["--spectrum", spec_f, "--n", 16]
-        rc = run(command, *inputs, *flags, "--out", out_f)
+        inputs = {"estimate": ["--signal", sig_f], "signal": ["--spectrum", spec_f, "--n", 16]}
+        output = ["--outdir", out] if command == "reproduce" else ["--out", out]
+        rc = run(command, *inputs.get(command, []), *flags, *output)
         assert rc == 2
         assert message in capsys.readouterr().err
-        assert not out_f.exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("method", ["ts", "mp"])
     @pytest.mark.parametrize("moments", ["65", "-1", "one", ""])
@@ -526,7 +584,7 @@ class TestReproduce:
 
     def test_fig6_small_configuration(self, tmp_path):
         outdir = tmp_path / "figs"
-        rc = run("reproduce", "fig6", "--outdir", outdir, "--seeds", "7", "--truncation", 64)
+        rc = run("reproduce", "fig6", "--outdir", outdir, "--seed", "7", "--truncation", 64)
         assert rc == 0
         assert (outdir / "fig6_true.csv").exists()
         assert (outdir / "fig6_ts.csv").exists()
@@ -565,25 +623,32 @@ class TestReproduce:
         assert dict(os.environ) == environ
 
     @pytest.mark.parametrize(
-        "flags, message",
+        "figure, flags, message",
         [
-            (["--eps-prime", "nan"], "finite non-negative"),
-            (["--eps-prime", "inf"], "finite non-negative"),
-            (["--eps-prime", "-0.1"], "finite non-negative"),
-            (["--moments=-1"], "moment orders in [0, 64]"),
-            (["--moments=65"], "moment orders in [0, 64]"),
-            (["--moments="], "moment orders in [0, 64]"),
-            (["--seeds=-1,1"], "seeds in [0, inf]"),
-            (["--truncation=1"], "argument --truncation"),
-            (["--truncation=x"], "argument --truncation"),
-            (["--n-trunc=64"], "unrecognized arguments: --n-trunc"),
-            (["--d=0"], "argument --d: expected an integer in [1, inf], got '0'"),
+            pytest.param(figure, flags, message, id=f"{figure}-{name}")
+            for figure in ("fig5", "appc", "fig6")
+            for name, flags, message in [
+                ("eps-prime-nan", ["--eps-prime", "nan"], "finite non-negative"),
+                ("eps-prime-inf", ["--eps-prime", "inf"], "finite non-negative"),
+                ("eps-prime-negative", ["--eps-prime", "-0.1"], "finite non-negative"),
+                ("order-one", ["--truncation=1"], "argument --truncation"),
+                ("not-an-order", ["--truncation=x"], "argument --truncation"),
+                ("n-trunc", ["--n-trunc=64"], "unrecognized arguments: --n-trunc"),
+                *(
+                    [("seed-negative", ["--seed=-1"],
+                      "argument --seed: expected an integer in [0, inf], got '-1'")]
+                    if figure == "fig6" else
+                    [
+                        ("moment-negative", ["--moments=-1"], "moment orders in [0, 64]"),
+                        ("moment-too-high", ["--moments=65"], "moment orders in [0, 64]"),
+                        ("no-moments", ["--moments="], "moment orders in [0, 64]"),
+                        ("seed-negative", ["--seeds=-1,1"], "seeds in [0, inf]"),
+                        ("d-zero", ["--d=0"], "argument --d: expected an integer in [1, inf], got '0'"),
+                    ]
+                ),
+            ]
         ],
-        ids=["eps-prime-nan", "eps-prime-inf", "eps-prime-negative", "moment-negative",
-             "moment-too-high", "no-moments", "seed-negative", "order-one", "not-an-order",
-             "n-trunc", "d-zero"],
     )
-    @pytest.mark.parametrize("figure", ["fig5", "appc", "fig6"])
     def test_bad_flag_fails_before_any_work(self, tmp_path, capsys, monkeypatch, figure, flags,
                                             message):
         def unexpected(*args, **kwargs):
@@ -591,7 +656,7 @@ class TestReproduce:
 
         monkeypatch.setattr("qeep.cli.build_filterbank", unexpected)
         outdir = tmp_path / "figs"
-        rc = run("reproduce", figure, "--outdir", outdir, "--truncation", 64, "--seeds", "1", *flags)
+        rc = run("reproduce", figure, "--outdir", outdir, "--truncation", 64, *flags)
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not outdir.exists()
@@ -797,8 +862,8 @@ class TestConfigFile:
         "command, token, message",
         [
             ("synth", "--frobnicate=1", "unrecognized arguments: --frobnicate=1"),
-            ("synth", "--d=three", "argument --d: invalid int value: 'three'"),
-            ("synth", "--d=3.5", "argument --d: invalid int value: '3.5'"),
+            ("synth", "--d=three", "argument --d: expected an integer in [1, inf], got 'three'"),
+            ("synth", "--d=3.5", "argument --d: expected an integer in [1, inf], got '3.5'"),
             ("reproduce", "--n-trunc=64", "unrecognized arguments: --n-trunc=64"),
             ("synth", None, "No such file or directory"),
         ],
@@ -846,8 +911,7 @@ run("synth", "--fig6")
 run("signal", "--n", "32", "--out", "clean.json")
 run("signal", "--n", "414", "--noise", "0.0005", "--seed", "3")
 run("signal", "--n", "16", "--shots", "100", "--seed", "1", "--out", "shots.json")
-run("signal", "--n", "8", "--shots", "auto", "--eps-prime", "0.5", "--confidence", "0.9",
-    "--out", "auto.json")
+run("signal", "--n", "8", "--plan", "0.5", "0.9", "--out", "auto.json")
 run("plan-shots", "--n", "566", "--eps-prime", "0.005", "--confidence", "0.99")
 run("estimate", "--method", "ts", "--truncation", "strict", "--eps", "0.25")
 run("estimate", "--method", "mp", "--l-dim", "32", "--out", "mp.json")
@@ -1036,17 +1100,35 @@ def test_every_command_runs_without_scipy(tmp_path):
     assert json.loads((tmp_path / "estimate.json").read_text())["n_trunc"] == 414
 
 
+def _option_strings(parser):
+    """Every option string of ``parser`` and of its sub-parsers, at any depth."""
+    for action in parser._actions:
+        yield from action.option_strings
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _option_strings(sub)
+
+
 def test_readme_cli_flags_match_the_parser():
     """The flags the README's CLI section names are exactly the parser's."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
     documented = set(re.findall(r"--[a-z][a-z0-9-]*", section))
-    [commands] = [a for a in _build_parser()._actions
-                  if isinstance(a, argparse._SubParsersAction)]
-    options = {
-        flag
-        for sub in commands.choices.values()
-        for action in sub._actions
-        for flag in action.option_strings
-    } - {"-h", "--help"}
-    assert documented == options
+    assert documented == set(_option_strings(_build_parser())) - {"-h", "--help"}
+
+
+def test_benchmark_workloads_parse():
+    """Every command line the benchmark's workloads run, their untimed inputs
+    included, parses; nothing is run."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    parser = _build_parser()
+    workdir, outdir = Path("work"), Path("out")
+    for workload in workloads.WORKLOADS.values():
+        argvs = []
+        workload.prepare(1, workdir, argvs.append)
+        argvs.append(workload.argv(1, workdir, outdir))
+        for argv in argvs:
+            assert callable(parser.parse_args(argv).func), argv

@@ -87,7 +87,7 @@ CASES = {
         },
     ),
     "reproduce-fig6": (
-        ["reproduce", "fig6", "--outdir", "out", *SMALL],
+        ["reproduce", "fig6", "--outdir", "out", "--truncation", "64", "--seed", "1"],
         {
             "out/fig6_mp.csv": "eb929047e5eff69c267c975b04d50049b83703e512865ab7a69da560bf59775d",
             "out/fig6_summary.json": "0e26f6050e70660f4319dd8753e96ffad4e4d6862e6dd2c4c685af421d6e2113",

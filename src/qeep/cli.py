@@ -458,11 +458,14 @@ def _cmd_reproduce(args) -> int:
 # -------------------------------------------------------------------- parser
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qeep", description=__doc__, fromfile_prefix_chars="@")
+    # allow_abbrev=False everywhere: a prefix of a flag is not that flag.
+    parser = argparse.ArgumentParser(
+        prog="qeep", description=__doc__, fromfile_prefix_chars="@", allow_abbrev=False
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, help):
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.set_defaults(func=func)
         return p
 
@@ -532,7 +535,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ("fig6", pencil, _reproduce_fig6, "true spectrum and both estimates"),
         ("appc", deltas, _reproduce_deltas, "fig5 with the pencil dimension recorded"),
     ]:
-        figures.add_parser(name, parents=[parent], help=help).set_defaults(reproduce=func)
+        figure = figures.add_parser(name, parents=[parent], help=help, allow_abbrev=False)
+        figure.set_defaults(reproduce=func)
     figures.choices["fig6"].add_argument("--seed", type=_seed, default=1)
 
     return parser

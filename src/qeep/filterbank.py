@@ -17,7 +17,9 @@ The filters are smooth, non-negative, supported on
 values ``radial(k)`` for ``k < N`` are all the estimators need; the bin
 phases are applied where the coefficients are used. ``H`` comes from a fixed
 trapezoid rule whose node count follows from the largest frequency requested
-(see :func:`bump_fourier`), and :class:`FilterBank` holds the profile.
+(see :func:`bump_fourier`). On the bank's equispaced grid ``k < N`` the rule
+is one blocked matrix product of two ``O(sqrt(N))``-row exp tables (see
+:func:`build_filterbank`), and :class:`FilterBank` holds the profile.
 
 A filter value is a difference of the bump's CDF at the two ends of the bin
 window, evaluated for every bin and point at once by :func:`filter_values`.
@@ -102,31 +104,50 @@ def _bump_cdf(t: np.ndarray) -> np.ndarray:
     return np.where(t > 0.0, 1.0 - lower, lower)
 
 
+def _trapezoid_rule(kp_max: float) -> tuple[int, np.ndarray]:
+    """Panel count ``n = 2*half`` and interior weights ``h(i/half)``,
+    ``i = 1 .. half-1``, of the trapezoid rule for :func:`bump_fourier` up to
+    the frequency ``kp_max``.
+
+    The bump and all its derivatives vanish at ``x = +-1``, so by Poisson
+    summation the rule's error at ``kp`` is the sum of the aliases
+    ``H(kp + pi*m*n)``, ``m != 0`` (Trefethen & Weideman 2014, SIAM Review
+    56:385). ``n`` is the smallest even count that puts the nearest alias, at
+    ``pi*n - kp_max``, where the decay bound ``|H(w)| <= exp(-sqrt(w))`` (see
+    :func:`decay_onset`) is below double precision rounding.
+    """
+    alias_floor = math.log(1.0 / np.finfo(float).eps) ** 2
+    half = math.ceil((kp_max + alias_floor) / (2.0 * math.pi))
+    return half, bump(np.arange(1, half) / half)
+
+
+def _block(n: int) -> tuple[int, int]:
+    """Block size ``B = ceil(sqrt(n))`` and block count ``A = ceil(n/B)`` that
+    split an index ``k < n`` as ``k = a*B + r``.
+
+    A phase ``exp(i*t*k)`` then factors as ``exp(i*t*a*B) * exp(i*t*r)``, so
+    a trigonometric sum over an equispaced grid of ``n`` points becomes one
+    product of two ``O(sqrt(n))``-row exp tables: the four-step split of
+    Bailey 1990 (J. Supercomputing 4:23).
+    """
+    b = math.isqrt(n - 1) + 1
+    return b, -(-n // b)
+
+
 def bump_fourier(kp):
     """Fourier transform ``H(kp) = (2*pi)**-0.5 * integral h(x) cos(kp*x) dx``.
 
     Real and even because the bump is real and even; ``H(0) = 1/sqrt(2*pi)``.
     Accepts scalars or arrays and evaluates them all with one trapezoid rule
-    on ``[-1, 1]``. The bump and all its derivatives vanish at ``x = +-1``,
-    so by Poisson summation the rule's error at ``kp`` is the sum of the
-    aliases ``H(kp + pi*m*n)``, ``m != 0``, for ``n`` panels (Trefethen &
-    Weideman 2014, SIAM Review 56:385). ``n`` is the smallest even count that
-    puts the nearest alias, at ``pi*n - max|kp|``, where the decay bound
-    ``|H(w)| <= exp(-sqrt(w))`` (see :func:`decay_onset`) is below double
-    precision rounding.
+    on ``[-1, 1]``, whose panel count follows from ``max|kp|`` (see
+    :func:`_trapezoid_rule`). The integrand is even, so the rule takes
+    ``x = 0`` once and each interior node ``i/half`` twice, as one dense
+    product of the cosine table with the weights.
     """
     kps = np.abs(np.asarray(kp, dtype=float))
-    alias_floor = math.log(1.0 / np.finfo(float).eps) ** 2
-    half = math.ceil((float(kps.max()) + alias_floor) / (2.0 * math.pi))
-    # Even integrand: x = 0 once plus twice each interior node i/half, the
-    # phases e^{i*kp*x} advanced by one complex multiply per node.
-    step = np.exp(1j * kps / half)
-    phase = step.copy()
-    total = np.zeros_like(kps)
-    for weight in bump(np.arange(1, half) / half):
-        total += weight * phase.real
-        phase *= step
-    out = (bump(0.0) + 2.0 * total) / (half * SQRT_2PI)
+    half, weights = _trapezoid_rule(float(kps.max()))
+    cosines = np.cos(np.multiply.outer(kps, np.arange(1, half) / half))
+    out = (bump(0.0) + 2.0 * (cosines @ weights)) / (half * SQRT_2PI)
     return float(out) if out.ndim == 0 else out
 
 
@@ -250,6 +271,8 @@ class FilterBank:
 
     def __post_init__(self):
         object.__setattr__(self, "eps", _snap_eps(self.eps))
+        if self.n_trunc < 2:
+            raise ValueError("n_trunc must be at least 2")
         r = np.asarray(self.radial, dtype=float)
         if r.shape != (self.n_trunc,):
             raise ValueError("radial shape must be (n_trunc,)")
@@ -272,9 +295,26 @@ class FilterBank:
 
 
 def build_filterbank(eps: float, n_trunc: int) -> FilterBank:
-    """Tabulate ``radial(k)`` for ``k < n_trunc`` in one trapezoid pass over
-    the bump; rebuilding with the same arguments is bit-identical."""
+    """Tabulate ``radial(k)`` for ``k < n_trunc`` with the trapezoid rule of
+    :func:`bump_fourier` at ``max kp = (n_trunc - 1)*eps/2``.
+
+    The node phases ``kp*i/half = theta*k*i``, ``theta = (eps/2)/half``, lie
+    on an equispaced grid, so with ``k = a*B + r`` (see :func:`_block`) the
+    rule's cosine sums are ``Re(P @ Q)[r, a]`` for ``P[r, i] =
+    exp(i*theta*r*i)`` and ``Q[i, a] = w_i * exp(i*theta*a*B*i)``: one
+    matrix product of two ``O(sqrt(n_trunc))``-row tables. Rebuilding with the
+    same arguments is bit-identical.
+    """
     eps = _snap_eps(eps)
     if n_trunc < 2:
         raise ValueError("n_trunc must be at least 2")
-    return FilterBank(eps=eps, n_trunc=n_trunc, radial=_radial(np.arange(n_trunc), eps))
+    half, weights = _trapezoid_rule((n_trunc - 1) * eps / 2.0)
+    theta = eps / 2.0 / half
+    b, a = _block(n_trunc)
+    nodes = np.arange(1, half)
+    p = np.exp(1j * theta * np.outer(np.arange(b), nodes))
+    q = weights[:, None] * np.exp(1j * theta * np.outer(nodes, b * np.arange(a)))
+    sums = (p @ q).real.T.ravel()[:n_trunc]
+    h = (bump(0.0) + 2.0 * sums) / (half * SQRT_2PI)
+    kp = np.arange(n_trunc) * eps / 2.0
+    return FilterBank(eps=eps, n_trunc=n_trunc, radial=eps * h * np.sinc(kp / math.pi))

@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .filterbank import SQRT_2PI, FilterBank, _bin_count, bin_centers, filter_values
+from .filterbank import SQRT_2PI, FilterBank, _bin_count, _block, bin_centers, filter_values
 from .signal import TimeSeries, generate_clean
 from .spectrum import Spectrum
 
@@ -90,17 +90,21 @@ def _bins_from_values(values: np.ndarray, bank: FilterBank) -> np.ndarray:
     """Shared linear form: the k = 0 term plus twice the real part of the
     positive-k sum (the negative-k half follows from conjugate symmetry).
 
-    The bin phases ``exp(-i*center_j*k)`` are applied by a recurrence over the
-    bins: the terms start at bin 0 and advance to the next bin by one multiply
-    with ``exp(-i*eps*k)``, so memory stays O(N)."""
+    The bin phases are applied as one blocked product. The ``N - 1`` terms
+    ``radial(k) * conj(g_k)`` at ``k - 1 = a*B + r`` (see
+    :func:`~qeep.filterbank._block`) are zero-padded into the table
+    ``C[a, r]``, and the sums are ``((C.T @ V) * E).sum(axis=0)`` with
+    ``V[a, j] = exp(-i*center_j*a*B)`` and ``E[r, j] = exp(-i*center_j*(r+1))``,
+    so memory stays O(N + M*sqrt(N)). The phases come from the bin centers
+    themselves, as in :meth:`FilterBank.row`."""
     n = bank.n_trunc
-    k = np.arange(1, n)
-    terms = bank.radial[1:] * np.conj(values[1:n]) * np.exp(-1j * bank.centers[0] * k)
-    step = np.exp(-1j * bank.eps * k)
-    sums = np.empty(bank.m_bins)
-    for j in range(sums.size):
-        sums[j] = terms.real.sum()
-        terms *= step
+    b, a = _block(n - 1)
+    terms = np.zeros(a * b, dtype=complex)
+    terms[: n - 1] = bank.radial[1:] * np.conj(values[1:n])
+    centers = bank.centers
+    v = np.exp(-1j * np.outer(b * np.arange(a), centers))
+    e = np.exp(-1j * np.outer(np.arange(1, b + 1), centers))
+    sums = ((terms.reshape(a, b).T @ v) * e).real.sum(axis=0)
     return bank.radial[0] / SQRT_2PI + math.sqrt(2.0 / math.pi) * sums
 
 

@@ -492,6 +492,27 @@ class TestEstimate:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    # A prefix of a flag the command takes is not that flag: fig6's --seed is
+    # not fig5's --seeds, --meth is not --method and --out is not --outdir.
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["reproduce", "fig5", "--seed", 3], "unrecognized arguments: --seed 3"),
+            (["estimate", "--signal", "g.json", "--meth", "mp"], "unrecognized arguments: --meth mp"),
+            (["reproduce", "fig5", "--out", "x"], "unrecognized arguments: --out x"),
+        ],
+        ids=["fig5-seed", "estimate-meth", "fig5-out"],
+    )
+    def test_flag_prefix_is_usage_error(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        run("synth", "--fig6", "--out", "s.json")
+        run("signal", "--spectrum", "s.json", "--n", 16, "--out", "g.json")
+        before = set(tmp_path.iterdir())
+        capsys.readouterr()
+        assert run(*argv) == 2
+        assert message in capsys.readouterr().err
+        assert set(tmp_path.iterdir()) == before
+
     @pytest.mark.parametrize("method", ["ts", "mp"])
     @pytest.mark.parametrize("moments", ["65", "-1", "one", ""])
     def test_bad_moments_are_usage_error_for_both_methods(self, tmp_path, capsys, method,
@@ -1049,6 +1070,14 @@ _THREAD_SENSITIVE_RUNS = [
         ["estimate", "--signal", "../../sig.json", "--method", "mp", "--out", "mp.json"],
         {"mp.json"},
     ),
+    # Large enough that the bank's and the bin sums' matrix products cross
+    # OpenBLAS's threading threshold (m*n*k >= 262144): 55 x 209 x 55 and
+    # 55 x 55 x 101.
+    (
+        ["estimate", "--signal", "../../sig3000.json", "--method", "ts", "--eps", "0.01",
+         "--truncation", "3000", "--out", "ts.json", "--csv", "bins.csv"],
+        {"ts.json", "bins.csv"},
+    ),
 ]
 
 
@@ -1060,8 +1089,9 @@ def test_reproduce_outputs_do_not_depend_on_blas_threads(tmp_path):
     unset = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
     spec_f = tmp_path / "spec.json"
     assert run("synth", "--fig6", "--out", spec_f) == 0
-    assert run("signal", "--spectrum", spec_f, "--n", 66, "--noise", 0.005, "--seed", 7,
-               "--out", tmp_path / "sig.json") == 0
+    for n, name in ((66, "sig.json"), (3000, "sig3000.json")):
+        assert run("signal", "--spectrum", spec_f, "--n", n, "--noise", 0.005, "--seed", 7,
+                   "--out", tmp_path / name) == 0
     for i, (argv, names) in enumerate(_THREAD_SENSITIVE_RUNS):
         outputs = []
         for threads in ("1", "2", "unset"):

@@ -8,9 +8,9 @@ bytes of a ``reproduce``, ``synth``, ``signal``, ``estimate`` or
 must say why and record new hashes.
 
 Hashes recorded with Python 3.11.7, numpy 2.4.6 and OpenBLAS 0.3.31
-(scipy-openblas, x86-64). The matrix-pencil and random-draw outputs go
-through numpy's LAPACK and generators, so another numpy or BLAS build may
-change their last digits.
+(scipy-openblas, x86-64). The matrix-pencil, time-series (TS) and
+random-draw outputs go through numpy's BLAS, LAPACK and generators, so
+another numpy or BLAS build may change their last digits.
 
 The matrix-pencil bytes were re-recorded once, when the pencil solve moved from
 ``np.linalg.pinv`` of the wide ``H0`` to the R factor of one QR of the
@@ -25,6 +25,16 @@ curves moved from adaptive quadrature (scipy ``quad``, epsabs 1e-12) to the
 difference of a Gauss-Legendre bump CDF. The values moved by at most 3.7e-12,
 the quadrature's own tolerance, and the unit sum in ``fig4_summary.json``
 became exact.
+
+The TS bytes were re-recorded once, when the filter bank's bump transform and
+the bin sums of ``estimate_bins`` moved from phase recurrences to one blocked
+matrix product each: ``estimate-ts`` (``bins.csv``, ``est.json``),
+``reproduce-fig5`` and ``reproduce-fig5-config`` (``fig5_deltas.csv``,
+``fig5_summary.json``), ``reproduce-appc`` (``appc_delta_table.csv``,
+``appc_summary.json``) and ``reproduce-fig6`` (``fig6_ts.csv``,
+``fig6_summary.json``). Only TS values moved, by at most 1.3e-16 in a bin
+value and 6.7e-14 in a ``delta_ts`` (units of eps); the pencil columns and
+files kept their bytes.
 """
 
 import hashlib
@@ -67,32 +77,32 @@ CASES = {
     "reproduce-fig5": (
         ["reproduce", "fig5", "--outdir", "out", *SMALL],
         {
-            "out/fig5_deltas.csv": "04c0c2b4bcd8124eb78edfbefd18450cc4892e8f1ea511e8711b26e913a95d92",
-            "out/fig5_summary.json": "641f89b5f42dd5a7c86c6ebc54554f5222715d042395d24b9d900aa6c5a1e554",
+            "out/fig5_deltas.csv": "e08e1262936bbc9b190cfbbfd83f23f07b2bec6e9ce01a76b73ba08dc2178ec9",
+            "out/fig5_summary.json": "73f87238b350503a8417ef9923ceb1204c966e1fc85519708bfb3e35fecd3e96",
         },
     ),
     # The same run with its flags read from an argument file writes the same bytes.
     "reproduce-fig5-config": (
         ["reproduce", "fig5", "@cfg.args"],
         {
-            "out/fig5_deltas.csv": "04c0c2b4bcd8124eb78edfbefd18450cc4892e8f1ea511e8711b26e913a95d92",
-            "out/fig5_summary.json": "641f89b5f42dd5a7c86c6ebc54554f5222715d042395d24b9d900aa6c5a1e554",
+            "out/fig5_deltas.csv": "e08e1262936bbc9b190cfbbfd83f23f07b2bec6e9ce01a76b73ba08dc2178ec9",
+            "out/fig5_summary.json": "73f87238b350503a8417ef9923ceb1204c966e1fc85519708bfb3e35fecd3e96",
         },
     ),
     "reproduce-appc": (
         ["reproduce", "appc", "--outdir", "out", *SMALL],
         {
-            "out/appc_delta_table.csv": "04c0c2b4bcd8124eb78edfbefd18450cc4892e8f1ea511e8711b26e913a95d92",
-            "out/appc_summary.json": "e59840dad2d7fd27173c2e50f6f91ab26db07dca2f963a91da1a400d67591e41",
+            "out/appc_delta_table.csv": "e08e1262936bbc9b190cfbbfd83f23f07b2bec6e9ce01a76b73ba08dc2178ec9",
+            "out/appc_summary.json": "fa427b516253a495091e6a280ddc976fd33d34c1aa639a3be2650b7c0c5784a4",
         },
     ),
     "reproduce-fig6": (
         ["reproduce", "fig6", "--outdir", "out", "--truncation", "64", "--seed", "1"],
         {
             "out/fig6_mp.csv": "eb929047e5eff69c267c975b04d50049b83703e512865ab7a69da560bf59775d",
-            "out/fig6_summary.json": "0e26f6050e70660f4319dd8753e96ffad4e4d6862e6dd2c4c685af421d6e2113",
+            "out/fig6_summary.json": "8dfa6721e0fb54967f3bea7d538ec1ec2e462ead0efe5a9281349c38096fd770",
             "out/fig6_true.csv": "81b5e413c34f4b40bbaabe07d3380bdd81742b4941578773b237b8e6f9c7945d",
-            "out/fig6_ts.csv": "f6ef78c0bc59d6ed5979ecacb43ddb638805b890326a3816e5567cab3ffe9c5d",
+            "out/fig6_ts.csv": "cfc6b1035ea5985c4799acd519c16da3dad36d4d82a5d00d65ea6597787c3c64",
         },
     ),
     "synth-fig6": (
@@ -140,8 +150,8 @@ CASES = {
             "--spectrum", "in_spec.json", "--out", "est.json", "--csv", "bins.csv",
         ],
         {
-            "bins.csv": "6cc473f5e9e3ee34ba4b17fe6409fb03676a7a915ee4fb9626ef126b77097d0b",
-            "est.json": "4b1484eab5aa60ebe089030bcf2a66e3ec40c2e8e054aeea6d62a5c165865c32",
+            "bins.csv": "ec9795e763ede61ff9f8fcf01a4508b3bed45d8c9d90d1154e0f2d240162c55e",
+            "est.json": "8cf72dc2556e2eb0e80a514d4d80da79de2f286e9c2892e55467ff46faf67947",
         },
     ),
     "estimate-mp": (

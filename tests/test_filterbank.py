@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
 from qeep import (
+    FilterBank,
     Spectrum,
     TruncationMode,
     bin_centers,
@@ -20,7 +21,7 @@ from qeep import (
     tail_bound,
     truncated_bins,
 )
-from qeep.filterbank import BUMP_NORM, SQRT_2PI, _radial, _snap_eps
+from qeep.filterbank import BUMP_NORM, SQRT_2PI, _radial, _snap_eps, _trapezoid_rule
 
 
 def _bump_scalar(x: float) -> float:
@@ -419,6 +420,9 @@ class TestBuildFilterBank:
             build_filterbank(0.24, 16)
         with pytest.raises(ValueError):
             build_filterbank(0.25, 1)
+        # The bin sums take at least one term k >= 1.
+        with pytest.raises(ValueError, match="at least 2"):
+            FilterBank(eps=0.25, n_trunc=1, radial=[0.1])
 
     def test_appc_dimensions(self, bank_appc):
         assert bank_appc.m_bins == 201
@@ -456,6 +460,58 @@ class TestRadialAgainstQuadrature:
         ks = np.unique(np.linspace(0, bank.n_trunc - 1, 200).astype(int))
         assert ks[-1] * bank.eps / 2.0 == 1000.0
         assert np.max(np.abs(bank.radial[ks] - quad_radial(ks, bank.eps)[1])) <= 1e-12
+
+
+def recurrence_radial(eps: float, n_trunc: int) -> np.ndarray:
+    """``radial(k)`` for ``k < n_trunc`` on the bank's trapezoid rule, with the
+    node phases advanced by one complex multiply per node: the loop the
+    blocked product replaced, kept as the accuracy baseline."""
+    kps = np.arange(n_trunc) * eps / 2.0
+    half, weights = _trapezoid_rule(float(kps[-1]))
+    step = np.exp(1j * kps / half)
+    phase = step.copy()
+    total = np.zeros_like(kps)
+    for weight in weights:
+        total += weight * phase.real
+        phase *= step
+    return eps * (bump(0.0) + 2.0 * total) / (half * SQRT_2PI) * np.sinc(kps / math.pi)
+
+
+def long_double_radial(eps: float, n_trunc: int) -> np.ndarray:
+    """The same rule and weights summed in long double: a reference for the
+    rounding of the double evaluations (80-bit on x86-64)."""
+    ld = np.longdouble
+    half, weights = _trapezoid_rule((n_trunc - 1) * eps / 2.0)
+    kps = np.arange(n_trunc, dtype=ld) * ld(eps) / 2
+    nodes = np.arange(1, half, dtype=ld) / half
+    sums = np.cos(np.multiply.outer(kps, nodes)) @ weights.astype(ld)
+    pi = 4 * np.arctan(ld(1))
+    h = (ld(bump(0.0)) + 2 * sums) / (half * np.sqrt(2 * pi))
+    sinc = np.sin(kps[1:]) / kps[1:]
+    return ld(eps) * h * np.concatenate([[ld(1)], sinc])
+
+
+class TestBlockedTransform:
+    """The bank's blocked product against the dense rule and in long double."""
+
+    # Both evaluate the same rule of about 250 nodes in another order, so they
+    # agree to about sqrt(250) = 16 ulp of the largest value, radial(0).
+    @pytest.mark.parametrize(
+        "eps, n_trunc",
+        [(0.25, 2), (0.25, 3), (0.25, 414), (1 / 205, 482), (0.05, 4469), (0.01, 4000),
+         (0.25, 8001)],
+    )
+    def test_matches_dense_transform(self, eps, n_trunc):
+        radial = build_filterbank(eps, n_trunc).radial
+        dense = _radial(np.arange(n_trunc), eps)
+        assert np.max(np.abs(radial - dense)) <= 16 * np.spacing(radial[0])
+
+    def test_no_less_accurate_than_the_recurrence(self):
+        eps, n_trunc = 0.01, 4000
+        reference = long_double_radial(eps, n_trunc)
+        blocked = np.max(np.abs(build_filterbank(eps, n_trunc).radial - reference))
+        recurrence = np.max(np.abs(recurrence_radial(eps, n_trunc) - reference))
+        assert blocked <= recurrence
 
 
 class TestEpsSnapping:

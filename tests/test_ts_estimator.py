@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -25,8 +26,9 @@ from qeep import (
     truncated_bins,
 )
 from qeep.cli import main
-from qeep.filterbank import SQRT_2PI
+from qeep.filterbank import SQRT_2PI, FilterBank, build_filterbank
 from qeep.signal import Provenance
+from qeep.ts_estimator import _bins_from_values
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -49,6 +51,43 @@ def bin_records(draw):
     eps = draw(st.floats(1.0 - 5e-7, 1.0 + 5e-7)) / inv
     values = draw(st.lists(FINITE, min_size=inv + 1, max_size=inv + 1))
     return values, eps
+
+
+def direct_bins(values: np.ndarray, bank: FilterBank) -> np.ndarray:
+    """The linear form summed term by term, each with its explicit bin phase
+    ``exp(-i*center_j*k)``: the oracle of the blocked product."""
+    k = np.arange(1, bank.n_trunc)
+    terms = bank.radial[1:] * np.conj(values[1 : bank.n_trunc])
+    sums = (terms * np.exp(-1j * np.outer(bank.centers, k))).real.sum(axis=1)
+    return bank.radial[0] / SQRT_2PI + math.sqrt(2.0 / math.pi) * sums
+
+
+def recurrence_bins(values: np.ndarray, bank: FilterBank) -> np.ndarray:
+    """The linear form with the bin phases advanced from bin to bin by one
+    multiply with ``exp(-i*eps*k)``: the loop the blocked product replaced,
+    kept as the accuracy baseline."""
+    n = bank.n_trunc
+    k = np.arange(1, n)
+    terms = bank.radial[1:] * np.conj(values[1:n]) * np.exp(-1j * bank.centers[0] * k)
+    step = np.exp(-1j * bank.eps * k)
+    sums = np.empty(bank.m_bins)
+    for j in range(sums.size):
+        sums[j] = terms.real.sum()
+        terms *= step
+    return bank.radial[0] / SQRT_2PI + math.sqrt(2.0 / math.pi) * sums
+
+
+def long_double_bins(values: np.ndarray, bank: FilterBank) -> np.ndarray:
+    """The linear form of the coefficients ``FilterBank.row`` documents,
+    ``radial(k) * exp(-i*center_j*k)``, summed in long double (80-bit on
+    x86-64): a reference for the rounding of the double evaluations."""
+    ld = np.longdouble
+    n = bank.n_trunc
+    terms = bank.radial[1:].astype(ld) * np.conj(values[1:n]).astype(np.clongdouble)
+    phases = np.multiply.outer(bank.centers.astype(ld), np.arange(1, n, dtype=ld))
+    sums = (terms.real * np.cos(phases) + terms.imag * np.sin(phases)).sum(axis=1)
+    pi = 4 * np.arctan(ld(1))
+    return ld(bank.radial[0]) / np.sqrt(2 * pi) + np.sqrt(2 / pi) * sums
 
 
 def point_mass(lam: float) -> Spectrum:
@@ -175,6 +214,42 @@ class TestEstimateBins:
         ts = generate_clean(fig6_spectrum(), bank_quarter_strict.n_trunc - 1)
         with pytest.raises(ValueError):
             estimate_bins(ts, bank_quarter_strict)
+
+    # The N - 1 terms fill a zero-padded A x B table, B = ceil(sqrt(N - 1)):
+    # N = 2 is one term in a 1 x 1 table, N = 10 fills a 3 x 3 table exactly,
+    # and at N = 12 the 11 terms are no multiple of B = 4, so the last of the
+    # three rows ends in a zero.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        inv=st.integers(1, 40),
+        n_trunc=st.integers(2, 300),
+        extra=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(inv=4, n_trunc=2, extra=0, seed=0)
+    @example(inv=4, n_trunc=10, extra=0, seed=1)
+    @example(inv=40, n_trunc=12, extra=2, seed=2)
+    def test_blocked_sums_match_direct_sum_property(self, inv, n_trunc, extra, seed):
+        rng = np.random.default_rng(seed)
+        bank = FilterBank(eps=1.0 / inv, n_trunc=n_trunc, radial=rng.normal(size=n_trunc))
+        values = rng.normal(size=n_trunc + extra) + 1j * rng.normal(size=n_trunc + extra)
+        blocked = _bins_from_values(values, bank)
+        # Each phase is rounded at a size up to N/2 on both sides.
+        scale = abs(bank.radial[0]) + np.sum(np.abs(bank.radial[1:] * values[1:n_trunc]))
+        tolerance = 4 * n_trunc * np.finfo(float).eps * scale
+        assert np.max(np.abs(blocked - direct_bins(values, bank))) <= tolerance
+
+    def test_no_less_accurate_than_the_recurrence(self):
+        eps, n_trunc = 0.01, 4000
+        bank = build_filterbank(eps, n_trunc)
+        blocked = recurrence = 0.0
+        for seed in (1, 2, 3):
+            clean = generate_clean(random_spectrum(5, seed), n_trunc)
+            values = add_noise(clean, eps / n_trunc, seed).values
+            reference = long_double_bins(values, bank)
+            blocked = max(blocked, np.max(np.abs(_bins_from_values(values, bank) - reference)))
+            recurrence = max(recurrence, np.max(np.abs(recurrence_bins(values, bank) - reference)))
+        assert blocked <= recurrence
 
 
 class TestMoments:

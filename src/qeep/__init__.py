@@ -39,6 +39,7 @@ _EXPORTS = {
     "add_noise": "signal",
     "generate_clean": "signal",
     "hoeffding_shots": "signal",
+    "hoeffding_shots_per_point": "signal",
     "sample_shots": "signal",
     "Spectrum": "spectrum",
     "exact_moment": "spectrum",

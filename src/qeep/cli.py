@@ -9,11 +9,12 @@ so later tokens win; figure flags go after the figure name. Exit codes: 0
 success, 2 usage or validation error, 3 numeric failure or a worker process
 that died.
 
-Matrix-pencil solves run in worker processes with one BLAS thread, so their
-bytes do not depend on the machine. Loaded before numpy, as by ``python -m
-qeep.cli`` or the ``qeep`` script, this module sets the BLAS thread variables
-to one for the life of the process and forks its workers; loaded after numpy,
-it spawns them.
+Every command computes with one BLAS thread, so its bytes do not depend on
+the machine. Loaded before numpy (``python -m qeep.cli``, the ``qeep`` script,
+a program that imports it first), this module pins the BLAS thread variables
+to one for the process, whose ``main`` runs each command and forks the seed
+workers. Loaded after numpy, ``main`` runs the command line in a ``python -m
+qeep.cli`` child instead and passes back its output and exit code.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .signal import (
     add_noise,
     generate_clean,
     hoeffding_shots,
+    hoeffding_shots_per_point,
     sample_shots,
 )
 from .spectrum import Spectrum, exact_moment, fig6_spectrum, random_spectrum
@@ -96,16 +98,16 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _int_list(what: str, top: float = math.inf):
-    """The argparse type of a non-empty comma-separated list of ``what``, each
-    an integer in ``[0, top]``."""
+    """The argparse type of a non-empty comma-separated list of distinct
+    ``what``, each an integer in ``[0, top]``."""
 
     def parse(text: str) -> tuple[int, ...]:
         try:
             values = tuple(int(tok) for tok in text.split(",") if tok.strip())
         except ValueError:
             values = ()
-        if not values or not all(0 <= v <= top for v in values):
-            raise argparse.ArgumentTypeError(f"expected {what} in [0, {top}], got {text!r}")
+        if not values or len(set(values)) < len(values) or min(values) < 0 or max(values) > top:
+            raise argparse.ArgumentTypeError(f"expected distinct {what} in [0, {top}], got {text!r}")
         return values
 
     return parse
@@ -180,8 +182,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_signal(args) -> int:
     spec = _read_record(Spectrum, args.spectrum)
-    planned = hoeffding_shots(args.n, *args.plan) if args.plan else None
-    shots = planned or args.shots
+    shots = hoeffding_shots_per_point(args.n, *args.plan) if args.plan else args.shots
     if shots is not None:
         ts = sample_shots(spec, args.n, shots, args.seed)
     elif args.noise is not None and args.noise > 0:
@@ -189,8 +190,8 @@ def _cmd_signal(args) -> int:
     else:
         ts = generate_clean(spec, args.n)
     payload = ts.to_dict()
-    if planned is not None:
-        payload["planned_shots"] = planned
+    if args.plan:
+        payload["planned_shots"] = hoeffding_shots(args.n, *args.plan)
     out = Path(args.out)
     _write_json(payload, out)
     if args.csv:
@@ -256,10 +257,7 @@ def _cmd_estimate(args) -> int:
     else:
         if spec is not None and args.eps is None:
             raise ValueError("--eps is required to report delta against a spectrum")
-        l_dim = _pencil_dimension(ts.n_len, args.l_dim)
-        # One worker with one BLAS thread, so the bytes do not depend on the
-        # machine, as for the reproductions.
-        [est] = _map_single_blas_thread(functools.partial(mp_estimate, l_dim=l_dim), [ts])
+        est = mp_estimate(ts, _pencil_dimension(ts.n_len, args.l_dim))
         mom, deltas = _moments_and_deltas(
             args.moments, lambda s: mp_moment(est, s), args.eps, spec
         )
@@ -302,31 +300,19 @@ def _map_single_blas_thread(func, items):
     """``[func(item) for item in items]``, each call in a worker of a process
     pool, one worker per item and at most one per usable CPU.
 
-    The workers run with one BLAS thread: a multi-threaded pencil solve sums
-    in another order and moves the last digits of its result, so the outputs
-    would depend on the machine. On Linux, when this module loaded numpy under
-    its one-thread pin, the workers are forked and inherit that BLAS; the
-    process has started no BLAS threads, so it is safe to fork. Otherwise
-    numpy's BLAS may already run several threads, so the workers are spawned
-    and load their own BLAS under the variables set here. A worker that dies
-    raises ``BrokenExecutor`` instead of leaving its item waiting forever.
+    ``main`` calls this only in a process whose BLAS this module pinned to one
+    thread, so the workers compute with one thread too. On Linux they are
+    forked, which is safe as the pinned BLAS started no threads; elsewhere
+    they start the platform's default way, under the pinned variables. A worker
+    that dies raises ``BrokenExecutor`` instead of leaving its item waiting.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(len(items), cpus or 1)
-    fork = _NUMPY_LOADED_PINNED and sys.platform == "linux"
-    context = multiprocessing.get_context("fork" if fork else "spawn")
-    saved = {name: os.environ[name] for name in _BLAS_THREAD_VARS if name in os.environ}
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-    try:
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            return list(pool.map(func, items))
-    finally:
-        for name in _BLAS_THREAD_VARS:
-            os.environ.pop(name, None)
-        os.environ.update(saved)
+    context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
+    with ProcessPoolExecutor(min(len(items), cpus or 1), mp_context=context) as pool:
+        return list(pool.map(func, items))
 
 
 def _map_seeds(func, args, seeds):
@@ -483,7 +469,8 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--noise", type=_magnitude, help="additive noise magnitude bound")
     source.add_argument("--shots", type=_shots, help="shots per point")
     source.add_argument(
-        "--plan", nargs=2, type=float, metavar=("EPS_PRIME", "CONFIDENCE"), help="plan-shots' count"
+        "--plan", nargs=2, type=float, metavar=("EPS_PRIME", "CONFIDENCE"),
+        help="Hoeffding's shots per point for EPS_PRIME at CONFIDENCE",
     )
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="signal.json")
@@ -542,7 +529,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _main_in_child(argv) -> int:
+    """``main(argv)`` in a ``python -m qeep.cli`` child with the BLAS thread
+    variables at one, which runs it in-process as ``__main__``. Its output is
+    written here and its exit code returned, 3 if a signal killed it; this
+    process's environment is not changed."""
+    import subprocess
+
+    path = [str(Path(__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, **dict.fromkeys(_BLAS_THREAD_VARS, "1")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+    command = [sys.executable, "-m", "qeep.cli", *argv]
+    proc = subprocess.run(command, env=env, capture_output=True, text=True)
+    sys.stdout.write(proc.stdout)
+    sys.stderr.write(proc.stderr)
+    if proc.returncode < 0:
+        print(f"worker failure: the CLI process died of signal {-proc.returncode}", file=sys.stderr)
+    return 3 if proc.returncode < 0 else proc.returncode
+
+
 def main(argv=None) -> int:
+    if not _NUMPY_LOADED_PINNED and __name__ != "__main__":
+        return _main_in_child(sys.argv[1:] if argv is None else argv)
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)

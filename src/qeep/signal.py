@@ -205,18 +205,43 @@ def sample_shots(spec: Spectrum, n_len: int, shots_per_point: int, seed: int) ->
 
 
 def hoeffding_shots(n_len: int, eps_prime: float, confidence: float) -> int:
-    """Number of +/-1 samples sufficient to estimate all ``n_len`` signal
+    """Total number of +/-1 samples sufficient to estimate all ``n_len`` signal
     entries within ``eps_prime`` at overall confidence ``confidence``:
     ``ceil((2*n_len/eps_prime**2) * ln(2*n_len/(1-confidence)))``; a count that
-    is not finite raises ``ValueError``.
+    is not finite raises ``ValueError``. :func:`sample_shots` takes the count
+    of :func:`hoeffding_shots_per_point`.
     """
+    return _hoeffding_count(n_len, eps_prime, confidence, 2.0 * n_len, 2.0 * n_len)
+
+
+def hoeffding_shots_per_point(n_len: int, eps_prime: float, confidence: float) -> int:
+    """Shots per quadrature and time that keep every entry :func:`sample_shots`
+    draws within ``eps_prime`` of ``g_k`` at overall confidence ``confidence``:
+    ``ceil((4/eps_prime**2) * ln(4*(n_len-1)/(1-confidence)))``, and 1, the
+    least count, for ``n_len = 1``, which samples nothing.
+
+    A quadrature is the mean of ``R`` outcomes in ``[-1, 1]``, so by Hoeffding's
+    inequality it misses by ``t`` or more with probability at most
+    ``2*exp(-R*t**2/2)``. Both quadratures within ``t = eps_prime/sqrt(2)`` keep
+    ``g_k`` within ``eps_prime``, and a union over the ``2*(n_len-1)`` sampled
+    quadratures (``g_0`` is pinned) fails with probability at most
+    ``4*(n_len-1)*exp(-R*eps_prime**2/4)``: ``1-confidence`` at the ``R`` above.
+    """
+    return _hoeffding_count(n_len, eps_prime, confidence, 4.0, 4.0 * (n_len - 1))
+
+
+def _hoeffding_count(n_len, eps_prime, confidence, scale: float, union: float) -> int:
+    """``ceil((scale/eps_prime**2) * ln(union/(1-confidence)))``, or 1 for a
+    ``union`` of 0, once the arguments are checked."""
     if n_len < 1:
         raise ValueError("n_len must be a positive integer")
     if not 0.0 < eps_prime < math.inf:
         raise ValueError(f"eps_prime must be positive and finite, got {eps_prime!r}")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie strictly between 0 and 1")
+    if union == 0:
+        return 1
     try:
-        return math.ceil((2.0 * n_len / eps_prime**2) * math.log(2.0 * n_len / (1.0 - confidence)))
+        return math.ceil((scale / eps_prime**2) * math.log(union / (1.0 - confidence)))
     except (ZeroDivisionError, OverflowError):
         raise ValueError(f"no finite shot count: n_len={n_len}, eps_prime={eps_prime!r}") from None

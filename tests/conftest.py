@@ -1,3 +1,4 @@
+import qeep.cli  # noqa: F401  (first, so numpy loads under the CLI's one-BLAS-thread pin)
 import pytest
 
 from qeep import TruncationMode, build_filterbank, choose_truncation

@@ -30,8 +30,10 @@ from qeep import (
     filter_values,
     generate_clean,
     hoeffding_shots,
+    hoeffding_shots_per_point,
     mp_estimate,
     random_spectrum,
+    sample_shots,
     truncated_bins,
 )
 from qeep.cli import main
@@ -289,6 +291,33 @@ def test_c11_shot_planner():
     shots = hoeffding_shots(566, 0.005, 0.99)
     assert 5.2e8 <= shots <= 5.3e8
     _report("C11", "shot-planner", f"R={shots}")
+
+
+def test_c11_planned_shots_per_point_meet_c10(bank_appc):
+    # fig5's configuration (eps = eps' = 0.005, N = 566, seeds 1..5), with the
+    # noise replaced by shots at the per-point count ``signal --plan`` samples.
+    eps, n_len = bank_appc.eps, bank_appc.n_trunc
+    shots = hoeffding_shots_per_point(n_len, eps, 0.99)
+    assert shots == 1_972_527
+    assert hoeffding_shots(n_len, eps, 0.99) == 526_919_351
+    worst_entry = worst_moment = 0.0
+    for seed in range(1, 6):
+        spec = random_spectrum(5, seed)
+        signal = sample_shots(spec, n_len, shots, seed)
+        entry = float(np.max(np.abs(signal.values - generate_clean(spec, n_len).values)))
+        assert entry <= eps
+        worst_entry = max(worst_entry, entry / eps)
+        q = estimate_bins(signal, bank_appc)
+        for s in (1, 2, 4):
+            bound = eps * (2.0**-s + s * 2.0 ** -(s - 1))
+            err = abs(estimate_moment(q, s) - exact_moment(spec, s))
+            assert err <= bound
+            worst_moment = max(worst_moment, err / bound)
+    _report(
+        "C11",
+        "planned-shots-per-point",
+        f"{shots} per point, worst entry/eps'={worst_entry:.2f}, worst err/bound={worst_moment:.3f}",
+    )
 
 
 def test_c12_dft_leakage():

@@ -19,9 +19,17 @@ from qeep import (
     TimeSeries,
     build_filterbank,
     fig6_spectrum,
+    hoeffding_shots,
+    hoeffding_shots_per_point,
     truncated_bins,
 )
-from qeep.cli import _BLAS_THREAD_VARS, _build_parser, _map_single_blas_thread, main
+from qeep.cli import (
+    _BLAS_THREAD_VARS,
+    _build_parser,
+    _main_in_child,
+    _map_single_blas_thread,
+    main,
+)
 
 
 def run(*argv) -> int:
@@ -79,6 +87,7 @@ class TestSignal:
         assert b.provenance.kind == "additive_noise"
 
     def test_auto_shots_records_plan(self, tmp_path):
+        # The signal samples the per-point count and records C11's total beside it.
         spec = tmp_path / "spec.json"
         sig = tmp_path / "sig.json"
         run("synth", "--fig6", "--out", spec)
@@ -91,9 +100,11 @@ class TestSignal:
             == 0
         )
         payload = json.loads(sig.read_text())
-        assert payload["planned_shots"] >= 1
+        assert payload["n_len"] == 8
+        assert payload["planned_shots"] == hoeffding_shots(8, 0.5, 0.9) == 325
         assert payload["provenance"]["kind"] == "shot_sampled"
-        assert payload["provenance"]["shots_per_point"] == payload["planned_shots"]
+        assert payload["provenance"]["shots_per_point"] == hoeffding_shots_per_point(8, 0.5, 0.9)
+        assert payload["provenance"]["shots_per_point"] == 91
 
     @pytest.mark.parametrize("noise", ["-0.5", "nan", "inf"])
     def test_bad_noise_magnitude_is_usage_error(self, tmp_path, capsys, noise):
@@ -120,7 +131,8 @@ class TestSignal:
             (["--shots", 1.5], "argument --shots: expected an integer in "
              "[1, 9223372036854775807], got '1.5'"),
             (["--plan", 1e-9, 0.9],
-             "error: shots_per_point must lie in [1, 9223372036854775807], got 8"),
+             "error: shots_per_point must lie in [1, 9223372036854775807], "
+             "got 22539158412676997120"),
         ],
         ids=["above-c-long", "not-an-integer", "auto-above-c-long"],
     )
@@ -412,9 +424,9 @@ class TestEstimate:
         run("signal", "--spectrum", spec_f, "--n", n_len, "--out", sig_f)
 
         def unexpected(*args, **kwargs):
-            raise AssertionError("the worker was started before the usage check")
+            raise AssertionError("the pencil was solved before the usage check")
 
-        monkeypatch.setattr("qeep.cli._map_single_blas_thread", unexpected)
+        monkeypatch.setattr("qeep.cli.mp_estimate", unexpected)
         capsys.readouterr()
         flags = [] if l_dim is None else ["--l-dim", l_dim]
         rc = run("estimate", "--signal", sig_f, "--method", "mp", *flags, "--out", out_f)
@@ -514,7 +526,7 @@ class TestEstimate:
         assert set(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("method", ["ts", "mp"])
-    @pytest.mark.parametrize("moments", ["65", "-1", "one", ""])
+    @pytest.mark.parametrize("moments", ["65", "-1", "one", "", "2,2"])
     def test_bad_moments_are_usage_error_for_both_methods(self, tmp_path, capsys, method,
                                                           moments):
         spec_f, sig_f, out_f = tmp_path / "s.json", tmp_path / "g.json", tmp_path / "e.json"
@@ -545,9 +557,8 @@ class TestEstimate:
         assert not out_f.exists()
 
     def test_numeric_failure_maps_to_exit_3(self, tmp_path, capsys):
-        # The pencil is solved in a spawned worker, so the failure comes from
-        # the data there: a finite entry near the largest double overflows the
-        # QR, and the SVD of its R factor does not converge.
+        # The failure comes from the data: a finite entry near the largest
+        # double overflows the QR, and the SVD of its R factor does not converge.
         spec_f, sig_f = tmp_path / "s.json", tmp_path / "g.json"
         run("synth", "--fig6", "--out", spec_f)
         run("signal", "--spectrum", spec_f, "--n", 16, "--out", sig_f)
@@ -664,6 +675,9 @@ class TestReproduce:
                         ("moment-too-high", ["--moments=65"], "moment orders in [0, 64]"),
                         ("no-moments", ["--moments="], "moment orders in [0, 64]"),
                         ("seed-negative", ["--seeds=-1,1"], "seeds in [0, inf]"),
+                        ("seed-repeated", ["--seeds=1,2,1"], "distinct seeds in [0, inf]"),
+                        ("moment-repeated", ["--moments=1,1"],
+                         "distinct moment orders in [0, 64], got '1,1'"),
                         ("d-zero", ["--d=0"], "argument --d: expected an integer in [1, inf], got '0'"),
                     ]
                 ),
@@ -694,50 +708,29 @@ class TestReproduce:
             assert alone == [header] + [r for r in rows if r.startswith(f"{seed},")]
 
     def test_error_in_a_worker_keeps_its_exit_code(self):
-        # A ValueError raised in a spawned worker reaches the caller as itself,
+        # A ValueError raised in a worker reaches the caller as itself,
         # so ``main`` maps it to exit code 2 and not to a worker failure.
         with pytest.raises(ValueError, match="invalid literal for int"):
             _map_single_blas_thread(int, ["1", "x"])
 
     def test_pool_has_at_most_one_worker_per_usable_cpu(self, monkeypatch):
         import concurrent.futures
+        import multiprocessing
 
         sizes = []
 
         class Recording(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers, **kwargs)
+            def __init__(self, max_workers, mp_context):
+                sizes.append((max_workers, mp_context.get_start_method()))
+                super().__init__(max_workers, mp_context=mp_context)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert _map_single_blas_thread(abs, [-1, -2, -3]) == [1, 2, 3]
-        assert sizes == [1]
-
-    def test_pool_spawns_when_numpy_was_loaded_first(self, monkeypatch):
-        # The test modules import numpy before qeep.cli, so this process's
-        # BLAS may run several threads and must not be forked.
-        import concurrent.futures
-
-        methods = []
-
-        class Recording(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, mp_context):
-                methods.append(mp_context.get_start_method())
-                super().__init__(max_workers, mp_context=mp_context)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-        assert _map_single_blas_thread(abs, [-1]) == [1]
-        assert methods == ["spawn"]
-
-    def test_blas_thread_variables_are_restored(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-        environ = dict(os.environ)
-        assert run("reproduce", "appc", "--outdir", tmp_path, "--truncation", 64, "--seeds", "1") == 0
-        assert dict(os.environ) == environ
+        # One start method: fork on Linux, the platform's default elsewhere.
+        method = "fork" if sys.platform == "linux" else multiprocessing.get_start_method()
+        assert sizes == [(1, method)]
 
 
 @st.composite
@@ -755,7 +748,7 @@ def synth_signal_estimate_flags(draw):
         signal += ["--noise", draw(st.floats(0.0, 0.1))]
     elif source == "shots":
         signal += ["--shots", draw(st.integers(1, 100))]
-    moments = draw(st.lists(st.integers(0, 64), min_size=1, max_size=4))
+    moments = draw(st.lists(st.integers(0, 64), min_size=1, max_size=4, unique=True))
     estimate = [
         "--eps", draw(st.sampled_from([1.0, 0.5, 0.25, 0.2, 0.1])),
         "--moments", ",".join(map(str, moments)),
@@ -902,8 +895,8 @@ class TestConfigFile:
 
 # The test modules import scipy themselves, so the numpy-only check runs in a
 # fresh interpreter. This module goes on its path as ``sitecustomize``, so every
-# interpreter of the run, the spawned workers of ``reproduce`` included,
-# installs the blocker at start-up, before anything imports qeep.
+# interpreter of the run installs the blocker at start-up, before anything
+# imports qeep.
 _BLOCK_SCIPY = """
 import sys
 
@@ -948,7 +941,7 @@ print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("
 """
 
 
-# Replaces every pool task with one that kills its worker.
+# Replaces every pool task with one that kills its forked worker.
 _DEAD_WORKER_RUN = """
 import os
 import sys
@@ -1022,12 +1015,13 @@ print(json.dumps({"methods": methods, "before": before, "workers": workers, "env
 """
 
 
-def _fresh_interpreter(script, cwd, blas_env):
-    """Runs ``script`` under ``blas_env`` in place of the three BLAS variables."""
+def _fresh_interpreter(script, cwd, blas_env, *args):
+    """Runs ``script`` with ``args`` under ``blas_env`` in place of the three
+    BLAS variables."""
     src = str(Path(qeep.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
     return subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-c", script, *args],
         cwd=cwd,
         env={**env, **blas_env, "PYTHONPATH": src},
         capture_output=True,
@@ -1054,9 +1048,12 @@ def test_cli_loaded_before_numpy_forks_a_single_threaded_process(tmp_path):
 
 
 # The smallest N at which each run's bytes moved with the BLAS thread count
-# when its pencils ran in the calling process (OpenBLAS 0.3.31), and the files
-# it writes into its directory. ``estimate`` reads the 66-entry noisy signal the
-# test writes first.
+# when it computed with several threads (OpenBLAS 0.3.31), and the files it
+# writes into its directory. ``estimate`` reads the noisy signals that
+# ``cli_outputs_at_one_thread`` writes first. Every command computes in a
+# process that loaded numpy under the CLI's one-thread pin, its forked seed
+# workers included; a program that loaded numpy first gets such a process as
+# a child of ``main``.
 _THREAD_SENSITIVE_RUNS = [
     (
         ["reproduce", "fig5", "--truncation", "66", "--seeds", "1,2", "--outdir", "."],
@@ -1081,35 +1078,128 @@ _THREAD_SENSITIVE_RUNS = [
 ]
 
 
-def test_reproduce_outputs_do_not_depend_on_blas_threads(tmp_path):
-    # With the variables unset, the CLI's own pin decides the thread count.
-    # Python 3.12+ warns when a multi-threaded process forks, so the runs turn
-    # that warning into an error.
+def _run_dirs(root, label):
+    """One new directory per run of ``_THREAD_SENSITIVE_RUNS``, named for ``label``."""
+    dirs = [root / f"run{i}" / label for i in range(len(_THREAD_SENSITIVE_RUNS))]
+    for d in dirs:
+        d.mkdir(parents=True)
+    return dirs
+
+
+def _outputs(dirs):
+    return [{p.name: p.read_bytes() for p in d.iterdir()} for d in dirs]
+
+
+def _cli_outputs(root, label, blas):
+    """Runs each of ``_THREAD_SENSITIVE_RUNS`` as ``python -m qeep.cli`` with
+    ``blas`` in place of the three BLAS variables and returns what each wrote.
+    Python 3.12+ warns when a multi-threaded process forks, so the runs turn
+    that warning into an error."""
     src = str(Path(qeep.__file__).resolve().parents[1])
     unset = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
-    spec_f = tmp_path / "spec.json"
+    dirs = _run_dirs(root, label)
+    for (argv, _), outdir in zip(_THREAD_SENSITIVE_RUNS, dirs):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::DeprecationWarning", "-m", "qeep.cli", *argv],
+            cwd=outdir,
+            env={**unset, **blas, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+    return _outputs(dirs)
+
+
+@pytest.fixture(scope="module")
+def cli_outputs_at_one_thread(tmp_path_factory):
+    """The inputs of ``_THREAD_SENSITIVE_RUNS``, and the files each run writes
+    as ``python -m qeep.cli`` with the BLAS variables at 1."""
+    root = tmp_path_factory.mktemp("blas")
+    spec_f = root / "spec.json"
     assert run("synth", "--fig6", "--out", spec_f) == 0
     for n, name in ((66, "sig.json"), (3000, "sig3000.json")):
         assert run("signal", "--spectrum", spec_f, "--n", n, "--noise", 0.005, "--seed", 7,
-                   "--out", tmp_path / name) == 0
-    for i, (argv, names) in enumerate(_THREAD_SENSITIVE_RUNS):
-        outputs = []
-        for threads in ("1", "2", "unset"):
-            outdir = tmp_path / f"run{i}" / f"threads{threads}"
-            outdir.mkdir(parents=True)
-            blas = {} if threads == "unset" else dict.fromkeys(_BLAS_THREAD_VARS, threads)
-            proc = subprocess.run(
-                [sys.executable, "-W", "error::DeprecationWarning", "-m", "qeep.cli", *argv],
-                cwd=outdir,
-                env={**unset, **blas, "PYTHONPATH": src},
-                capture_output=True,
-                text=True,
-                timeout=120,
-            )
-            assert proc.returncode == 0, proc.stderr
-            outputs.append({p.name: p.read_bytes() for p in outdir.iterdir()})
-        assert set(outputs[0]) == names
-        assert outputs[0] == outputs[1] == outputs[2], argv
+                   "--out", root / name) == 0
+    outputs = _cli_outputs(root, "threads1", dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    for output, (argv, names) in zip(outputs, _THREAD_SENSITIVE_RUNS):
+        assert set(output) == names, argv
+    return root, outputs
+
+
+def test_reproduce_outputs_do_not_depend_on_blas_threads(cli_outputs_at_one_thread):
+    # With the variables unset, the CLI's own pin decides the thread count.
+    root, expected = cli_outputs_at_one_thread
+    for threads in ("2", "unset"):
+        blas = {} if threads == "unset" else dict.fromkeys(_BLAS_THREAD_VARS, threads)
+        assert _cli_outputs(root, f"threads{threads}", blas) == expected, threads
+
+
+# A program that loads numpy before qeep.cli, with two BLAS threads, and calls
+# ``main`` in each directory it is given; then a usage error and ``plan-shots``
+# with its own stdout and stderr redirected. The report is the last line.
+_LIBRARY_RUN = """
+import numpy  # before qeep.cli, so the CLI cannot pin this process's BLAS
+
+import contextlib
+import io
+import json
+import os
+import sys
+
+from qeep import cli
+
+assert not cli._NUMPY_LOADED_PINNED
+environ = dict(os.environ)
+runs = json.loads(sys.argv[1])
+codes = []
+for cwd, argv in runs:
+    os.chdir(cwd)
+    codes.append(cli.main(argv))
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    usage = cli.main(["estimate", "--signal", "missing.json", "--eps", "0.5"])
+    plan = cli.main(["plan-shots", "--n", "566", "--eps-prime", "0.005", "--confidence", "0.99"])
+print(json.dumps({
+    "codes": codes, "usage": usage, "plan": plan, "stdout": out.getvalue(),
+    "stderr": err.getvalue(), "environ_kept": dict(os.environ) == environ,
+}))
+"""
+
+
+def test_library_call_of_main_runs_as_the_cli(cli_outputs_at_one_thread):
+    root, expected = cli_outputs_at_one_thread
+    dirs = _run_dirs(root, "library")
+    runs = [[str(d), argv] for (argv, _), d in zip(_THREAD_SENSITIVE_RUNS, dirs)]
+    proc = _fresh_interpreter(
+        _LIBRARY_RUN, root, {"OPENBLAS_NUM_THREADS": "2"}, json.dumps(runs)
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["codes"] == [0] * len(runs)
+    assert _outputs(dirs) == expected
+    assert report["environ_kept"]
+    assert report["usage"] == 2
+    assert report["stderr"].startswith("error: ") and report["stderr"].count("\n") == 1
+    assert report["plan"] == 0
+    assert json.loads(report["stdout"]) == {
+        "confidence": 0.99, "eps_prime": 0.005, "n_len": 566, "shots": 526919351
+    }
+
+
+def test_child_killed_by_a_signal_is_exit_3(monkeypatch, capsys):
+    monkeypatch.setattr(
+        subprocess, "run", lambda argv, **kwargs: subprocess.CompletedProcess(argv, -9, "", "")
+    )
+    assert _main_in_child(["reproduce", "fig3"]) == 3
+    assert capsys.readouterr().err == "worker failure: the CLI process died of signal 9\n"
+
+
+def test_test_process_loaded_numpy_under_the_pin():
+    # tests/conftest.py imports qeep.cli before anything loads numpy. A plugin
+    # that loaded numpy first would make every in-process ``main`` call of the
+    # suite start a child process instead.
+    assert qeep.cli._NUMPY_LOADED_PINNED
 
 
 def test_every_command_runs_without_scipy(tmp_path):

@@ -14,6 +14,7 @@ from qeep import (
     fig6_spectrum,
     generate_clean,
     hoeffding_shots,
+    hoeffding_shots_per_point,
     random_spectrum,
     sample_shots,
 )
@@ -284,6 +285,40 @@ class TestHoeffdingShots:
     def test_count_that_is_not_finite_rejected(self, eps_prime):
         with pytest.raises(ValueError, match="no finite shot count"):
             hoeffding_shots(10, eps_prime, 0.9)
+
+
+class TestHoeffdingShotsPerPoint:
+    def test_reference_value(self):
+        # ceil((4 / 0.005**2) * ln(4 * 565 / 0.01)), 267x below C11's total.
+        assert hoeffding_shots_per_point(566, 0.005, 0.99) == 1_972_527
+
+    def test_small_case_formula(self):
+        # ceil(4 * ln(4 * 1 / 0.5)) = ceil(8.32) = 9
+        assert hoeffding_shots_per_point(2, 1.0, 0.5) == 9
+
+    def test_one_entry_signal_samples_the_least_count(self):
+        assert hoeffding_shots_per_point(1, 0.01, 0.9) == 1
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0, 0.01, 0.9), "n_len must be a positive integer"),
+            ((1, 0.0, 0.9), "eps_prime must be positive and finite"),
+            ((1, math.nan, 0.9), "eps_prime must be positive and finite"),
+            ((10, 0.01, 1.0), "confidence must lie strictly between 0 and 1"),
+            ((10, 1e-200, 0.9), "no finite shot count"),
+        ],
+    )
+    def test_invalid_arguments_rejected(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            hoeffding_shots_per_point(*args)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_every_entry_within_eps_prime(self, seed):
+        spec = random_spectrum(3, seed)
+        shots = hoeffding_shots_per_point(64, 0.1, 0.9)
+        error = sample_shots(spec, 64, shots, seed).values - generate_clean(spec, 64).values
+        assert np.max(np.abs(error)) <= 0.1
 
 
 def test_csv_export_columns_and_determinism(tmp_path):

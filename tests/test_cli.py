@@ -732,6 +732,50 @@ class TestReproduce:
         method = "fork" if sys.platform == "linux" else multiprocessing.get_start_method()
         assert sizes == [(1, method)]
 
+    def test_pool_spawns_when_numpy_was_loaded_first(self, tmp_path, monkeypatch):
+        # A caller that loaded numpy before qeep.cli gets a freshly started
+        # ``python -m qeep.cli`` process with the BLAS variables at one; no
+        # pool is forked from the caller, and the bytes are the in-process ones.
+        import concurrent.futures
+
+        argv = ["reproduce", "appc", "--truncation", 64, "--seeds", "1"]
+        assert run(*argv, "--outdir", tmp_path / "here") == 0
+
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a pool started in the caller's process")
+
+        children = []
+        real_run = subprocess.run
+
+        def recording_run(command, **kwargs):
+            children.append((command, kwargs["env"]))
+            return real_run(command, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(subprocess, "run", recording_run)
+        monkeypatch.setattr("qeep.cli._NUMPY_LOADED_PINNED", False)
+        assert run(*argv, "--outdir", tmp_path / "child") == 0
+        [(command, env)] = children
+        assert command[:3] == [sys.executable, "-m", "qeep.cli"]
+        assert all(env[name] == "1" for name in _BLAS_THREAD_VARS)
+        here, child = (
+            {p.name: p.read_bytes() for p in (tmp_path / side).iterdir()} for side in ("here", "child")
+        )
+        assert child == here and here
+
+    def test_blas_thread_variables_are_restored(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        environ = dict(os.environ)
+        assert run("reproduce", "appc", "--outdir", tmp_path, "--truncation", 64, "--seeds", "1") == 0
+        assert dict(os.environ) == environ
+        # The child path sets the variables for the child only.
+        monkeypatch.setattr("qeep.cli._NUMPY_LOADED_PINNED", False)
+        assert run("reproduce", "appc", "--outdir", tmp_path, "--truncation", 64, "--seeds", "1") == 0
+        assert dict(os.environ) == environ
+
 
 @st.composite
 def synth_signal_estimate_flags(draw):

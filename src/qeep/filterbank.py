@@ -228,12 +228,15 @@ class TruncationMode(Enum):
 def choose_truncation(eps: float, mode: TruncationMode = TruncationMode.EMPIRICAL) -> int:
     """Truncation order N for the coefficient table.
 
-    EMPIRICAL uses ``ceil(ln(M)**2 * M / 10)``, the prefactor observed to be
-    sufficient for moment estimation at desk scale (eps = 0.005 gives 566),
-    and at least 2, the smallest order a bank takes.
+    EMPIRICAL uses ``ceil(ln(M)**2 * M / 10)`` (eps = 0.005 gives 566), and
+    at least 2, the smallest order a bank takes. It carries no guarantee: its
+    moment errors met the bound ``eps * (T_max + T'_max)`` on the reference
+    experiment's seeds, but not on every spectrum (at eps = 0.005 the clean
+    first moment of ``random_spectrum(5, 9102)`` misses it by 1.31x).
     STRICT bisects :func:`tail_bound` down to ``eps / (2*M)``, the level at
     which the L1 distance between truncated and exact bin probabilities is
-    provably at most ``eps/2`` (eps = 0.005 gives about 9.6e4).
+    provably at most ``eps/2`` (eps = 0.005 gives about 9.6e4); only there is
+    the moment bound guaranteed.
     """
     m = _bin_count(eps)
     if mode is TruncationMode.EMPIRICAL:

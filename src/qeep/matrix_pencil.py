@@ -39,13 +39,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import _records
 from .errors import NumericError
-from .signal import TimeSeries, _complex_from_parts
+from .signal import TimeSeries
 
 # Relative singular-value cutoff for all pseudoinverse solves. The noiseless
 # Hankel matrix has rank D << L, so a cutoff is mandatory.
@@ -101,13 +103,26 @@ class MpEstimate:
     @classmethod
     def from_dict(cls, data: dict) -> "MpEstimate":
         return cls(
-            eigenphases=np.asarray(data["eigenphases"], dtype=float),
+            eigenphases=_records.numbers(data["eigenphases"], "eigenphases"),
             amplitudes=_complex_from_parts(data, "amplitudes"),
-            moduli=np.asarray(data["moduli"], dtype=float),
-            l_dim=int(data["l_dim"]),
-            residual=float(data["residual"]),
+            moduli=_records.numbers(data["moduli"], "moduli"),
+            l_dim=_records.number(data["l_dim"], "l_dim", Integral),
+            residual=float(_records.number(data["residual"], "residual")),
             filters=data.get("filters"),
         )
+
+
+def _complex_from_parts(data: dict, name: str) -> np.ndarray:
+    """The complex array a JSON record stores as the number lists ``{name}_re``
+    and ``{name}_im``, which must have the same length."""
+    re = _records.numbers(data[f"{name}_re"], f"{name}_re")
+    im = _records.numbers(data[f"{name}_im"], f"{name}_im")
+    if re.shape != im.shape:
+        raise ValueError(f"{name}_re and {name}_im must have the same length")
+    # Part by part: re + 1j * im would turn an imaginary -0.0 into 0.0.
+    values = re.astype(complex)
+    values.imag = im
+    return values
 
 
 class AmplitudeFit(NamedTuple):

@@ -10,12 +10,14 @@ All stochastic operations are pure functions of their seed.
 
 from __future__ import annotations
 
+import base64
 import math
 from dataclasses import dataclass
 from numbers import Integral, Real
 
 import numpy as np
 
+from . import _records
 from .spectrum import Spectrum
 
 CLEAN = "clean"
@@ -33,7 +35,7 @@ _KIND_FIELDS = {
     SHOT_SAMPLED: ("shots_per_point", "seed"),
 }
 # The optional fields in record order, each with its number type and least
-# value; a bool is no number here.
+# value.
 _FIELD_RULES = {"eps_prime": (Real, 0), "seed": (Integral, 0), "shots_per_point": (Integral, 1)}
 
 
@@ -59,14 +61,8 @@ class Provenance:
             if given != (name in _KIND_FIELDS[self.kind]):
                 verb = "cannot carry" if given else "needs"
                 raise ValueError(f"{self.kind} provenance {verb} {name}")
-            if given and (
-                isinstance(value, bool)
-                or not isinstance(value, number)
-                or not least <= value < math.inf
-            ):
-                raise ValueError(
-                    f"{name} must be a finite {number.__name__} number >= {least}, got {value!r}"
-                )
+            if given and not least <= _records.number(value, name, number) < math.inf:
+                raise ValueError(f"{name} must be finite and >= {least}, got {value!r}")
 
     @classmethod
     def clean(cls) -> "Provenance":
@@ -89,6 +85,11 @@ class Provenance:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Provenance":
+        if not isinstance(data, dict):
+            raise ValueError(f"provenance must be a JSON object, got {data!r:.40}")
+        unknown = sorted(set(data) - {"kind", *_FIELD_RULES})
+        if unknown:
+            raise ValueError(f"unknown provenance fields {unknown}")
         return cls(kind=data["kind"], **{name: data.get(name) for name in _FIELD_RULES})
 
 
@@ -98,6 +99,12 @@ class TimeSeries:
 
     ``values[0]`` must be exactly ``1 + 0j``; constructors of derived series
     re-pin it instead of sampling a known value. Immutable once built.
+
+    The JSON record holds ``n_len``, the provenance, and the values as exact
+    binary: ``values_c16le`` is the standard base64 of the little-endian
+    complex128 bytes, real and imaginary parts interleaved
+    (``values.astype("<c16").tobytes()``), so a record reads back bit for bit
+    and without parsing decimal text. ``signal --csv`` writes a readable copy.
     """
 
     values: np.ndarray
@@ -122,29 +129,25 @@ class TimeSeries:
         return {
             "n_len": self.n_len,
             "provenance": self.provenance.to_dict(),
-            "values_re": self.values.real.tolist(),
-            "values_im": self.values.imag.tolist(),
+            "values_c16le": base64.b64encode(self.values.astype("<c16").tobytes()).decode("ascii"),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "TimeSeries":
-        values = _complex_from_parts(data, "values")
-        if data["n_len"] != values.size:
-            raise ValueError(f"n_len is {data['n_len']} but the record holds {values.size} values")
+        payload = data["values_c16le"]
+        if not isinstance(payload, str):
+            raise ValueError(f"values_c16le must be a base64 string, got {payload!r:.40}")
+        try:
+            raw = base64.b64decode(payload, validate=True)
+        except ValueError as exc:
+            raise ValueError(f"values_c16le is not base64: {exc}") from None
+        if len(raw) % 16:
+            raise ValueError(f"values_c16le holds {len(raw)} bytes, not a multiple of 16")
+        values = np.frombuffer(raw, "<c16")
+        n_len = _records.number(data["n_len"], "n_len", Integral)
+        if n_len != values.size:
+            raise ValueError(f"n_len is {n_len} but the record holds {values.size} values")
         return cls(values=values, provenance=Provenance.from_dict(data["provenance"]))
-
-
-def _complex_from_parts(data: dict, name: str) -> np.ndarray:
-    """The complex array a JSON record stores as the lists ``{name}_re`` and
-    ``{name}_im``, which must have the same length."""
-    re = np.asarray(data[f"{name}_re"], dtype=float)
-    im = np.asarray(data[f"{name}_im"], dtype=float)
-    if re.shape != im.shape:
-        raise ValueError(f"{name}_re and {name}_im must have the same length")
-    # Part by part: re + 1j * im would turn an imaginary -0.0 into 0.0.
-    values = re.astype(complex)
-    values.imag = im
-    return values
 
 
 def generate_clean(spec: Spectrum, n_len: int) -> TimeSeries:

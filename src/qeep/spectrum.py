@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _records
+
 WEIGHT_SUM_TOL = 1e-12
 
 
@@ -63,8 +65,8 @@ class Spectrum:
     def from_dict(cls, data: dict) -> "Spectrum":
         entries = data["entries"]
         return cls(
-            lambdas=np.array([e["lambda"] for e in entries], dtype=float),
-            weights=np.array([e["weight"] for e in entries], dtype=float),
+            lambdas=_records.numbers([e["lambda"] for e in entries], "lambda"),
+            weights=_records.numbers([e["weight"] for e in entries], "weight"),
         )
 
 

@@ -25,6 +25,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import _records
 from .filterbank import SQRT_2PI, FilterBank, _bin_count, _block, bin_centers, filter_values
 from .signal import TimeSeries, generate_clean
 from .spectrum import Spectrum
@@ -69,8 +70,8 @@ class BinDistribution:
     @classmethod
     def from_dict(cls, data: dict) -> "BinDistribution":
         return cls(
-            values=np.asarray(data["values"], dtype=float),
-            eps=float(data["eps"]),
+            values=_records.numbers(data["values"], "values"),
+            eps=float(_records.number(data["eps"], "eps")),
             kind=BinKind(data["kind"]),
         )
 

@@ -1,4 +1,5 @@
 import argparse
+import base64
 import importlib.util
 import json
 import os
@@ -34,6 +35,25 @@ from qeep.cli import (
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+# A signal record as earlier versions wrote it, the parts as decimal lists.
+LIST_FORMAT_SIGNAL = {
+    "n_len": 2,
+    "provenance": {"kind": "clean"},
+    "values_re": [1.0, 0.5],
+    "values_im": [0.0, -0.25],
+}
+
+
+def set_signal_real_part(path, k, value) -> None:
+    """Decode the values of the signal record at ``path``, set the real part of
+    entry ``k`` to ``value`` and encode them again."""
+    record = json.loads(path.read_text())
+    values = np.frombuffer(base64.b64decode(record["values_c16le"]), "<c16").copy()
+    values.real[k] = value
+    record["values_c16le"] = base64.b64encode(values.tobytes()).decode("ascii")
+    path.write_text(json.dumps(record))
 
 
 class TestSynth:
@@ -340,10 +360,9 @@ class TestEstimate:
         spec_f, sig_f = tmp_path / "s.json", tmp_path / "g.json"
         run("synth", "--fig6", "--out", spec_f)
         run("signal", "--spectrum", spec_f, "--n", 16, "--out", sig_f)
-        record = json.loads(sig_f.read_text())
-        record["values_re"][5] = float("nan")
-        sig_f.write_text(json.dumps(record))
-        assert "NaN" in sig_f.read_text()
+        set_signal_real_part(sig_f, 5, float("nan"))
+        payload = json.loads(sig_f.read_text())["values_c16le"]
+        assert np.isnan(np.frombuffer(base64.b64decode(payload), "<c16")[5].real)
         rc = run(
             "estimate", "--signal", sig_f, "--method", "ts", "--eps", 0.25,
             "--truncation", 16, "--out", tmp_path / "e.json",
@@ -365,9 +384,19 @@ class TestEstimate:
             ("estimate", "provenance", "clean"),
             ("signal", "entries", 5),
             ("signal", None, [{"lambda": 0.1, "weight": 1.0}]),
+            ("estimate", "provenance", {"kind": "clean", "bogus": 3}),
+            ("estimate", "n_len", 16.0),
+            ("estimate", "n_len", True),
+            ("estimate", "values_c16le", "AAAA*AAA"),
+            ("estimate", "values_c16le", base64.b64encode(bytes(20)).decode("ascii")),
+            ("estimate", "values_c16le", 16),
+            ("estimate", None, LIST_FORMAT_SIGNAL),
+            ("signal", "entries", [{"lambda": "0.1", "weight": True}]),
         ],
         ids=[*(f"provenance{i}" for i in range(5)), "provenance-string", "entries-number",
-             "spectrum-list"],
+             "spectrum-list", "provenance-unknown-field", "n_len-float", "n_len-bool",
+             "payload-not-base64", "payload-20-bytes", "payload-number", "list-format-signal",
+             "entries-not-numbers"],
     )
     def test_malformed_provenance_is_usage_error(self, tmp_path, capsys, command, key, value):
         spec_f, sig_f, out_f = tmp_path / "s.json", tmp_path / "g.json", tmp_path / "e.json"
@@ -384,6 +413,21 @@ class TestEstimate:
         assert run(command, *inputs, "--out", out_f) == 2
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: {path}: not a ")
+        assert not out_f.exists()
+
+    def test_spectrum_of_non_numbers_is_usage_error_for_estimate(self, tmp_path, capsys):
+        spec_f, sig_f, out_f = tmp_path / "s.json", tmp_path / "g.json", tmp_path / "e.json"
+        run("synth", "--fig6", "--out", spec_f)
+        run("signal", "--spectrum", spec_f, "--n", 16, "--out", sig_f)
+        spec_f.write_text(json.dumps({"entries": [{"lambda": "0.1", "weight": True}]}))
+        capsys.readouterr()
+        rc = run(
+            "estimate", "--signal", sig_f, "--eps", 0.25, "--truncation", 16,
+            "--spectrum", spec_f, "--out", out_f,
+        )
+        assert rc == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {spec_f}: not a Spectrum record: ")
         assert not out_f.exists()
 
     def test_zero_truncation_order_is_usage_error(self, tmp_path):
@@ -562,9 +606,7 @@ class TestEstimate:
         spec_f, sig_f = tmp_path / "s.json", tmp_path / "g.json"
         run("synth", "--fig6", "--out", spec_f)
         run("signal", "--spectrum", spec_f, "--n", 16, "--out", sig_f)
-        record = json.loads(sig_f.read_text())
-        record["values_re"][5] = 1.7e308
-        sig_f.write_text(json.dumps(record))
+        set_signal_real_part(sig_f, 5, 1.7e308)
         capsys.readouterr()
         rc = run("estimate", "--signal", sig_f, "--method", "mp", "--out", tmp_path / "e.json")
         assert rc == 3

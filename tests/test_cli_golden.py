@@ -35,6 +35,13 @@ matrix product each: ``estimate-ts`` (``bins.csv``, ``est.json``),
 ``fig6_summary.json``). Only TS values moved, by at most 1.3e-16 in a bin
 value and 6.7e-14 in a ``delta_ts`` (units of eps); the pencil columns and
 files kept their bytes.
+
+The three ``sig.json`` hashes (``signal-clean``, ``signal-noise`` and
+``signal-shots``) were re-recorded once, when the signal record moved from
+the decimal lists ``values_re`` and ``values_im`` to ``values_c16le``, the
+base64 of the values' little-endian complex128 bytes. The values themselves
+did not move: every ``sig.csv`` kept its hash, and so did ``estimate-ts`` and
+``estimate-mp``, which read a signal record written by this version.
 """
 
 import hashlib
@@ -121,7 +128,7 @@ CASES = {
         ["signal", "--spectrum", "in_spec.json", "--n", "64", "--out", "sig.json", "--csv", "sig.csv"],
         {
             "sig.csv": "87d08b249f6672d1e834a0019066dea1dd3a0abc8c6da3c26d4090edbbd8d027",
-            "sig.json": "28706b2a8058e4b229290571e6c4f8ee019a474911a11ccc5ce5defeb4abe43e",
+            "sig.json": "37bb26eaa9634f76e36ac651af12ba3ee00a31b14e23cfc849288dbe00b1ac72",
         },
     ),
     "signal-noise": (
@@ -131,7 +138,7 @@ CASES = {
         ],
         {
             "sig.csv": "8a7c10a312c806e5c111e902dc86b74eb3b2e4a639457007a455518d83d06a84",
-            "sig.json": "7d0f6011b8abce89c2ad346b3945cf04a6e81256962dfe63f1a85566095c1f94",
+            "sig.json": "c696562b7b221e4b3e050823cb650b8769857cd99bb488a114142657864e7fb8",
         },
     ),
     "signal-shots": (
@@ -141,7 +148,7 @@ CASES = {
         ],
         {
             "sig.csv": "3593db47810a4f467488bd0ae793eaf2ed1ecc904e288edcf29c177cf4bea389",
-            "sig.json": "b571caf320e49a485ceea74d9211dc81bf20a2b2fa99e9924e3ab6eb50739c5a",
+            "sig.json": "7af90a62c0d7be6babb53603dc3e445b2d127903b0d146f2957f94d914cc2471",
         },
     ),
     "estimate-ts": (

@@ -407,6 +407,27 @@ class TestMpEstimate:
         with pytest.raises(ValueError):
             MpEstimate.from_dict({**record, "amplitudes_im": record["amplitudes_im"][:1]})
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("l_dim", 2.7),
+            ("l_dim", 2.0),
+            ("l_dim", True),
+            ("l_dim", "2"),
+            ("residual", "0"),
+            ("residual", False),
+            ("eigenphases", ["0.1", "0.2"]),
+            ("moduli", [1.0, True]),
+            ("amplitudes_re", ["0.5", "0.5"]),
+        ],
+        ids=["l_dim-fraction", "l_dim-float", "l_dim-bool", "l_dim-string", "residual-string",
+             "residual-bool", "eigenphases-strings", "moduli-bool", "amplitudes-strings"],
+    )
+    def test_from_dict_rejects_non_numbers(self, key, value):
+        record = mp_estimate(generate_clean(fig6_spectrum(), 12), 2).to_dict()
+        with pytest.raises(ValueError):
+            MpEstimate.from_dict({**record, key: value})
+
     @settings(max_examples=60, deadline=None)
     @example(
         est=MpEstimate(

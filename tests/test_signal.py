@@ -1,3 +1,4 @@
+import base64
 import cmath
 import json
 import math
@@ -23,6 +24,9 @@ from qeep.signal import MAX_SHOTS_PER_POINT, Provenance
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# Finite doubles, drawing the signed zeros, subnormals and the largest
+# magnitudes often.
+EDGE_OR_FINITE = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.7e308, -1.7e308]) | FINITE
 
 PROVENANCES = st.one_of(
     st.just(Provenance.clean()),
@@ -52,22 +56,74 @@ class TestTimeSeriesType:
         assert np.array_equal(again.values, ts.values)
         assert again.provenance == ts.provenance
 
-    @settings(max_examples=60, deadline=None)
-    @example(tail=[(0.0, -0.0), (-0.0, -0.0)], provenance=Provenance.clean())
-    @given(tail=st.lists(st.tuples(FINITE, FINITE), max_size=12), provenance=PROVENANCES)
-    def test_json_text_round_trip_is_exact_property(self, tail, provenance):
-        values = np.array([1.0 + 0j] + [complex(re, im) for re, im in tail])
+    # Any finite complex128 array whose first entry equals 1, with the signed
+    # zeros, subnormals and largest magnitudes drawn explicitly, reads back
+    # bit for bit from the JSON text.
+    @settings(max_examples=100, deadline=None)
+    @example(tail=[(0.0, -0.0), (-0.0, -0.0)], first_im=-0.0, provenance=Provenance.clean())
+    @example(
+        tail=[(5e-324, -5e-324), (1.7e308, -1.7e308)], first_im=0.0, provenance=Provenance.clean()
+    )
+    @given(
+        tail=st.lists(st.tuples(EDGE_OR_FINITE, EDGE_OR_FINITE), max_size=40),
+        first_im=st.sampled_from([0.0, -0.0]),
+        provenance=PROVENANCES,
+    )
+    def test_json_text_round_trip_is_exact_property(self, tail, first_im, provenance):
+        values = np.array([complex(1.0, first_im)] + [complex(re, im) for re, im in tail])
         ts = TimeSeries(values=values, provenance=provenance)
-        again = TimeSeries.from_dict(json.loads(json.dumps(ts.to_dict())))
-        assert again.values.tobytes() == ts.values.tobytes()
+        record = ts.to_dict()
+        assert len(base64.b64decode(record["values_c16le"])) == 16 * values.size
+        again = TimeSeries.from_dict(json.loads(json.dumps(record)))
+        assert again.values.tobytes() == values.tobytes()
         assert again.provenance == ts.provenance
 
     def test_from_dict_rejects_inconsistent_lengths(self):
         record = generate_clean(fig6_spectrum(), 3).to_dict()
-        with pytest.raises(ValueError):
+        # 64 base64 characters hold the 48 bytes of three entries; 60 hold 45.
+        assert len(record["values_c16le"]) == 64
+        with pytest.raises(ValueError, match="not a multiple of 16"):
+            TimeSeries.from_dict({**record, "values_c16le": record["values_c16le"][:60]})
+        with pytest.raises(ValueError, match="n_len"):
             TimeSeries.from_dict({**record, "n_len": 99})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n_len", 3.0),
+            ("n_len", True),
+            ("n_len", "3"),
+            ("values_c16le", "AAAA*AAA"),
+            ("values_c16le", "AAAA AAA"),
+            ("values_c16le", "AAA"),
+            ("values_c16le", 5),
+            ("values_c16le", ["AAAA"]),
+        ],
+        ids=["n_len-float", "n_len-bool", "n_len-string", "payload-star", "payload-space",
+             "payload-unpadded", "payload-number", "payload-list"],
+    )
+    def test_from_dict_rejects_malformed_fields(self, key, value):
+        record = generate_clean(fig6_spectrum(), 3).to_dict()
         with pytest.raises(ValueError):
-            TimeSeries.from_dict({**record, "values_im": record["values_im"][:2]})
+            TimeSeries.from_dict({**record, key: value})
+
+    def test_from_dict_rejects_a_character_outside_base64(self):
+        record = generate_clean(fig6_spectrum(), 3).to_dict()
+        payload = record["values_c16le"]
+        for char in "*", "\n", " ":
+            with pytest.raises(ValueError, match="not base64"):
+                TimeSeries.from_dict({**record, "values_c16le": payload[:32] + char + payload[32:]})
+
+    def test_from_dict_rejects_the_list_format(self):
+        ts = generate_clean(fig6_spectrum(), 3)
+        record = {
+            "n_len": 3,
+            "provenance": {"kind": "clean"},
+            "values_re": ts.values.real.tolist(),
+            "values_im": ts.values.imag.tolist(),
+        }
+        with pytest.raises(KeyError, match="values_c16le"):
+            TimeSeries.from_dict(record)
 
 
 class TestProvenance:
@@ -116,6 +172,12 @@ class TestProvenance:
     )
     def test_edge_values_accepted(self, record):
         assert Provenance.from_dict(record).to_dict() == record
+
+    def test_unknown_field_rejected(self):
+        with pytest.raises(ValueError, match="bogus"):
+            Provenance.from_dict({"kind": "clean", "bogus": 3})
+        with pytest.raises(ValueError, match="bogus"):
+            Provenance.from_dict({"kind": "additive_noise", "eps_prime": 0.01, "seed": 5, "bogus": 3})
 
     def test_constructors_accept_numpy_numbers(self):
         prov = Provenance.additive_noise(np.float64(0.01), np.int64(3))

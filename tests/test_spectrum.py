@@ -43,6 +43,23 @@ class TestSpectrumType:
         assert np.array_equal(again.lambdas, spec.lambdas)
         assert np.array_equal(again.weights, spec.weights)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"lambda": "0.1", "weight": True},
+            {"lambda": "0.1", "weight": 1.0},
+            {"lambda": 0.1, "weight": True},
+            {"lambda": 0.1, "weight": "1"},
+            {"lambda": [0.1], "weight": 1.0},
+            {"lambda": None, "weight": 1.0},
+        ],
+        ids=["string-and-bool", "string-lambda", "bool-weight", "string-weight", "list-lambda",
+             "null-lambda"],
+    )
+    def test_from_dict_rejects_non_numbers(self, entry):
+        with pytest.raises(ValueError):
+            Spectrum.from_dict({"entries": [entry]})
+
     @settings(max_examples=60, deadline=None)
     @example(entries=[(-0.0, 1.0)])
     @example(entries=[(-0.5, 0.1), (0.5, 0.2), (5e-324, 0.7)])

@@ -11,8 +11,10 @@ from qeep import (
     BinKind,
     Spectrum,
     TimeSeries,
+    TruncationMode,
     add_noise,
     bin_centers,
+    choose_truncation,
     estimate_bins,
     estimate_moment,
     exact_bins,
@@ -270,6 +272,17 @@ class TestMoments:
         with pytest.raises(ValueError):
             estimate_moment(dist, 65)
 
+    def test_empirical_order_misses_the_bound_on_some_spectra(self, bank_appc):
+        # C10 is guaranteed only at the strict order. At eps = 0.005 and the
+        # empirical N = 566, this clean spectrum (lines at -0.4976 and 0.4993,
+        # near both ends of the range) misses its first-moment bound.
+        assert bank_appc.n_trunc == choose_truncation(0.005, TruncationMode.EMPIRICAL)
+        spec = random_spectrum(5, 9102)
+        q = truncated_bins(spec, bank_appc)
+        bound = moment_error_bound(0.005, 0.5, 1.0)
+        ratio = abs(estimate_moment(q, 1) - exact_moment(spec, 1)) / bound
+        assert 1.3 < ratio < 1.33
+
     def test_moment_error_within_a_priori_bound(self, bank_mid_strict):
         bank = bank_mid_strict
         for seed in range(10):
@@ -385,8 +398,14 @@ class TestBinDistributionType:
             (0.0, [1.0]),
             (0.5, [0.1, float("nan"), 0.9]),
             (0.5, [0.1, float("inf"), 0.9]),
+            ("0.5", [0.1, 0.5, 0.4]),
+            (True, [0.5, 0.5]),
+            (0.5, ["0.1", "0.5", "0.4"]),
+            (0.5, [0.1, True, 0.4]),
+            (0.5, "0.1"),
         ],
-        ids=["too-few", "too-many", "non-integer-inverse", "zero-eps", "nan", "inf"],
+        ids=["too-few", "too-many", "non-integer-inverse", "zero-eps", "nan", "inf",
+             "string-eps", "bool-eps", "string-values", "bool-value", "string-for-list"],
     )
     def test_malformed_record_rejected(self, eps, values):
         record = {"eps": eps, "kind": "estimated_q", "values": values}

@@ -80,7 +80,7 @@ def _read_record(cls, path):
     with open(path) as fh:
         try:
             return cls.from_dict(json.load(fh))
-        except (TypeError, KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"{path}: not a {cls.__name__} record: {exc}") from None
 
 

@@ -85,11 +85,7 @@ class Provenance:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Provenance":
-        if not isinstance(data, dict):
-            raise ValueError(f"provenance must be a JSON object, got {data!r:.40}")
-        unknown = sorted(set(data) - {"kind", *_FIELD_RULES})
-        if unknown:
-            raise ValueError(f"unknown provenance fields {unknown}")
+        _records.record(data, "provenance", ("kind",), _FIELD_RULES)
         return cls(kind=data["kind"], **{name: data.get(name) for name in _FIELD_RULES})
 
 
@@ -105,6 +101,8 @@ class TimeSeries:
     complex128 bytes, real and imaginary parts interleaved
     (``values.astype("<c16").tobytes()``), so a record reads back bit for bit
     and without parsing decimal text. ``signal --csv`` writes a readable copy.
+    The record ``signal --plan`` writes also holds ``planned_shots``, which
+    :meth:`from_dict` accepts and ignores.
     """
 
     values: np.ndarray
@@ -134,6 +132,7 @@ class TimeSeries:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TimeSeries":
+        _records.record(data, "signal", ("n_len", "provenance", "values_c16le"), ("planned_shots",))
         payload = data["values_c16le"]
         if not isinstance(payload, str):
             raise ValueError(f"values_c16le must be a base64 string, got {payload!r:.40}")

@@ -63,7 +63,11 @@ class Spectrum:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Spectrum":
-        entries = data["entries"]
+        entries = _records.record(data, "spectrum", ("entries",))["entries"]
+        if not isinstance(entries, list):
+            raise ValueError(f"entries must be a list, got {entries!r:.40}")
+        for entry in entries:
+            _records.record(entry, "each entry", ("lambda", "weight"))
         return cls(
             lambdas=_records.numbers([e["lambda"] for e in entries], "lambda"),
             weights=_records.numbers([e["weight"] for e in entries], "weight"),

@@ -25,7 +25,6 @@ from enum import Enum
 
 import numpy as np
 
-from . import _records
 from .filterbank import SQRT_2PI, FilterBank, _bin_count, _block, bin_centers, filter_values
 from .signal import TimeSeries, generate_clean
 from .spectrum import Spectrum
@@ -66,14 +65,6 @@ class BinDistribution:
 
     def to_dict(self) -> dict:
         return {"eps": self.eps, "kind": self.kind.value, "values": self.values.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BinDistribution":
-        return cls(
-            values=_records.numbers(data["values"], "values"),
-            eps=float(_records.number(data["eps"], "eps")),
-            kind=BinKind(data["kind"]),
-        )
 
 
 def exact_bins(spec: Spectrum, eps: float) -> BinDistribution:

@@ -125,6 +125,10 @@ class TestSignal:
         assert payload["provenance"]["kind"] == "shot_sampled"
         assert payload["provenance"]["shots_per_point"] == hoeffding_shots_per_point(8, 0.5, 0.9)
         assert payload["provenance"]["shots_per_point"] == 91
+        # The record reads back, its planned_shots key included.
+        est = tmp_path / "est.json"
+        argv = ["--signal", sig, "--method", "ts", "--eps", 0.25, "--truncation", 8, "--out", est]
+        assert run("estimate", *argv) == 0
 
     @pytest.mark.parametrize("noise", ["-0.5", "nan", "inf"])
     def test_bad_noise_magnitude_is_usage_error(self, tmp_path, capsys, noise):
@@ -392,11 +396,19 @@ class TestEstimate:
             ("estimate", "values_c16le", 16),
             ("estimate", None, LIST_FORMAT_SIGNAL),
             ("signal", "entries", [{"lambda": "0.1", "weight": True}]),
+            ("signal", "entries", [{"lambda": 10**400, "weight": 1.0}]),
+            ("signal", "entries", [[0.1, 1.0]]),
+            ("signal", "extra", 3),
+            ("estimate", "extra", 3),
+            ("signal", "entries", [{"lambda": 0.1, "weight": 1.0, "extra": 3}]),
+            ("estimate", None, {"n_len": 16, "provenance": {"kind": "clean"}}),
+            ("estimate", None, [{"n_len": 16}]),
         ],
         ids=[*(f"provenance{i}" for i in range(5)), "provenance-string", "entries-number",
              "spectrum-list", "provenance-unknown-field", "n_len-float", "n_len-bool",
              "payload-not-base64", "payload-20-bytes", "payload-number", "list-format-signal",
-             "entries-not-numbers"],
+             "entries-not-numbers", "oversized-integer", "entry-list", "spectrum-unknown-key",
+             "signal-unknown-key", "entry-unknown-key", "signal-without-payload", "signal-list"],
     )
     def test_malformed_provenance_is_usage_error(self, tmp_path, capsys, command, key, value):
         spec_f, sig_f, out_f = tmp_path / "s.json", tmp_path / "g.json", tmp_path / "e.json"
@@ -412,7 +424,8 @@ class TestEstimate:
             inputs = ["--spectrum", spec_f, "--n", 16]
         assert run(command, *inputs, "--out", out_f) == 2
         [line] = capsys.readouterr().err.splitlines()
-        assert line.startswith(f"error: {path}: not a ")
+        kind = "TimeSeries" if command == "estimate" else "Spectrum"
+        assert line.startswith(f"error: {path}: not a {kind} record: ")
         assert not out_f.exists()
 
     def test_spectrum_of_non_numbers_is_usage_error_for_estimate(self, tmp_path, capsys):
@@ -1001,11 +1014,13 @@ _NUMPY_ONLY_RUN = """
 import json
 import sys
 
+from qeep import cli  # before numpy, so that every command below runs in this process
 from qeep import exact_bins, fig6_spectrum
-from qeep.cli import main
+
+assert cli._NUMPY_LOADED_PINNED
 
 def run(*argv):
-    assert main(list(argv)) == 0, argv
+    assert cli.main(list(argv)) == 0, argv
 
 run("synth", "--fig6")
 run("signal", "--n", "32", "--out", "clean.json")

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -28,30 +27,6 @@ from qeep.matrix_pencil import (
     _r_factor,
 )
 from qeep.signal import Provenance
-
-
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
-
-
-@st.composite
-def mp_estimates(draw):
-    size = draw(st.integers(0, 8))
-    floats = st.lists(FINITE, min_size=size, max_size=size)
-    amps = [complex(re, im) for re, im in zip(draw(floats), draw(floats))]
-    filters = st.fixed_dictionaries(
-        {
-            "delta_mu": st.none() | st.floats(0.0, allow_infinity=False),
-            "restrict_range": st.booleans(),
-        }
-    )
-    return MpEstimate(
-        eigenphases=np.array(draw(floats)),
-        amplitudes=np.array(amps, dtype=complex),
-        moduli=np.array(draw(floats)),
-        l_dim=draw(st.integers(1)),
-        residual=draw(st.floats(0.0, allow_infinity=False)),
-        filters=draw(st.none() | filters),
-    )
 
 
 def point_mass(lam: float) -> Spectrum:
@@ -394,57 +369,11 @@ class TestMpEstimate:
         est = mp_estimate(ts)
         assert np.any(np.abs(est.eigenphases) > 0.5)
 
-    def test_json_round_trip(self):
-        est = mp_estimate(generate_clean(fig6_spectrum(), 20), 10)
-        again = MpEstimate.from_dict(est.to_dict())
-        assert np.array_equal(again.eigenphases, est.eigenphases)
-        assert np.array_equal(again.amplitudes, est.amplitudes)
-        assert again.l_dim == est.l_dim
-
-
-    def test_from_dict_rejects_unequal_amplitude_parts(self):
-        record = mp_estimate(generate_clean(fig6_spectrum(), 12), 2).to_dict()
-        with pytest.raises(ValueError):
-            MpEstimate.from_dict({**record, "amplitudes_im": record["amplitudes_im"][:1]})
-
-    @pytest.mark.parametrize(
-        "key, value",
-        [
-            ("l_dim", 2.7),
-            ("l_dim", 2.0),
-            ("l_dim", True),
-            ("l_dim", "2"),
-            ("residual", "0"),
-            ("residual", False),
-            ("eigenphases", ["0.1", "0.2"]),
-            ("moduli", [1.0, True]),
-            ("amplitudes_re", ["0.5", "0.5"]),
-        ],
-        ids=["l_dim-fraction", "l_dim-float", "l_dim-bool", "l_dim-string", "residual-string",
-             "residual-bool", "eigenphases-strings", "moduli-bool", "amplitudes-strings"],
-    )
-    def test_from_dict_rejects_non_numbers(self, key, value):
-        record = mp_estimate(generate_clean(fig6_spectrum(), 12), 2).to_dict()
-        with pytest.raises(ValueError):
-            MpEstimate.from_dict({**record, key: value})
-
-    @settings(max_examples=60, deadline=None)
-    @example(
-        est=MpEstimate(
-            eigenphases=[0.1],
-            amplitudes=[complex(0.0, -0.0)],
-            moduli=[1e-17],
-            l_dim=1,
-            residual=0.0,
-        )
-    )
-    @given(est=mp_estimates())
-    def test_json_text_round_trip_is_exact_property(self, est):
-        again = MpEstimate.from_dict(json.loads(json.dumps(est.to_dict())))
-        for name in ("eigenphases", "amplitudes", "moduli"):
-            assert getattr(again, name).tobytes() == getattr(est, name).tobytes(), name
-        for name in ("l_dim", "residual", "filters"):
-            assert getattr(again, name) == getattr(est, name), name
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="equal-length"):
+            MpEstimate(
+                eigenphases=[0.1, 0.2], amplitudes=[0.5], moduli=[1.0, 1.0], l_dim=2, residual=0.0
+            )
 
 
 class TestFilterEstimate:

@@ -98,14 +98,24 @@ class TestTimeSeriesType:
             ("values_c16le", "AAA"),
             ("values_c16le", 5),
             ("values_c16le", ["AAAA"]),
+            ("n_len", 10**400),
+            ("extra", 3),
+            ("provenance", "clean"),
+            ("provenance", {"kind": "clean", "extra": 3}),
+            ("provenance", {}),
+            (None, {"n_len": 3, "provenance": {"kind": "clean"}}),
+            (None, [3]),
         ],
         ids=["n_len-float", "n_len-bool", "n_len-string", "payload-star", "payload-space",
-             "payload-unpadded", "payload-number", "payload-list"],
+             "payload-unpadded", "payload-number", "payload-list", "n_len-oversized",
+             "unknown-key", "provenance-string", "provenance-unknown-key", "provenance-empty",
+             "no-payload", "record-list"],
     )
     def test_from_dict_rejects_malformed_fields(self, key, value):
+        # With ``key`` None, ``value`` is the whole record.
         record = generate_clean(fig6_spectrum(), 3).to_dict()
         with pytest.raises(ValueError):
-            TimeSeries.from_dict({**record, key: value})
+            TimeSeries.from_dict(value if key is None else {**record, key: value})
 
     def test_from_dict_rejects_a_character_outside_base64(self):
         record = generate_clean(fig6_spectrum(), 3).to_dict()
@@ -122,7 +132,7 @@ class TestTimeSeriesType:
             "values_re": ts.values.real.tolist(),
             "values_im": ts.values.imag.tolist(),
         }
-        with pytest.raises(KeyError, match="values_c16le"):
+        with pytest.raises(ValueError, match="values_c16le"):
             TimeSeries.from_dict(record)
 
 

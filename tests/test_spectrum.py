@@ -44,21 +44,31 @@ class TestSpectrumType:
         assert np.array_equal(again.weights, spec.weights)
 
     @pytest.mark.parametrize(
-        "entry",
+        "record",
         [
-            {"lambda": "0.1", "weight": True},
-            {"lambda": "0.1", "weight": 1.0},
-            {"lambda": 0.1, "weight": True},
-            {"lambda": 0.1, "weight": "1"},
-            {"lambda": [0.1], "weight": 1.0},
-            {"lambda": None, "weight": 1.0},
+            {"entries": [{"lambda": "0.1", "weight": True}]},
+            {"entries": [{"lambda": "0.1", "weight": 1.0}]},
+            {"entries": [{"lambda": 0.1, "weight": True}]},
+            {"entries": [{"lambda": 0.1, "weight": "1"}]},
+            {"entries": [{"lambda": [0.1], "weight": 1.0}]},
+            {"entries": [{"lambda": None, "weight": 1.0}]},
+            {"entries": [{"lambda": 10**400, "weight": 1.0}]},
+            {"entries": [[0.1, 1.0]]},
+            {"entries": [{"lambda": 0.1, "weight": 1.0, "extra": 3}]},
+            {"entries": [{"lambda": 0.1}]},
+            {"entries": 5},
+            {"entries": [{"lambda": 0.1, "weight": 1.0}], "extra": 3},
+            {},
+            [{"lambda": 0.1, "weight": 1.0}],
         ],
         ids=["string-and-bool", "string-lambda", "bool-weight", "string-weight", "list-lambda",
-             "null-lambda"],
+             "null-lambda", "oversized-integer", "entry-list", "entry-unknown-key",
+             "entry-without-weight", "entries-number", "unknown-key", "empty-record",
+             "record-list"],
     )
-    def test_from_dict_rejects_non_numbers(self, entry):
+    def test_from_dict_rejects_non_numbers(self, record):
         with pytest.raises(ValueError):
-            Spectrum.from_dict({"entries": [entry]})
+            Spectrum.from_dict(record)
 
     @settings(max_examples=60, deadline=None)
     @example(entries=[(-0.0, 1.0)])

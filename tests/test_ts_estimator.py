@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -32,8 +31,6 @@ from qeep.filterbank import SQRT_2PI, FilterBank, build_filterbank
 from qeep.signal import Provenance
 from qeep.ts_estimator import _bins_from_values
 
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
-
 
 @st.composite
 def spectra(draw):
@@ -43,16 +40,6 @@ def spectra(draw):
     lambdas = draw(st.lists(st.floats(-0.5, 0.5), min_size=d, max_size=d))
     raw = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=d, max_size=d)))
     return Spectrum(lambdas=lambdas, weights=raw / raw.sum())
-
-
-@st.composite
-def bin_records(draw):
-    """Valid ``BinDistribution`` fields: ``1/eps`` an integer within the 1e-6
-    relative tolerance of ``bin_centers``, and ``1 + 1/eps`` finite values."""
-    inv = draw(st.integers(1, 11))
-    eps = draw(st.floats(1.0 - 5e-7, 1.0 + 5e-7)) / inv
-    values = draw(st.lists(FINITE, min_size=inv + 1, max_size=inv + 1))
-    return values, eps
 
 
 def direct_bins(values: np.ndarray, bank: FilterBank) -> np.ndarray:
@@ -383,12 +370,6 @@ class TestBinDistributionType:
         )
         assert dist.values[0] == -0.01
 
-    def test_json_round_trip(self):
-        dist = exact_bins(fig6_spectrum(), 0.25)
-        again = BinDistribution.from_dict(dist.to_dict())
-        assert again.kind is dist.kind
-        assert np.array_equal(again.values, dist.values)
-
     @pytest.mark.parametrize(
         "eps, values",
         [
@@ -398,31 +379,12 @@ class TestBinDistributionType:
             (0.0, [1.0]),
             (0.5, [0.1, float("nan"), 0.9]),
             (0.5, [0.1, float("inf"), 0.9]),
-            ("0.5", [0.1, 0.5, 0.4]),
-            (True, [0.5, 0.5]),
-            (0.5, ["0.1", "0.5", "0.4"]),
-            (0.5, [0.1, True, 0.4]),
-            (0.5, "0.1"),
         ],
-        ids=["too-few", "too-many", "non-integer-inverse", "zero-eps", "nan", "inf",
-             "string-eps", "bool-eps", "string-values", "bool-value", "string-for-list"],
+        ids=["too-few", "too-many", "non-integer-inverse", "zero-eps", "nan", "inf"],
     )
     def test_malformed_record_rejected(self, eps, values):
-        record = {"eps": eps, "kind": "estimated_q", "values": values}
         with pytest.raises(ValueError):
-            BinDistribution.from_dict(record)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        record=bin_records(),
-        kind=st.sampled_from([BinKind.TRUNCATED_P, BinKind.ESTIMATED_Q]),
-    )
-    def test_json_text_round_trip_is_exact_property(self, record, kind):
-        values, eps = record
-        dist = BinDistribution(values=np.array(values, dtype=float), eps=eps, kind=kind)
-        again = BinDistribution.from_dict(json.loads(json.dumps(dist.to_dict())))
-        assert again.values.tobytes() == dist.values.tobytes()
-        assert (again.eps, again.kind) == (dist.eps, dist.kind)
+            BinDistribution(values=np.array(values), eps=eps, kind=BinKind.ESTIMATED_Q)
 
     def test_csv_export(self, tmp_path):
         spec, sig, path = tmp_path / "spec.json", tmp_path / "sig.json", tmp_path / "bins.csv"

@@ -76,12 +76,14 @@ def _write_json(obj, path) -> None:
 
 
 def _read_record(cls, path):
-    """The ``cls`` record in the JSON file at ``path``, or a ValueError naming it."""
+    """The ``cls`` record in the JSON file at ``path``, or a ValueError naming it.
+    JSON nested deeper than the parser's recursion limit is one such file."""
     with open(path) as fh:
         try:
             return cls.from_dict(json.load(fh))
-        except ValueError as exc:
-            raise ValueError(f"{path}: not a {cls.__name__} record: {exc}") from None
+        except (ValueError, RecursionError) as exc:
+            reason = "nested too deeply" if isinstance(exc, RecursionError) else exc
+            raise ValueError(f"{path}: not a {cls.__name__} record: {reason}") from None
 
 
 def _write_csv(path, header, rows) -> None:

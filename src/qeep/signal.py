@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import base64
 import math
+import sys
 from dataclasses import dataclass
 from numbers import Integral, Real
 
@@ -35,8 +36,13 @@ _KIND_FIELDS = {
     SHOT_SAMPLED: ("shots_per_point", "seed"),
 }
 # The optional fields in record order, each with its number type and least
-# value.
-_FIELD_RULES = {"eps_prime": (Real, 0), "seed": (Integral, 0), "shots_per_point": (Integral, 1)}
+# and greatest value: eps_prime is finite, shots_per_point one that
+# sample_shots can draw.
+_FIELD_RULES = {
+    "eps_prime": (Real, 0, sys.float_info.max),
+    "seed": (Integral, 0, math.inf),
+    "shots_per_point": (Integral, 1, MAX_SHOTS_PER_POINT),
+}
 
 
 @dataclass(frozen=True)
@@ -55,14 +61,14 @@ class Provenance:
     def __post_init__(self):
         if not (isinstance(self.kind, str) and self.kind in _KIND_FIELDS):
             raise ValueError(f"unknown provenance kind {self.kind!r}")
-        for name, (number, least) in _FIELD_RULES.items():
+        for name, (number, least, most) in _FIELD_RULES.items():
             value = getattr(self, name)
             given = value is not None
             if given != (name in _KIND_FIELDS[self.kind]):
                 verb = "cannot carry" if given else "needs"
                 raise ValueError(f"{self.kind} provenance {verb} {name}")
-            if given and not least <= _records.number(value, name, number) < math.inf:
-                raise ValueError(f"{name} must be finite and >= {least}, got {value!r}")
+            if given and not least <= _records.number(value, name, number) <= most:
+                raise ValueError(f"{name} must lie in [{least}, {most}], got {value!r}")
 
     @classmethod
     def clean(cls) -> "Provenance":

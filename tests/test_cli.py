@@ -376,7 +376,8 @@ class TestEstimate:
 
     # Each malformed record the CLI reads is one error line naming its file:
     # ``key`` of the signal (estimate) or spectrum (signal) record set to
-    # ``value``, or with ``key`` None the whole record replaced.
+    # ``value``, or with ``key`` None the whole record replaced (a string is
+    # the file's text).
     @pytest.mark.parametrize(
         "command, key, value",
         [
@@ -403,12 +404,15 @@ class TestEstimate:
             ("signal", "entries", [{"lambda": 0.1, "weight": 1.0, "extra": 3}]),
             ("estimate", None, {"n_len": 16, "provenance": {"kind": "clean"}}),
             ("estimate", None, [{"n_len": 16}]),
+            ("signal", None, "[" * 100_000 + "]" * 100_000),
+            ("estimate", "provenance", {"kind": "shot_sampled", "shots_per_point": 2**70, "seed": 1}),
         ],
         ids=[*(f"provenance{i}" for i in range(5)), "provenance-string", "entries-number",
              "spectrum-list", "provenance-unknown-field", "n_len-float", "n_len-bool",
              "payload-not-base64", "payload-20-bytes", "payload-number", "list-format-signal",
              "entries-not-numbers", "oversized-integer", "entry-list", "spectrum-unknown-key",
-             "signal-unknown-key", "entry-unknown-key", "signal-without-payload", "signal-list"],
+             "signal-unknown-key", "entry-unknown-key", "signal-without-payload", "signal-list",
+             "nested-too-deeply", "shots-beyond-sampler"],
     )
     def test_malformed_provenance_is_usage_error(self, tmp_path, capsys, command, key, value):
         spec_f, sig_f, out_f = tmp_path / "s.json", tmp_path / "g.json", tmp_path / "e.json"
@@ -416,7 +420,7 @@ class TestEstimate:
         run("signal", "--spectrum", spec_f, "--n", 16, "--out", sig_f)
         path = sig_f if command == "estimate" else spec_f
         record = value if key is None else {**json.loads(path.read_text()), key: value}
-        path.write_text(json.dumps(record))
+        path.write_text(record if isinstance(record, str) else json.dumps(record))
         capsys.readouterr()
         if command == "estimate":
             inputs = ["--signal", sig_f, "--method", "ts", "--eps", 0.25, "--truncation", 16]

@@ -20,9 +20,11 @@ from qeep import (
     solve_amplitudes,
     solve_pencil,
 )
+from qeep import matrix_pencil
 from qeep.matrix_pencil import (
     _QR_BLOCK_ROWS_PER_COLUMN,
     SVD_RCOND,
+    _companion_roots,
     _eigenphase_pairs,
     _r_factor,
 )
@@ -96,9 +98,9 @@ class TestBuildHankel:
         assert np.array_equal(h, np.conj(h[::-1, ::-1]))
 
 
-def unit_phases(k):
+def unit_phases(k, rank):
     """Sorted eigenphases of K whose eigenvalue lies within 0.5 of the unit circle."""
-    phases, mu = _eigenphase_pairs(k)
+    phases, mu = _eigenphase_pairs(k, rank)
     return np.sort(phases[np.abs(np.abs(mu) - 1.0) <= 0.5])
 
 
@@ -106,7 +108,8 @@ class TestSolvePencil:
     def test_single_eigenvalue_rank_one_shift(self):
         lam = 0.37
         ts = generate_clean(point_mass(lam), 8)
-        k = solve_pencil(ts, 3)
+        k, rank = solve_pencil(ts, 3)
+        assert rank == 1
         mu = np.linalg.eigvals(k)
         top = mu[np.argmax(np.abs(mu))]
         assert top == pytest.approx(np.exp(-1j * lam), abs=1e-10)
@@ -118,13 +121,14 @@ class TestSolvePencil:
         ts = generate_clean(point_mass(0.0), 6)
         g = build_hankel(ts, 2)
         assert np.array_equal(g[:-1], g[1:])
-        mu = np.sort(np.abs(np.linalg.eigvals(solve_pencil(ts, 2))))
+        mu = np.sort(np.abs(np.linalg.eigvals(solve_pencil(ts, 2).k)))
         assert mu[-1] == pytest.approx(1.0, abs=1e-10)
         assert np.all(mu[:-1] <= 1e-10)
 
     def test_rank_structure_for_five_lines(self):
         ts = generate_clean(fig6_spectrum(), 20)
-        k = solve_pencil(ts, 10)
+        k, rank = solve_pencil(ts, 10)
+        assert rank == 5
         mu = np.sort(np.abs(np.linalg.eigvals(k)))
         assert np.all(np.abs(mu[-5:] - 1.0) <= 1e-6)
         assert np.all(mu[:-5] <= 1e-6)
@@ -132,7 +136,7 @@ class TestSolvePencil:
     def test_residual_of_noiseless_pencil(self):
         ts = generate_clean(fig6_spectrum(), 20)
         g = build_hankel(ts, 10)
-        k = solve_pencil(ts, 10)
+        k, _ = solve_pencil(ts, 10)
         assert np.linalg.norm(k @ g[:-1] - g[1:]) <= 1e-8
 
     # Wide pencils (L << N), where the QR reduction avoids the SVD of the
@@ -152,17 +156,22 @@ class TestSolvePencil:
         g = build_hankel(ts, l_dim)
         h0, h1 = g[:-1], g[1:]
         expected = h1 @ np.linalg.pinv(h0, rcond=SVD_RCOND)
-        k = solve_pencil(ts, l_dim)
+        k, rank = solve_pencil(ts, l_dim)
         assert np.linalg.norm(k - expected) <= 1e-9 * np.linalg.norm(expected)
         # R[:-1, :-1] of G^H = QR keeps the singular values of H0, so the
         # cutoff keeps as many of them.
         r = _r_factor(np.conj(g).T)
         s_h0 = np.linalg.svd(h0, compute_uv=False)
         s_r = np.linalg.svd(r[:-1, :-1], compute_uv=False)
-        assert np.sum(s_r > SVD_RCOND * s_r[0]) == np.sum(s_h0 > SVD_RCOND * s_h0[0])
-        if not noisy:
-            assert np.sum(s_h0 > SVD_RCOND * s_h0[0]) == 5
-            ref, got = unit_phases(expected), unit_phases(k)
+        assert rank == np.sum(s_r > SVD_RCOND * s_r[0]) == np.sum(s_h0 > SVD_RCOND * s_h0[0])
+        if noisy:
+            # Noise gives H0 full rank, so K is the companion matrix of its
+            # last row and its eigenvalues are that polynomial's roots.
+            assert rank == l_dim
+            assert_matched(_companion_roots(k[-1]), np.linalg.eigvals(k), 1e-9)
+        else:
+            assert rank == 5
+            ref, got = unit_phases(expected, rank), unit_phases(k, rank)
             assert ref.size == got.size == 5
             assert np.max(np.abs(got - ref)) <= 1e-12
 
@@ -221,18 +230,116 @@ class TestRFactor:
 
 class TestPencilEigenphases:
     def test_diagonal_case(self):
+        # A rank below K's order: not a companion matrix, so the eigensolve.
         k = np.diag([np.exp(-1j * 0.3)])
-        phases, mu = _eigenphase_pairs(k)
+        phases, mu = _eigenphase_pairs(k, 0)
         assert phases == pytest.approx([0.3], abs=1e-14)
         assert mu == pytest.approx([np.exp(-1j * 0.3)], abs=1e-14)
 
     def test_sorted_and_in_half_open_interval(self):
         k = np.diag([np.exp(-1j * 0.5), np.exp(1j * 0.2), -1.0])
-        phases = np.sort(_eigenphase_pairs(k)[0])
+        phases = np.sort(_eigenphase_pairs(k, 0)[0])
         assert np.all(np.diff(phases) >= 0)
         assert np.all((phases > -math.pi) & (phases <= math.pi))
         # -1 = exp(-i*pi): the phase lands on pi, not -pi.
         assert phases[-1] == pytest.approx(math.pi, abs=1e-12)
+
+
+def assert_matched(got, expected, tol):
+    """Each of ``got`` lies within ``tol`` of a distinct one of ``expected``,
+    relative to its modulus above one."""
+    dist = np.abs(got[:, None] - expected[None, :]) / np.maximum(1.0, np.abs(expected))
+    nearest = np.argmin(dist, axis=1)
+    assert got.size == expected.size == np.unique(nearest).size
+    assert np.max(dist[np.arange(got.size), nearest]) <= tol
+
+
+def chosen_roots(l_dim, zero):
+    """``l_dim`` roots at evenly spaced angles on the circles of radius 0.9, 1
+    and 1.1 in turn, the first replaced by an exact zero if ``zero``, in Leja
+    order: each next root is the one farthest, in product of distances, from
+    those before it. ``np.poly`` multiplies the factors in the order given,
+    and this order keeps the partial products' coefficients small, so the
+    coefficients of L = 565 roots come out accurate (Reichel 1990, BIT 30:332)."""
+    angles = 2 * np.pi * (np.arange(l_dim) + 0.5) / l_dim
+    roots = np.resize([0.9, 1.0, 1.1], l_dim) * np.exp(1j * angles)
+    if zero:
+        roots[0] = 0.0
+    order = [int(np.argmax(np.abs(roots)))]
+    log_dist = np.zeros(l_dim)
+    for _ in range(l_dim - 1):
+        log_dist += np.log(np.maximum(np.abs(roots - roots[order[-1]]), 1e-300))
+        log_dist[order] = -np.inf
+        order.append(int(np.argmax(log_dist)))
+    return roots[order]
+
+
+def prediction_row(roots):
+    """The last row ``a`` of the companion matrix whose polynomial
+    ``z^L - sum_j a_j z^j`` has these roots."""
+    return -np.poly(roots)[:0:-1]
+
+
+@pytest.fixture
+def eigvals_calls(monkeypatch):
+    """Shapes of the matrices passed to ``np.linalg.eigvals`` during the test."""
+    calls, eigvals = [], np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(m.shape) or eigvals(m))
+    return calls
+
+
+class TestCompanionRoots:
+    # Roots inside, on and outside the unit circle, and an exact zero.
+    @pytest.mark.parametrize(
+        "l_dim, zero", [(1, False), (1, True), (64, True), (565, True)],
+        ids=["L1", "L1-zero", "L64", "L565"],
+    )
+    def test_recovers_chosen_roots(self, l_dim, zero):
+        roots = chosen_roots(l_dim, zero)
+        got = _companion_roots(prediction_row(roots))
+        # Rounding in the coefficients moves these roots by up to 1e-13, in
+        # the companion matrix's eigenvalues too (2e-13 at L = 565).
+        assert_matched(got, roots, 1e-12)
+        if zero:
+            assert np.count_nonzero(got == 0) == 1
+
+    def test_missed_sweep_cap_falls_back_to_the_eigensolve(self, monkeypatch, eigvals_calls):
+        ts = add_noise(generate_clean(fig6_spectrum(), 64), 0.005, 3)
+        k, rank = solve_pencil(ts, 63)
+        assert rank == 63
+        monkeypatch.setattr(matrix_pencil, "_ABERTH_MAX_SWEEPS", 1)
+        assert _companion_roots(k[-1]) is None
+        phases, mu = _eigenphase_pairs(k, rank)
+        assert eigvals_calls == [(63, 63)]
+        assert np.array_equal(mu, np.linalg.eigvals(k))
+
+    def test_only_a_rank_deficient_pencil_takes_the_eigensolve(self, eigvals_calls):
+        clean = generate_clean(fig6_spectrum(), 20)
+        mp_estimate(add_noise(clean, 0.005, 3), 10)
+        assert eigvals_calls == []
+        assert solve_pencil(clean, 10).rank == 5
+        mp_estimate(clean, 10)
+        assert eigvals_calls == [(10, 10)]
+
+    def test_no_floating_point_exception(self):
+        # (z - 1e6)(z^63 - 1): the far root's 64th power, 1e384, overflows
+        # unless |z| > 1 goes through the reversed polynomial in 1/z.
+        far = np.zeros(64)
+        far[[0, 1, 63]] = -1e6, 1.0, 1e6
+        far_roots = np.append(1e6, np.exp(2j * np.pi * np.arange(63) / 63))
+        # z^64 = 1e300 and z^64 = 1e-300: constant terms near the ends of the
+        # double range, roots of modulus 5e4 and 2e-5.
+        unit = np.exp(2j * np.pi * np.arange(64) / 64)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            assert_matched(_companion_roots(far), far_roots, 1e-14)
+            for scale in (1e300, 1e-300):
+                a = np.zeros(64)
+                a[0] = scale
+                assert_matched(_companion_roots(a) / scale ** (1 / 64), unit, 1e-14)
+            roots = chosen_roots(64, True)
+            assert_matched(_companion_roots(prediction_row(roots)), roots, 1e-12)
+            est = mp_estimate(add_noise(generate_clean(fig6_spectrum(), 64), 0.005, 3))
+        assert np.all(np.isfinite(est.amplitudes))
 
 
 class TestSolveAmplitudes:

@@ -31,7 +31,7 @@ EDGE_OR_FINITE = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.7e308,
 PROVENANCES = st.one_of(
     st.just(Provenance.clean()),
     st.builds(Provenance.additive_noise, st.floats(0.0, allow_infinity=False), st.integers(0)),
-    st.builds(Provenance.shot_sampled, st.integers(1), st.integers(0)),
+    st.builds(Provenance.shot_sampled, st.integers(1, MAX_SHOTS_PER_POINT), st.integers(0)),
 )
 
 
@@ -162,6 +162,9 @@ class TestProvenance:
             {"kind": "shot_sampled", "shots_per_point": 1.5, "seed": 5},
             {"kind": "shot_sampled", "shots_per_point": True, "seed": 5},
             {"kind": "shot_sampled", "shots_per_point": 9, "seed": "5"},
+            # More shots per point than sample_shots can draw.
+            {"kind": "shot_sampled", "shots_per_point": 2**70, "seed": 1},
+            {"kind": "shot_sampled", "shots_per_point": MAX_SHOTS_PER_POINT + 1, "seed": 1},
         ],
     )
     def test_malformed_record_rejected(self, record):
@@ -178,6 +181,7 @@ class TestProvenance:
             {"kind": "additive_noise", "eps_prime": 0.0, "seed": 0},
             {"kind": "additive_noise", "eps_prime": 0, "seed": 2**70},
             {"kind": "shot_sampled", "shots_per_point": 1, "seed": 0},
+            {"kind": "shot_sampled", "shots_per_point": MAX_SHOTS_PER_POINT, "seed": 0},
         ],
     )
     def test_edge_values_accepted(self, record):

@@ -259,7 +259,7 @@ def _cmd_estimate(args) -> int:
     else:
         if spec is not None and args.eps is None:
             raise ValueError("--eps is required to report delta against a spectrum")
-        est = mp_estimate(ts, _pencil_dimension(ts.n_len, args.l_dim))
+        est = mp_estimate(ts, args.l_dim)
         mom, deltas = _moments_and_deltas(
             args.moments, lambda s: mp_moment(est, s), args.eps, spec
         )

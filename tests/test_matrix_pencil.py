@@ -25,7 +25,6 @@ from qeep.matrix_pencil import (
     _QR_BLOCK_ROWS_PER_COLUMN,
     SVD_RCOND,
     _companion_roots,
-    _eigenphase_pairs,
     _r_factor,
 )
 from qeep.signal import Provenance
@@ -98,19 +97,24 @@ class TestBuildHankel:
         assert np.array_equal(h, np.conj(h[::-1, ::-1]))
 
 
-def unit_phases(k, rank):
-    """Sorted eigenphases of K whose eigenvalue lies within 0.5 of the unit circle."""
-    phases, mu = _eigenphase_pairs(k, rank)
-    return np.sort(phases[np.abs(np.abs(mu) - 1.0) <= 0.5])
+def unit_phases(mu):
+    """Sorted eigenphases of the eigenvalues ``mu`` within 0.5 of the unit circle."""
+    return np.sort(-np.angle(mu[np.abs(np.abs(mu) - 1.0) <= 0.5]))
+
+
+def pinv_oracle(ts, l_dim):
+    """``K = H1 @ pinv(H0)`` formed directly from the Hankel row windows."""
+    g = build_hankel(ts, l_dim)
+    return g[1:] @ np.linalg.pinv(g[:-1], rcond=SVD_RCOND)
 
 
 class TestSolvePencil:
     def test_single_eigenvalue_rank_one_shift(self):
         lam = 0.37
         ts = generate_clean(point_mass(lam), 8)
-        k, rank = solve_pencil(ts, 3)
-        assert rank == 1
-        mu = np.linalg.eigvals(k)
+        mu = solve_pencil(ts, 3)
+        # Rank one: a 1 x 1 core and two exact zeros.
+        assert np.count_nonzero(mu == 0) == 2
         top = mu[np.argmax(np.abs(mu))]
         assert top == pytest.approx(np.exp(-1j * lam), abs=1e-10)
 
@@ -121,23 +125,15 @@ class TestSolvePencil:
         ts = generate_clean(point_mass(0.0), 6)
         g = build_hankel(ts, 2)
         assert np.array_equal(g[:-1], g[1:])
-        mu = np.sort(np.abs(np.linalg.eigvals(solve_pencil(ts, 2).k)))
+        mu = np.sort(np.abs(solve_pencil(ts, 2)))
         assert mu[-1] == pytest.approx(1.0, abs=1e-10)
-        assert np.all(mu[:-1] <= 1e-10)
+        assert np.all(mu[:-1] == 0)
 
     def test_rank_structure_for_five_lines(self):
         ts = generate_clean(fig6_spectrum(), 20)
-        k, rank = solve_pencil(ts, 10)
-        assert rank == 5
-        mu = np.sort(np.abs(np.linalg.eigvals(k)))
+        mu = np.sort(np.abs(solve_pencil(ts, 10)))
         assert np.all(np.abs(mu[-5:] - 1.0) <= 1e-6)
-        assert np.all(mu[:-5] <= 1e-6)
-
-    def test_residual_of_noiseless_pencil(self):
-        ts = generate_clean(fig6_spectrum(), 20)
-        g = build_hankel(ts, 10)
-        k, _ = solve_pencil(ts, 10)
-        assert np.linalg.norm(k @ g[:-1] - g[1:]) <= 1e-8
+        assert np.all(mu[:-5] == 0)
 
     # Wide pencils (L << N), where the QR reduction avoids the SVD of the
     # wide H0: G^H of (4469, 64) is factored in 17 row blocks, of (2000, 180)
@@ -145,7 +141,7 @@ class TestSolvePencil:
     # CLI default) and small ones take one direct QR.
     @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
     @pytest.mark.parametrize(
-        "n_len, l_dim", [(4469, 64), (2000, 180), (566, 565), (64, 63), (20, 10)]
+        "n_len, l_dim", [(4469, 64), (2000, 180), (200, 199), (64, 63), (20, 10)]
     )
     def test_matches_pinv_oracle(self, n_len, l_dim, noisy):
         from qeep import random_spectrum
@@ -153,25 +149,26 @@ class TestSolvePencil:
         ts = generate_clean(random_spectrum(5, 4), n_len)
         if noisy:
             ts = add_noise(ts, 0.005, 11)
-        g = build_hankel(ts, l_dim)
-        h0, h1 = g[:-1], g[1:]
-        expected = h1 @ np.linalg.pinv(h0, rcond=SVD_RCOND)
-        k, rank = solve_pencil(ts, l_dim)
-        assert np.linalg.norm(k - expected) <= 1e-9 * np.linalg.norm(expected)
+        expected = np.linalg.eigvals(pinv_oracle(ts, l_dim))
+        mu = solve_pencil(ts, l_dim)
         # R[:-1, :-1] of G^H = QR keeps the singular values of H0, so the
-        # cutoff keeps as many of them.
+        # cutoff keeps as many of them, and the solve returns L - rank zeros.
+        g = build_hankel(ts, l_dim)
         r = _r_factor(np.conj(g).T)
-        s_h0 = np.linalg.svd(h0, compute_uv=False)
+        s_h0 = np.linalg.svd(g[:-1], compute_uv=False)
         s_r = np.linalg.svd(r[:-1, :-1], compute_uv=False)
-        assert rank == np.sum(s_r > SVD_RCOND * s_r[0]) == np.sum(s_h0 > SVD_RCOND * s_h0[0])
+        rank = np.sum(s_h0 > SVD_RCOND * s_h0[0])
+        assert np.sum(s_r > SVD_RCOND * s_r[0]) == rank
+        assert mu.size == l_dim
+        assert np.count_nonzero(mu == 0) == l_dim - rank
         if noisy:
             # Noise gives H0 full rank, so K is the companion matrix of its
             # last row and its eigenvalues are that polynomial's roots.
             assert rank == l_dim
-            assert_matched(_companion_roots(k[-1]), np.linalg.eigvals(k), 1e-9)
+            assert_matched(mu, expected, 1e-9)
         else:
             assert rank == 5
-            ref, got = unit_phases(expected, rank), unit_phases(k, rank)
+            ref, got = unit_phases(expected), unit_phases(mu)
             assert ref.size == got.size == 5
             assert np.max(np.abs(got - ref)) <= 1e-12
 
@@ -230,19 +227,26 @@ class TestRFactor:
 
 class TestPencilEigenphases:
     def test_diagonal_case(self):
-        # A rank below K's order: not a companion matrix, so the eigensolve.
-        k = np.diag([np.exp(-1j * 0.3)])
-        phases, mu = _eigenphase_pairs(k, 0)
-        assert phases == pytest.approx([0.3], abs=1e-14)
-        assert mu == pytest.approx([np.exp(-1j * 0.3)], abs=1e-14)
+        # One line: at L = 1 the root of a degree-one polynomial, at L = 3 the
+        # eigensolve of a 1 x 1 core and two exact zeros, phase 0.
+        ts = TimeSeries(values=np.exp(-1j * 0.3 * np.arange(4)), provenance=Provenance.clean())
+        est = mp_estimate(ts, 1)
+        assert est.eigenphases == pytest.approx([0.3], abs=1e-14)
+        assert est.moduli == pytest.approx([1.0], abs=1e-14)
+        est = mp_estimate(ts, 3)
+        assert est.eigenphases == pytest.approx([0.0, 0.0, 0.3], abs=1e-14)
+        assert est.moduli == pytest.approx([0.0, 0.0, 1.0], abs=1e-14)
 
     def test_sorted_and_in_half_open_interval(self):
-        k = np.diag([np.exp(-1j * 0.5), np.exp(1j * 0.2), -1.0])
-        phases = np.sort(_eigenphase_pairs(k, 0)[0])
-        assert np.all(np.diff(phases) >= 0)
-        assert np.all((phases > -math.pi) & (phases <= math.pi))
-        # -1 = exp(-i*pi): the phase lands on pi, not -pi.
-        assert phases[-1] == pytest.approx(math.pi, abs=1e-12)
+        # g_k = (-1)^k: its one eigenvalue is -1 = exp(-i*pi), as a root at
+        # L = 1 and from the 1 x 1 core beside two zeros at L = 3. The phase
+        # lands on pi, not -pi.
+        ts = TimeSeries(values=(-1.0) ** np.arange(4), provenance=Provenance.clean())
+        for l_dim in (1, 3):
+            est = mp_estimate(ts, l_dim)
+            assert np.all(np.diff(est.eigenphases) >= 0)
+            assert np.all((est.eigenphases > -math.pi) & (est.eigenphases <= math.pi))
+            assert est.eigenphases[-1] == pytest.approx(math.pi, abs=1e-12)
 
 
 def assert_matched(got, expected, tol):
@@ -305,21 +309,21 @@ class TestCompanionRoots:
 
     def test_missed_sweep_cap_falls_back_to_the_eigensolve(self, monkeypatch, eigvals_calls):
         ts = add_noise(generate_clean(fig6_spectrum(), 64), 0.005, 3)
-        k, rank = solve_pencil(ts, 63)
-        assert rank == 63
         monkeypatch.setattr(matrix_pencil, "_ABERTH_MAX_SWEEPS", 1)
-        assert _companion_roots(k[-1]) is None
-        phases, mu = _eigenphase_pairs(k, rank)
+        mu = solve_pencil(ts, 63)
         assert eigvals_calls == [(63, 63)]
-        assert np.array_equal(mu, np.linalg.eigvals(k))
+        k = pinv_oracle(ts, 63)
+        assert _companion_roots(k[-1]) is None
+        assert_matched(mu, np.linalg.eigvals(k), 1e-9)
 
     def test_only_a_rank_deficient_pencil_takes_the_eigensolve(self, eigvals_calls):
         clean = generate_clean(fig6_spectrum(), 20)
         mp_estimate(add_noise(clean, 0.005, 3), 10)
         assert eigvals_calls == []
-        assert solve_pencil(clean, 10).rank == 5
-        mp_estimate(clean, 10)
-        assert eigvals_calls == [(10, 10)]
+        # Rank five: the 5 x 5 core, and five exact zeros.
+        est = mp_estimate(clean, 10)
+        assert eigvals_calls == [(5, 5)]
+        assert np.count_nonzero(est.moduli == 0) == 5
 
     def test_no_floating_point_exception(self):
         # (z - 1e6)(z^63 - 1): the far root's 64th power, 1e384, overflows
@@ -339,7 +343,9 @@ class TestCompanionRoots:
             roots = chosen_roots(64, True)
             assert_matched(_companion_roots(prediction_row(roots)), roots, 1e-12)
             est = mp_estimate(add_noise(generate_clean(fig6_spectrum(), 64), 0.005, 3))
+            clean = mp_estimate(generate_clean(fig6_spectrum(), 64))
         assert np.all(np.isfinite(est.amplitudes))
+        assert np.all(np.isfinite(clean.amplitudes))
 
 
 class TestSolveAmplitudes:

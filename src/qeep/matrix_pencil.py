@@ -26,22 +26,30 @@ to skip duplicate work. That R may differ from a direct QR's by a unitary
 diagonal ``D``, on the left, but ``K`` depends on R only through
 ``R^H R = G G^H``, so ``D`` drops out. The eigenvalues
 ``mu = exp(-i * phase)`` of ``K`` carry the estimates, and a Vandermonde
-least-squares fit against the first L signal entries recovers amplitudes.
+least-squares fit against the first L signal entries recovers amplitudes. Its
+L x L system is square, so it takes the same certified solve and falls back
+to the cutoff least squares only when that solve fails.
 
-``K`` itself is never formed. With the SVD ``R[:-1, :-1]^H = V S U^H`` cut to
-its ``r`` kept singular values, ``K = X @ V_r^H`` with the L x r matrix
-``X = R[:-1, 1:]^H @ U_r / S_r``. Since ``X Y`` and ``Y X`` share their nonzero
-eigenvalues, ``K``'s are those of the r x r core ``V_r^H @ X`` and ``L - r``
-exact zeros. An exact signal of D lines gives r = D, so its solve is a D x D
-eigensolve.
+``K`` itself is never formed. When ``R0 = R[:-1, :-1]`` keeps all L singular
+values under the cutoff, ``H0`` has full row rank and ``H0 @ pinv(H0) = I``.
+The first L - 1 rows of ``H1`` are the last L - 1 rows of ``H0``, so row
+``l < L - 1`` of ``K`` is the unit row ``e_{l+1}``: ``K`` is the companion
+matrix of the linear-prediction polynomial ``p(z) = z^L - sum_j a_j z^j`` with
+``a = K[-1] = conj(R0^-1 @ R[:-1, -1])``, and its eigenvalues are the roots of
+``p``. Every noisy pencil has full rank, and one LU solve certifies it: the
+condition bound ``||R0||_F ||R0^-1||_F`` of :func:`_certified_solve` stays
+below ``1 / (2 SVD_RCOND)``, so no SVD is needed to find the rank (at fig5's
+N = 566, L = 565 the condition number of ``R0`` is about 1e6).
 
-When the SVD keeps all L singular values, ``H0`` has full row rank and
-``H0 @ pinv(H0) = I``. The first L - 1 rows of ``H1`` are the last L - 1 rows
-of ``H0``, so row ``l < L - 1`` of ``K`` is the unit row ``e_{l+1}``: ``K`` is
-the companion matrix of the linear-prediction polynomial
-``p(z) = z^L - sum_j a_j z^j`` with ``a = K[-1] = X[-1] @ V^H``, and its
-eigenvalues are the roots of ``p``. Every noisy pencil has full rank. Those
-roots come from Aberth-Ehrlich simultaneous iteration (Aberth 1973, Math.
+Only when the rank is in doubt does the pencil take the SVD
+``R0^H = V S U^H``, cut to its ``r`` kept singular values. Then
+``K = X @ V_r^H`` with the L x r matrix ``X = R[:-1, 1:]^H @ U_r / S_r``. Since
+``X Y`` and ``Y X`` share their nonzero eigenvalues, ``K``'s are those of the
+r x r core ``V_r^H @ X`` and ``L - r`` exact zeros. An exact signal of D lines
+gives r = D, so its solve is a D x D eigensolve; an uncertified pencil that
+keeps r = L takes the roots of ``a = X[-1] @ V^H``.
+
+The roots come from Aberth-Ehrlich simultaneous iteration (Aberth 1973, Math.
 Comp. 27:339), all L at once in O(L^2) per sweep, instead of an O(L^3) dense
 eigensolve. A root stops moving once ``|p(z)| <= 4 L u sum_k |c_k| |z|^k``
 (``c`` the coefficients of ``p``, ``u`` the unit roundoff), the stopping rule
@@ -70,7 +78,9 @@ from .errors import NumericError
 from .signal import TimeSeries
 
 # Relative singular-value cutoff for all pseudoinverse solves. The noiseless
-# Hankel matrix has rank D << L, so a cutoff is mandatory.
+# Hankel matrix has rank D << L, so a cutoff is mandatory. A square system
+# whose condition bound in `_certified_solve` stays below 1 / (2 * SVD_RCOND)
+# keeps every singular value under it and is solved by LU instead.
 SVD_RCOND = 1e-12
 
 # The blocked QR factors row blocks of this many rows per column: at L = 64 a
@@ -183,20 +193,52 @@ def _r_factor(a: np.ndarray) -> np.ndarray:
     return np.linalg.qr(np.concatenate([top, top.conj()[:, ::-1], middle]), mode="r")
 
 
+def _certified_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """The solution of the square system ``a @ x = b`` from one LU solve of
+    ``a`` against ``[b | I]``, when ``||a||_F ||a^-1||_F < 1 / (2 SVD_RCOND)``;
+    ``None`` when ``a`` is singular, not finite, or not certified.
+
+    With ``a``'s singular values ``s_1 >= .. >= s_n``, ``||a||_F >= s_1`` and
+    ``||a^-1||_F >= 1 / s_n``, so the product bounds the condition number
+    ``s_1 / s_n`` from above. A certified ``a`` has ``s_n > 2 SVD_RCOND s_1``,
+    so the cutoff of ``lstsq`` or of an SVD keeps all n singular values and the
+    pseudoinverse solution is this one. The factor 2 absorbs rounding: the
+    computed ``a^-1`` is off by a relative ``O(n u cond(a))`` (``u`` the unit
+    roundoff), at most ``n u / (2 SVD_RCOND)``, 3% at n = 565, and a computed
+    singular value by ``O(n u s_1)``, far below ``SVD_RCOND s_1``. The solution
+    column is ``np.linalg.solve(a, b)`` bit for bit; the identity columns only
+    give ``a^-1`` for the bound.
+    """
+    n = a.shape[0]
+    with np.errstate(all="ignore"):
+        try:
+            x = np.linalg.solve(a, np.column_stack([b, np.eye(n)]))
+        except np.linalg.LinAlgError:
+            return None
+        bound = np.linalg.norm(a) * np.linalg.norm(x[:, 1:])
+    return x[:, 0].copy() if bound < 0.5 / SVD_RCOND else None
+
+
 def solve_pencil(ts: TimeSeries, l_dim: int) -> np.ndarray:
     """The ``l_dim`` eigenvalues ``mu`` of the least-squares pencil matrix
     ``K = H1 @ pinv(H0)`` (Frobenius objective) of the row windows
     ``H0 = G[:-1]``, ``H1 = G[1:]`` of ``G = build_hankel(ts, l_dim)``, with
     singular values below ``SVD_RCOND`` times the largest treated as zero,
-    from ``K = X @ V_r^H`` without forming ``K`` (see the module docstring).
+    without forming ``K`` (see the module docstring): the companion roots of a
+    certified full-rank pencil, or else those of ``K = X @ V_r^H`` from the SVD.
     ``G`` is conjugate-centrosymmetric by construction, as the blocked R factor
     needs, and ``H0`` holds ``g_0 = 1``, so it is never zero.
     """
     g = build_hankel(ts, l_dim)
+    # The R factor of G^T, conjugated, is one of G^H, without a conjugated
+    # copy of G; K depends on R only through R^H R = G G^H.
+    r = _r_factor(g.T).conj()
+    row = _certified_solve(r[:-1, :-1], r[:-1, -1])
+    if row is not None:
+        mu = _companion_roots(row.conj())
+        if mu is not None:
+            return mu
     try:
-        # The R factor of G^T, conjugated, is one of G^H, without a conjugated
-        # copy of G; K depends on R only through R^H R = G G^H.
-        r = _r_factor(g.T).conj()
         u, s, vh = np.linalg.svd(r[:-1, :-1])
     except np.linalg.LinAlgError as exc:
         raise NumericError("pencil pseudoinverse did not converge") from exc
@@ -206,7 +248,8 @@ def solve_pencil(ts: TimeSeries, l_dim: int) -> np.ndarray:
     # temporaries, they raised the peak RSS of a paper-default `reproduce fig5`
     # from 78.8 to 83.5 MiB (one BLAS thread, 2-vCPU Xeon).
     del r, u
-    mu = _companion_roots(x[-1] @ vh) if cut.all() else None
+    # A certified row whose roots missed the sweep cap goes to the eigensolve.
+    mu = _companion_roots(x[-1] @ vh) if cut.all() and row is None else None
     if mu is None:
         try:
             core = np.linalg.eigvals(vh[cut] @ x)
@@ -298,11 +341,15 @@ def _polynomial_terms(x: np.ndarray, coef: np.ndarray):
 def solve_amplitudes(eigenphases, ts: TimeSeries, l_dim: int, moduli) -> AmplitudeFit:
     """Least-squares amplitudes against the first ``l_dim`` signal entries.
 
-    The system matrix has entries ``exp(-i * phase_{l'} * l)``. Duplicate or
-    clustered eigenphases make it rank deficient; the cutoff pseudoinverse
-    then returns the minimum-norm solution and the deficiency shows up in the
-    reported rank. Eigenvalue ``moduli`` at most ``SVD_RCOND`` times the largest
-    get amplitude zero: they are a rank-deficient pencil's zeros, whose phase is noise.
+    The square system matrix has entries ``exp(-i * phase_{l'} * l)``. When
+    :func:`_certified_solve` certifies it, the cutoff would keep every singular
+    value, so its LU solution is the least-squares one and the rank is
+    ``l_dim``. Otherwise the cutoff pseudoinverse of ``lstsq`` solves it:
+    duplicate or clustered eigenphases make it rank deficient, the minimum-norm
+    solution is returned and the deficiency shows up in the reported rank.
+    Eigenvalue ``moduli`` at most ``SVD_RCOND`` times the largest get amplitude
+    zero: they are a rank-deficient pencil's zeros, whose phase is noise, and
+    their zeroed columns always send the system to ``lstsq``.
     """
     phases = np.asarray(eigenphases, dtype=float)
     moduli = np.asarray(moduli, dtype=float)
@@ -313,7 +360,9 @@ def solve_amplitudes(eigenphases, ts: TimeSeries, l_dim: int, moduli) -> Amplitu
     b = np.exp(-1j * np.outer(np.arange(l_dim), phases))
     b[:, moduli <= SVD_RCOND * np.max(moduli)] = 0.0
     target = ts.values[:l_dim]
-    solution, _, rank, _ = np.linalg.lstsq(b, target, rcond=SVD_RCOND)
+    solution, rank = _certified_solve(b, target), l_dim
+    if solution is None:
+        solution, _, rank, _ = np.linalg.lstsq(b, target, rcond=SVD_RCOND)
     residual = float(np.linalg.norm(b @ solution - target))
     return AmplitudeFit(amplitudes=solution, residual=residual, rank=int(rank))
 
@@ -324,8 +373,9 @@ def mp_estimate(ts: TimeSeries, l_dim: int | None = None) -> MpEstimate:
     and defaults to ``N - 1``. All eigenphases are kept."""
     l_dim = _pencil_dimension(ts.n_len, l_dim)
     mu = solve_pencil(ts, l_dim)
-    # mu = exp(-i * phase), with the phase mapped into (-pi, pi].
-    phases = -np.angle(mu)
+    # mu = exp(-i * phase), with the phase mapped into (-pi, pi]; subtracting
+    # from +0.0 gives an exact zero eigenvalue the phase +0.0, not -0.0.
+    phases = 0.0 - np.angle(mu)
     phases[phases <= -math.pi] += 2.0 * math.pi
     moduli = np.abs(mu)
     fit = solve_amplitudes(phases, ts, l_dim, moduli)

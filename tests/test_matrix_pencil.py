@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from qeep import matrix_pencil
 from qeep.matrix_pencil import (
     _QR_BLOCK_ROWS_PER_COLUMN,
     SVD_RCOND,
+    _certified_solve,
     _companion_roots,
     _r_factor,
 )
@@ -285,10 +287,18 @@ def prediction_row(roots):
 
 
 @pytest.fixture
-def eigvals_calls(monkeypatch):
-    """Shapes of the matrices passed to ``np.linalg.eigvals`` during the test."""
-    calls, eigvals = [], np.linalg.eigvals
-    monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(m.shape) or eigvals(m))
+def linalg_calls(monkeypatch):
+    """Shapes of the matrices passed to ``np.linalg.svd``, ``lstsq`` and
+    ``eigvals`` during the test, by function name."""
+    calls = {}
+    for name in ("svd", "lstsq", "eigvals"):
+        calls[name] = []
+
+        def spy(m, *args, _f=getattr(np.linalg, name), _shapes=calls[name], **kw):
+            _shapes.append(m.shape)
+            return _f(m, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, name, spy)
     return calls
 
 
@@ -307,23 +317,40 @@ class TestCompanionRoots:
         if zero:
             assert np.count_nonzero(got == 0) == 1
 
-    def test_missed_sweep_cap_falls_back_to_the_eigensolve(self, monkeypatch, eigvals_calls):
+    def test_missed_sweep_cap_falls_back_to_the_eigensolve(self, monkeypatch, linalg_calls):
         ts = add_noise(generate_clean(fig6_spectrum(), 64), 0.005, 3)
         monkeypatch.setattr(matrix_pencil, "_ABERTH_MAX_SWEEPS", 1)
+        roots_calls = []
+        spy = lambda a: roots_calls.append(a.size) or _companion_roots(a)
+        monkeypatch.setattr(matrix_pencil, "_companion_roots", spy)
         mu = solve_pencil(ts, 63)
-        assert eigvals_calls == [(63, 63)]
+        # The certified row's roots miss the cap once; the SVD path then goes
+        # straight to the eigensolve of the L x L core, without a second try.
+        assert roots_calls == [63]
+        assert linalg_calls["svd"] == [(63, 63)]
+        assert linalg_calls["eigvals"] == [(63, 63)]
         k = pinv_oracle(ts, 63)
         assert _companion_roots(k[-1]) is None
         assert_matched(mu, np.linalg.eigvals(k), 1e-9)
 
-    def test_only_a_rank_deficient_pencil_takes_the_eigensolve(self, eigvals_calls):
+    def test_only_a_rank_deficient_pencil_takes_the_eigensolve(self, linalg_calls):
         clean = generate_clean(fig6_spectrum(), 20)
         mp_estimate(add_noise(clean, 0.005, 3), 10)
-        assert eigvals_calls == []
-        # Rank five: the 5 x 5 core, and five exact zeros.
+        assert linalg_calls == {"svd": [], "lstsq": [], "eigvals": []}
+        # Rank five: the SVD of the L x L block, the 5 x 5 core, five exact
+        # zeros, and the amplitude fit's zeroed columns go to lstsq.
         est = mp_estimate(clean, 10)
-        assert eigvals_calls == [(5, 5)]
+        assert linalg_calls == {"svd": [(10, 10)], "lstsq": [(10, 10)], "eigvals": [(5, 5)]}
         assert np.count_nonzero(est.moduli == 0) == 5
+
+    def test_certified_paper_shape_pencil_takes_no_svd(self, linalg_calls):
+        # The paper's N = 566, L = 565 under noise: both square systems are
+        # certified full rank, so neither the pencil nor the amplitude fit
+        # runs an SVD.
+        ts = add_noise(generate_clean(fig6_spectrum(), 566), 0.005, 1)
+        est = mp_estimate(ts, 565)
+        assert linalg_calls == {"svd": [], "lstsq": [], "eigvals": []}
+        assert np.all(est.moduli > 0)
 
     def test_no_floating_point_exception(self):
         # (z - 1e6)(z^63 - 1): the far root's 64th power, 1e384, overflows
@@ -346,6 +373,54 @@ class TestCompanionRoots:
             clean = mp_estimate(generate_clean(fig6_spectrum(), 64))
         assert np.all(np.isfinite(est.amplitudes))
         assert np.all(np.isfinite(clean.amplitudes))
+
+
+def conditioned(n, cond, seed):
+    """``U diag(s) V^H`` for random unitary ``U``, ``V`` and ``n`` singular
+    values spaced geometrically from 1 down to ``1 / cond``."""
+    rng = np.random.default_rng(seed)
+    u, v = (
+        np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        for _ in range(2)
+    )
+    return (u * np.geomspace(1.0, 1.0 / cond, n)) @ v.conj().T
+
+
+class TestCertifiedSolve:
+    # n = 2 makes the bound ||a||_F ||a^-1||_F equal the condition number to
+    # within a factor 2, so the cases straddle the certificate's 5e11; at
+    # n = 64 the Frobenius norms make it stricter.
+    @pytest.mark.parametrize("n", [2, 64])
+    @pytest.mark.parametrize("cond", [1e3, 1e11, 4e11, 1e12, 1e13])
+    def test_accepted_systems_keep_every_singular_value(self, n, cond):
+        a = conditioned(n, cond, 5)
+        b = np.arange(1.0, n + 1) - 0.5j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = _certified_solve(a, b)
+        s = np.linalg.svd(a, compute_uv=False)
+        bound = np.linalg.norm(a) * np.linalg.norm(np.linalg.inv(a))
+        if x is None:
+            # Rejected only near or above the threshold 0.5 / SVD_RCOND.
+            assert bound >= 0.45 / SVD_RCOND
+        else:
+            assert np.all(s > SVD_RCOND * s[0])
+            assert np.array_equal(x, np.linalg.solve(a, b))
+        if cond <= 1e11 or (n == 2 and cond <= 4e11):
+            assert x is not None
+
+    @pytest.mark.parametrize(
+        "entry", [0.0, np.inf, np.nan, 1.7e308], ids=["zero-column", "inf", "nan", "overflow"]
+    )
+    def test_singular_or_non_finite_system_is_not_certified(self, entry):
+        a = conditioned(6, 10.0, 2)
+        if entry == 0.0:
+            a[:, 3] = 0.0
+        else:
+            a[1, 2] = a[4, 2] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _certified_solve(a, np.ones(6, dtype=complex)) is None
 
 
 class TestSolveAmplitudes:
@@ -402,6 +477,15 @@ class TestMpEstimate:
         assert np.max(np.abs(phases - spec.lambdas)) <= 1e-6
         amps = est.amplitudes[keep][np.argsort(est.eigenphases[keep])]
         assert np.max(np.abs(amps.real - spec.weights)) <= 1e-6
+
+    def test_zero_eigenvalues_get_phase_plus_zero(self):
+        # A clean pencil's exact zero eigenvalues have phase +0.0, not -0.0,
+        # at a small shape and at the paper's N = 566, L = 565 (C09).
+        spec = fig6_spectrum()
+        for n_len, l_dim, zeros in ((20, 10, 5), (566, 565, 560)):
+            est = mp_estimate(generate_clean(spec, n_len), l_dim)
+            assert np.count_nonzero(est.moduli == 0) == zeros
+            assert not np.any(np.signbit(est.eigenphases[est.eigenphases == 0]))
 
     def test_default_pencil_dimension(self):
         ts = generate_clean(fig6_spectrum(), 16)

@@ -44,8 +44,6 @@ def number(value, name: str, kind=Real):
 
 def numbers(values, name: str) -> np.ndarray:
     """The list ``values`` of real numbers as a float array."""
-    if not isinstance(values, list):
-        raise ValueError(f"{name} must be a list of numbers, got {values!r:.40}")
     for value in values:
         number(value, f"each entry of {name}")
     return np.array(values, dtype=float)

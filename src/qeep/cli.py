@@ -191,11 +191,8 @@ def _cmd_signal(args) -> int:
         ts = add_noise(generate_clean(spec, args.n), args.noise, args.seed)
     else:
         ts = generate_clean(spec, args.n)
-    payload = ts.to_dict()
-    if args.plan:
-        payload["planned_shots"] = hoeffding_shots(args.n, *args.plan)
     out = Path(args.out)
-    _write_json(payload, out)
+    _write_json(ts.to_dict(), out)
     if args.csv:
         rows = ((k, v.real, v.imag) for k, v in enumerate(ts.values))
         _write_csv(args.csv, ["k", "re", "im"], rows)

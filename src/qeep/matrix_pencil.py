@@ -30,24 +30,17 @@ least-squares fit against the first L signal entries recovers amplitudes. Its
 L x L system is square, so it takes the same certified solve and falls back
 to the cutoff least squares only when that solve fails.
 
-``K`` itself is never formed. When ``R0 = R[:-1, :-1]`` keeps all L singular
-values under the cutoff, ``H0`` has full row rank and ``H0 @ pinv(H0) = I``.
-The first L - 1 rows of ``H1`` are the last L - 1 rows of ``H0``, so row
-``l < L - 1`` of ``K`` is the unit row ``e_{l+1}``: ``K`` is the companion
-matrix of the linear-prediction polynomial ``p(z) = z^L - sum_j a_j z^j`` with
-``a = K[-1] = conj(R0^-1 @ R[:-1, -1])``, and its eigenvalues are the roots of
-``p``. Every noisy pencil has full rank, and one LU solve certifies it: the
-condition bound ``||R0||_F ||R0^-1||_F`` of :func:`_certified_solve` stays
-below ``1 / (2 SVD_RCOND)``, so no SVD is needed to find the rank (at fig5's
-N = 566, L = 565 the condition number of ``R0`` is about 1e6).
-
-Only when the rank is in doubt does the pencil take the SVD
-``R0^H = V S U^H``, cut to its ``r`` kept singular values. Then
-``K = X @ V_r^H`` with the L x r matrix ``X = R[:-1, 1:]^H @ U_r / S_r``. Since
-``X Y`` and ``Y X`` share their nonzero eigenvalues, ``K``'s are those of the
-r x r core ``V_r^H @ X`` and ``L - r`` exact zeros. An exact signal of D lines
-gives r = D, so its solve is a D x D eigensolve; an uncertified pencil that
-keeps r = L takes the roots of ``a = X[-1] @ V^H``.
+``K`` itself is never formed, and its eigenvalues take one of two paths. When
+``R0 = R[:-1, :-1]`` keeps all L singular values under the cutoff, ``H0`` has
+full row rank and ``H0 @ pinv(H0) = I``. The first L - 1 rows of ``H1`` are
+the last L - 1 rows of ``H0``, so row ``l < L - 1`` of ``K`` is the unit row
+``e_{l+1}``: ``K`` is the companion matrix of the linear-prediction polynomial
+``p(z) = z^L - sum_j a_j z^j`` with ``a = K[-1] = conj(R0^-1 @ R[:-1, -1])``,
+and its eigenvalues are the roots of ``p``. Every noisy pencil has full rank,
+and one LU solve certifies it: the condition bound ``||R0||_F ||R0^-1||_F`` of
+:func:`_certified_solve` stays below ``1 / (2 SVD_RCOND)``, so no SVD is
+needed to find the rank (at fig5's N = 566, L = 565 the condition number of
+``R0`` is about 1e6).
 
 The roots come from Aberth-Ehrlich simultaneous iteration (Aberth 1973, Math.
 Comp. 27:339), all L at once in O(L^2) per sweep, instead of an O(L^3) dense
@@ -55,8 +48,14 @@ eigensolve. A root stops moving once ``|p(z)| <= 4 L u sum_k |c_k| |z|^k``
 (``c`` the coefficients of ``p``, ``u`` the unit roundoff), the stopping rule
 of Bini (1996, Numer. Algorithms 13:179): it is then an exact root of a
 polynomial whose coefficients differ from ``p``'s by a relative O(L u), each.
-A polynomial whose roots miss the sweep cap takes the eigensolve of the
-L x L core instead.
+
+Every other pencil, uncertified or with roots that miss the sweep cap, takes
+the second path: the SVD ``R0^H = V S U^H``, cut to its ``r`` kept singular
+values. Then ``K = X @ V_r^H`` with the L x r matrix
+``X = R[:-1, 1:]^H @ U_r / S_r``. Since ``X Y`` and ``Y X`` share their nonzero
+eigenvalues, ``K``'s are those of the r x r core ``V_r^H @ X`` and ``L - r``
+exact zeros. An exact signal of D lines gives r = D, so its solve is a D x D
+eigensolve; a pencil that keeps r = L pays the L x L one.
 
 On an exact signal this recovers the spectrum to machine precision. Under
 noise the method has no error guarantee and may place amplitude on phases
@@ -224,39 +223,32 @@ def solve_pencil(ts: TimeSeries, l_dim: int) -> np.ndarray:
     ``K = H1 @ pinv(H0)`` (Frobenius objective) of the row windows
     ``H0 = G[:-1]``, ``H1 = G[1:]`` of ``G = build_hankel(ts, l_dim)``, with
     singular values below ``SVD_RCOND`` times the largest treated as zero,
-    without forming ``K`` (see the module docstring): the companion roots of a
-    certified full-rank pencil, or else those of ``K = X @ V_r^H`` from the SVD.
-    ``G`` is conjugate-centrosymmetric by construction, as the blocked R factor
-    needs, and ``H0`` holds ``g_0 = 1``, so it is never zero.
+    without forming ``K`` (see the module docstring). A certified full-rank
+    pencil takes the companion roots; every other pencil, and one whose roots
+    miss the sweep cap, takes the SVD of ``R0``, the eigenvalues of its r x r
+    core and ``l_dim - r`` exact zeros. ``G`` is conjugate-centrosymmetric by
+    construction, as the blocked R factor needs, and ``H0`` holds ``g_0 = 1``,
+    so it is never zero.
     """
     g = build_hankel(ts, l_dim)
     # The R factor of G^T, conjugated, is one of G^H, without a conjugated
     # copy of G; K depends on R only through R^H R = G G^H.
     r = _r_factor(g.T).conj()
     row = _certified_solve(r[:-1, :-1], r[:-1, -1])
-    if row is not None:
-        mu = _companion_roots(row.conj())
-        if mu is not None:
-            return mu
+    mu = None if row is None else _companion_roots(row.conj())
+    if mu is not None:
+        return mu
     try:
         u, s, vh = np.linalg.svd(r[:-1, :-1])
     except np.linalg.LinAlgError as exc:
         raise NumericError("pencil pseudoinverse did not converge") from exc
     cut = s > SVD_RCOND * s[0]
     x = (r[:-1, 1:].conj().T @ u[:, cut]) / s[cut]
-    # Free r and u before the root sweeps: kept alive beside the sweeps' small
-    # temporaries, they raised the peak RSS of a paper-default `reproduce fig5`
-    # from 78.8 to 83.5 MiB (one BLAS thread, 2-vCPU Xeon).
-    del r, u
-    # A certified row whose roots missed the sweep cap goes to the eigensolve.
-    mu = _companion_roots(x[-1] @ vh) if cut.all() and row is None else None
-    if mu is None:
-        try:
-            core = np.linalg.eigvals(vh[cut] @ x)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError("pencil eigensolve failed") from exc
-        mu = np.append(core, np.zeros(l_dim - core.size))
-    return mu
+    try:
+        core = np.linalg.eigvals(vh[cut] @ x)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError("pencil eigensolve failed") from exc
+    return np.append(core, np.zeros(l_dim - core.size))
 
 
 def _companion_roots(a: np.ndarray) -> np.ndarray | None:

@@ -107,8 +107,6 @@ class TimeSeries:
     complex128 bytes, real and imaginary parts interleaved
     (``values.astype("<c16").tobytes()``), so a record reads back bit for bit
     and without parsing decimal text. ``signal --csv`` writes a readable copy.
-    The record ``signal --plan`` writes also holds ``planned_shots``, which
-    :meth:`from_dict` accepts and ignores.
     """
 
     values: np.ndarray
@@ -138,7 +136,7 @@ class TimeSeries:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TimeSeries":
-        _records.record(data, "signal", ("n_len", "provenance", "values_c16le"), ("planned_shots",))
+        _records.record(data, "signal", ("n_len", "provenance", "values_c16le"))
         payload = data["values_c16le"]
         if not isinstance(payload, str):
             raise ValueError(f"values_c16le must be a base64 string, got {payload!r:.40}")

@@ -20,7 +20,6 @@ from qeep import (
     TimeSeries,
     build_filterbank,
     fig6_spectrum,
-    hoeffding_shots,
     hoeffding_shots_per_point,
     truncated_bins,
 )
@@ -107,7 +106,8 @@ class TestSignal:
         assert b.provenance.kind == "additive_noise"
 
     def test_auto_shots_records_plan(self, tmp_path):
-        # The signal samples the per-point count and records C11's total beside it.
+        # The signal samples the per-point count and records it in the
+        # provenance, without C11's total R, which counts a different model.
         spec = tmp_path / "spec.json"
         sig = tmp_path / "sig.json"
         run("synth", "--fig6", "--out", spec)
@@ -121,11 +121,11 @@ class TestSignal:
         )
         payload = json.loads(sig.read_text())
         assert payload["n_len"] == 8
-        assert payload["planned_shots"] == hoeffding_shots(8, 0.5, 0.9) == 325
+        assert "planned_shots" not in payload
         assert payload["provenance"]["kind"] == "shot_sampled"
         assert payload["provenance"]["shots_per_point"] == hoeffding_shots_per_point(8, 0.5, 0.9)
         assert payload["provenance"]["shots_per_point"] == 91
-        # The record reads back, its planned_shots key included.
+        # The record reads back.
         est = tmp_path / "est.json"
         argv = ["--signal", sig, "--method", "ts", "--eps", 0.25, "--truncation", 8, "--out", est]
         assert run("estimate", *argv) == 0
@@ -406,13 +406,18 @@ class TestEstimate:
             ("estimate", None, [{"n_len": 16}]),
             ("signal", None, "[" * 100_000 + "]" * 100_000),
             ("estimate", "provenance", {"kind": "shot_sampled", "shots_per_point": 2**70, "seed": 1}),
+            ("signal", "entries", [{"lambda": float("nan"), "weight": 1.0}]),
+            ("signal", "entries", [{"lambda": 0.1, "weight": float("inf")}]),
+            ("estimate", None, {"n_len": 0, "provenance": {"kind": "clean"}, "values_c16le": ""}),
+            ("estimate", "planned_shots", 325),
         ],
         ids=[*(f"provenance{i}" for i in range(5)), "provenance-string", "entries-number",
              "spectrum-list", "provenance-unknown-field", "n_len-float", "n_len-bool",
              "payload-not-base64", "payload-20-bytes", "payload-number", "list-format-signal",
              "entries-not-numbers", "oversized-integer", "entry-list", "spectrum-unknown-key",
              "signal-unknown-key", "entry-unknown-key", "signal-without-payload", "signal-list",
-             "nested-too-deeply", "shots-beyond-sampler"],
+             "nested-too-deeply", "shots-beyond-sampler", "entries-nan-lambda",
+             "entries-infinite-weight", "signal-empty", "planned-shots"],
     )
     def test_malformed_provenance_is_usage_error(self, tmp_path, capsys, command, key, value):
         spec_f, sig_f, out_f = tmp_path / "s.json", tmp_path / "g.json", tmp_path / "e.json"
@@ -430,6 +435,9 @@ class TestEstimate:
         [line] = capsys.readouterr().err.splitlines()
         kind = "TimeSeries" if command == "estimate" else "Spectrum"
         assert line.startswith(f"error: {path}: not a {kind} record: ")
+        # A key outside the record's key set is named.
+        if key in ("extra", "planned_shots"):
+            assert repr(key) in line
         assert not out_f.exists()
 
     def test_spectrum_of_non_numbers_is_usage_error_for_estimate(self, tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qeep import dft
+from qeep import DftResult, dft
 from qeep.cli import main
 
 FIG3_M = 20
@@ -62,6 +62,15 @@ class TestDft:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             dft(np.array([], dtype=complex))
+
+    @pytest.mark.parametrize(
+        "coefficients, grid",
+        [(np.zeros(3), np.zeros(2)), (np.zeros((2, 2)), np.zeros((2, 2)))],
+        ids=["unequal", "two-d"],
+    )
+    def test_result_shape_mismatch_rejected(self, coefficients, grid):
+        with pytest.raises(ValueError, match="equal-length vectors"):
+            DftResult(coefficients=coefficients, frequency_grid=grid)
 
 
 def test_csv_export(tmp_path):

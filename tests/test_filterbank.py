@@ -9,6 +9,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 from qeep import (
     FilterBank,
+    NumericError,
     Spectrum,
     TruncationMode,
     bin_centers,
@@ -146,6 +147,14 @@ class TestBumpFourier:
 
     def test_decay_onset_recorded(self):
         assert decay_onset() == 10.0
+
+    def test_decay_onset_of_a_given_scan(self):
+        # The default scan starts past the onset; a unit-step scan finds it
+        # inside, where the bound first holds for good, and a scan whose last
+        # frequency fails has none.
+        assert decay_onset(np.arange(1.0, 201.0)) == 4.0
+        with pytest.raises(NumericError, match="largest scanned frequency"):
+            decay_onset([1.0, 2.0])
 
     def test_array_input_matches_scalar_calls(self):
         kps = np.array([0.0, -3.0, 12.5, 40.0])
@@ -352,6 +361,10 @@ class TestTailBound:
         values = [tail_bound(n, 0.005) for n in (100, 200, 400, 800, 1600)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
+    def test_zero_order_rejected(self):
+        with pytest.raises(ValueError, match="positive integer"):
+            tail_bound(0, 0.005)
+
 
 class TestChooseTruncation:
     def test_empirical_reference_points(self):
@@ -378,6 +391,10 @@ class TestChooseTruncation:
             while tail_bound(n - 1, eps) <= target:
                 n -= 1
             assert choose_truncation(eps, TruncationMode.STRICT) == n
+
+    def test_mode_must_be_the_enum(self):
+        with pytest.raises(ValueError, match="unknown truncation mode"):
+            choose_truncation(0.005, "strict")
 
     def test_strict_reference_band(self):
         n = choose_truncation(0.005, TruncationMode.STRICT)
@@ -423,6 +440,8 @@ class TestBuildFilterBank:
         # The bin sums take at least one term k >= 1.
         with pytest.raises(ValueError, match="at least 2"):
             FilterBank(eps=0.25, n_trunc=1, radial=[0.1])
+        with pytest.raises(ValueError, match="radial shape"):
+            FilterBank(eps=0.25, n_trunc=4, radial=[0.1, 0.1, 0.1])
 
     def test_appc_dimensions(self, bank_appc):
         assert bank_appc.m_bins == 201

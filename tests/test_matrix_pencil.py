@@ -333,6 +333,20 @@ class TestCompanionRoots:
         assert _companion_roots(k[-1]) is None
         assert_matched(mu, np.linalg.eigvals(k), 1e-9)
 
+    def test_uncertified_pencil_takes_the_core_eigensolve(self, monkeypatch, linalg_calls):
+        ts = add_noise(generate_clean(fig6_spectrum(), 64), 0.005, 3)
+        monkeypatch.setattr(matrix_pencil, "_certified_solve", lambda a, b: None)
+        roots_calls = []
+        spy = lambda a: roots_calls.append(a.size) or _companion_roots(a)
+        monkeypatch.setattr(matrix_pencil, "_companion_roots", spy)
+        mu = solve_pencil(ts, 63)
+        # The SVD keeps all 63 singular values, and the eigenvalues come from
+        # the 63 x 63 core, not from a second attempt at the roots.
+        assert roots_calls == []
+        assert linalg_calls["svd"] == [(63, 63)]
+        assert linalg_calls["eigvals"] == [(63, 63)]
+        assert_matched(mu, np.linalg.eigvals(pinv_oracle(ts, 63)), 1e-9)
+
     def test_only_a_rank_deficient_pencil_takes_the_eigensolve(self, linalg_calls):
         clean = generate_clean(fig6_spectrum(), 20)
         mp_estimate(add_noise(clean, 0.005, 3), 10)

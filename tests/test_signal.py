@@ -45,6 +45,10 @@ class TestTimeSeriesType:
             with pytest.raises(ValueError):
                 TimeSeries(values=np.array([1.0 + 0j, bad]), provenance=Provenance.clean())
 
+    def test_two_dimensional_values_rejected(self):
+        with pytest.raises(ValueError, match="1-d"):
+            TimeSeries(values=np.ones((2, 2), dtype=complex), provenance=Provenance.clean())
+
     def test_values_read_only(self):
         ts = generate_clean(fig6_spectrum(), 4)
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -31,6 +32,21 @@ class TestSpectrumType:
     def test_rejects_unnormalized_weights(self):
         with pytest.raises(ValueError):
             Spectrum(lambdas=[0.0], weights=[0.999])
+
+    @pytest.mark.parametrize(
+        "lambdas, weights, message",
+        [
+            ([0.1, 0.2], [1.0], "equal-length"),
+            ([], [], "equal-length"),
+            ([[0.1]], [[1.0]], "equal-length"),
+            ([math.nan], [1.0], "finite"),
+            ([0.1], [math.inf], "finite"),
+        ],
+        ids=["unequal", "empty", "two-d", "nan-lambda", "inf-weight"],
+    )
+    def test_rejects_malformed_arrays(self, lambdas, weights, message):
+        with pytest.raises(ValueError, match=message):
+            Spectrum(lambdas=lambdas, weights=weights)
 
     def test_immutable_arrays(self):
         spec = fig6_spectrum()
@@ -107,6 +123,10 @@ class TestRandomSpectrum:
     def test_zero_d_rejected(self):
         with pytest.raises(ValueError):
             random_spectrum(0, 1)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            random_spectrum(5, -1)
 
 
 class TestFig6Spectrum:

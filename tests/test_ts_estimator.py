@@ -361,8 +361,11 @@ class TestRescalePhysical:
 
 class TestBinDistributionType:
     def test_exact_kind_validates_probability_vector(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sum to 1"):
             BinDistribution(values=np.array([0.5, 0.6]), eps=1.0, kind=BinKind.EXACT_P)
+        for values in ([1.5, -0.5], [-0.5, 1.5]):
+            with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+                BinDistribution(values=np.array(values), eps=1.0, kind=BinKind.EXACT_P)
 
     def test_estimated_kind_allows_raw_values(self):
         dist = BinDistribution(

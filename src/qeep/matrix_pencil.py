@@ -27,8 +27,9 @@ diagonal ``D``, on the left, but ``K`` depends on R only through
 ``R^H R = G G^H``, so ``D`` drops out. The eigenvalues
 ``mu = exp(-i * phase)`` of ``K`` carry the estimates, and a Vandermonde
 least-squares fit against the first L signal entries recovers amplitudes. Its
-L x L system is square, so it takes the same certified solve and falls back
-to the cutoff least squares only when that solve fails.
+L x L system is square, and one QR of it beside its right-hand side makes it
+triangular, so it takes the same certified solve and falls back to the cutoff
+least squares only when that solve fails.
 
 ``K`` itself is never formed, and its eigenvalues take one of two paths. When
 ``R0 = R[:-1, :-1]`` keeps all L singular values under the cutoff, ``H0`` has
@@ -37,10 +38,11 @@ the last L - 1 rows of ``H0``, so row ``l < L - 1`` of ``K`` is the unit row
 ``e_{l+1}``: ``K`` is the companion matrix of the linear-prediction polynomial
 ``p(z) = z^L - sum_j a_j z^j`` with ``a = K[-1] = conj(R0^-1 @ R[:-1, -1])``,
 and its eigenvalues are the roots of ``p``. Every noisy pencil has full rank,
-and one LU solve certifies it: the condition bound ``||R0||_F ||R0^-1||_F`` of
-:func:`_certified_solve` stays below ``1 / (2 SVD_RCOND)``, so no SVD is
-needed to find the rank (at fig5's N = 566, L = 565 the condition number of
-``R0`` is about 1e6).
+and ``R0`` is upper triangular, so the blocked inverse of a triangle certifies
+it: the condition bound ``||R0||_F ||R0^-1||_F`` of :func:`_certified_solve`
+stays below ``1 / (2 SVD_RCOND)``, so no SVD is needed to find the rank, and
+``a`` comes from back substitution (at fig5's N = 566, L = 565 the condition
+number of ``R0`` is about 1e6).
 
 The roots come from Aberth-Ehrlich simultaneous iteration (Aberth 1973, Math.
 Comp. 27:339), all L at once in O(L^2) per sweep, instead of an O(L^3) dense
@@ -79,7 +81,8 @@ from .signal import TimeSeries
 # Relative singular-value cutoff for all pseudoinverse solves. The noiseless
 # Hankel matrix has rank D << L, so a cutoff is mandatory. A square system
 # whose condition bound in `_certified_solve` stays below 1 / (2 * SVD_RCOND)
-# keeps every singular value under it and is solved by LU instead.
+# keeps every singular value under it and is solved by back substitution
+# instead.
 SVD_RCOND = 1e-12
 
 # The blocked QR factors row blocks of this many rows per column: at L = 64 a
@@ -88,11 +91,19 @@ SVD_RCOND = 1e-12
 # matrix of a `trials` pencil (9 MiB) is not.
 _QR_BLOCK_ROWS_PER_COLUMN = 8
 
-# Aberth sweeps before the companion roots give way to the dense eigensolve.
-# Near simple roots the iteration converges cubically: the fig5 pencils
-# (L = 565, seeds 1-20) stop within 18 sweeps and the trials pencils (L = 64,
-# seeds 1-25) within 17, while 50 sweeps at L = 565 cost 0.48 s, a third of
-# its 1.43 s eigensolve (one thread of a 2-vCPU Xeon).
+# `_upper_solve` hands triangles of at most this many columns to one
+# `np.linalg.solve` and splits larger ones in halves. On the 565 x 565 R factor
+# of a fig5 pencil (one thread of a 2-vCPU Xeon, median of 9 calls) the whole
+# solve took 0.011 s with blocks of 16 to 64 columns, 0.012 s at 128, 0.015 s
+# at 192 and 0.025 s at 300; the LU solve against [y | I] took 0.047 s.
+_TRIANGULAR_BLOCK = 64
+
+# Aberth sweeps before a certified pencil's roots give way to the SVD path:
+# the SVD of R0 and, at full rank, the eigensolve of its L x L core. Near
+# simple roots the iteration converges cubically: the fig5 pencils (L = 565,
+# seeds 1-20) stop within 18 sweeps and the trials pencils (L = 64, seeds
+# 1-25) within 17, while 50 sweeps at L = 565 cost 0.48 s, a third of that
+# 1.43 s eigensolve (one thread of a 2-vCPU Xeon).
 _ABERTH_MAX_SWEEPS = 50
 # Each sweep takes the moving points this many at a time, so its temporaries
 # (a row of powers and a row of differences per point) stay near 0.3 MiB
@@ -192,30 +203,65 @@ def _r_factor(a: np.ndarray) -> np.ndarray:
     return np.linalg.qr(np.concatenate([top, top.conj()[:, ::-1], middle]), mode="r")
 
 
-def _certified_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """The solution of the square system ``a @ x = b`` from one LU solve of
-    ``a`` against ``[b | I]``, when ``||a||_F ||a^-1||_F < 1 / (2 SVD_RCOND)``;
-    ``None`` when ``a`` is singular, not finite, or not certified.
+def _certified_solve(t: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+    """The solution of the upper-triangular system ``t @ x = y``, when
+    ``||t||_F ||t^-1||_F < 1 / (2 SVD_RCOND)``; ``None`` when ``t`` is
+    singular, not finite, or not certified. Only the upper triangle of ``t``
+    is read.
 
-    With ``a``'s singular values ``s_1 >= .. >= s_n``, ``||a||_F >= s_1`` and
-    ``||a^-1||_F >= 1 / s_n``, so the product bounds the condition number
-    ``s_1 / s_n`` from above. A certified ``a`` has ``s_n > 2 SVD_RCOND s_1``,
+    With ``t``'s singular values ``s_1 >= .. >= s_n``, ``||t||_F >= s_1`` and
+    ``||t^-1||_F >= 1 / s_n``, so the product bounds the condition number
+    ``s_1 / s_n`` from above. A certified ``t`` has ``s_n > 2 SVD_RCOND s_1``,
     so the cutoff of ``lstsq`` or of an SVD keeps all n singular values and the
-    pseudoinverse solution is this one. The factor 2 absorbs rounding: the
-    computed ``a^-1`` is off by a relative ``O(n u cond(a))`` (``u`` the unit
-    roundoff), at most ``n u / (2 SVD_RCOND)``, 3% at n = 565, and a computed
-    singular value by ``O(n u s_1)``, far below ``SVD_RCOND s_1``. The solution
-    column is ``np.linalg.solve(a, b)`` bit for bit; the identity columns only
-    give ``a^-1`` for the bound.
+    pseudoinverse solution is this one. A square system ``b @ x = c`` reaches
+    this through the QR ``b = Q t``, ``Q^H c`` its right-hand side: ``Q`` is
+    unitary, so ``||b||_F^2 = tr(t^H Q^H Q t) = ||t||_F^2``, and
+    ``b^-1 = t^-1 Q^H`` gives ``||b^-1||_F = ||t^-1||_F`` the same way. The
+    bound is then that of ``b``, whose singular values are ``t``'s.
+
+    ``t^-1`` and ``x`` come from :func:`_upper_solve`. Its blocked inverse
+    ``X``, like the unblocked triangular inverses, has a residual
+    ``||X t - I|| <= c n u ||X|| ||t||`` to first order (Higham 2002,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 14; ``u``
+    the unit roundoff, ``c`` a small constant), so ``X`` is off by a relative
+    ``O(n u cond(t))``: at most ``n u / (2 SVD_RCOND)`` on a certified ``t``,
+    3% at n = 565. The factor 2 absorbs it, and a computed singular value,
+    off by ``O(n u s_1)``, stays far from ``SVD_RCOND s_1``. ``x`` is the
+    back substitution, backward stable (Higham ch. 8), not ``X @ y``, whose
+    error grows with ``cond(t)``.
     """
-    n = a.shape[0]
     with np.errstate(all="ignore"):
         try:
-            x = np.linalg.solve(a, np.column_stack([b, np.eye(n)]))
+            inverse, x = _upper_solve(t, y)
         except np.linalg.LinAlgError:
             return None
-        bound = np.linalg.norm(a) * np.linalg.norm(x[:, 1:])
-    return x[:, 0].copy() if bound < 0.5 / SVD_RCOND else None
+        bound = np.linalg.norm(np.triu(t)) * np.linalg.norm(inverse)
+    return x if bound < 0.5 / SVD_RCOND else None
+
+
+def _upper_solve(t: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(t^-1, x)`` with ``t @ x = y``, from the upper triangle of ``t``.
+
+    A triangle of at most ``_TRIANGULAR_BLOCK`` columns takes one
+    ``np.linalg.solve`` against ``[y | I]``: the LU of a triangle pivots on its
+    diagonal and has a unit ``L``, so this is back substitution. A larger one
+    splits as ``t = [[A, B], [0, D]]``: the back substitution
+    ``x_2 = D \\ y_2``, ``x_1 = A \\ (y_1 - B x_2)``, and the inverse
+    ``[[A^-1, -(A^-1 B) D^-1], [0, D^-1]]``, whose off-diagonal block is two
+    matrix products.
+    """
+    n = t.shape[0]
+    if n <= _TRIANGULAR_BLOCK:
+        z = np.linalg.solve(np.triu(t), np.column_stack([y, np.eye(n)]))
+        return z[:, 1:], z[:, 0]
+    h = n // 2
+    d_inv, x2 = _upper_solve(t[h:, h:], y[h:])
+    a_inv, x1 = _upper_solve(t[:h, :h], y[:h] - t[:h, h:] @ x2)
+    inverse = np.zeros((n, n), dtype=a_inv.dtype)
+    inverse[:h, :h] = a_inv
+    inverse[h:, h:] = d_inv
+    inverse[:h, h:] = -(a_inv @ t[:h, h:]) @ d_inv
+    return inverse, np.concatenate([x1, x2])
 
 
 def solve_pencil(ts: TimeSeries, l_dim: int) -> np.ndarray:
@@ -333,10 +379,13 @@ def _polynomial_terms(x: np.ndarray, coef: np.ndarray):
 def solve_amplitudes(eigenphases, ts: TimeSeries, l_dim: int, moduli) -> AmplitudeFit:
     """Least-squares amplitudes against the first ``l_dim`` signal entries.
 
-    The square system matrix has entries ``exp(-i * phase_{l'} * l)``. When
-    :func:`_certified_solve` certifies it, the cutoff would keep every singular
-    value, so its LU solution is the least-squares one and the rank is
-    ``l_dim``. Otherwise the cutoff pseudoinverse of ``lstsq`` solves it:
+    The square system matrix ``b`` has entries ``exp(-i * phase_{l'} * l)``.
+    One QR of ``[b | target]`` gives ``b = Q t`` and, in its last column,
+    ``Q^H target``, so ``b @ x = target`` becomes the triangular
+    ``t @ x = Q^H target``. When :func:`_certified_solve` certifies ``t``, whose
+    bound is ``b``'s, the cutoff would keep every singular value, so its back
+    substitution is the least-squares solution and the rank is ``l_dim``.
+    Otherwise the cutoff pseudoinverse of ``lstsq`` solves ``b`` itself:
     duplicate or clustered eigenphases make it rank deficient, the minimum-norm
     solution is returned and the deficiency shows up in the reported rank.
     Eigenvalue ``moduli`` at most ``SVD_RCOND`` times the largest get amplitude
@@ -352,7 +401,8 @@ def solve_amplitudes(eigenphases, ts: TimeSeries, l_dim: int, moduli) -> Amplitu
     b = np.exp(-1j * np.outer(np.arange(l_dim), phases))
     b[:, moduli <= SVD_RCOND * np.max(moduli)] = 0.0
     target = ts.values[:l_dim]
-    solution, rank = _certified_solve(b, target), l_dim
+    r = np.linalg.qr(np.column_stack([b, target]), mode="r")
+    solution, rank = _certified_solve(r[:, :-1], r[:, -1]), l_dim
     if solution is None:
         solution, _, rank, _ = np.linalg.lstsq(b, target, rcond=SVD_RCOND)
     residual = float(np.linalg.norm(b @ solution - target))

@@ -28,6 +28,7 @@ from qeep.matrix_pencil import (
     _certified_solve,
     _companion_roots,
     _r_factor,
+    _upper_solve,
 )
 from qeep.signal import Provenance
 
@@ -288,10 +289,10 @@ def prediction_row(roots):
 
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """Shapes of the matrices passed to ``np.linalg.svd``, ``lstsq`` and
-    ``eigvals`` during the test, by function name."""
+    """Shapes of the matrices passed to ``np.linalg.svd``, ``lstsq``,
+    ``eigvals``, ``solve`` and ``qr`` during the test, by function name."""
     calls = {}
-    for name in ("svd", "lstsq", "eigvals"):
+    for name in ("svd", "lstsq", "eigvals", "solve", "qr"):
         calls[name] = []
 
         def spy(m, *args, _f=getattr(np.linalg, name), _shapes=calls[name], **kw):
@@ -300,6 +301,11 @@ def linalg_calls(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, spy)
     return calls
+
+
+def dense_calls(calls):
+    """The ``svd``, ``lstsq`` and ``eigvals`` entries of ``linalg_calls``."""
+    return {name: calls[name] for name in ("svd", "lstsq", "eigvals")}
 
 
 class TestCompanionRoots:
@@ -350,11 +356,13 @@ class TestCompanionRoots:
     def test_only_a_rank_deficient_pencil_takes_the_eigensolve(self, linalg_calls):
         clean = generate_clean(fig6_spectrum(), 20)
         mp_estimate(add_noise(clean, 0.005, 3), 10)
-        assert linalg_calls == {"svd": [], "lstsq": [], "eigvals": []}
+        assert dense_calls(linalg_calls) == {"svd": [], "lstsq": [], "eigvals": []}
         # Rank five: the SVD of the L x L block, the 5 x 5 core, five exact
         # zeros, and the amplitude fit's zeroed columns go to lstsq.
         est = mp_estimate(clean, 10)
-        assert linalg_calls == {"svd": [(10, 10)], "lstsq": [(10, 10)], "eigvals": [(5, 5)]}
+        assert dense_calls(linalg_calls) == {
+            "svd": [(10, 10)], "lstsq": [(10, 10)], "eigvals": [(5, 5)]
+        }
         assert np.count_nonzero(est.moduli == 0) == 5
 
     def test_certified_paper_shape_pencil_takes_no_svd(self, linalg_calls):
@@ -363,8 +371,15 @@ class TestCompanionRoots:
         # runs an SVD.
         ts = add_noise(generate_clean(fig6_spectrum(), 566), 0.005, 1)
         est = mp_estimate(ts, 565)
-        assert linalg_calls == {"svd": [], "lstsq": [], "eigvals": []}
+        assert dense_calls(linalg_calls) == {"svd": [], "lstsq": [], "eigvals": []}
         assert np.all(est.moduli > 0)
+        # Both systems are triangular: the R factor's (an empty batch of top
+        # blocks, then the 566 x 566 G^T) and the one QR of the amplitude
+        # system beside its right-hand side. Only the diagonal blocks of the
+        # triangular inverse meet an LU solve.
+        assert linalg_calls["qr"] == [(0, 4528, 566), (566, 566), (565, 566)]
+        widths = [shape[1] for shape in linalg_calls["solve"]]
+        assert widths and max(widths) <= matrix_pencil._TRIANGULAR_BLOCK
 
     def test_no_floating_point_exception(self):
         # (z - 1e6)(z^63 - 1): the far root's 64th power, 1e384, overflows
@@ -400,26 +415,73 @@ def conditioned(n, cond, seed):
     return (u * np.geomspace(1.0, 1.0 / cond, n)) @ v.conj().T
 
 
-class TestCertifiedSolve:
-    # n = 2 makes the bound ||a||_F ||a^-1||_F equal the condition number to
-    # within a factor 2, so the cases straddle the certificate's 5e11; at
-    # n = 64 the Frobenius norms make it stricter.
-    @pytest.mark.parametrize("n", [2, 64])
-    @pytest.mark.parametrize("cond", [1e3, 1e11, 4e11, 1e12, 1e13])
-    def test_accepted_systems_keep_every_singular_value(self, n, cond):
-        a = conditioned(n, cond, 5)
-        b = np.arange(1.0, n + 1) - 0.5j
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def random_triangle(n, seed):
+    """A random upper-triangular ``t`` (the R factor of a complex Gaussian
+    matrix, condition number about n) and a complex right-hand side."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return np.linalg.qr(a, mode="r"), rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def backward_error(t, x, y):
+    """The normwise backward error ``||t x - y|| / (||t|| ||x||)`` of ``x``."""
+    return np.linalg.norm(t @ x - y) / (np.linalg.norm(t) * np.linalg.norm(x))
+
+
+class TestUpperSolve:
+    # Sizes on both sides of the 64-column base block, one and two levels of
+    # halving, and fig5's L = 565.
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130, 565])
+    def test_inverse_and_back_substitution_are_accurate(self, n):
+        assert matrix_pencil._TRIANGULAR_BLOCK == 64
+        t, y = random_triangle(n, n)
+        inverse, x = _upper_solve(t, y)
+        # The block inverse is off by a relative O(n u cond(t)), and the back
+        # substitution is backward stable (Higham 2002, chs. 14 and 8).
+        residual = np.linalg.norm(inverse @ t - np.eye(n))
+        assert residual <= 4 * n * UNIT_ROUNDOFF * np.linalg.cond(t)
+        assert backward_error(t, x, y) <= 4 * n * UNIT_ROUNDOFF
+
+    @pytest.mark.parametrize("n", [2, 65, 130])
+    def test_reads_only_the_upper_triangle(self, n):
+        t, y = random_triangle(n, n)
+        filled = t.copy()
+        filled[np.tril_indices(n, -1)] = np.nan
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x = _certified_solve(a, b)
-        s = np.linalg.svd(a, compute_uv=False)
-        bound = np.linalg.norm(a) * np.linalg.norm(np.linalg.inv(a))
+            for got, want in zip(_upper_solve(filled, y), _upper_solve(t, y)):
+                assert np.array_equal(got, want)
+            assert np.array_equal(_certified_solve(filled, y), _certified_solve(t, y))
+
+
+class TestCertifiedSolve:
+    # n = 2 makes the bound ||t||_F ||t^-1||_F equal the condition number to
+    # within a factor 2, so the cases straddle the certificate's 5e11; at
+    # n = 64 and 200 the Frobenius norms make it stricter. t is the R factor
+    # of a matrix with the chosen singular values, so it keeps them.
+    @pytest.mark.parametrize("n", [2, 64, 200])
+    @pytest.mark.parametrize("cond", [1e3, 1e11, 4e11, 1e12, 1e13])
+    def test_accepted_systems_keep_every_singular_value(self, n, cond):
+        t = np.linalg.qr(conditioned(n, cond, 5), mode="r")
+        y = np.arange(1.0, n + 1) - 0.5j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = _certified_solve(t, y)
+        s = np.linalg.svd(t, compute_uv=False)
+        bound = np.sqrt(np.sum(s**2) * np.sum(s**-2.0))
         if x is None:
             # Rejected only near or above the threshold 0.5 / SVD_RCOND.
             assert bound >= 0.45 / SVD_RCOND
+        elif bound >= 0.55 / SVD_RCOND:
+            pytest.fail("accepted a system well above the threshold")
         else:
             assert np.all(s > SVD_RCOND * s[0])
-            assert np.array_equal(x, np.linalg.solve(a, b))
+            # Back substitution, not t^-1 @ y: backward stable however close
+            # to the threshold cond(t) is.
+            assert backward_error(t, x, y) <= 4 * n * UNIT_ROUNDOFF
         if cond <= 1e11 or (n == 2 and cond <= 4e11):
             assert x is not None
 
@@ -427,14 +489,14 @@ class TestCertifiedSolve:
         "entry", [0.0, np.inf, np.nan, 1.7e308], ids=["zero-column", "inf", "nan", "overflow"]
     )
     def test_singular_or_non_finite_system_is_not_certified(self, entry):
-        a = conditioned(6, 10.0, 2)
+        t = np.linalg.qr(conditioned(6, 10.0, 2), mode="r")
         if entry == 0.0:
-            a[:, 3] = 0.0
+            t[:, 3] = 0.0
         else:
-            a[1, 2] = a[4, 2] = entry
+            t[1, 2] = t[1, 4] = entry
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _certified_solve(a, np.ones(6, dtype=complex)) is None
+            assert _certified_solve(t, np.ones(6, dtype=complex)) is None
 
 
 class TestSolveAmplitudes:
@@ -451,6 +513,16 @@ class TestSolveAmplitudes:
         assert np.max(np.abs(fit.amplitudes.real - spec.weights)) <= 1e-6
         assert np.max(np.abs(fit.amplitudes.imag)) <= 1e-6
         assert fit.residual <= 1e-8
+
+    def test_paper_shape_fit_is_backward_stable(self):
+        # The certified fit solves t x = Q^H target by back substitution, with
+        # a residual near 1e-13 here; t^-1 @ (Q^H target) would leave 1e-9.
+        # Every entry of the system matrix has modulus one, so its Frobenius
+        # norm is L.
+        ts = add_noise(generate_clean(fig6_spectrum(), 566), 0.005, 1)
+        est = mp_estimate(ts, 565)
+        scale = 565 * np.linalg.norm(est.amplitudes)
+        assert est.residual <= 565 * UNIT_ROUNDOFF * scale
 
     def test_duplicate_phases_finite_solution(self):
         ts = generate_clean(point_mass(0.1), 6)

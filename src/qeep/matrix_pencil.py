@@ -27,7 +27,8 @@ diagonal ``D``, on the left, but ``K`` depends on R only through
 ``R^H R = G G^H``, so ``D`` drops out. The eigenvalues
 ``mu = exp(-i * phase)`` of ``K`` carry the estimates, and a Vandermonde
 least-squares fit against the first L signal entries recovers amplitudes. Its
-L x L system is square, and one QR of it beside its right-hand side makes it
+L x L system is square, built by the same split as one product of two
+O(sqrt(L))-row exp tables, and one QR of it beside its right-hand side makes it
 triangular, so it takes the same certified solve and falls back to the cutoff
 least squares only when that solve fails.
 
@@ -50,6 +51,21 @@ eigensolve. A root stops moving once ``|p(z)| <= 4 L u sum_k |c_k| |z|^k``
 (``c`` the coefficients of ``p``, ``u`` the unit roundoff), the stopping rule
 of Bini (1996, Numer. Algorithms 13:179): it is then an exact root of a
 polynomial whose coefficients differ from ``p``'s by a relative O(L u), each.
+
+A sweep's O(L) work per point is the evaluation of ``p``, ``p'`` and that
+bound, done by the four-step split ``k = a*B + r`` with ``B = ceil(sqrt(L+1))``
+and ``A = ceil((L+1)/B)`` (Bailey 1990, J. Supercomputing 4:23), which the
+filter bank uses too: ``sum_k c_k z^k = sum_a z^(aB) sum_r c_{aB+r} z^r``.
+Each point takes a row of B powers ``z^r`` and a row of A powers ``z^(aB)``
+instead of a row of L + 1, and the coefficient tables are built once per
+polynomial, so the inner sums are one matrix product for a block of points.
+``z^r`` and ``z^(aB)`` are ``r - 1`` and ``a - 1`` rounded products from
+``z`` and ``z^B``, and their product one more: ``a + r - 1`` roundings against
+``k - 1`` in a running product of the L + 1 powers. ``z^B`` carries its own
+``B - 1`` roundings into each of its ``a`` factors, so the first-order bound on
+the relative error of ``z^k``, ``(k - 1) u``, is the same either way, and the
+sums run over B and A terms instead of L + 1: the evaluation error stays a
+relative O(L u) of ``sum_k |c_k| |z|^k``, the scale of the stop.
 
 Every other pencil, uncertified or with roots that miss the sweep cap, takes
 the second path: the SVD ``R0^H = V S U^H``, cut to its ``r`` kept singular
@@ -76,6 +92,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericError
+from .filterbank import _block
 from .signal import TimeSeries
 
 # Relative singular-value cutoff for all pseudoinverse solves. The noiseless
@@ -102,15 +119,18 @@ _TRIANGULAR_BLOCK = 64
 # the SVD of R0 and, at full rank, the eigensolve of its L x L core. Near
 # simple roots the iteration converges cubically: the fig5 pencils (L = 565,
 # seeds 1-20) stop within 18 sweeps and the trials pencils (L = 64, seeds
-# 1-25) within 17, while 50 sweeps at L = 565 cost 0.48 s, a third of that
-# 1.43 s eigensolve (one thread of a 2-vCPU Xeon).
+# 1-25) within 17, while 50 sweeps at L = 565 cost 0.21 s, a sixth of that
+# 1.3 s eigensolve (one thread of a 2-vCPU Xeon).
 _ABERTH_MAX_SWEEPS = 50
 # Each sweep takes the moving points this many at a time, so its temporaries
-# (a row of powers and a row of differences per point) stay near 0.3 MiB
-# however large L is. Whole L x (L + 1) temporaries at L = 565 (5 MiB each)
-# left freed memory resident in fig5's workers and raised their peak RSS
-# from 78.7 to 83.0 MiB in some runs.
-_ABERTH_BLOCK = 32
+# are two rows of O(sqrt(L)) powers and a few real rows of L differences per
+# point (0.55 MiB each for 128 points at L = 565). Whole L x (L + 1)
+# temporaries at L = 565 (5 MiB each) left freed memory resident in fig5's
+# workers and raised their peak RSS from 78.7 to 83.0 MiB in some runs. With
+# blocks of 128, `reproduce fig5 --seeds 1,2,3,4,5` peaks at 58.0-58.2 MiB
+# (`ru_maxrss` from `os.wait4`, one BLAS thread), against 58.5-58.8 MiB for
+# blocks of 32 with a row of L + 1 powers per point.
+_ABERTH_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -310,10 +330,11 @@ def _companion_roots(a: np.ndarray) -> np.ndarray | None:
     mean of their moduli, turned by 0.4 rad so that no start is real: with
     real coefficients a set of starts symmetric about the real axis keeps
     the real ones real. Each sweep evaluates ``p``, ``p'`` and
-    ``sum_k |c_k| |z|^k`` at every moving point through its powers: directly
-    for ``|z| <= 1``, and for ``|z| > 1`` through the reversed polynomial
-    ``q(w) = z^-L p(z)`` in ``w = 1/z``, with ``p/p' = z q / (L q - w q')``, so
-    no power exceeds one. A moving point ``z_i`` then takes the Aberth step
+    ``sum_k |c_k| |z|^k`` at every moving point by :func:`_polynomial_terms`:
+    directly for ``|z| <= 1``, and for ``|z| > 1`` through the reversed
+    polynomial ``q(w) = z^-L p(z)`` in ``w = 1/z``, with
+    ``p/p' = z q / (L q - w q')``, so no power exceeds one. A moving point
+    ``z_i`` then takes the Aberth step
     ``N / (1 - N * sum_{j != i} 1 / (z_i - z_j))`` with ``N = p / p'``.
     """
     a = np.asarray(a, dtype=complex)
@@ -324,11 +345,12 @@ def _companion_roots(a: np.ndarray) -> np.ndarray | None:
         return roots
     z = roots[a.size - l :]
     z[:] = abs(c[0]) ** (1.0 / l) * np.exp(1j * (2.0 * np.pi * np.arange(l) / l + 0.4))
+    tables = _coefficient_tables(c), _coefficient_tables(c[::-1])
     moving = np.arange(l)
     for _ in range(_ABERTH_MAX_SWEEPS):
         zm = z[moving]
         starts = range(0, zm.size, _ABERTH_BLOCK)
-        blocks = [_aberth_steps(zm[i : i + _ABERTH_BLOCK], z, c) for i in starts]
+        blocks = [_aberth_steps(zm[i : i + _ABERTH_BLOCK], z, *tables) for i in starts]
         stop, step = map(np.concatenate, zip(*blocks))
         z[moving[~stop]] -= step
         moving = moving[~stop]
@@ -337,49 +359,94 @@ def _companion_roots(a: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _aberth_steps(zb: np.ndarray, z: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For the points ``zb`` among all current points ``z``: which meet the
-    stop ``|p(z)| <= 4 L u sum_k |c_k| |z|^k`` for the polynomial with
-    ascending coefficients ``c``, and the Aberth steps of the others."""
-    l = c.size - 1
+def _aberth_steps(
+    zb: np.ndarray, z: np.ndarray, inner: tuple, outer: tuple
+) -> tuple[np.ndarray, np.ndarray]:
+    """For the points ``zb`` among all ``L`` current points ``z``: which meet
+    the stop ``|p(z)| <= 4 L u sum_k |c_k| |z|^k``, and the Aberth steps of the
+    others. ``inner`` and ``outer`` are the :func:`_coefficient_tables` of
+    ``p``'s ascending coefficients ``c`` and of ``c[::-1]``."""
+    l = z.size
     tol = 4 * l * (np.finfo(float).eps / 2)  # 4 L u
     inside = np.abs(zb) <= 1.0
     outside = ~inside
     # num / dp is the Newton correction p / p' on either side of |z| = 1.
     num, dp, stop = np.empty_like(zb), np.empty_like(zb), np.empty(zb.size, dtype=bool)
-    val, der, bound = _polynomial_terms(zb[inside], c)
+    val, der, bound = _polynomial_terms(zb[inside], *inner)
     num[inside], dp[inside], stop[inside] = val, der, np.abs(val) <= tol * bound
     w = 1.0 / zb[outside]
-    val, der, bound = _polynomial_terms(w, c[::-1])
+    val, der, bound = _polynomial_terms(w, *outer)
     num[outside], dp[outside] = zb[outside] * val, l * val - w * der
     stop[outside] = np.abs(val) <= tol * bound
     zb, num, dp = zb[~stop], num[~stop], dp[~stop]
-    # 1 / (z_i - z_j) in place; the zero differences, z_i's own among them,
-    # stay zero and drop out of the sum.
-    d = zb[:, None] - z[None, :]
-    s = np.divide(1.0, d, out=d, where=d != 0).sum(axis=1)
+    # 1 / (z_i - z_j) = conj(d) / |d|^2 with d = z_i - z_j, in real arithmetic;
+    # the zero differences, z_i's own among them, keep a zero weight and drop
+    # out of the sum.
+    dr = zb.real[:, None] - z.real
+    di = zb.imag[:, None] - z.imag
+    weight = dr * dr + di * di
+    np.divide(1.0, weight, out=weight, where=weight != 0)
+    s = np.einsum("ij,ij->i", dr, weight) - 1j * np.einsum("ij,ij->i", di, weight)
     den = dp - num * s
     # A step longer than 1e300 (a vanishing denominator) is not taken.
     ok = np.abs(den) > 1e-300 * np.abs(num)
     return stop, np.divide(num, den, out=np.zeros_like(num), where=ok)
 
 
-def _polynomial_terms(x: np.ndarray, coef: np.ndarray):
-    """``q(x)``, ``q'(x)`` and ``sum_k |coef_k| |x|^k`` for the polynomial ``q``
-    with ascending coefficients ``coef``, at points ``|x| <= 1``, from the
-    powers ``x^k``."""
-    v = np.empty((x.size, coef.size), dtype=complex)
+def _coefficient_tables(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tables ``(T, M)`` that :func:`_polynomial_terms` takes for the
+    polynomial ``q`` with ascending coefficients ``coef``. With
+    ``k = a*B + r`` split by :func:`~qeep.filterbank._block` of ``coef.size``,
+    ``T[r, a] = coef_k``, ``T[r, A + a] = (k + 1) coef_{k+1}`` (the
+    coefficients of ``q'``) and ``M[r, a] = |coef_k|``; entries past the last
+    coefficient are zero."""
+    n = coef.size
+    b, a = _block(n)
+    t = np.zeros((2, a * b), dtype=complex)
+    t[0, :n] = coef
+    t[1, : n - 1] = np.arange(1, n) * coef[1:]
+    t = t.reshape(2 * a, b).T
+    return t, np.abs(t[:, :a])
+
+
+def _polynomial_terms(x: np.ndarray, table: np.ndarray, mags: np.ndarray):
+    """``q(x)``, ``q'(x)`` and ``sum_k |coef_k| |x|^k`` at points ``|x| <= 1``,
+    from the :func:`_coefficient_tables` ``(table, mags)`` of the polynomial
+    ``q`` with the ``n`` ascending coefficients ``coef``.
+
+    With ``k = a*B + r``, ``q(x) = sum_a x^(aB) sum_r T[r, a] x^r``: one
+    product of the rows ``x^r`` (``r < B``) with ``[T | T']``, then a dot with
+    the row ``x^(aB)`` (``a < A``), and the bound the same way from their
+    moduli and ``M`` in real arithmetic. A term of degree ``k`` carries at most
+    ``k + 1`` roundings from its power and coefficient and ``A + B`` from the
+    two sums, so to first order each result lies within ``4 n u`` (``u`` the
+    unit roundoff) of the exact one, relative to ``sum_k |coef_k| |x|^k`` (for
+    ``q'``, to ``sum_k k |coef_k| |x|^(k-1)``).
+    """
+    b, a = mags.shape
+    lo = _powers(x, b)
+    hi = _powers(lo[:, -1] * x, a)
+    val, der = ((lo @ table).reshape(-1, 2, a) * hi[:, None, :]).sum(axis=2).T
+    return val, der, np.einsum("ij,ij->i", np.abs(lo) @ mags, np.abs(hi))
+
+
+def _powers(x: np.ndarray, n: int) -> np.ndarray:
+    """The rows ``x^k`` for ``k < n``, one per point of ``x``, by running
+    products."""
+    v = np.empty((x.size, n), dtype=x.dtype)
     v[:, 0] = 1.0
     v[:, 1:] = x[:, None]
-    np.cumprod(v, axis=1, out=v)
-    der = v[:, :-1] @ (np.arange(1, coef.size) * coef[1:])
-    return v @ coef, der, np.abs(v) @ np.abs(coef)
+    return np.cumprod(v, axis=1, out=v)
 
 
 def solve_amplitudes(eigenphases, ts: TimeSeries, l_dim: int, moduli) -> AmplitudeFit:
     """Least-squares amplitudes against the first ``l_dim`` signal entries.
 
     The square system matrix ``b`` has entries ``exp(-i * phase_{l'} * l)``.
+    With ``l = a*B + r`` split by :func:`~qeep.filterbank._block` of
+    ``l_dim``, the entry is ``exp(-i * phase * a*B) * exp(-i * phase * r)``, so
+    ``b`` is one broadcast product of an ``A x l_dim`` and a ``B x l_dim`` exp
+    table, written into the buffer ``[b | target]``.
     One QR of ``[b | target]`` gives ``b = Q t`` and, in its last column,
     ``Q^H target``, so ``b @ x = target`` becomes the triangular
     ``t @ x = Q^H target``. When :func:`_certified_solve` certifies ``t``, whose
@@ -398,10 +465,18 @@ def solve_amplitudes(eigenphases, ts: TimeSeries, l_dim: int, moduli) -> Amplitu
         raise ValueError("eigenphases and moduli must be vectors of length l_dim")
     if l_dim > ts.n_len:
         raise ValueError("l_dim cannot exceed the signal length")
-    b = np.exp(-1j * np.outer(np.arange(l_dim), phases))
+    step, count = _block(l_dim)
+    system = np.empty((count * step, l_dim + 1), dtype=complex)
+    np.multiply(
+        np.exp(-1j * np.outer(step * np.arange(count), phases))[:, None, :],
+        np.exp(-1j * np.outer(np.arange(step), phases)),
+        out=system.reshape(count, step, l_dim + 1)[:, :, :-1],
+    )
+    system = system[:l_dim]
+    b, target = system[:, :-1], ts.values[:l_dim]
     b[:, moduli <= SVD_RCOND * np.max(moduli)] = 0.0
-    target = ts.values[:l_dim]
-    r = np.linalg.qr(np.column_stack([b, target]), mode="r")
+    system[:, -1] = target
+    r = np.linalg.qr(system, mode="r")
     solution, rank = _certified_solve(r[:, :-1], r[:, -1]), l_dim
     if solution is None:
         solution, _, rank, _ = np.linalg.lstsq(b, target, rcond=SVD_RCOND)

@@ -99,6 +99,23 @@ fig5-config and appc cases, 1.9e-12 in ``mp.json``'s ``delta``;
 amplitude. On the paper-default ``reproduce fig5`` (N = 566, seeds 1-5) the
 largest ``delta_mp`` move is 1.8e-8 (units of eps). No TS column or value and
 no file without pencil output moved.
+
+The matrix-pencil bytes were re-recorded a sixth time, when the Aberth sweeps
+and the amplitude Vandermonde moved to the four-step split ``k = a*B + r``:
+``p``, ``p'`` and the stop bound come from a row of ``B`` powers and a row of
+``A`` powers per point instead of a row of L + 1, the sum over the other
+points is formed as ``conj(d) / |d|^2`` in real arithmetic, and the
+Vandermonde entries are products of two exp tables instead of one ``exp`` per
+entry. The same cases and files moved: ``estimate-mp`` (``mp.json``),
+``reproduce-fig5`` and ``reproduce-fig5-config`` (``fig5_deltas.csv``,
+``fig5_summary.json``), ``reproduce-appc`` (``appc_delta_table.csv``,
+``appc_summary.json``) and ``reproduce-fig6`` (``fig6_mp.csv`` only). The
+largest ``delta_mp`` change is 3.5e-11 (units of eps) in each of the fig5,
+fig5-config and appc cases, 2.1e-13 in ``mp.json``'s ``delta``;
+``fig6_mp.csv`` moved by at most 2.2e-16 in an eigenphase and 2.1e-13 in an
+amplitude. On the paper-default ``reproduce fig5`` (N = 566, seeds 1-5) the
+largest ``delta_mp`` move is 7.7e-9 (units of eps). No TS column or value and
+no file without pencil output moved.
 """
 
 import hashlib
@@ -141,29 +158,29 @@ CASES = {
     "reproduce-fig5": (
         ["reproduce", "fig5", "--outdir", "out", *SMALL],
         {
-            "out/fig5_deltas.csv": "fd500951325a2436d27514267015557e166151921ff7e9b1cf80ec1ad4a42910",
-            "out/fig5_summary.json": "5a6840ba794b1fbdc5e5e1c363c6ab6c25567d85ace75acc1abc1b0b250131bb",
+            "out/fig5_deltas.csv": "f8c9c3410e4242c2ebde5b75df0d06b8c8f7caa45d24e36dd64f199b04efccd6",
+            "out/fig5_summary.json": "29c24656e2f16e0334d5875cdbbbd652c343837d7335b80a164b518d58adf1d4",
         },
     ),
     # The same run with its flags read from an argument file writes the same bytes.
     "reproduce-fig5-config": (
         ["reproduce", "fig5", "@cfg.args"],
         {
-            "out/fig5_deltas.csv": "fd500951325a2436d27514267015557e166151921ff7e9b1cf80ec1ad4a42910",
-            "out/fig5_summary.json": "5a6840ba794b1fbdc5e5e1c363c6ab6c25567d85ace75acc1abc1b0b250131bb",
+            "out/fig5_deltas.csv": "f8c9c3410e4242c2ebde5b75df0d06b8c8f7caa45d24e36dd64f199b04efccd6",
+            "out/fig5_summary.json": "29c24656e2f16e0334d5875cdbbbd652c343837d7335b80a164b518d58adf1d4",
         },
     ),
     "reproduce-appc": (
         ["reproduce", "appc", "--outdir", "out", *SMALL],
         {
-            "out/appc_delta_table.csv": "fd500951325a2436d27514267015557e166151921ff7e9b1cf80ec1ad4a42910",
-            "out/appc_summary.json": "daa3787521ca0c49fcf8f699371f6695c10cf7cc32c57e430dcd6086f0cecc87",
+            "out/appc_delta_table.csv": "f8c9c3410e4242c2ebde5b75df0d06b8c8f7caa45d24e36dd64f199b04efccd6",
+            "out/appc_summary.json": "fd5c822eea33a11c49a349f592a53d906a9dc9a206f9b1221390743a5e41f90f",
         },
     ),
     "reproduce-fig6": (
         ["reproduce", "fig6", "--outdir", "out", "--truncation", "64", "--seed", "1"],
         {
-            "out/fig6_mp.csv": "6e31dd40ace37909f3b0a453ec597ddcc976c25df011982b20059fbcce927fbf",
+            "out/fig6_mp.csv": "b9b14e84f0b6ab71de77cc50f4d34c0597fd053dc16addc477b016afca043b13",
             "out/fig6_summary.json": "8dfa6721e0fb54967f3bea7d538ec1ec2e462ead0efe5a9281349c38096fd770",
             "out/fig6_true.csv": "81b5e413c34f4b40bbaabe07d3380bdd81742b4941578773b237b8e6f9c7945d",
             "out/fig6_ts.csv": "cfc6b1035ea5985c4799acd519c16da3dad36d4d82a5d00d65ea6597787c3c64",
@@ -224,7 +241,7 @@ CASES = {
             "--spectrum", "in_spec.json", "--out", "mp.json",
         ],
         {
-            "mp.json": "483875289e59cff96b8b6e948201806a496be5e689577a0ffdd1185655179545",
+            "mp.json": "6b96086336a6585085f004fafb2c8fad979841b2c133a85bf966ee0ddb7cef5a",
         },
     ),
     "plan-shots": (

@@ -18,15 +18,20 @@ from qeep import (
     generate_clean,
     mp_estimate,
     mp_moment,
+    random_spectrum,
     solve_amplitudes,
     solve_pencil,
 )
 from qeep import matrix_pencil
+from qeep.cli import NOISE_SEED_OFFSET
+from qeep.filterbank import TruncationMode, choose_truncation
 from qeep.matrix_pencil import (
     _QR_BLOCK_ROWS_PER_COLUMN,
     SVD_RCOND,
     _certified_solve,
+    _coefficient_tables,
     _companion_roots,
+    _polynomial_terms,
     _r_factor,
     _upper_solve,
 )
@@ -381,6 +386,30 @@ class TestCompanionRoots:
         widths = [shape[1] for shape in linalg_calls["solve"]]
         assert widths and max(widths) <= matrix_pencil._TRIANGULAR_BLOCK
 
+    # The benchmark's pencils: `reproduce fig5` at the paper's defaults
+    # (eps = eps' = 0.005, N = 566, L = 565) and the `trials` runs (eps = 0.05,
+    # STRICT N = 4469, eps' = 1e-5, L = 64), each seed's signal built as the
+    # CLI builds it.
+    @pytest.mark.parametrize(
+        "eps, eps_prime, l_dim, seeds",
+        [(0.005, 0.005, 565, range(1, 21)), (0.05, 1e-5, 64, range(1, 26))],
+        ids=["fig5", "trials"],
+    )
+    def test_benchmark_pencils_stop_within_the_documented_sweeps(
+        self, eps, eps_prime, l_dim, seeds, monkeypatch, linalg_calls
+    ):
+        # A root call that needs more sweeps than the cap returns None and
+        # sends its pencil to the SVD path, so no SVD, lstsq or eigensolve
+        # under the 18 sweeps the `_ABERTH_MAX_SWEEPS` comment quotes means
+        # every root call stopped within them.
+        assert matrix_pencil._ABERTH_MAX_SWEEPS > 18
+        monkeypatch.setattr(matrix_pencil, "_ABERTH_MAX_SWEEPS", 18)
+        n_len = l_dim + 1 if l_dim == 565 else choose_truncation(eps, TruncationMode.STRICT)
+        for seed in seeds:
+            clean = generate_clean(random_spectrum(5, seed), n_len)
+            mp_estimate(add_noise(clean, eps_prime, seed + NOISE_SEED_OFFSET), l_dim)
+        assert dense_calls(linalg_calls) == {"svd": [], "lstsq": [], "eigvals": []}
+
     def test_no_floating_point_exception(self):
         # (z - 1e6)(z^63 - 1): the far root's 64th power, 1e384, overflows
         # unless |z| > 1 goes through the reversed polynomial in 1/z.
@@ -402,6 +431,43 @@ class TestCompanionRoots:
             clean = mp_estimate(generate_clean(fig6_spectrum(), 64))
         assert np.all(np.isfinite(est.amplitudes))
         assert np.all(np.isfinite(clean.amplitudes))
+
+
+def horner_terms(x, coef):
+    """``q(x)``, ``q'(x)``, ``sum_k |coef_k| |x|^k`` and ``sum_k k |coef_k|
+    |x|^(k-1)`` by Horner's rule in extended precision (``np.clongdouble``)."""
+    x, coef = x.astype(np.clongdouble), coef.astype(np.clongdouble)
+    ax = np.abs(x)
+    val, der = np.zeros_like(x), np.zeros_like(x)
+    bound, der_bound = np.zeros_like(ax), np.zeros_like(ax)
+    for c in coef[::-1]:
+        der, der_bound = der * x + val, der_bound * ax + bound
+        val, bound = val * x + c, bound * ax + abs(c)
+    return val, der, bound, der_bound
+
+
+class TestPolynomialTerms:
+    # Coefficient counts at the edges of the split k = a*B + r: 2 (B = 2,
+    # A = 1), 3 (B = 2, A = 2, one padded slot), 64 (B = A = 8, none), 65 and
+    # 66 (B = 9, A = 8, padded), and fig5's 566 (B = A = 24, padded).
+    @pytest.mark.parametrize("n", [2, 3, 64, 65, 66, 566])
+    def test_matches_direct_evaluation(self, n):
+        rng = np.random.default_rng(n)
+        coef = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        turns = np.exp(1j * (2 * np.pi * np.arange(7) / 7 + 0.3))
+        x = np.concatenate([m * turns for m in (0.0, 1e-3, 0.5, 1.0)])
+        val, der, bound = _polynomial_terms(x, *_coefficient_tables(coef))
+        ref_val, ref_der, ref_bound, der_bound = horner_terms(x, coef)
+        # x^(aB) * x^r carries at most k rounding errors, like the power x^k,
+        # and the two sums B + A more: within 4 n u of the scale
+        # sum_k |coef_k| |x|^k (of sum_k k |coef_k| |x|^(k-1) for q').
+        tol = 4 * n * UNIT_ROUNDOFF
+        assert np.all(np.abs(val - ref_val) <= tol * ref_bound)
+        assert np.all(np.abs(der - ref_der) <= tol * der_bound)
+        assert np.all(np.abs(bound - ref_bound) <= tol * ref_bound)
+        # At x = 0 the terms are the constant and linear coefficients.
+        assert np.array_equal(val[:7], np.full(7, coef[0]))
+        assert np.array_equal(der[:7], np.full(7, coef[1]))
 
 
 def conditioned(n, cond, seed):
@@ -523,6 +589,33 @@ class TestSolveAmplitudes:
         est = mp_estimate(ts, 565)
         scale = 565 * np.linalg.norm(est.amplitudes)
         assert est.residual <= 565 * UNIT_ROUNDOFF * scale
+
+    # One row block (L = 1), B = 8 rows filling A = 8 blocks (L = 64), a
+    # padded last block (L = 65) and fig5's L = 565 (B = A = 24, padded).
+    @pytest.mark.parametrize("l_dim", [1, 64, 65, 565])
+    def test_split_vandermonde_matches_direct_exp(self, l_dim, monkeypatch):
+        rng = np.random.default_rng(l_dim)
+        phases = rng.uniform(-np.pi, np.pi, l_dim)
+        moduli = np.ones(l_dim)
+        moduli[1::7] = 1e-13  # zeroed columns: at most SVD_RCOND times the largest
+        ts = add_noise(generate_clean(fig6_spectrum(), l_dim + 1), 0.005, 1)
+        qr, systems = np.linalg.qr, []
+        monkeypatch.setattr(np.linalg, "qr", lambda m, mode: systems.append(m.copy()) or qr(m, mode=mode))
+        solve_amplitudes(phases, ts, l_dim, moduli)
+        [system] = systems
+        assert system.shape == (l_dim, l_dim + 1)
+        assert np.array_equal(system[:, -1], ts.values[:l_dim])
+        # exp(-i p a B) exp(-i p r) against exp(-i p l), l = a B + r: the
+        # rounded arguments p a B, p r and p l are each off by at most u times
+        # their size, so together by 2 u |p| l, and |exp(iy) - exp(iy')| <=
+        # |y - y'|. The three exps and the complex product add a few u more;
+        # 16 u covers them.
+        rows = np.arange(l_dim)[:, None]
+        direct = np.exp(-1j * np.outer(np.arange(l_dim), phases))
+        direct[:, moduli <= SVD_RCOND] = 0.0
+        tol = (2 * np.abs(phases) * rows + 16) * UNIT_ROUNDOFF
+        assert np.all(np.abs(system[:, :-1] - direct) <= tol)
+        assert np.all(system[:, :-1][:, 1::7] == 0)
 
     def test_duplicate_phases_finite_solution(self):
         ts = generate_clean(point_mass(0.1), 6)

@@ -16,8 +16,8 @@ class DftResult:
     frequency_grid: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=complex)
-        f = np.asarray(self.frequency_grid, dtype=float)
+        c = np.array(self.coefficients, dtype=complex)
+        f = np.array(self.frequency_grid, dtype=float)
         if c.shape != f.shape or c.ndim != 1:
             raise ValueError("coefficients and frequency_grid must be equal-length vectors")
         c.setflags(write=False)

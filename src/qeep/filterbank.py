@@ -276,7 +276,7 @@ class FilterBank:
         object.__setattr__(self, "eps", _snap_eps(self.eps))
         if self.n_trunc < 2:
             raise ValueError("n_trunc must be at least 2")
-        r = np.asarray(self.radial, dtype=float)
+        r = np.array(self.radial, dtype=float)
         if r.shape != (self.n_trunc,):
             raise ValueError("radial shape must be (n_trunc,)")
         r.setflags(write=False)

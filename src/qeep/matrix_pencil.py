@@ -27,10 +27,14 @@ diagonal ``D``, on the left, but ``K`` depends on R only through
 ``R^H R = G G^H``, so ``D`` drops out. The eigenvalues
 ``mu = exp(-i * phase)`` of ``K`` carry the estimates, and a Vandermonde
 least-squares fit against the first L signal entries recovers amplitudes. Its
-L x L system is square, built by the same split as one product of two
-O(sqrt(L))-row exp tables, and one QR of it beside its right-hand side makes it
-triangular, so it takes the same certified solve and falls back to the cutoff
-least squares only when that solve fails.
+L x L system ``b[l, j] = w_j^l`` is square, with nodes ``w_j = exp(-i *
+phase_j)`` on the unit circle, so its inverse is the Lagrange basis in closed
+form. A DFT on a grid of L points turns it into a Cauchy matrix (Gohberg,
+Kailath & Olshevsky 1995, Math. Comp. 64:1557), and discrete Parseval gives
+its Frobenius norm, so the fit solves and certifies the system in O(L^2)
+without forming ``b`` (see :func:`solve_amplitudes`). Only a system that this
+does not certify is built, by the same split as one product of two
+O(sqrt(L))-row exp tables, and goes to the cutoff least squares.
 
 ``K`` itself is never formed, and its eigenvalues take one of two paths. When
 ``R0 = R[:-1, :-1]`` keeps all L singular values under the cutoff, ``H0`` has
@@ -129,8 +133,11 @@ _ABERTH_MAX_SWEEPS = 50
 # workers and raised their peak RSS from 78.7 to 83.0 MiB in some runs. With
 # blocks of 128, `reproduce fig5 --seeds 1,2,3,4,5` peaks at 58.0-58.2 MiB
 # (`ru_maxrss` from `os.wait4`, one BLAS thread), against 58.5-58.8 MiB for
-# blocks of 32 with a row of L + 1 powers per point.
-_ABERTH_BLOCK = 128
+# blocks of 32 with a row of L + 1 powers per point. The amplitude fit takes
+# the rows of its L x L factor and Cauchy matrices the same number at a time:
+# a warm fig5 fit (L = 565) then faults in no fresh pages, against 2.0k minor
+# faults (8 MiB) per fit with whole L x L temporaries, which were no faster.
+_ROW_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -151,9 +158,9 @@ class MpEstimate:
     filters: dict | None = None
 
     def __post_init__(self):
-        ph = np.asarray(self.eigenphases, dtype=float)
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        mod = np.asarray(self.moduli, dtype=float)
+        ph = np.array(self.eigenphases, dtype=float)
+        amp = np.array(self.amplitudes, dtype=complex)
+        mod = np.array(self.moduli, dtype=float)
         if not (ph.shape == amp.shape == mod.shape) or ph.ndim != 1:
             raise ValueError("eigenphases, amplitudes, moduli must be equal-length vectors")
         for arr in (ph, amp, mod):
@@ -233,11 +240,7 @@ def _certified_solve(t: np.ndarray, y: np.ndarray) -> np.ndarray | None:
     ``||t^-1||_F >= 1 / s_n``, so the product bounds the condition number
     ``s_1 / s_n`` from above. A certified ``t`` has ``s_n > 2 SVD_RCOND s_1``,
     so the cutoff of ``lstsq`` or of an SVD keeps all n singular values and the
-    pseudoinverse solution is this one. A square system ``b @ x = c`` reaches
-    this through the QR ``b = Q t``, ``Q^H c`` its right-hand side: ``Q`` is
-    unitary, so ``||b||_F^2 = tr(t^H Q^H Q t) = ||t||_F^2``, and
-    ``b^-1 = t^-1 Q^H`` gives ``||b^-1||_F = ||t^-1||_F`` the same way. The
-    bound is then that of ``b``, whose singular values are ``t``'s.
+    pseudoinverse solution is this one.
 
     ``t^-1`` and ``x`` come from :func:`_upper_solve`. Its blocked inverse
     ``X``, like the unblocked triangular inverses, has a residual
@@ -349,8 +352,8 @@ def _companion_roots(a: np.ndarray) -> np.ndarray | None:
     moving = np.arange(l)
     for _ in range(_ABERTH_MAX_SWEEPS):
         zm = z[moving]
-        starts = range(0, zm.size, _ABERTH_BLOCK)
-        blocks = [_aberth_steps(zm[i : i + _ABERTH_BLOCK], z, *tables) for i in starts]
+        starts = range(0, zm.size, _ROW_BLOCK)
+        blocks = [_aberth_steps(zm[i : i + _ROW_BLOCK], z, *tables) for i in starts]
         stop, step = map(np.concatenate, zip(*blocks))
         z[moving[~stop]] -= step
         moving = moving[~stop]
@@ -442,22 +445,65 @@ def _powers(x: np.ndarray, n: int) -> np.ndarray:
 def solve_amplitudes(eigenphases, ts: TimeSeries, l_dim: int, moduli) -> AmplitudeFit:
     """Least-squares amplitudes against the first ``l_dim`` signal entries.
 
-    The square system matrix ``b`` has entries ``exp(-i * phase_{l'} * l)``.
-    With ``l = a*B + r`` split by :func:`~qeep.filterbank._block` of
-    ``l_dim``, the entry is ``exp(-i * phase * a*B) * exp(-i * phase * r)``, so
-    ``b`` is one broadcast product of an ``A x l_dim`` and a ``B x l_dim`` exp
-    table, written into the buffer ``[b | target]``.
-    One QR of ``[b | target]`` gives ``b = Q t`` and, in its last column,
-    ``Q^H target``, so ``b @ x = target`` becomes the triangular
-    ``t @ x = Q^H target``. When :func:`_certified_solve` certifies ``t``, whose
-    bound is ``b``'s, the cutoff would keep every singular value, so its back
-    substitution is the least-squares solution and the rank is ``l_dim``.
-    Otherwise the cutoff pseudoinverse of ``lstsq`` solves ``b`` itself:
-    duplicate or clustered eigenphases make it rank deficient, the minimum-norm
-    solution is returned and the deficiency shows up in the reported rank.
-    Eigenvalue ``moduli`` at most ``SVD_RCOND`` times the largest get amplitude
-    zero: they are a rank-deficient pencil's zeros, whose phase is noise, and
-    their zeroed columns always send the system to ``lstsq``.
+    The square system ``b @ x = g`` has ``b[l, j] = w_j^l`` with the nodes
+    ``w_j = exp(-i * phase_j)`` on the unit circle. Let ``omega(z) =
+    prod_k (z - w_k)`` and let ``ell_j(z) = omega(z) / ((z - w_j) omega'(w_j))``
+    be the Lagrange basis, with coefficients ``c[j, l]`` of ``z^l``. Its
+    polynomials have degree below L and ``ell_j(w_k) = delta_jk``, so
+    ``c @ b = I``, ``b^-1 = c`` and ``x_j = sum_l c[j, l] g_l``.
+
+    On the grid ``zeta_m = exp(i pi (2m + 1) / L)``, ``m < L``, the matrix
+    ``F[m, l] = zeta_m^l`` is an L-point DFT times the unitary diagonal
+    ``exp(i pi l / L)``, so ``F^H F = L I`` holds exactly. A polynomial of degree
+    below L therefore takes its coefficients from its values on the grid,
+    ``c[j, l] = (1/L) sum_m ell_j(zeta_m) zeta_m^-l``. That gives
+    ``x_j = (1/L) sum_m ell_j(zeta_m) G_m`` with ``G_m = sum_l g_l zeta_m^-l``,
+    and by Parseval ``||b^-1||_F^2 = (1/L) sum_{m,j} |ell_j(zeta_m)|^2``. Every
+    entry of ``b`` has modulus one, so ``||b||_F = L``, and the certificate of
+    :func:`_certified_solve` is ``sqrt(L sum_{m,j} |ell_j(zeta_m)|^2)``. The
+    half-step shift keeps the grid off ``z = 1``, the node of a zero phase.
+
+    Two points on the unit circle differ by
+    ``exp(i s) - exp(i t) = 2i exp(i (s + t) / 2) sin((s - t) / 2)``, so
+    ``ell_j(zeta_m) = exp(i (L - 1) (alpha_m + phase_j) / 2) P_m / (d[m, j] T_j)``
+    with ``alpha_m = pi (2m + 1) / L``, ``d[m, k] = 2 sin((alpha_m + phase_k) / 2)``,
+    ``P_m = prod_k d[m, k]`` (``omega(zeta_m)`` but for a unit factor) and
+    ``T_j = prod_{k != j} 2 sin((phase_k - phase_j) / 2)`` (so is ``omega'(w_j)``).
+    Both real factor matrices are products of two-column tables by angle
+    addition (close nodes: :func:`_node_factors`), and ``1 / d`` is a
+    Cauchy-like matrix, as the DFT turns a Vandermonde matrix into a Cauchy
+    one (Gohberg, Kailath & Olshevsky 1995, Math. Comp. 64:1557).
+    :func:`_lagrange_solve` forms them ``_ROW_BLOCK`` rows at a time, so the
+    solve takes O(L^2) flops and O(``_ROW_BLOCK`` L) memory.
+
+    A product of L factors can overflow or underflow, so ``P_m`` and ``T_j``
+    are kept as sums of ``log |factor|`` and the parity of their negative
+    factors, and scaled by the largest ``log |P_m|``: the scaled ``P_m`` have
+    modulus at most one, and a scaled ``1 / T_j`` that overflows means some
+    ``|ell_j(zeta_m)|`` exceeds 1e307, far past the certificate. Each log sum
+    is off by ``u sum |log |factor||`` (``u`` the unit roundoff), a relative
+    O(L u) in ``P_m`` and ``T_j``. The certificate is a sum of positive terms
+    with no cancellation, so it inherits that relative O(L u), well inside the
+    factor 2 of the threshold. In the solution those errors scale the rows of
+    ``b^-1`` and the grid values ``G_m`` by ``1 + delta`` with
+    ``delta = O(L u)``, which leaves a residual of ``delta ||b|| ||x||``
+    (forward errors up to ``delta cond(b)``); one step of fixed-precision
+    iterative refinement against the residual ``g - b @ x`` (Higham 2002,
+    ch. 12), solved by the same closed form, squares ``delta``.
+    ``b @ x`` comes from the split ``l = a*B + r`` of
+    :func:`~qeep.filterbank._block` of ``l_dim``: ``b[aB + r, j] =
+    exp(-i phase_j aB) exp(-i phase_j r)``, so it is one product of an
+    ``A x l_dim`` and an ``l_dim x B`` matrix, and so is the reported residual.
+
+    When the certificate holds, the cutoff would keep every singular value, so
+    this is the least-squares solution and the rank is ``l_dim``. Otherwise,
+    or when the solution is not finite, ``b`` is built by the same split and
+    the cutoff pseudoinverse of ``lstsq`` solves it: duplicate or clustered
+    eigenphases make it rank deficient, the minimum-norm solution is returned
+    and the deficiency shows up in the reported rank. Eigenvalue ``moduli`` at
+    most ``SVD_RCOND`` times the largest get amplitude zero: they are a
+    rank-deficient pencil's zeros, whose phase is noise, and their zeroed
+    columns always send the system to ``lstsq``.
     """
     phases = np.asarray(eigenphases, dtype=float)
     moduli = np.asarray(moduli, dtype=float)
@@ -466,22 +512,129 @@ def solve_amplitudes(eigenphases, ts: TimeSeries, l_dim: int, moduli) -> Amplitu
     if l_dim > ts.n_len:
         raise ValueError("l_dim cannot exceed the signal length")
     step, count = _block(l_dim)
-    system = np.empty((count * step, l_dim + 1), dtype=complex)
-    np.multiply(
-        np.exp(-1j * np.outer(step * np.arange(count), phases))[:, None, :],
-        np.exp(-1j * np.outer(np.arange(step), phases)),
-        out=system.reshape(count, step, l_dim + 1)[:, :, :-1],
-    )
-    system = system[:l_dim]
-    b, target = system[:, :-1], ts.values[:l_dim]
-    b[:, moduli <= SVD_RCOND * np.max(moduli)] = 0.0
-    system[:, -1] = target
-    r = np.linalg.qr(system, mode="r")
-    solution, rank = _certified_solve(r[:, :-1], r[:, -1]), l_dim
-    if solution is None:
-        solution, _, rank, _ = np.linalg.lstsq(b, target, rcond=SVD_RCOND)
+    hi = np.exp(-1j * np.outer(step * np.arange(count), phases))
+    lo = np.exp(-1j * np.outer(np.arange(step), phases))
+    target = ts.values[:l_dim]
+    zeroed = moduli <= SVD_RCOND * np.max(moduli)
+    solution = None if zeroed.any() else _lagrange_solve(phases, target, hi, lo)
+    if solution is not None:
+        residual = np.linalg.norm(target - _vandermonde_product(hi, lo, solution))
+        return AmplitudeFit(amplitudes=solution, residual=float(residual), rank=l_dim)
+    b = (hi[:, None, :] * lo).reshape(-1, l_dim)[:l_dim]
+    b[:, zeroed] = 0.0
+    solution, _, rank, _ = np.linalg.lstsq(b, target, rcond=SVD_RCOND)
     residual = float(np.linalg.norm(b @ solution - target))
     return AmplitudeFit(amplitudes=solution, residual=residual, rank=int(rank))
+
+
+def _lagrange_solve(
+    phases: np.ndarray, g: np.ndarray, hi: np.ndarray, lo: np.ndarray
+) -> np.ndarray | None:
+    """The solution of ``b @ x = g`` for the unit-circle Vandermonde matrix
+    ``b[l, j] = exp(-i * phases_j * l)``, with one refinement step against the
+    split tables ``hi`` and ``lo`` of :func:`_vandermonde_product`, when the
+    closed form of :func:`solve_amplitudes` certifies
+    ``||b||_F ||b^-1||_F < 1 / (2 SVD_RCOND)``; ``None`` when it does not or the
+    solution is not finite."""
+    n = phases.size
+    half = 0.5 * phases
+    nodes = np.array([np.cos(half), np.sin(half)])
+    odd = 2 * np.arange(n) + 1
+    grid = np.pi / (2 * n) * odd
+    grid_rows = 2.0 * np.column_stack([np.sin(grid), np.cos(grid)])
+    with np.errstate(all="ignore"):
+        log_p, sign_p = _log_products(lambda i: grid_rows[i : i + _ROW_BLOCK] @ nodes, n)
+        log_t, sign_t = _log_products(lambda i: _node_factors(half, nodes, i), n)
+        top = np.max(log_p)
+        weights = sign_p * np.exp(log_p - top)
+        scales = sign_t * np.exp(top - log_t)
+        # exp(i (L - 1) alpha_m / 2), its exponent reduced mod 4L in integers.
+        turn = np.exp(0.5j * np.pi / n * (odd * (n - 1) % (4 * n))) * weights
+        factor = np.exp(0.5j * (n - 1) * phases) * scales / n
+        tables = _grid_tables(n)
+        sums, squares = _cauchy_sums(grid_rows, nodes, turn * _grid_transform(g, *tables), weights)
+        if not np.sqrt(n * np.sum(scales**2 * squares)) < 0.5 / SVD_RCOND:
+            return None
+        x = factor * sums
+        rhs = turn * _grid_transform(g - _vandermonde_product(hi, lo, x), *tables)
+        x += factor * _cauchy_sums(grid_rows, nodes, rhs)[0]
+    return x if np.all(np.isfinite(x)) else None
+
+
+def _log_products(factors, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``log |prod_k d[i, k]|`` and the sign of that product for each of the
+    ``n`` rows of ``d``, whose rows ``i .. i + _ROW_BLOCK`` are ``factors(i)``.
+    A zero factor gives ``-inf``."""
+    logs, signs = np.empty(n), np.empty(n)
+    for i in range(0, n, _ROW_BLOCK):
+        d = factors(i)
+        logs[i : i + d.shape[0]] = np.log(np.abs(d)).sum(axis=1)
+        signs[i : i + d.shape[0]] = 1 - 2 * (np.count_nonzero(d < 0, axis=1) % 2)
+    return logs, signs
+
+
+def _node_factors(half: np.ndarray, nodes: np.ndarray, i: int) -> np.ndarray:
+    """Rows ``j = i .. i + _ROW_BLOCK`` of ``d[j, k] = 2 sin(half_k - half_j)``
+    with the diagonal set to one, from the :func:`_lagrange_solve` node table
+    ``nodes = [cos(half); sin(half)]`` by angle addition.
+
+    Angle addition leaves an absolute error of a few ``u``, so a factor below
+    ``2^-10`` would carry a relative error above ``2^12 u``; those are taken as
+    the sine of the difference instead, which is exact for close half-phases
+    (Sterbenz). A close pair of eigenphases then still gets its ``T_j`` to a
+    relative O(L u), which the refinement step needs: an error ``delta`` in
+    ``T_j`` leaves a residual ``delta^2 ||b|| ||x||`` after it.
+    """
+    j = np.arange(i, min(i + _ROW_BLOCK, half.size))
+    d = 2.0 * np.column_stack([-nodes[1, j], nodes[0, j]]) @ nodes
+    near = np.nonzero(np.abs(d) < 2.0**-10)
+    d[near] = 2.0 * np.sin(half[near[1]] - half[j[near[0]]])
+    d[np.arange(j.size), j] = 1.0
+    return d
+
+
+def _cauchy_sums(rows: np.ndarray, nodes: np.ndarray, coef: np.ndarray, weights=None) -> tuple:
+    """``sum_m coef_m / d[m, j]`` for every column ``j`` of ``d = rows @ nodes``,
+    and with ``weights`` also ``sum_m weights_m^2 / d[m, j]^2``, taking
+    ``_ROW_BLOCK`` rows of ``d`` at a time."""
+    parts = np.array([coef.real, coef.imag])
+    sums, squares = np.zeros((2, nodes.shape[1])), np.zeros(nodes.shape[1])
+    for i in range(0, rows.shape[0], _ROW_BLOCK):
+        inverse = 1.0 / (rows[i : i + _ROW_BLOCK] @ nodes)
+        sums += parts[:, i : i + _ROW_BLOCK] @ inverse
+        if weights is not None:
+            squares += weights[i : i + _ROW_BLOCK] ** 2 @ (inverse * inverse)
+    return sums[0] + 1j * sums[1], squares
+
+
+def _grid_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exp tables ``zeta_m^-r`` (``r < B``) and ``zeta_m^-(aB)``
+    (``a < A``) of :func:`_grid_transform` on ``zeta_m = exp(i pi (2m + 1) / n)``,
+    with ``k = a*B + r`` split by :func:`~qeep.filterbank._block` of ``n``. The
+    exponent ``(2m + 1) k`` is reduced mod ``2n`` in integers, so each entry is
+    one rounded ``exp``."""
+    step, count = _block(n)
+    odd = 2 * np.arange(n)[:, None] + 1
+    lo = np.exp(-1j * np.pi / n * (odd * np.arange(step) % (2 * n)))
+    hi = np.exp(-1j * np.pi / n * (odd * (step * np.arange(count)) % (2 * n)))
+    return lo, hi
+
+
+def _grid_transform(g: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``G_m = sum_k g_k zeta_m^-k`` for the :func:`_grid_tables` ``(lo, hi)``:
+    one product of ``lo`` with ``g`` laid out as ``B x A``, then a row-wise dot
+    with ``hi``."""
+    step, count = lo.shape[1], hi.shape[1]
+    padded = np.zeros(step * count, dtype=complex)
+    padded[: g.size] = g
+    return np.einsum("ma,ma->m", lo @ padded.reshape(count, step).T, hi)
+
+
+def _vandermonde_product(hi: np.ndarray, lo: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``b @ x`` for ``b[aB + r, j] = hi[a, j] * lo[r, j]``, cut to ``x.size``
+    rows: one product of the ``A x L`` table ``hi`` with the ``L x B`` matrix
+    ``(lo * x)^T``."""
+    return (hi @ (lo * x).T).reshape(-1)[: x.size]
 
 
 def mp_estimate(ts: TimeSeries, l_dim: int | None = None) -> MpEstimate:

@@ -47,7 +47,7 @@ class BinDistribution:
     kind: BinKind
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)
         m_bins = _bin_count(self.eps)
         if v.shape != (m_bins,) or not np.all(np.isfinite(v)):
             raise ValueError(f"values must be 1 + 1/eps = {m_bins} finite reals")

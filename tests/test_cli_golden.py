@@ -116,6 +116,23 @@ fig5-config and appc cases, 2.1e-13 in ``mp.json``'s ``delta``;
 amplitude. On the paper-default ``reproduce fig5`` (N = 566, seeds 1-5) the
 largest ``delta_mp`` move is 7.7e-9 (units of eps). No TS column or value and
 no file without pencil output moved.
+
+The matrix-pencil bytes were re-recorded a seventh time, when the amplitude
+fit stopped taking one QR of ``[b | target]``: a certified fit is now the
+closed-form inverse of the unit-circle Vandermonde matrix, its Lagrange basis
+taken on a shifted L-point grid, with one step of iterative refinement. Only
+amplitudes moved; every eigenphase and modulus kept its value. The same cases
+and files moved: ``estimate-mp`` (``mp.json``), ``reproduce-fig5`` and
+``reproduce-fig5-config`` (``fig5_deltas.csv``, ``fig5_summary.json``),
+``reproduce-appc`` (``appc_delta_table.csv``, ``appc_summary.json``) and
+``reproduce-fig6`` (``fig6_mp.csv`` only). The largest ``delta_mp`` change is
+7.3e-12 (units of eps) in each of the fig5, fig5-config and appc cases,
+8.1e-13 in ``mp.json``'s ``delta``; ``fig6_mp.csv`` moved by 0 in an
+eigenphase and at most 1.2e-13 in an amplitude. On the paper-default
+``reproduce fig5`` (N = 566, seeds 1-20) the largest ``delta_mp`` move is
+2.7e-8 (units of eps, seed 17, s = 4, a relative 6.9e-10), and 7.0e-13 on the
+``trials`` shape (eps = 0.05, STRICT N = 4469, L = 64, seeds 1-25). No TS
+column or value and no file without pencil output moved.
 """
 
 import hashlib
@@ -158,29 +175,29 @@ CASES = {
     "reproduce-fig5": (
         ["reproduce", "fig5", "--outdir", "out", *SMALL],
         {
-            "out/fig5_deltas.csv": "f8c9c3410e4242c2ebde5b75df0d06b8c8f7caa45d24e36dd64f199b04efccd6",
-            "out/fig5_summary.json": "29c24656e2f16e0334d5875cdbbbd652c343837d7335b80a164b518d58adf1d4",
+            "out/fig5_deltas.csv": "051b5aaf65b7e39ca0826741db051ca80f346dc63a70915f22e0f63f2f14b7c3",
+            "out/fig5_summary.json": "b255ee2d79f2c0c8d5922a3af204fe56a0c45f64529e22f0b8a0e340fef6877d",
         },
     ),
     # The same run with its flags read from an argument file writes the same bytes.
     "reproduce-fig5-config": (
         ["reproduce", "fig5", "@cfg.args"],
         {
-            "out/fig5_deltas.csv": "f8c9c3410e4242c2ebde5b75df0d06b8c8f7caa45d24e36dd64f199b04efccd6",
-            "out/fig5_summary.json": "29c24656e2f16e0334d5875cdbbbd652c343837d7335b80a164b518d58adf1d4",
+            "out/fig5_deltas.csv": "051b5aaf65b7e39ca0826741db051ca80f346dc63a70915f22e0f63f2f14b7c3",
+            "out/fig5_summary.json": "b255ee2d79f2c0c8d5922a3af204fe56a0c45f64529e22f0b8a0e340fef6877d",
         },
     ),
     "reproduce-appc": (
         ["reproduce", "appc", "--outdir", "out", *SMALL],
         {
-            "out/appc_delta_table.csv": "f8c9c3410e4242c2ebde5b75df0d06b8c8f7caa45d24e36dd64f199b04efccd6",
-            "out/appc_summary.json": "fd5c822eea33a11c49a349f592a53d906a9dc9a206f9b1221390743a5e41f90f",
+            "out/appc_delta_table.csv": "051b5aaf65b7e39ca0826741db051ca80f346dc63a70915f22e0f63f2f14b7c3",
+            "out/appc_summary.json": "08ad75b04b2e8f647e8e7ab4dc596eb8566aaa9c9a2f7c52968433f55fa94c73",
         },
     ),
     "reproduce-fig6": (
         ["reproduce", "fig6", "--outdir", "out", "--truncation", "64", "--seed", "1"],
         {
-            "out/fig6_mp.csv": "b9b14e84f0b6ab71de77cc50f4d34c0597fd053dc16addc477b016afca043b13",
+            "out/fig6_mp.csv": "eec54734655f5479374a2de6c5176b140f4ab0488b16d85af3b1e081235e172d",
             "out/fig6_summary.json": "8dfa6721e0fb54967f3bea7d538ec1ec2e462ead0efe5a9281349c38096fd770",
             "out/fig6_true.csv": "81b5e413c34f4b40bbaabe07d3380bdd81742b4941578773b237b8e6f9c7945d",
             "out/fig6_ts.csv": "cfc6b1035ea5985c4799acd519c16da3dad36d4d82a5d00d65ea6597787c3c64",
@@ -241,7 +258,7 @@ CASES = {
             "--spectrum", "in_spec.json", "--out", "mp.json",
         ],
         {
-            "mp.json": "6b96086336a6585085f004fafb2c8fad979841b2c133a85bf966ee0ddb7cef5a",
+            "mp.json": "27431e0a7b06b3d5cd9feb4b60bcd60e8b20c1ce36893dfd462fade566850665",
         },
     ),
     "plan-shots": (

@@ -63,6 +63,13 @@ class TestDft:
         with pytest.raises(ValueError):
             dft(np.array([], dtype=complex))
 
+    def test_copies_the_callers_arrays(self):
+        coefficients, grid = np.ones(3, dtype=complex), np.array([-1.0, 0.0, 1.0])
+        result = DftResult(coefficients=coefficients, frequency_grid=grid)
+        coefficients[0], grid[0] = 2.0, -2.0
+        assert result.coefficients[0] == 1.0 and result.frequency_grid[0] == -1.0
+        assert not result.coefficients.flags.writeable
+
     @pytest.mark.parametrize(
         "coefficients, grid",
         [(np.zeros(3), np.zeros(2)), (np.zeros((2, 2)), np.zeros((2, 2)))],

@@ -443,6 +443,13 @@ class TestBuildFilterBank:
         with pytest.raises(ValueError, match="radial shape"):
             FilterBank(eps=0.25, n_trunc=4, radial=[0.1, 0.1, 0.1])
 
+    def test_copies_the_callers_array(self):
+        radial = np.array([0.1, 0.2, 0.3])
+        bank = FilterBank(eps=0.25, n_trunc=3, radial=radial)
+        radial[0] = 0.5
+        assert bank.radial[0] == 0.1
+        assert not bank.radial.flags.writeable
+
     def test_appc_dimensions(self, bank_appc):
         assert bank_appc.m_bins == 201
         assert bank_appc.radial.shape == (566,)

@@ -378,11 +378,11 @@ class TestCompanionRoots:
         est = mp_estimate(ts, 565)
         assert dense_calls(linalg_calls) == {"svd": [], "lstsq": [], "eigvals": []}
         assert np.all(est.moduli > 0)
-        # Both systems are triangular: the R factor's (an empty batch of top
-        # blocks, then the 566 x 566 G^T) and the one QR of the amplitude
-        # system beside its right-hand side. Only the diagonal blocks of the
-        # triangular inverse meet an LU solve.
-        assert linalg_calls["qr"] == [(0, 4528, 566), (566, 566), (565, 566)]
+        # The pencil's system is triangular: the R factor's (an empty batch of
+        # top blocks, then the 566 x 566 G^T). The amplitude fit is the closed
+        # form of the Vandermonde inverse and takes no QR. Only the diagonal
+        # blocks of the triangular inverse meet an LU solve.
+        assert linalg_calls["qr"] == [(0, 4528, 566), (566, 566)]
         widths = [shape[1] for shape in linalg_calls["solve"]]
         assert widths and max(widths) <= matrix_pencil._TRIANGULAR_BLOCK
 
@@ -565,6 +565,14 @@ class TestCertifiedSolve:
             assert _certified_solve(t, np.ones(6, dtype=complex)) is None
 
 
+def jittered_phases(n):
+    """``n`` eigenphases spread over ``[-pi, pi)``, each moved off its equispaced
+    place by up to 0.3 of the spacing, so their Vandermonde system is well
+    conditioned."""
+    rng = np.random.default_rng(n)
+    return 2 * np.pi * (np.arange(n) + rng.uniform(-0.3, 0.3, n)) / n - np.pi
+
+
 class TestSolveAmplitudes:
     def test_single_line_unit_amplitude(self):
         ts = generate_clean(point_mass(0.2), 4)
@@ -581,14 +589,102 @@ class TestSolveAmplitudes:
         assert fit.residual <= 1e-8
 
     def test_paper_shape_fit_is_backward_stable(self):
-        # The certified fit solves t x = Q^H target by back substitution, with
-        # a residual near 1e-13 here; t^-1 @ (Q^H target) would leave 1e-9.
-        # Every entry of the system matrix has modulus one, so its Frobenius
-        # norm is L.
+        # The certified fit is the closed-form inverse and one refinement
+        # step, with a residual near 1e-14 here. Every entry of the system
+        # matrix has modulus one, so its Frobenius norm is L.
         ts = add_noise(generate_clean(fig6_spectrum(), 566), 0.005, 1)
         est = mp_estimate(ts, 565)
         scale = 565 * np.linalg.norm(est.amplitudes)
         assert est.residual <= 565 * UNIT_ROUNDOFF * scale
+
+    # The benchmark's pencils, as in TestCompanionRoots: fig5 (N = 566,
+    # L = 565) and trials (eps = 0.05, STRICT N = 4469, L = 64).
+    @pytest.mark.parametrize(
+        "eps, eps_prime, l_dim, seed",
+        [(0.005, 0.005, 565, 1), (0.005, 0.005, 565, 17),
+         (0.05, 1e-5, 64, 1), (0.05, 1e-5, 64, 22)],
+        ids=["fig5-1", "fig5-17", "trials-1", "trials-22"],
+    )
+    def test_benchmark_fits_are_backward_stable(self, eps, eps_prime, l_dim, seed, linalg_calls):
+        n_len = l_dim + 1 if l_dim == 565 else choose_truncation(eps, TruncationMode.STRICT)
+        clean = generate_clean(random_spectrum(5, seed), n_len)
+        est = mp_estimate(add_noise(clean, eps_prime, seed + NOISE_SEED_OFFSET), l_dim)
+        # Certified: no QR, lstsq or SVD for the fit, only the pencil's R factor.
+        assert linalg_calls["lstsq"] == [] and linalg_calls["svd"] == []
+        assert len(linalg_calls["qr"]) == 2
+        # Backward stable: at most L u ||b||_F ||x||, with ||b||_F = L. The
+        # refined fits read 1e-4 to 5e-3 of that, and the closed form without
+        # its refinement step 0.03 to 0.23, so the bound is taken at 0.02.
+        bound = l_dim * UNIT_ROUNDOFF * l_dim * np.linalg.norm(est.amplitudes)
+        assert est.residual <= 0.02 * bound
+
+    # One node (L = 1), two, B = 8 rows filling A = 8 blocks (L = 64), a
+    # padded last block (L = 65) and a fig5 pencil's L = 565, whose
+    # eigenphases are clustered enough for a bound near 1e6.
+    @pytest.mark.parametrize("l_dim", [1, 2, 64, 65, 565])
+    def test_certificate_matches_the_dense_inverse(self, l_dim, monkeypatch, linalg_calls):
+        if l_dim == 565:
+            ts = add_noise(generate_clean(random_spectrum(5, 1), 566), 0.005, 1 + NOISE_SEED_OFFSET)
+            phases = mp_estimate(ts, l_dim).eigenphases
+        else:
+            ts = add_noise(generate_clean(fig6_spectrum(), l_dim + 1), 0.005, 1)
+            phases = jittered_phases(l_dim)
+        b = np.exp(-1j * np.outer(np.arange(l_dim), phases))
+        dense = l_dim * np.linalg.norm(np.linalg.inv(b))
+        # The certificate sqrt(L sum |ell_j(zeta_m)|^2) is ||b||_F ||b^-1||_F:
+        # with the threshold 0.5 / SVD_RCOND set a relative 1e-6 above it the
+        # fit is certified, and 1e-6 below it goes to lstsq.
+        for ratio, certified in [(1 + 1e-6, True), (1 - 1e-6, False)]:
+            monkeypatch.setattr(matrix_pencil, "SVD_RCOND", 0.5 / (ratio * dense))
+            solve_amplitudes(phases, ts, l_dim, np.ones(l_dim))
+            assert linalg_calls["lstsq"] == ([] if certified else [(l_dim, l_dim)])
+
+    # A pair of eigenphases `gap` apart among L jittered ones: at L = 2 the
+    # bound ||b||_F ||b^-1||_F is 2 / |sin(gap / 2)|, from 4e3 to 4e13; at
+    # L = 64 it is about 0.72 / gap, so the cases straddle the threshold 5e11.
+    @pytest.mark.parametrize("l_dim", [2, 64])
+    @pytest.mark.parametrize("gap", [1e-3, 1e-11, 3e-12, 1e-12, 3e-13, 1e-13])
+    def test_clustered_phases_straddle_the_threshold(self, l_dim, gap, linalg_calls):
+        phases = jittered_phases(l_dim)
+        phases[1] = phases[0] + gap
+        ts = add_noise(generate_clean(fig6_spectrum(), l_dim + 1), 0.005, 1)
+        b = np.exp(-1j * np.outer(np.arange(l_dim), phases))
+        s = np.linalg.svd(b, compute_uv=False)
+        bound = np.sqrt(np.sum(s**2) * np.sum(s**-2.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = solve_amplitudes(phases, ts, l_dim, np.ones(l_dim))
+        if linalg_calls["lstsq"]:
+            # Rejected only near or above the threshold 0.5 / SVD_RCOND.
+            assert bound >= 0.45 / SVD_RCOND
+        elif bound >= 0.55 / SVD_RCOND:
+            pytest.fail("accepted a system well above the threshold")
+        else:
+            assert np.all(s > SVD_RCOND * s[0])
+            assert fit.residual <= l_dim * UNIT_ROUNDOFF * l_dim * np.linalg.norm(fit.amplitudes)
+        assert np.all(np.isfinite(fit.amplitudes))
+
+    # Two equal eigenphases, a node on the grid point zeta_1 = exp(3i pi / 8)
+    # of L = 8 (phase -3 pi / 8), and a zeroed column: each is solved by the
+    # closed form or by lstsq, finite and without a floating-point warning.
+    @pytest.mark.parametrize("case", ["duplicate", "on-grid", "zeroed"])
+    def test_degenerate_systems_stay_finite(self, case, linalg_calls):
+        spec = fig6_spectrum()
+        phases, moduli = np.append(spec.lambdas, [0.7, -1.1, 2.0]), np.ones(8)
+        if case == "duplicate":
+            phases[5] = phases[2]
+        elif case == "on-grid":
+            phases[5] = -3 * np.pi / 8
+        else:
+            moduli[5] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                fit = solve_amplitudes(phases, generate_clean(spec, 9), 8, moduli)
+        assert np.all(np.isfinite(fit.amplitudes))
+        assert fit.residual <= 1e-12
+        if case != "on-grid":
+            assert linalg_calls["lstsq"] == [(8, 8)]
 
     # One row block (L = 1), B = 8 rows filling A = 8 blocks (L = 64), a
     # padded last block (L = 65) and fig5's L = 565 (B = A = 24, padded).
@@ -599,12 +695,17 @@ class TestSolveAmplitudes:
         moduli = np.ones(l_dim)
         moduli[1::7] = 1e-13  # zeroed columns: at most SVD_RCOND times the largest
         ts = add_noise(generate_clean(fig6_spectrum(), l_dim + 1), 0.005, 1)
-        qr, systems = np.linalg.qr, []
-        monkeypatch.setattr(np.linalg, "qr", lambda m, mode: systems.append(m.copy()) or qr(m, mode=mode))
+        lstsq, systems = np.linalg.lstsq, []
+        spy = lambda m, y, rcond: systems.append((m.copy(), y.copy())) or lstsq(m, y, rcond=rcond)
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        # The zeroed columns send the system to lstsq, which gets b and the
+        # target; L = 1 has no column to zero, so its closed form is refused.
+        if l_dim == 1:
+            monkeypatch.setattr(matrix_pencil, "_lagrange_solve", lambda *args: None)
         solve_amplitudes(phases, ts, l_dim, moduli)
-        [system] = systems
-        assert system.shape == (l_dim, l_dim + 1)
-        assert np.array_equal(system[:, -1], ts.values[:l_dim])
+        [(system, target)] = systems
+        assert system.shape == (l_dim, l_dim)
+        assert np.array_equal(target, ts.values[:l_dim])
         # exp(-i p a B) exp(-i p r) against exp(-i p l), l = a B + r: the
         # rounded arguments p a B, p r and p l are each off by at most u times
         # their size, so together by 2 u |p| l, and |exp(iy) - exp(iy')| <=
@@ -614,8 +715,8 @@ class TestSolveAmplitudes:
         direct = np.exp(-1j * np.outer(np.arange(l_dim), phases))
         direct[:, moduli <= SVD_RCOND] = 0.0
         tol = (2 * np.abs(phases) * rows + 16) * UNIT_ROUNDOFF
-        assert np.all(np.abs(system[:, :-1] - direct) <= tol)
-        assert np.all(system[:, :-1][:, 1::7] == 0)
+        assert np.all(np.abs(system - direct) <= tol)
+        assert np.all(system[:, 1::7] == 0)
 
     def test_duplicate_phases_finite_solution(self):
         ts = generate_clean(point_mass(0.1), 6)
@@ -750,6 +851,14 @@ class TestMpEstimate:
             MpEstimate(
                 eigenphases=[0.1, 0.2], amplitudes=[0.5], moduli=[1.0, 1.0], l_dim=2, residual=0.0
             )
+
+    def test_copies_the_callers_arrays(self):
+        ph, amp, mod = np.array([0.1, 0.2]), np.array([0.5, 0.5 + 0j]), np.ones(2)
+        est = MpEstimate(ph, amp, mod, 2, 0.0)
+        # The record's arrays are read-only copies; the caller's stay writable.
+        ph[0], amp[0], mod[0] = 0.3, 0.0, 2.0
+        assert est.eigenphases[0] == 0.1 and est.amplitudes[0] == 0.5 and est.moduli[0] == 1.0
+        assert not est.eigenphases.flags.writeable
 
 
 class TestFilterEstimate:

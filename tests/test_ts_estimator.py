@@ -367,6 +367,13 @@ class TestBinDistributionType:
             with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
                 BinDistribution(values=np.array(values), eps=1.0, kind=BinKind.EXACT_P)
 
+    def test_copies_the_callers_array(self):
+        values = np.array([-0.01, 0.5, 0.52])
+        dist = BinDistribution(values=values, eps=0.5, kind=BinKind.ESTIMATED_Q)
+        values[0] = 0.3
+        assert dist.values[0] == -0.01
+        assert not dist.values.flags.writeable
+
     def test_estimated_kind_allows_raw_values(self):
         dist = BinDistribution(
             values=np.array([-0.01, 0.5, 0.52]), eps=0.5, kind=BinKind.ESTIMATED_Q

@@ -229,16 +229,11 @@ def _to_pairs(y: np.ndarray) -> np.ndarray:
 
 
 def _from_pairs(t: np.ndarray) -> np.ndarray:
-    """``Q t`` along the last axis of a real ``t``, inverting :func:`_to_pairs`,
-    set part by part so that non-finite entries meet no complex arithmetic."""
+    """``Q t`` along the last axis of a real ``t``, inverting :func:`_to_pairs`."""
     n = t.shape[-1]
     h = n // 2
-    s, d = t[..., :h] / math.sqrt(2.0), t[..., n - h :] / math.sqrt(2.0)
-    y = np.zeros(t.shape, dtype=complex)
-    y.real[..., :h] = y.real[..., : n - h - 1 : -1] = s
-    y.imag[..., :h], y.imag[..., : n - h - 1 : -1] = d, -d
-    y.real[..., h : n - h] = t[..., h : n - h]
-    return y
+    y = t[..., :h] / math.sqrt(2.0) + 1j * (t[..., n - h :] / math.sqrt(2.0))
+    return np.concatenate([y, t[..., h : n - h], np.conj(y[..., ::-1])], axis=-1)
 
 
 def _certified_inverse(t: np.ndarray) -> np.ndarray | None:

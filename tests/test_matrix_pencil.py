@@ -270,6 +270,11 @@ class TestRealFactor:
         monkeypatch.setattr(matrix_pencil, "_QR_BLOCK_ROWS_PER_COLUMN", m)
         direct = np.abs(np.diag(_real_factor(g)))
         assert np.max(np.abs(np.abs(np.diag(r)) - direct)) <= 1e-12 * direct.max()
+        # The diagonal does not fix the Gram matrix; F = Q R_T^T must have
+        # F F^H = G G^H.
+        f = _from_pairs(r).T
+        gram = g @ g.conj().T
+        assert np.linalg.norm(f @ f.conj().T - gram) <= 1e-12 * np.linalg.norm(gram)
 
     @settings(max_examples=30, deadline=None)
     @example(shape=(566, 565), seed=0)
@@ -293,6 +298,38 @@ class TestRealFactor:
         # a certified G certifies H0.
         assert bound(s_g) >= bound(s_h0) * (1 - 1e-12)
         assert s_g[0] / s_g[-1] >= s_h0[0] / s_h0[-1] * (1 - 1e-12)
+
+    # The edge of the certificate at L = 565, seed 2, where the G bound is
+    # about 1.3x the H0 bound: eps' = 5e-8 certifies both (G 4.6e11), 3e-8
+    # neither (H0 5.8e11), and 4e-8 lies in the window where H0 (4.4e11)
+    # would certify but G (5.7e11) does not, so that pencil takes the SVD.
+    @pytest.mark.parametrize(
+        "eps_prime, g_certified, h0_certified",
+        [(3e-8, False, False), (4e-8, False, True), (5e-8, True, True)],
+    )
+    def test_certificate_window_edge(self, eps_prime, g_certified, h0_certified, monkeypatch):
+        clean = generate_clean(random_spectrum(5, 2), 566)
+        ts = add_noise(clean, eps_prime, 2 + NOISE_SEED_OFFSET)
+        g = build_hankel(ts, 565)
+        s_h0 = np.linalg.svd(g[:-1], compute_uv=False)
+        h0_bound = np.sqrt(np.sum(s_h0**2) * np.sum(s_h0**-2.0))
+        assert (h0_bound < 0.5 / SVD_RCOND) == h0_certified
+        assert (_certified_inverse(_real_factor(g)) is not None) == g_certified
+
+        class Fallback(Exception):
+            pass
+
+        def svd(*args, **kwargs):
+            raise Fallback
+
+        # The SVD path is the only caller of svd; stop there, before the
+        # 565 x 565 eigensolve.
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        if g_certified:
+            assert solve_pencil(ts, 565).size == 565
+        else:
+            with pytest.raises(Fallback):
+                solve_pencil(ts, 565)
 
 
 class TestPredictionRow:
@@ -585,10 +622,9 @@ def random_triangle(n, seed):
 
 
 def inverse_residual(t, inverse):
-    """``||inverse @ t - I|| / (||inverse|| ||t||)``, at most ``c n u`` to first
-    order for the triangular inverses (Higham 2002, ch. 14)."""
-    n = t.shape[0]
-    return np.linalg.norm(inverse @ t - np.eye(n)) / (np.linalg.norm(inverse) * np.linalg.norm(t))
+    """``||inverse @ t - I||``: the block inverse is off by a relative
+    ``O(n u cond(t))`` (Higham 2002, ch. 14)."""
+    return np.linalg.norm(inverse @ t - np.eye(t.shape[0]))
 
 
 class TestUpperInverse:
@@ -600,7 +636,7 @@ class TestUpperInverse:
         t = random_triangle(n, n)
         inverse = _upper_inverse(t)
         assert np.array_equal(inverse, np.triu(inverse))
-        assert inverse_residual(t, inverse) <= 4 * n * UNIT_ROUNDOFF
+        assert inverse_residual(t, inverse) <= 4 * n * UNIT_ROUNDOFF * np.linalg.cond(t)
 
     @pytest.mark.parametrize("n", [2, 65, 130])
     def test_reads_only_the_upper_triangle(self, n):
@@ -635,7 +671,7 @@ class TestCertifiedInverse:
         else:
             assert np.all(s > SVD_RCOND * s[0])
             # Off by a relative O(n u cond(t)) however close to the threshold.
-            assert inverse_residual(t, inverse) <= 4 * n * UNIT_ROUNDOFF
+            assert inverse_residual(t, inverse) <= 4 * n * UNIT_ROUNDOFF * np.linalg.cond(t)
         if cond <= 1e11 or (n == 2 and cond <= 4e11):
             assert inverse is not None
 

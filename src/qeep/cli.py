@@ -314,14 +314,12 @@ def _map_single_blas_thread(func, items):
         return list(pool.map(func, items))
 
 
-def _map_seeds(func, args, seeds):
-    """``[func(args, bank, seed) for seed in seeds]``, one worker per seed; the
-    seeds share only the filter bank. ``n_trunc`` and ``l_dim`` are resolved on
-    ``args`` first, so a bad ``--l-dim`` fails before the bank is built."""
+def _pencil_bank(args):
+    """The filter bank of a pencil figure, built after ``n_trunc`` and ``l_dim``
+    are resolved on ``args``, so that a bad ``--l-dim`` fails before it."""
     args.n_trunc = _truncation_order(args.eps, args.truncation)
     args.l_dim = _pencil_dimension(args.n_trunc, args.l_dim)
-    bank = build_filterbank(args.eps, args.n_trunc)
-    return _map_single_blas_thread(functools.partial(func, args, bank), seeds)
+    return build_filterbank(args.eps, args.n_trunc)
 
 
 def _delta_summary(rows, moments):
@@ -340,31 +338,24 @@ def _delta_summary(rows, moments):
     return summary
 
 
-# Per delta table: CSV name, summary name, the summary's key for the
-# per-moment statistics, and whether its parameters record ``l_dim``.
-_DELTA_TABLES = {
-    "fig5": ("fig5_deltas.csv", "fig5_summary.json", "summary", False),
-    "appc": ("appc_delta_table.csv", "appc_summary.json", "tables", True),
-}
-
-
 def _reproduce_deltas(outdir: Path, args) -> None:
-    csv_name, summary_name, summary_key, with_l_dim = _DELTA_TABLES[args.figure]
-    rows = [row for seed_rows in _map_seeds(_trial_rows, args, args.seeds) for row in seed_rows]
-    _write_csv(outdir / csv_name, DELTA_HEADER, rows)
+    """Fig. 5 and the Appendix C table: one worker per seed, sharing the bank."""
+    bank = _pencil_bank(args)
+    per_seed = _map_single_blas_thread(functools.partial(_trial_rows, args, bank), args.seeds)
+    rows = [row for seed_rows in per_seed for row in seed_rows]
+    _write_csv(outdir / "fig5_deltas.csv", DELTA_HEADER, rows)
     parameters = {
         "eps": args.eps,
         "eps_prime": args.eps_prime,
         "m_bins": bin_centers(args.eps).size,
         "n_trunc": args.n_trunc,
+        "l_dim": args.l_dim,
         "d_spectrum": args.d,
         "seeds": list(args.seeds),
     }
-    if with_l_dim:
-        parameters["l_dim"] = args.l_dim
     _write_json(
-        {"parameters": parameters, summary_key: _delta_summary(rows, args.moments)},
-        outdir / summary_name,
+        {"parameters": parameters, "summary": _delta_summary(rows, args.moments)},
+        outdir / "fig5_summary.json",
     )
 
 
@@ -407,7 +398,7 @@ def _reproduce_fig4(outdir: Path, args) -> None:
 
 def _reproduce_fig6(outdir: Path, args) -> None:
     spec = fig6_spectrum()
-    [(dist, pencil)] = _map_seeds(functools.partial(_seeded_estimates, spec), args, [args.seed])
+    dist, pencil = _seeded_estimates(spec, args, _pencil_bank(args), args.seed)
 
     _write_csv(outdir / "fig6_true.csv", ["lambda", "weight"], spec.entries)
     _write_csv(outdir / "fig6_ts.csv", ["j", "lambda_tilde", "value"], _bins_rows(dist))
@@ -496,7 +487,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="estimate.json")
     p.add_argument("--csv", help="ts only: bin distribution as CSV")
 
-    # Figure flags: ``outdir`` for all, ``pencil`` with a pencil, ``deltas`` with moment errors.
+    # Figure flags: ``outdir`` for all, ``pencil`` with a pencil.
     outdir = argparse.ArgumentParser(add_help=False)
     outdir.add_argument("--outdir", default=".")
     pencil = argparse.ArgumentParser(add_help=False, parents=[outdir])
@@ -507,22 +498,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "--truncation", type=_truncation, default=TruncationMode.EMPIRICAL,
         help="empirical (default), strict or N >= 2",
     )
-    deltas = argparse.ArgumentParser(add_help=False, parents=[pencil])
-    deltas.add_argument("--seeds", type=_seeds, default=(1, 2, 3, 4, 5))
-    deltas.add_argument("--moments", type=_moment_orders, default=(1, 2, 4))
-    deltas.add_argument("--d", type=_spectrum_size, default=5)
-
     p = command("reproduce", _cmd_reproduce, "rebuild a figure or table bundle")
     figures = p.add_subparsers(dest="figure", required=True)
     for name, parent, func, help in [
         ("fig3", outdir, _reproduce_fig3, "DFT leakage of an off-grid tone"),
         ("fig4", outdir, _reproduce_fig4, "filter curves and their unit sum"),
-        ("fig5", deltas, _reproduce_deltas, "seeded moment errors of both estimators"),
+        ("fig5", pencil, _reproduce_deltas, "seeded moment errors of both estimators"),
         ("fig6", pencil, _reproduce_fig6, "true spectrum and both estimates"),
-        ("appc", deltas, _reproduce_deltas, "fig5 with the pencil dimension recorded"),
     ]:
         figure = figures.add_parser(name, parents=[parent], help=help, allow_abbrev=False)
         figure.set_defaults(reproduce=func)
+    fig5 = figures.choices["fig5"]
+    fig5.add_argument("--seeds", type=_seeds, default=(1, 2, 3, 4, 5))
+    fig5.add_argument("--moments", type=_moment_orders, default=(1, 2, 4))
+    fig5.add_argument("--d", type=_spectrum_size, default=5)
     figures.choices["fig6"].add_argument("--seed", type=_seed, default=1)
 
     return parser
@@ -567,7 +556,16 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """Exit with ``main``'s code, skipping the interpreter's teardown: ``main``
+    closed every file it wrote, so only the standard streams need a flush. One
+    that fails (a closed pipe) turns success into code 2, with no traceback."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            code = code or 2
+    os._exit(code)
 
 
 if __name__ == "__main__":

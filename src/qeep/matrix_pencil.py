@@ -94,36 +94,15 @@ from .signal import TimeSeries
 # singular value above it and take no SVD.
 SVD_RCOND = 1e-12
 
-# The blocked QR factors row blocks of this many rows per column: at L = 64 a
-# block is 520 x 65 complex entries (0.5 MiB), well inside a core's L2 cache
-# (2 MiB per core on the 2-vCPU Xeon measured), while the whole 8873 x 65
-# matrix of a `trials` pencil (9 MiB) is not.
+# Rows per column of a blocked-QR row block, so that a block fits in L2 cache.
 _QR_BLOCK_ROWS_PER_COLUMN = 8
 
-# `_upper_inverse` hands triangles of at most this many columns to one
-# `np.linalg.solve` and splits larger ones in halves. The inverse of a fig5
-# pencil's real 566 x 566 R factor took 4.3 ms at 64 columns, 4.6 ms at 32
-# and 128, 6.0 ms at 192 and 25 ms unsplit (one thread of a 2-vCPU Xeon).
+# Widest triangle `_upper_inverse` inverts unsplit; the fastest size measured.
 _TRIANGULAR_BLOCK = 64
 
-# Aberth sweeps before a certified pencil's roots give way to the SVD path:
-# the SVD of F[:-1] and, at full rank, the eigensolve of its L x L core. Near
-# simple roots the iteration converges cubically: the fig5 pencils (L = 565,
-# seeds 1-20) stop within 18 sweeps and the trials pencils (L = 64, seeds
-# 1-25) within 17, while 50 sweeps at L = 565 cost 0.21 s, a sixth of that
-# 1.3 s eigensolve (one thread of a 2-vCPU Xeon).
+# Aberth sweeps before the SVD path takes over; benchmark pencils stop by 18.
 _ABERTH_MAX_SWEEPS = 50
-# Each sweep takes the moving points this many at a time, so its temporaries
-# are two rows of O(sqrt(L)) powers and a few real rows of L differences per
-# point (0.55 MiB each for 128 points at L = 565). Whole L x (L + 1)
-# temporaries at L = 565 (5 MiB each) left freed memory resident in fig5's
-# workers and raised their peak RSS from 78.7 to 83.0 MiB in some runs. With
-# blocks of 128, `reproduce fig5 --seeds 1,2,3,4,5` peaks at 58.0-58.2 MiB
-# (`ru_maxrss` from `os.wait4`, one BLAS thread), against 58.5-58.8 MiB for
-# blocks of 32 with a row of L + 1 powers per point. The amplitude fit takes
-# the rows of its L x L factor and Cauchy matrices the same number at a time:
-# a warm fig5 fit (L = 565) then faults in no fresh pages, against 2.0k minor
-# faults (8 MiB) per fit with whole L x L temporaries, which were no faster.
+# Points per Aberth block and rows per amplitude-fit block: bounds temporaries.
 _ROW_BLOCK = 128
 
 

@@ -5,7 +5,7 @@ from qeep import TruncationMode, build_filterbank, choose_truncation
 
 
 @pytest.fixture(scope="session")
-def bank_appc():
+def bank_paper():
     """The 201 x 566 table used by the reference experiments (eps = 0.005)."""
     return build_filterbank(0.005, 566)
 

@@ -74,20 +74,20 @@ def test_c02_partition_of_unity():
     _report("C02", "partition-of-unity", f"{elapsed:.1f}s")
 
 
-def test_c03_coefficient_identities(bank_appc):
-    eps = bank_appc.eps
-    zero_column = np.array([bank_appc.row(j)[0] for j in range(bank_appc.m_bins)])
+def test_c03_coefficient_identities(bank_paper):
+    eps = bank_paper.eps
+    zero_column = np.array([bank_paper.row(j)[0] for j in range(bank_paper.m_bins)])
     assert np.max(np.abs(zero_column - eps / SQRT_2PI)) <= 1e-10
     for j, k in ((0, 1), (57, 13), (200, 565)):
         # F_j(-k) = radial(-k) * exp(i*center_j*k) is conj(F_j(k)) because the
         # radial profile is real and even.
         assert _radial(-k, eps) == _radial(k, eps)
-        f_minus = _radial(-k, eps) * np.exp(1j * bank_appc.centers[j] * k)
-        assert f_minus == pytest.approx(np.conj(bank_appc.row(j)[k]), abs=1e-15)
+        f_minus = _radial(-k, eps) * np.exp(1j * bank_paper.centers[j] * k)
+        assert f_minus == pytest.approx(np.conj(bank_paper.row(j)[k]), abs=1e-15)
         # The closed form 2*H(k*eps/2)*sin(k*eps/2)/k * exp(-i*center_j*k).
         closed = 2.0 * bump_fourier(k * eps / 2.0) * math.sin(k * eps / 2.0) / k
         closed *= np.exp(-1j * bin_centers(eps)[j] * k)
-        assert bank_appc.row(j)[k] == pytest.approx(closed, abs=1e-13)
+        assert bank_paper.row(j)[k] == pytest.approx(closed, abs=1e-13)
     _report("C03", "coefficient-identities")
 
 
@@ -97,9 +97,9 @@ def test_c03_coefficient_identities(bank_appc):
     "eps/sqrt(2*pi), which already exceeds the stated cap eps/(2*pi); the "
     "sharp bound eps/sqrt(2*pi) is verified in test_filterbank.py",
 )
-def test_c03_coefficient_cap_as_stated(bank_appc):
-    eps = bank_appc.eps
-    max_mag = max(float(np.max(np.abs(bank_appc.row(j)))) for j in range(bank_appc.m_bins))
+def test_c03_coefficient_cap_as_stated(bank_paper):
+    eps = bank_paper.eps
+    max_mag = max(float(np.max(np.abs(bank_paper.row(j)))) for j in range(bank_paper.m_bins))
     print(
         "ACCEPTANCE C03 coefficient-cap-as-stated: FAIL "
         f"(max |F|={max_mag:.6g} vs stated cap {eps / (2 * math.pi):.6g}; "
@@ -152,12 +152,12 @@ def test_c05_series_quadrature_convergence(bank_quarter_strict):
     "(see C07 and test_ts_estimator.py), and moment errors at N = 566 stay "
     "small because the sidelobes cancel (see C08, C10)",
 )
-def test_c06_noiseless_l1_as_stated(bank_appc):
-    eps = bank_appc.eps
+def test_c06_noiseless_l1_as_stated(bank_paper):
+    eps = bank_paper.eps
     worst = 0.0
     for seed in range(20):
         spec = random_spectrum(5, seed)
-        q = estimate_bins(generate_clean(spec, bank_appc.n_trunc), bank_appc)
+        q = estimate_bins(generate_clean(spec, bank_paper.n_trunc), bank_paper)
         p = exact_bins(spec, eps)
         worst = max(worst, float(np.abs(q.values - p.values).sum()))
     print(
@@ -195,6 +195,7 @@ def test_c08_reference_table_bands(tmp_path):
         "eps_prime": 0.005,
         "m_bins": 201,
         "n_trunc": 566,
+        "l_dim": 565,
         "d_spectrum": 5,
         "seeds": [1, 2, 3, 4, 5],
     }
@@ -310,10 +311,10 @@ def test_c11_shot_planner():
     _report("C11", "shot-planner", f"R={shots}")
 
 
-def test_c11_planned_shots_per_point_meet_c10(bank_appc):
+def test_c11_planned_shots_per_point_meet_c10(bank_paper):
     # fig5's configuration (eps = eps' = 0.005, N = 566, seeds 1..5), with the
     # noise replaced by shots at the per-point count ``signal --plan`` samples.
-    eps, n_len = bank_appc.eps, bank_appc.n_trunc
+    eps, n_len = bank_paper.eps, bank_paper.n_trunc
     shots = hoeffding_shots_per_point(n_len, eps, 0.99)
     assert shots == 1_972_527
     assert hoeffding_shots(n_len, eps, 0.99) == 526_919_351
@@ -324,7 +325,7 @@ def test_c11_planned_shots_per_point_meet_c10(bank_appc):
         entry = float(np.max(np.abs(signal.values - generate_clean(spec, n_len).values)))
         assert entry <= eps
         worst_entry = max(worst_entry, entry / eps)
-        q = estimate_bins(signal, bank_appc)
+        q = estimate_bins(signal, bank_paper)
         for s in (1, 2, 4):
             bound = eps * (2.0**-s + s * 2.0 ** -(s - 1))
             err = abs(estimate_moment(q, s) - exact_moment(spec, s))
@@ -353,8 +354,8 @@ def test_c12_dft_leakage():
     _report("C12", "dft-leakage", f"peak at {result.frequency_grid[peak]:.3f}")
 
 
-def test_c13_mass_concentration(bank_appc):
-    eps = bank_appc.eps
+def test_c13_mass_concentration(bank_paper):
+    eps = bank_paper.eps
     spec = fig6_spectrum()
     centers = bin_centers(eps)
     near = np.zeros(centers.size, dtype=bool)
@@ -366,8 +367,8 @@ def test_c13_mass_concentration(bank_appc):
 
     fractions = []
     for seed in (7, 42, 2026):
-        noisy = add_noise(generate_clean(spec, bank_appc.n_trunc), eps, seed)
-        q = estimate_bins(noisy, bank_appc)
+        noisy = add_noise(generate_clean(spec, bank_paper.n_trunc), eps, seed)
+        q = estimate_bins(noisy, bank_paper)
         frac = float(q.values[near].sum() / q.values.sum())
         assert frac >= 0.95
         fractions.append(frac)

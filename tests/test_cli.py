@@ -680,6 +680,9 @@ class TestReproduce:
         assert len(rows) == 5
         summary = json.loads((outdir / "fig5_summary.json").read_text())
         assert set(summary["summary"]) == {"1", "2"}
+        assert len(summary["summary"]["2"]["delta_ts"]) == 2
+        # The pencil dimension makes this summary the paper's Appendix C table too.
+        assert summary["parameters"]["l_dim"] == 63
 
     def test_fig6_small_configuration(self, tmp_path):
         outdir = tmp_path / "figs"
@@ -691,16 +694,21 @@ class TestReproduce:
         summary = json.loads((outdir / "fig6_summary.json").read_text())
         assert 0.0 <= summary["ts_near_mass_fraction"] <= 1.1
 
-    def test_appc_small_configuration(self, tmp_path):
-        outdir = tmp_path / "figs"
-        rc = run(
-            "reproduce", "appc", "--outdir", outdir, "--seeds", "1,2",
-            "--truncation", 64, "--moments", "4",
-        )
-        assert rc == 0
-        summary = json.loads((outdir / "appc_summary.json").read_text())
-        assert summary["parameters"]["l_dim"] == 63
-        assert len(summary["tables"]["4"]["delta_ts"]) == 2
+    def test_appc_is_not_a_figure(self, tmp_path, capsys):
+        assert run("reproduce", "appc", "--outdir", tmp_path / "figs") == 2
+        assert "argument figure: invalid choice: 'appc'" in capsys.readouterr().err
+        assert not (tmp_path / "figs").exists()
+
+    def test_fig6_starts_no_pool(self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("fig6 started a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        assert run("reproduce", "fig6", "--outdir", tmp_path, "--truncation", 64) == 0
+        assert (tmp_path / "fig6_mp.csv").exists()
 
     def test_invalid_eps_is_usage_error(self, tmp_path):
         assert run("reproduce", "fig5", "--outdir", tmp_path, "--eps", 0.24) == 2
@@ -725,7 +733,7 @@ class TestReproduce:
         "figure, flags, message",
         [
             pytest.param(figure, flags, message, id=f"{figure}-{name}")
-            for figure in ("fig5", "appc", "fig6")
+            for figure in ("fig5", "fig6")
             for name, flags, message in [
                 ("eps-prime-nan", ["--eps-prime", "nan"], "finite non-negative"),
                 ("eps-prime-inf", ["--eps-prime", "inf"], "finite non-negative"),
@@ -805,7 +813,7 @@ class TestReproduce:
         # pool is forked from the caller, and the bytes are the in-process ones.
         import concurrent.futures
 
-        argv = ["reproduce", "appc", "--truncation", 64, "--seeds", "1"]
+        argv = ["reproduce", "fig5", "--truncation", 64, "--seeds", "1"]
         assert run(*argv, "--outdir", tmp_path / "here") == 0
 
         class NoPool:
@@ -836,11 +844,11 @@ class TestReproduce:
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         environ = dict(os.environ)
-        assert run("reproduce", "appc", "--outdir", tmp_path, "--truncation", 64, "--seeds", "1") == 0
+        assert run("reproduce", "fig5", "--outdir", tmp_path, "--truncation", 64, "--seeds", "1") == 0
         assert dict(os.environ) == environ
         # The child path sets the variables for the child only.
         monkeypatch.setattr("qeep.cli._NUMPY_LOADED_PINNED", False)
-        assert run("reproduce", "appc", "--outdir", tmp_path, "--truncation", 64, "--seeds", "1") == 0
+        assert run("reproduce", "fig5", "--outdir", tmp_path, "--truncation", 64, "--seeds", "1") == 0
         assert dict(os.environ) == environ
 
 
@@ -1046,7 +1054,6 @@ run("reproduce", "fig3", "--outdir", "out")
 run("reproduce", "fig5", "--truncation", "64", "--seeds", "1", "--outdir", "out")
 # Only a filter value needs the Gauss-Legendre nodes, and so numpy.polynomial.
 assert "numpy.polynomial" not in sys.modules
-run("reproduce", "appc", "--truncation", "64", "--seeds", "1", "--outdir", "out")
 run("reproduce", "fig6", "--truncation", "64", "--outdir", "out")
 run("reproduce", "fig4", "--outdir", "out")
 assert abs(exact_bins(fig6_spectrum(), 0.005).values.sum() - 1.0) <= 1e-9
@@ -1084,6 +1091,59 @@ def test_dead_worker_is_exit_3_not_a_hang(tmp_path):
     assert proc.stderr.startswith("worker failure: ")
     assert proc.stderr.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def _cli_on_a_pipe(cwd, *argv, stdout=subprocess.PIPE, unbuffered=False):
+    """``python -m qeep.cli argv`` with its standard streams on pipes, which
+    buffer their output unless ``unbuffered``."""
+    src = str(Path(qeep.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run(
+        [sys.executable, "-m", "qeep.cli", *argv],
+        cwd=cwd,
+        env={**env, "PYTHONPATH": src, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {})},
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=60,
+    )
+
+
+def test_cli_process_flushes_its_output_before_it_exits(tmp_path):
+    # The CLI process leaves without the interpreter's teardown; what it
+    # printed and wrote is complete all the same.
+    proc = _cli_on_a_pipe(tmp_path, "synth", "--fig6", "--out", "spec.json")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "wrote spec.json\n", "")
+
+    proc = _cli_on_a_pipe(tmp_path, "reproduce", "fig5", "--truncation", "64", "--l-dim", "64")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: l_dim must lie in [1, 63], got 64\n"
+
+    argv = ["reproduce", "fig5", "--truncation", "64", "--seeds", "1", "--outdir", "out"]
+    proc = _cli_on_a_pipe(tmp_path, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "wrote fig5 bundle to out\n", "")
+    rows = (tmp_path / "out" / "fig5_deltas.csv").read_text().splitlines()
+    assert rows[0] == "seed,s,delta_ts,delta_mp" and len(rows) == 4
+    summary = json.loads((tmp_path / "out" / "fig5_summary.json").read_text())
+    assert summary["parameters"]["l_dim"] == 63
+
+
+@pytest.mark.parametrize(
+    "unbuffered, stderr", [(False, ""), (True, "error: [Errno 32] Broken pipe\n")],
+    ids=["fails-at-exit", "fails-in-main"],
+)
+def test_cli_process_with_a_closed_stdout_fails_without_a_traceback(tmp_path, unbuffered, stderr):
+    # Buffered, the write fails in the exit's flush; unbuffered, in ``print``.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _cli_on_a_pipe(
+            tmp_path, "synth", "--fig6", "--out", "spec.json", stdout=write_end, unbuffered=unbuffered
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, stderr)
+    assert (tmp_path / "spec.json").exists()
 
 
 _LAZY_IMPORT_RUN = """

@@ -1,156 +1,38 @@
 """Byte-level pins of every file the CLI writes.
 
 Each case runs ``qeep.cli.main`` in-process in a fresh directory and compares
-the SHA-256 of every file the invocation writes with a value recorded before
-the CLI's argument and output plumbing was refactored. Any change to the
-bytes of a ``reproduce``, ``synth``, ``signal``, ``estimate`` or
+the SHA-256 of every file the invocation writes with a recorded value. Any
+change to the bytes of a ``reproduce``, ``synth``, ``signal``, ``estimate`` or
 ``plan-shots`` output fails here; a change that is meant to alter an output
-must say why and record new hashes.
+must say why and record new hashes. CHANGES.md records each re-recording and
+why it was made.
 
 Hashes recorded with Python 3.11.7, numpy 2.4.6 and OpenBLAS 0.3.31
 (scipy-openblas, x86-64). The matrix-pencil, time-series (TS) and
 random-draw outputs go through numpy's BLAS, LAPACK and generators, so
 another numpy or BLAS build may change their last digits.
 
-The matrix-pencil bytes were re-recorded once, when the pencil solve moved from
-``np.linalg.pinv`` of the wide ``H0`` to the R factor of one QR of the
-``(L+1)``-row Hankel: ``estimate-mp`` (``mp.json``), ``reproduce-fig5`` and
-``reproduce-fig5-config`` (``fig5_deltas.csv``, ``fig5_summary.json``),
-``reproduce-appc`` (``appc_delta_table.csv``, ``appc_summary.json``) and
-``reproduce-fig6`` (``fig6_mp.csv`` only). The two solves agree to rounding,
-not bit for bit; the TS columns and files of those cases did not move.
+What each case pins:
 
-The six ``reproduce-fig4`` hashes were re-recorded once, when the filter
-curves moved from adaptive quadrature (scipy ``quad``, epsabs 1e-12) to the
-difference of a Gauss-Legendre bump CDF. The values moved by at most 3.7e-12,
-the quadrature's own tolerance, and the unit sum in ``fig4_summary.json``
-became exact.
+- ``reproduce-fig3``: the DFT of an off-grid tone and its peak.
+- ``reproduce-fig4``: the five filter curves at eps = 0.25, differences of
+  the Gauss-Legendre bump CDF, and their exact unit sum.
+- ``reproduce-fig5``: the TS and pencil moment errors of seeds 1 and 2 at
+  N = 64, and their summary. The summary records ``l_dim`` (63), so it is
+  also the Appendix C table. ``reproduce-fig5-config`` reads the same flags
+  from an argument file and writes the same bytes.
+- ``reproduce-fig6``: the true spectrum, the TS bins, the pencil's
+  eigenphases and amplitudes and the summary of seed 1 at N = 64.
+- ``synth-fig6`` and ``synth-random``: the spectrum records.
+- ``signal-clean``, ``signal-noise`` and ``signal-shots``: the signal
+  record, whose values are the base64 ``values_c16le``, and its CSV.
+- ``estimate-ts`` and ``estimate-mp``: each estimator's record on a noisy
+  64-sample signal, with its moment errors against the spectrum.
+- ``plan-shots``: the Hoeffding plan at the paper's N = 566.
 
-The TS bytes were re-recorded once, when the filter bank's bump transform and
-the bin sums of ``estimate_bins`` moved from phase recurrences to one blocked
-matrix product each: ``estimate-ts`` (``bins.csv``, ``est.json``),
-``reproduce-fig5`` and ``reproduce-fig5-config`` (``fig5_deltas.csv``,
-``fig5_summary.json``), ``reproduce-appc`` (``appc_delta_table.csv``,
-``appc_summary.json``) and ``reproduce-fig6`` (``fig6_ts.csv``,
-``fig6_summary.json``). Only TS values moved, by at most 1.3e-16 in a bin
-value and 6.7e-14 in a ``delta_ts`` (units of eps); the pencil columns and
-files kept their bytes.
-
-The three ``sig.json`` hashes (``signal-clean``, ``signal-noise`` and
-``signal-shots``) were re-recorded once, when the signal record moved from
-the decimal lists ``values_re`` and ``values_im`` to ``values_c16le``, the
-base64 of the values' little-endian complex128 bytes. The values themselves
-did not move: every ``sig.csv`` kept its hash, and so did ``estimate-ts`` and
-``estimate-mp``, which read a signal record written by this version.
-
-The matrix-pencil bytes were re-recorded a second time, when a full-rank
-pencil's eigenvalues moved from the dense eigensolve of ``K`` to the roots of
-its linear-prediction polynomial: ``estimate-mp`` (``mp.json``),
-``reproduce-fig5`` and ``reproduce-fig5-config`` (``fig5_deltas.csv``,
-``fig5_summary.json``), ``reproduce-appc`` (``appc_delta_table.csv``,
-``appc_summary.json``) and ``reproduce-fig6`` (``fig6_mp.csv`` only; its
-summary kept its bytes). The two agree to rounding: the largest ``delta_mp``
-change is 4.0e-11 (units of eps), 4.6e-11 in ``mp.json``'s ``delta``. No TS
-column or value and no file without pencil output moved.
-
-The matrix-pencil bytes were re-recorded a third time, when the pencil solve
-stopped forming ``K``: a full-rank pencil's prediction polynomial is now the
-product of one row and ``V^H`` (a matrix-vector product, no longer a row of a
-matrix product), and a rank-deficient one takes the eigensolve of its r x r
-core. The same cases and files moved: ``estimate-mp`` (``mp.json``),
-``reproduce-fig5`` and ``reproduce-fig5-config`` (``fig5_deltas.csv``,
-``fig5_summary.json``), ``reproduce-appc`` (``appc_delta_table.csv``,
-``appc_summary.json``) and ``reproduce-fig6`` (``fig6_mp.csv`` only). The
-largest ``delta_mp`` change is 1.7e-11 (units of eps) in each of the fig5,
-fig5-config and appc cases, 7.0e-12 in ``mp.json``'s ``delta``; ``fig6_mp.csv``
-moved by at most 4.4e-16 in an eigenphase and 1.6e-13 in an amplitude. No TS
-column or value and no file without pencil output moved.
-
-The matrix-pencil bytes were re-recorded a fourth time, when a square system
-whose full rank one LU solve certifies stopped going through an SVD: a noisy
-pencil's prediction polynomial is now ``conj(R0^-1 @ R[:-1, -1])`` from the LU
-solve of ``R0 = R[:-1, :-1]`` instead of the SVD of ``R0``, and the amplitude
-fit is the LU solution of the square Vandermonde system instead of ``lstsq``.
-The same cases and files moved: ``estimate-mp`` (``mp.json``),
-``reproduce-fig5`` and ``reproduce-fig5-config`` (``fig5_deltas.csv``,
-``fig5_summary.json``), ``reproduce-appc`` (``appc_delta_table.csv``,
-``appc_summary.json``) and ``reproduce-fig6`` (``fig6_mp.csv`` only). The
-largest ``delta_mp`` change is 3.4e-11 (units of eps) in each of the fig5,
-fig5-config and appc cases, 2.5e-12 in ``mp.json``'s ``delta``;
-``fig6_mp.csv`` moved by at most 6.7e-14 in an eigenphase and 6.7e-12 in an
-amplitude. On the paper-default ``reproduce fig5`` (N = 566, seeds 1-5) the
-largest ``delta_mp`` move is 2.6e-8 (units of eps, 9.4e-10 relative). No TS
-column or value and no file without pencil output moved.
-
-The matrix-pencil bytes were re-recorded a fifth time, when the certified
-solve moved from an LU solve against ``[b | I]`` to triangular systems: the
-blocked inverse of a triangle for the certificate and back substitution for
-the solution. The pencil passes its triangular ``R0``, and the amplitude fit
-solves the R factor of one QR of ``[b | target]``. The same cases and files
-moved: ``estimate-mp`` (``mp.json``), ``reproduce-fig5`` and
-``reproduce-fig5-config`` (``fig5_deltas.csv``, ``fig5_summary.json``),
-``reproduce-appc`` (``appc_delta_table.csv``, ``appc_summary.json``) and
-``reproduce-fig6`` (``fig6_mp.csv`` only). These cases' pencils have L <= 64,
-one base block, whose solve is the LU solve of the same triangle, so their
-eigenphases kept their bytes and only the amplitudes moved. The largest
-``delta_mp`` change is 1.7e-11 (units of eps) in each of the fig5,
-fig5-config and appc cases, 1.9e-12 in ``mp.json``'s ``delta``;
-``fig6_mp.csv`` moved by 0 in an eigenphase and at most 1.4e-13 in an
-amplitude. On the paper-default ``reproduce fig5`` (N = 566, seeds 1-5) the
-largest ``delta_mp`` move is 1.8e-8 (units of eps). No TS column or value and
-no file without pencil output moved.
-
-The matrix-pencil bytes were re-recorded a sixth time, when the Aberth sweeps
-and the amplitude Vandermonde moved to the four-step split ``k = a*B + r``:
-``p``, ``p'`` and the stop bound come from a row of ``B`` powers and a row of
-``A`` powers per point instead of a row of L + 1, the sum over the other
-points is formed as ``conj(d) / |d|^2`` in real arithmetic, and the
-Vandermonde entries are products of two exp tables instead of one ``exp`` per
-entry. The same cases and files moved: ``estimate-mp`` (``mp.json``),
-``reproduce-fig5`` and ``reproduce-fig5-config`` (``fig5_deltas.csv``,
-``fig5_summary.json``), ``reproduce-appc`` (``appc_delta_table.csv``,
-``appc_summary.json``) and ``reproduce-fig6`` (``fig6_mp.csv`` only). The
-largest ``delta_mp`` change is 3.5e-11 (units of eps) in each of the fig5,
-fig5-config and appc cases, 2.1e-13 in ``mp.json``'s ``delta``;
-``fig6_mp.csv`` moved by at most 2.2e-16 in an eigenphase and 2.1e-13 in an
-amplitude. On the paper-default ``reproduce fig5`` (N = 566, seeds 1-5) the
-largest ``delta_mp`` move is 7.7e-9 (units of eps). No TS column or value and
-no file without pencil output moved.
-
-The matrix-pencil bytes were re-recorded a seventh time, when the amplitude
-fit stopped taking one QR of ``[b | target]``: a certified fit is now the
-closed-form inverse of the unit-circle Vandermonde matrix, its Lagrange basis
-taken on a shifted L-point grid, with one step of iterative refinement. Only
-amplitudes moved; every eigenphase and modulus kept its value. The same cases
-and files moved: ``estimate-mp`` (``mp.json``), ``reproduce-fig5`` and
-``reproduce-fig5-config`` (``fig5_deltas.csv``, ``fig5_summary.json``),
-``reproduce-appc`` (``appc_delta_table.csv``, ``appc_summary.json``) and
-``reproduce-fig6`` (``fig6_mp.csv`` only). The largest ``delta_mp`` change is
-7.3e-12 (units of eps) in each of the fig5, fig5-config and appc cases,
-8.1e-13 in ``mp.json``'s ``delta``; ``fig6_mp.csv`` moved by 0 in an
-eigenphase and at most 1.2e-13 in an amplitude. On the paper-default
-``reproduce fig5`` (N = 566, seeds 1-20) the largest ``delta_mp`` move is
-2.7e-8 (units of eps, seed 17, s = 4, a relative 6.9e-10), and 7.0e-13 on the
-``trials`` shape (eps = 0.05, STRICT N = 4469, L = 64, seeds 1-25). No TS
-column or value and no file without pencil output moved.
-
-The matrix-pencil bytes were re-recorded an eighth time, when the pencil's
-complex R factor gave way to a real one: ``G`` is conjugate-centrosymmetric,
-so a unitary pairing of its rows and columns makes it real, and one real QR
-gives a factor with the Gram matrix ``G G^H``. The prediction row now comes
-from the corrected seminormal equations on that factor's inverse, with one
-refinement step against a residual taken from the signal, instead of back
-substitution. The same cases and files moved: ``estimate-mp`` (``mp.json``),
-``reproduce-fig5`` and ``reproduce-fig5-config`` (``fig5_deltas.csv``,
-``fig5_summary.json``), ``reproduce-appc`` (``appc_delta_table.csv``,
-``appc_summary.json``) and ``reproduce-fig6`` (``fig6_mp.csv`` only). The
-largest ``delta_mp`` change is 2.4e-11 (units of eps) in each of the fig5,
-fig5-config and appc cases, 1.3e-12 in ``mp.json``'s ``delta``;
-``fig6_mp.csv`` moved by at most 7.9e-13 in an eigenphase and 8.3e-12 in an
-amplitude. On the paper-default ``reproduce fig5`` (N = 566, seeds 1-20) the
-largest ``delta_mp`` move is 2.2e-7 (units of eps, seed 17, s = 4, a relative
-5.7e-9), and 1.3e-12 on the ``trials`` shape. No TS column or value and no
-file without pencil output moved.
+Every change to the pencil's solve so far has moved the pencil bytes
+(``mp.json``, the ``delta_mp`` columns of the fig5 files and
+``fig6_mp.csv``) by rounding only, and left every TS byte in place.
 """
 
 import hashlib
@@ -194,7 +76,7 @@ CASES = {
         ["reproduce", "fig5", "--outdir", "out", *SMALL],
         {
             "out/fig5_deltas.csv": "d1673c445272ef573caa52155f6e2d941d8fed945d1a20daedd6c5c2622e1abc",
-            "out/fig5_summary.json": "17fbd2d42141fdd1fa98fb501250c7e0eb7398e0e40e3c23e6ec93122def1ddc",
+            "out/fig5_summary.json": "3ab675ff12dc6a2a5608d47b3650d1aedec65d2167b79c7d4bd3197ef16773ed",
         },
     ),
     # The same run with its flags read from an argument file writes the same bytes.
@@ -202,14 +84,7 @@ CASES = {
         ["reproduce", "fig5", "@cfg.args"],
         {
             "out/fig5_deltas.csv": "d1673c445272ef573caa52155f6e2d941d8fed945d1a20daedd6c5c2622e1abc",
-            "out/fig5_summary.json": "17fbd2d42141fdd1fa98fb501250c7e0eb7398e0e40e3c23e6ec93122def1ddc",
-        },
-    ),
-    "reproduce-appc": (
-        ["reproduce", "appc", "--outdir", "out", *SMALL],
-        {
-            "out/appc_delta_table.csv": "d1673c445272ef573caa52155f6e2d941d8fed945d1a20daedd6c5c2622e1abc",
-            "out/appc_summary.json": "3c990449795aaa9acec5b9800fa5c032abc3fa744fceb35f1c1583fdc4670ba0",
+            "out/fig5_summary.json": "3ab675ff12dc6a2a5608d47b3650d1aedec65d2167b79c7d4bd3197ef16773ed",
         },
     ),
     "reproduce-fig6": (

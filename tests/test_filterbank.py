@@ -209,11 +209,11 @@ class TestFilterCoefficient:
             oracle = (re + 1j * im) / SQRT_2PI
             assert row[k] == pytest.approx(oracle, abs=1e-9)
 
-    def test_sharp_magnitude_cap(self, bank_appc):
+    def test_sharp_magnitude_cap(self, bank_paper):
         # |F_j(k)| <= eps/sqrt(2*pi) for every (j, k), attained at k = 0.
-        cap = bank_appc.eps / SQRT_2PI + 1e-12
-        assert max(np.max(np.abs(bank_appc.row(j))) for j in range(bank_appc.m_bins)) <= cap
-        assert abs(bank_appc.row(0)[0]) == pytest.approx(bank_appc.eps / SQRT_2PI, abs=1e-12)
+        cap = bank_paper.eps / SQRT_2PI + 1e-12
+        assert max(np.max(np.abs(bank_paper.row(j))) for j in range(bank_paper.m_bins)) <= cap
+        assert abs(bank_paper.row(0)[0]) == pytest.approx(bank_paper.eps / SQRT_2PI, abs=1e-12)
 
     def test_bin_index_out_of_range(self):
         with pytest.raises(ValueError):
@@ -450,11 +450,11 @@ class TestBuildFilterBank:
         assert bank.radial[0] == 0.1
         assert not bank.radial.flags.writeable
 
-    def test_appc_dimensions(self, bank_appc):
-        assert bank_appc.m_bins == 201
-        assert bank_appc.radial.shape == (566,)
-        assert bank_appc.row(200).shape == (566,)
-        assert bank_appc.centers.shape == (201,)
+    def test_appc_dimensions(self, bank_paper):
+        assert bank_paper.m_bins == 201
+        assert bank_paper.radial.shape == (566,)
+        assert bank_paper.row(200).shape == (566,)
+        assert bank_paper.centers.shape == (201,)
 
     def test_appc_build_time_within_budget(self):
         import time

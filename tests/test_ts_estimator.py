@@ -259,13 +259,13 @@ class TestMoments:
         with pytest.raises(ValueError):
             estimate_moment(dist, 65)
 
-    def test_empirical_order_misses_the_bound_on_some_spectra(self, bank_appc):
+    def test_empirical_order_misses_the_bound_on_some_spectra(self, bank_paper):
         # C10 is guaranteed only at the strict order. At eps = 0.005 and the
         # empirical N = 566, this clean spectrum (lines at -0.4976 and 0.4993,
         # near both ends of the range) misses its first-moment bound.
-        assert bank_appc.n_trunc == choose_truncation(0.005, TruncationMode.EMPIRICAL)
+        assert bank_paper.n_trunc == choose_truncation(0.005, TruncationMode.EMPIRICAL)
         spec = random_spectrum(5, 9102)
-        q = truncated_bins(spec, bank_appc)
+        q = truncated_bins(spec, bank_paper)
         bound = moment_error_bound(0.005, 0.5, 1.0)
         ratio = abs(estimate_moment(q, 1) - exact_moment(spec, 1)) / bound
         assert 1.3 < ratio < 1.33

@@ -710,6 +710,43 @@ class TestReproduce:
         assert run("reproduce", "fig6", "--outdir", tmp_path, "--truncation", 64) == 0
         assert (tmp_path / "fig6_mp.csv").exists()
 
+    def test_fig6_numeric_failure_is_exit_3(self, tmp_path, capsys, monkeypatch):
+        # fig6 solves its seed in the CLI process, so a failure of the solve
+        # reaches ``main`` directly and not through a worker.
+        def fail(*args, **kwargs):
+            raise qeep.errors.NumericError("pencil pseudoinverse did not converge")
+
+        monkeypatch.setattr("qeep.cli.mp_estimate", fail)
+        outdir = tmp_path / "figs"
+        assert run("reproduce", "fig6", "--outdir", outdir, "--truncation", 64) == 3
+        assert "numeric failure: pencil pseudoinverse did not converge" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("l_dim", [1, 32, 63], ids=["lowest", "middle", "highest"])
+    def test_fig5_summary_records_a_given_l_dim(self, tmp_path, l_dim):
+        # ``reproduce fig5 --l-dim L`` is the Appendix C table at pencil dimension L.
+        rc = run(
+            "reproduce", "fig5", "--outdir", tmp_path, "--truncation", 64, "--seeds", "1",
+            "--moments", "4", "--l-dim", l_dim,
+        )
+        assert rc == 0
+        summary = json.loads((tmp_path / "fig5_summary.json").read_text())
+        assert summary["parameters"]["l_dim"] == l_dim
+        assert np.isfinite(summary["summary"]["4"]["delta_mp"]).all()
+
+    @pytest.mark.parametrize("l_dim", [0, 64], ids=["0", "64"])
+    def test_fig6_l_dim_outside_range_fails_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                             l_dim):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("the bank was built before the usage check")
+
+        monkeypatch.setattr("qeep.cli.build_filterbank", unexpected)
+        outdir = tmp_path / "figs"
+        rc = run("reproduce", "fig6", "--outdir", outdir, "--truncation", 64, "--l-dim", l_dim)
+        assert rc == 2
+        assert f"l_dim must lie in [1, 63], got {l_dim}" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_invalid_eps_is_usage_error(self, tmp_path):
         assert run("reproduce", "fig5", "--outdir", tmp_path, "--eps", 0.24) == 2
 
@@ -1126,6 +1163,56 @@ def test_cli_process_flushes_its_output_before_it_exits(tmp_path):
     assert rows[0] == "seed,s,delta_ts,delta_mp" and len(rows) == 4
     summary = json.loads((tmp_path / "out" / "fig5_summary.json").read_text())
     assert summary["parameters"]["l_dim"] == 63
+
+
+def test_cli_process_rejects_appc(tmp_path):
+    # The Appendix C table is ``reproduce fig5``; ``appc`` is no figure name.
+    proc = _cli_on_a_pipe(tmp_path, "reproduce", "appc", "--outdir", "out")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "argument figure: invalid choice: 'appc'" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+class _Stream:
+    """A standard stream whose ``flush`` is recorded and fails if ``broken``."""
+
+    def __init__(self, broken):
+        self.broken = broken
+        self.flushed = False
+
+    def flush(self):
+        self.flushed = True
+        if self.broken:
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "code, broken, expected",
+    [
+        (0, None, 0),
+        (2, None, 2),
+        (3, None, 3),
+        (0, "stdout", 2),
+        (0, "stderr", 2),
+        (3, "stdout", 3),
+    ],
+    ids=["ok", "usage-error", "numeric-failure", "ok-stdout-broken", "ok-stderr-broken",
+         "numeric-failure-stdout-broken"],
+)
+def test_entrypoint_flushes_both_streams_then_exits(monkeypatch, code, broken, expected):
+    # A stream that fails to flush turns success into code 2 and keeps a
+    # failing code; the other stream is flushed all the same.
+    import qeep.cli as cli
+
+    streams = {name: _Stream(broken == name) for name in ("stdout", "stderr")}
+    exits = []
+    monkeypatch.setattr(cli, "main", lambda: code)
+    monkeypatch.setattr(cli.sys, "stdout", streams["stdout"])
+    monkeypatch.setattr(cli.sys, "stderr", streams["stderr"])
+    monkeypatch.setattr(cli.os, "_exit", exits.append)
+    cli.entrypoint()
+    assert exits == [expected]
+    assert all(stream.flushed for stream in streams.values())
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,9 @@ What each case pins:
 - ``reproduce-fig5``: the TS and pencil moment errors of seeds 1 and 2 at
   N = 64, and their summary. The summary records ``l_dim`` (63), so it is
   also the Appendix C table. ``reproduce-fig5-config`` reads the same flags
-  from an argument file and writes the same bytes.
+  from an argument file and writes the same bytes. ``reproduce-fig5-l-dim``
+  pins the same seeds at ``--l-dim 32``, the Appendix C table at a pencil
+  dimension other than the default.
 - ``reproduce-fig6``: the true spectrum, the TS bins, the pencil's
   eigenphases and amplitudes and the summary of seed 1 at N = 64.
 - ``synth-fig6`` and ``synth-random``: the spectrum records.
@@ -85,6 +87,14 @@ CASES = {
         {
             "out/fig5_deltas.csv": "d1673c445272ef573caa52155f6e2d941d8fed945d1a20daedd6c5c2622e1abc",
             "out/fig5_summary.json": "3ab675ff12dc6a2a5608d47b3650d1aedec65d2167b79c7d4bd3197ef16773ed",
+        },
+    ),
+    # The Appendix C table at a pencil dimension other than the default.
+    "reproduce-fig5-l-dim": (
+        ["reproduce", "fig5", "--outdir", "out", *SMALL, "--l-dim", "32"],
+        {
+            "out/fig5_deltas.csv": "d29f87c07bec1b1dd0887981ab7892fadec47132038884e60e7cc5196756b10c",
+            "out/fig5_summary.json": "958261c8ebffe49cb32b8f139e3272e6c90fefdf5cd2524c68dc5a5ef3419f6b",
         },
     ),
     "reproduce-fig6": (

@@ -401,19 +401,10 @@ def _polynomial_terms(x: np.ndarray, table: np.ndarray, mags: np.ndarray):
     ``q'``, to ``sum_k k |coef_k| |x|^(k-1)``).
     """
     b, a = mags.shape
-    lo = _powers(x, b)
-    hi = _powers(lo[:, -1] * x, a)
+    lo = np.vander(x, b, increasing=True)
+    hi = np.vander(lo[:, -1] * x, a, increasing=True)
     val, der = ((lo @ table).reshape(-1, 2, a) * hi[:, None, :]).sum(axis=2).T
     return val, der, np.einsum("ij,ij->i", np.abs(lo) @ mags, np.abs(hi))
-
-
-def _powers(x: np.ndarray, n: int) -> np.ndarray:
-    """The rows ``x^k`` for ``k < n``, one per point of ``x``, by running
-    products."""
-    v = np.empty((x.size, n), dtype=x.dtype)
-    v[:, 0] = 1.0
-    v[:, 1:] = x[:, None]
-    return np.cumprod(v, axis=1, out=v)
 
 
 def solve_amplitudes(eigenphases, ts: TimeSeries, l_dim: int, moduli) -> AmplitudeFit:

@@ -516,12 +516,11 @@ def _lagrange_solve(
         # exp(i (L - 1) alpha_m / 2), its exponent reduced mod 4L in integers.
         turn = np.exp(0.5j * np.pi / n * (odd * (n - 1) % (4 * n))) * weights
         factor = np.exp(0.5j * (n - 1) * phases) * scales / n
-        tables = _grid_tables(n)
-        sums, squares = _cauchy_sums(grid_rows, nodes, turn * _grid_transform(g, *tables), weights)
+        sums, squares = _cauchy_sums(grid_rows, nodes, turn * _grid_transform(g), weights)
         if not np.sqrt(n * np.sum(scales**2 * squares)) < 0.5 / SVD_RCOND:
             return None
         x = factor * sums
-        rhs = turn * _grid_transform(g - _vandermonde_product(hi, lo, x), *tables)
+        rhs = turn * _grid_transform(g - _vandermonde_product(hi, lo, x))
         x += factor * _cauchy_sums(grid_rows, nodes, rhs)[0]
     return x if np.all(np.isfinite(x)) else None
 
@@ -572,27 +571,11 @@ def _cauchy_sums(rows: np.ndarray, nodes: np.ndarray, coef: np.ndarray, weights=
     return sums[0] + 1j * sums[1], squares
 
 
-def _grid_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The exp tables ``zeta_m^-r`` (``r < B``) and ``zeta_m^-(aB)``
-    (``a < A``) of :func:`_grid_transform` on ``zeta_m = exp(i pi (2m + 1) / n)``,
-    with ``k = a*B + r`` split by :func:`~qeep.filterbank._block` of ``n``. The
-    exponent ``(2m + 1) k`` is reduced mod ``2n`` in integers, so each entry is
-    one rounded ``exp``."""
-    step, count = _block(n)
-    odd = 2 * np.arange(n)[:, None] + 1
-    lo = np.exp(-1j * np.pi / n * (odd * np.arange(step) % (2 * n)))
-    hi = np.exp(-1j * np.pi / n * (odd * (step * np.arange(count)) % (2 * n)))
-    return lo, hi
-
-
-def _grid_transform(g: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """``G_m = sum_k g_k zeta_m^-k`` for the :func:`_grid_tables` ``(lo, hi)``:
-    one product of ``lo`` with ``g`` laid out as ``B x A``, then a row-wise dot
-    with ``hi``."""
-    step, count = lo.shape[1], hi.shape[1]
-    padded = np.zeros(step * count, dtype=complex)
-    padded[: g.size] = g
-    return np.einsum("ma,ma->m", lo @ padded.reshape(count, step).T, hi)
+def _grid_transform(g: np.ndarray) -> np.ndarray:
+    """``G_m = sum_k g_k zeta_m^-k`` on ``zeta_m = exp(i pi (2m + 1) / n)``,
+    ``n = g.size``: the n-point DFT of ``g_k exp(-i pi k / n)``."""
+    n = g.size
+    return np.fft.fft(g * np.exp(-1j * np.pi / n * np.arange(n)))
 
 
 def _vandermonde_product(hi: np.ndarray, lo: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -1086,6 +1086,8 @@ run("signal", "--n", "16", "--shots", "100", "--seed", "1", "--out", "shots.json
 run("signal", "--n", "8", "--plan", "0.5", "0.9", "--out", "auto.json")
 run("plan-shots", "--n", "566", "--eps-prime", "0.005", "--confidence", "0.99")
 run("estimate", "--method", "ts", "--truncation", "strict", "--eps", "0.25")
+# Only the pencil's amplitude fit needs numpy.fft.
+assert "numpy.fft" not in sys.modules
 run("estimate", "--method", "mp", "--l-dim", "32", "--out", "mp.json")
 run("reproduce", "fig3", "--outdir", "out")
 run("reproduce", "fig5", "--truncation", "64", "--seeds", "1", "--outdir", "out")

@@ -35,6 +35,7 @@ What each case pins:
 Every change to the pencil's solve so far has moved the pencil bytes
 (``mp.json``, the ``delta_mp`` columns of the fig5 files and
 ``fig6_mp.csv``) by rounding only, and left every TS byte in place.
+Taking the amplitude fit's grid values from ``numpy.fft`` moved them the same way.
 """
 
 import hashlib
@@ -77,30 +78,30 @@ CASES = {
     "reproduce-fig5": (
         ["reproduce", "fig5", "--outdir", "out", *SMALL],
         {
-            "out/fig5_deltas.csv": "d1673c445272ef573caa52155f6e2d941d8fed945d1a20daedd6c5c2622e1abc",
-            "out/fig5_summary.json": "3ab675ff12dc6a2a5608d47b3650d1aedec65d2167b79c7d4bd3197ef16773ed",
+            "out/fig5_deltas.csv": "c8319c0fd0b402ae2a3e8a98927c67000536037cd6ec51209c918f35ec1cf188",
+            "out/fig5_summary.json": "72cb1d3f95fbde3fb196a7219b5e8b152e65caf299cd9f9be2d6e0a1fca886a3",
         },
     ),
     # The same run with its flags read from an argument file writes the same bytes.
     "reproduce-fig5-config": (
         ["reproduce", "fig5", "@cfg.args"],
         {
-            "out/fig5_deltas.csv": "d1673c445272ef573caa52155f6e2d941d8fed945d1a20daedd6c5c2622e1abc",
-            "out/fig5_summary.json": "3ab675ff12dc6a2a5608d47b3650d1aedec65d2167b79c7d4bd3197ef16773ed",
+            "out/fig5_deltas.csv": "c8319c0fd0b402ae2a3e8a98927c67000536037cd6ec51209c918f35ec1cf188",
+            "out/fig5_summary.json": "72cb1d3f95fbde3fb196a7219b5e8b152e65caf299cd9f9be2d6e0a1fca886a3",
         },
     ),
     # The Appendix C table at a pencil dimension other than the default.
     "reproduce-fig5-l-dim": (
         ["reproduce", "fig5", "--outdir", "out", *SMALL, "--l-dim", "32"],
         {
-            "out/fig5_deltas.csv": "d29f87c07bec1b1dd0887981ab7892fadec47132038884e60e7cc5196756b10c",
-            "out/fig5_summary.json": "958261c8ebffe49cb32b8f139e3272e6c90fefdf5cd2524c68dc5a5ef3419f6b",
+            "out/fig5_deltas.csv": "3a2888bacdb54ccca33bfedbbec9b3cf541c5bf6193189bd99e4aaa3d891f99d",
+            "out/fig5_summary.json": "1b3bf3b652345b2555d5334c9b443ed06a2912bab32ef346990a02b8f52e23b5",
         },
     ),
     "reproduce-fig6": (
         ["reproduce", "fig6", "--outdir", "out", "--truncation", "64", "--seed", "1"],
         {
-            "out/fig6_mp.csv": "b3e74aad9af260cab0ddbb34cacd1e16deae85fddb9b6948d48c6dffa123e682",
+            "out/fig6_mp.csv": "40f8763d84fe65f704d9ca6b440764d81bf873c9b1de45a50e991d54dee05684",
             "out/fig6_summary.json": "8dfa6721e0fb54967f3bea7d538ec1ec2e462ead0efe5a9281349c38096fd770",
             "out/fig6_true.csv": "81b5e413c34f4b40bbaabe07d3380bdd81742b4941578773b237b8e6f9c7945d",
             "out/fig6_ts.csv": "cfc6b1035ea5985c4799acd519c16da3dad36d4d82a5d00d65ea6597787c3c64",
@@ -161,7 +162,7 @@ CASES = {
             "--spectrum", "in_spec.json", "--out", "mp.json",
         ],
         {
-            "mp.json": "19a5899edf51b754936ab5526dc2a84be27c3f6dfc43bd2276d6b192f817f222",
+            "mp.json": "2ccb4f884c04722301c9ec1eef558c7cffb5d315a5b9974e5837a207fef3c427",
         },
     ),
     "plan-shots": (

@@ -1,77 +1,19 @@
 """Matrix-pencil baseline: Hankel pencil solve, eigenphases, amplitude fit.
 
-Given signal values ``g_0 .. g_{N-1}`` (negative indices via
-``g_{-k} = conj(g_k)``), one Hankel matrix ``G`` of shape ``(L+1) x m``,
-``m = 2N - L - 1``, with entries ``G[l, c] = g_{l + c - N + 1}`` is built. Its
-row windows ``H0 = G[:-1]`` and ``H1 = G[1:]`` form the pencil pair (Hua &
-Sarkar 1990, IEEE Trans. ASSP 38:814). Any ``F`` with ``F F^H = G G^H`` is
-``G = F V`` with ``V V^H`` the projection onto ``F``'s row space, so
-``K = H1 @ pinv(H0) = F[1:] @ pinv(F[:-1])``.
-
-``G == conj(G[::-1, ::-1])``, so ``Q^H G Q_m`` is real for the Pi-real
-unitaries ``Q`` (order L + 1) and ``Q_m``, ``conj(Q) = Q[::-1]`` (Haardt &
-Nossek 1995, IEEE Trans. SP 43:1232; see :func:`_to_pairs`). Rows ``c`` and
-``m - 1 - c`` of ``Y = G^H Q`` are conjugates, so ``Y^H Y = Q^H G G^H Q`` is
-the Gram matrix of the real stack of ``sqrt(2) Re`` and ``sqrt(2) Im`` of
-``Y``'s top ``m // 2`` rows and, for odd ``m``, its real middle row. One real
-QR of the stack gives ``R_T`` and ``F = Q R_T^T`` (:func:`_real_factor`), at
-a quarter of the flops of a complex QR of ``G^H``.
-
-The eigenvalues ``mu = exp(-i * phase)`` of ``K`` carry the estimates, and a
-Vandermonde least-squares fit against the first L signal entries recovers
-amplitudes. Its square system ``b[l, j] = w_j^l`` has nodes
-``w_j = exp(-i * phase_j)`` on the unit circle, so its inverse is the Lagrange
-basis in closed form, which a DFT on L points turns into a Cauchy matrix
-(Gohberg, Kailath & Olshevsky 1995, Math. Comp. 64:1557): the fit solves and
-certifies the system in O(L^2) without forming ``b`` (see
-:func:`solve_amplitudes`), and only an uncertified one goes to least squares.
-
-``K`` itself is never formed, and its eigenvalues take one of two paths.
-``R_T`` has ``G``'s singular values, and deleting a row interlaces them, so
-``cond(H0) <= cond(G)``: when :func:`_certified_inverse` bounds ``cond(R_T)``
-below ``1 / (2 SVD_RCOND)``, ``H0`` keeps all L singular values and
-``H0 @ pinv(H0) = I``. Row ``l < L - 1`` of ``H1`` is row ``l + 1`` of ``H0``,
-so ``K`` is the companion matrix of ``p(z) = z^L - sum_j a_j z^j`` with
-``a = K[-1] = G[L] @ pinv(H0)``, and its eigenvalues are the roots of ``p``.
-By the normal equations ``[a, -1]`` is a multiple of the last row of
-``(G G^H)^-1 = Q Z Z^T Q^H``, ``Z = R_T^-1``, and one refinement step against
-the residual ``[a, -1] G G^H``, taken from the signal, corrects the
-``O(cond(G)^2 u)`` error of these seminormal equations (Bjorck 1987, Linear
-Algebra Appl. 88/89:31; :func:`_prediction_row`). At fig5's N = 566,
-L = 565, ``cond(G)`` is about 2e6.
-
-The roots come from Aberth-Ehrlich simultaneous iteration (Aberth 1973, Math.
-Comp. 27:339), all L at once in O(L^2) per sweep, instead of an O(L^3) dense
-eigensolve. A root stops moving once ``|p(z)| <= 4 L u sum_k |c_k| |z|^k``
-(``c`` the coefficients of ``p``, ``u`` the unit roundoff), the stopping rule
-of Bini (1996, Numer. Algorithms 13:179): it is then an exact root of a
-polynomial whose coefficients differ from ``p``'s by a relative O(L u), each.
-
-A sweep's O(L) work per point is the evaluation of ``p``, ``p'`` and that
-bound, done by the four-step split ``k = a*B + r`` with ``B = ceil(sqrt(L+1))``
-and ``A = ceil((L+1)/B)`` (Bailey 1990, J. Supercomputing 4:23), which the
-filter bank uses too: ``sum_k c_k z^k = sum_a z^(aB) sum_r c_{aB+r} z^r``.
-Each point takes a row of B powers ``z^r`` and a row of A powers ``z^(aB)``
-instead of a row of L + 1, and the coefficient tables are built once per
-polynomial, so the inner sums are one matrix product for a block of points.
-``z^r z^(aB)`` takes ``a + r - 1`` roundings from ``z`` and ``z^B``, and
-``z^B`` its own ``B - 1`` into each of its ``a`` factors, so the first-order
-relative error of ``z^k`` is ``(k - 1) u``, as in a running product of L + 1
-powers: the evaluation error stays a relative O(L u) of
-``sum_k |c_k| |z|^k``, the scale of the stop.
-
-Every other pencil, uncertified or with roots that miss the sweep cap, takes
-the SVD ``F[:-1] = U S V^H``, cut to its ``r`` kept singular values (those of
-``H0``): ``K = X @ U_r^H`` with ``X = F[1:] @ V_r / S_r``, and as ``X Y`` and
-``Y X`` share their nonzero eigenvalues, ``K``'s are those of the r x r core
-``U_r^H @ X`` and ``L - r`` exact zeros. An exact signal of D lines gives
-r = D; a pencil that keeps r = L pays an L x L eigensolve.
+The row windows ``H0 = G[:-1]`` and ``H1 = G[1:]`` of the signal's Hankel
+matrix ``G`` (:func:`build_hankel`) form the pencil (Hua & Sarkar 1990, IEEE
+Trans. ASSP 38:814), and the eigenvalues ``mu = exp(-i * phase)`` of
+``K = H1 @ pinv(H0)`` carry the estimates. :func:`solve_pencil` finds them
+without forming ``K``, from the real triangle of :func:`_real_factor`: a
+certified pencil by the roots (:func:`_companion_roots`) of the polynomial with
+coefficients :func:`_prediction_row`, every other pencil by an SVD and a small
+eigensolve. The amplitudes are a Vandermonde least-squares fit against the
+first L signal entries, in closed form when certified (:func:`solve_amplitudes`).
 
 On an exact signal this recovers the spectrum to machine precision. Under
 noise the method has no error guarantee and may place amplitude on phases
-outside ``[-1/2, 1/2]``; by default every eigenphase is kept so that behavior
-is observable, with :func:`filter_estimate` available to discard estimates by
-modulus or range.
+outside ``[-1/2, 1/2]``; every eigenphase is kept so that this is observable,
+and :func:`filter_estimate` discards estimates by modulus or range.
 """
 
 from __future__ import annotations
@@ -176,9 +118,13 @@ def build_hankel(ts: TimeSeries, l_dim: int) -> np.ndarray:
 
 def _real_factor(g: np.ndarray) -> np.ndarray:
     """The real triangle ``R_T`` with ``Q R_T^T R_T Q^H = g g^H`` for a Hankel
-    ``g``: the R factor of ``sqrt(2) Re``, the real middle row of an odd ``m``
-    and ``-sqrt(2) Im`` of the paired top ``m // 2`` rows of ``g^T``,
-    conjugates of ``g^H Q``'s rows. When those hold ``p >= 1`` blocks of
+    ``g`` of shape ``(L+1) x m`` and the Pi-real unitary ``Q`` of
+    :func:`_to_pairs` (Haardt & Nossek 1995, IEEE Trans. SP 43:1232).
+    ``g == conj(g[::-1, ::-1])``, so rows ``c`` and ``m - 1 - c`` of
+    ``Y = g^H Q`` are conjugates, and ``Y^H Y`` is the Gram matrix of the real
+    stack of ``sqrt(2) Re`` and ``sqrt(2) Im`` of ``Y``'s top ``m // 2`` rows
+    and, for odd ``m``, its real middle row: one real QR, a quarter of the
+    flops of a complex QR of ``g^H``. When those rows hold ``p >= 1`` blocks of
     ``_QR_BLOCK_ROWS_PER_COLUMN * (L+1)`` rows, one batched complex QR factors
     the blocks first (Demmel, Grigori, Hoemmen & Langou 2012, SIAM J. Sci.
     Comput. 34:A206), and their R factors, of the same Gram matrix, are paired
@@ -253,7 +199,9 @@ def _prediction_row(g: np.ndarray, z: np.ndarray) -> np.ndarray:
     corrected seminormal equations: the last column ``b`` of ``(G G^H)^-1 =
     Q Z Z^T Q^H`` gives ``x = b / b[L] = [-conj(a), 1]``, and the residual
     ``r = G G^H x`` (``G[l, c] = full[l + c]``: two correlations of the signal)
-    steps to ``x - e + e[L] x``, ``e = (G G^H)^-1 r``, keeping ``x[L] = 1``."""
+    steps to ``x - e + e[L] x``, ``e = (G G^H)^-1 r``, keeping ``x[L] = 1``.
+    That step corrects the ``O(cond(G)^2 u)`` error of the seminormal
+    equations (Bjorck 1987, Linear Algebra Appl. 88/89:31)."""
 
     def inverse_gram(y):
         t = _to_pairs(y)
@@ -271,9 +219,19 @@ def solve_pencil(ts: TimeSeries, l_dim: int) -> np.ndarray:
     """The ``l_dim`` eigenvalues of ``K = H1 @ pinv(H0)`` (Frobenius objective)
     for the row windows of ``G = build_hankel(ts, l_dim)``, singular values
     below ``SVD_RCOND`` times the largest (``H0`` holds ``g_0 = 1``, so it is
-    never zero) taken as zero, without forming ``K``: the companion roots of a
-    certified pencil, else the eigenvalues of the r x r core of the SVD of
-    ``F[:-1]`` and ``l_dim - r`` exact zeros."""
+    never zero) taken as zero, without forming ``K``.
+
+    Deleting a row interlaces singular values, so ``cond(H0) <= cond(G)``,
+    which is ``cond(R_T)``. When :func:`_certified_inverse` bounds that below
+    ``1 / (2 SVD_RCOND)``, ``H0 @ pinv(H0) = I``, and as row ``l < L - 1`` of
+    ``H1`` is row ``l + 1`` of ``H0``, ``K`` is the companion matrix of
+    ``z^L - sum_j a_j z^j``, ``a = G[L] @ pinv(H0)``. Otherwise, or if its roots
+    miss the sweep cap: ``F = Q R_T^T`` has ``F F^H = G G^H``, so ``G = F V``
+    with ``V V^H`` the projection onto ``F``'s row space and
+    ``K = F[1:] @ pinv(F[:-1])``. With ``F[:-1] = U S V^H`` cut to its ``r``
+    kept singular values, ``K = X U_r^H`` for ``X = F[1:] V_r / S_r``; as
+    ``X Y`` and ``Y X`` share their nonzero eigenvalues, ``K``'s are those of
+    the r x r core ``U_r^H X`` and ``l_dim - r`` exact zeros."""
     g = build_hankel(ts, l_dim)
     r = _real_factor(g)
     z = _certified_inverse(r)
@@ -297,8 +255,11 @@ def solve_pencil(ts: TimeSeries, l_dim: int) -> np.ndarray:
 def _companion_roots(a: np.ndarray) -> np.ndarray | None:
     """The L roots of ``p(z) = z^L - sum_j a_j z^j``, the characteristic
     polynomial of the companion matrix with last row ``a``, by Aberth-Ehrlich
-    iteration with Bini's backward-error stop; ``None`` if some root has not
-    stopped after ``_ABERTH_MAX_SWEEPS`` sweeps.
+    iteration (Aberth 1973, Math. Comp. 27:339), O(L^2) per sweep; ``None`` if
+    some root has not stopped after ``_ABERTH_MAX_SWEEPS`` sweeps. A root stops
+    once ``|p(z)| <= 4 L u sum_k |c_k| |z|^k`` (Bini 1996, Numer. Algorithms
+    13:179), ``c`` the coefficients of ``p``: it is then an exact root of a
+    polynomial whose coefficients differ from ``c`` by a relative O(L u) each.
 
     Leading zeros ``a_0 = .. = a_{m-1} = 0`` give ``m`` exact zero roots, taken
     out first: a root at zero never meets the relative stop, since ``|p(z)|``
@@ -391,14 +352,15 @@ def _polynomial_terms(x: np.ndarray, table: np.ndarray, mags: np.ndarray):
     from the :func:`_coefficient_tables` ``(table, mags)`` of the polynomial
     ``q`` with the ``n`` ascending coefficients ``coef``.
 
-    With ``k = a*B + r``, ``q(x) = sum_a x^(aB) sum_r T[r, a] x^r``: one
-    product of the rows ``x^r`` (``r < B``) with ``[T | T']``, then a dot with
-    the row ``x^(aB)`` (``a < A``), and the bound the same way from their
-    moduli and ``M`` in real arithmetic. A term of degree ``k`` carries at most
-    ``k + 1`` roundings from its power and coefficient and ``A + B`` from the
-    two sums, so to first order each result lies within ``4 n u`` (``u`` the
-    unit roundoff) of the exact one, relative to ``sum_k |coef_k| |x|^k`` (for
-    ``q'``, to ``sum_k k |coef_k| |x|^(k-1)``).
+    With the four-step split ``k = a*B + r`` (Bailey 1990, J. Supercomputing
+    4:23), ``q(x) = sum_a x^(aB) sum_r T[r, a] x^r``: one product of the rows
+    ``x^r`` (``r < B``) with ``[T | T']``, then a dot with the row ``x^(aB)``
+    (``a < A``), and the bound the same way from their moduli and ``M`` in real
+    arithmetic. A term of degree ``k`` carries at most ``k + 1`` roundings from
+    its power and coefficient, as with a running product of all n powers, and
+    ``A + B`` from the two sums, so to first order each result lies within
+    ``4 n u`` (``u`` the unit roundoff) of the exact one, relative to
+    ``sum_k |coef_k| |x|^k`` (for ``q'``, to ``sum_k k |coef_k| |x|^(k-1)``).
     """
     b, a = mags.shape
     lo = np.vander(x, b, increasing=True)
@@ -423,8 +385,9 @@ def solve_amplitudes(eigenphases, ts: TimeSeries, l_dim: int, moduli) -> Amplitu
     below L therefore takes its coefficients from its values on the grid,
     ``c[j, l] = (1/L) sum_m ell_j(zeta_m) zeta_m^-l``. That gives
     ``x_j = (1/L) sum_m ell_j(zeta_m) G_m`` with ``G_m = sum_l g_l zeta_m^-l``,
-    and by Parseval ``||b^-1||_F^2 = (1/L) sum_{m,j} |ell_j(zeta_m)|^2``. Every
-    entry of ``b`` has modulus one, so ``||b||_F = L``, and the certificate of
+    the FFT of ``g_l exp(-i pi l / L)`` (:func:`_grid_transform`). By Parseval
+    ``||b^-1||_F^2 = (1/L) sum_{m,j} |ell_j(zeta_m)|^2``; every entry of ``b``
+    has modulus one, so ``||b||_F = L``, and the certificate of
     :func:`_certified_inverse` is ``sqrt(L sum_{m,j} |ell_j(zeta_m)|^2)``. The
     half-step shift keeps the grid off ``z = 1``, the node of a zero phase.
 
@@ -454,15 +417,12 @@ def solve_amplitudes(eigenphases, ts: TimeSeries, l_dim: int, moduli) -> Amplitu
     ``delta = O(L u)``, which leaves a residual of ``delta ||b|| ||x||``
     (forward errors up to ``delta cond(b)``); one step of fixed-precision
     iterative refinement against the residual ``g - b @ x`` (Higham 2002,
-    ch. 12), solved by the same closed form, squares ``delta``.
-    ``b @ x`` comes from the split ``l = a*B + r`` of
-    :func:`~qeep.filterbank._block` of ``l_dim``: ``b[aB + r, j] =
-    exp(-i phase_j aB) exp(-i phase_j r)``, so it is one product of an
-    ``A x l_dim`` and an ``l_dim x B`` matrix, and so is the reported residual.
+    ch. 12), solved by the same closed form, squares ``delta``. That residual
+    and the reported one take ``b @ x`` from :func:`_vandermonde_product`.
 
     When the certificate holds, the cutoff would keep every singular value, so
     this is the least-squares solution and the rank is ``l_dim``. Otherwise,
-    or when the solution is not finite, ``b`` is built by the same split and
+    or when the solution is not finite, ``b`` is built from the same tables and
     the cutoff pseudoinverse of ``lstsq`` solves it: duplicate or clustered
     eigenphases make it rank deficient, the minimum-norm solution is returned
     and the deficiency shows up in the reported rank. Eigenvalue ``moduli`` at
@@ -495,12 +455,10 @@ def solve_amplitudes(eigenphases, ts: TimeSeries, l_dim: int, moduli) -> Amplitu
 def _lagrange_solve(
     phases: np.ndarray, g: np.ndarray, hi: np.ndarray, lo: np.ndarray
 ) -> np.ndarray | None:
-    """The solution of ``b @ x = g`` for the unit-circle Vandermonde matrix
-    ``b[l, j] = exp(-i * phases_j * l)``, with one refinement step against the
-    split tables ``hi`` and ``lo`` of :func:`_vandermonde_product`, when the
-    closed form of :func:`solve_amplitudes` certifies
-    ``||b||_F ||b^-1||_F < 1 / (2 SVD_RCOND)``; ``None`` when it does not or the
-    solution is not finite."""
+    """The solution of ``b @ x = g``, ``b[l, j] = exp(-i * phases_j * l)``, by the
+    closed form of :func:`solve_amplitudes` with one refinement step (``hi`` and
+    ``lo`` the tables of :func:`_vandermonde_product`); ``None`` unless it
+    certifies ``||b||_F ||b^-1||_F < 1 / (2 SVD_RCOND)`` and ``x`` is finite."""
     n = phases.size
     half = 0.5 * phases
     nodes = np.array([np.cos(half), np.sin(half)])

@@ -127,8 +127,7 @@ def _real_factor(g: np.ndarray) -> np.ndarray:
     flops of a complex QR of ``g^H``. When those rows hold ``p >= 1`` blocks of
     ``_QR_BLOCK_ROWS_PER_COLUMN * (L+1)`` rows, one batched complex QR factors
     the blocks first (Demmel, Grigori, Hoemmen & Langou 2012, SIAM J. Sci.
-    Comput. 34:A206), and their R factors, of the same Gram matrix, are paired
-    in their place."""
+    Comput. 34:A206); their R factors have the same Gram matrix and are paired."""
     n, m = g.shape
     k, rows = m // 2, _QR_BLOCK_ROWS_PER_COLUMN * n
     top = g[:, :k].T
@@ -257,9 +256,10 @@ def _companion_roots(a: np.ndarray) -> np.ndarray | None:
     polynomial of the companion matrix with last row ``a``, by Aberth-Ehrlich
     iteration (Aberth 1973, Math. Comp. 27:339), O(L^2) per sweep; ``None`` if
     some root has not stopped after ``_ABERTH_MAX_SWEEPS`` sweeps. A root stops
-    once ``|p(z)| <= 4 L u sum_k |c_k| |z|^k`` (Bini 1996, Numer. Algorithms
-    13:179), ``c`` the coefficients of ``p``: it is then an exact root of a
-    polynomial whose coefficients differ from ``c`` by a relative O(L u) each.
+    once ``|p(z)| <= 4 L u sum_k |c_k| |z|^k`` (``c`` the coefficients of
+    ``p``, ``u`` the unit roundoff; Bini 1996, Numer. Algorithms 13:179): it is
+    then an exact root of a polynomial whose coefficients differ from ``c`` by
+    a relative O(L u) each.
 
     Leading zeros ``a_0 = .. = a_{m-1} = 0`` give ``m`` exact zero roots, taken
     out first: a root at zero never meets the relative stop, since ``|p(z)|``

@@ -6,15 +6,16 @@ subcommand that takes only the flags it reads. Flags can also come from an
 argument file, ``qeep reproduce fig5 @paper.args``, which holds one token per
 line (such as ``--seeds=1,2``) and is read as if its tokens stood in its place,
 so later tokens win; figure flags go after the figure name. Exit codes: 0
-success, 2 usage or validation error, 3 numeric failure or a worker process
-that died.
+success, 2 usage or validation error, 3 numeric failure or a CLI child (see
+below) killed by a signal.
 
 Every command computes with one BLAS thread, so its bytes do not depend on
 the machine. Loaded before numpy (``python -m qeep.cli``, the ``qeep`` script,
 a program that imports it first), this module pins the BLAS thread variables
-to one for the process, whose ``main`` runs each command and forks the seed
-workers. Loaded after numpy, ``main`` runs the command line in a ``python -m
-qeep.cli`` child instead and passes back its output and exit code.
+to one for the process, whose ``main`` runs each command, ``reproduce fig5``'s
+seeds on a pool of threads. Loaded after numpy, ``main`` runs the command line
+in a ``python -m qeep.cli`` child instead and passes back its output and exit
+code.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 # The thread-count variables of the BLAS builds numpy ships with.
@@ -286,31 +286,29 @@ def _trial_rows(args, bank, seed):
     """The ``DELTA_HEADER`` rows of one seeded run: one per moment order."""
     spec = random_spectrum(args.d, seed)
     dist, pencil = _seeded_estimates(spec, args, bank, seed)
-    rows = []
-    for s in args.moments:
-        tau = exact_moment(spec, s)
-        delta_ts = (tau - estimate_moment(dist, s)) / args.eps
-        delta_mp = (tau - mp_moment(pencil, s)) / args.eps
-        rows.append((seed, s, delta_ts, delta_mp))
-    return rows
+    _, delta_ts = _moments_and_deltas(
+        args.moments, lambda s: estimate_moment(dist, s), args.eps, spec
+    )
+    _, delta_mp = _moments_and_deltas(
+        args.moments, lambda s: mp_moment(pencil, s), args.eps, spec
+    )
+    return [(seed, s, delta_ts[str(s)], delta_mp[str(s)]) for s in args.moments]
 
 
 def _map_single_blas_thread(func, items):
-    """``[func(item) for item in items]``, each call in a worker of a process
-    pool, one worker per item and at most one per usable CPU.
+    """``[func(item) for item in items]``, the calls made on a pool of threads
+    of this process, one thread per item and at most one per usable CPU.
 
     ``main`` calls this only in a process whose BLAS this module pinned to one
-    thread, so the workers compute with one thread too. On Linux they are
-    forked, which is safe as the pinned BLAS started no threads; elsewhere
-    they start the platform's default way, under the pinned variables. A worker
-    that dies raises ``BrokenExecutor`` instead of leaving its item waiting.
+    thread, so each call's BLAS work runs in the thread that made the call.
+    numpy releases the GIL in its BLAS and LAPACK calls, so the calls overlap
+    there, not in Python code. Where calls raise, the exception of the first
+    such item in item order is raised here.
     """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
-    with ProcessPoolExecutor(min(len(items), cpus or 1), mp_context=context) as pool:
+    with ThreadPoolExecutor(min(len(items), cpus or 1)) as pool:
         return list(pool.map(func, items))
 
 
@@ -339,7 +337,7 @@ def _delta_summary(rows, moments):
 
 
 def _reproduce_deltas(outdir: Path, args) -> None:
-    """Fig. 5 and the Appendix C table: one worker per seed, sharing the bank."""
+    """Fig. 5 and the Appendix C table: one pool task per seed, sharing the bank."""
     bank = _pencil_bank(args)
     per_seed = _map_single_blas_thread(functools.partial(_trial_rows, args, bank), args.seeds)
     rows = [row for seed_rows in per_seed for row in seed_rows]
@@ -549,9 +547,6 @@ def main(argv=None) -> int:
         return 2
     except (NumericError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
-    except BrokenExecutor as exc:
-        print(f"worker failure: {exc}", file=sys.stderr)
         return 3
 
 

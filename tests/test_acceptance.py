@@ -186,7 +186,7 @@ def test_c07_noisy_l1_bound(bank_quarter_strict, bank_mid_strict):
 
 def test_c08_reference_table_bands(tmp_path):
     # The shipped path: `reproduce fig5` at the paper's defaults, whose seeds
-    # run in the CLI's worker pool.
+    # run on the CLI's thread pool.
     start = time.perf_counter()
     assert main(["reproduce", "fig5", "--outdir", str(tmp_path)]) == 0
     parameters = json.loads((tmp_path / "fig5_summary.json").read_text())["parameters"]

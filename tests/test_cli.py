@@ -704,15 +704,15 @@ class TestReproduce:
 
         class NoPool:
             def __init__(self, *args, **kwargs):
-                raise AssertionError("fig6 started a process pool")
+                raise AssertionError("fig6 started a thread pool")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", NoPool)
         assert run("reproduce", "fig6", "--outdir", tmp_path, "--truncation", 64) == 0
         assert (tmp_path / "fig6_mp.csv").exists()
 
     def test_fig6_numeric_failure_is_exit_3(self, tmp_path, capsys, monkeypatch):
-        # fig6 solves its seed in the CLI process, so a failure of the solve
-        # reaches ``main`` directly and not through a worker.
+        # fig6 solves its seed in the CLI's main thread, so a failure of the
+        # solve reaches ``main`` directly and not through a pool task.
         def fail(*args, **kwargs):
             raise qeep.errors.NumericError("pencil pseudoinverse did not converge")
 
@@ -808,46 +808,60 @@ class TestReproduce:
         assert message in capsys.readouterr().err
         assert not outdir.exists()
 
-    def test_rows_do_not_depend_on_scheduling(self, tmp_path):
-        rc = run("reproduce", "fig5", "--outdir", tmp_path / "all", "--seeds", "3,1,2", "--truncation", 64)
+    # A square pencil, and the ``trials`` workload's wide one, whose R factor
+    # starts with a batched QR of its row blocks.
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--truncation", 64],
+            ["--eps", 0.05, "--truncation", "strict", "--eps-prime", 1e-05, "--l-dim", 64],
+        ],
+        ids=["square", "trials"],
+    )
+    def test_rows_do_not_depend_on_scheduling(self, tmp_path, monkeypatch, flags):
+        # One thread per seed, whatever the host's CPU count, switching often.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            rc = run("reproduce", "fig5", "--outdir", tmp_path / "all", "--seeds", "3,1,2", *flags)
+        finally:
+            sys.setswitchinterval(interval)
         assert rc == 0
         header, *rows = (tmp_path / "all" / "fig5_deltas.csv").read_text().splitlines()
         assert [int(r.split(",")[0]) for r in rows] == [3, 3, 3, 1, 1, 1, 2, 2, 2]
         for seed in (3, 1, 2):
             outdir = tmp_path / f"seed{seed}"
-            assert run("reproduce", "fig5", "--outdir", outdir, "--seeds", seed, "--truncation", 64) == 0
+            assert run("reproduce", "fig5", "--outdir", outdir, "--seeds", seed, *flags) == 0
             alone = (outdir / "fig5_deltas.csv").read_text().splitlines()
             assert alone == [header] + [r for r in rows if r.startswith(f"{seed},")]
 
     def test_error_in_a_worker_keeps_its_exit_code(self):
-        # A ValueError raised in a worker reaches the caller as itself,
-        # so ``main`` maps it to exit code 2 and not to a worker failure.
+        # A ValueError raised in a pool task reaches the caller as itself,
+        # so ``main`` maps it to exit code 2.
         with pytest.raises(ValueError, match="invalid literal for int"):
             _map_single_blas_thread(int, ["1", "x"])
 
     def test_pool_has_at_most_one_worker_per_usable_cpu(self, monkeypatch):
         import concurrent.futures
-        import multiprocessing
 
         sizes = []
 
-        class Recording(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, mp_context):
-                sizes.append((max_workers, mp_context.get_start_method()))
-                super().__init__(max_workers, mp_context=mp_context)
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert _map_single_blas_thread(abs, [-1, -2, -3]) == [1, 2, 3]
-        # One start method: fork on Linux, the platform's default elsewhere.
-        method = "fork" if sys.platform == "linux" else multiprocessing.get_start_method()
-        assert sizes == [(1, method)]
+        assert sizes == [1]
 
     def test_pool_spawns_when_numpy_was_loaded_first(self, tmp_path, monkeypatch):
         # A caller that loaded numpy before qeep.cli gets a freshly started
         # ``python -m qeep.cli`` process with the BLAS variables at one; no
-        # pool is forked from the caller, and the bytes are the in-process ones.
+        # pool starts in the caller, and the bytes are the in-process ones.
         import concurrent.futures
 
         argv = ["reproduce", "fig5", "--truncation", 64, "--seeds", "1"]
@@ -864,7 +878,7 @@ class TestReproduce:
             children.append((command, kwargs["env"]))
             return real_run(command, **kwargs)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", NoPool)
         monkeypatch.setattr(subprocess, "run", recording_run)
         monkeypatch.setattr("qeep.cli._NUMPY_LOADED_PINNED", False)
         assert run(*argv, "--outdir", tmp_path / "child") == 0
@@ -1090,6 +1104,8 @@ run("estimate", "--method", "ts", "--truncation", "strict", "--eps", "0.25")
 assert "numpy.fft" not in sys.modules
 run("estimate", "--method", "mp", "--l-dim", "32", "--out", "mp.json")
 run("reproduce", "fig3", "--outdir", "out")
+# Only fig5 maps its seeds on a thread pool.
+assert "concurrent.futures" not in sys.modules
 run("reproduce", "fig5", "--truncation", "64", "--seeds", "1", "--outdir", "out")
 # Only a filter value needs the Gauss-Legendre nodes, and so numpy.polynomial.
 assert "numpy.polynomial" not in sys.modules
@@ -1098,38 +1114,6 @@ run("reproduce", "fig4", "--outdir", "out")
 assert abs(exact_bins(fig6_spectrum(), 0.005).values.sum() - 1.0) <= 1e-9
 print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """
-
-
-# Replaces every pool task with one that kills its forked worker.
-_DEAD_WORKER_RUN = """
-import os
-import sys
-
-from qeep import cli
-
-pool_map = cli._map_single_blas_thread
-cli._map_single_blas_thread = lambda func, items: pool_map(os._exit, [1])
-sys.exit(cli.main(sys.argv[1:]))
-"""
-
-
-def test_dead_worker_is_exit_3_not_a_hang(tmp_path):
-    # Under a timeout, so that a pool that waits forever for the lost item
-    # fails the test instead of blocking it.
-    src = str(Path(qeep.__file__).resolve().parents[1])
-    argv = ["reproduce", "fig5", "--truncation", "64", "--seeds", "1,2", "--outdir", "out"]
-    proc = subprocess.run(
-        [sys.executable, "-c", _DEAD_WORKER_RUN, *argv],
-        cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 3
-    assert proc.stderr.startswith("worker failure: ")
-    assert proc.stderr.count("\n") == 1
-    assert not (tmp_path / "out").exists()
 
 
 def _cli_on_a_pipe(cwd, *argv, stdout=subprocess.PIPE, unbuffered=False):
@@ -1246,34 +1230,38 @@ for name in qeep.__all__:
 """
 
 # Loads the CLI before numpy, as ``python -m qeep.cli`` and the ``qeep``
-# script do, and reports the pool's start method and the native threads of
-# the process before the pool starts and of each worker.
+# script do, and reports the pool's size and the native threads of the process
+# before the pool starts and in each task, after a matrix product large enough
+# for a multi-threaded BLAS to use its threads.
 _PINNED_POOL_RUN = """
 import concurrent.futures
 import json
 import os
 
-from qeep import cli
+from qeep import cli  # before numpy, which then loads under the CLI's pin
 
-methods = []
+import numpy as np
+
+sizes = []
 
 
-class Recording(concurrent.futures.ProcessPoolExecutor):
-    def __init__(self, max_workers, mp_context):
-        methods.append(mp_context.get_start_method())
-        super().__init__(max_workers, mp_context=mp_context)
+class Recording(concurrent.futures.ThreadPoolExecutor):
+    def __init__(self, max_workers):
+        sizes.append(max_workers)
+        super().__init__(max_workers)
 
 
 def threads(_):
+    np.ones((256, 256)) @ np.ones((256, 256))
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) for line in fh if line.startswith("Threads:"))
 
 
-concurrent.futures.ProcessPoolExecutor = Recording
+concurrent.futures.ThreadPoolExecutor = Recording
 before = threads(None)
-workers = cli._map_single_blas_thread(threads, [0, 1])
+tasks = cli._map_single_blas_thread(threads, [0, 1])
 env = {name: os.environ.get(name) for name in cli._BLAS_THREAD_VARS}
-print(json.dumps({"methods": methods, "before": before, "workers": workers, "env": env}))
+print(json.dumps({"sizes": sizes, "before": before, "tasks": tasks, "env": env}))
 """
 
 
@@ -1297,15 +1285,16 @@ def test_import_qeep_loads_no_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="the pool forks only on Linux")
-def test_cli_loaded_before_numpy_forks_a_single_threaded_process(tmp_path):
-    # A set variable is overridden too: the pin holds for the whole process.
+@pytest.mark.skipif(sys.platform != "linux", reason="counts threads in /proc/self/status")
+def test_cli_loaded_before_numpy_starts_no_blas_threads(tmp_path):
+    # A set variable is overridden too: the pin holds for the whole process,
+    # so its only threads are the main thread and the pool's.
     proc = _fresh_interpreter(_PINNED_POOL_RUN, tmp_path, {"OPENBLAS_NUM_THREADS": "2"})
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report["methods"] == ["fork"]
+    [size] = report["sizes"]
     assert report["before"] == 1
-    assert report["workers"] == [1, 1]
+    assert len(report["tasks"]) == 2 and max(report["tasks"]) <= 1 + size
     assert report["env"] == dict.fromkeys(_BLAS_THREAD_VARS, "1")
 
 
@@ -1313,8 +1302,8 @@ def test_cli_loaded_before_numpy_forks_a_single_threaded_process(tmp_path):
 # when it computed with several threads (OpenBLAS 0.3.31), and the files it
 # writes into its directory. ``estimate`` reads the noisy signals that
 # ``cli_outputs_at_one_thread`` writes first. Every command computes in a
-# process that loaded numpy under the CLI's one-thread pin, its forked seed
-# workers included; a program that loaded numpy first gets such a process as
+# process that loaded numpy under the CLI's one-thread pin, fig5's seed
+# threads included; a program that loaded numpy first gets such a process as
 # a child of ``main``.
 _THREAD_SENSITIVE_RUNS = [
     (
@@ -1355,8 +1344,8 @@ def _outputs(dirs):
 def _cli_outputs(root, label, blas):
     """Runs each of ``_THREAD_SENSITIVE_RUNS`` as ``python -m qeep.cli`` with
     ``blas`` in place of the three BLAS variables and returns what each wrote.
-    Python 3.12+ warns when a multi-threaded process forks, so the runs turn
-    that warning into an error."""
+    The runs turn a ``DeprecationWarning`` into an error, as the suite's
+    ``filterwarnings`` setting does in this process."""
     src = str(Path(qeep.__file__).resolve().parents[1])
     unset = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
     dirs = _run_dirs(root, label)

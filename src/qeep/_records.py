@@ -29,17 +29,17 @@ def record(data, name: str, required, optional=()) -> dict:
 
 
 def number(value, name: str, kind=Real):
-    """``value``, which must be a ``kind`` number (``Real`` or ``Integral``)
-    within the range of a double and not a bool; anything else raises
-    ``ValueError``."""
+    """``value`` as a Python ``int`` (``kind`` ``Integral``) or ``float``
+    (``kind`` ``Real``). It must be a ``kind`` number within the range of a
+    double and not a bool; anything else raises ``ValueError``."""
     if isinstance(value, bool) or not isinstance(value, kind):
         what = "an integer" if kind is Integral else "a number"
         raise ValueError(f"{name} must be {what}, got {value!r:.40}")
     try:
-        float(value)
+        as_float = float(value)
     except OverflowError:
         raise ValueError(f"{name} is out of the range of a double, got {value!r:.40}") from None
-    return value
+    return int(value) if kind is Integral else as_float
 
 
 def numbers(values, name: str) -> np.ndarray:

@@ -59,8 +59,8 @@ from .signal import (
     hoeffding_shots_per_point,
     sample_shots,
 )
-from .spectrum import Spectrum, exact_moment, fig6_spectrum, random_spectrum
-from .ts_estimator import MAX_MOMENT_ORDER, _check_signal_length, estimate_bins, estimate_moment
+from .spectrum import MAX_MOMENT_ORDER, Spectrum, exact_moment, fig6_spectrum, random_spectrum
+from .ts_estimator import _check_signal_length, estimate_bins, estimate_moment
 
 # Offset used to derive the noise stream from a run seed so that spectrum and
 # noise draws never share a generator state.
@@ -143,13 +143,6 @@ _truncation = _word_or_int({mode.value: mode for mode in TruncationMode}, 2)
 _shots = _word_or_int({}, 1, MAX_SHOTS_PER_POINT)
 _seed = _word_or_int({}, 0)
 _spectrum_size = _word_or_int({}, 1)
-
-
-def _truncation_order(eps: float, truncation: TruncationMode | int) -> int:
-    """N itself, or the order ``choose_truncation`` picks for the mode."""
-    if isinstance(truncation, TruncationMode):
-        return choose_truncation(eps, truncation)
-    return truncation
 
 
 def _magnitude(text: str) -> float:
@@ -239,7 +232,7 @@ def _cmd_estimate(args) -> int:
     if args.method == "ts":
         if args.eps is None:
             raise ValueError("--eps is required for the ts method")
-        n_trunc = _truncation_order(args.eps, args.truncation or TruncationMode.EMPIRICAL)
+        n_trunc = choose_truncation(args.eps, args.truncation or TruncationMode.EMPIRICAL)
         _check_signal_length(ts, n_trunc)
         bank = build_filterbank(args.eps, n_trunc)
         dist = estimate_bins(ts, bank)
@@ -315,7 +308,7 @@ def _map_single_blas_thread(func, items):
 def _pencil_bank(args):
     """The filter bank of a pencil figure, built after ``n_trunc`` and ``l_dim``
     are resolved on ``args``, so that a bad ``--l-dim`` fails before it."""
-    args.n_trunc = _truncation_order(args.eps, args.truncation)
+    args.n_trunc = choose_truncation(args.eps, args.truncation)
     args.l_dim = _pencil_dimension(args.n_trunc, args.l_dim)
     return build_filterbank(args.eps, args.n_trunc)
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 
 import numpy as np
 
@@ -225,8 +226,8 @@ class TruncationMode(Enum):
     STRICT = "strict"
 
 
-def choose_truncation(eps: float, mode: TruncationMode = TruncationMode.EMPIRICAL) -> int:
-    """Truncation order N for the coefficient table.
+def choose_truncation(eps: float, mode: TruncationMode | int = TruncationMode.EMPIRICAL) -> int:
+    """Truncation order N for the coefficient table; an integer ``mode`` is N itself.
 
     EMPIRICAL uses ``ceil(ln(M)**2 * M / 10)`` (eps = 0.005 gives 566), and
     at least 2, the smallest order a bank takes. It carries no guarantee: its
@@ -254,7 +255,9 @@ def choose_truncation(eps: float, mode: TruncationMode = TruncationMode.EMPIRICA
             else:
                 lo = mid + 1
         return lo
-    raise ValueError(f"unknown truncation mode {mode!r}")
+    if isinstance(mode, bool) or not isinstance(mode, Integral):
+        raise ValueError(f"unknown truncation mode {mode!r}")
+    return int(mode)
 
 
 @dataclass(frozen=True)

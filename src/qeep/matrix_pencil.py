@@ -28,6 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import NumericError
 from .filterbank import _block
 from .signal import TimeSeries
+from .spectrum import _moment
 
 # Relative singular-value cutoff for all pseudoinverse solves. The noiseless
 # Hankel matrix has rank D << L, so a cutoff is mandatory. A pencil whose real
@@ -577,7 +578,7 @@ def filter_estimate(
     """
     keep = np.ones(est.eigenphases.size, dtype=bool)
     if delta_mu is not None:
-        if delta_mu < 0:
+        if not delta_mu >= 0:
             raise ValueError("delta_mu must be non-negative")
         keep &= np.abs(est.moduli - 1.0) <= delta_mu
     if restrict_range:
@@ -594,6 +595,4 @@ def filter_estimate(
 
 def mp_moment(est: MpEstimate, s: int) -> float:
     """Moment ``sum_l Re(amp_l) * phase_l**s`` of a pencil estimate."""
-    if s < 0:
-        raise ValueError("moment order s must be non-negative")
-    return float(np.sum(est.amplitudes.real * est.eigenphases**s))
+    return _moment(est.amplitudes.real, est.eigenphases, s)

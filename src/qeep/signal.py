@@ -67,8 +67,9 @@ class Provenance:
             if given != (name in _KIND_FIELDS[self.kind]):
                 verb = "cannot carry" if given else "needs"
                 raise ValueError(f"{self.kind} provenance {verb} {name}")
-            if given and not least <= _records.number(value, name, number) <= most:
+            if given and not least <= (value := _records.number(value, name, number)) <= most:
                 raise ValueError(f"{name} must lie in [{least}, {most}], got {value!r}")
+            object.__setattr__(self, name, value)
 
     @classmethod
     def clean(cls) -> "Provenance":
@@ -76,11 +77,11 @@ class Provenance:
 
     @classmethod
     def additive_noise(cls, eps_prime: float, seed: int) -> "Provenance":
-        return cls(kind=ADDITIVE_NOISE, eps_prime=float(eps_prime), seed=int(seed))
+        return cls(kind=ADDITIVE_NOISE, eps_prime=eps_prime, seed=seed)
 
     @classmethod
     def shot_sampled(cls, shots_per_point: int, seed: int) -> "Provenance":
-        return cls(kind=SHOT_SAMPLED, shots_per_point=int(shots_per_point), seed=int(seed))
+        return cls(kind=SHOT_SAMPLED, shots_per_point=shots_per_point, seed=seed)
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind}
@@ -167,13 +168,12 @@ def add_noise(ts: TimeSeries, eps_prime: float, seed: int) -> TimeSeries:
     """Perturb each ``k >= 1`` entry by an i.i.d. complex number with magnitude
     uniform on ``[0, eps_prime]`` and phase uniform on ``[0, 2*pi]``.
 
-    Magnitudes are drawn first, then phases, from one ``default_rng(seed)``
-    stream, so results are bit-reproducible for a fixed seed.
+    Magnitudes, then phases, are drawn from one ``default_rng(seed)`` stream
+    once the :class:`Provenance` has checked ``eps_prime`` and ``seed``.
     """
-    if not 0.0 <= eps_prime < math.inf:
-        raise ValueError(f"eps_prime must be finite and non-negative, got {eps_prime!r}")
     if ts.provenance.kind != CLEAN:
         raise ValueError("add_noise expects a clean input series")
+    provenance = Provenance.additive_noise(eps_prime, seed)
     rng = np.random.default_rng(seed)
     n = ts.n_len
     magnitude = rng.uniform(0.0, eps_prime, n - 1)
@@ -181,7 +181,7 @@ def add_noise(ts: TimeSeries, eps_prime: float, seed: int) -> TimeSeries:
     values = np.array(ts.values)
     values[1:] = values[1:] + magnitude * np.exp(1j * phase)
     values[0] = 1.0
-    return TimeSeries(values=values, provenance=Provenance.additive_noise(eps_prime, seed))
+    return TimeSeries(values=values, provenance=provenance)
 
 
 def sample_shots(spec: Spectrum, n_len: int, shots_per_point: int, seed: int) -> TimeSeries:
@@ -190,12 +190,10 @@ def sample_shots(spec: Spectrum, n_len: int, shots_per_point: int, seed: int) ->
     For each ``k >= 1`` the real quadrature is the mean of ``shots_per_point``
     outcomes with ``P(+1) = (1 + Re g_k) / 2`` and the imaginary quadrature the
     mean of an independent batch with ``P(+1) = (1 + Im g_k) / 2``. Real draws
-    for all k happen before imaginary draws.
+    for all k happen before imaginary draws. The :class:`Provenance` checks
+    ``shots_per_point`` and ``seed`` before any draw.
     """
-    if not 1 <= shots_per_point <= MAX_SHOTS_PER_POINT:
-        raise ValueError(
-            f"shots_per_point must lie in [1, {MAX_SHOTS_PER_POINT}], got {shots_per_point}"
-        )
+    provenance = Provenance.shot_sampled(shots_per_point, seed)
     rng = np.random.default_rng(seed)
     g = generate_clean(spec, n_len).values
     p_re = np.clip((1.0 + g.real[1:]) / 2.0, 0.0, 1.0)
@@ -207,7 +205,7 @@ def sample_shots(spec: Spectrum, n_len: int, shots_per_point: int, seed: int) ->
     values[1:] = (2.0 * hits_re / shots_per_point - 1.0) + 1j * (
         2.0 * hits_im / shots_per_point - 1.0
     )
-    return TimeSeries(values=values, provenance=Provenance.shot_sampled(shots_per_point, seed))
+    return TimeSeries(values=values, provenance=provenance)
 
 
 def hoeffding_shots(n_len: int, eps_prime: float, confidence: float) -> int:

@@ -9,12 +9,14 @@ every estimator is judged against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from . import _records
 
 WEIGHT_SUM_TOL = 1e-12
+MAX_MOMENT_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -77,9 +79,9 @@ class Spectrum:
 def random_spectrum(d: int, seed: int) -> Spectrum:
     """Draw ``d`` eigenvalues uniformly from ``[-1/2, 1/2]`` with uniform,
     normalized weights. Pure function of ``(d, seed)``."""
-    if d < 1:
+    if _records.number(d, "d", Integral) < 1:
         raise ValueError("d must be a positive integer")
-    if seed < 0:
+    if _records.number(seed, "seed", Integral) < 0:
         raise ValueError("seed must be a non-negative integer")
     rng = np.random.default_rng(seed)
     lam = rng.uniform(-0.5, 0.5, d)
@@ -102,6 +104,16 @@ def exact_moment(spec: Spectrum, s: int) -> float:
     ``s = 0`` returns 1 for every valid spectrum; since ``|lambda| <= 1/2``
     the result is bounded by ``2**-s`` in magnitude.
     """
-    if s < 0:
-        raise ValueError("moment order s must be non-negative")
-    return float(np.sum(spec.weights * spec.lambdas**s))
+    return _moment(spec.weights, spec.lambdas, s)
+
+
+def _moment_order(s: int) -> int:
+    """``s``, once it is checked to lie in ``[0, MAX_MOMENT_ORDER]``."""
+    if not 0 <= s <= MAX_MOMENT_ORDER:
+        raise ValueError(f"moment order s must lie in [0, {MAX_MOMENT_ORDER}], got {s!r}")
+    return s
+
+
+def _moment(weights: np.ndarray, points: np.ndarray, s: int) -> float:
+    """The order-``s`` moment ``sum(weights * points**s)`` of a weighted point set."""
+    return float(np.sum(weights * points ** _moment_order(s)))

@@ -27,9 +27,7 @@ import numpy as np
 
 from .filterbank import SQRT_2PI, FilterBank, _bin_count, _block, bin_centers, filter_values
 from .signal import TimeSeries, generate_clean
-from .spectrum import Spectrum
-
-MAX_MOMENT_ORDER = 64
+from .spectrum import Spectrum, _moment, _moment_order
 
 
 class BinKind(Enum):
@@ -127,9 +125,7 @@ def estimate_bins(ts: TimeSeries, bank: FilterBank) -> BinDistribution:
 def estimate_moment(dist: BinDistribution, s: int) -> float:
     """Spectral moment of the binned distribution:
     ``sum_j values[j] * (-1/2 + j*eps)**s``."""
-    if not 0 <= s <= MAX_MOMENT_ORDER:
-        raise ValueError(f"moment order s must lie in [0, {MAX_MOMENT_ORDER}]")
-    return float(np.sum(dist.values * dist.centers**s))
+    return _moment(dist.values, dist.centers, s)
 
 
 def expectation_from_function(dist: BinDistribution, t_values) -> float:
@@ -145,7 +141,7 @@ def moment_error_bound(eps: float, t_max: float, t_prime_max: float) -> float:
     """A priori error bound ``eps * (t_max + t_prime_max)`` for expectations of
     a differentiable T, with the caller supplying the sup norms of T and T'
     over ``|x| <= 1/2``."""
-    if t_max < 0 or t_prime_max < 0:
+    if not (t_max >= 0 and t_prime_max >= 0):
         raise ValueError("sup norms must be non-negative")
     return eps * (t_max + t_prime_max)
 
@@ -153,8 +149,6 @@ def moment_error_bound(eps: float, t_max: float, t_prime_max: float) -> float:
 def rescale_physical(moment: float, s: int, h_norm: float) -> float:
     """Undo the normalization to a dimensionless operator: multiply an order-s
     moment by ``(2 * h_norm)**s`` where ``h_norm`` is the physical energy scale."""
-    if s < 0:
-        raise ValueError("moment order s must be non-negative")
     if not h_norm > 0:
         raise ValueError("h_norm must be positive")
-    return moment * (2.0 * h_norm) ** s
+    return moment * (2.0 * h_norm) ** _moment_order(s)

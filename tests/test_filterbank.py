@@ -396,6 +396,16 @@ class TestChooseTruncation:
         with pytest.raises(ValueError, match="unknown truncation mode"):
             choose_truncation(0.005, "strict")
 
+    def test_integer_order_is_returned(self):
+        assert choose_truncation(0.005, 700) == 700
+        order = choose_truncation(0.005, np.int64(700))
+        assert order == 700 and type(order) is int
+
+    @pytest.mark.parametrize("mode", [True, 700.0])
+    def test_order_that_is_not_an_integer_rejected(self, mode):
+        with pytest.raises(ValueError, match="unknown truncation mode"):
+            choose_truncation(0.005, mode)
+
     def test_strict_reference_band(self):
         n = choose_truncation(0.005, TruncationMode.STRICT)
         assert 9e4 <= n <= 1.1e5

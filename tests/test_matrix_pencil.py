@@ -1025,6 +1025,12 @@ class TestFilterEstimate:
         with pytest.raises(ValueError):
             filter_estimate(est, delta_mu=-0.1)
 
+    def test_nan_delta_rejected(self):
+        # A NaN passes ``delta_mu < 0`` and would leave a NaN in ``filters``.
+        est = mp_estimate(generate_clean(fig6_spectrum(), 12), 6)
+        with pytest.raises(ValueError, match="delta_mu must be non-negative"):
+            filter_estimate(est, delta_mu=math.nan)
+
 
 class TestMpMoment:
     def test_zeroth_moment_is_one_for_exact_fit(self):
@@ -1041,3 +1047,9 @@ class TestMpMoment:
         est = mp_estimate(generate_clean(fig6_spectrum(), 12), 6)
         with pytest.raises(ValueError):
             mp_moment(est, -1)
+
+    @pytest.mark.parametrize("s", [-1, 65])
+    def test_order_outside_the_moment_range_rejected(self, s):
+        est = mp_estimate(generate_clean(fig6_spectrum(), 12), 6)
+        with pytest.raises(ValueError, match=r"moment order s must lie in \[0, 64\]"):
+            mp_moment(est, s)

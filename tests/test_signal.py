@@ -202,6 +202,49 @@ class TestProvenance:
         assert prov == Provenance(kind="additive_noise", eps_prime=0.01, seed=3)
         assert Provenance.shot_sampled(np.int64(9), 2).shots_per_point == 9
 
+    def test_numpy_numbers_are_stored_as_python_numbers(self):
+        prov = Provenance(kind="shot_sampled", shots_per_point=np.uint32(9), seed=np.int64(2))
+        assert json.dumps(prov.to_dict()) == '{"kind": "shot_sampled", "seed": 2, "shots_per_point": 9}'
+        prov = Provenance(kind="additive_noise", eps_prime=np.float32(0.5), seed=np.int8(1))
+        assert json.dumps(prov.to_dict()) == '{"kind": "additive_noise", "eps_prime": 0.5, "seed": 1}'
+
+
+# A count or seed of 1.5 or True is no integer: the provenance rejects it
+# before any draw, where the binomial sampler would truncate 1.5 to 1 and the
+# generator would read True as seed 1.
+@pytest.mark.parametrize("bad", [1.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda bad: sample_shots(fig6_spectrum(), 6, bad, 0), "shots_per_point"),
+        (lambda bad: sample_shots(fig6_spectrum(), 6, 3, bad), "seed"),
+        (lambda bad: add_noise(generate_clean(fig6_spectrum(), 6), 0.01, bad), "seed"),
+        (lambda bad: Provenance.shot_sampled(bad, 0), "shots_per_point"),
+        (lambda bad: Provenance.shot_sampled(3, bad), "seed"),
+        (lambda bad: Provenance.additive_noise(0.01, bad), "seed"),
+    ],
+    ids=["sample_shots-count", "sample_shots-seed", "add_noise-seed", "shot_sampled-count",
+         "shot_sampled-seed", "additive_noise-seed"],
+)
+def test_non_integer_count_or_seed_rejected_before_any_draw(monkeypatch, make, name, bad):
+    def no_draw(seed=None):
+        raise AssertionError(f"a generator was opened with seed {seed!r}")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        make(bad)
+
+
+def test_numpy_number_arguments_write_the_same_record():
+    spec = fig6_spectrum()
+    clean = generate_clean(spec, 8)
+    pairs = [
+        (add_noise(clean, np.float64(0.01), np.int64(3)), add_noise(clean, 0.01, 3)),
+        (sample_shots(spec, 8, np.int64(50), np.uint16(4)), sample_shots(spec, 8, 50, 4)),
+    ]
+    for numpy_args, python_args in pairs:
+        assert json.dumps(numpy_args.to_dict()) == json.dumps(python_args.to_dict())
+
 
 class TestGenerateClean:
     def test_zero_eigenvalue_gives_constant_signal(self):
@@ -278,7 +321,7 @@ class TestAddNoise:
 
     @pytest.mark.parametrize("eps_prime", [math.nan, math.inf, -math.inf])
     def test_non_finite_eps_prime_rejected(self, eps_prime):
-        with pytest.raises(ValueError, match="finite and non-negative"):
+        with pytest.raises(ValueError, match=r"eps_prime must lie in \[0, "):
             add_noise(generate_clean(fig6_spectrum(), 8), eps_prime, 1)
 
 

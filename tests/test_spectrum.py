@@ -128,6 +128,16 @@ class TestRandomSpectrum:
         with pytest.raises(ValueError, match="seed"):
             random_spectrum(5, -1)
 
+    @pytest.mark.parametrize(
+        "d, seed, message",
+        [(2.5, 1, "d must be an integer"), (3, 1.5, "seed must be an integer"),
+         (3, True, "seed must be an integer")],
+        ids=["float-d", "float-seed", "bool-seed"],
+    )
+    def test_non_integer_d_or_seed_rejected(self, d, seed, message):
+        with pytest.raises(ValueError, match=message):
+            random_spectrum(d, seed)
+
 
 class TestFig6Spectrum:
     def test_entries_match_reference_values(self):
@@ -167,3 +177,8 @@ class TestExactMoment:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             exact_moment(fig6_spectrum(), -1)
+
+    @pytest.mark.parametrize("s", [-1, 65])
+    def test_order_outside_the_moment_range_rejected(self, s):
+        with pytest.raises(ValueError, match=r"moment order s must lie in \[0, 64\]"):
+            exact_moment(fig6_spectrum(), s)

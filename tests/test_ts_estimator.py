@@ -341,6 +341,11 @@ class TestMomentErrorBound:
         with pytest.raises(ValueError):
             moment_error_bound(0.01, -1.0, 0.0)
 
+    @pytest.mark.parametrize("sup_norms", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_nan_sup_norm_rejected(self, sup_norms):
+        with pytest.raises(ValueError, match="sup norms must be non-negative"):
+            moment_error_bound(0.1, *sup_norms)
+
 
 class TestRescalePhysical:
     def test_order_zero_unchanged(self):
@@ -357,6 +362,11 @@ class TestRescalePhysical:
             rescale_physical(1.0, -1, 1.0)
         with pytest.raises(ValueError):
             rescale_physical(1.0, 1, 0.0)
+
+    @pytest.mark.parametrize("s", [-1, 65])
+    def test_order_outside_the_moment_range_rejected(self, s):
+        with pytest.raises(ValueError, match=r"moment order s must lie in \[0, 64\]"):
+            rescale_physical(1.0, s, 1.0)
 
 
 class TestBinDistributionType:

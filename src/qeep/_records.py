@@ -1,4 +1,4 @@
-"""Shape and field checks shared by the JSON record readers.
+"""Shape, field and range checks shared by the record readers and the entry points.
 
 A record is a JSON object with a fixed key set. A number field holds a JSON
 number: an int or a float, never a bool (which Python counts as an int) or a
@@ -8,6 +8,7 @@ complaint, and never an int too large for a double.
 
 from __future__ import annotations
 
+import sys
 from numbers import Integral, Real
 
 import numpy as np
@@ -28,22 +29,20 @@ def record(data, name: str, required, optional=()) -> dict:
     return data
 
 
-def number(value, name: str, kind=Real):
+def number(value, name: str, kind=Real, least=-sys.float_info.max, most=sys.float_info.max):
     """``value`` as a Python ``int`` (``kind`` ``Integral``) or ``float``
-    (``kind`` ``Real``). It must be a ``kind`` number within the range of a
-    double and not a bool; anything else raises ``ValueError``."""
+    (``kind`` ``Real``): a ``kind`` number, not a bool, in the closed range
+    ``[least, most]``, by default the finite doubles, which NaN, the
+    infinities and larger integers miss; anything else raises ``ValueError``."""
     if isinstance(value, bool) or not isinstance(value, kind):
         what = "an integer" if kind is Integral else "a number"
         raise ValueError(f"{name} must be {what}, got {value!r:.40}")
-    try:
-        as_float = float(value)
-    except OverflowError:
-        raise ValueError(f"{name} is out of the range of a double, got {value!r:.40}") from None
-    return int(value) if kind is Integral else as_float
+    value = int(value) if isinstance(value, Integral) else float(value)
+    if not least <= value <= most:
+        raise ValueError(f"{name} must lie in [{least}, {most}], got {value!r:.40}")
+    return value if kind is Integral else float(value)
 
 
 def numbers(values, name: str) -> np.ndarray:
     """The list ``values`` of real numbers as a float array."""
-    for value in values:
-        number(value, f"each entry of {name}")
-    return np.array(values, dtype=float)
+    return np.array([number(value, f"each entry of {name}") for value in values])

@@ -39,9 +39,13 @@ from numbers import Integral
 
 import numpy as np
 
+from . import _records
 from .errors import NumericError
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+# The least truncation order: the bin sums take at least one term k >= 1.
+_LEAST_ORDER = 2
 
 
 def _snap_eps(eps: float) -> float:
@@ -212,8 +216,9 @@ def tail_bound(n_trunc: int, eps: float) -> float:
     Valid once ``n_trunc`` is past the onset of the transform's decay regime
     (see :func:`decay_onset`); strictly decreasing in ``n_trunc``.
     """
-    if n_trunc < 1:
-        raise ValueError("n_trunc must be a positive integer")
+    n_trunc = _records.number(n_trunc, "n_trunc", Integral, 1)
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     y = (n_trunc - 1) * eps / 2.0
     r = math.sqrt(y)
     return 4.0 * math.exp(-r) * (1.0 + r)
@@ -227,13 +232,13 @@ class TruncationMode(Enum):
 
 
 def choose_truncation(eps: float, mode: TruncationMode | int = TruncationMode.EMPIRICAL) -> int:
-    """Truncation order N for the coefficient table; an integer ``mode`` is N itself.
+    """Truncation order N for a bank; an integer ``mode`` is N itself (:func:`_truncation_order`).
 
     EMPIRICAL uses ``ceil(ln(M)**2 * M / 10)`` (eps = 0.005 gives 566), and
-    at least 2, the smallest order a bank takes. It carries no guarantee: its
-    moment errors met the bound ``eps * (T_max + T'_max)`` on the reference
-    experiment's seeds, but not on every spectrum (at eps = 0.005 the clean
-    first moment of ``random_spectrum(5, 9102)`` misses it by 1.31x).
+    at least ``_LEAST_ORDER``. It carries no guarantee: its moment errors met
+    the bound ``eps * (T_max + T'_max)`` on the reference experiment's seeds,
+    but not on every spectrum (at eps = 0.005 the clean first moment of
+    ``random_spectrum(5, 9102)`` misses it by 1.31x).
     STRICT bisects :func:`tail_bound` down to ``eps / (2*M)``, the level at
     which the L1 distance between truncated and exact bin probabilities is
     provably at most ``eps/2`` (eps = 0.005 gives about 9.6e4); only there is
@@ -241,13 +246,13 @@ def choose_truncation(eps: float, mode: TruncationMode | int = TruncationMode.EM
     """
     m = _bin_count(eps)
     if mode is TruncationMode.EMPIRICAL:
-        return max(2, math.ceil(math.log(m) ** 2 * m / 10.0))
+        return max(_LEAST_ORDER, math.ceil(math.log(m) ** 2 * m / 10.0))
     if mode is TruncationMode.STRICT:
         target = eps / (2.0 * m)
-        hi = 2
+        hi = _LEAST_ORDER
         while tail_bound(hi, eps) > target:
             hi *= 2
-        lo = max(2, hi // 2)
+        lo = max(_LEAST_ORDER, hi // 2)
         while lo < hi:
             mid = (lo + hi) // 2
             if tail_bound(mid, eps) <= target:
@@ -257,18 +262,24 @@ def choose_truncation(eps: float, mode: TruncationMode | int = TruncationMode.EM
         return lo
     if isinstance(mode, bool) or not isinstance(mode, Integral):
         raise ValueError(f"unknown truncation mode {mode!r}")
-    return int(mode)
+    return _truncation_order(mode)
+
+
+def _truncation_order(n_trunc: int) -> int:
+    """``n_trunc`` as an ``int``, checked to be an integer of at least ``_LEAST_ORDER``."""
+    return _records.number(n_trunc, "n_trunc", Integral, _LEAST_ORDER)
 
 
 @dataclass(frozen=True)
 class FilterBank:
     """Radial profile of the filter Fourier coefficients.
 
-    ``radial[k]`` holds ``radial(k)`` for ``0 <= k < n_trunc``; the
-    coefficients follow as ``F_j(k) = radial[k] * exp(-i*center_j*k)`` (see
-    :meth:`row`) and negative k from conjugate symmetry. The profile depends
-    only on ``(eps, n_trunc)``, never on a signal, so it is built once and
-    shared. ``eps`` is stored snapped to ``1/round(1/eps)``.
+    ``radial[k]`` holds ``radial(k)`` for ``0 <= k < n_trunc``, an order that
+    meets :func:`_truncation_order`; the coefficients follow as ``F_j(k) =
+    radial[k] * exp(-i*center_j*k)`` (see :meth:`row`) and negative k from
+    conjugate symmetry. The profile depends only on ``(eps, n_trunc)``, never
+    on a signal, so it is built once and shared. ``eps`` is stored snapped to
+    ``1/round(1/eps)``.
     """
 
     eps: float
@@ -277,8 +288,7 @@ class FilterBank:
 
     def __post_init__(self):
         object.__setattr__(self, "eps", _snap_eps(self.eps))
-        if self.n_trunc < 2:
-            raise ValueError("n_trunc must be at least 2")
+        object.__setattr__(self, "n_trunc", _truncation_order(self.n_trunc))
         r = np.array(self.radial, dtype=float)
         if r.shape != (self.n_trunc,):
             raise ValueError("radial shape must be (n_trunc,)")
@@ -295,8 +305,7 @@ class FilterBank:
 
     def row(self, j: int) -> np.ndarray:
         """Coefficients ``F_j(k)`` of bin ``j`` for ``0 <= k < n_trunc``."""
-        if not 0 <= j < self.m_bins:
-            raise ValueError(f"bin index j={j} out of range [0, {self.m_bins - 1}]")
+        j = _records.number(j, "bin index j", Integral, 0, self.m_bins - 1)
         return self.radial * np.exp(-1j * self.centers[j] * np.arange(self.n_trunc))
 
 
@@ -312,8 +321,7 @@ def build_filterbank(eps: float, n_trunc: int) -> FilterBank:
     same arguments is bit-identical.
     """
     eps = _snap_eps(eps)
-    if n_trunc < 2:
-        raise ValueError("n_trunc must be at least 2")
+    n_trunc = _truncation_order(n_trunc)
     half, weights = _trapezoid_rule((n_trunc - 1) * eps / 2.0)
     theta = eps / 2.0 / half
     b, a = _block(n_trunc)

@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import _records
 from .errors import NumericError
 from .filterbank import _block
 from .signal import TimeSeries
@@ -98,12 +100,8 @@ class AmplitudeFit(NamedTuple):
 
 def _pencil_dimension(n_len: int, l_dim: int | None) -> int:
     """The pencil dimension of a signal of ``n_len`` entries: ``l_dim``, which
-    must lie in ``[1, n_len - 1]``, or ``n_len - 1`` for ``None``."""
-    if l_dim is None:
-        l_dim = n_len - 1
-    if not 1 <= l_dim <= n_len - 1:
-        raise ValueError(f"l_dim must lie in [1, {n_len - 1}], got {l_dim}")
-    return l_dim
+    must be an integer in ``[1, n_len - 1]``, or ``n_len - 1`` for ``None``."""
+    return _records.number(n_len - 1 if l_dim is None else l_dim, "l_dim", Integral, 1, n_len - 1)
 
 
 def build_hankel(ts: TimeSeries, l_dim: int) -> np.ndarray:
@@ -177,7 +175,12 @@ def _certified_inverse(t: np.ndarray) -> np.ndarray | None:
         except np.linalg.LinAlgError:
             return None
         bound = np.linalg.norm(np.triu(t)) * np.linalg.norm(inverse)
-    return inverse if bound < 0.5 / SVD_RCOND else None
+    return inverse if _certified(bound) else None
+
+
+def _certified(bound: float) -> bool:
+    """Whether a condition bound certifies a system: ``bound < 1 / (2 SVD_RCOND)``."""
+    return bound < 0.5 / SVD_RCOND
 
 
 def _upper_inverse(t: np.ndarray) -> np.ndarray:
@@ -431,12 +434,11 @@ def solve_amplitudes(eigenphases, ts: TimeSeries, l_dim: int, moduli) -> Amplitu
     rank-deficient pencil's zeros, whose phase is noise, and their zeroed
     columns always send the system to ``lstsq``.
     """
+    l_dim = _records.number(l_dim, "l_dim", Integral, 1, ts.n_len)
     phases = np.asarray(eigenphases, dtype=float)
     moduli = np.asarray(moduli, dtype=float)
     if phases.ndim != 1 or phases.size != l_dim or moduli.shape != phases.shape:
         raise ValueError("eigenphases and moduli must be vectors of length l_dim")
-    if l_dim > ts.n_len:
-        raise ValueError("l_dim cannot exceed the signal length")
     step, count = _block(l_dim)
     hi = np.exp(-1j * np.outer(step * np.arange(count), phases))
     lo = np.exp(-1j * np.outer(np.arange(step), phases))
@@ -476,7 +478,7 @@ def _lagrange_solve(
         turn = np.exp(0.5j * np.pi / n * (odd * (n - 1) % (4 * n))) * weights
         factor = np.exp(0.5j * (n - 1) * phases) * scales / n
         sums, squares = _cauchy_sums(grid_rows, nodes, turn * _grid_transform(g), weights)
-        if not np.sqrt(n * np.sum(scales**2 * squares)) < 0.5 / SVD_RCOND:
+        if not _certified(np.sqrt(n * np.sum(scales**2 * squares))):
             return None
         x = factor * sums
         rhs = turn * _grid_transform(g - _vandermonde_product(hi, lo, x))
@@ -546,8 +548,8 @@ def _vandermonde_product(hi: np.ndarray, lo: np.ndarray, x: np.ndarray) -> np.nd
 
 def mp_estimate(ts: TimeSeries, l_dim: int | None = None) -> MpEstimate:
     """Full pencil pipeline: one Hankel matrix, the pencil solve on its row
-    windows, eigenphases, amplitude fit. ``l_dim`` must lie in ``[1, N - 1]``
-    and defaults to ``N - 1``. All eigenphases are kept."""
+    windows, eigenphases, amplitude fit, for the ``l_dim`` of
+    :func:`_pencil_dimension`. All eigenphases are kept."""
     l_dim = _pencil_dimension(ts.n_len, l_dim)
     mu = solve_pencil(ts, l_dim)
     # mu = exp(-i * phase), with the phase mapped into (-pi, pi]; subtracting
@@ -578,8 +580,7 @@ def filter_estimate(
     """
     keep = np.ones(est.eigenphases.size, dtype=bool)
     if delta_mu is not None:
-        if not delta_mu >= 0:
-            raise ValueError("delta_mu must be non-negative")
+        delta_mu = _records.number(delta_mu, "delta_mu", least=0)
         keep &= np.abs(est.moduli - 1.0) <= delta_mu
     if restrict_range:
         keep &= np.abs(est.eigenphases) <= 0.5

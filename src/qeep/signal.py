@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import base64
 import math
-import sys
 from dataclasses import dataclass
 from numbers import Integral, Real
 
@@ -35,12 +34,11 @@ _KIND_FIELDS = {
     ADDITIVE_NOISE: ("eps_prime", "seed"),
     SHOT_SAMPLED: ("shots_per_point", "seed"),
 }
-# The optional fields in record order, each with its number type and least
-# and greatest value: eps_prime is finite, shots_per_point one that
-# sample_shots can draw.
+# The optional fields in record order, each with its _records.number type and
+# range: shots_per_point is one that sample_shots can draw.
 _FIELD_RULES = {
-    "eps_prime": (Real, 0, sys.float_info.max),
-    "seed": (Integral, 0, math.inf),
+    "eps_prime": (Real, 0),
+    "seed": (Integral, 0),
     "shots_per_point": (Integral, 1, MAX_SHOTS_PER_POINT),
 }
 
@@ -61,15 +59,14 @@ class Provenance:
     def __post_init__(self):
         if not (isinstance(self.kind, str) and self.kind in _KIND_FIELDS):
             raise ValueError(f"unknown provenance kind {self.kind!r}")
-        for name, (number, least, most) in _FIELD_RULES.items():
+        for name, rule in _FIELD_RULES.items():
             value = getattr(self, name)
             given = value is not None
             if given != (name in _KIND_FIELDS[self.kind]):
                 verb = "cannot carry" if given else "needs"
                 raise ValueError(f"{self.kind} provenance {verb} {name}")
-            if given and not least <= (value := _records.number(value, name, number)) <= most:
-                raise ValueError(f"{name} must lie in [{least}, {most}], got {value!r}")
-            object.__setattr__(self, name, value)
+            if given:
+                object.__setattr__(self, name, _records.number(value, name, *rule))
 
     @classmethod
     def clean(cls) -> "Provenance":
@@ -156,9 +153,7 @@ class TimeSeries:
 
 def generate_clean(spec: Spectrum, n_len: int) -> TimeSeries:
     """Exact signal ``g_k = sum_d w_d * exp(-i * lambda_d * k)`` for ``k < n_len``."""
-    if n_len < 1:
-        raise ValueError("n_len must be a positive integer")
-    k = np.arange(n_len)
+    k = np.arange(_records.number(n_len, "n_len", Integral, 1))
     values = np.exp(-1j * np.outer(k, spec.lambdas)) @ spec.weights.astype(complex)
     values[0] = 1.0  # sum of weights, pinned exactly
     return TimeSeries(values=values, provenance=Provenance.clean())
@@ -215,7 +210,7 @@ def hoeffding_shots(n_len: int, eps_prime: float, confidence: float) -> int:
     is not finite raises ``ValueError``. :func:`sample_shots` takes the count
     of :func:`hoeffding_shots_per_point`.
     """
-    return _hoeffding_count(n_len, eps_prime, confidence, 2.0 * n_len, 2.0 * n_len)
+    return _hoeffding_count(n_len, eps_prime, confidence, lambda n: (2.0 * n, 2.0 * n))
 
 
 def hoeffding_shots_per_point(n_len: int, eps_prime: float, confidence: float) -> int:
@@ -231,18 +226,18 @@ def hoeffding_shots_per_point(n_len: int, eps_prime: float, confidence: float) -
     quadratures (``g_0`` is pinned) fails with probability at most
     ``4*(n_len-1)*exp(-R*eps_prime**2/4)``: ``1-confidence`` at the ``R`` above.
     """
-    return _hoeffding_count(n_len, eps_prime, confidence, 4.0, 4.0 * (n_len - 1))
+    return _hoeffding_count(n_len, eps_prime, confidence, lambda n: (4.0, 4.0 * (n - 1)))
 
 
-def _hoeffding_count(n_len, eps_prime, confidence, scale: float, union: float) -> int:
-    """``ceil((scale/eps_prime**2) * ln(union/(1-confidence)))``, or 1 for a
-    ``union`` of 0, once the arguments are checked."""
-    if n_len < 1:
-        raise ValueError("n_len must be a positive integer")
+def _hoeffding_count(n_len, eps_prime, confidence, terms) -> int:
+    """``ceil((scale/eps_prime**2) * ln(union/(1-confidence)))``, ``(scale, union) =
+    terms(n_len)``, or 1 for a ``union`` of 0, once the arguments are checked."""
+    n_len = _records.number(n_len, "n_len", Integral, 1)
     if not 0.0 < eps_prime < math.inf:
         raise ValueError(f"eps_prime must be positive and finite, got {eps_prime!r}")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie strictly between 0 and 1")
+    scale, union = terms(n_len)
     if union == 0:
         return 1
     try:

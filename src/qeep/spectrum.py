@@ -79,11 +79,8 @@ class Spectrum:
 def random_spectrum(d: int, seed: int) -> Spectrum:
     """Draw ``d`` eigenvalues uniformly from ``[-1/2, 1/2]`` with uniform,
     normalized weights. Pure function of ``(d, seed)``."""
-    if _records.number(d, "d", Integral) < 1:
-        raise ValueError("d must be a positive integer")
-    if _records.number(seed, "seed", Integral) < 0:
-        raise ValueError("seed must be a non-negative integer")
-    rng = np.random.default_rng(seed)
+    d = _records.number(d, "d", Integral, 1)
+    rng = np.random.default_rng(_records.number(seed, "seed", Integral, 0))
     lam = rng.uniform(-0.5, 0.5, d)
     w = rng.uniform(0.0, 1.0, d)
     w = w / w.sum()
@@ -108,10 +105,8 @@ def exact_moment(spec: Spectrum, s: int) -> float:
 
 
 def _moment_order(s: int) -> int:
-    """``s``, once it is checked to lie in ``[0, MAX_MOMENT_ORDER]``."""
-    if not 0 <= s <= MAX_MOMENT_ORDER:
-        raise ValueError(f"moment order s must lie in [0, {MAX_MOMENT_ORDER}], got {s!r}")
-    return s
+    """``s`` as an ``int``, once it is checked to be an integer in ``[0, MAX_MOMENT_ORDER]``."""
+    return _records.number(s, "moment order s", Integral, 0, MAX_MOMENT_ORDER)
 
 
 def _moment(weights: np.ndarray, points: np.ndarray, s: int) -> float:

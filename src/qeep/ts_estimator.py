@@ -25,6 +25,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import _records
 from .filterbank import SQRT_2PI, FilterBank, _bin_count, _block, bin_centers, filter_values
 from .signal import TimeSeries, generate_clean
 from .spectrum import Spectrum, _moment, _moment_order
@@ -140,15 +141,15 @@ def expectation_from_function(dist: BinDistribution, t_values) -> float:
 def moment_error_bound(eps: float, t_max: float, t_prime_max: float) -> float:
     """A priori error bound ``eps * (t_max + t_prime_max)`` for expectations of
     a differentiable T, with the caller supplying the sup norms of T and T'
-    over ``|x| <= 1/2``."""
-    if not (t_max >= 0 and t_prime_max >= 0):
-        raise ValueError("sup norms must be non-negative")
+    over ``|x| <= 1/2``; all three must be finite and non-negative."""
+    for name, value in (("eps", eps), ("t_max", t_max), ("t_prime_max", t_prime_max)):
+        _records.number(value, name, least=0)
     return eps * (t_max + t_prime_max)
 
 
 def rescale_physical(moment: float, s: int, h_norm: float) -> float:
     """Undo the normalization to a dimensionless operator: multiply an order-s
     moment by ``(2 * h_norm)**s`` where ``h_norm`` is the physical energy scale."""
-    if not h_norm > 0:
-        raise ValueError("h_norm must be positive")
+    if not 0.0 < h_norm < math.inf:
+        raise ValueError(f"h_norm must be positive and finite, got {h_norm!r}")
     return moment * (2.0 * h_norm) ** _moment_order(s)

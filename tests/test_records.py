@@ -1,0 +1,155 @@
+"""The one range rule: ``_records.number`` and every entry point it checks."""
+
+import math
+import re
+import sys
+from fractions import Fraction
+from numbers import Integral, Real
+
+import numpy as np
+import pytest
+
+from qeep import _records
+from qeep.filterbank import FilterBank, build_filterbank, choose_truncation, tail_bound
+from qeep.matrix_pencil import _pencil_dimension, filter_estimate, mp_estimate, solve_amplitudes
+from qeep.signal import (
+    Provenance,
+    generate_clean,
+    hoeffding_shots,
+    hoeffding_shots_per_point,
+    sample_shots,
+)
+from qeep.spectrum import exact_moment, fig6_spectrum, random_spectrum
+from qeep.ts_estimator import estimate_moment, exact_bins, moment_error_bound, rescale_physical
+
+DOUBLE_MAX = sys.float_info.max
+
+
+class TestNumber:
+    @pytest.mark.parametrize(
+        "value, kind",
+        [(True, Integral), (False, Real), (2.5, Integral), (np.float64(3.0), Integral),
+         ("3", Real), (None, Real), (1j, Real)],
+        ids=["bool-integer", "bool-number", "fraction-integer", "numpy-float-integer",
+             "string", "none", "complex"],
+    )
+    def test_wrong_kind_rejected(self, value, kind):
+        what = "an integer" if kind is Integral else "a number"
+        with pytest.raises(ValueError, match=f"^x must be {what}, got "):
+            _records.number(value, "x", kind)
+
+    @pytest.mark.parametrize(
+        "value, kind",
+        [(math.nan, Real), (math.inf, Real), (-math.inf, Real), (np.float64(math.nan), Real),
+         (10**400, Integral), (-(10**400), Integral), (10**400, Real)],
+        ids=["nan", "inf", "minus-inf", "numpy-nan", "huge-integer", "huge-negative-integer",
+             "huge-integer-as-number"],
+    )
+    def test_outside_the_doubles_rejected(self, value, kind):
+        doubles = re.escape(f"x must lie in [{-DOUBLE_MAX}, {DOUBLE_MAX}], got ")
+        with pytest.raises(ValueError, match=doubles):
+            _records.number(value, "x", kind)
+
+    @pytest.mark.parametrize("value", [np.int64(7), np.int32(7), np.uint8(7), 7])
+    def test_integers_come_back_as_int(self, value):
+        out = _records.number(value, "x", Integral)
+        assert out == 7 and type(out) is int
+
+    @pytest.mark.parametrize("value", [np.float32(0.5), np.float64(0.5), Fraction(1, 2), 0.5])
+    def test_numbers_come_back_as_float(self, value):
+        out = _records.number(value, "x")
+        assert out == 0.5 and type(out) is float
+
+    def test_an_integer_as_a_number_is_a_float(self):
+        out = _records.number(np.int64(3), "x")
+        assert out == 3.0 and type(out) is float
+
+    def test_both_bounds_are_inclusive(self):
+        assert _records.number(1, "x", Integral, 1, 3) == 1
+        assert _records.number(3, "x", Integral, 1, 3) == 3
+        assert _records.number(0.0, "x", least=0.0, most=0.5) == 0.0
+        assert _records.number(0.5, "x", least=0.0, most=0.5) == 0.5
+        assert _records.number(DOUBLE_MAX, "x") == DOUBLE_MAX
+
+    @pytest.mark.parametrize("value", [0, 4])
+    def test_outside_the_range_rejected_with_the_one_message(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"x must lie in [1, 3], got {value}")):
+            _records.number(value, "x", Integral, 1, 3)
+
+    def test_huge_integers_are_bounded_exactly(self):
+        # 2**63 - 1 rounds up to 2**63 as a double; the comparison stays exact.
+        assert _records.number(2**63 - 1, "x", Integral, 1, 2**63 - 1) == 2**63 - 1
+        with pytest.raises(ValueError, match="must lie in"):
+            _records.number(2**63, "x", Integral, 1, 2**63 - 1)
+
+
+def _estimate():
+    return mp_estimate(generate_clean(fig6_spectrum(), 20), 10)
+
+
+# One row per entry point whose count, order, index, seed or magnitude goes
+# through ``_records.number``, and per open-interval rule that stays explicit:
+# each bad input must raise ValueError naming the parameter.
+ROUTED = {
+    "provenance-shots": (lambda: Provenance.shot_sampled(0, 1), "shots_per_point"),
+    "provenance-seed": (lambda: Provenance.additive_noise(0.1, -1), "seed"),
+    "provenance-eps-prime": (lambda: Provenance.additive_noise(math.inf, 1), "eps_prime"),
+    "random-spectrum-d": (lambda: random_spectrum(0, 1), "d"),
+    "random-spectrum-seed": (lambda: random_spectrum(3, -1), "seed"),
+    "exact-moment-fraction": (lambda: exact_moment(fig6_spectrum(), 1.5), "moment order s"),
+    "exact-moment-bool": (lambda: exact_moment(fig6_spectrum(), True), "moment order s"),
+    "estimate-moment-fraction": (
+        lambda: estimate_moment(exact_bins(fig6_spectrum(), 0.25), 0.5), "moment order s"),
+    "generate-clean": (lambda: generate_clean(fig6_spectrum(), 2.5), "n_len"),
+    "generate-clean-zero": (lambda: generate_clean(fig6_spectrum(), 0), "n_len"),
+    "sample-shots-length": (lambda: sample_shots(fig6_spectrum(), 2.5, 3, 1), "n_len"),
+    "hoeffding-bool": (lambda: hoeffding_shots(True, 0.1, 0.9), "n_len"),
+    "hoeffding-huge": (lambda: hoeffding_shots(10**400, 0.1, 0.9), "n_len"),
+    "hoeffding-per-point": (lambda: hoeffding_shots_per_point(2.5, 0.1, 0.9), "n_len"),
+    "tail-bound-order": (lambda: tail_bound(2.5, 0.005), "n_trunc"),
+    "tail-bound-eps": (lambda: tail_bound(10, math.nan), "eps"),
+    "choose-truncation": (lambda: choose_truncation(0.25, -5), "n_trunc"),
+    "filterbank-order": (lambda: FilterBank(0.25, 3.0, np.zeros(3)), "n_trunc"),
+    "build-filterbank": (lambda: build_filterbank(0.25, 6.5), "n_trunc"),
+    "build-filterbank-one": (lambda: build_filterbank(0.25, 1), "n_trunc"),
+    "row-fraction": (lambda: build_filterbank(0.25, 4).row(1.5), "bin index j"),
+    "row-past-last": (lambda: build_filterbank(0.25, 4).row(5), "bin index j"),
+    "pencil-dimension": (lambda: _pencil_dimension(566, 2.5), "l_dim"),
+    "mp-estimate": (lambda: mp_estimate(generate_clean(fig6_spectrum(), 20), 2.5), "l_dim"),
+    "solve-amplitudes": (
+        lambda: solve_amplitudes(np.zeros(2), generate_clean(fig6_spectrum(), 4), 2.5, np.ones(2)),
+        "l_dim"),
+    "solve-amplitudes-long": (
+        lambda: solve_amplitudes(np.zeros(5), generate_clean(fig6_spectrum(), 4), 5, np.ones(5)),
+        "l_dim"),
+    "filter-estimate": (lambda: filter_estimate(_estimate(), delta_mu=math.inf), "delta_mu"),
+    "error-bound-eps": (lambda: moment_error_bound(math.nan, 1, 1), "eps"),
+    "error-bound-negative-eps": (lambda: moment_error_bound(-0.1, 1, 1), "eps"),
+    "error-bound-t-max": (lambda: moment_error_bound(0.1, math.inf, 1), "t_max"),
+    "error-bound-t-prime-max": (lambda: moment_error_bound(0.1, 1, -1), "t_prime_max"),
+    "rescale-order": (lambda: rescale_physical(0.5, 1.5, 1.0), "moment order s"),
+    "rescale-scale": (lambda: rescale_physical(0.5, 2, math.inf), "h_norm"),
+}
+
+
+@pytest.mark.parametrize("call, name", ROUTED.values(), ids=ROUTED.keys())
+def test_bad_input_is_a_value_error_naming_the_parameter(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        call()
+
+
+def test_numpy_integers_give_what_python_integers_give():
+    spec = random_spectrum(np.int64(4), np.int64(9))
+    assert spec.entries == random_spectrum(4, 9).entries
+    ts = generate_clean(spec, np.int64(30))
+    assert np.array_equal(ts.values, generate_clean(spec, 30).values)
+    assert exact_moment(spec, np.int64(3)) == exact_moment(spec, 3)
+    assert rescale_physical(0.3, np.int64(3), 1.7) == rescale_physical(0.3, 3, 1.7)
+    assert tail_bound(np.int64(566), 0.005) == tail_bound(566, 0.005)
+    assert hoeffding_shots(np.int64(10), 0.1, 0.9) == hoeffding_shots(10, 0.1, 0.9)
+    bank = build_filterbank(0.25, np.int64(8))
+    assert type(bank.n_trunc) is int
+    assert np.array_equal(bank.row(np.int64(2)), build_filterbank(0.25, 8).row(2))
+    est = mp_estimate(ts, np.int64(12))
+    assert type(est.l_dim) is int
+    assert np.array_equal(est.amplitudes, mp_estimate(ts, 12).amplitudes)

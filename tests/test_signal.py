@@ -425,7 +425,7 @@ class TestHoeffdingShotsPerPoint:
     @pytest.mark.parametrize(
         "args, message",
         [
-            ((0, 0.01, 0.9), "n_len must be a positive integer"),
+            ((0, 0.01, 0.9), r"n_len must lie in \[1, "),
             ((1, 0.0, 0.9), "eps_prime must be positive and finite"),
             ((1, math.nan, 0.9), "eps_prime must be positive and finite"),
             ((10, 0.01, 1.0), "confidence must lie strictly between 0 and 1"),

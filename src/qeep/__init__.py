@@ -29,7 +29,6 @@ _EXPORTS = {
     "tail_bound": "filterbank",
     "MpEstimate": "matrix_pencil",
     "build_hankel": "matrix_pencil",
-    "filter_estimate": "matrix_pencil",
     "mp_estimate": "matrix_pencil",
     "mp_moment": "matrix_pencil",
     "solve_amplitudes": "matrix_pencil",

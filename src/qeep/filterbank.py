@@ -50,8 +50,7 @@ _LEAST_ORDER = 2
 
 def _snap_eps(eps: float) -> float:
     """Validate that 1/eps is a positive integer and return exactly ``1/round(1/eps)``."""
-    if not 0.0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    eps = _records.number(eps, "eps", least=_records.LEAST_POSITIVE)
     inv = 1.0 / eps  # inf for a subnormal eps
     n = round(inv) if inv < math.inf else 0
     if n < 1 or abs(inv - n) > 1e-6 * max(1.0, inv):
@@ -217,8 +216,7 @@ def tail_bound(n_trunc: int, eps: float) -> float:
     (see :func:`decay_onset`); strictly decreasing in ``n_trunc``.
     """
     n_trunc = _records.number(n_trunc, "n_trunc", Integral, 1)
-    if not 0.0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    eps = _records.number(eps, "eps", least=_records.LEAST_POSITIVE)
     y = (n_trunc - 1) * eps / 2.0
     r = math.sqrt(y)
     return 4.0 * math.exp(-r) * (1.0 + r)

@@ -12,8 +12,7 @@ first L signal entries, in closed form when certified (:func:`solve_amplitudes`)
 
 On an exact signal this recovers the spectrum to machine precision. Under
 noise the method has no error guarantee and may place amplitude on phases
-outside ``[-1/2, 1/2]``; every eigenphase is kept so that this is observable,
-and :func:`filter_estimate` discards estimates by modulus or range.
+outside ``[-1/2, 1/2]``; every eigenphase is kept so that this is observable.
 """
 
 from __future__ import annotations
@@ -58,7 +57,8 @@ class MpEstimate:
     ``eigenphases`` lie in ``(-pi, pi]`` sorted ascending, with ``amplitudes``
     and ``moduli`` (the magnitudes ``|mu|`` of the pencil eigenvalues, used to
     flag spurious estimates) aligned index-by-index. ``l_dim`` is the pencil
-    dimension L; after filtering fewer than ``l_dim`` entries may remain.
+    dimension L; :func:`mp_estimate` keeps one entry per pencil eigenvalue,
+    ``l_dim`` in all.
     """
 
     eigenphases: np.ndarray
@@ -66,7 +66,6 @@ class MpEstimate:
     moduli: np.ndarray
     l_dim: int
     residual: float
-    filters: dict | None = None
 
     def __post_init__(self):
         ph = np.array(self.eigenphases, dtype=float)
@@ -88,7 +87,6 @@ class MpEstimate:
             "moduli": self.moduli.tolist(),
             "l_dim": self.l_dim,
             "residual": self.residual,
-            "filters": self.filters,
         }
 
 
@@ -100,7 +98,10 @@ class AmplitudeFit(NamedTuple):
 
 def _pencil_dimension(n_len: int, l_dim: int | None) -> int:
     """The pencil dimension of a signal of ``n_len`` entries: ``l_dim``, which
-    must be an integer in ``[1, n_len - 1]``, or ``n_len - 1`` for ``None``."""
+    must be an integer in ``[1, n_len - 1]``, or ``n_len - 1`` for ``None``.
+    A signal of one entry has no pencil."""
+    if n_len < 2:
+        raise ValueError(f"the matrix pencil needs a signal of at least 2 entries, got {n_len}")
     return _records.number(n_len - 1 if l_dim is None else l_dim, "l_dim", Integral, 1, n_len - 1)
 
 
@@ -565,32 +566,6 @@ def mp_estimate(ts: TimeSeries, l_dim: int | None = None) -> MpEstimate:
         moduli=moduli[order],
         l_dim=l_dim,
         residual=fit.residual,
-    )
-
-
-def filter_estimate(
-    est: MpEstimate, delta_mu: float | None = 0.5, restrict_range: bool = False
-) -> MpEstimate:
-    """Discard spurious estimates from an :class:`MpEstimate`.
-
-    ``delta_mu`` keeps only eigenphases whose pencil eigenvalue modulus lies in
-    ``[1 - delta_mu, 1 + delta_mu]`` (pass ``None`` to skip); ``restrict_range``
-    additionally drops phases outside ``[-1/2, 1/2]``. Amplitudes of retained
-    phases are kept as fitted, not refit.
-    """
-    keep = np.ones(est.eigenphases.size, dtype=bool)
-    if delta_mu is not None:
-        delta_mu = _records.number(delta_mu, "delta_mu", least=0)
-        keep &= np.abs(est.moduli - 1.0) <= delta_mu
-    if restrict_range:
-        keep &= np.abs(est.eigenphases) <= 0.5
-    return MpEstimate(
-        eigenphases=est.eigenphases[keep],
-        amplitudes=est.amplitudes[keep],
-        moduli=est.moduli[keep],
-        l_dim=est.l_dim,
-        residual=est.residual,
-        filters={"delta_mu": delta_mu, "restrict_range": restrict_range},
     )
 
 

@@ -150,6 +150,5 @@ def moment_error_bound(eps: float, t_max: float, t_prime_max: float) -> float:
 def rescale_physical(moment: float, s: int, h_norm: float) -> float:
     """Undo the normalization to a dimensionless operator: multiply an order-s
     moment by ``(2 * h_norm)**s`` where ``h_norm`` is the physical energy scale."""
-    if not 0.0 < h_norm < math.inf:
-        raise ValueError(f"h_norm must be positive and finite, got {h_norm!r}")
+    h_norm = _records.number(h_norm, "h_norm", least=_records.LEAST_POSITIVE)
     return moment * (2.0 * h_norm) ** _moment_order(s)

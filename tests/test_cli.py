@@ -481,13 +481,19 @@ class TestEstimate:
         )
         assert rc == 2
 
-    # A 1-entry signal has no valid pencil dimension, the default N - 1 = 0
-    # included.
+    # A 1-entry signal has no pencil, whatever the pencil dimension.
     @pytest.mark.parametrize(
-        "n_len, l_dim", [(16, 0), (16, 16), (1, None)], ids=["0", "16", "one-entry-default"]
+        "n_len, l_dim, message",
+        [
+            (16, 0, "l_dim must lie in [1, 15], got 0"),
+            (16, 16, "l_dim must lie in [1, 15], got 16"),
+            (1, None, "the matrix pencil needs a signal of at least 2 entries, got 1"),
+            (1, 1, "the matrix pencil needs a signal of at least 2 entries, got 1"),
+        ],
+        ids=["0", "16", "one-entry-default", "one-entry-explicit"],
     )
     def test_mp_l_dim_outside_range_fails_before_the_worker(self, tmp_path, capsys, monkeypatch,
-                                                          n_len, l_dim):
+                                                          n_len, l_dim, message):
         spec_f, sig_f, out_f = tmp_path / "s.json", tmp_path / "g.json", tmp_path / "e.json"
         run("synth", "--fig6", "--out", spec_f)
         run("signal", "--spectrum", spec_f, "--n", n_len, "--out", sig_f)
@@ -500,8 +506,7 @@ class TestEstimate:
         flags = [] if l_dim is None else ["--l-dim", l_dim]
         rc = run("estimate", "--signal", sig_f, "--method", "mp", *flags, "--out", out_f)
         assert rc == 2
-        got = n_len - 1 if l_dim is None else l_dim
-        assert f"l_dim must lie in [1, {n_len - 1}], got {got}" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out_f.exists()
 
     @pytest.mark.parametrize(

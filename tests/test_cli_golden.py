@@ -29,7 +29,9 @@ What each case pins:
 - ``signal-clean``, ``signal-noise`` and ``signal-shots``: the signal
   record, whose values are the base64 ``values_c16le``, and its CSV.
 - ``estimate-ts`` and ``estimate-mp``: each estimator's record on a noisy
-  64-sample signal, with its moment errors against the spectrum.
+  64-sample signal, with its moment errors against the spectrum. The pencil
+  record ``mp.json`` keeps all ``l_dim`` eigenphases, spurious ones included,
+  and holds no filter settings.
 - ``plan-shots``: the Hoeffding plan at the paper's N = 566.
 
 Every change to the pencil's solve so far has moved the pencil bytes
@@ -162,7 +164,7 @@ CASES = {
             "--spectrum", "in_spec.json", "--out", "mp.json",
         ],
         {
-            "mp.json": "2ccb4f884c04722301c9ec1eef558c7cffb5d315a5b9974e5837a207fef3c427",
+            "mp.json": "a64b8053e56cfc3a0ccaeac97682109c264c4efa4a3dab722c532bfc5841519c",
         },
     ),
     "plan-shots": (

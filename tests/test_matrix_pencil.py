@@ -14,7 +14,6 @@ from qeep import (
     build_hankel,
     exact_moment,
     fig6_spectrum,
-    filter_estimate,
     generate_clean,
     mp_estimate,
     mp_moment,
@@ -1003,33 +1002,6 @@ class TestMpEstimate:
         ph[0], amp[0], mod[0] = 0.3, 0.0, 2.0
         assert est.eigenphases[0] == 0.1 and est.amplitudes[0] == 0.5 and est.moduli[0] == 1.0
         assert not est.eigenphases.flags.writeable
-
-
-class TestFilterEstimate:
-    def test_modulus_filter_keeps_signal_lines(self):
-        est = mp_estimate(generate_clean(fig6_spectrum(), 20), 10)
-        kept = filter_estimate(est, delta_mu=0.5)
-        assert kept.eigenphases.size == 5
-        assert kept.filters == {"delta_mu": 0.5, "restrict_range": False}
-        assert np.max(np.abs(kept.eigenphases - fig6_spectrum().lambdas)) <= 1e-6
-
-    def test_range_filter_drops_out_of_range_phases(self):
-        ts = add_noise(generate_clean(fig6_spectrum(), 64), 0.02, 7)
-        est = mp_estimate(ts)
-        kept = filter_estimate(est, delta_mu=None, restrict_range=True)
-        assert np.all(np.abs(kept.eigenphases) <= 0.5)
-        assert kept.eigenphases.size < est.eigenphases.size
-
-    def test_negative_delta_rejected(self):
-        est = mp_estimate(generate_clean(fig6_spectrum(), 12), 6)
-        with pytest.raises(ValueError):
-            filter_estimate(est, delta_mu=-0.1)
-
-    def test_nan_delta_rejected(self):
-        # A NaN passes ``delta_mu < 0`` and would leave a NaN in ``filters``.
-        est = mp_estimate(generate_clean(fig6_spectrum(), 12), 6)
-        with pytest.raises(ValueError, match=r"delta_mu must lie in \[0, "):
-            filter_estimate(est, delta_mu=math.nan)
 
 
 class TestMpMoment:

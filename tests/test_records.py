@@ -10,8 +10,14 @@ import numpy as np
 import pytest
 
 from qeep import _records
-from qeep.filterbank import FilterBank, build_filterbank, choose_truncation, tail_bound
-from qeep.matrix_pencil import _pencil_dimension, filter_estimate, mp_estimate, solve_amplitudes
+from qeep.filterbank import (
+    FilterBank,
+    bin_centers,
+    build_filterbank,
+    choose_truncation,
+    tail_bound,
+)
+from qeep.matrix_pencil import _pencil_dimension, mp_estimate, solve_amplitudes
 from qeep.signal import (
     Provenance,
     generate_clean,
@@ -83,14 +89,12 @@ class TestNumber:
             _records.number(2**63, "x", Integral, 1, 2**63 - 1)
 
 
-def _estimate():
-    return mp_estimate(generate_clean(fig6_spectrum(), 20), 10)
-
-
 # One row per entry point whose count, order, index, seed or magnitude goes
-# through ``_records.number``, and per open-interval rule that stays explicit:
-# each bad input must raise ValueError naming the parameter.
+# through ``_records.number``, and a bool and a string row per open interval,
+# which takes the same type rule: each bad input must raise ValueError naming
+# the parameter.
 ROUTED = {
+    "number-huge-fraction": (lambda: _records.number(Fraction(10**400, 3), "x"), "x"),
     "provenance-shots": (lambda: Provenance.shot_sampled(0, 1), "shots_per_point"),
     "provenance-seed": (lambda: Provenance.additive_noise(0.1, -1), "seed"),
     "provenance-eps-prime": (lambda: Provenance.additive_noise(math.inf, 1), "eps_prime"),
@@ -108,6 +112,16 @@ ROUTED = {
     "hoeffding-per-point": (lambda: hoeffding_shots_per_point(2.5, 0.1, 0.9), "n_len"),
     "tail-bound-order": (lambda: tail_bound(2.5, 0.005), "n_trunc"),
     "tail-bound-eps": (lambda: tail_bound(10, math.nan), "eps"),
+    "tail-bound-eps-bool": (lambda: tail_bound(10, True), "eps"),
+    "tail-bound-eps-string": (lambda: tail_bound(10, "0.1"), "eps"),
+    "bin-centers-bool": (lambda: bin_centers(True), "eps"),
+    "bin-centers-string": (lambda: bin_centers("0.1"), "eps"),
+    "build-filterbank-eps-bool": (lambda: build_filterbank(True, 4), "eps"),
+    "filterbank-eps-string": (lambda: FilterBank("0.25", 3, np.zeros(3)), "eps"),
+    "hoeffding-eps-prime-bool": (lambda: hoeffding_shots(10, True, 0.5), "eps_prime"),
+    "hoeffding-eps-prime-string": (lambda: hoeffding_shots(10, "0.1", 0.9), "eps_prime"),
+    "hoeffding-confidence-bool": (lambda: hoeffding_shots_per_point(10, 0.1, True), "confidence"),
+    "hoeffding-confidence-string": (lambda: hoeffding_shots(10, 0.1, "0.9"), "confidence"),
     "choose-truncation": (lambda: choose_truncation(0.25, -5), "n_trunc"),
     "filterbank-order": (lambda: FilterBank(0.25, 3.0, np.zeros(3)), "n_trunc"),
     "build-filterbank": (lambda: build_filterbank(0.25, 6.5), "n_trunc"),
@@ -122,13 +136,14 @@ ROUTED = {
     "solve-amplitudes-long": (
         lambda: solve_amplitudes(np.zeros(5), generate_clean(fig6_spectrum(), 4), 5, np.ones(5)),
         "l_dim"),
-    "filter-estimate": (lambda: filter_estimate(_estimate(), delta_mu=math.inf), "delta_mu"),
     "error-bound-eps": (lambda: moment_error_bound(math.nan, 1, 1), "eps"),
     "error-bound-negative-eps": (lambda: moment_error_bound(-0.1, 1, 1), "eps"),
     "error-bound-t-max": (lambda: moment_error_bound(0.1, math.inf, 1), "t_max"),
     "error-bound-t-prime-max": (lambda: moment_error_bound(0.1, 1, -1), "t_prime_max"),
     "rescale-order": (lambda: rescale_physical(0.5, 1.5, 1.0), "moment order s"),
     "rescale-scale": (lambda: rescale_physical(0.5, 2, math.inf), "h_norm"),
+    "rescale-scale-bool": (lambda: rescale_physical(1.0, 2, True), "h_norm"),
+    "rescale-scale-string": (lambda: rescale_physical(1.0, 2, "3"), "h_norm"),
 }
 
 
@@ -136,6 +151,20 @@ ROUTED = {
 def test_bad_input_is_a_value_error_naming_the_parameter(call, name):
     with pytest.raises(ValueError, match=f"^{name} must "):
         call()
+
+
+def test_valid_open_interval_inputs_give_the_same_values():
+    # Values written before the open intervals took the type rule.
+    assert bin_centers(0.25).tolist() == [-0.5, -0.25, 0.0, 0.25, 0.5]
+    assert build_filterbank(np.float64(0.25), 8).radial[7] == 0.08230384387252769
+    assert tail_bound(566, 0.005) == 2.6671703244643754
+    assert tail_bound(10, 1) == 1.4966512567899422
+    assert hoeffding_shots(566, 0.005, 0.99) == 526919351
+    assert hoeffding_shots(10, Fraction(1, 10), 0.9) == 10597
+    assert hoeffding_shots_per_point(566, 0.005, 0.99) == 1972527
+    assert rescale_physical(0.3, 3, 1.7) == 11.791199999999998
+    assert rescale_physical(0.3, 2, 2) == 4.8
+    assert _records.number(Fraction(1, 3), "x") == 1 / 3
 
 
 def test_numpy_integers_give_what_python_integers_give():

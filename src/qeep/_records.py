@@ -1,4 +1,5 @@
-"""Shape, field and range checks shared by the record readers and the entry points.
+"""Shape, field and range checks shared by the record readers and the entry
+points, and the rule by which the frozen value types keep their arrays.
 
 A record is a JSON object with a fixed key set. A number field holds a JSON
 number: an int or a float, never a bool (which Python counts as an int) or a
@@ -61,3 +62,14 @@ def typed(value, name: str, kind=Real):
 def numbers(values, name: str) -> np.ndarray:
     """The list ``values`` of real numbers as a float array."""
     return np.array([number(value, f"each entry of {name}") for value in values])
+
+
+def frozen(obj, name: str, values, dtype) -> np.ndarray:
+    """Store ``np.array(values, dtype=dtype)``, made read-only, in field
+    ``name`` of the frozen dataclass ``obj``, and return it: each value type
+    keeps a private copy of every array it is given, which neither it nor the
+    caller can change afterwards."""
+    array = np.array(values, dtype=dtype)
+    array.setflags(write=False)
+    object.__setattr__(obj, name, array)
+    return array

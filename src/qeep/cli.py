@@ -6,8 +6,9 @@ subcommand that takes only the flags it reads. Flags can also come from an
 argument file, ``qeep reproduce fig5 @paper.args``, which holds one token per
 line (such as ``--seeds=1,2``) and is read as if its tokens stood in its place,
 so later tokens win; figure flags go after the figure name. Exit codes: 0
-success, 2 usage or validation error, 3 numeric failure or a CLI child (see
-below) killed by a signal.
+success, 2 usage or validation error, 3 numeric failure, an allocation that
+fails (one ``out of memory:`` line, no traceback) or a CLI child (see below)
+killed by a signal.
 
 Every command computes with one BLAS thread, so its bytes do not depend on
 the machine. Loaded before numpy (``python -m qeep.cli``, the ``qeep`` script,
@@ -540,6 +541,9 @@ def main(argv=None) -> int:
         return 2
     except (NumericError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
 
 

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _records
+
 
 @dataclass(frozen=True)
 class DftResult:
@@ -16,14 +18,10 @@ class DftResult:
     frequency_grid: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.coefficients, dtype=complex)
-        f = np.array(self.frequency_grid, dtype=float)
+        c = _records.frozen(self, "coefficients", self.coefficients, complex)
+        f = _records.frozen(self, "frequency_grid", self.frequency_grid, float)
         if c.shape != f.shape or c.ndim != 1:
             raise ValueError("coefficients and frequency_grid must be equal-length vectors")
-        c.setflags(write=False)
-        f.setflags(write=False)
-        object.__setattr__(self, "coefficients", c)
-        object.__setattr__(self, "frequency_grid", f)
 
 
 def dft(signal) -> DftResult:

@@ -287,11 +287,8 @@ class FilterBank:
     def __post_init__(self):
         object.__setattr__(self, "eps", _snap_eps(self.eps))
         object.__setattr__(self, "n_trunc", _truncation_order(self.n_trunc))
-        r = np.array(self.radial, dtype=float)
-        if r.shape != (self.n_trunc,):
+        if _records.frozen(self, "radial", self.radial, float).shape != (self.n_trunc,):
             raise ValueError("radial shape must be (n_trunc,)")
-        r.setflags(write=False)
-        object.__setattr__(self, "radial", r)
 
     @property
     def m_bins(self) -> int:

@@ -68,16 +68,11 @@ class MpEstimate:
     residual: float
 
     def __post_init__(self):
-        ph = np.array(self.eigenphases, dtype=float)
-        amp = np.array(self.amplitudes, dtype=complex)
-        mod = np.array(self.moduli, dtype=float)
+        ph = _records.frozen(self, "eigenphases", self.eigenphases, float)
+        amp = _records.frozen(self, "amplitudes", self.amplitudes, complex)
+        mod = _records.frozen(self, "moduli", self.moduli, float)
         if not (ph.shape == amp.shape == mod.shape) or ph.ndim != 1:
             raise ValueError("eigenphases, amplitudes, moduli must be equal-length vectors")
-        for arr in (ph, amp, mod):
-            arr.setflags(write=False)
-        object.__setattr__(self, "eigenphases", ph)
-        object.__setattr__(self, "amplitudes", amp)
-        object.__setattr__(self, "moduli", mod)
 
     def to_dict(self) -> dict:
         return {

@@ -27,6 +27,9 @@ SHOT_SAMPLED = "shot_sampled"
 # The largest shot count per point: rng.binomial takes a C long.
 MAX_SHOTS_PER_POINT = 2**63 - 1
 
+# Rows per block of generate_clean's phase table: bounds its memory.
+_SYNTH_BLOCK_ROWS = 4096
+
 # The optional fields each provenance kind carries: exactly those its
 # constructor sets.
 _KIND_FIELDS = {
@@ -111,15 +114,13 @@ class TimeSeries:
     provenance: Provenance
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=complex)
+        v = _records.frozen(self, "values", self.values, complex)
         if v.ndim != 1 or v.size < 1:
             raise ValueError("values must be a non-empty 1-d complex array")
         if not np.all(np.isfinite(v)):
             raise ValueError("values must be finite")
         if v[0] != 1.0 + 0.0j:
             raise ValueError("values[0] must equal 1 exactly")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
 
     @property
     def n_len(self) -> int:
@@ -152,9 +153,17 @@ class TimeSeries:
 
 
 def generate_clean(spec: Spectrum, n_len: int) -> TimeSeries:
-    """Exact signal ``g_k = sum_d w_d * exp(-i * lambda_d * k)`` for ``k < n_len``."""
+    """Exact signal ``g_k = sum_d w_d * exp(-i * lambda_d * k)`` for ``k < n_len``.
+
+    The ``n_len x D`` phase table is built in near-equal blocks of at most
+    ``_SYNTH_BLOCK_ROWS`` rows, so memory grows as ``n_len + D``. The blocks
+    round as the whole product does; a block of one row, which near-equal
+    blocks never make for ``n_len > 1``, may not.
+    """
     k = np.arange(_records.number(n_len, "n_len", Integral, 1))
-    values = np.exp(-1j * np.outer(k, spec.lambdas)) @ spec.weights.astype(complex)
+    weights = spec.weights.astype(complex)
+    blocks = np.array_split(k, -(-k.size // _SYNTH_BLOCK_ROWS))
+    values = np.concatenate([np.exp(-1j * np.outer(b, spec.lambdas)) @ weights for b in blocks])
     values[0] = 1.0  # sum of weights, pinned exactly
     return TimeSeries(values=values, provenance=Provenance.clean())
 

@@ -46,12 +46,10 @@ class Spectrum:
         lam_u, inverse = np.unique(lam, return_inverse=True)
         w_u = np.zeros_like(lam_u)
         np.add.at(w_u, inverse, w)
-        if abs(w_u.sum() - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {w_u.sum()!r}")
-        lam_u.setflags(write=False)
-        w_u.setflags(write=False)
-        object.__setattr__(self, "lambdas", lam_u)
-        object.__setattr__(self, "weights", w_u)
+        _records.frozen(self, "lambdas", lam_u, float)
+        total = _records.frozen(self, "weights", w_u, float).sum()
+        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+            raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")
 
     @property
     def entries(self) -> list[tuple[float, float]]:

@@ -46,7 +46,7 @@ class BinDistribution:
     kind: BinKind
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float)
+        v = _records.frozen(self, "values", self.values, float)
         m_bins = _bin_count(self.eps)
         if v.shape != (m_bins,) or not np.all(np.isfinite(v)):
             raise ValueError(f"values must be 1 + 1/eps = {m_bins} finite reals")
@@ -55,8 +55,6 @@ class BinDistribution:
                 raise ValueError("exact bin probabilities must lie in [0, 1]")
             if abs(v.sum() - 1.0) > 1e-9:
                 raise ValueError("exact bin probabilities must sum to 1 within 1e-9")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
 
     @property
     def centers(self) -> np.ndarray:

@@ -727,6 +727,20 @@ class TestReproduce:
         assert "numeric failure: pencil pseudoinverse did not converge" in capsys.readouterr().err
         assert not outdir.exists()
 
+    def test_out_of_memory_is_one_line_and_exit_3(self, tmp_path, capsys, monkeypatch):
+        # A pencil too large to allocate, as paper-default fig5 at the strict
+        # order is, raised from a seed's pool task without allocating it.
+        message = "Unable to allocate 34.3 GiB for an array with shape (47948, 47948)"
+
+        def fail(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("qeep.cli.mp_estimate", fail)
+        capsys.readouterr()
+        argv = ("reproduce", "fig5", "--outdir", tmp_path, "--truncation", 64, "--seeds", "1,2")
+        assert run(*argv) == 3
+        assert capsys.readouterr().err == f"out of memory: {message}\n"
+
     @pytest.mark.parametrize("l_dim", [1, 32, 63], ids=["lowest", "middle", "highest"])
     def test_fig5_summary_records_a_given_l_dim(self, tmp_path, l_dim):
         # ``reproduce fig5 --l-dim L`` is the Appendix C table at pencil dimension L.

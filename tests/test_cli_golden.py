@@ -1,13 +1,17 @@
 """Byte-level pins of every file the CLI writes.
 
 Each case runs ``qeep.cli.main`` in-process in a fresh directory and compares
-the SHA-256 of every file the invocation writes with a recorded value. Any
-change to the bytes of a ``reproduce``, ``synth``, ``signal``, ``estimate`` or
-``plan-shots`` output fails here; a change that is meant to alter an output
-must say why and record new hashes. CHANGES.md records each re-recording and
-why it was made.
+every file the invocation writes, byte for byte, with its copy under
+``tests/golden/<case>/``. Any change to the bytes of a ``reproduce``,
+``synth``, ``signal``, ``estimate`` or ``plan-shots`` output fails here, with
+a message that names the file and its first differing line and, for a CSV or
+JSON file, the largest absolute and relative change of each numeric field. A
+change that is meant to alter an output must say why and re-record the files
+with ``PYTHONPATH=src python tests/record_golden.py [CASE ...]``; the test
+never writes them, so the diff shows the bytes that moved. CHANGES.md records
+each re-recording and why it was made.
 
-Hashes recorded with Python 3.11.7, numpy 2.4.6 and OpenBLAS 0.3.31
+Files recorded with Python 3.11.7, numpy 2.4.6 and OpenBLAS 0.3.31
 (scipy-openblas, x86-64). The matrix-pencil, time-series (TS) and
 random-draw outputs go through numpy's BLAS, LAPACK and generators, so
 another numpy or BLAS build may change their last digits.
@@ -40,11 +44,17 @@ Every change to the pencil's solve so far has moved the pencil bytes
 Taking the amplitude fit's grid values from ``numpy.fft`` moved them the same way.
 """
 
-import hashlib
+import csv
+import io
+import json
+import math
+from pathlib import Path
 
 import pytest
 
 from qeep.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 # Inputs every case finds in its directory: the fixed five-line spectrum, a
 # 64-sample noisy signal of it (both pinned by their own cases below), and an
@@ -59,139 +69,133 @@ INPUTS = [
 SMALL = ["--truncation", "64", "--seeds", "1,2"]
 
 CASES = {
-    "reproduce-fig3": (
-        ["reproduce", "fig3", "--outdir", "out"],
-        {
-            "out/fig3_dft.csv": "edd73f15f51a9492cbe03f6737c606a9eba5b8f1222f151d2c2d015c64edb578",
-            "out/fig3_summary.json": "731d51fd87055476cb75cfdb52a4cd45a98ef5b5ae458445fc0b1d11ffc5a881",
-        },
-    ),
-    "reproduce-fig4": (
-        ["reproduce", "fig4", "--outdir", "out"],
-        {
-            "out/fig4_filter_0.csv": "818a3b8efd210f3402f3853ef532706d6ed7b57b8e8a781f7938b17b29410d13",
-            "out/fig4_filter_1.csv": "df57c34a6a5a104841d6f3bb8719aeda1a6d40916d6744c868dd5834cf9dd052",
-            "out/fig4_filter_2.csv": "340194d8952cdbb0d2a00ea0e58ee75dee5ca57655133fc28c9556e0a5d08e36",
-            "out/fig4_filter_3.csv": "785c3adbce4443ce8d2bced971117bda35d1f9885c26f47c62391bd89b9833af",
-            "out/fig4_filter_4.csv": "4b97cf350b6fe671bffa35ff33202d3d4611ac9341633b2f89dbcf123b2d4c97",
-            "out/fig4_summary.json": "452bdbebf8cc76d61a28c2f8c97d2813fb2fb221e3d0f12ea6ac4d440c6ddad8",
-        },
-    ),
-    "reproduce-fig5": (
-        ["reproduce", "fig5", "--outdir", "out", *SMALL],
-        {
-            "out/fig5_deltas.csv": "c8319c0fd0b402ae2a3e8a98927c67000536037cd6ec51209c918f35ec1cf188",
-            "out/fig5_summary.json": "72cb1d3f95fbde3fb196a7219b5e8b152e65caf299cd9f9be2d6e0a1fca886a3",
-        },
-    ),
+    "reproduce-fig3": ["reproduce", "fig3", "--outdir", "out"],
+    "reproduce-fig4": ["reproduce", "fig4", "--outdir", "out"],
+    "reproduce-fig5": ["reproduce", "fig5", "--outdir", "out", *SMALL],
     # The same run with its flags read from an argument file writes the same bytes.
-    "reproduce-fig5-config": (
-        ["reproduce", "fig5", "@cfg.args"],
-        {
-            "out/fig5_deltas.csv": "c8319c0fd0b402ae2a3e8a98927c67000536037cd6ec51209c918f35ec1cf188",
-            "out/fig5_summary.json": "72cb1d3f95fbde3fb196a7219b5e8b152e65caf299cd9f9be2d6e0a1fca886a3",
-        },
-    ),
+    "reproduce-fig5-config": ["reproduce", "fig5", "@cfg.args"],
     # The Appendix C table at a pencil dimension other than the default.
-    "reproduce-fig5-l-dim": (
-        ["reproduce", "fig5", "--outdir", "out", *SMALL, "--l-dim", "32"],
-        {
-            "out/fig5_deltas.csv": "3a2888bacdb54ccca33bfedbbec9b3cf541c5bf6193189bd99e4aaa3d891f99d",
-            "out/fig5_summary.json": "1b3bf3b652345b2555d5334c9b443ed06a2912bab32ef346990a02b8f52e23b5",
-        },
-    ),
-    "reproduce-fig6": (
-        ["reproduce", "fig6", "--outdir", "out", "--truncation", "64", "--seed", "1"],
-        {
-            "out/fig6_mp.csv": "40f8763d84fe65f704d9ca6b440764d81bf873c9b1de45a50e991d54dee05684",
-            "out/fig6_summary.json": "8dfa6721e0fb54967f3bea7d538ec1ec2e462ead0efe5a9281349c38096fd770",
-            "out/fig6_true.csv": "81b5e413c34f4b40bbaabe07d3380bdd81742b4941578773b237b8e6f9c7945d",
-            "out/fig6_ts.csv": "cfc6b1035ea5985c4799acd519c16da3dad36d4d82a5d00d65ea6597787c3c64",
-        },
-    ),
-    "synth-fig6": (
-        ["synth", "--fig6", "--out", "spec.json"],
-        {
-            "spec.json": "93b85494ed4e3688d40f5118ad512473d56ba9f9bc54a6fbd23a1a83f72b0a39",
-        },
-    ),
-    "synth-random": (
-        ["synth", "--d", "5", "--seed", "42", "--out", "spec.json"],
-        {
-            "spec.json": "fb26c1d2ae1a5b331123e04170de8611ba44765f912e9fd17ba14e064537c98c",
-        },
-    ),
-    "signal-clean": (
-        ["signal", "--spectrum", "in_spec.json", "--n", "64", "--out", "sig.json", "--csv", "sig.csv"],
-        {
-            "sig.csv": "87d08b249f6672d1e834a0019066dea1dd3a0abc8c6da3c26d4090edbbd8d027",
-            "sig.json": "37bb26eaa9634f76e36ac651af12ba3ee00a31b14e23cfc849288dbe00b1ac72",
-        },
-    ),
-    "signal-noise": (
-        [
-            "signal", "--spectrum", "in_spec.json", "--n", "64", "--noise", "0.005", "--seed", "7",
-            "--out", "sig.json", "--csv", "sig.csv",
-        ],
-        {
-            "sig.csv": "8a7c10a312c806e5c111e902dc86b74eb3b2e4a639457007a455518d83d06a84",
-            "sig.json": "c696562b7b221e4b3e050823cb650b8769857cd99bb488a114142657864e7fb8",
-        },
-    ),
-    "signal-shots": (
-        [
-            "signal", "--spectrum", "in_spec.json", "--n", "64", "--shots", "100", "--seed", "3",
-            "--out", "sig.json", "--csv", "sig.csv",
-        ],
-        {
-            "sig.csv": "3593db47810a4f467488bd0ae793eaf2ed1ecc904e288edcf29c177cf4bea389",
-            "sig.json": "7af90a62c0d7be6babb53603dc3e445b2d127903b0d146f2957f94d914cc2471",
-        },
-    ),
-    "estimate-ts": (
-        [
-            "estimate", "--signal", "in_sig.json", "--method", "ts", "--eps", "0.05",
-            "--spectrum", "in_spec.json", "--out", "est.json", "--csv", "bins.csv",
-        ],
-        {
-            "bins.csv": "ec9795e763ede61ff9f8fcf01a4508b3bed45d8c9d90d1154e0f2d240162c55e",
-            "est.json": "8cf72dc2556e2eb0e80a514d4d80da79de2f286e9c2892e55467ff46faf67947",
-        },
-    ),
-    "estimate-mp": (
-        [
-            "estimate", "--signal", "in_sig.json", "--method", "mp", "--l-dim", "32", "--eps", "0.005",
-            "--spectrum", "in_spec.json", "--out", "mp.json",
-        ],
-        {
-            "mp.json": "a64b8053e56cfc3a0ccaeac97682109c264c4efa4a3dab722c532bfc5841519c",
-        },
-    ),
-    "plan-shots": (
-        ["plan-shots", "--n", "566", "--eps-prime", "0.005", "--confidence", "0.99", "--out", "plan.json"],
-        {
-            "plan.json": "ce38b344428fce219b59c7a149c8d10b0569978796fb0cad46805cbbd4873e64",
-        },
-    ),
+    "reproduce-fig5-l-dim": ["reproduce", "fig5", "--outdir", "out", *SMALL, "--l-dim", "32"],
+    "reproduce-fig6": ["reproduce", "fig6", "--outdir", "out", "--truncation", "64", "--seed", "1"],
+    "synth-fig6": ["synth", "--fig6", "--out", "spec.json"],
+    "synth-random": ["synth", "--d", "5", "--seed", "42", "--out", "spec.json"],
+    "signal-clean": [
+        "signal", "--spectrum", "in_spec.json", "--n", "64", "--out", "sig.json", "--csv", "sig.csv",
+    ],
+    "signal-noise": [
+        "signal", "--spectrum", "in_spec.json", "--n", "64", "--noise", "0.005", "--seed", "7",
+        "--out", "sig.json", "--csv", "sig.csv",
+    ],
+    "signal-shots": [
+        "signal", "--spectrum", "in_spec.json", "--n", "64", "--shots", "100", "--seed", "3",
+        "--out", "sig.json", "--csv", "sig.csv",
+    ],
+    "estimate-ts": [
+        "estimate", "--signal", "in_sig.json", "--method", "ts", "--eps", "0.05",
+        "--spectrum", "in_spec.json", "--out", "est.json", "--csv", "bins.csv",
+    ],
+    "estimate-mp": [
+        "estimate", "--signal", "in_sig.json", "--method", "mp", "--l-dim", "32", "--eps", "0.005",
+        "--spectrum", "in_spec.json", "--out", "mp.json",
+    ],
+    "plan-shots": [
+        "plan-shots", "--n", "566", "--eps-prime", "0.005", "--confidence", "0.99", "--out", "plan.json",
+    ],
 }
 
 
-def _sha256(path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _files(root: Path) -> dict:
+    """The bytes of every file under ``root``, keyed by its ``/``-joined relative path."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
-def _files(root) -> set:
-    return {p for p in root.rglob("*") if p.is_file()}
+def _run(argv) -> None:
+    if main(argv) != 0:
+        raise RuntimeError(f"qeep {' '.join(argv)} failed")
+
+
+def run_case(name: str, directory: Path) -> dict:
+    """Run case ``name`` in the empty ``directory`` (the current directory
+    while it runs) and return the bytes of each file its command writes."""
+    (directory / "cfg.args").write_text(ARGS_FILE)
+    for argv in INPUTS:
+        _run(argv)
+    before = _files(directory)
+    _run(CASES[name])
+    return {path: data for path, data in _files(directory).items() if path not in before}
+
+
+def _numbers(text: str, suffix: str) -> dict:
+    """Each numeric field of a CSV (by column) or JSON (by key path, list
+    indices dropped) file, as the list of its values in file order."""
+    fields = {}
+    if suffix == ".csv":
+        for row in csv.DictReader(io.StringIO(text)):
+            for key, value in row.items():
+                try:
+                    fields.setdefault(key, []).append(float(value))
+                except (TypeError, ValueError):  # text, or a cell missing from a short row
+                    pass
+        return fields
+
+    def walk(node, path):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                walk(value, f"{path}.{key}" if path else key)
+        elif isinstance(node, list):
+            for value in node:
+                walk(value, f"{path}[]")
+        elif isinstance(node, (int, float)) and not isinstance(node, bool):
+            fields.setdefault(path, []).append(float(node))
+
+    walk(json.loads(text), "")
+    return fields
+
+
+def _changes(golden: str, written: str, suffix: str) -> list:
+    """One line per numeric field whose values moved: the largest absolute and
+    relative change, or why the field cannot be compared value by value."""
+    old, new = _numbers(golden, suffix), _numbers(written, suffix)
+    lines = []
+    for field in sorted(old.keys() | new.keys()):
+        a, b = old.get(field, []), new.get(field, [])
+        if len(a) != len(b):
+            lines.append(f"  {field}: {len(a)} values recorded, {len(b)} written")
+            continue
+        moved = [(x, y) for x, y in zip(a, b) if x != y and not (math.isnan(x) and math.isnan(y))]
+        if moved:
+            most_abs = max(abs(y - x) for x, y in moved)
+            most_rel = max(abs(y - x) / abs(x) if x else math.inf for x, y in moved)
+            lines.append(f"  {field}: largest change {most_abs:.3g} absolute, {most_rel:.3g} relative")
+    return lines
+
+
+def _mismatch(path: str, golden: bytes, written: bytes) -> str:
+    """Where ``written`` first departs from ``golden``, and by how much its numbers moved."""
+    end = [b"<end of file>"]
+    old, new = golden.split(b"\n") + end, written.split(b"\n") + end
+    line = next(i for i, (x, y) in enumerate(zip(old, new)) if x != y)
+    report = [
+        f"{path}: first differing line {line + 1}",
+        f"  recorded: {old[line][:200].decode(errors='replace')!r}",
+        f"  written:  {new[line][:200].decode(errors='replace')!r}",
+    ]
+    suffix = Path(path).suffix
+    if suffix in (".csv", ".json"):
+        try:
+            report += _changes(golden.decode(), written.decode(), suffix)
+        except ValueError as exc:
+            report.append(f"  no numeric report: {exc}")
+    return "\n".join(report)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_outputs_are_byte_identical(name, tmp_path, monkeypatch):
-    argv, expected = CASES[name]
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "cfg.args").write_text(ARGS_FILE)
-    for inputs in INPUTS:
-        assert main(inputs) == 0
-    before = _files(tmp_path)
-    assert main(argv) == 0
-    written = {str(p.relative_to(tmp_path)): _sha256(p) for p in _files(tmp_path) - before}
-    assert written == expected
+    written = run_case(name, tmp_path)
+    golden = _files(GOLDEN / name)
+    assert sorted(written) == sorted(golden), "the case writes other files than it recorded"
+    report = [_mismatch(path, golden[path], written[path])
+              for path in sorted(golden) if written[path] != golden[path]]
+    if report:
+        pytest.fail("\n".join(report), pytrace=False)

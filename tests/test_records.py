@@ -1,4 +1,5 @@
-"""The one range rule: ``_records.number`` and every entry point it checks."""
+"""The one range rule, ``_records.number``, and every entry point it checks;
+the one array rule, ``_records.frozen``, and every array field it keeps."""
 
 import math
 import re
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from qeep import _records
+from qeep.dft_baseline import DftResult
 from qeep.filterbank import (
     FilterBank,
     bin_centers,
@@ -17,16 +19,24 @@ from qeep.filterbank import (
     choose_truncation,
     tail_bound,
 )
-from qeep.matrix_pencil import _pencil_dimension, mp_estimate, solve_amplitudes
+from qeep.matrix_pencil import MpEstimate, _pencil_dimension, mp_estimate, solve_amplitudes
 from qeep.signal import (
     Provenance,
+    TimeSeries,
     generate_clean,
     hoeffding_shots,
     hoeffding_shots_per_point,
     sample_shots,
 )
-from qeep.spectrum import exact_moment, fig6_spectrum, random_spectrum
-from qeep.ts_estimator import estimate_moment, exact_bins, moment_error_bound, rescale_physical
+from qeep.spectrum import Spectrum, exact_moment, fig6_spectrum, random_spectrum
+from qeep.ts_estimator import (
+    BinDistribution,
+    BinKind,
+    estimate_moment,
+    exact_bins,
+    moment_error_bound,
+    rescale_physical,
+)
 
 DOUBLE_MAX = sys.float_info.max
 
@@ -182,3 +192,55 @@ def test_numpy_integers_give_what_python_integers_give():
     est = mp_estimate(ts, np.int64(12))
     assert type(est.l_dim) is int
     assert np.array_equal(est.amplitudes, mp_estimate(ts, 12).amplitudes)
+
+
+def _pencil(**given):
+    arrays = {name: np.zeros(2) for name in ("eigenphases", "amplitudes", "moduli")}
+    return MpEstimate(**{**arrays, **given}, l_dim=2, residual=0.0)
+
+
+# One row per array field of the six value types: the type built from an
+# input array already of the field's dtype (which a plain ``np.asarray`` would
+# alias), that field's name and the dtype it documents, which the field also
+# holds when given the input in single precision.
+ARRAY_FIELDS = {
+    "spectrum-lambdas": (
+        lambda a: Spectrum(lambdas=a, weights=[0.5, 0.5]), np.array([0.25, -0.125]),
+        "lambdas", np.float64),
+    "spectrum-weights": (
+        lambda a: Spectrum(lambdas=[0.25, -0.125], weights=a), np.array([0.75, 0.25]),
+        "weights", np.float64),
+    "time-series-values": (
+        lambda a: TimeSeries(values=a, provenance=Provenance.clean()),
+        np.array([1.0, 0.5 - 0.25j]), "values", np.complex128),
+    "filterbank-radial": (
+        lambda a: FilterBank(0.25, 3, a), np.array([1.0, 0.5, 0.25]), "radial", np.float64),
+    "bin-distribution-values": (
+        lambda a: BinDistribution(values=a, eps=0.25, kind=BinKind.ESTIMATED_Q),
+        np.linspace(0.0, 0.4, 5), "values", np.float64),
+    "mp-estimate-eigenphases": (
+        lambda a: _pencil(eigenphases=a), np.array([-0.5, 0.5]), "eigenphases", np.float64),
+    "mp-estimate-amplitudes": (
+        lambda a: _pencil(amplitudes=a), np.array([0.5 + 0.5j, 0.5j]), "amplitudes",
+        np.complex128),
+    "mp-estimate-moduli": (
+        lambda a: _pencil(moduli=a), np.array([1.0, 0.75]), "moduli", np.float64),
+    "dft-coefficients": (
+        lambda a: DftResult(coefficients=a, frequency_grid=[0.0, 1.0]),
+        np.array([1.0 + 0.5j, -0.5j]), "coefficients", np.complex128),
+    "dft-frequency-grid": (
+        lambda a: DftResult(coefficients=[1.0, 0.0], frequency_grid=a),
+        np.array([0.0, 1.0]), "frequency_grid", np.float64),
+}
+
+
+@pytest.mark.parametrize("make, given, name, dtype", ARRAY_FIELDS.values(), ids=ARRAY_FIELDS.keys())
+def test_array_fields_are_private_read_only_copies(make, given, name, dtype):
+    given = given.copy()
+    single = given.astype(np.complex64 if dtype is np.complex128 else np.float32)
+    field = getattr(make(given), name)
+    kept = field.copy()
+    given *= 2
+    assert not field.flags.writeable
+    assert field.dtype == getattr(make(single), name).dtype == dtype
+    assert field.tobytes() == kept.tobytes()

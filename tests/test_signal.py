@@ -277,6 +277,15 @@ class TestGenerateClean:
         with pytest.raises(ValueError):
             generate_clean(fig6_spectrum(), 0)
 
+    @pytest.mark.parametrize("n", [4097, 8193])
+    @pytest.mark.parametrize("d", [5, 64])
+    def test_blocked_synthesis_matches_the_single_product_bit_for_bit(self, d, n):
+        # Two and three blocks of the phase table against the whole N x D product.
+        spec = random_spectrum(d, 1)
+        whole = np.exp(-1j * np.outer(np.arange(n), spec.lambdas)) @ spec.weights.astype(complex)
+        whole[0] = 1.0
+        assert generate_clean(spec, n).values.tobytes() == whole.tobytes()
+
 
 class TestAddNoise:
     def test_zero_noise_is_identity(self):

@@ -24,7 +24,6 @@ _EXPORTS = {
     "bump": "filterbank",
     "bump_fourier": "filterbank",
     "choose_truncation": "filterbank",
-    "decay_onset": "filterbank",
     "filter_values": "filterbank",
     "tail_bound": "filterbank",
     "MpEstimate": "matrix_pencil",
@@ -49,9 +48,7 @@ _EXPORTS = {
     "estimate_bins": "ts_estimator",
     "estimate_moment": "ts_estimator",
     "exact_bins": "ts_estimator",
-    "expectation_from_function": "ts_estimator",
     "moment_error_bound": "ts_estimator",
-    "rescale_physical": "ts_estimator",
     "truncated_bins": "ts_estimator",
 }
 

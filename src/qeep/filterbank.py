@@ -40,7 +40,6 @@ from numbers import Integral
 import numpy as np
 
 from . import _records
-from .errors import NumericError
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -117,8 +116,9 @@ def _trapezoid_rule(kp_max: float) -> tuple[int, np.ndarray]:
     summation the rule's error at ``kp`` is the sum of the aliases
     ``H(kp + pi*m*n)``, ``m != 0`` (Trefethen & Weideman 2014, SIAM Review
     56:385). ``n`` is the smallest even count that puts the nearest alias, at
-    ``pi*n - kp_max``, where the decay bound ``|H(w)| <= exp(-sqrt(w))`` (see
-    :func:`decay_onset`) is below double precision rounding.
+    ``pi*n - kp_max``, where the decay bound ``|H(w)| <= exp(-sqrt(w))``,
+    which holds on the tested grid ``w = 10, 20, ..., 200``, is below double
+    precision rounding.
     """
     alias_floor = math.log(1.0 / np.finfo(float).eps) ** 2
     half = math.ceil((kp_max + alias_floor) / (2.0 * math.pi))
@@ -153,25 +153,6 @@ def bump_fourier(kp):
     cosines = np.cos(np.multiply.outer(kps, np.arange(1, half) / half))
     out = (bump(0.0) + 2.0 * (cosines @ weights)) / (half * SQRT_2PI)
     return float(out) if out.ndim == 0 else out
-
-
-def decay_onset(kps=None) -> float:
-    """Smallest scanned frequency from which ``|H(kp)| <= exp(-sqrt(kp))``
-    holds for every larger scanned frequency.
-
-    The decay constant is located empirically rather than hard-coded; the
-    default scan is ``kp = 10, 20, ..., 200``.
-    """
-    if kps is None:
-        kps = np.arange(10.0, 201.0, 10.0)
-    kps = np.sort(np.asarray(kps, dtype=float))
-    ok = np.abs(bump_fourier(kps)) <= np.exp(-np.sqrt(kps))
-    failing = np.nonzero(~ok)[0]
-    if failing.size == 0:
-        return float(kps[0])
-    if failing[-1] == kps.size - 1:
-        raise NumericError("decay bound fails at the largest scanned frequency")
-    return float(kps[failing[-1] + 1])
 
 
 def _radial(k, eps: float):
@@ -212,8 +193,10 @@ def tail_bound(n_trunc: int, eps: float) -> float:
     """Closed-form bound on the dropped series tail:
     ``4 * exp(-sqrt(y)) * (1 + sqrt(y))`` with ``y = (n_trunc - 1) * eps / 2``.
 
-    Valid once ``n_trunc`` is past the onset of the transform's decay regime
-    (see :func:`decay_onset`); strictly decreasing in ``n_trunc``.
+    Valid once ``y >= 10``, the onset of the transform's decay regime:
+    ``|H(kp)| <= exp(-sqrt(kp))`` holds on the tested grid
+    ``kp = 10, 20, ..., 200``. Every STRICT order lies past it. Strictly
+    decreasing in ``n_trunc``.
     """
     n_trunc = _records.number(n_trunc, "n_trunc", Integral, 1)
     eps = _records.number(eps, "eps", least=_records.LEAST_POSITIVE)

@@ -49,6 +49,14 @@ _ABERTH_MAX_SWEEPS = 50
 # Points per Aberth block and rows per amplitude-fit block: bounds temporaries.
 _ROW_BLOCK = 128
 
+# Largest pair stack of `_real_factor`, 16*(L+1)*((2N-L-1)//2) bytes, that a
+# pencil may need: 1 GiB. The paper's fig5 pencil needs 2.4 MiB and a STRICT
+# eps = 0.005 run at L = 64 95 MiB; that run's default L = N - 1 would need
+# 68.5 GiB, which `_pencil_dimension` rejects before any work. A square
+# pencil's arrays peak at about four times its pair stack, a wide one's at
+# about 1.1 times (tracemalloc, N = 566 to 20 000).
+_MAX_PAIR_BYTES = 2**30
+
 
 @dataclass(frozen=True)
 class MpEstimate:
@@ -57,8 +65,8 @@ class MpEstimate:
     ``eigenphases`` lie in ``(-pi, pi]`` sorted ascending, with ``amplitudes``
     and ``moduli`` (the magnitudes ``|mu|`` of the pencil eigenvalues, used to
     flag spurious estimates) aligned index-by-index. ``l_dim`` is the pencil
-    dimension L; :func:`mp_estimate` keeps one entry per pencil eigenvalue,
-    ``l_dim`` in all.
+    dimension L, which must equal the entry count: :func:`mp_estimate` keeps
+    one entry per pencil eigenvalue.
     """
 
     eigenphases: np.ndarray
@@ -73,6 +81,8 @@ class MpEstimate:
         mod = _records.frozen(self, "moduli", self.moduli, float)
         if not (ph.shape == amp.shape == mod.shape) or ph.ndim != 1:
             raise ValueError("eigenphases, amplitudes, moduli must be equal-length vectors")
+        l_dim = _records.number(self.l_dim, "l_dim", Integral, ph.size, ph.size)
+        object.__setattr__(self, "l_dim", l_dim)
 
     def to_dict(self) -> dict:
         return {
@@ -93,11 +103,19 @@ class AmplitudeFit(NamedTuple):
 
 def _pencil_dimension(n_len: int, l_dim: int | None) -> int:
     """The pencil dimension of a signal of ``n_len`` entries: ``l_dim``, which
-    must be an integer in ``[1, n_len - 1]``, or ``n_len - 1`` for ``None``.
-    A signal of one entry has no pencil."""
+    must be an integer in ``[1, n_len - 1]`` whose pencil fits in
+    ``_MAX_PAIR_BYTES``, or ``n_len - 1`` for ``None``. A signal of one entry
+    has no pencil."""
     if n_len < 2:
         raise ValueError(f"the matrix pencil needs a signal of at least 2 entries, got {n_len}")
-    return _records.number(n_len - 1 if l_dim is None else l_dim, "l_dim", Integral, 1, n_len - 1)
+    l_dim = _records.number(n_len - 1 if l_dim is None else l_dim, "l_dim", Integral, 1, n_len - 1)
+    need = 16 * (l_dim + 1) * ((2 * n_len - l_dim - 1) // 2)
+    if need > _MAX_PAIR_BYTES:
+        raise ValueError(
+            f"l_dim must keep the pencil within {_MAX_PAIR_BYTES / 2**30:g} GiB, got {l_dim}"
+            f" for {n_len} entries, which needs {need / 2**30:.3g} GiB"
+        )
+    return l_dim
 
 
 def build_hankel(ts: TimeSeries, l_dim: int) -> np.ndarray:

@@ -26,9 +26,17 @@ from enum import Enum
 import numpy as np
 
 from . import _records
-from .filterbank import SQRT_2PI, FilterBank, _bin_count, _block, bin_centers, filter_values
+from .filterbank import (
+    SQRT_2PI,
+    FilterBank,
+    _bin_count,
+    _block,
+    _snap_eps,
+    bin_centers,
+    filter_values,
+)
 from .signal import TimeSeries, generate_clean
-from .spectrum import Spectrum, _moment, _moment_order
+from .spectrum import Spectrum, _moment
 
 
 class BinKind(Enum):
@@ -39,13 +47,15 @@ class BinKind(Enum):
 
 @dataclass(frozen=True)
 class BinDistribution:
-    """Real vector of ``M = 1 + 1/eps`` finite values over the bin centers ``-1/2 + j*eps``."""
+    """Real vector of ``M = 1 + 1/eps`` finite values over the bin centers
+    ``-1/2 + j*eps``. ``eps`` is stored snapped to ``1/round(1/eps)``."""
 
     values: np.ndarray
     eps: float
     kind: BinKind
 
     def __post_init__(self):
+        object.__setattr__(self, "eps", _snap_eps(self.eps))
         v = _records.frozen(self, "values", self.values, float)
         m_bins = _bin_count(self.eps)
         if v.shape != (m_bins,) or not np.all(np.isfinite(v)):
@@ -127,15 +137,6 @@ def estimate_moment(dist: BinDistribution, s: int) -> float:
     return _moment(dist.values, dist.centers, s)
 
 
-def expectation_from_function(dist: BinDistribution, t_values) -> float:
-    """Expectation ``sum_j values[j] * T(center_j)`` for a caller-supplied
-    tabulation of T on the bin centers."""
-    t = np.asarray(t_values, dtype=float)
-    if t.shape != dist.values.shape:
-        raise ValueError(f"t_values must have length {dist.values.size}, got {t.size}")
-    return float(np.dot(dist.values, t))
-
-
 def moment_error_bound(eps: float, t_max: float, t_prime_max: float) -> float:
     """A priori error bound ``eps * (t_max + t_prime_max)`` for expectations of
     a differentiable T, with the caller supplying the sup norms of T and T'
@@ -143,10 +144,3 @@ def moment_error_bound(eps: float, t_max: float, t_prime_max: float) -> float:
     for name, value in (("eps", eps), ("t_max", t_max), ("t_prime_max", t_prime_max)):
         _records.number(value, name, least=0)
     return eps * (t_max + t_prime_max)
-
-
-def rescale_physical(moment: float, s: int, h_norm: float) -> float:
-    """Undo the normalization to a dimensionless operator: multiply an order-s
-    moment by ``(2 * h_norm)**s`` where ``h_norm`` is the physical energy scale."""
-    h_norm = _records.number(h_norm, "h_norm", least=_records.LEAST_POSITIVE)
-    return moment * (2.0 * h_norm) ** _moment_order(s)

@@ -727,9 +727,25 @@ class TestReproduce:
         assert "numeric failure: pencil pseudoinverse did not converge" in capsys.readouterr().err
         assert not outdir.exists()
 
+    def test_pencil_past_the_memory_ceiling_fails_before_any_work(self, tmp_path, capsys,
+                                                                    usage):
+        # Paper-default fig5 at the strict order takes L = N - 1 = 95 895,
+        # whose pencil would need 68.5 GiB: a usage error before the bank.
+        capsys.readouterr()
+        outdir = tmp_path / "figs"
+        with usage() as used:
+            rc = run("reproduce", "fig5", "--outdir", outdir, "--truncation", "strict")
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: l_dim must keep the pencil within 1 GiB, got 95895 for 95896 entries,"
+            " which needs 68.5 GiB\n"
+        )
+        assert used["seconds"] < 1.0 and used["peak_bytes"] < 2**20
+        assert not outdir.exists()
+
     def test_out_of_memory_is_one_line_and_exit_3(self, tmp_path, capsys, monkeypatch):
-        # A pencil too large to allocate, as paper-default fig5 at the strict
-        # order is, raised from a seed's pool task without allocating it.
+        # A pencil too large to allocate, raised from a seed's pool task
+        # without allocating it.
         message = "Unable to allocate 34.3 GiB for an array with shape (47948, 47948)"
 
         def fail(*args, **kwargs):

@@ -199,3 +199,9 @@ def test_outputs_are_byte_identical(name, tmp_path, monkeypatch):
               for path in sorted(golden) if written[path] != golden[path]]
     if report:
         pytest.fail("\n".join(report), pytrace=False)
+
+
+def test_golden_holds_one_directory_per_case():
+    # record_golden.py replaces only the cases it is given, so a renamed or
+    # dropped case would otherwise leave files that no test reads.
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(CASES)

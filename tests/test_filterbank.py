@@ -9,7 +9,6 @@ from scipy.integrate import IntegrationWarning, quad
 
 from qeep import (
     FilterBank,
-    NumericError,
     Spectrum,
     TruncationMode,
     bin_centers,
@@ -17,7 +16,8 @@ from qeep import (
     bump,
     bump_fourier,
     choose_truncation,
-    decay_onset,
+    exact_bins,
+    fig6_spectrum,
     filter_values,
     tail_bound,
     truncated_bins,
@@ -146,15 +146,17 @@ class TestBumpFourier:
             assert abs(bump_fourier(kp)) <= math.exp(-math.sqrt(kp))
 
     def test_decay_onset_recorded(self):
-        assert decay_onset() == 10.0
+        # tail_bound's docstring records the onset, y = 10, which is the
+        # first frequency of the scan above, where the bound already holds.
+        assert "``y >= 10``" in tail_bound.__doc__
+        assert abs(bump_fourier(10.0)) <= math.exp(-math.sqrt(10.0))
 
     def test_decay_onset_of_a_given_scan(self):
-        # The default scan starts past the onset; a unit-step scan finds it
-        # inside, where the bound first holds for good, and a scan whose last
-        # frequency fails has none.
-        assert decay_onset(np.arange(1.0, 201.0)) == 4.0
-        with pytest.raises(NumericError, match="largest scanned frequency"):
-            decay_onset([1.0, 2.0])
+        # The scan above starts past the onset; a unit-step scan finds it
+        # inside: the bound fails at kp = 1, 2, 3 and holds for good from 4.
+        kps = np.arange(1.0, 201.0)
+        holds = np.abs(bump_fourier(kps)) <= np.exp(-np.sqrt(kps))
+        assert kps[~holds].tolist() == [1.0, 2.0, 3.0]
 
     def test_array_input_matches_scalar_calls(self):
         kps = np.array([0.0, -3.0, 12.5, 40.0])
@@ -411,13 +413,13 @@ class TestChooseTruncation:
         assert 9e4 <= n <= 1.1e5
 
     def test_strict_order_is_past_decay_onset(self):
-        # tail_bound holds only from the decay onset on; STRICT never stops
-        # short of it (the smallest margin, y = 20.5 against 10, is at eps = 1).
-        onset = decay_onset()
+        # tail_bound holds only from the decay onset kp = 10 on (its
+        # docstring); STRICT never stops short of it (the smallest margin,
+        # y = 20.5 against 10, is at eps = 1).
         for inv in range(1, 201):
             eps = 1.0 / inv
             n = choose_truncation(eps, TruncationMode.STRICT)
-            assert (n - 1) * eps / 2.0 >= onset, inv
+            assert (n - 1) * eps / 2.0 >= 10.0, inv
 
 
 class TestBuildFilterBank:
@@ -556,6 +558,7 @@ class TestEpsSnapping:
         assert bin_centers(eps)[-1] == 0.5
         assert bin_centers(eps).size == 201
         assert build_filterbank(eps, 8).eps == 0.005
+        assert exact_bins(fig6_spectrum(), eps).eps == 0.005
 
     def test_exact_inverses_keep_their_bits(self):
         for eps in (0.25, 0.05, 0.005):

@@ -32,6 +32,7 @@ from qeep.matrix_pencil import (
     _companion_roots,
     _from_pairs,
     _grid_transform,
+    _pencil_dimension,
     _polynomial_terms,
     _real_factor,
     _to_pairs,
@@ -989,6 +990,25 @@ class TestMpEstimate:
         est = mp_estimate(ts)
         assert np.any(np.abs(est.eigenphases) > 0.5)
 
+    def test_default_dimension_past_the_memory_ceiling_fails_before_any_work(self, usage):
+        # At N = 12 000 the default L = N - 1 needs a 1.07 GiB pencil.
+        ts = generate_clean(fig6_spectrum(), 12_000)
+        message = r"^l_dim must keep the pencil within 1 GiB, got 11999 for 12000 entries"
+        with usage() as used, pytest.raises(ValueError, match=message):
+            mp_estimate(ts)
+        assert used["seconds"] < 1.0 and used["peak_bytes"] < 2**20
+        assert _pencil_dimension(12_000, 64) == 64
+
+    @pytest.mark.parametrize("l_dim", [0, 2, 7])
+    def test_l_dim_other_than_the_entry_count_rejected(self, l_dim):
+        # One phase beside l_dim = 7 would write a record that contradicts itself.
+        with pytest.raises(ValueError, match=r"^l_dim must lie in \[1, 1\]"):
+            MpEstimate([0.0], [1.0], [1.0], l_dim, 0.0)
+
+    def test_l_dim_is_kept_as_a_python_int(self):
+        est = MpEstimate([0.0, 0.1], [0.5, 0.5], [1.0, 1.0], np.int64(2), 0.0)
+        assert type(est.l_dim) is int and est.to_dict()["l_dim"] == 2
+
     def test_unequal_lengths_rejected(self):
         with pytest.raises(ValueError, match="equal-length"):
             MpEstimate(
@@ -1002,6 +1022,33 @@ class TestMpEstimate:
         ph[0], amp[0], mod[0] = 0.3, 0.0, 2.0
         assert est.eigenphases[0] == 0.1 and est.amplitudes[0] == 0.5 and est.moduli[0] == 1.0
         assert not est.eigenphases.flags.writeable
+
+
+class TestPencilDimension:
+    # The pair stack of `_real_factor` takes 16*(L+1)*((2N-L-1)//2) bytes.
+    @pytest.mark.parametrize(
+        "n_len, l_dim, pair_bytes",
+        [
+            (566, 565, 2_562_848),  # paper-default fig5: 2.4 MiB
+            (4469, 64, 4_613_440),  # the trials benchmark: 4.4 MiB
+            (95_896, 64, 99_697_520),  # STRICT eps = 0.005 at L = 64: 95 MiB
+        ],
+    )
+    def test_documented_pencils_fit_under_the_ceiling(self, n_len, l_dim, pair_bytes):
+        assert 16 * (l_dim + 1) * ((2 * n_len - l_dim - 1) // 2) == pair_bytes
+        assert pair_bytes <= matrix_pencil._MAX_PAIR_BYTES
+        assert _pencil_dimension(n_len, l_dim) == l_dim
+
+    def test_ceiling_admits_exactly_the_pencils_within_it(self):
+        # At N = 12 000 the pair stack grows with L; the largest L within
+        # 1 GiB is accepted and the next one is rejected.
+        n_len = 12_000
+        sizes = [16 * (dim + 1) * ((2 * n_len - dim - 1) // 2) for dim in range(1, n_len)]
+        last = max(dim for dim, size in enumerate(sizes, 1) if size <= 2**30)
+        assert sizes[last - 1] <= 2**30 < sizes[last]
+        assert _pencil_dimension(n_len, last) == last
+        with pytest.raises(ValueError, match=f"got {last + 1} for 12000 entries"):
+            _pencil_dimension(n_len, last + 1)
 
 
 class TestMpMoment:

@@ -35,7 +35,6 @@ from qeep.ts_estimator import (
     estimate_moment,
     exact_bins,
     moment_error_bound,
-    rescale_physical,
 )
 
 DOUBLE_MAX = sys.float_info.max
@@ -139,6 +138,7 @@ ROUTED = {
     "row-fraction": (lambda: build_filterbank(0.25, 4).row(1.5), "bin index j"),
     "row-past-last": (lambda: build_filterbank(0.25, 4).row(5), "bin index j"),
     "pencil-dimension": (lambda: _pencil_dimension(566, 2.5), "l_dim"),
+    "mp-estimate-record": (lambda: MpEstimate([0.0], [1.0], [1.0], 7, 0.0), "l_dim"),
     "mp-estimate": (lambda: mp_estimate(generate_clean(fig6_spectrum(), 20), 2.5), "l_dim"),
     "solve-amplitudes": (
         lambda: solve_amplitudes(np.zeros(2), generate_clean(fig6_spectrum(), 4), 2.5, np.ones(2)),
@@ -150,10 +150,6 @@ ROUTED = {
     "error-bound-negative-eps": (lambda: moment_error_bound(-0.1, 1, 1), "eps"),
     "error-bound-t-max": (lambda: moment_error_bound(0.1, math.inf, 1), "t_max"),
     "error-bound-t-prime-max": (lambda: moment_error_bound(0.1, 1, -1), "t_prime_max"),
-    "rescale-order": (lambda: rescale_physical(0.5, 1.5, 1.0), "moment order s"),
-    "rescale-scale": (lambda: rescale_physical(0.5, 2, math.inf), "h_norm"),
-    "rescale-scale-bool": (lambda: rescale_physical(1.0, 2, True), "h_norm"),
-    "rescale-scale-string": (lambda: rescale_physical(1.0, 2, "3"), "h_norm"),
 }
 
 
@@ -172,8 +168,6 @@ def test_valid_open_interval_inputs_give_the_same_values():
     assert hoeffding_shots(566, 0.005, 0.99) == 526919351
     assert hoeffding_shots(10, Fraction(1, 10), 0.9) == 10597
     assert hoeffding_shots_per_point(566, 0.005, 0.99) == 1972527
-    assert rescale_physical(0.3, 3, 1.7) == 11.791199999999998
-    assert rescale_physical(0.3, 2, 2) == 4.8
     assert _records.number(Fraction(1, 3), "x") == 1 / 3
 
 
@@ -183,7 +177,6 @@ def test_numpy_integers_give_what_python_integers_give():
     ts = generate_clean(spec, np.int64(30))
     assert np.array_equal(ts.values, generate_clean(spec, 30).values)
     assert exact_moment(spec, np.int64(3)) == exact_moment(spec, 3)
-    assert rescale_physical(0.3, np.int64(3), 1.7) == rescale_physical(0.3, 3, 1.7)
     assert tail_bound(np.int64(566), 0.005) == tail_bound(566, 0.005)
     assert hoeffding_shots(np.int64(10), 0.1, 0.9) == hoeffding_shots(10, 0.1, 0.9)
     bank = build_filterbank(0.25, np.int64(8))

@@ -18,12 +18,10 @@ from qeep import (
     estimate_moment,
     exact_bins,
     exact_moment,
-    expectation_from_function,
     fig6_spectrum,
     generate_clean,
     moment_error_bound,
     random_spectrum,
-    rescale_physical,
     truncated_bins,
 )
 from qeep.cli import main
@@ -298,29 +296,6 @@ class TestMoments:
             assert abs(estimate_moment(q, s) - exact_moment(spec, s)) <= bound
 
 
-class TestExpectationFromFunction:
-    def test_constant_function_gives_total_mass(self):
-        dist = exact_bins(fig6_spectrum(), 0.25)
-        assert expectation_from_function(dist, np.ones(5)) == pytest.approx(
-            dist.values.sum(), abs=1e-14
-        )
-
-    def test_consistency_with_moments(self):
-        dist = exact_bins(fig6_spectrum(), 0.25)
-        centers = dist.centers
-        assert expectation_from_function(dist, centers) == pytest.approx(
-            estimate_moment(dist, 1), abs=1e-14
-        )
-        assert expectation_from_function(dist, centers**2) == pytest.approx(
-            estimate_moment(dist, 2), abs=1e-14
-        )
-
-    def test_length_mismatch_rejected(self):
-        dist = exact_bins(fig6_spectrum(), 0.25)
-        with pytest.raises(ValueError):
-            expectation_from_function(dist, np.ones(4))
-
-
 class TestMomentErrorBound:
     def test_linear_function_bound(self):
         # T(x) = x on |x| <= 1/2: sup|T| = 1/2, sup|T'| = 1.
@@ -333,7 +308,7 @@ class TestMomentErrorBound:
     def test_constant_function_has_zero_actual_error(self):
         dist = exact_bins(random_spectrum(5, 3), 0.25)
         c = 2.7
-        actual = abs(expectation_from_function(dist, np.full(5, c)) - c)
+        actual = abs(np.dot(dist.values, np.full(5, c)) - c)
         assert actual <= 1e-9 * abs(c)
         assert actual <= moment_error_bound(0.25, abs(c), 0.0)
 
@@ -347,28 +322,6 @@ class TestMomentErrorBound:
             moment_error_bound(0.1, *sup_norms)
 
 
-class TestRescalePhysical:
-    def test_order_zero_unchanged(self):
-        assert rescale_physical(0.7, 0, 3.0) == 0.7
-
-    def test_unit_scale_unchanged(self):
-        assert rescale_physical(0.7, 1, 0.5) == pytest.approx(0.7, abs=1e-15)
-
-    def test_quadratic_scaling(self):
-        assert rescale_physical(1.0, 2, 3.0) == pytest.approx(36.0, abs=1e-12)
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            rescale_physical(1.0, -1, 1.0)
-        with pytest.raises(ValueError):
-            rescale_physical(1.0, 1, 0.0)
-
-    @pytest.mark.parametrize("s", [-1, 65])
-    def test_order_outside_the_moment_range_rejected(self, s):
-        with pytest.raises(ValueError, match=r"moment order s must lie in \[0, 64\]"):
-            rescale_physical(1.0, s, 1.0)
-
-
 class TestBinDistributionType:
     def test_exact_kind_validates_probability_vector(self):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -376,6 +329,15 @@ class TestBinDistributionType:
         for values in ([1.5, -0.5], [-0.5, 1.5]):
             with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
                 BinDistribution(values=np.array(values), eps=1.0, kind=BinKind.EXACT_P)
+
+    @pytest.mark.parametrize("inv", [3, 7, 9])
+    def test_eps_is_stored_snapped(self, inv):
+        # As FilterBank does: eps is 1/round(1/eps), which the centers use.
+        eps = round(1.0 / inv, 10)
+        dist = exact_bins(fig6_spectrum(), eps)
+        assert eps != 1.0 / inv
+        assert dist.eps == 1.0 / inv and dist.to_dict()["eps"] == 1.0 / inv
+        assert np.array_equal(dist.centers, bin_centers(1.0 / inv))
 
     def test_copies_the_callers_array(self):
         values = np.array([-0.01, 0.5, 0.52])

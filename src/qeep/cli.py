@@ -48,7 +48,7 @@ from .errors import NumericError
 from .filterbank import (
     _LEAST_ORDER,
     TruncationMode,
-    bin_centers,
+    _snap_eps,
     build_filterbank,
     choose_truncation,
     filter_values,
@@ -156,14 +156,13 @@ def _magnitude(text: str) -> float:
 
 
 def _bin_width(text: str) -> float:
-    """A bin width ``eps``: positive, with ``1/eps`` a positive integer. The
-    value is returned as given; the estimators snap it themselves."""
+    """A bin width ``eps``: positive, with ``1/eps`` a positive integer,
+    returned snapped to ``1/round(1/eps)``, the eps that every output records."""
     value = float(text)
     try:
-        bin_centers(value)
+        return _snap_eps(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
 
 
 # ---------------------------------------------------------------- subcommands
@@ -272,7 +271,7 @@ DELTA_HEADER = ["seed", "s", "delta_ts", "delta_mp"]
 
 def _seeded_estimates(spec, args, bank, seed):
     """The TS bins and the pencil estimate of one seeded noisy signal of ``spec``."""
-    clean = generate_clean(spec, args.n_trunc)
+    clean = generate_clean(spec, bank.n_trunc)
     noisy = add_noise(clean, args.eps_prime, seed + NOISE_SEED_OFFSET)
     return estimate_bins(noisy, bank), mp_estimate(noisy, args.l_dim)
 
@@ -308,11 +307,10 @@ def _map_single_blas_thread(func, items):
 
 
 def _pencil_bank(args):
-    """The filter bank of a pencil figure, built after ``n_trunc`` and ``l_dim``
-    are resolved on ``args``, so that a bad ``--l-dim`` fails before it."""
-    args.n_trunc = choose_truncation(args.eps, args.truncation)
-    args.l_dim = _pencil_dimension(args.n_trunc, args.l_dim)
-    return build_filterbank(args.eps, args.n_trunc)
+    """Resolve ``args.l_dim``, then build the figure's filter bank, so a bad one fails first."""
+    n_trunc = choose_truncation(args.eps, args.truncation)
+    args.l_dim = _pencil_dimension(n_trunc, args.l_dim)
+    return build_filterbank(args.eps, n_trunc)
 
 
 def _delta_summary(rows, moments):
@@ -340,8 +338,8 @@ def _reproduce_deltas(outdir: Path, args) -> None:
     parameters = {
         "eps": args.eps,
         "eps_prime": args.eps_prime,
-        "m_bins": bin_centers(args.eps).size,
-        "n_trunc": args.n_trunc,
+        "m_bins": bank.m_bins,
+        "n_trunc": bank.n_trunc,
         "l_dim": args.l_dim,
         "d_spectrum": args.d,
         "seeds": list(args.seeds),

@@ -220,11 +220,13 @@ def choose_truncation(eps: float, mode: TruncationMode | int = TruncationMode.EM
     the bound ``eps * (T_max + T'_max)`` on the reference experiment's seeds,
     but not on every spectrum (at eps = 0.005 the clean first moment of
     ``random_spectrum(5, 9102)`` misses it by 1.31x).
-    STRICT bisects :func:`tail_bound` down to ``eps / (2*M)``, the level at
+    STRICT bisects :func:`tail_bound` at the snapped eps, which the bank
+    uses, down to ``eps / (2*M)``, the level at
     which the L1 distance between truncated and exact bin probabilities is
     provably at most ``eps/2`` (eps = 0.005 gives about 9.6e4); only there is
     the moment bound guaranteed.
     """
+    eps = _snap_eps(eps)
     m = _bin_count(eps)
     if mode is TruncationMode.EMPIRICAL:
         return max(_LEAST_ORDER, math.ceil(math.log(m) ** 2 * m / 10.0))
@@ -255,23 +257,26 @@ def _truncation_order(n_trunc: int) -> int:
 class FilterBank:
     """Radial profile of the filter Fourier coefficients.
 
-    ``radial[k]`` holds ``radial(k)`` for ``0 <= k < n_trunc``, an order that
-    meets :func:`_truncation_order`; the coefficients follow as ``F_j(k) =
-    radial[k] * exp(-i*center_j*k)`` (see :meth:`row`) and negative k from
-    conjugate symmetry. The profile depends only on ``(eps, n_trunc)``, never
-    on a signal, so it is built once and shared. ``eps`` is stored snapped to
-    ``1/round(1/eps)``.
+    ``radial[k]`` holds ``radial(k)`` for ``0 <= k < n_trunc``, its length,
+    which must meet :func:`_truncation_order`; the coefficients follow as
+    ``F_j(k) = radial[k] * exp(-i*center_j*k)`` (see :meth:`row`) and negative
+    k from conjugate symmetry. The profile depends only on ``(eps, n_trunc)``,
+    never on a signal, so it is built once and shared. ``eps`` is stored
+    snapped to ``1/round(1/eps)``.
     """
 
     eps: float
-    n_trunc: int
     radial: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "eps", _snap_eps(self.eps))
-        object.__setattr__(self, "n_trunc", _truncation_order(self.n_trunc))
-        if _records.frozen(self, "radial", self.radial, float).shape != (self.n_trunc,):
-            raise ValueError("radial shape must be (n_trunc,)")
+        if _records.frozen(self, "radial", self.radial, float).ndim != 1:
+            raise ValueError("radial must be a 1-d array")
+        _truncation_order(self.radial.size)
+
+    @property
+    def n_trunc(self) -> int:
+        return self.radial.size
 
     @property
     def m_bins(self) -> int:
@@ -309,4 +314,4 @@ def build_filterbank(eps: float, n_trunc: int) -> FilterBank:
     sums = (p @ q).real.T.ravel()[:n_trunc]
     h = (bump(0.0) + 2.0 * sums) / (half * SQRT_2PI)
     kp = np.arange(n_trunc) * eps / 2.0
-    return FilterBank(eps=eps, n_trunc=n_trunc, radial=eps * h * np.sinc(kp / math.pi))
+    return FilterBank(eps=eps, radial=eps * h * np.sinc(kp / math.pi))

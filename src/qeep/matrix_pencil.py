@@ -49,13 +49,8 @@ _ABERTH_MAX_SWEEPS = 50
 # Points per Aberth block and rows per amplitude-fit block: bounds temporaries.
 _ROW_BLOCK = 128
 
-# Largest pair stack of `_real_factor`, 16*(L+1)*((2N-L-1)//2) bytes, that a
-# pencil may need: 1 GiB. The paper's fig5 pencil needs 2.4 MiB and a STRICT
-# eps = 0.005 run at L = 64 95 MiB; that run's default L = N - 1 would need
-# 68.5 GiB, which `_pencil_dimension` rejects before any work. A square
-# pencil's arrays peak at about four times its pair stack, a wide one's at
-# about 1.1 times (tracemalloc, N = 566 to 20 000).
-_MAX_PAIR_BYTES = 2**30
+# Largest `_pencil_bytes` of a pencil: 1 GiB, about 50 times paper-default fig5's.
+_MAX_PENCIL_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -64,15 +59,13 @@ class MpEstimate:
 
     ``eigenphases`` lie in ``(-pi, pi]`` sorted ascending, with ``amplitudes``
     and ``moduli`` (the magnitudes ``|mu|`` of the pencil eigenvalues, used to
-    flag spurious estimates) aligned index-by-index. ``l_dim`` is the pencil
-    dimension L, which must equal the entry count: :func:`mp_estimate` keeps
-    one entry per pencil eigenvalue.
+    flag spurious estimates) aligned index-by-index. :func:`mp_estimate` keeps
+    one entry per pencil eigenvalue, so ``l_dim``, the entry count, is L.
     """
 
     eigenphases: np.ndarray
     amplitudes: np.ndarray
     moduli: np.ndarray
-    l_dim: int
     residual: float
 
     def __post_init__(self):
@@ -81,8 +74,10 @@ class MpEstimate:
         mod = _records.frozen(self, "moduli", self.moduli, float)
         if not (ph.shape == amp.shape == mod.shape) or ph.ndim != 1:
             raise ValueError("eigenphases, amplitudes, moduli must be equal-length vectors")
-        l_dim = _records.number(self.l_dim, "l_dim", Integral, ph.size, ph.size)
-        object.__setattr__(self, "l_dim", l_dim)
+
+    @property
+    def l_dim(self) -> int:
+        return self.eigenphases.size
 
     def to_dict(self) -> dict:
         return {
@@ -101,18 +96,34 @@ class AmplitudeFit(NamedTuple):
     rank: int
 
 
+def _pencil_bytes(n_len: int, l_dim: int) -> int:
+    """Most bytes of arrays :func:`solve_pencil` holds at once for ``n_len``
+    entries and ``n = l_dim + 1`` rows: the Hankel buffer, ``16 (2 n_len - 1)``,
+    and the larger stage. :func:`_real_factor` holds ``p`` copied blocks of
+    ``b`` of its ``k`` top rows and their R factors, ``16 n p (b + n)``, then
+    up to four copies of the ``k - p (b - n)`` rows left (stacked, paired, the
+    real stack and the QR's), ``64 n`` bytes a row, and the triangle with the
+    mask of ``np.triu``, ``9 n^2``. The SVD path holds ``F``, ``U``, ``V^H`` and
+    ``X``, four ``n x n`` complex arrays: ``64 n^2``; the certified path and the
+    amplitude fit hold less. LAPACK's workspace and copies are not counted."""
+    n, k = l_dim + 1, (2 * n_len - l_dim - 1) // 2
+    b = _QR_BLOCK_ROWS_PER_COLUMN * n
+    p = k // b
+    factor = 16 * n * p * (b + n) + 64 * n * (k - p * (b - n)) + 9 * n * n
+    return 16 * (2 * n_len - 1) + max(factor, 64 * n * n)
+
+
 def _pencil_dimension(n_len: int, l_dim: int | None) -> int:
-    """The pencil dimension of a signal of ``n_len`` entries: ``l_dim``, which
-    must be an integer in ``[1, n_len - 1]`` whose pencil fits in
-    ``_MAX_PAIR_BYTES``, or ``n_len - 1`` for ``None``. A signal of one entry
-    has no pencil."""
+    """The pencil dimension of a signal of ``n_len`` entries: ``l_dim``, an
+    integer in ``[1, n_len - 1]`` whose :func:`_pencil_bytes` fit in
+    ``_MAX_PENCIL_BYTES``, or ``n_len - 1`` for ``None``. One entry has no pencil."""
     if n_len < 2:
         raise ValueError(f"the matrix pencil needs a signal of at least 2 entries, got {n_len}")
     l_dim = _records.number(n_len - 1 if l_dim is None else l_dim, "l_dim", Integral, 1, n_len - 1)
-    need = 16 * (l_dim + 1) * ((2 * n_len - l_dim - 1) // 2)
-    if need > _MAX_PAIR_BYTES:
+    need = _pencil_bytes(n_len, l_dim)
+    if need > _MAX_PENCIL_BYTES:
         raise ValueError(
-            f"l_dim must keep the pencil within {_MAX_PAIR_BYTES / 2**30:g} GiB, got {l_dim}"
+            f"l_dim must keep the pencil within {_MAX_PENCIL_BYTES / 2**30:g} GiB, got {l_dim}"
             f" for {n_len} entries, which needs {need / 2**30:.3g} GiB"
         )
     return l_dim
@@ -256,14 +267,17 @@ def solve_pencil(ts: TimeSeries, l_dim: int) -> np.ndarray:
     if mu is not None:
         return mu
     f = _from_pairs(r).T
+    del r, z  # Released, and updated in place below, as `_pencil_bytes` counts.
     try:
         u, s, vh = np.linalg.svd(f[:-1], full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericError("pencil pseudoinverse did not converge") from exc
-    cut = s > SVD_RCOND * s[0]
-    x = (f[1:] @ vh[cut].conj().T) / s[cut]
+    rank = np.count_nonzero(s > SVD_RCOND * s[0])
+    x = f[1:] @ np.conj(vh[:rank], out=vh[:rank]).T
+    del f, vh
+    x /= s[:rank]
     try:
-        core = np.linalg.eigvals(u[:, cut].conj().T @ x)
+        core = np.linalg.eigvals(u[:, :rank].conj().T @ x)
     except np.linalg.LinAlgError as exc:
         raise NumericError("pencil eigensolve failed") from exc
     return np.append(core, np.zeros(l_dim - core.size))
@@ -387,8 +401,8 @@ def _polynomial_terms(x: np.ndarray, table: np.ndarray, mags: np.ndarray):
     return val, der, np.einsum("ij,ij->i", np.abs(lo) @ mags, np.abs(hi))
 
 
-def solve_amplitudes(eigenphases, ts: TimeSeries, l_dim: int, moduli) -> AmplitudeFit:
-    """Least-squares amplitudes against the first ``l_dim`` signal entries.
+def solve_amplitudes(eigenphases, ts: TimeSeries, moduli) -> AmplitudeFit:
+    """Least-squares amplitudes of ``L <= ts.n_len`` eigenphases against the first L entries.
 
     The square system ``b @ x = g`` has ``b[l, j] = w_j^l`` with the nodes
     ``w_j = exp(-i * phase_j)`` on the unit circle. Let ``omega(z) =
@@ -439,7 +453,7 @@ def solve_amplitudes(eigenphases, ts: TimeSeries, l_dim: int, moduli) -> Amplitu
     and the reported one take ``b @ x`` from :func:`_vandermonde_product`.
 
     When the certificate holds, the cutoff would keep every singular value, so
-    this is the least-squares solution and the rank is ``l_dim``. Otherwise,
+    this is the least-squares solution and the rank is ``L``. Otherwise,
     or when the solution is not finite, ``b`` is built from the same tables and
     the cutoff pseudoinverse of ``lstsq`` solves it: duplicate or clustered
     eigenphases make it rank deficient, the minimum-norm solution is returned
@@ -448,11 +462,11 @@ def solve_amplitudes(eigenphases, ts: TimeSeries, l_dim: int, moduli) -> Amplitu
     rank-deficient pencil's zeros, whose phase is noise, and their zeroed
     columns always send the system to ``lstsq``.
     """
-    l_dim = _records.number(l_dim, "l_dim", Integral, 1, ts.n_len)
     phases = np.asarray(eigenphases, dtype=float)
     moduli = np.asarray(moduli, dtype=float)
-    if phases.ndim != 1 or phases.size != l_dim or moduli.shape != phases.shape:
-        raise ValueError("eigenphases and moduli must be vectors of length l_dim")
+    if phases.ndim != 1 or moduli.shape != phases.shape:
+        raise ValueError("eigenphases and moduli must be equal-length vectors")
+    l_dim = _records.number(phases.size, "l_dim", Integral, 1, ts.n_len)
     step, count = _block(l_dim)
     hi = np.exp(-1j * np.outer(step * np.arange(count), phases))
     lo = np.exp(-1j * np.outer(np.arange(step), phases))
@@ -571,15 +585,9 @@ def mp_estimate(ts: TimeSeries, l_dim: int | None = None) -> MpEstimate:
     phases = 0.0 - np.angle(mu)
     phases[phases <= -math.pi] += 2.0 * math.pi
     moduli = np.abs(mu)
-    fit = solve_amplitudes(phases, ts, l_dim, moduli)
+    fit = solve_amplitudes(phases, ts, moduli)
     order = np.argsort(phases)
-    return MpEstimate(
-        eigenphases=phases[order],
-        amplitudes=fit.amplitudes[order],
-        moduli=moduli[order],
-        l_dim=l_dim,
-        residual=fit.residual,
-    )
+    return MpEstimate(phases[order], fit.amplitudes[order], moduli[order], fit.residual)
 
 
 def mp_moment(est: MpEstimate, s: int) -> float:

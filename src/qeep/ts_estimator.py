@@ -26,15 +26,7 @@ from enum import Enum
 import numpy as np
 
 from . import _records
-from .filterbank import (
-    SQRT_2PI,
-    FilterBank,
-    _bin_count,
-    _block,
-    _snap_eps,
-    bin_centers,
-    filter_values,
-)
+from .filterbank import SQRT_2PI, FilterBank, _block, bin_centers, filter_values
 from .signal import TimeSeries, generate_clean
 from .spectrum import Spectrum, _moment
 
@@ -47,24 +39,26 @@ class BinKind(Enum):
 
 @dataclass(frozen=True)
 class BinDistribution:
-    """Real vector of ``M = 1 + 1/eps`` finite values over the bin centers
-    ``-1/2 + j*eps``. ``eps`` is stored snapped to ``1/round(1/eps)``."""
+    """Real vector of ``M >= 2`` finite values over the bin centers
+    ``-1/2 + j*eps``. Its length fixes ``eps = 1/(M - 1)``, the double that
+    :func:`~qeep.filterbank._snap_eps` gives for every eps of ``M`` bins."""
 
     values: np.ndarray
-    eps: float
     kind: BinKind
 
     def __post_init__(self):
-        object.__setattr__(self, "eps", _snap_eps(self.eps))
         v = _records.frozen(self, "values", self.values, float)
-        m_bins = _bin_count(self.eps)
-        if v.shape != (m_bins,) or not np.all(np.isfinite(v)):
-            raise ValueError(f"values must be 1 + 1/eps = {m_bins} finite reals")
+        if v.ndim != 1 or v.size < 2 or not np.all(np.isfinite(v)):
+            raise ValueError("values must be a vector of at least 2 finite reals")
         if self.kind is BinKind.EXACT_P:
             if np.any(v < -1e-12) or np.any(v > 1.0 + 1e-12):
                 raise ValueError("exact bin probabilities must lie in [0, 1]")
             if abs(v.sum() - 1.0) > 1e-9:
                 raise ValueError("exact bin probabilities must sum to 1 within 1e-9")
+
+    @property
+    def eps(self) -> float:
+        return 1.0 / (self.values.size - 1)
 
     @property
     def centers(self) -> np.ndarray:
@@ -81,8 +75,7 @@ def exact_bins(spec: Spectrum, eps: float) -> BinDistribution:
     it, and those contributions sum to its full weight, so the result is a
     probability vector.
     """
-    p = filter_values(spec.lambdas, eps) @ spec.weights
-    return BinDistribution(values=p, eps=eps, kind=BinKind.EXACT_P)
+    return BinDistribution(filter_values(spec.lambdas, eps) @ spec.weights, BinKind.EXACT_P)
 
 
 def _bins_from_values(values: np.ndarray, bank: FilterBank) -> np.ndarray:
@@ -111,9 +104,7 @@ def truncated_bins(spec: Spectrum, bank: FilterBank) -> BinDistribution:
     """Bin probabilities from the truncated Fourier form of the filters,
     applied to the exact signal of ``spec``."""
     g = generate_clean(spec, bank.n_trunc)
-    return BinDistribution(
-        values=_bins_from_values(g.values, bank), eps=bank.eps, kind=BinKind.TRUNCATED_P
-    )
+    return BinDistribution(values=_bins_from_values(g.values, bank), kind=BinKind.TRUNCATED_P)
 
 
 def _check_signal_length(ts: TimeSeries, n_trunc: int) -> None:
@@ -126,9 +117,7 @@ def estimate_bins(ts: TimeSeries, bank: FilterBank) -> BinDistribution:
     """The time-series estimator: the truncated linear form applied to the
     first ``bank.n_trunc`` entries of a (possibly noisy) signal."""
     _check_signal_length(ts, bank.n_trunc)
-    return BinDistribution(
-        values=_bins_from_values(ts.values, bank), eps=bank.eps, kind=BinKind.ESTIMATED_Q
-    )
+    return BinDistribution(values=_bins_from_values(ts.values, bank), kind=BinKind.ESTIMATED_Q)
 
 
 def estimate_moment(dist: BinDistribution, s: int) -> float:

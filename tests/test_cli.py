@@ -730,7 +730,7 @@ class TestReproduce:
     def test_pencil_past_the_memory_ceiling_fails_before_any_work(self, tmp_path, capsys,
                                                                     usage):
         # Paper-default fig5 at the strict order takes L = N - 1 = 95 895,
-        # whose pencil would need 68.5 GiB: a usage error before the bank.
+        # whose pencil would need 548 GiB: a usage error before the bank.
         capsys.readouterr()
         outdir = tmp_path / "figs"
         with usage() as used:
@@ -738,7 +738,7 @@ class TestReproduce:
         assert rc == 2
         assert capsys.readouterr().err == (
             "error: l_dim must keep the pencil within 1 GiB, got 95895 for 95896 entries,"
-            " which needs 68.5 GiB\n"
+            " which needs 548 GiB\n"
         )
         assert used["seconds"] < 1.0 and used["peak_bytes"] < 2**20
         assert not outdir.exists()
@@ -964,6 +964,30 @@ def synth_signal_estimate_flags(draw):
     elif truncation == "order":
         estimate += ["--truncation", draw(st.integers(2, n_len))]
     return synth, signal, estimate
+
+
+@pytest.mark.parametrize("command", ["estimate", "fig5"])
+def test_near_integral_eps_is_recorded_snapped(tmp_path, command):
+    # --eps 0.0500000049 enters as 1/round(1/eps) = 0.05, so every eps an
+    # output records, and every delta divided by eps, is that of --eps 0.05.
+    spec_f, sig_f = tmp_path / "s.json", tmp_path / "g.json"
+    run("synth", "--fig6", "--out", spec_f)
+    run("signal", "--spectrum", spec_f, "--n", 64, "--noise", 0.005, "--out", sig_f)
+    written = []
+    for eps in ("0.05", "0.0500000049"):
+        out = tmp_path / eps
+        if command == "estimate":
+            argv = ["estimate", "--signal", sig_f, "--spectrum", spec_f, "--out", out / "e.json"]
+        else:
+            argv = ["reproduce", "fig5", "--outdir", out, "--truncation", 64, "--seeds", 1]
+        assert run(*argv, "--eps", eps) == 0
+        written.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    if command == "estimate":
+        record = json.loads(written[1]["e.json"])
+        assert record["eps"] == record["bins"]["eps"] == 0.05
+    else:
+        assert json.loads(written[1]["fig5_summary.json"])["parameters"]["eps"] == 0.05
+    assert written[0] == written[1]
 
 
 class TestDeterminism:

@@ -451,13 +451,13 @@ class TestBuildFilterBank:
             build_filterbank(0.25, 1)
         # The bin sums take at least one term k >= 1.
         with pytest.raises(ValueError, match=r"n_trunc must lie in \[2, "):
-            FilterBank(eps=0.25, n_trunc=1, radial=[0.1])
-        with pytest.raises(ValueError, match="radial shape"):
-            FilterBank(eps=0.25, n_trunc=4, radial=[0.1, 0.1, 0.1])
+            FilterBank(eps=0.25, radial=[0.1])
+        with pytest.raises(ValueError, match="radial must be a 1-d array"):
+            FilterBank(eps=0.25, radial=np.zeros((2, 3)))
 
     def test_copies_the_callers_array(self):
         radial = np.array([0.1, 0.2, 0.3])
-        bank = FilterBank(eps=0.25, n_trunc=3, radial=radial)
+        bank = FilterBank(eps=0.25, radial=radial)
         radial[0] = 0.5
         assert bank.radial[0] == 0.1
         assert not bank.radial.flags.writeable
@@ -559,6 +559,18 @@ class TestEpsSnapping:
         assert bin_centers(eps).size == 201
         assert build_filterbank(eps, 8).eps == 0.005
         assert exact_bins(fig6_spectrum(), eps).eps == 0.005
+
+    def test_every_bin_count_derives_the_snapped_eps(self):
+        # A distribution derives eps = 1/(M - 1) from its M values, and a bank
+        # snaps the eps it is given; for every 1/eps both are the same double.
+        spec = fig6_spectrum()
+        for inv in range(1, 1001):
+            eps = _snap_eps(1.0 / inv)
+            assert exact_bins(spec, 1.0 / inv).eps == eps == build_filterbank(1.0 / inv, 2).eps
+
+    def test_strict_order_is_that_of_the_snapped_eps(self):
+        strict = TruncationMode.STRICT
+        assert choose_truncation(0.0500000049, strict) == choose_truncation(0.05, strict) == 4469
 
     def test_exact_inverses_keep_their_bits(self):
         for eps in (0.25, 0.05, 0.005):

@@ -719,14 +719,14 @@ def jittered_phases(n):
 class TestSolveAmplitudes:
     def test_single_line_unit_amplitude(self):
         ts = generate_clean(point_mass(0.2), 4)
-        fit = solve_amplitudes(np.array([0.2]), ts, 1, np.ones(1))
+        fit = solve_amplitudes(np.array([0.2]), ts, np.ones(1))
         assert fit.amplitudes[0] == pytest.approx(1.0, abs=1e-12)
         assert fit.rank == 1
 
     def test_exact_phases_recover_weights(self):
         spec = fig6_spectrum()
         ts = generate_clean(spec, 12)
-        fit = solve_amplitudes(spec.lambdas, ts, 5, np.ones(5))
+        fit = solve_amplitudes(spec.lambdas, ts, np.ones(5))
         assert np.max(np.abs(fit.amplitudes.real - spec.weights)) <= 1e-6
         assert np.max(np.abs(fit.amplitudes.imag)) <= 1e-6
         assert fit.residual <= 1e-8
@@ -780,7 +780,7 @@ class TestSolveAmplitudes:
         # fit is certified, and 1e-6 below it goes to lstsq.
         for ratio, certified in [(1 + 1e-6, True), (1 - 1e-6, False)]:
             monkeypatch.setattr(matrix_pencil, "SVD_RCOND", 0.5 / (ratio * dense))
-            solve_amplitudes(phases, ts, l_dim, np.ones(l_dim))
+            solve_amplitudes(phases, ts, np.ones(l_dim))
             assert linalg_calls["lstsq"] == ([] if certified else [(l_dim, l_dim)])
 
     # A pair of eigenphases `gap` apart among L jittered ones: at L = 2 the
@@ -797,7 +797,7 @@ class TestSolveAmplitudes:
         bound = np.sqrt(np.sum(s**2) * np.sum(s**-2.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fit = solve_amplitudes(phases, ts, l_dim, np.ones(l_dim))
+            fit = solve_amplitudes(phases, ts, np.ones(l_dim))
         if linalg_calls["lstsq"]:
             # Rejected only near or above the threshold 0.5 / SVD_RCOND.
             assert bound >= 0.45 / SVD_RCOND
@@ -824,7 +824,7 @@ class TestSolveAmplitudes:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(all="raise"):
-                fit = solve_amplitudes(phases, generate_clean(spec, 9), 8, moduli)
+                fit = solve_amplitudes(phases, generate_clean(spec, 9), moduli)
         assert np.all(np.isfinite(fit.amplitudes))
         assert fit.residual <= 1e-12
         if case != "on-grid":
@@ -846,7 +846,7 @@ class TestSolveAmplitudes:
         # target; L = 1 has no column to zero, so its closed form is refused.
         if l_dim == 1:
             monkeypatch.setattr(matrix_pencil, "_lagrange_solve", lambda *args: None)
-        solve_amplitudes(phases, ts, l_dim, moduli)
+        solve_amplitudes(phases, ts, moduli)
         [(system, target)] = systems
         assert system.shape == (l_dim, l_dim)
         assert np.array_equal(target, ts.values[:l_dim])
@@ -864,7 +864,7 @@ class TestSolveAmplitudes:
 
     def test_duplicate_phases_finite_solution(self):
         ts = generate_clean(point_mass(0.1), 6)
-        fit = solve_amplitudes(np.array([0.1, 0.1, 0.1]), ts, 3, np.ones(3))
+        fit = solve_amplitudes(np.array([0.1, 0.1, 0.1]), ts, np.ones(3))
         assert np.all(np.isfinite(fit.amplitudes))
         assert fit.rank < 3
         assert fit.residual <= 1e-10
@@ -874,19 +874,17 @@ class TestSolveAmplitudes:
         # one that lands on a line would split its weight as in the duplicate
         # case above, so it gets none.
         ts = generate_clean(point_mass(0.2), 4)
-        fit = solve_amplitudes(np.array([0.2, 0.2]), ts, 2, np.array([1.0, 1e-17]))
+        fit = solve_amplitudes(np.array([0.2, 0.2]), ts, np.array([1.0, 1e-17]))
         assert fit.amplitudes == pytest.approx([1.0, 0.0], abs=1e-12)
         assert fit.rank == 1
         assert fit.residual <= 1e-12
 
     def test_length_validation(self):
         ts = generate_clean(fig6_spectrum(), 4)
-        with pytest.raises(ValueError):
-            solve_amplitudes(np.array([0.1, 0.2]), ts, 3, np.ones(2))
-        with pytest.raises(ValueError):
-            solve_amplitudes(np.arange(5.0), ts, 5, np.ones(5))
-        with pytest.raises(ValueError):
-            solve_amplitudes(np.array([0.1, 0.2]), ts, 2, np.ones(3))
+        with pytest.raises(ValueError, match=r"^l_dim must lie in \[1, 4\], got 5"):
+            solve_amplitudes(np.arange(5.0), ts, np.ones(5))
+        with pytest.raises(ValueError, match="equal-length"):
+            solve_amplitudes(np.array([0.1, 0.2]), ts, np.ones(3))
 
 
 class TestMpEstimate:
@@ -991,7 +989,7 @@ class TestMpEstimate:
         assert np.any(np.abs(est.eigenphases) > 0.5)
 
     def test_default_dimension_past_the_memory_ceiling_fails_before_any_work(self, usage):
-        # At N = 12 000 the default L = N - 1 needs a 1.07 GiB pencil.
+        # At N = 12 000 the default L = N - 1 needs an 8.58 GiB pencil.
         ts = generate_clean(fig6_spectrum(), 12_000)
         message = r"^l_dim must keep the pencil within 1 GiB, got 11999 for 12000 entries"
         with usage() as used, pytest.raises(ValueError, match=message):
@@ -999,25 +997,20 @@ class TestMpEstimate:
         assert used["seconds"] < 1.0 and used["peak_bytes"] < 2**20
         assert _pencil_dimension(12_000, 64) == 64
 
-    @pytest.mark.parametrize("l_dim", [0, 2, 7])
-    def test_l_dim_other_than_the_entry_count_rejected(self, l_dim):
-        # One phase beside l_dim = 7 would write a record that contradicts itself.
-        with pytest.raises(ValueError, match=r"^l_dim must lie in \[1, 1\]"):
-            MpEstimate([0.0], [1.0], [1.0], l_dim, 0.0)
-
     def test_l_dim_is_kept_as_a_python_int(self):
-        est = MpEstimate([0.0, 0.1], [0.5, 0.5], [1.0, 1.0], np.int64(2), 0.0)
+        # l_dim is the entry count, so the record cannot contradict itself.
+        est = MpEstimate([0.0, 0.1], [0.5, 0.5], [1.0, 1.0], 0.0)
         assert type(est.l_dim) is int and est.to_dict()["l_dim"] == 2
 
     def test_unequal_lengths_rejected(self):
         with pytest.raises(ValueError, match="equal-length"):
             MpEstimate(
-                eigenphases=[0.1, 0.2], amplitudes=[0.5], moduli=[1.0, 1.0], l_dim=2, residual=0.0
+                eigenphases=[0.1, 0.2], amplitudes=[0.5], moduli=[1.0, 1.0], residual=0.0
             )
 
     def test_copies_the_callers_arrays(self):
         ph, amp, mod = np.array([0.1, 0.2]), np.array([0.5, 0.5 + 0j]), np.ones(2)
-        est = MpEstimate(ph, amp, mod, 2, 0.0)
+        est = MpEstimate(ph, amp, mod, 0.0)
         # The record's arrays are read-only copies; the caller's stay writable.
         ph[0], amp[0], mod[0] = 0.3, 0.0, 2.0
         assert est.eigenphases[0] == 0.1 and est.amplitudes[0] == 0.5 and est.moduli[0] == 1.0
@@ -1025,30 +1018,55 @@ class TestMpEstimate:
 
 
 class TestPencilDimension:
-    # The pair stack of `_real_factor` takes 16*(L+1)*((2N-L-1)//2) bytes.
+    # The pair stack of `_real_factor` takes 16*(L+1)*((2N-L-1)//2) bytes;
+    # `_pencil_bytes`, which the ceiling bounds, counts every array the
+    # pencil holds at once.
     @pytest.mark.parametrize(
-        "n_len, l_dim, pair_bytes",
+        "n_len, l_dim, pair_bytes, pencil_bytes",
         [
-            (566, 565, 2_562_848),  # paper-default fig5: 2.4 MiB
-            (4469, 64, 4_613_440),  # the trials benchmark: 4.4 MiB
-            (95_896, 64, 99_697_520),  # STRICT eps = 0.005 at L = 64: 95 MiB
+            (566, 565, 2_562_848, 20_520_880),  # paper-default fig5: 20 MiB
+            (4469, 64, 4_613_440, 8_359_577),  # the trials benchmark: 8.0 MiB
+            (95_896, 64, 99_697_520, 165_567_161),  # STRICT eps = 0.005 at L = 64: 158 MiB
         ],
     )
-    def test_documented_pencils_fit_under_the_ceiling(self, n_len, l_dim, pair_bytes):
+    def test_documented_pencils_fit_under_the_ceiling(self, n_len, l_dim, pair_bytes,
+                                                      pencil_bytes):
         assert 16 * (l_dim + 1) * ((2 * n_len - l_dim - 1) // 2) == pair_bytes
-        assert pair_bytes <= matrix_pencil._MAX_PAIR_BYTES
+        assert matrix_pencil._pencil_bytes(n_len, l_dim) == pencil_bytes
+        assert pencil_bytes <= matrix_pencil._MAX_PENCIL_BYTES
         assert _pencil_dimension(n_len, l_dim) == l_dim
 
     def test_ceiling_admits_exactly_the_pencils_within_it(self):
-        # At N = 12 000 the pair stack grows with L; the largest L within
-        # 1 GiB is accepted and the next one is rejected.
+        # At N = 12 000 the pencils within 1 GiB are L = 1 .. 1460: the largest
+        # is accepted and the next one is rejected.
         n_len = 12_000
-        sizes = [16 * (dim + 1) * ((2 * n_len - dim - 1) // 2) for dim in range(1, n_len)]
+        sizes = [matrix_pencil._pencil_bytes(n_len, dim) for dim in range(1, n_len)]
         last = max(dim for dim, size in enumerate(sizes, 1) if size <= 2**30)
-        assert sizes[last - 1] <= 2**30 < sizes[last]
+        assert last == 1460 and max(sizes[:last]) <= 2**30 < min(sizes[last:])
         assert _pencil_dimension(n_len, last) == last
         with pytest.raises(ValueError, match=f"got {last + 1} for 12000 entries"):
             _pencil_dimension(n_len, last + 1)
+
+    # Square pencils, noisy (certified, companion roots) and clean (rank 5,
+    # SVD core), a wide one as in the trials benchmark, and a noisy square
+    # pencil sent down the SVD path at full rank, the most any pencil holds.
+    @pytest.mark.parametrize(
+        "n_len, l_dim, eps_prime, certify",
+        [(566, 565, 0.005, True), (566, 565, 0.0, True), (4469, 64, 1e-5, True),
+         (566, 565, 0.005, False)],
+        ids=["square-noisy", "square-clean", "wide-noisy", "square-full-rank"],
+    )
+    def test_pencil_bytes_bound_the_measured_peak(self, n_len, l_dim, eps_prime, certify,
+                                                  usage, monkeypatch):
+        ts = generate_clean(random_spectrum(5, 1), n_len)
+        if eps_prime:
+            ts = add_noise(ts, eps_prime, 1 + NOISE_SEED_OFFSET)
+        if not certify:
+            monkeypatch.setattr(matrix_pencil, "_certified_inverse", lambda r: None)
+        with usage() as used:
+            mp_estimate(ts, l_dim)
+        need = matrix_pencil._pencil_bytes(n_len, l_dim)
+        assert used["peak_bytes"] <= need <= 2 * used["peak_bytes"]
 
 
 class TestMpMoment:

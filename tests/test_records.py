@@ -126,25 +126,20 @@ ROUTED = {
     "bin-centers-bool": (lambda: bin_centers(True), "eps"),
     "bin-centers-string": (lambda: bin_centers("0.1"), "eps"),
     "build-filterbank-eps-bool": (lambda: build_filterbank(True, 4), "eps"),
-    "filterbank-eps-string": (lambda: FilterBank("0.25", 3, np.zeros(3)), "eps"),
+    "filterbank-eps-string": (lambda: FilterBank("0.25", np.zeros(3)), "eps"),
     "hoeffding-eps-prime-bool": (lambda: hoeffding_shots(10, True, 0.5), "eps_prime"),
     "hoeffding-eps-prime-string": (lambda: hoeffding_shots(10, "0.1", 0.9), "eps_prime"),
     "hoeffding-confidence-bool": (lambda: hoeffding_shots_per_point(10, 0.1, True), "confidence"),
     "hoeffding-confidence-string": (lambda: hoeffding_shots(10, 0.1, "0.9"), "confidence"),
     "choose-truncation": (lambda: choose_truncation(0.25, -5), "n_trunc"),
-    "filterbank-order": (lambda: FilterBank(0.25, 3.0, np.zeros(3)), "n_trunc"),
     "build-filterbank": (lambda: build_filterbank(0.25, 6.5), "n_trunc"),
     "build-filterbank-one": (lambda: build_filterbank(0.25, 1), "n_trunc"),
     "row-fraction": (lambda: build_filterbank(0.25, 4).row(1.5), "bin index j"),
     "row-past-last": (lambda: build_filterbank(0.25, 4).row(5), "bin index j"),
     "pencil-dimension": (lambda: _pencil_dimension(566, 2.5), "l_dim"),
-    "mp-estimate-record": (lambda: MpEstimate([0.0], [1.0], [1.0], 7, 0.0), "l_dim"),
     "mp-estimate": (lambda: mp_estimate(generate_clean(fig6_spectrum(), 20), 2.5), "l_dim"),
-    "solve-amplitudes": (
-        lambda: solve_amplitudes(np.zeros(2), generate_clean(fig6_spectrum(), 4), 2.5, np.ones(2)),
-        "l_dim"),
     "solve-amplitudes-long": (
-        lambda: solve_amplitudes(np.zeros(5), generate_clean(fig6_spectrum(), 4), 5, np.ones(5)),
+        lambda: solve_amplitudes(np.zeros(5), generate_clean(fig6_spectrum(), 4), np.ones(5)),
         "l_dim"),
     "error-bound-eps": (lambda: moment_error_bound(math.nan, 1, 1), "eps"),
     "error-bound-negative-eps": (lambda: moment_error_bound(-0.1, 1, 1), "eps"),
@@ -189,7 +184,7 @@ def test_numpy_integers_give_what_python_integers_give():
 
 def _pencil(**given):
     arrays = {name: np.zeros(2) for name in ("eigenphases", "amplitudes", "moduli")}
-    return MpEstimate(**{**arrays, **given}, l_dim=2, residual=0.0)
+    return MpEstimate(**{**arrays, **given}, residual=0.0)
 
 
 # One row per array field of the six value types: the type built from an
@@ -207,9 +202,9 @@ ARRAY_FIELDS = {
         lambda a: TimeSeries(values=a, provenance=Provenance.clean()),
         np.array([1.0, 0.5 - 0.25j]), "values", np.complex128),
     "filterbank-radial": (
-        lambda a: FilterBank(0.25, 3, a), np.array([1.0, 0.5, 0.25]), "radial", np.float64),
+        lambda a: FilterBank(0.25, a), np.array([1.0, 0.5, 0.25]), "radial", np.float64),
     "bin-distribution-values": (
-        lambda a: BinDistribution(values=a, eps=0.25, kind=BinKind.ESTIMATED_Q),
+        lambda a: BinDistribution(values=a, kind=BinKind.ESTIMATED_Q),
         np.linspace(0.0, 0.4, 5), "values", np.float64),
     "mp-estimate-eigenphases": (
         lambda a: _pencil(eigenphases=a), np.array([-0.5, 0.5]), "eigenphases", np.float64),

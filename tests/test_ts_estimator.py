@@ -218,7 +218,7 @@ class TestEstimateBins:
     @example(inv=40, n_trunc=12, extra=2, seed=2)
     def test_blocked_sums_match_direct_sum_property(self, inv, n_trunc, extra, seed):
         rng = np.random.default_rng(seed)
-        bank = FilterBank(eps=1.0 / inv, n_trunc=n_trunc, radial=rng.normal(size=n_trunc))
+        bank = FilterBank(eps=1.0 / inv, radial=rng.normal(size=n_trunc))
         values = rng.normal(size=n_trunc + extra) + 1j * rng.normal(size=n_trunc + extra)
         blocked = _bins_from_values(values, bank)
         # Each phase is rounded at a size up to N/2 on both sides.
@@ -325,10 +325,10 @@ class TestMomentErrorBound:
 class TestBinDistributionType:
     def test_exact_kind_validates_probability_vector(self):
         with pytest.raises(ValueError, match="sum to 1"):
-            BinDistribution(values=np.array([0.5, 0.6]), eps=1.0, kind=BinKind.EXACT_P)
+            BinDistribution(values=np.array([0.5, 0.6]), kind=BinKind.EXACT_P)
         for values in ([1.5, -0.5], [-0.5, 1.5]):
             with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
-                BinDistribution(values=np.array(values), eps=1.0, kind=BinKind.EXACT_P)
+                BinDistribution(values=np.array(values), kind=BinKind.EXACT_P)
 
     @pytest.mark.parametrize("inv", [3, 7, 9])
     def test_eps_is_stored_snapped(self, inv):
@@ -341,32 +341,24 @@ class TestBinDistributionType:
 
     def test_copies_the_callers_array(self):
         values = np.array([-0.01, 0.5, 0.52])
-        dist = BinDistribution(values=values, eps=0.5, kind=BinKind.ESTIMATED_Q)
+        dist = BinDistribution(values=values, kind=BinKind.ESTIMATED_Q)
         values[0] = 0.3
         assert dist.values[0] == -0.01
         assert not dist.values.flags.writeable
 
     def test_estimated_kind_allows_raw_values(self):
-        dist = BinDistribution(
-            values=np.array([-0.01, 0.5, 0.52]), eps=0.5, kind=BinKind.ESTIMATED_Q
-        )
+        dist = BinDistribution(values=np.array([-0.01, 0.5, 0.52]), kind=BinKind.ESTIMATED_Q)
         assert dist.values[0] == -0.01
 
+    # One value would need eps = 1/0, the zero-eps record.
     @pytest.mark.parametrize(
-        "eps, values",
-        [
-            (0.25, [0.5]),
-            (0.25, [0.2] * 6),
-            (0.3, [0.25] * 4),
-            (0.0, [1.0]),
-            (0.5, [0.1, float("nan"), 0.9]),
-            (0.5, [0.1, float("inf"), 0.9]),
-        ],
-        ids=["too-few", "too-many", "non-integer-inverse", "zero-eps", "nan", "inf"],
+        "values",
+        [[0.5], [1.0], [0.1, float("nan"), 0.9], [0.1, float("inf"), 0.9], [[0.5, 0.5]] * 2],
+        ids=["too-few", "zero-eps", "nan", "inf", "matrix"],
     )
-    def test_malformed_record_rejected(self, eps, values):
-        with pytest.raises(ValueError):
-            BinDistribution(values=np.array(values), eps=eps, kind=BinKind.ESTIMATED_Q)
+    def test_malformed_record_rejected(self, values):
+        with pytest.raises(ValueError, match="^values must be a vector of at least 2 finite reals$"):
+            BinDistribution(values=np.array(values), kind=BinKind.ESTIMATED_Q)
 
     def test_csv_export(self, tmp_path):
         spec, sig, path = tmp_path / "spec.json", tmp_path / "sig.json", tmp_path / "bins.csv"

@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "DftResult": "dft_baseline",
     "dft": "dft_baseline",
-    "NumericError": "errors",
     "FilterBank": "filterbank",
     "TruncationMode": "filterbank",
     "bin_centers": "filterbank",

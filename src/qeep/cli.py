@@ -6,9 +6,10 @@ subcommand that takes only the flags it reads. Flags can also come from an
 argument file, ``qeep reproduce fig5 @paper.args``, which holds one token per
 line (such as ``--seeds=1,2``) and is read as if its tokens stood in its place,
 so later tokens win; figure flags go after the figure name. Exit codes: 0
-success, 2 usage or validation error, 3 numeric failure, an allocation that
-fails (one ``out of memory:`` line, no traceback) or a CLI child (see below)
-killed by a signal.
+success, 2 usage or validation error, 3 numeric failure (numpy's
+``LinAlgError``, one ``numeric failure:`` line), an allocation that fails
+(one ``out of memory:`` line; neither prints a traceback) or a CLI child (see
+below) killed by a signal.
 
 Every command computes with one BLAS thread, so its bytes do not depend on
 the machine. Loaded before numpy (``python -m qeep.cli``, the ``qeep`` script,
@@ -44,7 +45,6 @@ import numpy as np
 
 from . import _records
 from .dft_baseline import dft
-from .errors import NumericError
 from .filterbank import (
     _LEAST_ORDER,
     TruncationMode,
@@ -534,12 +534,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except np.linalg.LinAlgError as exc:  # a ValueError, so caught first
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, np.linalg.LinAlgError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
     except MemoryError as exc:
         print(f"out of memory: {exc}", file=sys.stderr)
         return 3

@@ -26,7 +26,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _records
-from .errors import NumericError
 from .filterbank import _block
 from .signal import TimeSeries
 from .spectrum import _moment
@@ -97,20 +96,25 @@ class AmplitudeFit(NamedTuple):
 
 
 def _pencil_bytes(n_len: int, l_dim: int) -> int:
-    """Most bytes of arrays :func:`solve_pencil` holds at once for ``n_len``
+    """Most bytes the process holds at once to solve a pencil of ``n_len``
     entries and ``n = l_dim + 1`` rows: the Hankel buffer, ``16 (2 n_len - 1)``,
-    and the larger stage. :func:`_real_factor` holds ``p`` copied blocks of
-    ``b`` of its ``k`` top rows and their R factors, ``16 n p (b + n)``, then
-    up to four copies of the ``k - p (b - n)`` rows left (stacked, paired, the
-    real stack and the QR's), ``64 n`` bytes a row, and the triangle with the
-    mask of ``np.triu``, ``9 n^2``. The SVD path holds ``F``, ``U``, ``V^H`` and
-    ``X``, four ``n x n`` complex arrays: ``64 n^2``; the certified path and the
-    amplitude fit hold less. LAPACK's workspace and copies are not counted."""
+    and two stages. :func:`_real_factor` holds ``p`` copied blocks of ``b`` of
+    its ``k`` top rows and their R factors, ``16 n p (b + n)``, then three
+    copies of the ``k - p (b - n)`` rows left (the real stack, and the QR's copy
+    and that copy's Fortran-order copy), ``48 n`` bytes a row, and the triangle
+    with the mask of ``np.triu``, ``9 n^2``. The SVD path peaks inside the SVD
+    of ``F[:-1]`` (zgesdd, JOBZ = 'S'): ``F``, the ``U`` and ``V^H`` it returns,
+    numpy's Fortran-order copy of ``F[:-1]`` and LAPACK's ``U`` and ``V^H``, six
+    ``n x n`` complex arrays, and LRWORK, ``5 n^2`` doubles: ``136 n^2``. The
+    allocator keeps pages the factor frees, so the two stages add; their sum
+    also covers LAPACK's LWORK, ``66 n`` complex at block size 32, and BLAS's
+    packing buffers, measured under 3 KiB a row. The certified path and the
+    amplitude fit hold less than the SVD."""
     n, k = l_dim + 1, (2 * n_len - l_dim - 1) // 2
     b = _QR_BLOCK_ROWS_PER_COLUMN * n
     p = k // b
-    factor = 16 * n * p * (b + n) + 64 * n * (k - p * (b - n)) + 9 * n * n
-    return 16 * (2 * n_len - 1) + max(factor, 64 * n * n)
+    factor = 16 * n * p * (b + n) + 48 * n * (k - p * (b - n)) + 9 * n * n
+    return 16 * (2 * n_len - 1) + factor + 136 * n * n
 
 
 def _pencil_dimension(n_len: int, l_dim: int | None) -> int:
@@ -124,7 +128,7 @@ def _pencil_dimension(n_len: int, l_dim: int | None) -> int:
     if need > _MAX_PENCIL_BYTES:
         raise ValueError(
             f"l_dim must keep the pencil within {_MAX_PENCIL_BYTES / 2**30:g} GiB, got {l_dim}"
-            f" for {n_len} entries, which needs {need / 2**30:.3g} GiB"
+            f" for {n_len} entries, which needs {need / 2**30:.4g} GiB"
         )
     return l_dim
 
@@ -159,9 +163,14 @@ def _real_factor(g: np.ndarray) -> np.ndarray:
     if p:
         blocks = np.linalg.qr(top[: p * rows].reshape(p, rows, n), mode="r")
         top = np.concatenate([blocks.reshape(p * n, n), top[p * rows :]])
+        del blocks
     pairs = math.sqrt(2.0) * _to_pairs(top)
-    middle = _to_pairs(g[:, k : m - k].T).real
-    return np.linalg.qr(np.concatenate([pairs.real, middle, -pairs.imag]), mode="r")
+    del top
+    h = pairs.shape[0]
+    stack = np.concatenate([pairs.real, _to_pairs(g[:, k : m - k].T).real, pairs.imag])
+    del pairs  # Released, and the stack negated in place, as `_pencil_bytes` counts.
+    np.negative(stack[-h:], out=stack[-h:])
+    return np.linalg.qr(stack, mode="r")
 
 
 def _to_pairs(y: np.ndarray) -> np.ndarray:
@@ -268,18 +277,12 @@ def solve_pencil(ts: TimeSeries, l_dim: int) -> np.ndarray:
         return mu
     f = _from_pairs(r).T
     del r, z  # Released, and updated in place below, as `_pencil_bytes` counts.
-    try:
-        u, s, vh = np.linalg.svd(f[:-1], full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("pencil pseudoinverse did not converge") from exc
+    u, s, vh = np.linalg.svd(f[:-1], full_matrices=False)
     rank = np.count_nonzero(s > SVD_RCOND * s[0])
     x = f[1:] @ np.conj(vh[:rank], out=vh[:rank]).T
     del f, vh
     x /= s[:rank]
-    try:
-        core = np.linalg.eigvals(u[:, :rank].conj().T @ x)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("pencil eigensolve failed") from exc
+    core = np.linalg.eigvals(u[:, :rank].conj().T @ x)
     return np.append(core, np.zeros(l_dim - core.size))
 
 

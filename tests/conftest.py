@@ -1,10 +1,16 @@
 import qeep.cli  # noqa: F401  (first, so numpy loads under the CLI's one-BLAS-thread pin)
 import contextlib
+import os
+import subprocess
+import sys
+import textwrap
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import qeep
 from qeep import TruncationMode, build_filterbank, choose_truncation
 
 
@@ -52,5 +58,50 @@ def usage():
             used["seconds"] = time.perf_counter() - start
             used["peak_bytes"] = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
+
+    return measure
+
+
+# Run by `process_growth` in a fresh interpreter: `qeep.cli` first, so numpy
+# loads with one BLAS thread as in the CLI. `getrusage`'s ru_maxrss would start
+# at the test process's own peak, which Linux carries over fork and exec, so
+# the script reads the peak of its own memory, VmHWM, in KiB.
+_GROWTH_SCRIPT = """\
+import qeep.cli
+
+
+def peak():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+
+{setup}
+before = peak()
+{measured}
+print(peak() - before)
+"""
+
+
+@pytest.fixture
+def process_growth():
+    """``process_growth(setup, measured)`` runs the statements ``setup`` and
+    then ``measured`` in a fresh ``python`` process that imports ``qeep.cli``
+    first, and returns the bytes by which the process's peak resident set grew
+    while ``measured`` ran. tracemalloc sees only numpy's arrays; this also
+    sees LAPACK's workspace and the copies numpy's linalg routines make
+    outside them. It needs Linux's ``/proc/self/status``."""
+    if not Path("/proc/self/status").exists():
+        pytest.skip("the peak resident set is read from Linux's /proc/self/status")
+    path = [str(Path(qeep.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+    def measure(setup: str, measured: str) -> int:
+        script = _GROWTH_SCRIPT.format(
+            setup=textwrap.dedent(setup), measured=textwrap.dedent(measured)
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        return 1024 * int(proc.stdout)
 
     return measure

@@ -640,7 +640,7 @@ class TestEstimate:
         capsys.readouterr()
         rc = run("estimate", "--signal", sig_f, "--method", "mp", "--out", tmp_path / "e.json")
         assert rc == 3
-        assert "numeric failure: pencil pseudoinverse did not converge" in capsys.readouterr().err
+        assert capsys.readouterr().err == "numeric failure: SVD did not converge\n"
         assert not (tmp_path / "e.json").exists()
 
 
@@ -718,19 +718,36 @@ class TestReproduce:
     def test_fig6_numeric_failure_is_exit_3(self, tmp_path, capsys, monkeypatch):
         # fig6 solves its seed in the CLI's main thread, so a failure of the
         # solve reaches ``main`` directly and not through a pool task.
+        # ``LinAlgError`` is a ``ValueError``, which would be exit 2.
         def fail(*args, **kwargs):
-            raise qeep.errors.NumericError("pencil pseudoinverse did not converge")
+            raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr("qeep.cli.mp_estimate", fail)
+        capsys.readouterr()
         outdir = tmp_path / "figs"
         assert run("reproduce", "fig6", "--outdir", outdir, "--truncation", 64) == 3
-        assert "numeric failure: pencil pseudoinverse did not converge" in capsys.readouterr().err
+        assert capsys.readouterr().err == "numeric failure: SVD did not converge\n"
+        assert not outdir.exists()
+
+    def test_fig5_numeric_failure_in_a_pool_thread_is_exit_3(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # fig5 solves each seed in a pool thread; the pool raises the failure
+        # in ``main``'s thread, which prints one line and no traceback.
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr("qeep.cli.mp_estimate", fail)
+        capsys.readouterr()
+        outdir = tmp_path / "figs"
+        argv = ("reproduce", "fig5", "--outdir", outdir, "--truncation", 64, "--seeds", "1,2")
+        assert run(*argv) == 3
+        assert capsys.readouterr().err == "numeric failure: Eigenvalues did not converge\n"
         assert not outdir.exists()
 
     def test_pencil_past_the_memory_ceiling_fails_before_any_work(self, tmp_path, capsys,
                                                                     usage):
         # Paper-default fig5 at the strict order takes L = N - 1 = 95 895,
-        # whose pencil would need 548 GiB: a usage error before the bank.
+        # whose pencil would need 1447 GiB: a usage error before the bank.
         capsys.readouterr()
         outdir = tmp_path / "figs"
         with usage() as used:
@@ -738,7 +755,7 @@ class TestReproduce:
         assert rc == 2
         assert capsys.readouterr().err == (
             "error: l_dim must keep the pencil within 1 GiB, got 95895 for 95896 entries,"
-            " which needs 548 GiB\n"
+            " which needs 1447 GiB\n"
         )
         assert used["seconds"] < 1.0 and used["peak_bytes"] < 2**20
         assert not outdir.exists()

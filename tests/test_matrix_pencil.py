@@ -277,6 +277,28 @@ class TestRealFactor:
         gram = g @ g.conj().T
         assert np.linalg.norm(f @ f.conj().T - gram) <= 1e-12 * np.linalg.norm(gram)
 
+    # The reference is the direct stack, which keeps the pairs alive through
+    # the QR and negates a copy of their imaginary parts: releasing them and
+    # negating the stack in place must not move a bit. Square and wide, with
+    # even and odd m (m = 2N - L - 1); both wide shapes take row blocks.
+    @pytest.mark.parametrize(
+        "n_len, l_dim",
+        [(566, 565), (565, 564), (4469, 64), (2000, 179)],
+        ids=["square", "square-odd-m", "wide-odd-m", "wide"],
+    )
+    def test_factor_is_bitwise_that_of_the_direct_stack(self, n_len, l_dim):
+        g = pencil_hankel(n_len, l_dim, noisy=True)
+        n, m = g.shape
+        k, rows = m // 2, _QR_BLOCK_ROWS_PER_COLUMN * n
+        top, p = g[:, :k].T, k // rows
+        if p:
+            blocks = np.linalg.qr(top[: p * rows].reshape(p, rows, n), mode="r")
+            top = np.concatenate([blocks.reshape(p * n, n), top[p * rows :]])
+        pairs = math.sqrt(2.0) * _to_pairs(top)
+        middle = _to_pairs(g[:, k : m - k].T).real
+        expected = np.linalg.qr(np.concatenate([pairs.real, middle, -pairs.imag]), mode="r")
+        assert _real_factor(g).tobytes() == expected.tobytes()
+
     @settings(max_examples=30, deadline=None)
     @example(shape=(566, 565), seed=0)
     @given(
@@ -989,7 +1011,7 @@ class TestMpEstimate:
         assert np.any(np.abs(est.eigenphases) > 0.5)
 
     def test_default_dimension_past_the_memory_ceiling_fails_before_any_work(self, usage):
-        # At N = 12 000 the default L = N - 1 needs an 8.58 GiB pencil.
+        # At N = 12 000 the default L = N - 1 needs a 22.67 GiB pencil.
         ts = generate_clean(fig6_spectrum(), 12_000)
         message = r"^l_dim must keep the pencil within 1 GiB, got 11999 for 12000 entries"
         with usage() as used, pytest.raises(ValueError, match=message):
@@ -1019,14 +1041,14 @@ class TestMpEstimate:
 
 class TestPencilDimension:
     # The pair stack of `_real_factor` takes 16*(L+1)*((2N-L-1)//2) bytes;
-    # `_pencil_bytes`, which the ceiling bounds, counts every array the
-    # pencil holds at once.
+    # `_pencil_bytes`, which the ceiling bounds, counts what the process
+    # holds to solve the pencil.
     @pytest.mark.parametrize(
         "n_len, l_dim, pair_bytes, pencil_bytes",
         [
-            (566, 565, 2_562_848, 20_520_880),  # paper-default fig5: 20 MiB
-            (4469, 64, 4_613_440, 8_359_577),  # the trials benchmark: 8.0 MiB
-            (95_896, 64, 99_697_520, 165_567_161),  # STRICT eps = 0.005 at L = 64: 158 MiB
+            (566, 565, 2_562_848, 54_158_260),  # paper-default fig5: 52 MiB
+            (4469, 64, 4_613_440, 8_106_337),  # the trials benchmark: 7.7 MiB
+            (95_896, 64, 99_697_520, 153_513_041),  # STRICT eps = 0.005 at L = 64: 146 MiB
         ],
     )
     def test_documented_pencils_fit_under_the_ceiling(self, n_len, l_dim, pair_bytes,
@@ -1037,36 +1059,49 @@ class TestPencilDimension:
         assert _pencil_dimension(n_len, l_dim) == l_dim
 
     def test_ceiling_admits_exactly_the_pencils_within_it(self):
-        # At N = 12 000 the pencils within 1 GiB are L = 1 .. 1460: the largest
+        # At N = 12 000 the pencils within 1 GiB are L = 1 .. 1431: the largest
         # is accepted and the next one is rejected.
         n_len = 12_000
         sizes = [matrix_pencil._pencil_bytes(n_len, dim) for dim in range(1, n_len)]
         last = max(dim for dim, size in enumerate(sizes, 1) if size <= 2**30)
-        assert last == 1460 and max(sizes[:last]) <= 2**30 < min(sizes[last:])
+        assert last == 1431 and max(sizes[:last]) <= 2**30 < min(sizes[last:])
         assert _pencil_dimension(n_len, last) == last
         with pytest.raises(ValueError, match=f"got {last + 1} for 12000 entries"):
             _pencil_dimension(n_len, last + 1)
 
+    def test_square_pencils_pass_the_ceiling_from_n_2521(self):
+        square = [matrix_pencil._pencil_bytes(n, n - 1) <= 2**30 for n in (2520, 2521)]
+        assert square == [True, False]
+
     # Square pencils, noisy (certified, companion roots) and clean (rank 5,
-    # SVD core), a wide one as in the trials benchmark, and a noisy square
-    # pencil sent down the SVD path at full rank, the most any pencil holds.
+    # SVD core), wide ones as in the trials benchmark (blocked) and with no
+    # row block, and a noisy square pencil sent down the SVD path at full
+    # rank, the most a square pencil holds. The process, not numpy's arrays,
+    # is measured: LAPACK's workspace and pages the allocator keeps count.
     @pytest.mark.parametrize(
-        "n_len, l_dim, eps_prime, certify",
-        [(566, 565, 0.005, True), (566, 565, 0.0, True), (4469, 64, 1e-5, True),
-         (566, 565, 0.005, False)],
-        ids=["square-noisy", "square-clean", "wide-noisy", "square-full-rank"],
+        "n_len, l_dim, eps_prime, certify, largest",
+        [(566, 565, 0.005, True, False), (566, 565, 0.0, True, False),
+         (4469, 64, 1e-5, True, True), (566, 565, 0.005, False, True),
+         (3000, 365, 1e-5, True, True)],
+        ids=["square-noisy", "square-clean", "wide-noisy", "square-full-rank", "wide-unblocked"],
     )
     def test_pencil_bytes_bound_the_measured_peak(self, n_len, l_dim, eps_prime, certify,
-                                                  usage, monkeypatch):
-        ts = generate_clean(random_spectrum(5, 1), n_len)
-        if eps_prime:
-            ts = add_noise(ts, eps_prime, 1 + NOISE_SEED_OFFSET)
-        if not certify:
-            monkeypatch.setattr(matrix_pencil, "_certified_inverse", lambda r: None)
-        with usage() as used:
-            mp_estimate(ts, l_dim)
+                                                  largest, process_growth):
+        setup = f"""
+        from qeep import add_noise, generate_clean, matrix_pencil, mp_estimate, random_spectrum
+        from qeep.cli import NOISE_SEED_OFFSET
+        mp_estimate(generate_clean(random_spectrum(5, 1), 40))  # pages in the SVD path's code
+        ts = generate_clean(random_spectrum(5, 1), {n_len})
+        if {eps_prime}:
+            ts = add_noise(ts, {eps_prime}, 1 + NOISE_SEED_OFFSET)
+        if not {certify}:
+            matrix_pencil._certified_inverse = lambda r: None
+        """
+        growth = process_growth(setup, f"mp_estimate(ts, {l_dim})")
         need = matrix_pencil._pencil_bytes(n_len, l_dim)
-        assert used["peak_bytes"] <= need <= 2 * used["peak_bytes"]
+        assert growth <= need
+        # The count is within a factor of two of the largest path of its shape.
+        assert need <= 2 * growth or not largest
 
 
 class TestMpMoment:

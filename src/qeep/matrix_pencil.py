@@ -48,7 +48,7 @@ _ABERTH_MAX_SWEEPS = 50
 # Points per Aberth block and rows per amplitude-fit block: bounds temporaries.
 _ROW_BLOCK = 128
 
-# Largest `_pencil_bytes` of a pencil: 1 GiB, about 50 times paper-default fig5's.
+# Bytes a pencil's `_pencil_entries` may take: 1 GiB, 18 times paper-default fig5's.
 _MAX_PENCIL_BYTES = 2**30
 
 
@@ -95,36 +95,29 @@ class AmplitudeFit(NamedTuple):
     rank: int
 
 
-def _pencil_bytes(n_len: int, l_dim: int) -> int:
-    """Most bytes the process holds at once to solve a pencil of ``n_len``
-    entries and ``n = l_dim + 1`` rows: the Hankel buffer, ``16 (2 n_len - 1)``,
-    and two stages. :func:`_real_factor` holds ``p`` copied blocks of ``b`` of
-    its ``k`` top rows and their R factors, ``16 n p (b + n)``, then three
-    copies of the ``k - p (b - n)`` rows left (the real stack, and the QR's copy
-    and that copy's Fortran-order copy), ``48 n`` bytes a row, and the triangle
-    with the mask of ``np.triu``, ``9 n^2``. The SVD path peaks inside the SVD
-    of ``F[:-1]`` (zgesdd, JOBZ = 'S'): ``F``, the ``U`` and ``V^H`` it returns,
-    numpy's Fortran-order copy of ``F[:-1]`` and LAPACK's ``U`` and ``V^H``, six
-    ``n x n`` complex arrays, and LRWORK, ``5 n^2`` doubles: ``136 n^2``. The
-    allocator keeps pages the factor frees, so the two stages add; their sum
-    also covers LAPACK's LWORK, ``66 n`` complex at block size 32, and BLAS's
-    packing buffers, measured under 3 KiB a row. The certified path and the
-    amplitude fit hold less than the SVD."""
+def _pencil_entries(n_len: int, l_dim: int) -> float:
+    """Complex entries, 16 bytes each, charged to a pencil of ``n_len`` entries
+    and ``n = l_dim + 1`` rows: the Hankel buffer, ``2 n_len``; ten ``n x n``
+    arrays, where a square pencil peaks (the SVD fallback's, or the triangle
+    and its inverse when certified); and ``n`` times the rows that
+    :func:`_real_factor` holds of the Hankel's ``k`` top rows, where a wide
+    pencil peaks. Those are ``3k`` (the real stack, the QR's copy and that
+    copy's Fortran-order copy) or, with blocks of ``8 n`` rows, ``5k/4 + 24 n``
+    (a copy of each block and its two ``n``-row R factors, and three copies of
+    the fewer than ``8 n`` rows left over). Both bound the rows, so the
+    smaller is charged."""
     n, k = l_dim + 1, (2 * n_len - l_dim - 1) // 2
-    b = _QR_BLOCK_ROWS_PER_COLUMN * n
-    p = k // b
-    factor = 16 * n * p * (b + n) + 48 * n * (k - p * (b - n)) + 9 * n * n
-    return 16 * (2 * n_len - 1) + factor + 136 * n * n
+    return 2 * n_len + n * (10 * n + min(3 * k, 5 * k / 4 + 24 * n))
 
 
 def _pencil_dimension(n_len: int, l_dim: int | None) -> int:
     """The pencil dimension of a signal of ``n_len`` entries: ``l_dim``, an
-    integer in ``[1, n_len - 1]`` whose :func:`_pencil_bytes` fit in
+    integer in ``[1, n_len - 1]`` whose :func:`_pencil_entries` fit in
     ``_MAX_PENCIL_BYTES``, or ``n_len - 1`` for ``None``. One entry has no pencil."""
     if n_len < 2:
         raise ValueError(f"the matrix pencil needs a signal of at least 2 entries, got {n_len}")
     l_dim = _records.number(n_len - 1 if l_dim is None else l_dim, "l_dim", Integral, 1, n_len - 1)
-    need = _pencil_bytes(n_len, l_dim)
+    need = 16 * _pencil_entries(n_len, l_dim)
     if need > _MAX_PENCIL_BYTES:
         raise ValueError(
             f"l_dim must keep the pencil within {_MAX_PENCIL_BYTES / 2**30:g} GiB, got {l_dim}"
@@ -168,7 +161,7 @@ def _real_factor(g: np.ndarray) -> np.ndarray:
     del top
     h = pairs.shape[0]
     stack = np.concatenate([pairs.real, _to_pairs(g[:, k : m - k].T).real, pairs.imag])
-    del pairs  # Released, and the stack negated in place, as `_pencil_bytes` counts.
+    del pairs  # Released, and the stack negated in place, as `_pencil_entries` charges.
     np.negative(stack[-h:], out=stack[-h:])
     return np.linalg.qr(stack, mode="r")
 
@@ -202,7 +195,9 @@ def _certified_inverse(t: np.ndarray) -> np.ndarray | None:
     like the unblocked ones, has ``||X t - I|| <= c n u ||X|| ||t||`` (Higham
     2002, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 14;
     ``u`` the unit roundoff): off by a relative ``O(n u cond(t))``, at most 3%
-    at n = 566 on a certified ``t``, which the factor 2 absorbs."""
+    at n = 566 on a certified ``t``, which the factor 2 absorbs. The norm reads
+    the copy ``np.triu(t)``, not ``t``'s lower triangle; that copy and its mask
+    beside the inverse set the peak, ``2.13 n^2`` doubles."""
     with np.errstate(all="ignore"):
         try:
             inverse = _upper_inverse(t)
@@ -217,18 +212,24 @@ def _certified(bound: float) -> bool:
     return bound < 0.5 / SVD_RCOND
 
 
-def _upper_inverse(t: np.ndarray) -> np.ndarray:
-    """The inverse of the upper triangle of ``t``. A triangle of at most
+def _upper_inverse(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The inverse of the upper triangle of ``t``, written into ``out`` (a
+    zeroed ``n x n`` array when ``None``) and returned. A triangle of at most
     ``_TRIANGULAR_BLOCK`` columns takes one ``np.linalg.solve`` against ``I``,
     which pivots on the diagonal, so this is back substitution. A larger one
     splits as ``[[A, B], [0, D]]``, whose inverse
-    ``[[A^-1, -(A^-1 B) D^-1], [0, D^-1]]`` takes two matrix products more."""
+    ``[[A^-1, -(A^-1 B) D^-1], [0, D^-1]]`` fills ``out`` quadrant by
+    quadrant with two matrix products more, so it holds ``out`` and the top
+    level's two products, ``n^2 / 2`` entries, and no quadrant copy."""
     n = t.shape[0]
+    out = np.zeros((n, n)) if out is None else out
     if n <= _TRIANGULAR_BLOCK:
-        return np.linalg.solve(np.triu(t), np.eye(n))
+        out[:] = np.linalg.solve(np.triu(t), np.eye(n))
+        return out
     h = n // 2
-    a_inv, d_inv = _upper_inverse(t[:h, :h]), _upper_inverse(t[h:, h:])
-    return np.block([[a_inv, -(a_inv @ t[:h, h:]) @ d_inv], [np.zeros((n - h, h)), d_inv]])
+    a_inv, d_inv = _upper_inverse(t[:h, :h], out[:h, :h]), _upper_inverse(t[h:, h:], out[h:, h:])
+    out[:h, h:] = -(a_inv @ t[:h, h:]) @ d_inv
+    return out
 
 
 def _prediction_row(g: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -276,7 +277,7 @@ def solve_pencil(ts: TimeSeries, l_dim: int) -> np.ndarray:
     if mu is not None:
         return mu
     f = _from_pairs(r).T
-    del r, z  # Released, and updated in place below, as `_pencil_bytes` counts.
+    del r, z  # Released, and updated in place below, as `_pencil_entries` charges.
     u, s, vh = np.linalg.svd(f[:-1], full_matrices=False)
     rank = np.count_nonzero(s > SVD_RCOND * s[0])
     x = f[1:] @ np.conj(vh[:rank], out=vh[:rank]).T

@@ -747,7 +747,7 @@ class TestReproduce:
     def test_pencil_past_the_memory_ceiling_fails_before_any_work(self, tmp_path, capsys,
                                                                     usage):
         # Paper-default fig5 at the strict order takes L = N - 1 = 95 895,
-        # whose pencil would need 1447 GiB: a usage error before the bank.
+        # whose pencil would need 1576 GiB: a usage error before the bank.
         capsys.readouterr()
         outdir = tmp_path / "figs"
         with usage() as used:
@@ -755,7 +755,7 @@ class TestReproduce:
         assert rc == 2
         assert capsys.readouterr().err == (
             "error: l_dim must keep the pencil within 1 GiB, got 95895 for 95896 entries,"
-            " which needs 1447 GiB\n"
+            " which needs 1576 GiB\n"
         )
         assert used["seconds"] < 1.0 and used["peak_bytes"] < 2**20
         assert not outdir.exists()

@@ -142,8 +142,11 @@ class TestBumpFourier:
             assert abs(bump_fourier(kp)) <= bump_fourier(0.0) + 1e-15
 
     def test_decay_bound_on_scan(self):
-        for kp in np.arange(10.0, 201.0, 10.0):
-            assert abs(bump_fourier(kp)) <= math.exp(-math.sqrt(kp))
+        # Step 0.1 over [10, 900], past y = 239.74, the largest of any STRICT
+        # order for 1/eps <= 200 (test_strict_order_is_past_decay_onset); the
+        # largest ratio is 0.367, at kp = 10.7.
+        kps = np.linspace(10.0, 900.0, 8901)
+        assert np.all(np.abs(bump_fourier(kps)) <= np.exp(-np.sqrt(kps)))
 
     def test_decay_onset_recorded(self):
         # tail_bound's docstring records the onset, y = 10, which is the
@@ -154,7 +157,7 @@ class TestBumpFourier:
     def test_decay_onset_of_a_given_scan(self):
         # The scan above starts past the onset; a unit-step scan finds it
         # inside: the bound fails at kp = 1, 2, 3 and holds for good from 4.
-        kps = np.arange(1.0, 201.0)
+        kps = np.arange(1.0, 901.0)
         holds = np.abs(bump_fourier(kps)) <= np.exp(-np.sqrt(kps))
         assert kps[~holds].tolist() == [1.0, 2.0, 3.0]
 
@@ -415,11 +418,12 @@ class TestChooseTruncation:
     def test_strict_order_is_past_decay_onset(self):
         # tail_bound holds only from the decay onset kp = 10 on (its
         # docstring); STRICT never stops short of it (the smallest margin,
-        # y = 20.5 against 10, is at eps = 1).
+        # y = 20.5 against 10, is at eps = 1), nor goes past the decay scan's
+        # 900 (the largest y is 239.74, at eps = 1/200).
         for inv in range(1, 201):
             eps = 1.0 / inv
             n = choose_truncation(eps, TruncationMode.STRICT)
-            assert (n - 1) * eps / 2.0 >= 10.0, inv
+            assert 10.0 <= (n - 1) * eps / 2.0 <= 900.0, inv
 
 
 class TestBuildFilterBank:

@@ -689,6 +689,15 @@ class TestUpperInverse:
             assert np.array_equal(_upper_inverse(filled), _upper_inverse(t))
             assert np.array_equal(_certified_inverse(filled), _certified_inverse(t))
 
+    def test_fills_one_output_in_place(self, usage):
+        # The output and the top level's two n^2 / 4 products: 1.5 triangles
+        # (8 n^2 bytes). Building each level from quadrant copies held 2.
+        n = 566
+        t = random_triangle(n, n)
+        with usage() as used:
+            _upper_inverse(t)
+        assert used["peak_bytes"] <= 1.6 * 8 * n * n
+
 
 class TestCertifiedInverse:
     # n = 2 makes the bound ||t||_F ||t^-1||_F equal the condition number to
@@ -1011,7 +1020,7 @@ class TestMpEstimate:
         assert np.any(np.abs(est.eigenphases) > 0.5)
 
     def test_default_dimension_past_the_memory_ceiling_fails_before_any_work(self, usage):
-        # At N = 12 000 the default L = N - 1 needs a 22.67 GiB pencil.
+        # At N = 12 000 the default L = N - 1 needs a 24.68 GiB pencil.
         ts = generate_clean(fig6_spectrum(), 12_000)
         message = r"^l_dim must keep the pencil within 1 GiB, got 11999 for 12000 entries"
         with usage() as used, pytest.raises(ValueError, match=message):
@@ -1041,49 +1050,51 @@ class TestMpEstimate:
 
 class TestPencilDimension:
     # The pair stack of `_real_factor` takes 16*(L+1)*((2N-L-1)//2) bytes;
-    # `_pencil_bytes`, which the ceiling bounds, counts what the process
-    # holds to solve the pencil.
+    # the ceiling charges 16 bytes for each of `_pencil_entries`.
     @pytest.mark.parametrize(
         "n_len, l_dim, pair_bytes, pencil_bytes",
         [
-            (566, 565, 2_562_848, 54_158_260),  # paper-default fig5: 52 MiB
-            (4469, 64, 4_613_440, 8_106_337),  # the trials benchmark: 7.7 MiB
-            (95_896, 64, 99_697_520, 153_513_041),  # STRICT eps = 0.005 at L = 64: 146 MiB
+            (566, 565, 2_562_848, 58_963_616),  # paper-default fig5: 56 MiB
+            (4469, 64, 4_613_440, 8_208_208),  # the trials benchmark: 7.8 MiB
+            (95_896, 64, 99_697_520, 129_988_972),  # STRICT eps = 0.005 at L = 64: 124 MiB
         ],
     )
     def test_documented_pencils_fit_under_the_ceiling(self, n_len, l_dim, pair_bytes,
                                                       pencil_bytes):
         assert 16 * (l_dim + 1) * ((2 * n_len - l_dim - 1) // 2) == pair_bytes
-        assert matrix_pencil._pencil_bytes(n_len, l_dim) == pencil_bytes
+        assert 16 * matrix_pencil._pencil_entries(n_len, l_dim) == pencil_bytes
         assert pencil_bytes <= matrix_pencil._MAX_PENCIL_BYTES
         assert _pencil_dimension(n_len, l_dim) == l_dim
 
     def test_ceiling_admits_exactly_the_pencils_within_it(self):
-        # At N = 12 000 the pencils within 1 GiB are L = 1 .. 1431: the largest
+        # At N = 12 000 the pencils within 1 GiB are L = 1 .. 1399: the largest
         # is accepted and the next one is rejected.
         n_len = 12_000
-        sizes = [matrix_pencil._pencil_bytes(n_len, dim) for dim in range(1, n_len)]
+        sizes = [16 * matrix_pencil._pencil_entries(n_len, dim) for dim in range(1, n_len)]
         last = max(dim for dim, size in enumerate(sizes, 1) if size <= 2**30)
-        assert last == 1431 and max(sizes[:last]) <= 2**30 < min(sizes[last:])
+        assert last == 1399 and max(sizes[:last]) <= 2**30 < min(sizes[last:])
         assert _pencil_dimension(n_len, last) == last
         with pytest.raises(ValueError, match=f"got {last + 1} for 12000 entries"):
             _pencil_dimension(n_len, last + 1)
 
-    def test_square_pencils_pass_the_ceiling_from_n_2521(self):
-        square = [matrix_pencil._pencil_bytes(n, n - 1) <= 2**30 for n in (2520, 2521)]
+    def test_square_pencils_pass_the_ceiling_from_n_2416(self):
+        square = [16 * matrix_pencil._pencil_entries(n, n - 1) <= 2**30 for n in (2415, 2416)]
         assert square == [True, False]
 
     # Square pencils, noisy (certified, companion roots) and clean (rank 5,
-    # SVD core), wide ones as in the trials benchmark (blocked) and with no
-    # row block, and a noisy square pencil sent down the SVD path at full
-    # rank, the most a square pencil holds. The process, not numpy's arrays,
-    # is measured: LAPACK's workspace and pages the allocator keeps count.
+    # SVD core), wide ones as in the trials benchmark (blocked), with no row
+    # block, and with one block and 519 rows left over, and noisy pencils sent
+    # down the SVD path at full rank, the most a pencil of its shape holds.
+    # The process, not numpy's arrays, is measured: LAPACK's workspace and
+    # pages the allocator keeps count.
     @pytest.mark.parametrize(
         "n_len, l_dim, eps_prime, certify, largest",
         [(566, 565, 0.005, True, False), (566, 565, 0.0, True, False),
          (4469, 64, 1e-5, True, True), (566, 565, 0.005, False, True),
-         (3000, 365, 1e-5, True, True)],
-        ids=["square-noisy", "square-clean", "wide-noisy", "square-full-rank", "wide-unblocked"],
+         (3000, 365, 1e-5, True, True), (1072, 64, 1e-5, True, False),
+         (1072, 64, 1e-5, False, True)],
+        ids=["square-noisy", "square-clean", "wide-noisy", "square-full-rank", "wide-unblocked",
+             "wide-leftover", "wide-leftover-full-rank"],
     )
     def test_pencil_bytes_bound_the_measured_peak(self, n_len, l_dim, eps_prime, certify,
                                                   largest, process_growth):
@@ -1098,7 +1109,7 @@ class TestPencilDimension:
             matrix_pencil._certified_inverse = lambda r: None
         """
         growth = process_growth(setup, f"mp_estimate(ts, {l_dim})")
-        need = matrix_pencil._pencil_bytes(n_len, l_dim)
+        need = 16 * matrix_pencil._pencil_entries(n_len, l_dim)
         assert growth <= need
         # The count is within a factor of two of the largest path of its shape.
         assert need <= 2 * growth or not largest

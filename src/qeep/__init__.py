@@ -14,6 +14,7 @@ __version__ = "0.1.0"
 
 # Each public name and the submodule that defines it.
 _EXPORTS = {
+    "moment_error_bound": "_plan",
     "DftResult": "dft_baseline",
     "dft": "dft_baseline",
     "FilterBank": "filterbank",
@@ -47,7 +48,6 @@ _EXPORTS = {
     "estimate_bins": "ts_estimator",
     "estimate_moment": "ts_estimator",
     "exact_bins": "ts_estimator",
-    "moment_error_bound": "ts_estimator",
     "truncated_bins": "ts_estimator",
 }
 

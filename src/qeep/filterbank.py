@@ -119,7 +119,10 @@ def _trapezoid_rule(kp_max: float) -> tuple[int, np.ndarray]:
     ``pi*n - kp_max``, where the decay bound ``|H(w)| <= exp(-sqrt(w))`` is
     below double precision rounding. That bound is tested on the grid
     ``w = 10, 10.1, ..., 900``; the alias lies past ``alias_floor``, about
-    1 299, beyond that grid.
+    1 299, beyond that grid, where the bound is itself at rounding level.
+    ``test_aliases_are_below_rounding`` checks the floor directly: doubling
+    ``n`` moves every alias twice as far and changes ``H`` at the frequencies
+    of three banks, up to ``kp = 1000``, by rounding only.
     """
     alias_floor = math.log(1.0 / np.finfo(float).eps) ** 2
     half = math.ceil((kp_max + alias_floor) / (2.0 * math.pi))

@@ -125,11 +125,3 @@ def estimate_moment(dist: BinDistribution, s: int) -> float:
     ``sum_j values[j] * (-1/2 + j*eps)**s``."""
     return _moment(dist.values, dist.centers, s)
 
-
-def moment_error_bound(eps: float, t_max: float, t_prime_max: float) -> float:
-    """A priori error bound ``eps * (t_max + t_prime_max)`` for expectations of
-    a differentiable T, with the caller supplying the sup norms of T and T'
-    over ``|x| <= 1/2``; all three must be finite and non-negative."""
-    for name, value in (("eps", eps), ("t_max", t_max), ("t_prime_max", t_prime_max)):
-        _records.number(value, name, least=0)
-    return eps * (t_max + t_prime_max)

@@ -30,12 +30,12 @@ from qeep import (
     generate_clean,
     hoeffding_shots,
     hoeffding_shots_per_point,
-    moment_error_bound,
     mp_estimate,
     random_spectrum,
     sample_shots,
     truncated_bins,
 )
+from qeep._plan import moment_bound
 from qeep.cli import main
 from qeep.filterbank import BUMP_NORM, SQRT_2PI, _radial
 
@@ -264,7 +264,7 @@ def test_c10_moment_error_bound(bank_mid_strict):
         noisy = add_noise(generate_clean(spec, bank.n_trunc), eps / bank.n_trunc, i)
         q = estimate_bins(noisy, bank)
         for s in (1, 2, 4):
-            bound = moment_error_bound(eps, 2.0**-s, s * 2.0 ** -(s - 1))
+            bound = moment_bound(eps, s)
             err = abs(estimate_moment(q, s) - exact_moment(spec, s))
             worst_ratio = max(worst_ratio, err / bound)
             if err > bound:
@@ -289,7 +289,7 @@ def test_c07_c10_at_paper_eps_strict(bank_paper_strict):
         assert l1 <= eps
         worst_l1 = max(worst_l1, l1 / eps)
         for s in (1, 2, 4):
-            bound = moment_error_bound(eps, 2.0**-s, s * 2.0 ** -(s - 1))
+            bound = moment_bound(eps, s)
             err = abs(estimate_moment(q, s) - exact_moment(spec, s))
             assert err <= bound
             worst_moment = max(worst_moment, err / bound)
@@ -324,7 +324,7 @@ def test_c11_planned_shots_per_point_meet_c10(bank_paper):
         worst_entry = max(worst_entry, entry / eps)
         q = estimate_bins(signal, bank_paper)
         for s in (1, 2, 4):
-            bound = moment_error_bound(eps, 2.0**-s, s * 2.0 ** -(s - 1))
+            bound = moment_bound(eps, s)
             err = abs(estimate_moment(q, s) - exact_moment(spec, s))
             assert err <= bound
             worst_moment = max(worst_moment, err / bound)

@@ -1187,6 +1187,8 @@ run("reproduce", "fig5", "--truncation", "64", "--seeds", "1", "--outdir", "out"
 assert "numpy.polynomial" not in sys.modules
 run("reproduce", "fig6", "--truncation", "64", "--outdir", "out")
 run("reproduce", "fig4", "--outdir", "out")
+# No command loads the a-priori planner, so none pays for its import.
+assert "qeep._plan" not in sys.modules
 assert abs(exact_bins(fig6_spectrum(), 0.005).values.sum() - 1.0) <= 1e-9
 print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """

@@ -37,6 +37,7 @@ from qeep.matrix_pencil import (
     _real_factor,
     _to_pairs,
     _upper_inverse,
+    _upper_norm,
 )
 from qeep.signal import Provenance
 
@@ -724,6 +725,21 @@ class TestCertifiedInverse:
             assert inverse_residual(t, inverse) <= 4 * n * UNIT_ROUNDOFF * np.linalg.cond(t)
         if cond <= 1e11 or (n == 2 and cond <= 4e11):
             assert inverse is not None
+
+    def test_norm_takes_no_copy_of_the_triangle(self, usage):
+        # The inverse's own 1.5 triangles (8 n^2 bytes); the norm of a copy
+        # np.triu(t) and its mask beside the inverse held 2.13.
+        n = 566
+        t = random_triangle(n, n)
+        with usage() as used:
+            assert _certified_inverse(t) is not None
+        assert used["peak_bytes"] <= 1.6 * 8 * n * n
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 566])
+    def test_norm_is_the_upper_triangle_norm(self, n):
+        t = random_triangle(n, n)
+        t[np.tril_indices(n, -1)] = 1e3
+        assert _upper_norm(t) == pytest.approx(np.linalg.norm(np.triu(t)), rel=1e-14)
 
     @pytest.mark.parametrize(
         "entry", [0.0, np.inf, np.nan, 1.7e308], ids=["zero-column", "inf", "nan", "overflow"]

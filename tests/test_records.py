@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from qeep import _records
+from qeep._plan import moment_error_bound
 from qeep.dft_baseline import DftResult
 from qeep.filterbank import (
     FilterBank,
@@ -29,13 +30,7 @@ from qeep.signal import (
     sample_shots,
 )
 from qeep.spectrum import Spectrum, exact_moment, fig6_spectrum, random_spectrum
-from qeep.ts_estimator import (
-    BinDistribution,
-    BinKind,
-    estimate_moment,
-    exact_bins,
-    moment_error_bound,
-)
+from qeep.ts_estimator import BinDistribution, BinKind, estimate_moment, exact_bins
 
 DOUBLE_MAX = sys.float_info.max
 

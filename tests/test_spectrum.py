@@ -172,7 +172,7 @@ class TestExactMoment:
         for seed in range(20):
             spec = random_spectrum(6, seed)
             for s in (1, 2, 3, 5, 8):
-                assert abs(exact_moment(spec, s)) <= 2.0**-s + 1e-15
+                assert abs(exact_moment(spec, s)) <= 0.5**s + 1e-15
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):

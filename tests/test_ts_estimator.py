@@ -24,6 +24,8 @@ from qeep import (
     random_spectrum,
     truncated_bins,
 )
+from qeep import _plan
+from qeep._plan import moment_bound
 from qeep.cli import main
 from qeep.filterbank import SQRT_2PI, FilterBank, build_filterbank
 from qeep.signal import Provenance
@@ -264,7 +266,7 @@ class TestMoments:
         assert bank_paper.n_trunc == choose_truncation(0.005, TruncationMode.EMPIRICAL)
         spec = random_spectrum(5, 9102)
         q = truncated_bins(spec, bank_paper)
-        bound = moment_error_bound(0.005, 0.5, 1.0)
+        bound = moment_bound(0.005, 1)
         ratio = abs(estimate_moment(q, 1) - exact_moment(spec, 1)) / bound
         assert 1.3 < ratio < 1.33
 
@@ -277,7 +279,7 @@ class TestMoments:
             )
             q = estimate_bins(noisy, bank)
             for s in (1, 2, 4):
-                bound = moment_error_bound(bank.eps, 2.0**-s, s * 2.0 ** -(s - 1))
+                bound = moment_bound(bank.eps, s)
                 assert abs(estimate_moment(q, s) - exact_moment(spec, s)) <= bound
 
     # C10 over arbitrary spectra, lines on the range's ends included: at the
@@ -292,7 +294,7 @@ class TestMoments:
         noisy = add_noise(generate_clean(spec, bank.n_trunc), bank.eps / bank.n_trunc, seed)
         q = estimate_bins(noisy, bank)
         for s in (1, 2, 3, 4, 8):
-            bound = moment_error_bound(bank.eps, 2.0**-s, s * 2.0 ** -(s - 1))
+            bound = moment_bound(bank.eps, s)
             assert abs(estimate_moment(q, s) - exact_moment(spec, s)) <= bound
 
 
@@ -320,6 +322,23 @@ class TestMomentErrorBound:
     def test_nan_sup_norm_rejected(self, sup_norms):
         with pytest.raises(ValueError, match=r"t(_prime)?_max must lie in \[0, "):
             moment_error_bound(0.1, *sup_norms)
+
+    def test_public_name_is_the_planner_function(self):
+        assert moment_error_bound is _plan.moment_error_bound
+
+    @pytest.mark.parametrize("eps", [0.005, 0.05, 0.25, 1 / 3])
+    def test_moment_bound_is_the_general_bound_of_x_to_the_s(self, eps):
+        # T(x) = x**s on |x| <= 1/2: sup|T| = 2**-s and sup|T'| = s * 2**(1-s),
+        # both exact powers of two times s, so the float is the same however
+        # they are written.
+        for s in range(65):
+            t_max, t_prime_max = math.ldexp(1.0, -s), s * math.ldexp(1.0, 1 - s)
+            assert moment_bound(eps, s) == moment_error_bound(eps, t_max, t_prime_max)
+
+    @pytest.mark.parametrize("s", [-1, 65, 1.5, True])
+    def test_moment_bound_rejects_orders_out_of_range(self, s):
+        with pytest.raises(ValueError, match="moment order s"):
+            moment_bound(0.005, s)
 
 
 class TestBinDistributionType:

@@ -1,6 +1,9 @@
 """Shape, field and range checks shared by the record readers and the entry
 points, and the rule by which the frozen value types keep their arrays.
 
+An array argument is a :func:`vector`: 1-d, finite and of the length its
+pairing fixes. A value type keeps each array as a :func:`frozen` vector.
+
 A record is a JSON object with a fixed key set. A number field holds a JSON
 number: an int or a float, never a bool (which Python counts as an int) or a
 string such as ``"0.1"``, which numpy would otherwise convert without
@@ -64,12 +67,27 @@ def numbers(values, name: str) -> np.ndarray:
     return np.array([number(value, f"each entry of {name}") for value in values])
 
 
-def frozen(obj, name: str, values, dtype) -> np.ndarray:
-    """Store ``np.array(values, dtype=dtype)``, made read-only, in field
-    ``name`` of the frozen dataclass ``obj``, and return it: each value type
-    keeps a private copy of every array it is given, which neither it nor the
-    caller can change afterwards."""
+def vector(values, name: str, dtype, size=None) -> np.ndarray:
+    """``np.array(values, dtype=dtype)``, which must be 1-d, finite and hold
+    ``size`` entries (at least one for ``None``); anything else raises one
+    ``ValueError`` naming ``name``."""
     array = np.array(values, dtype=dtype)
+    finite = bool(np.isfinite(array).all())
+    if not finite or array.ndim != 1 or array.size == 0 or size not in (None, array.size):
+        length = "at least 1" if size is None else size
+        flaw = "" if finite else " with a non-finite entry"
+        raise ValueError(
+            f"{name} must be a finite 1-d array of length {length}, got shape {array.shape}{flaw}"
+        )
+    return array
+
+
+def frozen(obj, name: str, values, dtype, size=None) -> np.ndarray:
+    """Store the :func:`vector` ``values``, made read-only, in field ``name``
+    of the frozen dataclass ``obj``, and return it: each value type keeps a
+    private copy of every array it is given, which neither it nor the caller
+    can change afterwards."""
+    array = vector(values, name, dtype, size)
     array.setflags(write=False)
     object.__setattr__(obj, name, array)
     return array

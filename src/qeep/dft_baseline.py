@@ -19,9 +19,7 @@ class DftResult:
 
     def __post_init__(self):
         c = _records.frozen(self, "coefficients", self.coefficients, complex)
-        f = _records.frozen(self, "frequency_grid", self.frequency_grid, float)
-        if c.shape != f.shape or c.ndim != 1:
-            raise ValueError("coefficients and frequency_grid must be equal-length vectors")
+        _records.frozen(self, "frequency_grid", self.frequency_grid, float, c.size)
 
 
 def dft(signal) -> DftResult:
@@ -33,9 +31,7 @@ def dft(signal) -> DftResult:
     ``lambda`` lands entirely on the bin at ``-lambda`` (wrapped); off-grid
     tones leak into every bin.
     """
-    values = np.asarray(signal, dtype=complex)
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError("signal must be a non-empty 1-d array")
+    values = _records.vector(signal, "signal", complex)
     m = values.size
     coeffs = np.fft.fft(values) / math.sqrt(m)
     grid = 2.0 * math.pi * np.arange(m) / m

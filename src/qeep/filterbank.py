@@ -125,7 +125,7 @@ def _trapezoid_rule(kp_max: float) -> tuple[int, np.ndarray]:
     of three banks, up to ``kp = 1000``, by rounding only.
     """
     alias_floor = math.log(1.0 / np.finfo(float).eps) ** 2
-    half = math.ceil((kp_max + alias_floor) / (2.0 * math.pi))
+    half = math.ceil((_records.number(kp_max, "kp", least=0) + alias_floor) / (2.0 * math.pi))
     return half, bump(np.arange(1, half) / half)
 
 
@@ -180,11 +180,7 @@ def filter_values(x, eps: float) -> np.ndarray:
     on ``[-1/2, 1/2]``.
     """
     eps = _snap_eps(eps)
-    xs = np.asarray(x, dtype=float)
-    if xs.ndim != 1:
-        raise ValueError("x must be a 1-d array")
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("x must be finite")
+    xs = _records.vector(x, "x", float)
     edges = -0.5 + eps * np.arange(_bin_count(eps) + 1)
     u = 2.0 * (edges[:, None] - xs) / eps - 1.0
     cdf = (u >= 1.0).astype(float)
@@ -275,9 +271,7 @@ class FilterBank:
 
     def __post_init__(self):
         object.__setattr__(self, "eps", _snap_eps(self.eps))
-        if _records.frozen(self, "radial", self.radial, float).ndim != 1:
-            raise ValueError("radial must be a 1-d array")
-        _truncation_order(self.radial.size)
+        _truncation_order(_records.frozen(self, "radial", self.radial, float).size)
 
     @property
     def n_trunc(self) -> int:

@@ -69,11 +69,9 @@ class MpEstimate:
     residual: float
 
     def __post_init__(self):
-        ph = _records.frozen(self, "eigenphases", self.eigenphases, float)
-        amp = _records.frozen(self, "amplitudes", self.amplitudes, complex)
-        mod = _records.frozen(self, "moduli", self.moduli, float)
-        if not (ph.shape == amp.shape == mod.shape) or ph.ndim != 1:
-            raise ValueError("eigenphases, amplitudes, moduli must be equal-length vectors")
+        size = _records.frozen(self, "eigenphases", self.eigenphases, float).size
+        _records.frozen(self, "amplitudes", self.amplitudes, complex, size)
+        _records.frozen(self, "moduli", self.moduli, float, size)
 
     @property
     def l_dim(self) -> int:
@@ -478,10 +476,8 @@ def solve_amplitudes(eigenphases, ts: TimeSeries, moduli) -> AmplitudeFit:
     rank-deficient pencil's zeros, whose phase is noise, and their zeroed
     columns always send the system to ``lstsq``.
     """
-    phases = np.asarray(eigenphases, dtype=float)
-    moduli = np.asarray(moduli, dtype=float)
-    if phases.ndim != 1 or moduli.shape != phases.shape:
-        raise ValueError("eigenphases and moduli must be equal-length vectors")
+    phases = _records.vector(eigenphases, "eigenphases", float)
+    moduli = _records.vector(moduli, "moduli", float, phases.size)
     l_dim = _records.number(phases.size, "l_dim", Integral, 1, ts.n_len)
     step, count = _block(l_dim)
     hi = np.exp(-1j * np.outer(step * np.arange(count), phases))

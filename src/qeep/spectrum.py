@@ -32,12 +32,8 @@ class Spectrum:
     weights: np.ndarray
 
     def __post_init__(self):
-        lam = np.asarray(self.lambdas, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
-        if lam.ndim != 1 or w.shape != lam.shape or lam.size == 0:
-            raise ValueError("lambdas and weights must be equal-length 1-d arrays")
-        if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(w))):
-            raise ValueError("spectrum entries must be finite")
+        lam = _records.vector(self.lambdas, "lambdas", float)
+        w = _records.vector(self.weights, "weights", float, lam.size)
         if np.any(np.abs(lam) > 0.5):
             raise ValueError("every eigenvalue must lie in [-1/2, 1/2]")
         if np.any(w < 0):

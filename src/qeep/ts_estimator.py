@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 
 import numpy as np
 
@@ -48,8 +49,7 @@ class BinDistribution:
 
     def __post_init__(self):
         v = _records.frozen(self, "values", self.values, float)
-        if v.ndim != 1 or v.size < 2 or not np.all(np.isfinite(v)):
-            raise ValueError("values must be a vector of at least 2 finite reals")
+        _records.number(v.size, "bin count M", Integral, 2)
         if self.kind is BinKind.EXACT_P:
             if np.any(v < -1e-12) or np.any(v > 1.0 + 1e-12):
                 raise ValueError("exact bin probabilities must lie in [0, 1]")

@@ -71,12 +71,15 @@ class TestDft:
         assert not result.coefficients.flags.writeable
 
     @pytest.mark.parametrize(
-        "coefficients, grid",
-        [(np.zeros(3), np.zeros(2)), (np.zeros((2, 2)), np.zeros((2, 2)))],
+        "coefficients, grid, message",
+        [
+            (np.zeros(3), np.zeros(2), r"^frequency_grid must be a finite 1-d array of length 3, "),
+            (np.zeros((2, 2)), np.zeros((2, 2)), r"^coefficients must be a finite 1-d array of "),
+        ],
         ids=["unequal", "two-d"],
     )
-    def test_result_shape_mismatch_rejected(self, coefficients, grid):
-        with pytest.raises(ValueError, match="equal-length vectors"):
+    def test_result_shape_mismatch_rejected(self, coefficients, grid, message):
+        with pytest.raises(ValueError, match=message):
             DftResult(coefficients=coefficients, frequency_grid=grid)
 
 

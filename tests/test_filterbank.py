@@ -475,7 +475,7 @@ class TestBuildFilterBank:
         # The bin sums take at least one term k >= 1.
         with pytest.raises(ValueError, match=r"n_trunc must lie in \[2, "):
             FilterBank(eps=0.25, radial=[0.1])
-        with pytest.raises(ValueError, match="radial must be a 1-d array"):
+        with pytest.raises(ValueError, match=r"^radial must be a finite 1-d array of length at "):
             FilterBank(eps=0.25, radial=np.zeros((2, 3)))
 
     def test_copies_the_callers_array(self):

@@ -930,8 +930,16 @@ class TestSolveAmplitudes:
         ts = generate_clean(fig6_spectrum(), 4)
         with pytest.raises(ValueError, match=r"^l_dim must lie in \[1, 4\], got 5"):
             solve_amplitudes(np.arange(5.0), ts, np.ones(5))
-        with pytest.raises(ValueError, match="equal-length"):
+        with pytest.raises(ValueError, match=r"^moduli must be a finite 1-d array of length 2, "):
             solve_amplitudes(np.array([0.1, 0.2]), ts, np.ones(3))
+
+    def test_nan_eigenphase_never_reaches_lapack(self, capfd):
+        # Passed on, the NaN makes LAPACK's argument checks print to fd 2 and
+        # the least-squares SVD fail to converge.
+        ts = generate_clean(fig6_spectrum(), 20)
+        with pytest.raises(ValueError, match="^eigenphases must .* with a non-finite entry$"):
+            solve_amplitudes([math.nan, 0.2], ts, [1.0, 1.0])
+        assert capfd.readouterr().err == ""
 
 
 class TestMpEstimate:
@@ -1050,7 +1058,7 @@ class TestMpEstimate:
         assert type(est.l_dim) is int and est.to_dict()["l_dim"] == 2
 
     def test_unequal_lengths_rejected(self):
-        with pytest.raises(ValueError, match="equal-length"):
+        with pytest.raises(ValueError, match=r"^amplitudes must be a finite 1-d array of length 2"):
             MpEstimate(
                 eigenphases=[0.1, 0.2], amplitudes=[0.5], moduli=[1.0, 1.0], residual=0.0
             )

@@ -1,5 +1,6 @@
 """The one range rule, ``_records.number``, and every entry point it checks;
-the one array rule, ``_records.frozen``, and every array field it keeps."""
+the one vector rule, ``_records.vector``, and every array argument it checks;
+the one storage rule, ``_records.frozen``, and every array field it keeps."""
 
 import math
 import re
@@ -12,12 +13,14 @@ import pytest
 
 from qeep import _records
 from qeep._plan import moment_error_bound
-from qeep.dft_baseline import DftResult
+from qeep.dft_baseline import DftResult, dft
 from qeep.filterbank import (
     FilterBank,
     bin_centers,
+    bump_fourier,
     build_filterbank,
     choose_truncation,
+    filter_values,
     tail_bound,
 )
 from qeep.matrix_pencil import MpEstimate, _pencil_dimension, mp_estimate, solve_amplitudes
@@ -94,9 +97,10 @@ class TestNumber:
 
 
 # One row per entry point whose count, order, index, seed or magnitude goes
-# through ``_records.number``, and a bool and a string row per open interval,
-# which takes the same type rule: each bad input must raise ValueError naming
-# the parameter.
+# through ``_records.number``, a bool and a string row per open interval,
+# which takes the same type rule, and a non-finite and a misshapen row per
+# array argument that goes through ``_records.vector``: each bad input must
+# raise ValueError naming the parameter.
 ROUTED = {
     "number-huge-fraction": (lambda: _records.number(Fraction(10**400, 3), "x"), "x"),
     "provenance-shots": (lambda: Provenance.shot_sampled(0, 1), "shots_per_point"),
@@ -140,6 +144,22 @@ ROUTED = {
     "error-bound-negative-eps": (lambda: moment_error_bound(-0.1, 1, 1), "eps"),
     "error-bound-t-max": (lambda: moment_error_bound(0.1, math.inf, 1), "t_max"),
     "error-bound-t-prime-max": (lambda: moment_error_bound(0.1, 1, -1), "t_prime_max"),
+    "bump-fourier-inf": (lambda: bump_fourier(math.inf), "kp"),
+    "bump-fourier-minus-inf": (lambda: bump_fourier(-math.inf), "kp"),
+    "bump-fourier-nan": (lambda: bump_fourier(math.nan), "kp"),
+    "dft-nan": (lambda: dft([1.0, math.nan]), "signal"),
+    "dft-empty": (lambda: dft([]), "signal"),
+    "filter-values-nan": (lambda: filter_values([0.1, math.nan], 0.25), "x"),
+    "filter-values-two-d": (lambda: filter_values([[0.1, 0.2]], 0.25), "x"),
+    "solve-amplitudes-phase-nan": (
+        lambda: solve_amplitudes([math.nan, 0.2], generate_clean(fig6_spectrum(), 4), [1.0, 1.0]),
+        "eigenphases"),
+    "solve-amplitudes-modulus-nan": (
+        lambda: solve_amplitudes([0.1, 0.2], generate_clean(fig6_spectrum(), 4), [1.0, math.nan]),
+        "moduli"),
+    "solve-amplitudes-unequal": (
+        lambda: solve_amplitudes([0.1, 0.2], generate_clean(fig6_spectrum(), 4), [1.0]),
+        "moduli"),
 }
 
 
@@ -227,3 +247,19 @@ def test_array_fields_are_private_read_only_copies(make, given, name, dtype):
     assert not field.flags.writeable
     assert field.dtype == getattr(make(single), name).dtype == dtype
     assert field.tobytes() == kept.tobytes()
+
+
+def _flawed(given):
+    """The flawed versions of a valid field array, each named: its last entry
+    NaN or +inf (``values[0]`` of a time series must stay 1), the same entries
+    as one row of a 2-d array, and no entries."""
+    nan, inf = given.copy(), given.copy()
+    nan[-1], inf[-1] = math.nan, math.inf
+    return {"nan": nan, "inf": inf, "two-d": given[None, :], "empty": given[:0]}
+
+
+@pytest.mark.parametrize("make, given, name, dtype", ARRAY_FIELDS.values(), ids=ARRAY_FIELDS.keys())
+@pytest.mark.parametrize("flaw", ["nan", "inf", "two-d", "empty"])
+def test_array_fields_reject_what_is_not_a_finite_vector(make, given, name, dtype, flaw):
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        make(_flawed(given)[flaw])

@@ -46,7 +46,7 @@ class TestTimeSeriesType:
                 TimeSeries(values=np.array([1.0 + 0j, bad]), provenance=Provenance.clean())
 
     def test_two_dimensional_values_rejected(self):
-        with pytest.raises(ValueError, match="1-d"):
+        with pytest.raises(ValueError, match="^values must be a finite 1-d array of length "):
             TimeSeries(values=np.ones((2, 2), dtype=complex), provenance=Provenance.clean())
 
     def test_values_read_only(self):

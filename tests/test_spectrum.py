@@ -36,11 +36,11 @@ class TestSpectrumType:
     @pytest.mark.parametrize(
         "lambdas, weights, message",
         [
-            ([0.1, 0.2], [1.0], "equal-length"),
-            ([], [], "equal-length"),
-            ([[0.1]], [[1.0]], "equal-length"),
-            ([math.nan], [1.0], "finite"),
-            ([0.1], [math.inf], "finite"),
+            ([0.1, 0.2], [1.0], r"^weights must be a finite 1-d array of length 2, "),
+            ([], [], r"^lambdas must be a finite 1-d array of length at least 1, "),
+            ([[0.1]], [[1.0]], r"^lambdas must be a finite 1-d array of length at least 1, "),
+            ([math.nan], [1.0], r"^lambdas must be .* with a non-finite entry$"),
+            ([0.1], [math.inf], r"^weights must be .* with a non-finite entry$"),
         ],
         ids=["unequal", "empty", "two-d", "nan-lambda", "inf-weight"],
     )

@@ -371,12 +371,18 @@ class TestBinDistributionType:
 
     # One value would need eps = 1/0, the zero-eps record.
     @pytest.mark.parametrize(
-        "values",
-        [[0.5], [1.0], [0.1, float("nan"), 0.9], [0.1, float("inf"), 0.9], [[0.5, 0.5]] * 2],
+        "values, message",
+        [
+            ([0.5], r"^bin count M must lie in \[2, "),
+            ([1.0], r"^bin count M must lie in \[2, "),
+            ([0.1, float("nan"), 0.9], r"^values must be .* with a non-finite entry$"),
+            ([0.1, float("inf"), 0.9], r"^values must be .* with a non-finite entry$"),
+            ([[0.5, 0.5]] * 2, r"^values must be a finite 1-d array of length at least 1, "),
+        ],
         ids=["too-few", "zero-eps", "nan", "inf", "matrix"],
     )
-    def test_malformed_record_rejected(self, values):
-        with pytest.raises(ValueError, match="^values must be a vector of at least 2 finite reals$"):
+    def test_malformed_record_rejected(self, values, message):
+        with pytest.raises(ValueError, match=message):
             BinDistribution(values=np.array(values), kind=BinKind.ESTIMATED_Q)
 
     def test_csv_export(self, tmp_path):

@@ -218,8 +218,10 @@ def _moments_and_deltas(moments, estimator, eps, spec):
     return out_m, out_d if spec is not None else None
 
 
-def _bins_rows(dist):
-    return ((j, c, v) for j, (c, v) in enumerate(zip(dist.centers, dist.values)))
+def _write_bins_csv(path, dist) -> None:
+    """The bin distribution ``dist`` as CSV, one row ``j, lambda_tilde, value`` per bin."""
+    rows = ((j, c, v) for j, (c, v) in enumerate(zip(dist.centers, dist.values)))
+    _write_csv(path, ["j", "lambda_tilde", "value"], rows)
 
 
 def _cmd_estimate(args) -> int:
@@ -259,7 +261,7 @@ def _cmd_estimate(args) -> int:
         payload["delta"] = deltas
     _write_json(payload, out)
     if args.csv:
-        _write_csv(args.csv, ["j", "lambda_tilde", "value"], _bins_rows(dist))
+        _write_bins_csv(args.csv, dist)
     print(f"wrote {out}")
     return 0
 
@@ -392,7 +394,7 @@ def _reproduce_fig6(outdir: Path, args) -> None:
     dist, pencil = _seeded_estimates(spec, args, _pencil_bank(args), args.seed)
 
     _write_csv(outdir / "fig6_true.csv", ["lambda", "weight"], spec.entries)
-    _write_csv(outdir / "fig6_ts.csv", ["j", "lambda_tilde", "value"], _bins_rows(dist))
+    _write_bins_csv(outdir / "fig6_ts.csv", dist)
     amps = pencil.amplitudes
     _write_csv(
         outdir / "fig6_mp.csv",

@@ -153,7 +153,7 @@ def bump_fourier(kp):
     product of the cosine table with the weights.
     """
     kps = np.abs(np.asarray(kp, dtype=float))
-    half, weights = _trapezoid_rule(float(kps.max()))
+    half, weights = _trapezoid_rule(float(kps.max(initial=0.0)))
     cosines = np.cos(np.multiply.outer(kps, np.arange(1, half) / half))
     out = (bump(0.0) + 2.0 * (cosines @ weights)) / (half * SQRT_2PI)
     return float(out) if out.ndim == 0 else out

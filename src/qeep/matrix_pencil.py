@@ -40,8 +40,8 @@ SVD_RCOND = 1e-12
 # Rows per column of a blocked-QR row block, so that a block fits in L2 cache.
 _QR_BLOCK_ROWS_PER_COLUMN = 8
 
-# Widest triangle `_upper_inverse` inverts unsplit, the fastest size measured,
-# and the rows `_upper_norm` sums at a time.
+# Widest triangle `_upper_inverse` inverts unsplit, the fastest size measured.
+# Its input is upper triangular, as `_real_factor` returns it.
 _TRIANGULAR_BLOCK = 64
 
 # Aberth sweeps before the SVD path takes over; benchmark pencils stop by 18.
@@ -186,35 +186,23 @@ def _from_pairs(t: np.ndarray) -> np.ndarray:
 
 
 def _certified_inverse(t: np.ndarray) -> np.ndarray | None:
-    """The inverse of the upper triangle of ``t`` when
-    ``||t||_F ||t^-1||_F < 1 / (2 SVD_RCOND)``; ``None`` when ``t`` is
-    singular, not finite, or not certified. The product bounds
+    """The inverse of the upper-triangular ``t``, as :func:`_real_factor`
+    returns it, when ``||t||_F ||t^-1||_F < 1 / (2 SVD_RCOND)``; ``None`` when
+    ``t`` is singular, not finite, or not certified. The product bounds
     ``cond(t) = s_1 / s_n``, so a certified ``t`` has ``s_n > 2 SVD_RCOND s_1``
     and an SVD's cutoff keeps every singular value. The blocked inverse ``X``,
     like the unblocked ones, has ``||X t - I|| <= c n u ||X|| ||t||`` (Higham
     2002, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 14;
     ``u`` the unit roundoff): off by a relative ``O(n u cond(t))``, at most 3%
-    at n = 566 on a certified ``t``, which the factor 2 absorbs. The norm reads
-    only ``t``'s upper triangle (:func:`_upper_norm`), with no copy of it, so
-    the inverse sets the peak, ``1.5 n^2`` doubles."""
+    at n = 566 on a certified ``t``, which the factor 2 absorbs. Neither norm
+    copies its array, so the inverse sets the peak, ``1.5 n^2`` doubles."""
     with np.errstate(all="ignore"):
         try:
             inverse = _upper_inverse(t)
         except np.linalg.LinAlgError:
             return None
-        bound = _upper_norm(t) * np.linalg.norm(inverse)
+        bound = np.linalg.norm(t) * np.linalg.norm(inverse)
     return inverse if _certified(bound) else None
-
-
-def _upper_norm(t: np.ndarray) -> float:
-    """The Frobenius norm of the upper triangle of the real ``t``, summed by
-    row blocks of ``_TRIANGULAR_BLOCK``: each block's columns right of its
-    diagonal square are read in place, and only that square is masked."""
-    total = 0.0
-    for i in range(0, t.shape[0], _TRIANGULAR_BLOCK):
-        j = i + _TRIANGULAR_BLOCK
-        total += np.sum(np.triu(t[i:j, i:j]) ** 2) + np.sum(t[i:j, j:] ** 2)
-    return math.sqrt(total)
 
 
 def _certified(bound: float) -> bool:
@@ -223,18 +211,19 @@ def _certified(bound: float) -> bool:
 
 
 def _upper_inverse(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The inverse of the upper triangle of ``t``, written into ``out`` (a
-    zeroed ``n x n`` array when ``None``) and returned. A triangle of at most
-    ``_TRIANGULAR_BLOCK`` columns takes one ``np.linalg.solve`` against ``I``,
-    which pivots on the diagonal, so this is back substitution. A larger one
-    splits as ``[[A, B], [0, D]]``, whose inverse
-    ``[[A^-1, -(A^-1 B) D^-1], [0, D^-1]]`` fills ``out`` quadrant by
-    quadrant with two matrix products more, so it holds ``out`` and the top
-    level's two products, ``n^2 / 2`` entries, and no quadrant copy."""
+    """The inverse of the upper-triangular ``t``, as :func:`_real_factor`
+    returns it, written into ``out`` (a zeroed ``n x n`` array when ``None``)
+    and returned. A triangle of at most ``_TRIANGULAR_BLOCK`` columns takes
+    one ``np.linalg.solve`` against ``I``, which pivots on the diagonal, so
+    this is back substitution. A larger one splits as ``[[A, B], [0, D]]``,
+    whose inverse ``[[A^-1, -(A^-1 B) D^-1], [0, D^-1]]`` fills ``out``
+    quadrant by quadrant with two matrix products more, so it holds ``out``
+    and the top level's two products, ``n^2 / 2`` entries, and no quadrant
+    copy."""
     n = t.shape[0]
     out = np.zeros((n, n)) if out is None else out
     if n <= _TRIANGULAR_BLOCK:
-        out[:] = np.linalg.solve(np.triu(t), np.eye(n))
+        out[:] = np.linalg.solve(t, np.eye(n))
         return out
     h = n // 2
     a_inv, d_inv = _upper_inverse(t[:h, :h], out[:h, :h]), _upper_inverse(t[h:, h:], out[h:, h:])

@@ -35,12 +35,13 @@ What each case pins:
 - ``estimate-ts`` and ``estimate-mp``: each estimator's record on a noisy
   64-sample signal, with its moment errors against the spectrum. The pencil
   record ``mp.json`` keeps all ``l_dim`` eigenphases, spurious ones included,
-  and holds no filter settings.
+  and holds no filter settings. ``estimate-mp-wide`` pins a certified wide
+  pencil (``--l-dim 4``) whose R factor takes a row block.
 - ``plan-shots``: the Hoeffding plan at the paper's N = 566.
 
-Every change to the pencil's solve so far has moved the pencil bytes
-(``mp.json``, the ``delta_mp`` columns of the fig5 files and
-``fig6_mp.csv``) by rounding only, and left every TS byte in place.
+Changes to the pencil's solve have moved the pencil bytes (``mp.json``, the
+``delta_mp`` columns of the fig5 files and ``fig6_mp.csv``) by rounding
+only, when they moved them at all, and left every TS byte in place.
 Taking the amplitude fit's grid values from ``numpy.fft`` moved them the same way.
 """
 
@@ -96,6 +97,12 @@ CASES = {
     ],
     "estimate-mp": [
         "estimate", "--signal", "in_sig.json", "--method", "mp", "--l-dim", "32", "--eps", "0.005",
+        "--spectrum", "in_spec.json", "--out", "mp.json",
+    ],
+    # A wide pencil whose real R factor takes one row block, as the trials
+    # workload's pencils do: one 40-row block and 21 rows left over.
+    "estimate-mp-wide": [
+        "estimate", "--signal", "in_sig.json", "--method", "mp", "--l-dim", "4", "--eps", "0.005",
         "--spectrum", "in_spec.json", "--out", "mp.json",
     ],
     "plan-shots": [

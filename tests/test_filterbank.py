@@ -168,6 +168,10 @@ class TestBumpFourier:
         for kp, v in zip(kps, vals):
             assert v == pytest.approx(bump_fourier(float(kp)), abs=1e-15)
 
+    @pytest.mark.parametrize("kps", [[], np.zeros((2, 0))], ids=["empty", "two-by-zero"])
+    def test_empty_input_gives_empty_output(self, kps):
+        assert bump_fourier(kps).shape == bump(kps).shape == np.shape(kps)
+
     def test_against_dense_cosine_trapezoid_oracle(self):
         xs = np.linspace(-1.0, 1.0, 40_001)
         for kp in (0.0, 2.5, 10.0):

@@ -37,7 +37,6 @@ from qeep.matrix_pencil import (
     _real_factor,
     _to_pairs,
     _upper_inverse,
-    _upper_norm,
 )
 from qeep.signal import Provenance
 
@@ -298,7 +297,10 @@ class TestRealFactor:
         pairs = math.sqrt(2.0) * _to_pairs(top)
         middle = _to_pairs(g[:, k : m - k].T).real
         expected = np.linalg.qr(np.concatenate([pairs.real, middle, -pairs.imag]), mode="r")
-        assert _real_factor(g).tobytes() == expected.tobytes()
+        r = _real_factor(g)
+        assert r.tobytes() == expected.tobytes()
+        # The certificate and the SVD fallback read R_T's zeros as they are.
+        assert np.array_equal(r, np.triu(r))
 
     @settings(max_examples=30, deadline=None)
     @example(shape=(566, 565), seed=0)
@@ -680,16 +682,6 @@ class TestUpperInverse:
         assert np.array_equal(inverse, np.triu(inverse))
         assert inverse_residual(t, inverse) <= 4 * n * UNIT_ROUNDOFF * np.linalg.cond(t)
 
-    @pytest.mark.parametrize("n", [2, 65, 130])
-    def test_reads_only_the_upper_triangle(self, n):
-        t = random_triangle(n, n)
-        filled = t.copy()
-        filled[np.tril_indices(n, -1)] = np.nan
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert np.array_equal(_upper_inverse(filled), _upper_inverse(t))
-            assert np.array_equal(_certified_inverse(filled), _certified_inverse(t))
-
     def test_fills_one_output_in_place(self, usage):
         # The output and the top level's two n^2 / 4 products: 1.5 triangles
         # (8 n^2 bytes). Building each level from quadrant copies held 2.
@@ -734,12 +726,6 @@ class TestCertifiedInverse:
         with usage() as used:
             assert _certified_inverse(t) is not None
         assert used["peak_bytes"] <= 1.6 * 8 * n * n
-
-    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 566])
-    def test_norm_is_the_upper_triangle_norm(self, n):
-        t = random_triangle(n, n)
-        t[np.tril_indices(n, -1)] = 1e3
-        assert _upper_norm(t) == pytest.approx(np.linalg.norm(np.triu(t)), rel=1e-14)
 
     @pytest.mark.parametrize(
         "entry", [0.0, np.inf, np.nan, 1.7e308], ids=["zero-column", "inf", "nan", "overflow"]

@@ -727,6 +727,22 @@ class TestCertifiedInverse:
             assert _certified_inverse(t) is not None
         assert used["peak_bytes"] <= 1.6 * 8 * n * n
 
+    # The certificate takes np.linalg.norm of R_T as _real_factor returns it.
+    # numpy's factor is an exact triangle, so that is the upper triangle's
+    # norm, and it is G's: R_T^T R_T = Q^H G G^H Q has G G^H's trace. The
+    # certified inverse is accurate on both sides of _TRIANGULAR_BLOCK.
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 566])
+    def test_norm_is_the_upper_triangle_norm(self, n):
+        g = centrosymmetric(n, 2 * n + 1, n)
+        t = _real_factor(g)
+        assert np.array_equal(t, np.triu(t))
+        assert np.linalg.norm(t) == pytest.approx(np.linalg.norm(np.triu(t)), rel=1e-14)
+        assert np.linalg.norm(t) == pytest.approx(np.linalg.norm(g), rel=1e-13)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inverse = _certified_inverse(t)
+        assert inverse_residual(t, inverse) <= 4 * n * UNIT_ROUNDOFF * np.linalg.cond(t)
+
     @pytest.mark.parametrize(
         "entry", [0.0, np.inf, np.nan, 1.7e308], ids=["zero-column", "inf", "nan", "overflow"]
     )

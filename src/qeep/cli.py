@@ -208,14 +208,16 @@ def _cmd_plan_shots(args) -> int:
     return 0
 
 
-def _moments_and_deltas(moments, estimator, eps, spec):
-    out_m, out_d = {}, {}
-    for s in moments:
-        tau_hat = estimator(s)
-        out_m[str(s)] = tau_hat
-        if spec is not None:
-            out_d[str(s)] = (exact_moment(spec, s) - tau_hat) / eps
-    return out_m, out_d if spec is not None else None
+def _moment_blocks(moment, args, spec):
+    """The ``moments`` block of an estimator whose order-s moment is
+    ``moment(s)``, one entry per order in ``args.moments``, and given the
+    spectrum ``spec``, the ``delta`` block: each moment's error in units of
+    ``args.eps``."""
+    moments = {str(s): moment(s) for s in args.moments}
+    if spec is None:
+        return {"moments": moments}
+    deltas = {str(s): (exact_moment(spec, s) - moments[str(s)]) / args.eps for s in args.moments}
+    return {"moments": moments, "delta": deltas}
 
 
 def _write_bins_csv(path, dist) -> None:
@@ -239,27 +241,15 @@ def _cmd_estimate(args) -> int:
         _check_signal_length(ts, n_trunc)
         bank = build_filterbank(args.eps, n_trunc)
         dist = estimate_bins(ts, bank)
-        mom, deltas = _moments_and_deltas(
-            args.moments, lambda s: estimate_moment(dist, s), args.eps, spec
-        )
-        payload = {
-            "method": "ts",
-            "eps": args.eps,
-            "n_trunc": n_trunc,
-            "bins": dist.to_dict(),
-            "moments": mom,
-        }
+        payload = {"method": "ts", "eps": args.eps, "n_trunc": n_trunc, "bins": dist.to_dict()}
+        moment = functools.partial(estimate_moment, dist)
     else:
         if spec is not None and args.eps is None:
             raise ValueError("--eps is required to report delta against a spectrum")
         est = mp_estimate(ts, args.l_dim)
-        mom, deltas = _moments_and_deltas(
-            args.moments, lambda s: mp_moment(est, s), args.eps, spec
-        )
-        payload = {"method": "mp", "estimate": est.to_dict(), "moments": mom}
-    if deltas is not None:
-        payload["delta"] = deltas
-    _write_json(payload, out)
+        payload = {"method": "mp", "estimate": est.to_dict()}
+        moment = functools.partial(mp_moment, est)
+    _write_json({**payload, **_moment_blocks(moment, args, spec)}, out)
     if args.csv:
         _write_bins_csv(args.csv, dist)
     print(f"wrote {out}")
@@ -282,12 +272,8 @@ def _trial_rows(args, bank, seed):
     """The ``DELTA_HEADER`` rows of one seeded run: one per moment order."""
     spec = random_spectrum(args.d, seed)
     dist, pencil = _seeded_estimates(spec, args, bank, seed)
-    _, delta_ts = _moments_and_deltas(
-        args.moments, lambda s: estimate_moment(dist, s), args.eps, spec
-    )
-    _, delta_mp = _moments_and_deltas(
-        args.moments, lambda s: mp_moment(pencil, s), args.eps, spec
-    )
+    delta_ts = _moment_blocks(functools.partial(estimate_moment, dist), args, spec)["delta"]
+    delta_mp = _moment_blocks(functools.partial(mp_moment, pencil), args, spec)["delta"]
     return [(seed, s, delta_ts[str(s)], delta_mp[str(s)]) for s in args.moments]
 
 

@@ -1,5 +1,6 @@
 import argparse
 import base64
+import csv
 import importlib.util
 import json
 import os
@@ -25,6 +26,7 @@ from qeep import (
 )
 from qeep.cli import (
     _BLAS_THREAD_VARS,
+    NOISE_SEED_OFFSET,
     _build_parser,
     _main_in_child,
     _map_single_blas_thread,
@@ -689,6 +691,34 @@ class TestReproduce:
         # The pencil dimension makes this summary the paper's Appendix C table too.
         assert summary["parameters"]["l_dim"] == 63
 
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_fig5_row_is_the_delta_block_of_estimate(self, tmp_path, seed):
+        # estimate on the spectrum and noisy signal of one fig5 seed writes that
+        # seed's row of fig5_deltas.csv, float for float, for both methods.
+        spec, sig = tmp_path / "spec.json", tmp_path / "sig.json"
+        assert run("synth", "--d", 5, "--seed", seed, "--out", spec) == 0
+        assert run(
+            "signal", "--spectrum", spec, "--n", 64, "--noise", 0.005,
+            "--seed", seed + NOISE_SEED_OFFSET, "--out", sig,
+        ) == 0
+        deltas = {}
+        for method, flags in [("ts", ["--truncation", 64]), ("mp", [])]:
+            out = tmp_path / f"{method}.json"
+            assert run(
+                "estimate", "--signal", sig, "--method", method, *flags, "--eps", 0.005,
+                "--spectrum", spec, "--out", out,
+            ) == 0
+            deltas[method] = json.loads(out.read_text())["delta"]
+        outdir = tmp_path / "figs"
+        assert run("reproduce", "fig5", "--outdir", outdir, "--truncation", 64, "--seeds", seed) == 0
+        with open(outdir / "fig5_deltas.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(row["s"]) for row in rows] == [1, 2, 4]
+        for row in rows:
+            assert int(row["seed"]) == seed
+            for method in ("ts", "mp"):
+                assert float(row[f"delta_{method}"]) == deltas[method][row["s"]]
+
     def test_fig6_small_configuration(self, tmp_path):
         outdir = tmp_path / "figs"
         rc = run("reproduce", "fig6", "--outdir", outdir, "--seed", "7", "--truncation", 64)
@@ -910,7 +940,7 @@ class TestReproduce:
         assert _map_single_blas_thread(abs, [-1, -2, -3]) == [1, 2, 3]
         assert sizes == [1]
 
-    def test_pool_spawns_when_numpy_was_loaded_first(self, tmp_path, monkeypatch):
+    def test_numpy_loaded_first_runs_a_cli_child_and_no_pool(self, tmp_path, monkeypatch):
         # A caller that loaded numpy before qeep.cli gets a freshly started
         # ``python -m qeep.cli`` process with the BLAS variables at one; no
         # pool starts in the caller, and the bytes are the in-process ones.
@@ -942,7 +972,7 @@ class TestReproduce:
         )
         assert child == here and here
 
-    def test_blas_thread_variables_are_restored(self, tmp_path, monkeypatch):
+    def test_caller_environment_never_changes(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)

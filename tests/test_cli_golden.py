@@ -39,6 +39,20 @@ What each case pins:
   pencil (``--l-dim 4``) whose R factor takes a row block.
 - ``plan-shots``: the Hoeffding plan at the paper's N = 566.
 
+Three cases run the benchmark's workloads at seed 1, so the paper's own
+parameters are pinned too. Each takes its input steps and command line from
+``perfbench/workloads.py``, so a case and its workload cannot drift apart:
+
+- ``reproduce-fig5-paper``: default ``reproduce fig5``, seeds 1 to 5 at
+  eps = 0.005, N = 566 and L = 565.
+- ``reproduce-trials``: the 25 STRICT trials at eps = 0.05 (N = 4469), each
+  with a wide pencil at ``--l-dim 64``.
+- ``estimate-ts-strict``: the TS record at eps = 0.005 and the STRICT order
+  N = 95 896, with its moment errors. Its 2.0 MB input signal is built in the
+  case's directory and is not committed.
+
+They share the BLAS-build caveat above.
+
 Changes to the pencil's solve have moved the pencil bytes (``mp.json``, the
 ``delta_mp`` columns of the fig5 files and ``fig6_mp.csv``) by rounding
 only, when they moved them at all, and left every TS byte in place.
@@ -46,6 +60,7 @@ Taking the amplitude fit's grid values from ``numpy.fft`` moved them the same wa
 """
 
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -57,57 +72,84 @@ from qeep.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# Inputs every case finds in its directory: the fixed five-line spectrum, a
-# 64-sample noisy signal of it (both pinned by their own cases below), and an
-# argument file holding the flags of the small fig5 run, one token per line.
+# The benchmark's workloads, read for their command lines only.
+_spec = importlib.util.spec_from_file_location(
+    "workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+)
+_workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_workloads)
+
+# Every case finds an argument file holding the flags of the small fig5 run,
+# one token per line, in its directory.
 ARGS_FILE = "--seeds=1,2\n--truncation=64\n--outdir=out\n"
-INPUTS = [
-    ["synth", "--fig6", "--out", "in_spec.json"],
+
+# Input steps: the fixed five-line spectrum, and a 64-sample noisy signal of it
+# (both pinned by their own cases below).
+SPEC = [["synth", "--fig6", "--out", "in_spec.json"]]
+SIGNAL = [
+    *SPEC,
     ["signal", "--spectrum", "in_spec.json", "--n", "64", "--noise", "0.005", "--seed", "7",
      "--out", "in_sig.json"],
 ]
 
 SMALL = ["--truncation", "64", "--seeds", "1,2"]
 
+
+def _workload(name: str) -> tuple:
+    """The input steps and command line of benchmark workload ``name`` at
+    seed 1, run in the case's directory and written under ``out``."""
+    workload, inputs = _workloads.WORKLOADS[name], []
+    workload.prepare(1, Path("."), inputs.append)
+    return inputs, workload.argv(1, Path("."), Path("out"))
+
+
+# Each case: the input steps it runs first, whose files are not compared, and
+# the command whose files are.
 CASES = {
-    "reproduce-fig3": ["reproduce", "fig3", "--outdir", "out"],
-    "reproduce-fig4": ["reproduce", "fig4", "--outdir", "out"],
-    "reproduce-fig5": ["reproduce", "fig5", "--outdir", "out", *SMALL],
+    "reproduce-fig3": ([], ["reproduce", "fig3", "--outdir", "out"]),
+    "reproduce-fig4": ([], ["reproduce", "fig4", "--outdir", "out"]),
+    "reproduce-fig5": ([], ["reproduce", "fig5", "--outdir", "out", *SMALL]),
     # The same run with its flags read from an argument file writes the same bytes.
-    "reproduce-fig5-config": ["reproduce", "fig5", "@cfg.args"],
+    "reproduce-fig5-config": ([], ["reproduce", "fig5", "@cfg.args"]),
     # The Appendix C table at a pencil dimension other than the default.
-    "reproduce-fig5-l-dim": ["reproduce", "fig5", "--outdir", "out", *SMALL, "--l-dim", "32"],
-    "reproduce-fig6": ["reproduce", "fig6", "--outdir", "out", "--truncation", "64", "--seed", "1"],
-    "synth-fig6": ["synth", "--fig6", "--out", "spec.json"],
-    "synth-random": ["synth", "--d", "5", "--seed", "42", "--out", "spec.json"],
-    "signal-clean": [
+    "reproduce-fig5-l-dim": ([], ["reproduce", "fig5", "--outdir", "out", *SMALL, "--l-dim", "32"]),
+    # The paper's own parameters: the benchmark's three workloads at seed 1.
+    "reproduce-fig5-paper": _workload("fig5"),
+    "reproduce-trials": _workload("trials"),
+    "estimate-ts-strict": _workload("strict"),
+    "reproduce-fig6": (
+        [], ["reproduce", "fig6", "--outdir", "out", "--truncation", "64", "--seed", "1"]
+    ),
+    "synth-fig6": ([], ["synth", "--fig6", "--out", "spec.json"]),
+    "synth-random": ([], ["synth", "--d", "5", "--seed", "42", "--out", "spec.json"]),
+    "signal-clean": (SPEC, [
         "signal", "--spectrum", "in_spec.json", "--n", "64", "--out", "sig.json", "--csv", "sig.csv",
-    ],
-    "signal-noise": [
+    ]),
+    "signal-noise": (SPEC, [
         "signal", "--spectrum", "in_spec.json", "--n", "64", "--noise", "0.005", "--seed", "7",
         "--out", "sig.json", "--csv", "sig.csv",
-    ],
-    "signal-shots": [
+    ]),
+    "signal-shots": (SPEC, [
         "signal", "--spectrum", "in_spec.json", "--n", "64", "--shots", "100", "--seed", "3",
         "--out", "sig.json", "--csv", "sig.csv",
-    ],
-    "estimate-ts": [
+    ]),
+    "estimate-ts": (SIGNAL, [
         "estimate", "--signal", "in_sig.json", "--method", "ts", "--eps", "0.05",
         "--spectrum", "in_spec.json", "--out", "est.json", "--csv", "bins.csv",
-    ],
-    "estimate-mp": [
+    ]),
+    "estimate-mp": (SIGNAL, [
         "estimate", "--signal", "in_sig.json", "--method", "mp", "--l-dim", "32", "--eps", "0.005",
         "--spectrum", "in_spec.json", "--out", "mp.json",
-    ],
+    ]),
     # A wide pencil whose real R factor takes one row block, as the trials
     # workload's pencils do: one 40-row block and 21 rows left over.
-    "estimate-mp-wide": [
+    "estimate-mp-wide": (SIGNAL, [
         "estimate", "--signal", "in_sig.json", "--method", "mp", "--l-dim", "4", "--eps", "0.005",
         "--spectrum", "in_spec.json", "--out", "mp.json",
-    ],
-    "plan-shots": [
+    ]),
+    "plan-shots": ([], [
         "plan-shots", "--n", "566", "--eps-prime", "0.005", "--confidence", "0.99", "--out", "plan.json",
-    ],
+    ]),
 }
 
 
@@ -124,11 +166,12 @@ def _run(argv) -> None:
 def run_case(name: str, directory: Path) -> dict:
     """Run case ``name`` in the empty ``directory`` (the current directory
     while it runs) and return the bytes of each file its command writes."""
+    inputs, argv = CASES[name]
     (directory / "cfg.args").write_text(ARGS_FILE)
-    for argv in INPUTS:
-        _run(argv)
+    for step in inputs:
+        _run(step)
     before = _files(directory)
-    _run(CASES[name])
+    _run(argv)
     return {path: data for path, data in _files(directory).items() if path not in before}
 
 

@@ -39,27 +39,20 @@ def record(data, name: str, required, optional=()) -> dict:
 
 def number(value, name: str, kind=Real, least=-sys.float_info.max, most=sys.float_info.max):
     """``value`` as a Python ``int`` (``kind`` ``Integral``) or ``float``
-    (``kind`` ``Real``): a :func:`typed` number in the closed range
+    (``kind`` ``Real``): a ``kind`` number, not a bool, in the closed range
     ``[least, most]``, by default the finite doubles, which NaN, the
     infinities and larger numbers miss; anything else raises ``ValueError``.
     An integer or a fraction is compared exactly, before any conversion."""
-    value = typed(value, name, kind)
-    if not least <= value <= most:
-        raise ValueError(f"{name} must lie in [{least}, {most}], got {value!r:.40}")
-    return value if kind is Integral else float(value)
-
-
-def typed(value, name: str, kind=Real):
-    """``value``, which must be a ``kind`` number and not a bool, as a Python
-    ``int`` if an integer, as given if a fraction, else as a ``float``: the
-    type rule of :func:`number` without its range, for the open intervals
-    that their callers check; anything else raises ``ValueError``."""
     if isinstance(value, bool) or not isinstance(value, kind):
         what = "an integer" if kind is Integral else "a number"
         raise ValueError(f"{name} must be {what}, got {value!r:.40}")
     if isinstance(value, Integral):
-        return int(value)
-    return value if isinstance(value, Rational) else float(value)
+        value = int(value)
+    elif not isinstance(value, Rational):
+        value = float(value)
+    if not least <= value <= most:
+        raise ValueError(f"{name} must lie in [{least}, {most}], got {value!r:.40}")
+    return value if kind is Integral else float(value)
 
 
 def numbers(values, name: str) -> np.ndarray:

@@ -237,10 +237,10 @@ def _hoeffding_count(n_len, eps_prime, confidence, terms) -> int:
     """``ceil((scale/eps_prime**2) * ln(union/(1-confidence)))``, ``(scale, union) =
     terms(n_len)``, or 1 for a ``union`` of 0, once the arguments are checked."""
     n_len = _records.number(n_len, "n_len", Integral, 1)
-    if not 0.0 < _records.typed(eps_prime, "eps_prime") < math.inf:
-        raise ValueError(f"eps_prime must be positive and finite, got {eps_prime!r}")
-    if not 0.0 < _records.typed(confidence, "confidence") < 1.0:
-        raise ValueError("confidence must lie strictly between 0 and 1")
+    eps_prime = _records.number(eps_prime, "eps_prime", least=_records.LEAST_POSITIVE)
+    confidence = _records.number(
+        confidence, "confidence", least=_records.LEAST_POSITIVE, most=math.nextafter(1.0, 0.0)
+    )
     scale, union = terms(n_len)
     if union == 0:
         return 1

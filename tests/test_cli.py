@@ -251,10 +251,10 @@ class TestPlanShots:
         capsys.readouterr()
         rc = run("plan-shots", "--n", 10, "--eps-prime", eps_prime, "--confidence", 0.9, "--out", plan)
         assert rc == 2
-        assert "eps_prime must be positive and finite" in capsys.readouterr().err
+        assert "eps_prime must lie in [5e-324, " in capsys.readouterr().err
         rc = run("signal", "--spectrum", spec, "--n", 8, "--plan", eps_prime, 0.9, "--out", sig)
         assert rc == 2
-        assert "eps_prime must be positive and finite" in capsys.readouterr().err
+        assert "eps_prime must lie in [5e-324, " in capsys.readouterr().err
         assert not plan.exists() and not sig.exists()
 
     # eps_prime**2 underflows to zero at 1e-200 and to a subnormal whose

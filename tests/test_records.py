@@ -97,8 +97,9 @@ class TestNumber:
 
 
 # One row per entry point whose count, order, index, seed or magnitude goes
-# through ``_records.number``, a bool and a string row per open interval,
-# which takes the same type rule, and a non-finite and a misshapen row per
+# through ``_records.number``, a bool and a string row per positive real
+# (``eps`` and the planners' ``eps_prime`` and ``confidence``), and a
+# non-finite and a misshapen row per
 # array argument that goes through ``_records.vector``: each bad input must
 # raise ValueError naming the parameter.
 ROUTED = {

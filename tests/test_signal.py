@@ -191,6 +191,21 @@ class TestProvenance:
     def test_edge_values_accepted(self, record):
         assert Provenance.from_dict(record).to_dict() == record
 
+    # Each kind reads back equal, and writes the same JSON text, so a stored
+    # -0.0 keeps its sign.
+    @settings(max_examples=60, deadline=None)
+    @example(provenance=Provenance.clean())
+    @example(provenance=Provenance.additive_noise(-0.0, 0))
+    @example(provenance=Provenance.additive_noise(5e-324, 2**70))
+    @example(provenance=Provenance.additive_noise(1.7976931348623157e308, 1))
+    @example(provenance=Provenance.shot_sampled(MAX_SHOTS_PER_POINT, 0))
+    @given(provenance=PROVENANCES)
+    def test_json_text_round_trip_is_exact_property(self, provenance):
+        text = json.dumps(provenance.to_dict())
+        again = Provenance.from_dict(json.loads(text))
+        assert again == provenance
+        assert json.dumps(again.to_dict()) == text
+
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="bogus"):
             Provenance.from_dict({"kind": "clean", "bogus": 3})
@@ -408,7 +423,7 @@ class TestHoeffdingShots:
 
     @pytest.mark.parametrize("eps_prime", [math.inf, math.nan])
     def test_non_finite_eps_prime_rejected(self, eps_prime):
-        with pytest.raises(ValueError, match="eps_prime must be positive and finite"):
+        with pytest.raises(ValueError, match=r"eps_prime must lie in \[5e-324, "):
             hoeffding_shots(10, eps_prime, 0.9)
 
     # 1e-200**2 is zero (ZeroDivisionError), 2 * 10 / 1e-160**2 is infinite
@@ -417,6 +432,39 @@ class TestHoeffdingShots:
     def test_count_that_is_not_finite_rejected(self, eps_prime):
         with pytest.raises(ValueError, match="no finite shot count"):
             hoeffding_shots(10, eps_prime, 0.9)
+
+
+# Both planners check eps_prime in [5e-324, largest double] and confidence in
+# [5e-324, 0.9999999999999999], the doubles of (0, inf) and (0, 1). A value
+# the check accepts gives a count, or "no finite shot count" where
+# eps_prime**2 underflows to zero or overflows; one it rejects raises a
+# ValueError naming the parameter.
+@pytest.mark.parametrize("planner", [hoeffding_shots, hoeffding_shots_per_point])
+@pytest.mark.parametrize(
+    "name, value, accepted",
+    [
+        ("eps_prime", 5e-324, True),
+        ("eps_prime", 1.7976931348623157e308, True),
+        ("confidence", 5e-324, True),
+        ("confidence", 0.9999999999999999, True),
+        ("confidence", 1.0, False),
+    ]
+    + [
+        (name, value, False)
+        for name in ("eps_prime", "confidence")
+        for value in (0.0, -0.0, math.nan, math.inf, -math.inf, True, "0.1")
+    ],
+)
+def test_planner_ranges_are_the_open_intervals_over_doubles(planner, name, value, accepted):
+    args = {"n_len": 10, "eps_prime": 0.1, "confidence": 0.9, name: value}
+    if not accepted:
+        with pytest.raises(ValueError, match=f"^{name} must "):
+            planner(**args)
+    elif name == "eps_prime":
+        with pytest.raises(ValueError, match="^no finite shot count"):
+            planner(**args)
+    else:
+        assert planner(**args) >= 1
 
 
 class TestHoeffdingShotsPerPoint:
@@ -435,9 +483,9 @@ class TestHoeffdingShotsPerPoint:
         "args, message",
         [
             ((0, 0.01, 0.9), r"n_len must lie in \[1, "),
-            ((1, 0.0, 0.9), "eps_prime must be positive and finite"),
-            ((1, math.nan, 0.9), "eps_prime must be positive and finite"),
-            ((10, 0.01, 1.0), "confidence must lie strictly between 0 and 1"),
+            ((1, 0.0, 0.9), r"eps_prime must lie in \[5e-324, "),
+            ((1, math.nan, 0.9), r"eps_prime must lie in \[5e-324, "),
+            ((10, 0.01, 1.0), r"confidence must lie in \[5e-324, 0\.9999999999999999\]"),
             ((10, 1e-200, 0.9), "no finite shot count"),
         ],
     )

@@ -102,6 +102,26 @@ class TestSpectrumType:
         assert again.weights.tobytes() == spec.weights.tobytes()
 
 
+    # Eigenvalues drawn from four values, so most spectra merge duplicates
+    # (0.0 and -0.0 among them) before they are written.
+    @settings(max_examples=60, deadline=None)
+    @example(entries=[(0.25, 0.5), (0.25, 0.5)])
+    @example(entries=[(0.0, 0.3), (-0.0, 0.7)])
+    @given(
+        entries=st.lists(
+            st.tuples(st.sampled_from([-0.5, -0.0, 0.0, 0.25]), st.floats(0.0, 1.0)),
+            min_size=2,
+            max_size=12,
+        ).filter(lambda e: sum(w for _, w in e) > 0)
+    )
+    def test_json_text_round_trip_of_merged_spectra_is_exact_property(self, entries):
+        lambdas, weights = np.array(entries).T
+        spec = Spectrum(lambdas=lambdas, weights=weights / weights.sum())
+        assert len(spec) == np.unique(lambdas).size
+        again = Spectrum.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert again.lambdas.tobytes() == spec.lambdas.tobytes()
+        assert again.weights.tobytes() == spec.weights.tobytes()
+
 class TestRandomSpectrum:
     def test_single_entry_has_weight_one(self):
         spec = random_spectrum(1, 123)

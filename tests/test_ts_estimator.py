@@ -199,6 +199,52 @@ class TestEstimateBins:
         scale = (1.0 + abs(a) + abs(b)) * np.sum(np.abs(bank.radial)) * np.max(np.abs([x, y]))
         assert np.max(np.abs(lhs - rhs)) <= 1e-13 * scale
 
+    # ROADMAP aim 3's invariants at 1/eps in {4, 10, 20} and N <= 256, on
+    # signals with |g_k| <= 1, each to 8 ulp of sum|radial| (at most 2.1 ulp
+    # was seen over 3 000 draws).
+    @staticmethod
+    def _signal(rng, n_trunc):
+        values = rng.uniform(0.0, 1.0, n_trunc) * np.exp(2j * np.pi * rng.uniform(size=n_trunc))
+        values[0] = 1.0
+        return values
+
+    @staticmethod
+    def _bins(values, bank):
+        return estimate_bins(TimeSeries(values=values, provenance=Provenance.clean()), bank).values
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        inv=st.sampled_from([4, 10, 20]),
+        n_trunc=st.integers(2, 256),
+        t=st.floats(-1.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_affine_in_the_signal_property(self, inv, n_trunc, t, seed):
+        bank = build_filterbank(1.0 / inv, n_trunc)
+        rng = np.random.default_rng(seed)
+        g1, g2 = self._signal(rng, n_trunc), self._signal(rng, n_trunc)
+        g = t * g1 + (1.0 - t) * g2
+        g[0] = 1.0
+        lhs = self._bins(g, bank)
+        rhs = t * self._bins(g1, bank) + (1.0 - t) * self._bins(g2, bank)
+        scale = (abs(t) + abs(1.0 - t)) * np.sum(np.abs(bank.radial))
+        assert np.max(np.abs(lhs - rhs)) <= 8 * np.finfo(float).eps * scale
+
+    # Bin j's center is minus bin M-1-j's, so conjugating the signal mirrors q.
+    @settings(max_examples=40, deadline=None)
+    @given(
+        inv=st.sampled_from([4, 10, 20]),
+        n_trunc=st.integers(2, 256),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_conjugate_signal_reverses_the_bins_property(self, inv, n_trunc, seed):
+        bank = build_filterbank(1.0 / inv, n_trunc)
+        g = self._signal(np.random.default_rng(seed), n_trunc)
+        mirrored = self._bins(np.conj(g), bank)
+        reversed_bins = self._bins(g, bank)[::-1]
+        tolerance = 8 * np.finfo(float).eps * np.sum(np.abs(bank.radial))
+        assert np.max(np.abs(mirrored - reversed_bins)) <= tolerance
+
     def test_short_signal_rejected(self, bank_quarter_strict):
         ts = generate_clean(fig6_spectrum(), bank_quarter_strict.n_trunc - 1)
         with pytest.raises(ValueError):

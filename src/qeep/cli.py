@@ -6,10 +6,11 @@ subcommand that takes only the flags it reads. Flags can also come from an
 argument file, ``qeep reproduce fig5 @paper.args``, which holds one token per
 line (such as ``--seeds=1,2``) and is read as if its tokens stood in its place,
 so later tokens win; figure flags go after the figure name. Exit codes: 0
-success, 2 usage or validation error, 3 numeric failure (numpy's
-``LinAlgError``, one ``numeric failure:`` line), an allocation that fails
-(one ``out of memory:`` line; neither prints a traceback) or a CLI child (see
-below) killed by a signal.
+success, 2 usage or validation error or an output that would hold a
+non-finite number (one ``error:`` line naming it, which is not written), 3
+numeric failure (numpy's ``LinAlgError``, one ``numeric failure:`` line), an
+allocation that fails (one ``out of memory:`` line; neither prints a
+traceback) or a CLI child (see below) killed by a signal.
 
 Every command computes with one BLAS thread, so its bytes do not depend on
 the machine. Loaded before numpy (``python -m qeep.cli``, the ``qeep`` script,
@@ -71,12 +72,22 @@ from .ts_estimator import _check_signal_length, estimate_bins, estimate_moment
 NOISE_SEED_OFFSET = 2**32
 
 
+def _non_finite(path) -> ValueError:
+    """The error of an output at ``path`` that would hold NaN or an infinity."""
+    return ValueError(f"{path}: not written: it would hold a non-finite number")
+
+
 def _write_json(obj, path) -> None:
-    """Pretty, key-sorted JSON; missing parent directories are created."""
+    """Pretty, key-sorted JSON; missing parent directories are created. An
+    ``obj`` holding a non-finite float, which JSON has no number for, raises
+    ``ValueError`` before anything is written."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise _non_finite(path) from None
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _read_record(cls, path):
@@ -93,7 +104,11 @@ def _read_record(cls, path):
 def _write_csv(path, header, rows) -> None:
     """CSV with a header row; floats are written as ``.17g`` so they round-trip
     and a rerun writes the same bytes, everything else as ``str``. Missing
-    parent directories are created."""
+    parent directories are created; a non-finite float raises ``ValueError``
+    before anything is written."""
+    rows = [list(row) for row in rows]
+    if not all(math.isfinite(v) for row in rows for v in row if isinstance(v, float)):
+        raise _non_finite(path)
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -103,21 +118,32 @@ def _write_csv(path, header, rows) -> None:
         )
 
 
+def _flag_type(convert, expected=None):
+    """The argparse type ``convert(text)``, whose ``ValueError`` is the flag's one usage
+    error: ``expected {expected}, got {text!r}``, or its own message for ``expected`` None."""
+
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            message = str(exc) if expected is None else f"expected {expected}, got {text!r}"
+            raise argparse.ArgumentTypeError(message) from None
+
+    return parse
+
+
 def _int_list(what: str, top: float = math.inf):
     """The argparse type of a non-empty comma-separated list of distinct
     ``what``, each an integer in ``[0, top]``."""
 
-    def parse(text: str) -> tuple[int, ...]:
-        try:
-            tokens = (int(tok) for tok in text.split(",") if tok.strip())
-            values = tuple(_records.number(value, what, Integral, 0, top) for value in tokens)
-        except ValueError:
-            values = ()
+    def convert(text: str) -> tuple[int, ...]:
+        tokens = (int(tok) for tok in text.split(",") if tok.strip())
+        values = tuple(_records.number(value, what, Integral, 0, top) for value in tokens)
         if not values or len(set(values)) < len(values):
-            raise argparse.ArgumentTypeError(f"expected distinct {what} in [0, {top}], got {text!r}")
+            raise ValueError
         return values
 
-    return parse
+    return _flag_type(convert, f"distinct {what} in [0, {top}]")
 
 
 _moment_orders = _int_list("moment orders", MAX_MOMENT_ORDER)
@@ -129,15 +155,12 @@ def _word_or_int(words: dict, least: int, top: float = math.inf):
     integer in ``[least, top]``."""
     expected = " or ".join([*map(repr, words), f"an integer in [{least}, {top}]"])
 
-    def parse(text: str):
+    def convert(text: str):
         if text in words:
             return words[text]
-        try:
-            return _records.number(int(text), "", Integral, least, top)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+        return _records.number(int(text), "", Integral, least, top)
 
-    return parse
+    return _flag_type(convert, expected)
 
 
 # A truncation mode, or an order N that a filter bank takes.
@@ -146,23 +169,14 @@ _shots = _word_or_int({}, 1, MAX_SHOTS_PER_POINT)
 _seed = _word_or_int({}, 0)
 _spectrum_size = _word_or_int({}, 1)
 
+# A noise magnitude bound: a finite, non-negative number.
+_magnitude = _flag_type(
+    lambda text: _records.number(float(text), "", least=0), "a finite non-negative number"
+)
 
-def _magnitude(text: str) -> float:
-    """A noise magnitude bound: a finite, non-negative number."""
-    try:
-        return _records.number(float(text), "", least=0)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {text!r}") from None
-
-
-def _bin_width(text: str) -> float:
-    """A bin width ``eps``: positive, with ``1/eps`` a positive integer,
-    returned snapped to ``1/round(1/eps)``, the eps that every output records."""
-    value = float(text)
-    try:
-        return _snap_eps(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+# A bin width ``eps``: positive, with ``1/eps`` a positive integer, returned
+# snapped to ``1/round(1/eps)``, the eps that every output records.
+_bin_width = _flag_type(lambda text: _snap_eps(float(text)))
 
 
 # ---------------------------------------------------------------- subcommands

@@ -245,6 +245,11 @@ def _hoeffding_count(n_len, eps_prime, confidence, terms) -> int:
     if union == 0:
         return 1
     try:
-        return math.ceil((scale / eps_prime**2) * math.log(union / (1.0 - confidence)))
+        try:
+            quotient = scale / eps_prime**2
+        except OverflowError:  # eps_prime**2 is past the doubles, its quotient is not
+            quotient = scale / eps_prime / eps_prime
+        # At least 1: a positive count whose quotient underflows to zero.
+        return max(1, math.ceil(quotient * math.log(union / (1.0 - confidence))))
     except (ZeroDivisionError, OverflowError):
         raise ValueError(f"no finite shot count: n_len={n_len}, eps_prime={eps_prime!r}") from None

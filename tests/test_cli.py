@@ -29,7 +29,10 @@ from qeep.cli import (
     NOISE_SEED_OFFSET,
     _build_parser,
     _main_in_child,
+    _flag_type,
     _map_single_blas_thread,
+    _write_csv,
+    _write_json,
     main,
 )
 
@@ -268,6 +271,10 @@ class TestPlanShots:
         assert err == f"error: no finite shot count: n_len=10, eps_prime={float(eps_prime)!r}\n"
         assert not out.exists()
 
+    def test_eps_prime_whose_square_overflows_plans_one_shot(self, capsys):
+        assert run("plan-shots", "--n", 10, "--eps-prime", "1e200", "--confidence", 0.9) == 0
+        assert json.loads(capsys.readouterr().out)["shots"] == 1
+
 
 class TestOutputPaths:
     """Every output path gets its missing parent directories, so a command
@@ -305,6 +312,23 @@ class TestOutputPaths:
         assert rc == 0
         assert est_f.exists()
         assert len(est_csv.read_text().splitlines()) == 1 + 5
+
+
+    @pytest.mark.parametrize(
+        "value",
+        [np.inf, -np.inf, np.nan, np.float64(np.inf)],
+        ids=["inf", "-inf", "nan", "float64"],
+    )
+    def test_writers_refuse_a_non_finite_float(self, tmp_path, value):
+        # JSON has no number for NaN or an infinity; neither writer creates
+        # the file or its directory.
+        path = tmp_path / "new" / "out"
+        message = f"^{re.escape(str(path))}: not written: it would hold a non-finite number$"
+        with pytest.raises(ValueError, match=message):
+            _write_json({"moments": {"1": 0.5, "2": value}}, path)
+        with pytest.raises(ValueError, match=message):
+            _write_csv(path, ["s", "delta"], [(1, 0.5), (2, value)])
+        assert not path.parent.exists()
 
 
 class TestEstimate:
@@ -1267,6 +1291,20 @@ def test_cli_process_rejects_appc(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_process_refuses_an_output_with_a_non_finite_number(tmp_path):
+    # Noise of 1e308 overflows the pencil's residual and the moments to
+    # infinities, which JSON has no number for. numpy warns of the overflow,
+    # an error in this process, so the commands run in a CLI child.
+    for argv in (["synth", "--d", "3", "--seed", "1"], ["signal", "--n", "5", "--noise", "1e308"]):
+        assert _cli_on_a_pipe(tmp_path, *argv).returncode == 0
+    argv = ["estimate", "--method", "mp", "--eps", "0.5", "--spectrum", "spectrum.json"]
+    proc = _cli_on_a_pipe(tmp_path, *argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert errors == ["error: estimate.json: not written: it would hold a non-finite number"]
+    assert not (tmp_path / "estimate.json").exists()
+
+
 class _Stream:
     """A standard stream whose ``flush`` is recorded and fails if ``broken``."""
 
@@ -1579,13 +1617,13 @@ def test_every_command_runs_without_scipy(tmp_path):
     assert json.loads((tmp_path / "estimate.json").read_text())["n_trunc"] == 414
 
 
-def _option_strings(parser):
-    """Every option string of ``parser`` and of its sub-parsers, at any depth."""
+def _actions(parser):
+    """Every action of ``parser`` and of its sub-parsers, at any depth."""
     for action in parser._actions:
-        yield from action.option_strings
+        yield action
         if isinstance(action, argparse._SubParsersAction):
             for sub in action.choices.values():
-                yield from _option_strings(sub)
+                yield from _actions(sub)
 
 
 def test_readme_cli_flags_match_the_parser():
@@ -1593,7 +1631,39 @@ def test_readme_cli_flags_match_the_parser():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
     documented = set(re.findall(r"--[a-z][a-z0-9-]*", section))
-    assert documented == set(_option_strings(_build_parser())) - {"-h", "--help"}
+    flags = {flag for action in _actions(_build_parser()) for flag in action.option_strings}
+    assert documented == flags - {"-h", "--help"}
+
+
+def test_every_checked_flag_type_is_the_adapter():
+    """A flag's type is argparse's ``int`` or ``float`` or one built by
+    ``_flag_type``, never a converter with its own error handling."""
+    adapter = _flag_type(int).__code__
+    for action in _actions(_build_parser()):
+        kind = action.type
+        assert kind in (None, int, float) or kind.__code__ is adapter, action.option_strings
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (["estimate"], "--eps"),
+        (["reproduce", "fig5"], "--eps"),
+        (["reproduce", "fig6"], "--eps-prime"),
+        (["signal"], "--noise"),
+        (["synth"], "--seed"),
+        (["synth"], "--d"),
+        (["signal"], "--shots"),
+        (["estimate"], "--truncation"),
+        (["reproduce", "fig5"], "--seeds"),
+        (["estimate"], "--moments"),
+    ],
+)
+def test_non_numeric_text_is_the_flags_own_usage_error(capsys, command, flag):
+    assert run(*command, flag, "abc") == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: " in err
+    assert not re.search(r"invalid \S+ value", err)
 
 
 def test_benchmark_workloads_parse():

@@ -433,11 +433,22 @@ class TestHoeffdingShots:
         with pytest.raises(ValueError, match="no finite shot count"):
             hoeffding_shots(10, eps_prime, 0.9)
 
+    # Past about 1.34e154, eps_prime**2 overflows but the count does not: the
+    # planners divide by eps_prime twice there, so the count keeps falling
+    # across the boundary to 1, the least.
+    @pytest.mark.parametrize(
+        "n_len, eps_prime, count",
+        [(10**306, 1.3e154, 9), (10**306, 1.35e154, 8), (10**306, 1e160, 1), (10, 1e200, 1)],
+        ids=["square-finite", "square-overflows", "far-past", "short-signal"],
+    )
+    def test_eps_prime_whose_square_overflows_gives_its_count(self, n_len, eps_prime, count):
+        assert hoeffding_shots(n_len, eps_prime, 0.9) == count
+
 
 # Both planners check eps_prime in [5e-324, largest double] and confidence in
 # [5e-324, 0.9999999999999999], the doubles of (0, inf) and (0, 1). A value
-# the check accepts gives a count, or "no finite shot count" where
-# eps_prime**2 underflows to zero or overflows; one it rejects raises a
+# the check accepts gives a count, 1 at the largest eps_prime, or "no finite
+# shot count" where eps_prime**2 underflows to zero; one it rejects raises a
 # ValueError naming the parameter.
 @pytest.mark.parametrize("planner", [hoeffding_shots, hoeffding_shots_per_point])
 @pytest.mark.parametrize(
@@ -460,9 +471,11 @@ def test_planner_ranges_are_the_open_intervals_over_doubles(planner, name, value
     if not accepted:
         with pytest.raises(ValueError, match=f"^{name} must "):
             planner(**args)
-    elif name == "eps_prime":
+    elif name == "eps_prime" and value < 1:
         with pytest.raises(ValueError, match="^no finite shot count"):
             planner(**args)
+    elif name == "eps_prime":
+        assert planner(**args) == 1
     else:
         assert planner(**args) >= 1
 

@@ -30,6 +30,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from numbers import Integral
 from pathlib import Path
 
@@ -550,7 +551,10 @@ def main(argv=None) -> int:
 def entrypoint() -> None:
     """Exit with ``main``'s code, skipping the interpreter's teardown: ``main``
     closed every file it wrote, so only the standard streams need a flush. One
-    that fails (a closed pipe) turns success into code 2, with no traceback."""
+    that fails (a closed pipe) turns success into code 2, with no traceback.
+    numpy's ``RuntimeWarning`` lines are dropped, here and not in ``main``, so
+    a failing command prints its one error line and nothing more."""
+    warnings.simplefilter("ignore", RuntimeWarning)
     code = main()
     for stream in (sys.stdout, sys.stderr):
         try:

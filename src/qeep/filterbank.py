@@ -32,7 +32,9 @@ it is evaluated as ``truncated_bins`` of the spectrum with a single line at
 
 from __future__ import annotations
 
+import bisect
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Integral
@@ -221,11 +223,13 @@ def choose_truncation(eps: float, mode: TruncationMode | int = TruncationMode.EM
     the bound ``eps * (T_max + T'_max)`` on the reference experiment's seeds,
     but not on every spectrum (at eps = 0.005 the clean first moment of
     ``random_spectrum(5, 9102)`` misses it by 1.31x).
-    STRICT bisects :func:`tail_bound` at the snapped eps, which the bank
-    uses, down to ``eps / (2*M)``, the level at
+    STRICT is the least order whose :func:`tail_bound` at the snapped eps,
+    which the bank uses, is at most ``eps / (2*M)``, the level at
     which the L1 distance between truncated and exact bin probabilities is
     provably at most ``eps/2`` (eps = 0.005 gives about 9.6e4); only there is
-    the moment bound guaranteed.
+    the moment bound guaranteed. The bound is strictly decreasing in N, so
+    ``bisect`` finds that order among the orders below ``sys.maxsize``, the
+    longest range whose ``len()`` exists.
     """
     eps = _snap_eps(eps)
     m = _bin_count(eps)
@@ -233,17 +237,8 @@ def choose_truncation(eps: float, mode: TruncationMode | int = TruncationMode.EM
         return max(_LEAST_ORDER, math.ceil(math.log(m) ** 2 * m / 10.0))
     if mode is TruncationMode.STRICT:
         target = eps / (2.0 * m)
-        hi = _LEAST_ORDER
-        while tail_bound(hi, eps) > target:
-            hi *= 2
-        lo = max(_LEAST_ORDER, hi // 2)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if tail_bound(mid, eps) <= target:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        orders = range(_LEAST_ORDER, sys.maxsize)
+        return orders[bisect.bisect_left(orders, True, key=lambda n: tail_bound(n, eps) <= target)]
     if isinstance(mode, bool) or not isinstance(mode, Integral):
         raise ValueError(f"unknown truncation mode {mode!r}")
     return _truncation_order(mode)

@@ -249,7 +249,12 @@ def _hoeffding_count(n_len, eps_prime, confidence, terms) -> int:
             quotient = scale / eps_prime**2
         except OverflowError:  # eps_prime**2 is past the doubles, its quotient is not
             quotient = scale / eps_prime / eps_prime
+        ratio = union / (1.0 - confidence)
+        if ratio == math.inf:  # the ratio is past the doubles, its log is not
+            ratio_log = math.log(union) - math.log1p(-confidence)
+        else:
+            ratio_log = math.log(ratio)
         # At least 1: a positive count whose quotient underflows to zero.
-        return max(1, math.ceil(quotient * math.log(union / (1.0 - confidence))))
+        return max(1, math.ceil(quotient * ratio_log))
     except (ZeroDivisionError, OverflowError):
         raise ValueError(f"no finite shot count: n_len={n_len}, eps_prime={eps_prime!r}") from None

@@ -1,5 +1,7 @@
 import qeep.cli  # noqa: F401  (first, so numpy loads under the CLI's one-BLAS-thread pin)
 import contextlib
+import functools
+import importlib.util
 import os
 import subprocess
 import sys
@@ -12,6 +14,36 @@ import pytest
 
 import qeep
 from qeep import TruncationMode, build_filterbank, choose_truncation
+
+
+def run_python(args, cwd=None, env=None, drop=(), path=(), stdout=subprocess.PIPE):
+    """``python args`` in a child interpreter started in ``cwd``, its standard
+    error and, unless ``stdout`` is given, its output read back as text. Its
+    environment is this process's without the variables ``drop`` and with those
+    of ``env`` set; its ``PYTHONPATH`` holds ``path`` ahead of this checkout's
+    ``src``."""
+    src = str(Path(qeep.__file__).resolve().parents[1])
+    kept = {k: v for k, v in os.environ.items() if k not in drop}
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd,
+        env={**kept, **(env or {}), "PYTHONPATH": os.pathsep.join([*path, src])},
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=120,
+    )
+
+
+@functools.cache
+def benchmark_workloads():
+    """The benchmark's ``perfbench/workloads.py``, read for its command lines only."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 @pytest.fixture(scope="session")
@@ -92,16 +124,13 @@ def process_growth():
     outside them. It needs Linux's ``/proc/self/status``."""
     if not Path("/proc/self/status").exists():
         pytest.skip("the peak resident set is read from Linux's /proc/self/status")
-    path = [str(Path(qeep.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
     def measure(setup: str, measured: str) -> int:
         script = _GROWTH_SCRIPT.format(
             setup=textwrap.dedent(setup), measured=textwrap.dedent(measured)
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-        )
+        proc = run_python(["-c", script])
+        proc.check_returncode()
         return 1024 * int(proc.stdout)
 
     return measure

@@ -1,7 +1,6 @@
 import argparse
 import base64
 import csv
-import importlib.util
 import json
 import os
 import re
@@ -12,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import benchmark_workloads, run_python
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -274,6 +274,10 @@ class TestPlanShots:
     def test_eps_prime_whose_square_overflows_plans_one_shot(self, capsys):
         assert run("plan-shots", "--n", 10, "--eps-prime", "1e200", "--confidence", 0.9) == 0
         assert json.loads(capsys.readouterr().out)["shots"] == 1
+
+    def test_n_whose_union_ratio_overflows_plans_its_count(self, capsys):
+        assert run("plan-shots", "--n", 10**300, "--eps-prime", 1, "--confidence", 0.9999999999999999) == 0
+        assert json.loads(capsys.readouterr().out)["shots"] == pytest.approx(1.4564e303, rel=1e-4)
 
 
 class TestOutputPaths:
@@ -1251,17 +1255,8 @@ print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("
 def _cli_on_a_pipe(cwd, *argv, stdout=subprocess.PIPE, unbuffered=False):
     """``python -m qeep.cli argv`` with its standard streams on pipes, which
     buffer their output unless ``unbuffered``."""
-    src = str(Path(qeep.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    return subprocess.run(
-        [sys.executable, "-m", "qeep.cli", *argv],
-        cwd=cwd,
-        env={**env, "PYTHONPATH": src, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {})},
-        stdout=stdout,
-        stderr=subprocess.PIPE,
-        text=True,
-        timeout=60,
-    )
+    env = {"PYTHONUNBUFFERED": "1"} if unbuffered else {}
+    return run_python(["-m", "qeep.cli", *argv], cwd, env, ("PYTHONUNBUFFERED",), stdout=stdout)
 
 
 def test_cli_process_flushes_its_output_before_it_exits(tmp_path):
@@ -1294,15 +1289,20 @@ def test_cli_process_rejects_appc(tmp_path):
 def test_cli_process_refuses_an_output_with_a_non_finite_number(tmp_path):
     # Noise of 1e308 overflows the pencil's residual and the moments to
     # infinities, which JSON has no number for. numpy warns of the overflow,
-    # an error in this process, so the commands run in a CLI child.
+    # an error in this process, so the commands run in a CLI child, which
+    # prints its one error line and none of numpy's warnings.
     for argv in (["synth", "--d", "3", "--seed", "1"], ["signal", "--n", "5", "--noise", "1e308"]):
         assert _cli_on_a_pipe(tmp_path, *argv).returncode == 0
     argv = ["estimate", "--method", "mp", "--eps", "0.5", "--spectrum", "spectrum.json"]
     proc = _cli_on_a_pipe(tmp_path, *argv)
     assert (proc.returncode, proc.stdout) == (2, "")
-    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
-    assert errors == ["error: estimate.json: not written: it would hold a non-finite number"]
+    assert proc.stderr == "error: estimate.json: not written: it would hold a non-finite number\n"
     assert not (tmp_path / "estimate.json").exists()
+    # fig5's seeds run on pool threads, whose warnings are dropped too.
+    argv = ["reproduce", "fig5", "--eps-prime", "1e308", "--truncation", "8", "--seeds", "1,2"]
+    proc = _cli_on_a_pipe(tmp_path, *argv)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("numeric failure: ") and proc.stderr.count("\n") == 1
 
 
 class _Stream:
@@ -1414,16 +1414,7 @@ print(json.dumps({"sizes": sizes, "before": before, "tasks": tasks, "env": env})
 def _fresh_interpreter(script, cwd, blas_env, *args):
     """Runs ``script`` with ``args`` under ``blas_env`` in place of the three
     BLAS variables."""
-    src = str(Path(qeep.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
-    return subprocess.run(
-        [sys.executable, "-c", script, *args],
-        cwd=cwd,
-        env={**env, **blas_env, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    return run_python(["-c", script, *args], cwd, blas_env, _BLAS_THREAD_VARS)
 
 
 def test_import_qeep_loads_no_numpy(tmp_path):
@@ -1492,18 +1483,10 @@ def _cli_outputs(root, label, blas):
     ``blas`` in place of the three BLAS variables and returns what each wrote.
     The runs turn a ``DeprecationWarning`` into an error, as the suite's
     ``filterwarnings`` setting does in this process."""
-    src = str(Path(qeep.__file__).resolve().parents[1])
-    unset = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
     dirs = _run_dirs(root, label)
     for (argv, _), outdir in zip(_THREAD_SENSITIVE_RUNS, dirs):
-        proc = subprocess.run(
-            [sys.executable, "-W", "error::DeprecationWarning", "-m", "qeep.cli", *argv],
-            cwd=outdir,
-            env={**unset, **blas, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        command = ["-W", "error::DeprecationWarning", "-m", "qeep.cli", *argv]
+        proc = run_python(command, outdir, blas, _BLAS_THREAD_VARS)
         assert proc.returncode == 0, proc.stderr
     return _outputs(dirs)
 
@@ -1600,18 +1583,10 @@ def test_test_process_loaded_numpy_under_the_pin():
 
 
 def test_every_command_runs_without_scipy(tmp_path):
-    src = str(Path(qeep.__file__).resolve().parents[1])
     site = tmp_path / "site"
     site.mkdir()
     (site / "sitecustomize.py").write_text(_BLOCK_SCIPY)
-    proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_ONLY_RUN],
-        cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(site), src])},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = run_python(["-c", _NUMPY_ONLY_RUN], tmp_path, path=[str(site)])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
     assert json.loads((tmp_path / "estimate.json").read_text())["n_trunc"] == 414
@@ -1669,13 +1644,9 @@ def test_non_numeric_text_is_the_flags_own_usage_error(capsys, command, flag):
 def test_benchmark_workloads_parse():
     """Every command line the benchmark's workloads run, their untimed inputs
     included, parses; nothing is run."""
-    root = Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
     parser = _build_parser()
     workdir, outdir = Path("work"), Path("out")
-    for workload in workloads.WORKLOADS.values():
+    for workload in benchmark_workloads().WORKLOADS.values():
         argvs = []
         workload.prepare(1, workdir, argvs.append)
         argvs.append(workload.argv(1, workdir, outdir))

@@ -60,24 +60,17 @@ Taking the amplitude fit's grid values from ``numpy.fft`` moved them the same wa
 """
 
 import csv
-import importlib.util
 import io
 import json
 import math
 from pathlib import Path
 
 import pytest
+from conftest import benchmark_workloads
 
 from qeep.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-
-# The benchmark's workloads, read for their command lines only.
-_spec = importlib.util.spec_from_file_location(
-    "workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-)
-_workloads = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(_workloads)
 
 # Every case finds an argument file holding the flags of the small fig5 run,
 # one token per line, in its directory.
@@ -98,7 +91,7 @@ SMALL = ["--truncation", "64", "--seeds", "1,2"]
 def _workload(name: str) -> tuple:
     """The input steps and command line of benchmark workload ``name`` at
     seed 1, run in the case's directory and written under ``out``."""
-    workload, inputs = _workloads.WORKLOADS[name], []
+    workload, inputs = benchmark_workloads().WORKLOADS[name], []
     workload.prepare(1, Path("."), inputs.append)
     return inputs, workload.argv(1, Path("."), Path("out"))
 

@@ -442,11 +442,15 @@ class TestChooseTruncation:
         # tail_bound holds only from the decay onset kp = 10 on (its
         # docstring); STRICT never stops short of it (the smallest margin,
         # y = 20.5 against 10, is at eps = 1), nor goes past the decay scan's
-        # 900 (the largest y is 239.74, at eps = 1/200).
+        # 900 (the largest y is 239.74, at eps = 1/200). Each is the least
+        # order of at least 2 whose bound meets eps / (2*M).
         for inv in range(1, 201):
             eps = 1.0 / inv
             n = choose_truncation(eps, TruncationMode.STRICT)
             assert 10.0 <= (n - 1) * eps / 2.0 <= 900.0, inv
+            target = eps / (2 * (1 + inv))
+            assert tail_bound(n, eps) <= target, inv
+            assert n == 2 or target < tail_bound(n - 1, eps), inv
 
 
 class TestBuildFilterBank:

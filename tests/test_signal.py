@@ -444,6 +444,22 @@ class TestHoeffdingShots:
     def test_eps_prime_whose_square_overflows_gives_its_count(self, n_len, eps_prime, count):
         assert hoeffding_shots(n_len, eps_prime, 0.9) == count
 
+    # The union over 1 - confidence is past the doubles for these, but its log
+    # is not: the planners take the difference of the two logs there.
+    @pytest.mark.parametrize(
+        "planner, n_len, eps_prime, confidence, count",
+        [
+            (hoeffding_shots, 10**300, 1.0, 0.9999999999999999, pytest.approx(1.4564e303, rel=1e-4)),
+            (hoeffding_shots_per_point, 10**300, 1.0, 0.9999999999999999, 2916),
+            (hoeffding_shots_per_point, 10**307, 1e200, 0.9, 1),
+        ],
+        ids=["total", "per-point", "per-point-square-overflows"],
+    )
+    def test_union_whose_ratio_overflows_gives_its_count(
+        self, planner, n_len, eps_prime, confidence, count
+    ):
+        assert planner(n_len, eps_prime, confidence) == count
+
 
 # Both planners check eps_prime in [5e-324, largest double] and confidence in
 # [5e-324, 0.9999999999999999], the doubles of (0, inf) and (0, 1). A value

@@ -276,10 +276,14 @@ def _cmd_estimate(args) -> int:
 DELTA_HEADER = ["seed", "s", "delta_ts", "delta_mp"]
 
 
+def _seeded_signal(spec, n_len, eps_prime, seed):
+    """The noisy signal of trial ``seed``: ``n_len`` samples of ``spec`` at ``eps_prime``."""
+    return add_noise(generate_clean(spec, n_len), eps_prime, seed + NOISE_SEED_OFFSET)
+
+
 def _seeded_estimates(spec, args, bank, seed):
     """The TS bins and the pencil estimate of one seeded noisy signal of ``spec``."""
-    clean = generate_clean(spec, bank.n_trunc)
-    noisy = add_noise(clean, args.eps_prime, seed + NOISE_SEED_OFFSET)
+    noisy = _seeded_signal(spec, bank.n_trunc, args.eps_prime, seed)
     return estimate_bins(noisy, bank), mp_estimate(noisy, args.l_dim)
 
 

@@ -41,6 +41,16 @@ def run(*argv) -> int:
     return main([str(a) for a in argv])
 
 
+def fig6_inputs(directory, n_len, *flags):
+    """Write the fig6 spectrum to ``directory/s.json`` and its ``n_len``-entry
+    signal, made by ``signal`` with ``flags``, to ``directory/g.json``; return
+    the two paths."""
+    spec_f, sig_f = directory / "s.json", directory / "g.json"
+    assert run("synth", "--fig6", "--out", spec_f) == 0
+    assert run("signal", "--spectrum", spec_f, "--n", n_len, *flags, "--out", sig_f) == 0
+    return spec_f, sig_f
+
+
 # A signal record as earlier versions wrote it, the parts as decimal lists.
 LIST_FORMAT_SIGNAL = {
     "n_len": 2,
@@ -337,9 +347,8 @@ class TestOutputPaths:
 
 class TestEstimate:
     def test_ts_on_clean_signal_matches_truncated_bins(self, tmp_path):
-        spec_f, sig_f, out_f = tmp_path / "s.json", tmp_path / "g.json", tmp_path / "e.json"
-        run("synth", "--fig6", "--out", spec_f)
-        run("signal", "--spectrum", spec_f, "--n", 64, "--out", sig_f)
+        spec_f, sig_f = fig6_inputs(tmp_path, 64)
+        out_f = tmp_path / "e.json"
         rc = run(
             "estimate", "--signal", sig_f, "--method", "ts", "--eps", 0.25,
             "--truncation", 50, "--spectrum", spec_f, "--out", out_f,
@@ -352,9 +361,8 @@ class TestEstimate:
         assert set(payload["delta"]) == {"1", "2", "4"}
 
     def test_mp_noiseless_recovery(self, tmp_path):
-        spec_f, sig_f, out_f = tmp_path / "s.json", tmp_path / "g.json", tmp_path / "e.json"
-        run("synth", "--fig6", "--out", spec_f)
-        run("signal", "--spectrum", spec_f, "--n", 20, "--out", sig_f)
+        spec_f, sig_f = fig6_inputs(tmp_path, 20)
+        out_f = tmp_path / "e.json"
         rc = run(
             "estimate", "--signal", sig_f, "--method", "mp", "--l-dim", 10,
             "--eps", 0.005, "--spectrum", spec_f, "--moments", "1", "--out", out_f,
@@ -364,9 +372,8 @@ class TestEstimate:
         assert abs(payload["delta"]["1"]) <= 1e-4
 
     def test_ts_strict_truncation_mode(self, tmp_path):
-        spec_f, sig_f, out_f = tmp_path / "s.json", tmp_path / "g.json", tmp_path / "e.json"
-        run("synth", "--fig6", "--out", spec_f)
-        run("signal", "--spectrum", spec_f, "--n", 414, "--out", sig_f)
+        _, sig_f = fig6_inputs(tmp_path, 414)
+        out_f = tmp_path / "e.json"
         rc = run(
             "estimate", "--signal", sig_f, "--method", "ts", "--eps", 0.25,
             "--truncation", "strict", "--out", out_f,
@@ -375,9 +382,7 @@ class TestEstimate:
         assert json.loads(out_f.read_text())["n_trunc"] == 414
 
     def test_mp_delta_without_eps_is_usage_error(self, tmp_path):
-        spec_f, sig_f = tmp_path / "s.json", tmp_path / "g.json"
-        run("synth", "--fig6", "--out", spec_f)
-        run("signal", "--spectrum", spec_f, "--n", 16, "--out", sig_f)
+        spec_f, sig_f = fig6_inputs(tmp_path, 16)
         rc = run(
             "estimate", "--signal", sig_f, "--method", "mp", "--spectrum", spec_f,
             "--out", tmp_path / "e.json",
@@ -385,15 +390,11 @@ class TestEstimate:
         assert rc == 2
 
     def test_missing_eps_for_ts_is_usage_error(self, tmp_path):
-        spec_f, sig_f = tmp_path / "s.json", tmp_path / "g.json"
-        run("synth", "--fig6", "--out", spec_f)
-        run("signal", "--spectrum", spec_f, "--n", 16, "--out", sig_f)
+        _, sig_f = fig6_inputs(tmp_path, 16)
         assert run("estimate", "--signal", sig_f, "--method", "ts", "--out", tmp_path / "e.json") == 2
 
     def test_non_finite_signal_is_usage_error(self, tmp_path):
-        spec_f, sig_f = tmp_path / "s.json", tmp_path / "g.json"
-        run("synth", "--fig6", "--out", spec_f)
-        run("signal", "--spectrum", spec_f, "--n", 16, "--out", sig_f)
+        _, sig_f = fig6_inputs(tmp_path, 16)
         set_signal_real_part(sig_f, 5, float("nan"))
         payload = json.loads(sig_f.read_text())["values_c16le"]
         assert np.isnan(np.frombuffer(base64.b64decode(payload), "<c16")[5].real)
@@ -450,9 +451,8 @@ class TestEstimate:
              "entries-infinite-weight", "signal-empty", "planned-shots"],
     )
     def test_malformed_provenance_is_usage_error(self, tmp_path, capsys, command, key, value):
-        spec_f, sig_f, out_f = tmp_path / "s.json", tmp_path / "g.json", tmp_path / "e.json"
-        run("synth", "--fig6", "--out", spec_f)
-        run("signal", "--spectrum", spec_f, "--n", 16, "--out", sig_f)
+        spec_f, sig_f = fig6_inputs(tmp_path, 16)
+        out_f = tmp_path / "e.json"
         path = sig_f if command == "estimate" else spec_f
         record = value if key is None else {**json.loads(path.read_text()), key: value}
         path.write_text(record if isinstance(record, str) else json.dumps(record))
@@ -471,9 +471,8 @@ class TestEstimate:
         assert not out_f.exists()
 
     def test_spectrum_of_non_numbers_is_usage_error_for_estimate(self, tmp_path, capsys):
-        spec_f, sig_f, out_f = tmp_path / "s.json", tmp_path / "g.json", tmp_path / "e.json"
-        run("synth", "--fig6", "--out", spec_f)
-        run("signal", "--spectrum", spec_f, "--n", 16, "--out", sig_f)
+        spec_f, sig_f = fig6_inputs(tmp_path, 16)
+        out_f = tmp_path / "e.json"
         spec_f.write_text(json.dumps({"entries": [{"lambda": "0.1", "weight": True}]}))
         capsys.readouterr()
         rc = run(
@@ -486,9 +485,7 @@ class TestEstimate:
         assert not out_f.exists()
 
     def test_zero_truncation_order_is_usage_error(self, tmp_path):
-        spec_f, sig_f = tmp_path / "s.json", tmp_path / "g.json"
-        run("synth", "--fig6", "--out", spec_f)
-        run("signal", "--spectrum", spec_f, "--n", 16, "--out", sig_f)
+        _, sig_f = fig6_inputs(tmp_path, 16)
         rc = run(
             "estimate", "--signal", sig_f, "--method", "ts", "--eps", 0.25,
             "--truncation", 0, "--out", tmp_path / "e.json",
@@ -497,9 +494,7 @@ class TestEstimate:
         assert not (tmp_path / "e.json").exists()
 
     def test_mp_delta_without_eps_fails_before_solving(self, tmp_path, monkeypatch):
-        spec_f, sig_f = tmp_path / "s.json", tmp_path / "g.json"
-        run("synth", "--fig6", "--out", spec_f)
-        run("signal", "--spectrum", spec_f, "--n", 16, "--out", sig_f)
+        spec_f, sig_f = fig6_inputs(tmp_path, 16)
 
         def unexpected(*args, **kwargs):
             raise AssertionError("the pencil was solved before the usage check")
@@ -524,9 +519,8 @@ class TestEstimate:
     )
     def test_mp_l_dim_outside_range_fails_before_the_worker(self, tmp_path, capsys, monkeypatch,
                                                           n_len, l_dim, message):
-        spec_f, sig_f, out_f = tmp_path / "s.json", tmp_path / "g.json", tmp_path / "e.json"
-        run("synth", "--fig6", "--out", spec_f)
-        run("signal", "--spectrum", spec_f, "--n", n_len, "--out", sig_f)
+        _, sig_f = fig6_inputs(tmp_path, n_len)
+        out_f = tmp_path / "e.json"
 
         def unexpected(*args, **kwargs):
             raise AssertionError("the pencil was solved before the usage check")
@@ -552,9 +546,8 @@ class TestEstimate:
     )
     def test_bad_truncation_fails_before_any_work(self, tmp_path, capsys, monkeypatch, flags,
                                                   message):
-        spec_f, sig_f, out_f = tmp_path / "s.json", tmp_path / "g.json", tmp_path / "e.json"
-        run("synth", "--fig6", "--out", spec_f)
-        run("signal", "--spectrum", spec_f, "--n", 16, "--out", sig_f)
+        _, sig_f = fig6_inputs(tmp_path, 16)
+        out_f = tmp_path / "e.json"
 
         def unexpected(*args, **kwargs):
             raise AssertionError("the bank was built before the usage check")
@@ -597,9 +590,8 @@ class TestEstimate:
     )
     def test_flag_the_method_never_reads_is_usage_error(self, tmp_path, capsys, command, flags,
                                                         message):
-        spec_f, sig_f, out = tmp_path / "s.json", tmp_path / "g.json", tmp_path / "out"
-        run("synth", "--fig6", "--out", spec_f)
-        run("signal", "--spectrum", spec_f, "--n", 16, "--out", sig_f)
+        spec_f, sig_f = fig6_inputs(tmp_path, 16)
+        out = tmp_path / "out"
         capsys.readouterr()
         inputs = {"estimate": ["--signal", sig_f], "signal": ["--spectrum", spec_f, "--n", 16]}
         output = ["--outdir", out] if command == "reproduce" else ["--out", out]
@@ -621,8 +613,7 @@ class TestEstimate:
     )
     def test_flag_prefix_is_usage_error(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
-        run("synth", "--fig6", "--out", "s.json")
-        run("signal", "--spectrum", "s.json", "--n", 16, "--out", "g.json")
+        fig6_inputs(tmp_path, 16)
         before = set(tmp_path.iterdir())
         capsys.readouterr()
         assert run(*argv) == 2
@@ -633,9 +624,8 @@ class TestEstimate:
     @pytest.mark.parametrize("moments", ["65", "-1", "one", "", "2,2"])
     def test_bad_moments_are_usage_error_for_both_methods(self, tmp_path, capsys, method,
                                                           moments):
-        spec_f, sig_f, out_f = tmp_path / "s.json", tmp_path / "g.json", tmp_path / "e.json"
-        run("synth", "--fig6", "--out", spec_f)
-        run("signal", "--spectrum", spec_f, "--n", 16, "--out", sig_f)
+        _, sig_f = fig6_inputs(tmp_path, 16)
+        out_f = tmp_path / "e.json"
         capsys.readouterr()
         rc = run(
             "estimate", "--signal", sig_f, "--method", method, "--eps", 0.25,
@@ -648,9 +638,8 @@ class TestEstimate:
     @pytest.mark.parametrize("method", ["ts", "mp"])
     @pytest.mark.parametrize("eps", ["nan", "inf", "0.24", "4", "5e-324"])
     def test_bad_eps_is_usage_error_for_both_methods(self, tmp_path, capsys, method, eps):
-        spec_f, sig_f, out_f = tmp_path / "s.json", tmp_path / "g.json", tmp_path / "e.json"
-        run("synth", "--fig6", "--out", spec_f)
-        run("signal", "--spectrum", spec_f, "--n", 16, "--out", sig_f)
+        spec_f, sig_f = fig6_inputs(tmp_path, 16)
+        out_f = tmp_path / "e.json"
         capsys.readouterr()
         rc = run(
             "estimate", "--signal", sig_f, "--method", method, "--eps", eps,
@@ -663,9 +652,7 @@ class TestEstimate:
     def test_numeric_failure_maps_to_exit_3(self, tmp_path, capsys):
         # The failure comes from the data: a finite entry near the largest
         # double overflows the QR, and the SVD of its R factor does not converge.
-        spec_f, sig_f = tmp_path / "s.json", tmp_path / "g.json"
-        run("synth", "--fig6", "--out", spec_f)
-        run("signal", "--spectrum", spec_f, "--n", 16, "--out", sig_f)
+        _, sig_f = fig6_inputs(tmp_path, 16)
         set_signal_real_part(sig_f, 5, 1.7e308)
         capsys.readouterr()
         rc = run("estimate", "--signal", sig_f, "--method", "mp", "--out", tmp_path / "e.json")
@@ -1045,9 +1032,7 @@ def synth_signal_estimate_flags(draw):
 def test_near_integral_eps_is_recorded_snapped(tmp_path, command):
     # --eps 0.0500000049 enters as 1/round(1/eps) = 0.05, so every eps an
     # output records, and every delta divided by eps, is that of --eps 0.05.
-    spec_f, sig_f = tmp_path / "s.json", tmp_path / "g.json"
-    run("synth", "--fig6", "--out", spec_f)
-    run("signal", "--spectrum", spec_f, "--n", 64, "--noise", 0.005, "--out", sig_f)
+    spec_f, sig_f = fig6_inputs(tmp_path, 64, "--noise", 0.005)
     written = []
     for eps in ("0.05", "0.0500000049"):
         out = tmp_path / eps
@@ -1227,13 +1212,17 @@ assert cli._NUMPY_LOADED_PINNED
 def run(*argv):
     assert cli.main(list(argv)) == 0, argv
 
+# The `strict` workload's command first, on the signal the test wrote, loads
+# none of the modules that only other commands need.
+run("estimate", "--signal", "g.json", "--method", "ts", "--truncation", "strict", "--eps", "0.25")
+lazy = {"numpy.random", "numpy.fft", "numpy.polynomial", "concurrent.futures", "qeep._plan"}
+assert not lazy & sys.modules.keys(), lazy & sys.modules.keys()
 run("synth", "--fig6")
 run("signal", "--n", "32", "--out", "clean.json")
 run("signal", "--n", "414", "--noise", "0.0005", "--seed", "3")
 run("signal", "--n", "16", "--shots", "100", "--seed", "1", "--out", "shots.json")
 run("signal", "--n", "8", "--plan", "0.5", "0.9", "--out", "auto.json")
 run("plan-shots", "--n", "566", "--eps-prime", "0.005", "--confidence", "0.99")
-run("estimate", "--method", "ts", "--truncation", "strict", "--eps", "0.25")
 # Only the pencil's amplitude fit needs numpy.fft.
 assert "numpy.fft" not in sys.modules
 run("estimate", "--method", "mp", "--l-dim", "32", "--out", "mp.json")
@@ -1586,6 +1575,7 @@ def test_every_command_runs_without_scipy(tmp_path):
     site = tmp_path / "site"
     site.mkdir()
     (site / "sitecustomize.py").write_text(_BLOCK_SCIPY)
+    fig6_inputs(tmp_path, 414)
     proc = run_python(["-c", _NUMPY_ONLY_RUN], tmp_path, path=[str(site)])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []

@@ -22,7 +22,7 @@ from qeep import (
     solve_pencil,
 )
 from qeep import matrix_pencil
-from qeep.cli import NOISE_SEED_OFFSET
+from qeep.cli import _seeded_signal
 from qeep.filterbank import TruncationMode, choose_truncation
 from qeep.matrix_pencil import (
     _QR_BLOCK_ROWS_PER_COLUMN,
@@ -39,6 +39,9 @@ from qeep.matrix_pencil import (
     _upper_inverse,
 )
 from qeep.signal import Provenance
+
+# The `trials` workload's signal length: STRICT N at eps = 0.05, 4469.
+TRIALS_N = choose_truncation(0.05, TruncationMode.STRICT)
 
 
 def point_mass(lam: float) -> Spectrum:
@@ -334,8 +337,7 @@ class TestRealFactor:
         [(3e-8, False, False), (4e-8, False, True), (5e-8, True, True)],
     )
     def test_certificate_window_edge(self, eps_prime, g_certified, h0_certified, monkeypatch):
-        clean = generate_clean(random_spectrum(5, 2), 566)
-        ts = add_noise(clean, eps_prime, 2 + NOISE_SEED_OFFSET)
+        ts = _seeded_signal(random_spectrum(5, 2), 566, eps_prime, 2)
         g = build_hankel(ts, 565)
         s_h0 = np.linalg.svd(g[:-1], compute_uv=False)
         h0_bound = np.sqrt(np.sum(s_h0**2) * np.sum(s_h0**-2.0))
@@ -362,17 +364,15 @@ class TestPredictionRow:
     # The benchmark's pencils, as in TestCompanionRoots: fig5 (N = 566,
     # L = 565) and trials (eps = 0.05, STRICT N = 4469, L = 64).
     @pytest.mark.parametrize(
-        "eps, eps_prime, l_dim, seed, bound",
-        [(0.005, 0.005, 565, 1, 0.25), (0.005, 0.005, 565, 17, 0.25),
-         (0.05, 1e-5, 64, 1, 4.0), (0.05, 1e-5, 64, 22, 4.0)],
+        "n_len, eps_prime, l_dim, seed, bound",
+        [(566, 0.005, 565, 1, 0.25), (566, 0.005, 565, 17, 0.25),
+         (TRIALS_N, 1e-5, 64, 1, 4.0), (TRIALS_N, 1e-5, 64, 22, 4.0)],
         ids=["fig5-1", "fig5-17", "trials-1", "trials-22"],
     )
     def test_benchmark_rows_are_backward_stable(
-        self, eps, eps_prime, l_dim, seed, bound, monkeypatch
+        self, n_len, eps_prime, l_dim, seed, bound, monkeypatch
     ):
-        n_len = l_dim + 1 if l_dim == 565 else choose_truncation(eps, TruncationMode.STRICT)
-        clean = generate_clean(random_spectrum(5, seed), n_len)
-        ts = add_noise(clean, eps_prime, seed + NOISE_SEED_OFFSET)
+        ts = _seeded_signal(random_spectrum(5, seed), n_len, eps_prime, seed)
         rows = []
         spy = lambda a: rows.append(a) or _companion_roots(a)
         monkeypatch.setattr(matrix_pencil, "_companion_roots", spy)
@@ -550,12 +550,12 @@ class TestCompanionRoots:
     # STRICT N = 4469, eps' = 1e-5, L = 64), each seed's signal built as the
     # CLI builds it.
     @pytest.mark.parametrize(
-        "eps, eps_prime, l_dim, seeds",
-        [(0.005, 0.005, 565, range(1, 21)), (0.05, 1e-5, 64, range(1, 26))],
+        "n_len, eps_prime, l_dim, seeds",
+        [(566, 0.005, 565, range(1, 21)), (TRIALS_N, 1e-5, 64, range(1, 26))],
         ids=["fig5", "trials"],
     )
     def test_benchmark_pencils_stop_within_the_documented_sweeps(
-        self, eps, eps_prime, l_dim, seeds, monkeypatch, linalg_calls
+        self, n_len, eps_prime, l_dim, seeds, monkeypatch, linalg_calls
     ):
         # A root call that needs more sweeps than the cap returns None and
         # sends its pencil to the SVD path, so no SVD, lstsq or eigensolve
@@ -563,10 +563,8 @@ class TestCompanionRoots:
         # every root call stopped within them.
         assert matrix_pencil._ABERTH_MAX_SWEEPS > 18
         monkeypatch.setattr(matrix_pencil, "_ABERTH_MAX_SWEEPS", 18)
-        n_len = l_dim + 1 if l_dim == 565 else choose_truncation(eps, TruncationMode.STRICT)
         for seed in seeds:
-            clean = generate_clean(random_spectrum(5, seed), n_len)
-            mp_estimate(add_noise(clean, eps_prime, seed + NOISE_SEED_OFFSET), l_dim)
+            mp_estimate(_seeded_signal(random_spectrum(5, seed), n_len, eps_prime, seed), l_dim)
         assert dense_calls(linalg_calls) == {"svd": [], "lstsq": [], "eigvals": []}
 
     def test_no_floating_point_exception(self):
@@ -792,15 +790,13 @@ class TestSolveAmplitudes:
     # The benchmark's pencils, as in TestCompanionRoots: fig5 (N = 566,
     # L = 565) and trials (eps = 0.05, STRICT N = 4469, L = 64).
     @pytest.mark.parametrize(
-        "eps, eps_prime, l_dim, seed",
-        [(0.005, 0.005, 565, 1), (0.005, 0.005, 565, 17),
-         (0.05, 1e-5, 64, 1), (0.05, 1e-5, 64, 22)],
+        "n_len, eps_prime, l_dim, seed",
+        [(566, 0.005, 565, 1), (566, 0.005, 565, 17),
+         (TRIALS_N, 1e-5, 64, 1), (TRIALS_N, 1e-5, 64, 22)],
         ids=["fig5-1", "fig5-17", "trials-1", "trials-22"],
     )
-    def test_benchmark_fits_are_backward_stable(self, eps, eps_prime, l_dim, seed, linalg_calls):
-        n_len = l_dim + 1 if l_dim == 565 else choose_truncation(eps, TruncationMode.STRICT)
-        clean = generate_clean(random_spectrum(5, seed), n_len)
-        est = mp_estimate(add_noise(clean, eps_prime, seed + NOISE_SEED_OFFSET), l_dim)
+    def test_benchmark_fits_are_backward_stable(self, n_len, eps_prime, l_dim, seed, linalg_calls):
+        est = mp_estimate(_seeded_signal(random_spectrum(5, seed), n_len, eps_prime, seed), l_dim)
         # Certified: no QR, lstsq or SVD for the fit, only the pencil's R
         # factor: a real QR, after a batched one of the top blocks on trials.
         assert linalg_calls["lstsq"] == [] and linalg_calls["svd"] == []
@@ -817,7 +813,7 @@ class TestSolveAmplitudes:
     @pytest.mark.parametrize("l_dim", [1, 2, 64, 65, 565])
     def test_certificate_matches_the_dense_inverse(self, l_dim, monkeypatch, linalg_calls):
         if l_dim == 565:
-            ts = add_noise(generate_clean(random_spectrum(5, 1), 566), 0.005, 1 + NOISE_SEED_OFFSET)
+            ts = _seeded_signal(random_spectrum(5, 1), 566, 0.005, 1)
             phases = mp_estimate(ts, l_dim).eigenphases
         else:
             ts = add_noise(generate_clean(fig6_spectrum(), l_dim + 1), 0.005, 1)

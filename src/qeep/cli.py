@@ -127,13 +127,13 @@ def _flag_type(convert, expected=None):
         try:
             return convert(text)
         except ValueError as exc:
-            message = str(exc) if expected is None else f"expected {expected}, got {text!r}"
+            message = str(exc) if expected is None else f"expected {expected}, got {text!r:.40}"
             raise argparse.ArgumentTypeError(message) from None
 
     return parse
 
 
-def _int_list(what: str, top: float = math.inf):
+def _int_list(what: str, top: float = sys.float_info.max):
     """The argparse type of a non-empty comma-separated list of distinct
     ``what``, each an integer in ``[0, top]``."""
 
@@ -151,7 +151,7 @@ _moment_orders = _int_list("moment orders", MAX_MOMENT_ORDER)
 _seeds = _int_list("seeds")
 
 
-def _word_or_int(words: dict, least: int, top: float = math.inf):
+def _word_or_int(words: dict, least: int, top: float = sys.float_info.max):
     """The argparse type of a key of ``words``, read as its value, or of an
     integer in ``[least, top]``."""
     expected = " or ".join([*map(repr, words), f"an integer in [{least}, {top}]"])
@@ -337,11 +337,12 @@ def _delta_summary(rows, moments):
 
 
 def _reproduce_deltas(outdir: Path, args) -> None:
-    """Fig. 5 and the Appendix C table: one pool task per seed, sharing the bank."""
+    """Fig. 5 and the Appendix C table: one pool task per seed, sharing the bank.
+    The summary holds every delta of the CSV, so it is written first: a delta
+    that is not finite stops the bundle before either file is written."""
     bank = _pencil_bank(args)
     per_seed = _map_single_blas_thread(functools.partial(_trial_rows, args, bank), args.seeds)
     rows = [row for seed_rows in per_seed for row in seed_rows]
-    _write_csv(outdir / "fig5_deltas.csv", DELTA_HEADER, rows)
     parameters = {
         "eps": args.eps,
         "eps_prime": args.eps_prime,
@@ -355,6 +356,7 @@ def _reproduce_deltas(outdir: Path, args) -> None:
         {"parameters": parameters, "summary": _delta_summary(rows, args.moments)},
         outdir / "fig5_summary.json",
     )
+    _write_csv(outdir / "fig5_deltas.csv", DELTA_HEADER, rows)
 
 
 def _reproduce_fig3(outdir: Path, args) -> None:

@@ -77,24 +77,6 @@ class TestSynth:
         spec = Spectrum.from_dict(json.loads(out.read_text()))
         assert spec.entries == fig6_spectrum().entries
 
-    def test_random_spectrum_deterministic(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert run("synth", "--d", 5, "--seed", 42, "--out", a) == 0
-        assert run("synth", "--d", 5, "--seed", 42, "--out", b) == 0
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_zero_d_is_usage_error(self, tmp_path):
-        assert run("synth", "--d", 0, "--seed", 1, "--out", tmp_path / "x.json") == 2
-
-    def test_missing_source_is_usage_error(self, tmp_path):
-        assert run("synth", "--out", tmp_path / "x.json") == 2
-
-    def test_both_sources_is_usage_error(self, tmp_path, capsys):
-        out = tmp_path / "x.json"
-        assert run("synth", "--fig6", "--d", 3, "--out", out) == 2
-        assert "not allowed with argument" in capsys.readouterr().err
-        assert not out.exists()
-
 
 class TestSignal:
     def test_clean_signal_starts_at_one(self, tmp_path):
@@ -145,90 +127,12 @@ class TestSignal:
         argv = ["--signal", sig, "--method", "ts", "--eps", 0.25, "--truncation", 8, "--out", est]
         assert run("estimate", *argv) == 0
 
-    @pytest.mark.parametrize("noise", ["-0.5", "nan", "inf"])
-    def test_bad_noise_magnitude_is_usage_error(self, tmp_path, capsys, noise):
-        spec, out = tmp_path / "spec.json", tmp_path / "sig.json"
-        run("synth", "--fig6", "--out", spec)
-        capsys.readouterr()
-        assert run("signal", "--spectrum", spec, "--n", 8, "--noise", noise, "--out", out) == 2
-        assert "finite non-negative" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_zero_noise_writes_clean_signal(self, tmp_path):
         spec, clean, zero = tmp_path / "spec.json", tmp_path / "clean.json", tmp_path / "zero.json"
         run("synth", "--fig6", "--out", spec)
         assert run("signal", "--spectrum", spec, "--n", 8, "--out", clean) == 0
         assert run("signal", "--spectrum", spec, "--n", 8, "--noise", 0, "--out", zero) == 0
         assert zero.read_bytes() == clean.read_bytes()
-
-    # rng.binomial takes a C long, so a count above 2**63 - 1 is a usage error.
-    @pytest.mark.parametrize(
-        "flags, message",
-        [
-            (["--shots", 10**19], "argument --shots: expected an integer in "
-             "[1, 9223372036854775807], got '10000000000000000000'"),
-            (["--shots", 1.5], "argument --shots: expected an integer in "
-             "[1, 9223372036854775807], got '1.5'"),
-            (["--plan", 1e-9, 0.9],
-             "error: shots_per_point must lie in [1, 9223372036854775807], "
-             "got 22539158412676997120"),
-        ],
-        ids=["above-c-long", "not-an-integer", "auto-above-c-long"],
-    )
-    def test_bad_shot_count_is_usage_error(self, tmp_path, capsys, flags, message):
-        spec, out = tmp_path / "spec.json", tmp_path / "sig.json"
-        run("synth", "--fig6", "--out", spec)
-        capsys.readouterr()
-        assert run("signal", "--spectrum", spec, "--n", 8, *flags, "--out", out) == 2
-        [line] = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
-        assert message in line
-        assert not out.exists()
-
-    # --plan takes both targets; the planner flags of plan-shots are not
-    # signal's.
-    @pytest.mark.parametrize(
-        "flags, message",
-        [
-            (["--plan", 0.5], "argument --plan: expected 2 arguments"),
-            (["--confidence", 0.9], "unrecognized arguments: --confidence 0.9"),
-        ],
-        ids=["no-confidence", "no-eps-prime"],
-    )
-    def test_auto_shots_needs_both_plan_flags(self, tmp_path, capsys, flags, message):
-        spec, out = tmp_path / "spec.json", tmp_path / "sig.json"
-        run("synth", "--fig6", "--out", spec)
-        capsys.readouterr()
-        assert run("signal", "--spectrum", spec, "--n", 8, *flags, "--out", out) == 2
-        assert message in capsys.readouterr().err
-        assert not out.exists()
-
-    # One parse-time check for every --seed, whatever the source of the signal.
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["synth", "--d", 3],
-            ["signal", "--n", 8],
-            ["signal", "--n", 8, "--noise", 0.1],
-            ["signal", "--n", 8, "--shots", 10],
-            ["reproduce", "fig6"],
-        ],
-        ids=["synth", "signal-clean", "signal-noise", "signal-shots", "reproduce-fig6"],
-    )
-    def test_negative_seed_is_usage_error(self, tmp_path, capsys, argv):
-        out = tmp_path / "out"
-        output = ["--outdir", out] if argv[0] == "reproduce" else ["--out", out]
-        assert run(*argv, "--seed", -1, *output) == 2
-        assert "argument --seed: expected an integer in [0, inf], got '-1'" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_noise_and_shots_conflict(self, tmp_path):
-        spec = tmp_path / "spec.json"
-        run("synth", "--fig6", "--out", spec)
-        rc = run(
-            "signal", "--spectrum", spec, "--n", 8, "--noise", 0.1, "--shots", 10,
-            "--seed", 1, "--out", tmp_path / "s.json",
-        )
-        assert rc == 2
 
 
 class TestPlanShots:
@@ -237,49 +141,6 @@ class TestPlanShots:
         assert run("plan-shots", "--n", 566, "--eps-prime", 0.005, "--confidence", 0.99, "--out", out) == 0
         assert json.loads(out.read_text())["shots"] == 526_919_351
         assert "526919351" in capsys.readouterr().out
-
-    def test_invalid_confidence(self):
-        assert run("plan-shots", "--n", 10, "--eps-prime", 0.1, "--confidence", 1.5) == 2
-
-    @pytest.mark.parametrize(
-        "argv, missing",
-        [
-            (["plan-shots"], "--n, --eps-prime, --confidence"),
-            (["plan-shots", "--n", 10], "--eps-prime, --confidence"),
-            (["signal", "--noise", 0.1], "--n"),
-        ],
-        ids=["plan-shots-none", "plan-shots-n-only", "signal"],
-    )
-    def test_missing_required_flag_is_usage_error(self, tmp_path, capsys, argv, missing):
-        out = tmp_path / "out.json"
-        assert run(*argv, "--out", out) == 2
-        assert f"the following arguments are required: {missing}" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("eps_prime", ["inf", "nan"])
-    def test_bad_eps_prime_is_usage_error(self, tmp_path, capsys, eps_prime):
-        # Checked where it enters the planner, for plan-shots and signal --plan.
-        spec, plan, sig = tmp_path / "spec.json", tmp_path / "plan.json", tmp_path / "sig.json"
-        run("synth", "--fig6", "--out", spec)
-        capsys.readouterr()
-        rc = run("plan-shots", "--n", 10, "--eps-prime", eps_prime, "--confidence", 0.9, "--out", plan)
-        assert rc == 2
-        assert "eps_prime must lie in [5e-324, " in capsys.readouterr().err
-        rc = run("signal", "--spectrum", spec, "--n", 8, "--plan", eps_prime, 0.9, "--out", sig)
-        assert rc == 2
-        assert "eps_prime must lie in [5e-324, " in capsys.readouterr().err
-        assert not plan.exists() and not sig.exists()
-
-    # eps_prime**2 underflows to zero at 1e-200 and to a subnormal whose
-    # quotient is infinite at 1e-160.
-    @pytest.mark.parametrize("eps_prime", ["1e-200", "1e-160"])
-    def test_eps_prime_without_a_finite_plan_is_usage_error(self, tmp_path, capsys, eps_prime):
-        out = tmp_path / "plan.json"
-        rc = run("plan-shots", "--n", 10, "--eps-prime", eps_prime, "--confidence", 0.9, "--out", out)
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err == f"error: no finite shot count: n_len=10, eps_prime={float(eps_prime)!r}\n"
-        assert not out.exists()
 
     def test_eps_prime_whose_square_overflows_plans_one_shot(self, capsys):
         assert run("plan-shots", "--n", 10, "--eps-prime", "1e200", "--confidence", 0.9) == 0
@@ -381,274 +242,6 @@ class TestEstimate:
         assert rc == 0
         assert json.loads(out_f.read_text())["n_trunc"] == 414
 
-    def test_mp_delta_without_eps_is_usage_error(self, tmp_path):
-        spec_f, sig_f = fig6_inputs(tmp_path, 16)
-        rc = run(
-            "estimate", "--signal", sig_f, "--method", "mp", "--spectrum", spec_f,
-            "--out", tmp_path / "e.json",
-        )
-        assert rc == 2
-
-    def test_missing_eps_for_ts_is_usage_error(self, tmp_path):
-        _, sig_f = fig6_inputs(tmp_path, 16)
-        assert run("estimate", "--signal", sig_f, "--method", "ts", "--out", tmp_path / "e.json") == 2
-
-    def test_non_finite_signal_is_usage_error(self, tmp_path):
-        _, sig_f = fig6_inputs(tmp_path, 16)
-        set_signal_real_part(sig_f, 5, float("nan"))
-        payload = json.loads(sig_f.read_text())["values_c16le"]
-        assert np.isnan(np.frombuffer(base64.b64decode(payload), "<c16")[5].real)
-        rc = run(
-            "estimate", "--signal", sig_f, "--method", "ts", "--eps", 0.25,
-            "--truncation", 16, "--out", tmp_path / "e.json",
-        )
-        assert rc == 2
-        assert not (tmp_path / "e.json").exists()
-
-    # Each malformed record the CLI reads is one error line naming its file:
-    # ``key`` of the signal (estimate) or spectrum (signal) record set to
-    # ``value``, or with ``key`` None the whole record replaced (a string is
-    # the file's text).
-    @pytest.mark.parametrize(
-        "command, key, value",
-        [
-            ("estimate", "provenance", {"kind": "bogus"}),
-            ("estimate", "provenance", {"kind": "additive_noise"}),
-            ("estimate", "provenance", {"kind": "additive_noise", "eps_prime": "abc", "seed": -2.5}),
-            ("estimate", "provenance", {"kind": "additive_noise", "eps_prime": 0.005, "seed": -1}),
-            ("estimate", "provenance", {"kind": "shot_sampled", "shots_per_point": 0, "seed": 3}),
-            ("estimate", "provenance", "clean"),
-            ("signal", "entries", 5),
-            ("signal", None, [{"lambda": 0.1, "weight": 1.0}]),
-            ("estimate", "provenance", {"kind": "clean", "bogus": 3}),
-            ("estimate", "n_len", 16.0),
-            ("estimate", "n_len", True),
-            ("estimate", "values_c16le", "AAAA*AAA"),
-            ("estimate", "values_c16le", base64.b64encode(bytes(20)).decode("ascii")),
-            ("estimate", "values_c16le", 16),
-            ("estimate", None, LIST_FORMAT_SIGNAL),
-            ("signal", "entries", [{"lambda": "0.1", "weight": True}]),
-            ("signal", "entries", [{"lambda": 10**400, "weight": 1.0}]),
-            ("signal", "entries", [[0.1, 1.0]]),
-            ("signal", "extra", 3),
-            ("estimate", "extra", 3),
-            ("signal", "entries", [{"lambda": 0.1, "weight": 1.0, "extra": 3}]),
-            ("estimate", None, {"n_len": 16, "provenance": {"kind": "clean"}}),
-            ("estimate", None, [{"n_len": 16}]),
-            ("signal", None, "[" * 100_000 + "]" * 100_000),
-            ("estimate", "provenance", {"kind": "shot_sampled", "shots_per_point": 2**70, "seed": 1}),
-            ("signal", "entries", [{"lambda": float("nan"), "weight": 1.0}]),
-            ("signal", "entries", [{"lambda": 0.1, "weight": float("inf")}]),
-            ("estimate", None, {"n_len": 0, "provenance": {"kind": "clean"}, "values_c16le": ""}),
-            ("estimate", "planned_shots", 325),
-        ],
-        ids=[*(f"provenance{i}" for i in range(5)), "provenance-string", "entries-number",
-             "spectrum-list", "provenance-unknown-field", "n_len-float", "n_len-bool",
-             "payload-not-base64", "payload-20-bytes", "payload-number", "list-format-signal",
-             "entries-not-numbers", "oversized-integer", "entry-list", "spectrum-unknown-key",
-             "signal-unknown-key", "entry-unknown-key", "signal-without-payload", "signal-list",
-             "nested-too-deeply", "shots-beyond-sampler", "entries-nan-lambda",
-             "entries-infinite-weight", "signal-empty", "planned-shots"],
-    )
-    def test_malformed_provenance_is_usage_error(self, tmp_path, capsys, command, key, value):
-        spec_f, sig_f = fig6_inputs(tmp_path, 16)
-        out_f = tmp_path / "e.json"
-        path = sig_f if command == "estimate" else spec_f
-        record = value if key is None else {**json.loads(path.read_text()), key: value}
-        path.write_text(record if isinstance(record, str) else json.dumps(record))
-        capsys.readouterr()
-        if command == "estimate":
-            inputs = ["--signal", sig_f, "--method", "ts", "--eps", 0.25, "--truncation", 16]
-        else:
-            inputs = ["--spectrum", spec_f, "--n", 16]
-        assert run(command, *inputs, "--out", out_f) == 2
-        [line] = capsys.readouterr().err.splitlines()
-        kind = "TimeSeries" if command == "estimate" else "Spectrum"
-        assert line.startswith(f"error: {path}: not a {kind} record: ")
-        # A key outside the record's key set is named.
-        if key in ("extra", "planned_shots"):
-            assert repr(key) in line
-        assert not out_f.exists()
-
-    def test_spectrum_of_non_numbers_is_usage_error_for_estimate(self, tmp_path, capsys):
-        spec_f, sig_f = fig6_inputs(tmp_path, 16)
-        out_f = tmp_path / "e.json"
-        spec_f.write_text(json.dumps({"entries": [{"lambda": "0.1", "weight": True}]}))
-        capsys.readouterr()
-        rc = run(
-            "estimate", "--signal", sig_f, "--eps", 0.25, "--truncation", 16,
-            "--spectrum", spec_f, "--out", out_f,
-        )
-        assert rc == 2
-        [line] = capsys.readouterr().err.splitlines()
-        assert line.startswith(f"error: {spec_f}: not a Spectrum record: ")
-        assert not out_f.exists()
-
-    def test_zero_truncation_order_is_usage_error(self, tmp_path):
-        _, sig_f = fig6_inputs(tmp_path, 16)
-        rc = run(
-            "estimate", "--signal", sig_f, "--method", "ts", "--eps", 0.25,
-            "--truncation", 0, "--out", tmp_path / "e.json",
-        )
-        assert rc == 2
-        assert not (tmp_path / "e.json").exists()
-
-    def test_mp_delta_without_eps_fails_before_solving(self, tmp_path, monkeypatch):
-        spec_f, sig_f = fig6_inputs(tmp_path, 16)
-
-        def unexpected(*args, **kwargs):
-            raise AssertionError("the pencil was solved before the usage check")
-
-        monkeypatch.setattr("qeep.cli.mp_estimate", unexpected)
-        rc = run(
-            "estimate", "--signal", sig_f, "--method", "mp", "--spectrum", spec_f,
-            "--out", tmp_path / "e.json",
-        )
-        assert rc == 2
-
-    # A 1-entry signal has no pencil, whatever the pencil dimension.
-    @pytest.mark.parametrize(
-        "n_len, l_dim, message",
-        [
-            (16, 0, "l_dim must lie in [1, 15], got 0"),
-            (16, 16, "l_dim must lie in [1, 15], got 16"),
-            (1, None, "the matrix pencil needs a signal of at least 2 entries, got 1"),
-            (1, 1, "the matrix pencil needs a signal of at least 2 entries, got 1"),
-        ],
-        ids=["0", "16", "one-entry-default", "one-entry-explicit"],
-    )
-    def test_mp_l_dim_outside_range_fails_before_the_worker(self, tmp_path, capsys, monkeypatch,
-                                                          n_len, l_dim, message):
-        _, sig_f = fig6_inputs(tmp_path, n_len)
-        out_f = tmp_path / "e.json"
-
-        def unexpected(*args, **kwargs):
-            raise AssertionError("the pencil was solved before the usage check")
-
-        monkeypatch.setattr("qeep.matrix_pencil.solve_pencil", unexpected)
-        capsys.readouterr()
-        flags = [] if l_dim is None else ["--l-dim", l_dim]
-        rc = run("estimate", "--signal", sig_f, "--method", "mp", *flags, "--out", out_f)
-        assert rc == 2
-        assert message in capsys.readouterr().err
-        assert not out_f.exists()
-
-    @pytest.mark.parametrize(
-        "flags, message",
-        [
-            (["--truncation", "strict", "--n-trunc", 16], "unrecognized arguments: --n-trunc"),
-            (["--truncation", 1], "argument --truncation"),
-            (["--truncation", "x"], "argument --truncation"),
-            (["--truncation", 17], "signal has 16 entries but the filter bank needs 17"),
-            (["--truncation", "strict"], "signal has 16 entries but the filter bank needs 414"),
-        ],
-        ids=["n-trunc", "order-one", "not-an-order", "order-above-length", "strict-above-length"],
-    )
-    def test_bad_truncation_fails_before_any_work(self, tmp_path, capsys, monkeypatch, flags,
-                                                  message):
-        _, sig_f = fig6_inputs(tmp_path, 16)
-        out_f = tmp_path / "e.json"
-
-        def unexpected(*args, **kwargs):
-            raise AssertionError("the bank was built before the usage check")
-
-        monkeypatch.setattr("qeep.cli.build_filterbank", unexpected)
-        capsys.readouterr()
-        rc = run("estimate", "--signal", sig_f, "--method", "ts", "--eps", 0.25, *flags,
-                 "--out", out_f)
-        assert rc == 2
-        assert message in capsys.readouterr().err
-        assert not out_f.exists()
-
-    # signal plans shots only for --plan, which replaces the planner flags of
-    # plan-shots; each reproduce figure takes only the flags it reads.
-    @pytest.mark.parametrize(
-        "command, flags, message",
-        [
-            ("estimate", ["--method", "mp", "--csv", "bins.csv"], "does not apply to --method mp"),
-            ("estimate", ["--method", "mp", "--truncation", 16], "does not apply to --method mp"),
-            ("estimate", ["--method", "mp", "--truncation", "strict"],
-             "does not apply to --method mp"),
-            ("estimate", ["--method", "ts", "--eps", 0.25, "--l-dim", 8],
-             "does not apply to --method ts"),
-            ("signal", ["--noise", 0.01, "--eps-prime", 0.1],
-             "unrecognized arguments: --eps-prime 0.1"),
-            ("signal", ["--shots", 10, "--plan", 0.1, 0.5],
-             "argument --plan: not allowed with argument --shots"),
-            ("signal", ["--confidence", 0.5], "unrecognized arguments: --confidence 0.5"),
-            ("reproduce", ["fig3", "--seeds", "1,2"], "unrecognized arguments: --seeds 1,2"),
-            ("reproduce", ["fig4", "--eps", 0.25], "unrecognized arguments: --eps 0.25"),
-            ("reproduce", ["fig6", "--truncation", 64, "--seeds", "1,2"],
-             "unrecognized arguments: --seeds 1,2"),
-            ("reproduce", ["fig6", "--truncation", 64, "--moments", "1,2"],
-             "unrecognized arguments: --moments 1,2"),
-            ("reproduce", ["fig6", "--truncation", 64, "--d", 3], "unrecognized arguments: --d 3"),
-        ],
-        ids=["mp-csv", "mp-truncation-order", "mp-truncation", "ts-l-dim", "signal-noise",
-             "signal-shots", "signal-clean", "fig3-seeds", "fig4-eps", "fig6-seeds",
-             "fig6-moments", "fig6-d"],
-    )
-    def test_flag_the_method_never_reads_is_usage_error(self, tmp_path, capsys, command, flags,
-                                                        message):
-        spec_f, sig_f = fig6_inputs(tmp_path, 16)
-        out = tmp_path / "out"
-        capsys.readouterr()
-        inputs = {"estimate": ["--signal", sig_f], "signal": ["--spectrum", spec_f, "--n", 16]}
-        output = ["--outdir", out] if command == "reproduce" else ["--out", out]
-        rc = run(command, *inputs.get(command, []), *flags, *output)
-        assert rc == 2
-        assert message in capsys.readouterr().err
-        assert not out.exists()
-
-    # A prefix of a flag the command takes is not that flag: fig6's --seed is
-    # not fig5's --seeds, --meth is not --method and --out is not --outdir.
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            (["reproduce", "fig5", "--seed", 3], "unrecognized arguments: --seed 3"),
-            (["estimate", "--signal", "g.json", "--meth", "mp"], "unrecognized arguments: --meth mp"),
-            (["reproduce", "fig5", "--out", "x"], "unrecognized arguments: --out x"),
-        ],
-        ids=["fig5-seed", "estimate-meth", "fig5-out"],
-    )
-    def test_flag_prefix_is_usage_error(self, tmp_path, monkeypatch, capsys, argv, message):
-        monkeypatch.chdir(tmp_path)
-        fig6_inputs(tmp_path, 16)
-        before = set(tmp_path.iterdir())
-        capsys.readouterr()
-        assert run(*argv) == 2
-        assert message in capsys.readouterr().err
-        assert set(tmp_path.iterdir()) == before
-
-    @pytest.mark.parametrize("method", ["ts", "mp"])
-    @pytest.mark.parametrize("moments", ["65", "-1", "one", "", "2,2"])
-    def test_bad_moments_are_usage_error_for_both_methods(self, tmp_path, capsys, method,
-                                                          moments):
-        _, sig_f = fig6_inputs(tmp_path, 16)
-        out_f = tmp_path / "e.json"
-        capsys.readouterr()
-        rc = run(
-            "estimate", "--signal", sig_f, "--method", method, "--eps", 0.25,
-            f"--moments={moments}", "--out", out_f,
-        )
-        assert rc == 2
-        assert "argument --moments" in capsys.readouterr().err
-        assert not out_f.exists()
-
-    @pytest.mark.parametrize("method", ["ts", "mp"])
-    @pytest.mark.parametrize("eps", ["nan", "inf", "0.24", "4", "5e-324"])
-    def test_bad_eps_is_usage_error_for_both_methods(self, tmp_path, capsys, method, eps):
-        spec_f, sig_f = fig6_inputs(tmp_path, 16)
-        out_f = tmp_path / "e.json"
-        capsys.readouterr()
-        rc = run(
-            "estimate", "--signal", sig_f, "--method", method, "--eps", eps,
-            "--spectrum", spec_f, "--out", out_f,
-        )
-        assert rc == 2
-        assert "argument --eps" in capsys.readouterr().err
-        assert not out_f.exists()
-
     def test_numeric_failure_maps_to_exit_3(self, tmp_path, capsys):
         # The failure comes from the data: a finite entry near the largest
         # double overflows the QR, and the SVD of its R factor does not converge.
@@ -670,13 +263,6 @@ class TestReproduce:
         assert len(lines) == 21
         summary = json.loads((outdir / "fig3_summary.json").read_text())
         assert summary["min_abs_coefficient"] > 0
-
-    def test_fig3_rerun_is_byte_identical(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        run("reproduce", "fig3", "--outdir", a)
-        run("reproduce", "fig3", "--outdir", b)
-        assert (a / "fig3_dft.csv").read_bytes() == (b / "fig3_dft.csv").read_bytes()
-        assert (a / "fig3_summary.json").read_bytes() == (b / "fig3_summary.json").read_bytes()
 
     def test_fig4_filter_curves_sum_to_one(self, tmp_path):
         outdir = tmp_path / "figs"
@@ -743,11 +329,6 @@ class TestReproduce:
         assert (outdir / "fig6_mp.csv").exists()
         summary = json.loads((outdir / "fig6_summary.json").read_text())
         assert 0.0 <= summary["ts_near_mass_fraction"] <= 1.1
-
-    def test_appc_is_not_a_figure(self, tmp_path, capsys):
-        assert run("reproduce", "appc", "--outdir", tmp_path / "figs") == 2
-        assert "argument figure: invalid choice: 'appc'" in capsys.readouterr().err
-        assert not (tmp_path / "figs").exists()
 
     def test_fig6_starts_no_pool(self, tmp_path, monkeypatch):
         import concurrent.futures
@@ -830,80 +411,6 @@ class TestReproduce:
         summary = json.loads((tmp_path / "fig5_summary.json").read_text())
         assert summary["parameters"]["l_dim"] == l_dim
         assert np.isfinite(summary["summary"]["4"]["delta_mp"]).all()
-
-    @pytest.mark.parametrize("l_dim", [0, 64], ids=["0", "64"])
-    def test_fig6_l_dim_outside_range_fails_before_any_work(self, tmp_path, capsys, monkeypatch,
-                                                             l_dim):
-        def unexpected(*args, **kwargs):
-            raise AssertionError("the bank was built before the usage check")
-
-        monkeypatch.setattr("qeep.cli.build_filterbank", unexpected)
-        outdir = tmp_path / "figs"
-        rc = run("reproduce", "fig6", "--outdir", outdir, "--truncation", 64, "--l-dim", l_dim)
-        assert rc == 2
-        assert f"l_dim must lie in [1, 63], got {l_dim}" in capsys.readouterr().err
-        assert not outdir.exists()
-
-    def test_invalid_eps_is_usage_error(self, tmp_path):
-        assert run("reproduce", "fig5", "--outdir", tmp_path, "--eps", 0.24) == 2
-
-    def test_l_dim_outside_range_fails_before_any_work(self, tmp_path, capsys, monkeypatch):
-        def unexpected(*args, **kwargs):
-            raise AssertionError("the bank was built before the usage check")
-
-        monkeypatch.setattr("qeep.cli.build_filterbank", unexpected)
-        environ = dict(os.environ)
-        outdir = tmp_path / "figs"
-        rc = run(
-            "reproduce", "fig5", "--outdir", outdir, "--truncation", 64, "--l-dim", 64,
-            "--seeds", "1,2",
-        )
-        assert rc == 2
-        assert "l_dim must lie in [1, 63], got 64" in capsys.readouterr().err
-        assert not outdir.exists()
-        assert dict(os.environ) == environ
-
-    @pytest.mark.parametrize(
-        "figure, flags, message",
-        [
-            pytest.param(figure, flags, message, id=f"{figure}-{name}")
-            for figure in ("fig5", "fig6")
-            for name, flags, message in [
-                ("eps-prime-nan", ["--eps-prime", "nan"], "finite non-negative"),
-                ("eps-prime-inf", ["--eps-prime", "inf"], "finite non-negative"),
-                ("eps-prime-negative", ["--eps-prime", "-0.1"], "finite non-negative"),
-                ("order-one", ["--truncation=1"], "argument --truncation"),
-                ("not-an-order", ["--truncation=x"], "argument --truncation"),
-                ("n-trunc", ["--n-trunc=64"], "unrecognized arguments: --n-trunc"),
-                *(
-                    [("seed-negative", ["--seed=-1"],
-                      "argument --seed: expected an integer in [0, inf], got '-1'")]
-                    if figure == "fig6" else
-                    [
-                        ("moment-negative", ["--moments=-1"], "moment orders in [0, 64]"),
-                        ("moment-too-high", ["--moments=65"], "moment orders in [0, 64]"),
-                        ("no-moments", ["--moments="], "moment orders in [0, 64]"),
-                        ("seed-negative", ["--seeds=-1,1"], "seeds in [0, inf]"),
-                        ("seed-repeated", ["--seeds=1,2,1"], "distinct seeds in [0, inf]"),
-                        ("moment-repeated", ["--moments=1,1"],
-                         "distinct moment orders in [0, 64], got '1,1'"),
-                        ("d-zero", ["--d=0"], "argument --d: expected an integer in [1, inf], got '0'"),
-                    ]
-                ),
-            ]
-        ],
-    )
-    def test_bad_flag_fails_before_any_work(self, tmp_path, capsys, monkeypatch, figure, flags,
-                                            message):
-        def unexpected(*args, **kwargs):
-            raise AssertionError("the bank was built before the usage check")
-
-        monkeypatch.setattr("qeep.cli.build_filterbank", unexpected)
-        outdir = tmp_path / "figs"
-        rc = run("reproduce", figure, "--outdir", outdir, "--truncation", 64, *flags)
-        assert rc == 2
-        assert message in capsys.readouterr().err
-        assert not outdir.exists()
 
     # A square pencil, and the ``trials`` workload's wide one, whose R factor
     # starts with a batched QR of its row blocks.
@@ -1102,28 +609,6 @@ class TestConfigFile:
         assert "not allowed with argument --fig6" in capsys.readouterr().err
         assert not conflict.exists()
 
-    @pytest.mark.parametrize(
-        "command, token",
-        [
-            ("reproduce", "--moments="),
-            ("reproduce", "--moments=1,65"),
-            ("reproduce", "--eps-prime=nan"),
-            ("estimate", "--moments=-1"),
-        ],
-        ids=["reproduce-no-moments", "reproduce-moment-too-high", "reproduce-eps-prime-nan",
-             "estimate-moment-negative"],
-    )
-    def test_config_values_get_the_flag_checks(self, tmp_path, capsys, command, token):
-        out = tmp_path / "out"
-        cfg = _args_file(tmp_path / "cfg.args", token)
-        argv = ["fig5", "--outdir", out] if command == "reproduce" else ["--out", out]
-        assert run(command, *argv, cfg) == 2
-        assert f"argument {token.split('=')[0]}" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_unknown_command_usage_error(self):
-        assert run("frobnicate") == 2
-
     @pytest.mark.parametrize("seeds, moments", [("1,2", "1,2")])
     def test_lists_resolve_like_flags(self, tmp_path, seeds, moments):
         flags, from_cfg = tmp_path / "flags", tmp_path / "cfg"
@@ -1160,26 +645,6 @@ class TestConfigFile:
         cfg = _args_file(path, "--n=566", "--eps-prime=0.005", "--confidence=0.99", f"--out={plan}")
         assert run("plan-shots", cfg) == 0
         assert json.loads(plan.read_text())["shots"] == 526_919_351
-
-    @pytest.mark.parametrize(
-        "command, token, message",
-        [
-            ("synth", "--frobnicate=1", "unrecognized arguments: --frobnicate=1"),
-            ("synth", "--d=three", "argument --d: expected an integer in [1, inf], got 'three'"),
-            ("synth", "--d=3.5", "argument --d: expected an integer in [1, inf], got '3.5'"),
-            ("reproduce", "--n-trunc=64", "unrecognized arguments: --n-trunc=64"),
-            ("synth", None, "No such file or directory"),
-        ],
-        ids=["unknown-key", "not-an-int", "float-for-int", "n-trunc", "missing-file"],
-    )
-    def test_bad_config_is_usage_error(self, tmp_path, capsys, command, token, message):
-        # Checked even where every value the command uses comes from flags.
-        out, path = tmp_path / "out", tmp_path / "cfg.args"
-        cfg = f"@{path}" if token is None else _args_file(path, token)
-        argv = ["fig3", "--outdir", out] if command == "reproduce" else ["--fig6", "--out", out]
-        assert run(command, cfg, *argv) == 2
-        assert message in capsys.readouterr().err
-        assert not out.exists()
 
 
 # The test modules import scipy themselves, so the numpy-only check runs in a
@@ -1292,6 +757,14 @@ def test_cli_process_refuses_an_output_with_a_non_finite_number(tmp_path):
     proc = _cli_on_a_pipe(tmp_path, *argv)
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr.startswith("numeric failure: ") and proc.stderr.count("\n") == 1
+    # The mean |delta_mp| of s = 4 overflows: fig5's bundle is written whole
+    # or not at all, so the CSV of those finite deltas is not written either.
+    argv = ["reproduce", "fig5", "--eps-prime", "1e304", "--truncation", "8",
+            "--seeds", "1,2,3,4,5", "--outdir", "o"]
+    proc = _cli_on_a_pipe(tmp_path, *argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: o/fig5_summary.json: not written: it would hold a non-finite number\n"
+    assert not (tmp_path / "o").exists()
 
 
 class _Stream:
@@ -1609,28 +1082,6 @@ def test_every_checked_flag_type_is_the_adapter():
         assert kind in (None, int, float) or kind.__code__ is adapter, action.option_strings
 
 
-@pytest.mark.parametrize(
-    "command, flag",
-    [
-        (["estimate"], "--eps"),
-        (["reproduce", "fig5"], "--eps"),
-        (["reproduce", "fig6"], "--eps-prime"),
-        (["signal"], "--noise"),
-        (["synth"], "--seed"),
-        (["synth"], "--d"),
-        (["signal"], "--shots"),
-        (["estimate"], "--truncation"),
-        (["reproduce", "fig5"], "--seeds"),
-        (["estimate"], "--moments"),
-    ],
-)
-def test_non_numeric_text_is_the_flags_own_usage_error(capsys, command, flag):
-    assert run(*command, flag, "abc") == 2
-    err = capsys.readouterr().err
-    assert f"error: argument {flag}: " in err
-    assert not re.search(r"invalid \S+ value", err)
-
-
 def test_benchmark_workloads_parse():
     """Every command line the benchmark's workloads run, their untimed inputs
     included, parses; nothing is run."""
@@ -1642,3 +1093,435 @@ def test_benchmark_workloads_parse():
         argvs.append(workload.argv(1, workdir, outdir))
         for argv in argvs:
             assert callable(parser.parse_args(argv).func), argv
+
+
+# ------------------------------------------------------ rejected command lines
+#
+# Every command line that ``main`` rejects as a usage error is one row of the
+# tables below, which the ``rejected`` runner checks; a new usage error is one
+# more row.
+
+# What a rejected command line must not start: the filter bank, the pencil and
+# the synthesis of a signal, which ``sample_shots`` reaches in ``qeep.signal``.
+_WORK = (
+    "qeep.cli.build_filterbank",
+    "qeep.matrix_pencil.solve_pencil",
+    "qeep.cli.generate_clean",
+    "qeep.signal.generate_clean",
+)
+
+
+def _started(name):
+    """A stand-in for the function ``name`` that fails the test that calls it."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} ran before the command line was rejected")
+
+    return fail
+
+
+def _tree(root):
+    """Every path under ``root``, a file's with its bytes."""
+    return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
+
+
+@pytest.fixture
+def rejected(tmp_path, monkeypatch, capsys):
+    """``rejected(argv, message)`` runs ``argv`` in a new current directory that
+    holds the fig6 spectrum ``s.json`` and its 16-entry signal ``g.json``, with
+    each function of ``_WORK`` failing if called. It checks that ``main``
+    rejects the command line before any work: exit code 2, nothing on standard
+    output, and on standard error one ``error: `` line, after argparse's usage
+    if any, that starts with ``message`` (a message that ends with a newline is
+    the whole line); every path in the directory, and the environment, are as
+    they were."""
+    fig6_inputs(tmp_path, 16)
+    monkeypatch.chdir(tmp_path)
+
+    def check(argv, message):
+        before, environ = _tree(tmp_path), dict(os.environ)
+        for name in _WORK:
+            monkeypatch.setattr(name, _started(name))
+        capsys.readouterr()
+        assert run(*argv) == 2
+        out, err = capsys.readouterr()
+        [line] = [line for line in err.splitlines(keepends=True) if "error: " in line]
+        assert out == "" and err.endswith(line) and (err == line or err.startswith("usage: "))
+        assert line.startswith(message), line
+        assert _tree(tmp_path) == before and dict(os.environ) == environ
+
+    return check
+
+
+# What each checked flag expects; the integer flags end where the doubles end.
+_MAX = sys.float_info.max
+_SIZE = f"expected an integer in [1, {_MAX}]"
+_SEED = f"expected an integer in [0, {_MAX}]"
+_SEEDS = f"expected distinct seeds in [0, {_MAX}]"
+_ORDER = f"expected 'empirical' or 'strict' or an integer in [2, {_MAX}]"
+_MOMENTS = "expected distinct moment orders in [0, 64]"
+_SHOTS = "expected an integer in [1, 9223372036854775807]"
+_BOUND = "expected a finite non-negative number"
+
+# An integer past the largest double, and the 40 characters of its echo.
+_OVERSIZED = str(10**400)
+_OVERSIZED_ECHO = f"got '{_OVERSIZED[:39]}\n"
+
+_SIGNAL = ["signal", "--spectrum", "s.json", "--n", 8]
+_ESTIMATE = ["estimate", "--signal", "g.json"]
+
+# Flag rows: (argv, message).
+_FLAG_ROWS = [
+    (["synth", "--d", 0, "--seed", 1, "--out", "x.json"],
+     f"qeep synth: error: argument --d: {_SIZE}, got '0'"),
+    (["synth", "--out", "x.json"], "qeep synth: error: one of the arguments --fig6 --d is required"),
+    (["synth", "--fig6", "--d", 3, "--out", "x.json"],
+     "qeep synth: error: argument --d: not allowed with argument --fig6"),
+    *(([*_SIGNAL, "--noise", noise, "--out", "sig.json"],
+       f"qeep signal: error: argument --noise: {_BOUND}, got '{noise}'")
+      for noise in ("-0.5", "nan", "inf")),
+    # rng.binomial takes a C long, so a count above 2**63 - 1 is a usage error.
+    ([*_SIGNAL, "--shots", 10**19, "--out", "sig.json"],
+     f"qeep signal: error: argument --shots: {_SHOTS}, got '10000000000000000000'"),
+    ([*_SIGNAL, "--shots", 1.5, "--out", "sig.json"],
+     f"qeep signal: error: argument --shots: {_SHOTS}, got '1.5'"),
+    ([*_SIGNAL, "--plan", 1e-9, 0.9, "--out", "sig.json"],
+     "error: shots_per_point must lie in [1, 9223372036854775807], got 22539158412676997120"),
+    # --plan takes both targets; the planner flags of plan-shots are not signal's.
+    ([*_SIGNAL, "--plan", 0.5, "--out", "sig.json"],
+     "qeep signal: error: argument --plan: expected 2 arguments"),
+    ([*_SIGNAL, "--confidence", 0.9, "--out", "sig.json"],
+     "qeep: error: unrecognized arguments: --confidence 0.9"),
+    ([*_SIGNAL, "--noise", 0.1, "--shots", 10, "--seed", 1, "--out", "sig.json"],
+     "qeep signal: error: argument --shots: not allowed with argument --noise"),
+    # One parse-time check for every --seed, whatever the source of the signal.
+    (["synth", "--d", 3, "--seed", -1, "--out", "out"],
+     f"qeep synth: error: argument --seed: {_SEED}, got '-1'"),
+    *(([*argv, "--seed", -1, "--out", "out"], f"qeep signal: error: argument --seed: {_SEED}, got '-1'")
+      for argv in (["signal", "--n", 8], ["signal", "--n", 8, "--noise", 0.1],
+                   ["signal", "--n", 8, "--shots", 10])),
+    (["reproduce", "fig6", "--seed", -1, "--outdir", "out"],
+     f"qeep reproduce fig6: error: argument --seed: {_SEED}, got '-1'"),
+    (["plan-shots", "--n", 10, "--eps-prime", 0.1, "--confidence", 1.5],
+     "error: confidence must lie in [5e-324, 0.9999999999999999], got 1.5"),
+    *(([*argv, "--out", "out.json"], f"{prog}: error: the following arguments are required: {missing}")
+      for prog, argv, missing in [
+          ("qeep plan-shots", ["plan-shots"], "--n, --eps-prime, --confidence"),
+          ("qeep plan-shots", ["plan-shots", "--n", 10], "--eps-prime, --confidence"),
+          ("qeep signal", ["signal", "--noise", 0.1], "--n"),
+      ]),
+    # eps_prime is checked where it enters the planner, for plan-shots and
+    # signal --plan.
+    *((argv, f"error: eps_prime must lie in [5e-324, {_MAX}], got {eps_prime}")
+      for eps_prime in ("inf", "nan")
+      for argv in (
+          ["plan-shots", "--n", 10, "--eps-prime", eps_prime, "--confidence", 0.9, "--out", "plan.json"],
+          [*_SIGNAL, "--plan", eps_prime, 0.9, "--out", "sig.json"],
+      )),
+    # eps_prime**2 underflows to zero at 1e-200 and to a subnormal whose
+    # quotient is infinite at 1e-160: the whole line, as its newline marks.
+    *((["plan-shots", "--n", 10, "--eps-prime", eps_prime, "--confidence", 0.9, "--out", "plan.json"],
+       f"error: no finite shot count: n_len=10, eps_prime={eps_prime}\n")
+      for eps_prime in ("1e-200", "1e-160")),
+    ([*_ESTIMATE, "--method", "mp", "--spectrum", "s.json", "--out", "e.json"],
+     "error: --eps is required to report delta against a spectrum"),
+    ([*_ESTIMATE, "--method", "ts", "--out", "e.json"], "error: --eps is required for the ts method"),
+    *(([*_ESTIMATE, "--method", "mp", "--l-dim", l_dim, "--out", "e.json"],
+       f"error: l_dim must lie in [1, 15], got {l_dim}")
+      for l_dim in (0, 16)),
+    *(([*_ESTIMATE, "--method", "ts", "--eps", 0.25, *flags, "--out", "e.json"], message)
+      for flags, message in [
+          (["--truncation", 0], f"qeep estimate: error: argument --truncation: {_ORDER}, got '0'"),
+          (["--truncation", "strict", "--n-trunc", 16],
+           "qeep: error: unrecognized arguments: --n-trunc 16"),
+          (["--truncation", 1], f"qeep estimate: error: argument --truncation: {_ORDER}, got '1'"),
+          (["--truncation", "x"], f"qeep estimate: error: argument --truncation: {_ORDER}, got 'x'"),
+          (["--truncation", 17], "error: signal has 16 entries but the filter bank needs 17"),
+          (["--truncation", "strict"], "error: signal has 16 entries but the filter bank needs 414"),
+      ]),
+    # estimate's --truncation and --csv belong to --method ts and --l-dim to
+    # --method mp; signal plans shots only for --plan, which replaces the
+    # planner flags of plan-shots; each reproduce figure takes only the flags
+    # it reads.
+    *(([*_ESTIMATE, *flags, "--out", "out"], f"error: {message}")
+      for flags, message in [
+          (["--method", "mp", "--csv", "bins.csv"], "--csv does not apply to --method mp"),
+          (["--method", "mp", "--truncation", 16], "--truncation does not apply to --method mp"),
+          (["--method", "mp", "--truncation", "strict"], "--truncation does not apply to --method mp"),
+          (["--method", "ts", "--eps", 0.25, "--l-dim", 8], "--l-dim does not apply to --method ts"),
+      ]),
+    (["signal", "--spectrum", "s.json", "--n", 16, "--noise", 0.01, "--eps-prime", 0.1, "--out", "out"],
+     "qeep: error: unrecognized arguments: --eps-prime 0.1"),
+    (["signal", "--spectrum", "s.json", "--n", 16, "--shots", 10, "--plan", 0.1, 0.5, "--out", "out"],
+     "qeep signal: error: argument --plan: not allowed with argument --shots"),
+    (["signal", "--spectrum", "s.json", "--n", 16, "--confidence", 0.5, "--out", "out"],
+     "qeep: error: unrecognized arguments: --confidence 0.5"),
+    *((["reproduce", *flags, "--outdir", "out"], f"qeep: error: unrecognized arguments: {unknown}")
+      for flags, unknown in [
+          (["fig3", "--seeds", "1,2"], "--seeds 1,2"),
+          (["fig4", "--eps", 0.25], "--eps 0.25"),
+          (["fig6", "--truncation", 64, "--seeds", "1,2"], "--seeds 1,2"),
+          (["fig6", "--truncation", 64, "--moments", "1,2"], "--moments 1,2"),
+          (["fig6", "--truncation", 64, "--d", 3], "--d 3"),
+      ]),
+    # A prefix of a flag the command takes is not that flag: fig6's --seed is
+    # not fig5's --seeds, --meth is not --method and --out is not --outdir.
+    (["reproduce", "fig5", "--seed", 3], "qeep: error: unrecognized arguments: --seed 3"),
+    ([*_ESTIMATE, "--meth", "mp"], "qeep: error: unrecognized arguments: --meth mp"),
+    (["reproduce", "fig5", "--out", "x"], "qeep: error: unrecognized arguments: --out x"),
+    *(([*_ESTIMATE, "--method", method, "--eps", 0.25, f"--moments={moments}", "--out", "e.json"],
+       f"qeep estimate: error: argument --moments: {_MOMENTS}, got '{moments}'")
+      for method in ("ts", "mp") for moments in ("65", "-1", "one", "", "2,2")),
+    *(([*_ESTIMATE, "--method", method, "--eps", eps, "--spectrum", "s.json", "--out", "e.json"],
+       f"qeep estimate: error: argument --eps: {reason}")
+      for method in ("ts", "mp")
+      for eps, reason in [
+          ("nan", f"eps must lie in [5e-324, {_MAX}], got nan"),
+          ("inf", f"eps must lie in [5e-324, {_MAX}], got inf"),
+          ("0.24", "1/eps must be a positive integer, got 1/eps = 4.166666666666667"),
+          ("4", "1/eps must be a positive integer, got 1/eps = 0.25"),
+          ("5e-324", "1/eps must be a positive integer, got 1/eps = inf"),
+      ]),
+    (["reproduce", "appc", "--outdir", "figs"],
+     "qeep reproduce: error: argument figure: invalid choice: 'appc'"),
+    (["reproduce", "fig5", "--outdir", ".", "--eps", 0.24],
+     "qeep reproduce fig5: error: argument --eps: 1/eps must be a positive integer, "
+     "got 1/eps = 4.166666666666667"),
+    *((["reproduce", "fig6", "--outdir", "figs", "--truncation", 64, "--l-dim", l_dim],
+       f"error: l_dim must lie in [1, 63], got {l_dim}")
+      for l_dim in (0, 64)),
+    (["reproduce", "fig5", "--outdir", "figs", "--truncation", 64, "--l-dim", 64, "--seeds", "1,2"],
+     "error: l_dim must lie in [1, 63], got 64"),
+    # Each figure checks its flags before any work.
+    *((["reproduce", figure, "--outdir", "figs", "--truncation", 64, flag],
+       f"qeep reproduce {figure}: error: argument {flag.partition('=')[0]}: {expected}")
+      for figures, flag, expected in [
+          ("fig5 fig6", "--eps-prime=nan", f"{_BOUND}, got 'nan'"),
+          ("fig5 fig6", "--eps-prime=inf", f"{_BOUND}, got 'inf'"),
+          ("fig5 fig6", "--eps-prime=-0.1", f"{_BOUND}, got '-0.1'"),
+          ("fig5 fig6", "--truncation=1", f"{_ORDER}, got '1'"),
+          ("fig5 fig6", "--truncation=x", f"{_ORDER}, got 'x'"),
+          ("fig6", "--seed=-1", f"{_SEED}, got '-1'"),
+          ("fig5", "--moments=-1", f"{_MOMENTS}, got '-1'"),
+          ("fig5", "--moments=65", f"{_MOMENTS}, got '65'"),
+          ("fig5", "--moments=", f"{_MOMENTS}, got ''"),
+          ("fig5", "--seeds=-1,1", f"{_SEEDS}, got '-1,1'"),
+          ("fig5", "--seeds=1,2,1", f"{_SEEDS}, got '1,2,1'"),
+          ("fig5", "--moments=1,1", f"{_MOMENTS}, got '1,1'"),
+          ("fig5", "--d=0", f"{_SIZE}, got '0'"),
+      ]
+      for figure in figures.split()),
+    *((["reproduce", figure, "--outdir", "figs", "--truncation", 64, "--n-trunc=64"],
+       "qeep: error: unrecognized arguments: --n-trunc=64")
+      for figure in ("fig5", "fig6")),
+    (["frobnicate"], "qeep: error: argument command: invalid choice: 'frobnicate'"),
+    # Non-numeric text for each flag whose type ``_flag_type`` builds, in each
+    # command that takes it, is the flag's own usage error.
+    *(([*command.split(), flag, "abc"], f"qeep {command}: error: argument {flag}: {expected}")
+      for flag, expected, commands in [
+          ("--d", f"{_SIZE}, got 'abc'", ["synth", "reproduce fig5"]),
+          ("--seed", f"{_SEED}, got 'abc'", ["synth", "signal", "reproduce fig6"]),
+          ("--seeds", f"{_SEEDS}, got 'abc'", ["reproduce fig5"]),
+          ("--shots", f"{_SHOTS}, got 'abc'", ["signal"]),
+          ("--noise", f"{_BOUND}, got 'abc'", ["signal"]),
+          ("--eps-prime", f"{_BOUND}, got 'abc'", ["reproduce fig5", "reproduce fig6"]),
+          ("--truncation", f"{_ORDER}, got 'abc'", ["estimate", "reproduce fig5", "reproduce fig6"]),
+          ("--moments", f"{_MOMENTS}, got 'abc'", ["estimate", "reproduce fig5"]),
+          ("--eps", "could not convert string to float: 'abc'",
+           ["estimate", "reproduce fig5", "reproduce fig6"]),
+      ]
+      for command in commands),
+    # An integer flag past the largest double fails where it is parsed, before
+    # any work, with the flag's own line and a 40-character echo.
+    ([*_SIGNAL, "--noise", 0.1, "--seed", _OVERSIZED, "--out", "sig.json"],
+     f"qeep signal: error: argument --seed: {_SEED}, {_OVERSIZED_ECHO}"),
+    (["reproduce", "fig6", "--seed", _OVERSIZED, "--outdir", "figs"],
+     f"qeep reproduce fig6: error: argument --seed: {_SEED}, {_OVERSIZED_ECHO}"),
+    (["reproduce", "fig5", "--truncation", 8, "--seeds", _OVERSIZED, "--outdir", "figs"],
+     f"qeep reproduce fig5: error: argument --seeds: {_SEEDS}, {_OVERSIZED_ECHO}"),
+    (["reproduce", "fig5", "--truncation", 8, "--d", _OVERSIZED, "--outdir", "figs"],
+     f"qeep reproduce fig5: error: argument --d: {_SIZE}, {_OVERSIZED_ECHO}"),
+    ([*_ESTIMATE, "--method", "ts", "--eps", 0.25, "--truncation", _OVERSIZED, "--out", "e.json"],
+     f"qeep estimate: error: argument --truncation: {_ORDER}, {_OVERSIZED_ECHO}"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", _FLAG_ROWS, ids=[" ".join(str(t)[:20] for t in argv) for argv, _ in _FLAG_ROWS]
+)
+def test_flag_is_rejected(rejected, argv, message):
+    rejected(argv, message)
+
+
+def _set(name, key, value):
+    """The edit that sets ``key`` of the record in file ``name`` to ``value``,
+    or with ``key`` None writes ``value`` in the record's place (a string as
+    the file's text)."""
+
+    def edit():
+        path = Path(name)
+        record = value if key is None else {**json.loads(path.read_text()), key: value}
+        path.write_text(record if isinstance(record, str) else json.dumps(record))
+
+    return edit
+
+
+_READ_SIGNAL = [*_ESTIMATE, "--method", "ts", "--eps", 0.25, "--truncation", 16, "--out", "e.json"]
+_READ_SPECTRUM = ["signal", "--spectrum", "s.json", "--n", 16, "--out", "e.json"]
+
+
+def _malformed(command, key, value, reason, id):
+    """The record row of ``estimate``, which reads the signal ``g.json``, or of
+    ``signal``, which reads the spectrum ``s.json``, after ``_set(file, key,
+    value)``: one error line that names the file and gives ``reason``."""
+    name, kind, argv = {
+        "estimate": ("g.json", "TimeSeries", _READ_SIGNAL),
+        "signal": ("s.json", "Spectrum", _READ_SPECTRUM),
+    }[command]
+    message = f"error: {name}: not a {kind} record: {reason}"
+    return pytest.param(_set(name, key, value), argv, message, id=id)
+
+
+# Record rows: (edit, argv, message); each edit runs before its command line.
+_RECORD_ROWS = [
+    _malformed("estimate", "provenance", {"kind": "bogus"}, "unknown provenance kind 'bogus'",
+               "provenance0"),
+    _malformed("estimate", "provenance", {"kind": "additive_noise"},
+               "additive_noise provenance needs eps_prime", "provenance1"),
+    _malformed("estimate", "provenance", {"kind": "additive_noise", "eps_prime": "abc", "seed": -2.5},
+               "eps_prime must be a number, got 'abc'", "provenance2"),
+    _malformed("estimate", "provenance", {"kind": "additive_noise", "eps_prime": 0.005, "seed": -1},
+               f"seed must lie in [0, {_MAX}], got -1", "provenance3"),
+    _malformed("estimate", "provenance", {"kind": "shot_sampled", "shots_per_point": 0, "seed": 3},
+               "shots_per_point must lie in [1, 9223372036854775807], got 0", "provenance4"),
+    _malformed("estimate", "provenance", "clean", "provenance must be a JSON object, got 'clean'",
+               "provenance-string"),
+    _malformed("signal", "entries", 5, "entries must be a list, got 5", "entries-number"),
+    _malformed("signal", None, [{"lambda": 0.1, "weight": 1.0}],
+               "spectrum must be a JSON object, got [{'lambda': 0.1, 'weight': 1.0}]",
+               "spectrum-list"),
+    _malformed("estimate", "provenance", {"kind": "clean", "bogus": 3},
+               "provenance has an unknown key 'bogus'", "provenance-unknown-field"),
+    _malformed("estimate", "n_len", 16.0, "n_len must be an integer, got 16.0", "n_len-float"),
+    _malformed("estimate", "n_len", True, "n_len must be an integer, got True", "n_len-bool"),
+    _malformed("estimate", "values_c16le", "AAAA*AAA", "values_c16le is not base64: ",
+               "payload-not-base64"),
+    _malformed("estimate", "values_c16le", base64.b64encode(bytes(20)).decode("ascii"),
+               "values_c16le holds 20 bytes, not a multiple of 16", "payload-20-bytes"),
+    _malformed("estimate", "values_c16le", 16, "values_c16le must be a base64 string, got 16",
+               "payload-number"),
+    _malformed("estimate", None, LIST_FORMAT_SIGNAL, "signal has no 'values_c16le' key",
+               "list-format-signal"),
+    _malformed("signal", "entries", [{"lambda": "0.1", "weight": True}],
+               "each entry of lambda must be a number, got '0.1'", "entries-not-numbers"),
+    _malformed("signal", "entries", [{"lambda": 10**400, "weight": 1.0}],
+               f"each entry of lambda must lie in [-{_MAX}, {_MAX}], got {_OVERSIZED[:40]}\n",
+               "oversized-integer"),
+    _malformed("signal", "entries", [[0.1, 1.0]], "each entry must be a JSON object, got [0.1, 1.0]",
+               "entry-list"),
+    _malformed("signal", "extra", 3, "spectrum has an unknown key 'extra'", "spectrum-unknown-key"),
+    _malformed("estimate", "extra", 3, "signal has an unknown key 'extra'", "signal-unknown-key"),
+    _malformed("signal", "entries", [{"lambda": 0.1, "weight": 1.0, "extra": 3}],
+               "each entry has an unknown key 'extra'", "entry-unknown-key"),
+    _malformed("estimate", None, {"n_len": 16, "provenance": {"kind": "clean"}},
+               "signal has no 'values_c16le' key", "signal-without-payload"),
+    _malformed("estimate", None, [{"n_len": 16}],
+               "signal must be a JSON object, got [{'n_len': 16}]", "signal-list"),
+    _malformed("signal", None, "[" * 100_000 + "]" * 100_000, "nested too deeply\n",
+               "nested-too-deeply"),
+    _malformed("estimate", "provenance", {"kind": "shot_sampled", "shots_per_point": 2**70, "seed": 1},
+               "shots_per_point must lie in [1, 9223372036854775807], got 1180591620717411303424",
+               "shots-beyond-sampler"),
+    _malformed("signal", "entries", [{"lambda": float("nan"), "weight": 1.0}],
+               f"each entry of lambda must lie in [-{_MAX}, {_MAX}], got nan", "entries-nan-lambda"),
+    _malformed("signal", "entries", [{"lambda": 0.1, "weight": float("inf")}],
+               f"each entry of weight must lie in [-{_MAX}, {_MAX}], got inf",
+               "entries-infinite-weight"),
+    _malformed("estimate", None, {"n_len": 0, "provenance": {"kind": "clean"}, "values_c16le": ""},
+               "values must be a finite 1-d array of length at least 1, got shape (0,)",
+               "signal-empty"),
+    _malformed("estimate", "planned_shots", 325, "signal has an unknown key 'planned_shots'",
+               "planned-shots"),
+    pytest.param(
+        lambda: set_signal_real_part(Path("g.json"), 5, float("nan")), _READ_SIGNAL,
+        "error: g.json: not a TimeSeries record: values must be a finite 1-d array of length at "
+        "least 1, got shape (16,) with a non-finite entry",
+        id="nan-entry",
+    ),
+    pytest.param(
+        _set("s.json", None, {"entries": [{"lambda": "0.1", "weight": True}]}),
+        [*_ESTIMATE, "--eps", 0.25, "--truncation", 16, "--spectrum", "s.json", "--out", "e.json"],
+        "error: s.json: not a Spectrum record: each entry of lambda must be a number, got '0.1'",
+        id="estimate-spectrum-not-numbers",
+    ),
+    # A 1-entry signal has no pencil, whatever the pencil dimension.
+    *(pytest.param(
+        lambda: fig6_inputs(Path("."), 1), [*_ESTIMATE, "--method", "mp", *flags, "--out", "e.json"],
+        "error: the matrix pencil needs a signal of at least 2 entries, got 1", id=f"one-entry-{id}",
+    ) for id, flags in [("default", []), ("explicit", ["--l-dim", 1])]),
+]
+
+
+@pytest.mark.parametrize("edit, argv, message", _RECORD_ROWS)
+def test_record_is_rejected(rejected, edit, argv, message):
+    edit()
+    rejected(argv, message)
+
+
+# Argument-file rows: (tokens, argv, message); ``cfg.args`` holds ``tokens``,
+# one a line, and with ``tokens`` None there is no such file. The values an
+# argument file gives get the flags' checks, even where every value the
+# command uses comes from typed flags.
+_ARGS_FILE_ROWS = [
+    pytest.param(["--moments="], ["reproduce", "fig5", "--outdir", "out", "@cfg.args"],
+                 f"qeep reproduce fig5: error: argument --moments: {_MOMENTS}, got ''",
+                 id="reproduce-no-moments"),
+    pytest.param(["--moments=1,65"], ["reproduce", "fig5", "--outdir", "out", "@cfg.args"],
+                 f"qeep reproduce fig5: error: argument --moments: {_MOMENTS}, got '1,65'",
+                 id="reproduce-moment-too-high"),
+    pytest.param(["--eps-prime=nan"], ["reproduce", "fig5", "--outdir", "out", "@cfg.args"],
+                 f"qeep reproduce fig5: error: argument --eps-prime: {_BOUND}, got 'nan'",
+                 id="reproduce-eps-prime-nan"),
+    pytest.param(["--moments=-1"], ["estimate", "--out", "out", "@cfg.args"],
+                 f"qeep estimate: error: argument --moments: {_MOMENTS}, got '-1'",
+                 id="estimate-moment-negative"),
+    pytest.param(["--frobnicate=1"], ["synth", "@cfg.args", "--fig6", "--out", "out"],
+                 "qeep: error: unrecognized arguments: --frobnicate=1", id="unknown-key"),
+    pytest.param(["--d=three"], ["synth", "@cfg.args", "--fig6", "--out", "out"],
+                 f"qeep synth: error: argument --d: {_SIZE}, got 'three'", id="not-an-int"),
+    pytest.param(["--d=3.5"], ["synth", "@cfg.args", "--fig6", "--out", "out"],
+                 f"qeep synth: error: argument --d: {_SIZE}, got '3.5'", id="float-for-int"),
+    pytest.param(["--n-trunc=64"], ["reproduce", "@cfg.args", "fig3", "--outdir", "out"],
+                 "qeep: error: unrecognized arguments: --n-trunc=64", id="n-trunc"),
+    pytest.param(None, ["synth", "@cfg.args", "--fig6", "--out", "out"],
+                 "qeep: error: [Errno 2] No such file or directory: 'cfg.args'", id="missing-file"),
+]
+
+
+@pytest.mark.parametrize("tokens, argv, message", _ARGS_FILE_ROWS)
+def test_argument_file_is_rejected(rejected, tokens, argv, message):
+    if tokens is not None:
+        _args_file(Path("cfg.args"), *tokens)
+    rejected(argv, message)
+
+
+def test_every_checked_flag_has_a_non_numeric_row():
+    """Each flag whose type ``_flag_type`` builds, in each command that takes
+    it, has a flag row that gives it the text ``abc`` and expects the flag's own
+    ``argument --FLAG: …`` line, so no checked flag ships without one."""
+    adapter = _flag_type(int).__code__
+    parser = _build_parser()
+    commands = [
+        sub for action in _actions(parser) if isinstance(action, argparse._SubParsersAction)
+        for sub in action.choices.values()
+    ]
+    for command in commands:
+        for action in command._actions:
+            if getattr(action.type, "__code__", None) is not adapter:
+                continue
+            for flag in action.option_strings:
+                line = f"{command.prog}: error: argument {flag}: "
+                assert any(
+                    (flag, "abc") in zip(argv, argv[1:]) and message.startswith(line)
+                    for argv, message in _FLAG_ROWS
+                ), line

@@ -138,9 +138,9 @@ def _int_list(what: str, top: float = sys.float_info.max):
     ``what``, each an integer in ``[0, top]``."""
 
     def convert(text: str) -> tuple[int, ...]:
-        tokens = (int(tok) for tok in text.split(",") if tok.strip())
+        tokens = (int(tok) for tok in text.split(","))
         values = tuple(_records.number(value, what, Integral, 0, top) for value in tokens)
-        if not values or len(set(values)) < len(values):
+        if len(set(values)) < len(values):
             raise ValueError
         return values
 
@@ -168,12 +168,23 @@ def _word_or_int(words: dict, least: int, top: float = sys.float_info.max):
 _truncation = _word_or_int({mode.value: mode for mode in TruncationMode}, _LEAST_ORDER)
 _shots = _word_or_int({}, 1, MAX_SHOTS_PER_POINT)
 _seed = _word_or_int({}, 0)
-_spectrum_size = _word_or_int({}, 1)
+_positive_int = _word_or_int({}, 1)
+# A signal length whose complex128 array numpy can size: sys.maxsize bytes.
+_signal_length = _word_or_int({}, 1, sys.maxsize // 16)
 
-# A noise magnitude bound: a finite, non-negative number.
-_magnitude = _flag_type(
-    lambda text: _records.number(float(text), "", least=0), "a finite non-negative number"
-)
+
+def _real(least: float, most: float = sys.float_info.max, expected: str | None = None):
+    """The argparse type of a number in ``[least, most]``, whose usage error
+    names that range or, if given, ``expected``."""
+    return _flag_type(
+        lambda text: _records.number(float(text), "", least=least, most=most),
+        expected or f"a number in [{least}, {most}]",
+    )
+
+
+_magnitude = _real(0, expected="a finite non-negative number")
+_positive_real = _real(_records.LEAST_POSITIVE)
+_confidence = _real(_records.LEAST_POSITIVE, math.nextafter(1.0, 0.0))
 
 # A bin width ``eps``: positive, with ``1/eps`` a positive integer, returned
 # snapped to ``1/round(1/eps)``, the eps that every output records.
@@ -447,18 +458,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("synth", _cmd_synth, "write a spectrum file")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--fig6", action="store_true", help="use the fixed five-line spectrum")
-    source.add_argument("--d", type=_spectrum_size, help="number of random eigenvalues")
+    source.add_argument("--d", type=_positive_int, help="number of random eigenvalues")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="spectrum.json")
 
     p = command("signal", _cmd_signal, "generate a time series from a spectrum file")
     p.add_argument("--spectrum", default="spectrum.json")
-    p.add_argument("--n", type=int, required=True, help="signal length")
+    p.add_argument("--n", type=_signal_length, required=True, help="signal length")
     source = p.add_mutually_exclusive_group()
     source.add_argument("--noise", type=_magnitude, help="additive noise magnitude bound")
     source.add_argument("--shots", type=_shots, help="shots per point")
     source.add_argument(
-        "--plan", nargs=2, type=float, metavar=("EPS_PRIME", "CONFIDENCE"),
+        "--plan", nargs=2, type=_positive_real, metavar=("EPS_PRIME", "CONFIDENCE"),
         help="Hoeffding's shots per point for EPS_PRIME at CONFIDENCE",
     )
     p.add_argument("--seed", type=_seed, default=0)
@@ -466,9 +477,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv")
 
     p = command("plan-shots", _cmd_plan_shots, "Hoeffding shot count for a target precision")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--eps-prime", dest="eps_prime", type=float, required=True)
-    p.add_argument("--confidence", type=float, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--eps-prime", dest="eps_prime", type=_positive_real, required=True)
+    p.add_argument("--confidence", type=_confidence, required=True)
     p.add_argument("--out")
 
     p = command("estimate", _cmd_estimate, "run the ts or mp estimator on a signal file")
@@ -478,7 +489,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--truncation", type=_truncation, help="ts only: empirical (default), strict or N >= 2"
     )
-    p.add_argument("--l-dim", dest="l_dim", type=int, help="mp only")
+    p.add_argument("--l-dim", dest="l_dim", type=_positive_int, help="mp only")
     p.add_argument(
         "--moments", type=_moment_orders, default=(1, 2, 4), help="comma-separated moment orders"
     )
@@ -492,7 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pencil = argparse.ArgumentParser(add_help=False, parents=[outdir])
     pencil.add_argument("--eps", type=_bin_width, default=0.005)
     pencil.add_argument("--eps-prime", dest="eps_prime", type=_magnitude, default=0.005)
-    pencil.add_argument("--l-dim", dest="l_dim", type=int)
+    pencil.add_argument("--l-dim", dest="l_dim", type=_positive_int)
     pencil.add_argument(
         "--truncation", type=_truncation, default=TruncationMode.EMPIRICAL,
         help="empirical (default), strict or N >= 2",
@@ -510,7 +521,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fig5 = figures.choices["fig5"]
     fig5.add_argument("--seeds", type=_seeds, default=(1, 2, 3, 4, 5))
     fig5.add_argument("--moments", type=_moment_orders, default=(1, 2, 4))
-    fig5.add_argument("--d", type=_spectrum_size, default=5)
+    fig5.add_argument("--d", type=_positive_int, default=5)
     figures.choices["fig6"].add_argument("--seed", type=_seed, default=1)
 
     return parser

@@ -1074,12 +1074,13 @@ def test_readme_cli_flags_match_the_parser():
 
 
 def test_every_checked_flag_type_is_the_adapter():
-    """A flag's type is argparse's ``int`` or ``float`` or one built by
-    ``_flag_type``, never a converter with its own error handling."""
+    """A flag that takes a value either takes it as text or has a type built by
+    ``_flag_type``, never argparse's ``int`` or ``float`` or a converter with
+    its own error handling."""
     adapter = _flag_type(int).__code__
     for action in _actions(_build_parser()):
         kind = action.type
-        assert kind in (None, int, float) or kind.__code__ is adapter, action.option_strings
+        assert kind is None or kind.__code__ is adapter, action.option_strings
 
 
 def test_benchmark_workloads_parse():
@@ -1162,6 +1163,9 @@ _ORDER = f"expected 'empirical' or 'strict' or an integer in [2, {_MAX}]"
 _MOMENTS = "expected distinct moment orders in [0, 64]"
 _SHOTS = "expected an integer in [1, 9223372036854775807]"
 _BOUND = "expected a finite non-negative number"
+_LENGTH = "expected an integer in [1, 576460752303423487]"
+_POSITIVE = f"expected a number in [5e-324, {_MAX}]"
+_CONFIDENCE = "expected a number in [5e-324, 0.9999999999999999]"
 
 # An integer past the largest double, and the 40 characters of its echo.
 _OVERSIZED = str(10**400)
@@ -1185,6 +1189,9 @@ _FLAG_ROWS = [
      f"qeep signal: error: argument --shots: {_SHOTS}, got '10000000000000000000'"),
     ([*_SIGNAL, "--shots", 1.5, "--out", "sig.json"],
      f"qeep signal: error: argument --shots: {_SHOTS}, got '1.5'"),
+    # numpy sizes an array of at most sys.maxsize bytes, 16 per signal entry.
+    (["signal", "--spectrum", "s.json", "--n", 10**20, "--out", "x.json"],
+     f"qeep signal: error: argument --n: {_LENGTH}, got '100000000000000000000'"),
     ([*_SIGNAL, "--plan", 1e-9, 0.9, "--out", "sig.json"],
      "error: shots_per_point must lie in [1, 9223372036854775807], got 22539158412676997120"),
     # --plan takes both targets; the planner flags of plan-shots are not signal's.
@@ -1202,7 +1209,13 @@ _FLAG_ROWS = [
                    ["signal", "--n", 8, "--shots", 10])),
     (["reproduce", "fig6", "--seed", -1, "--outdir", "out"],
      f"qeep reproduce fig6: error: argument --seed: {_SEED}, got '-1'"),
+    (["plan-shots", "--n", 0, "--eps-prime", 0.1, "--confidence", 0.9],
+     f"qeep plan-shots: error: argument --n: {_SIZE}, got '0'"),
     (["plan-shots", "--n", 10, "--eps-prime", 0.1, "--confidence", 1.5],
+     f"qeep plan-shots: error: argument --confidence: {_CONFIDENCE}, got '1.5'"),
+    # --plan's two values share one type, so the planner checks that its
+    # CONFIDENCE lies below 1.
+    ([*_SIGNAL, "--plan", 0.5, 1.5, "--out", "sig.json"],
      "error: confidence must lie in [5e-324, 0.9999999999999999], got 1.5"),
     *(([*argv, "--out", "out.json"], f"{prog}: error: the following arguments are required: {missing}")
       for prog, argv, missing in [
@@ -1210,13 +1223,13 @@ _FLAG_ROWS = [
           ("qeep plan-shots", ["plan-shots", "--n", 10], "--eps-prime, --confidence"),
           ("qeep signal", ["signal", "--noise", 0.1], "--n"),
       ]),
-    # eps_prime is checked where it enters the planner, for plan-shots and
-    # signal --plan.
-    *((argv, f"error: eps_prime must lie in [5e-324, {_MAX}], got {eps_prime}")
+    # eps_prime is checked where it is parsed, for plan-shots and signal --plan.
+    *((argv, f"qeep {argv[0]}: error: argument {flag}: {_POSITIVE}, got '{eps_prime}'")
       for eps_prime in ("inf", "nan")
-      for argv in (
-          ["plan-shots", "--n", 10, "--eps-prime", eps_prime, "--confidence", 0.9, "--out", "plan.json"],
-          [*_SIGNAL, "--plan", eps_prime, 0.9, "--out", "sig.json"],
+      for flag, argv in (
+          ("--eps-prime", ["plan-shots", "--n", 10, "--eps-prime", eps_prime, "--confidence", 0.9,
+                           "--out", "plan.json"]),
+          ("--plan", [*_SIGNAL, "--plan", eps_prime, 0.9, "--out", "sig.json"]),
       )),
     # eps_prime**2 underflows to zero at 1e-200 and to a subnormal whose
     # quotient is infinite at 1e-160: the whole line, as its newline marks.
@@ -1226,9 +1239,10 @@ _FLAG_ROWS = [
     ([*_ESTIMATE, "--method", "mp", "--spectrum", "s.json", "--out", "e.json"],
      "error: --eps is required to report delta against a spectrum"),
     ([*_ESTIMATE, "--method", "ts", "--out", "e.json"], "error: --eps is required for the ts method"),
-    *(([*_ESTIMATE, "--method", "mp", "--l-dim", l_dim, "--out", "e.json"],
-       f"error: l_dim must lie in [1, 15], got {l_dim}")
-      for l_dim in (0, 16)),
+    ([*_ESTIMATE, "--method", "mp", "--l-dim", 0, "--out", "e.json"],
+     f"qeep estimate: error: argument --l-dim: {_SIZE}, got '0'"),
+    ([*_ESTIMATE, "--method", "mp", "--l-dim", 16, "--out", "e.json"],
+     "error: l_dim must lie in [1, 15], got 16"),
     *(([*_ESTIMATE, "--method", "ts", "--eps", 0.25, *flags, "--out", "e.json"], message)
       for flags, message in [
           (["--truncation", 0], f"qeep estimate: error: argument --truncation: {_ORDER}, got '0'"),
@@ -1271,7 +1285,7 @@ _FLAG_ROWS = [
     (["reproduce", "fig5", "--out", "x"], "qeep: error: unrecognized arguments: --out x"),
     *(([*_ESTIMATE, "--method", method, "--eps", 0.25, f"--moments={moments}", "--out", "e.json"],
        f"qeep estimate: error: argument --moments: {_MOMENTS}, got '{moments}'")
-      for method in ("ts", "mp") for moments in ("65", "-1", "one", "", "2,2")),
+      for method in ("ts", "mp") for moments in ("65", "-1", "one", "", "2,2", ",4")),
     *(([*_ESTIMATE, "--method", method, "--eps", eps, "--spectrum", "s.json", "--out", "e.json"],
        f"qeep estimate: error: argument --eps: {reason}")
       for method in ("ts", "mp")
@@ -1287,9 +1301,10 @@ _FLAG_ROWS = [
     (["reproduce", "fig5", "--outdir", ".", "--eps", 0.24],
      "qeep reproduce fig5: error: argument --eps: 1/eps must be a positive integer, "
      "got 1/eps = 4.166666666666667"),
-    *((["reproduce", "fig6", "--outdir", "figs", "--truncation", 64, "--l-dim", l_dim],
-       f"error: l_dim must lie in [1, 63], got {l_dim}")
-      for l_dim in (0, 64)),
+    (["reproduce", "fig6", "--outdir", "figs", "--truncation", 64, "--l-dim", 0],
+     f"qeep reproduce fig6: error: argument --l-dim: {_SIZE}, got '0'"),
+    (["reproduce", "fig6", "--outdir", "figs", "--truncation", 64, "--l-dim", 64],
+     "error: l_dim must lie in [1, 63], got 64"),
     (["reproduce", "fig5", "--outdir", "figs", "--truncation", 64, "--l-dim", 64, "--seeds", "1,2"],
      "error: l_dim must lie in [1, 63], got 64"),
     # Each figure checks its flags before any work.
@@ -1308,15 +1323,18 @@ _FLAG_ROWS = [
           ("fig5", "--seeds=-1,1", f"{_SEEDS}, got '-1,1'"),
           ("fig5", "--seeds=1,2,1", f"{_SEEDS}, got '1,2,1'"),
           ("fig5", "--moments=1,1", f"{_MOMENTS}, got '1,1'"),
+          ("fig5", "--seeds=1,,2", f"{_SEEDS}, got '1,,2'"),
+          ("fig5", "--moments=1,", f"{_MOMENTS}, got '1,'"),
           ("fig5", "--d=0", f"{_SIZE}, got '0'"),
+          ("fig5", "--l-dim=0", f"{_SIZE}, got '0'"),
       ]
       for figure in figures.split()),
     *((["reproduce", figure, "--outdir", "figs", "--truncation", 64, "--n-trunc=64"],
        "qeep: error: unrecognized arguments: --n-trunc=64")
       for figure in ("fig5", "fig6")),
     (["frobnicate"], "qeep: error: argument command: invalid choice: 'frobnicate'"),
-    # Non-numeric text for each flag whose type ``_flag_type`` builds, in each
-    # command that takes it, is the flag's own usage error.
+    # Non-numeric text for each numeric flag, in each command that takes it,
+    # is the flag's own usage error.
     *(([*command.split(), flag, "abc"], f"qeep {command}: error: argument {flag}: {expected}")
       for flag, expected, commands in [
           ("--d", f"{_SIZE}, got 'abc'", ["synth", "reproduce fig5"]),
@@ -1329,8 +1347,14 @@ _FLAG_ROWS = [
           ("--moments", f"{_MOMENTS}, got 'abc'", ["estimate", "reproduce fig5"]),
           ("--eps", "could not convert string to float: 'abc'",
            ["estimate", "reproduce fig5", "reproduce fig6"]),
+          ("--l-dim", f"{_SIZE}, got 'abc'", ["estimate", "reproduce fig5", "reproduce fig6"]),
+          ("--n", f"{_LENGTH}, got 'abc'", ["signal"]),
+          ("--n", f"{_SIZE}, got 'abc'", ["plan-shots"]),
+          ("--eps-prime", f"{_POSITIVE}, got 'abc'", ["plan-shots"]),
+          ("--confidence", f"{_CONFIDENCE}, got 'abc'", ["plan-shots"]),
       ]
       for command in commands),
+    (["signal", "--plan", "abc", 0.9], f"qeep signal: error: argument --plan: {_POSITIVE}, got 'abc'"),
     # An integer flag past the largest double fails where it is parsed, before
     # any work, with the flag's own line and a 40-character echo.
     ([*_SIGNAL, "--noise", 0.1, "--seed", _OVERSIZED, "--out", "sig.json"],

@@ -31,7 +31,7 @@ import math
 import os
 import sys
 import warnings
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 
 # The thread-count variables of the BLAS builds numpy ships with.
@@ -119,16 +119,15 @@ def _write_csv(path, header, rows) -> None:
         )
 
 
-def _flag_type(convert, expected=None):
-    """The argparse type ``convert(text)``, whose ``ValueError`` is the flag's one usage
-    error: ``expected {expected}, got {text!r}``, or its own message for ``expected`` None."""
+def _flag_type(convert, expected: str):
+    """The argparse type ``convert(text)``, whose ``ValueError`` is the flag's one
+    usage error: ``expected {expected}, got {text!r}``."""
 
     def parse(text: str):
         try:
             return convert(text)
-        except ValueError as exc:
-            message = str(exc) if expected is None else f"expected {expected}, got {text!r:.40}"
-            raise argparse.ArgumentTypeError(message) from None
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r:.40}") from None
 
     return parse
 
@@ -151,44 +150,37 @@ _moment_orders = _int_list("moment orders", MAX_MOMENT_ORDER)
 _seeds = _int_list("seeds")
 
 
-def _word_or_int(words: dict, least: int, top: float = sys.float_info.max):
-    """The argparse type of a key of ``words``, read as its value, or of an
-    integer in ``[least, top]``."""
-    expected = " or ".join([*map(repr, words), f"an integer in [{least}, {top}]"])
+def _number(kind, least, most=sys.float_info.max, words={}):
+    """The argparse type of a key of ``words``, read as its value, or of a
+    ``kind`` number, ``Integral`` or ``Real``, in ``[least, most]``."""
+    what = "an integer" if kind is Integral else "a number"
+    expected = " or ".join([*map(repr, words), f"{what} in [{least}, {most}]"])
+    read = int if kind is Integral else float
 
     def convert(text: str):
         if text in words:
             return words[text]
-        return _records.number(int(text), "", Integral, least, top)
+        return _records.number(read(text), "", kind, least, most)
 
     return _flag_type(convert, expected)
 
 
 # A truncation mode, or an order N that a filter bank takes.
-_truncation = _word_or_int({mode.value: mode for mode in TruncationMode}, _LEAST_ORDER)
-_shots = _word_or_int({}, 1, MAX_SHOTS_PER_POINT)
-_seed = _word_or_int({}, 0)
-_positive_int = _word_or_int({}, 1)
+_truncation = _number(Integral, _LEAST_ORDER, words={mode.value: mode for mode in TruncationMode})
+_shots = _number(Integral, 1, MAX_SHOTS_PER_POINT)
+_seed = _number(Integral, 0)
+_positive_int = _number(Integral, 1)
 # A signal length whose complex128 array numpy can size: sys.maxsize bytes.
-_signal_length = _word_or_int({}, 1, sys.maxsize // 16)
-
-
-def _real(least: float, most: float = sys.float_info.max, expected: str | None = None):
-    """The argparse type of a number in ``[least, most]``, whose usage error
-    names that range or, if given, ``expected``."""
-    return _flag_type(
-        lambda text: _records.number(float(text), "", least=least, most=most),
-        expected or f"a number in [{least}, {most}]",
-    )
-
-
-_magnitude = _real(0, expected="a finite non-negative number")
-_positive_real = _real(_records.LEAST_POSITIVE)
-_confidence = _real(_records.LEAST_POSITIVE, math.nextafter(1.0, 0.0))
+_signal_length = _number(Integral, 1, sys.maxsize // 16)
+_magnitude = _number(Real, 0)
+_positive_real = _number(Real, _records.LEAST_POSITIVE)
+_confidence = _number(Real, _records.LEAST_POSITIVE, math.nextafter(1.0, 0.0))
 
 # A bin width ``eps``: positive, with ``1/eps`` a positive integer, returned
 # snapped to ``1/round(1/eps)``, the eps that every output records.
-_bin_width = _flag_type(lambda text: _snap_eps(float(text)))
+_bin_width = _flag_type(
+    lambda text: _snap_eps(float(text)), "a positive number whose inverse is an integer"
+)
 
 
 # ---------------------------------------------------------------- subcommands
@@ -203,8 +195,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_signal(args) -> int:
-    spec = _read_record(Spectrum, args.spectrum)
     shots = hoeffding_shots_per_point(args.n, *args.plan) if args.plan else args.shots
+    spec = _read_record(Spectrum, args.spectrum)
     if shots is not None:
         ts = sample_shots(spec, args.n, shots, args.seed)
     elif args.noise is not None and args.noise > 0:
@@ -256,13 +248,15 @@ def _cmd_estimate(args) -> int:
     for dest in ("l_dim",) if args.method == "ts" else ("truncation", "csv"):
         if getattr(args, dest) is not None:
             raise ValueError(f"--{dest.replace('_', '-')} does not apply to --method {args.method}")
+    if args.eps is None and args.method == "ts":
+        raise ValueError("--eps is required for the ts method")
+    if args.eps is None and args.spectrum:
+        raise ValueError("--eps is required to report delta against a spectrum")
     ts = _read_record(TimeSeries, args.signal)
     spec = _read_record(Spectrum, args.spectrum) if args.spectrum else None
     out = Path(args.out)
 
     if args.method == "ts":
-        if args.eps is None:
-            raise ValueError("--eps is required for the ts method")
         n_trunc = choose_truncation(args.eps, args.truncation or TruncationMode.EMPIRICAL)
         _check_signal_length(ts, n_trunc)
         bank = build_filterbank(args.eps, n_trunc)
@@ -270,8 +264,6 @@ def _cmd_estimate(args) -> int:
         payload = {"method": "ts", "eps": args.eps, "n_trunc": n_trunc, "bins": dist.to_dict()}
         moment = functools.partial(estimate_moment, dist)
     else:
-        if spec is not None and args.eps is None:
-            raise ValueError("--eps is required to report delta against a spectrum")
         est = mp_estimate(ts, args.l_dim)
         payload = {"method": "mp", "estimate": est.to_dict()}
         moment = functools.partial(mp_moment, est)

@@ -101,7 +101,7 @@ class TimeSeries:
     """Complex signal values at integer times ``k = 0 .. n_len - 1``.
 
     ``values[0]`` must be exactly ``1 + 0j``; constructors of derived series
-    re-pin it instead of sampling a known value. Immutable once built.
+    keep or re-pin it instead of sampling a known value. Immutable once built.
 
     The JSON record holds ``n_len``, the provenance, and the values as exact
     binary: ``values_c16le`` is the standard base64 of the little-endian
@@ -179,7 +179,6 @@ def add_noise(ts: TimeSeries, eps_prime: float, seed: int) -> TimeSeries:
     phase = rng.uniform(0.0, 2.0 * math.pi, n - 1)
     values = np.array(ts.values)
     values[1:] = values[1:] + magnitude * np.exp(1j * phase)
-    values[0] = 1.0
     return TimeSeries(values=values, provenance=provenance)
 
 

@@ -1077,7 +1077,7 @@ def test_every_checked_flag_type_is_the_adapter():
     """A flag that takes a value either takes it as text or has a type built by
     ``_flag_type``, never argparse's ``int`` or ``float`` or a converter with
     its own error handling."""
-    adapter = _flag_type(int).__code__
+    adapter = _flag_type(int, "an integer").__code__
     for action in _actions(_build_parser()):
         kind = action.type
         assert kind is None or kind.__code__ is adapter, action.option_strings
@@ -1162,10 +1162,11 @@ _SEEDS = f"expected distinct seeds in [0, {_MAX}]"
 _ORDER = f"expected 'empirical' or 'strict' or an integer in [2, {_MAX}]"
 _MOMENTS = "expected distinct moment orders in [0, 64]"
 _SHOTS = "expected an integer in [1, 9223372036854775807]"
-_BOUND = "expected a finite non-negative number"
+_BOUND = f"expected a number in [0, {_MAX}]"
 _LENGTH = "expected an integer in [1, 576460752303423487]"
 _POSITIVE = f"expected a number in [5e-324, {_MAX}]"
 _CONFIDENCE = "expected a number in [5e-324, 0.9999999999999999]"
+_BIN_WIDTH = "expected a positive number whose inverse is an integer"
 
 # An integer past the largest double, and the 40 characters of its echo.
 _OVERSIZED = str(10**400)
@@ -1214,9 +1215,10 @@ _FLAG_ROWS = [
     (["plan-shots", "--n", 10, "--eps-prime", 0.1, "--confidence", 1.5],
      f"qeep plan-shots: error: argument --confidence: {_CONFIDENCE}, got '1.5'"),
     # --plan's two values share one type, so the planner checks that its
-    # CONFIDENCE lies below 1.
-    ([*_SIGNAL, "--plan", 0.5, 1.5, "--out", "sig.json"],
-     "error: confidence must lie in [5e-324, 0.9999999999999999], got 1.5"),
+    # CONFIDENCE lies below 1, before the spectrum is read.
+    *(([*argv, "--n", 8, "--plan", 0.5, 1.5, "--out", "sig.json"],
+       "error: confidence must lie in [5e-324, 0.9999999999999999], got 1.5")
+      for argv in (["signal", "--spectrum", "s.json"], ["signal", "--spectrum", "missing.json"])),
     *(([*argv, "--out", "out.json"], f"{prog}: error: the following arguments are required: {missing}")
       for prog, argv, missing in [
           ("qeep plan-shots", ["plan-shots"], "--n, --eps-prime, --confidence"),
@@ -1238,7 +1240,9 @@ _FLAG_ROWS = [
       for eps_prime in ("1e-200", "1e-160")),
     ([*_ESTIMATE, "--method", "mp", "--spectrum", "s.json", "--out", "e.json"],
      "error: --eps is required to report delta against a spectrum"),
-    ([*_ESTIMATE, "--method", "ts", "--out", "e.json"], "error: --eps is required for the ts method"),
+    # --eps is checked before any record is read.
+    *(([*argv, "--method", "ts", "--out", "e.json"], "error: --eps is required for the ts method")
+      for argv in (_ESTIMATE, ["estimate", "--signal", "missing.json"])),
     ([*_ESTIMATE, "--method", "mp", "--l-dim", 0, "--out", "e.json"],
      f"qeep estimate: error: argument --l-dim: {_SIZE}, got '0'"),
     ([*_ESTIMATE, "--method", "mp", "--l-dim", 16, "--out", "e.json"],
@@ -1287,20 +1291,13 @@ _FLAG_ROWS = [
        f"qeep estimate: error: argument --moments: {_MOMENTS}, got '{moments}'")
       for method in ("ts", "mp") for moments in ("65", "-1", "one", "", "2,2", ",4")),
     *(([*_ESTIMATE, "--method", method, "--eps", eps, "--spectrum", "s.json", "--out", "e.json"],
-       f"qeep estimate: error: argument --eps: {reason}")
-      for method in ("ts", "mp")
-      for eps, reason in [
-          ("nan", f"eps must lie in [5e-324, {_MAX}], got nan"),
-          ("inf", f"eps must lie in [5e-324, {_MAX}], got inf"),
-          ("0.24", "1/eps must be a positive integer, got 1/eps = 4.166666666666667"),
-          ("4", "1/eps must be a positive integer, got 1/eps = 0.25"),
-          ("5e-324", "1/eps must be a positive integer, got 1/eps = inf"),
-      ]),
+       f"qeep estimate: error: argument --eps: {_BIN_WIDTH}, got '{eps}'\n")
+      for method in ("ts", "mp") for eps in ("nan", "inf", "0.24", "4", "5e-324")),
     (["reproduce", "appc", "--outdir", "figs"],
      "qeep reproduce: error: argument figure: invalid choice: 'appc'"),
-    (["reproduce", "fig5", "--outdir", ".", "--eps", 0.24],
-     "qeep reproduce fig5: error: argument --eps: 1/eps must be a positive integer, "
-     "got 1/eps = 4.166666666666667"),
+    *((["reproduce", figure, "--outdir", ".", "--eps", 0.24],
+       f"qeep reproduce {figure}: error: argument --eps: {_BIN_WIDTH}, got '0.24'\n")
+      for figure in ("fig5", "fig6")),
     (["reproduce", "fig6", "--outdir", "figs", "--truncation", 64, "--l-dim", 0],
      f"qeep reproduce fig6: error: argument --l-dim: {_SIZE}, got '0'"),
     (["reproduce", "fig6", "--outdir", "figs", "--truncation", 64, "--l-dim", 64],
@@ -1345,8 +1342,7 @@ _FLAG_ROWS = [
           ("--eps-prime", f"{_BOUND}, got 'abc'", ["reproduce fig5", "reproduce fig6"]),
           ("--truncation", f"{_ORDER}, got 'abc'", ["estimate", "reproduce fig5", "reproduce fig6"]),
           ("--moments", f"{_MOMENTS}, got 'abc'", ["estimate", "reproduce fig5"]),
-          ("--eps", "could not convert string to float: 'abc'",
-           ["estimate", "reproduce fig5", "reproduce fig6"]),
+          ("--eps", f"{_BIN_WIDTH}, got 'abc'", ["estimate", "reproduce fig5", "reproduce fig6"]),
           ("--l-dim", f"{_SIZE}, got 'abc'", ["estimate", "reproduce fig5", "reproduce fig6"]),
           ("--n", f"{_LENGTH}, got 'abc'", ["signal"]),
           ("--n", f"{_SIZE}, got 'abc'", ["plan-shots"]),
@@ -1532,8 +1528,9 @@ def test_argument_file_is_rejected(rejected, tokens, argv, message):
 def test_every_checked_flag_has_a_non_numeric_row():
     """Each flag whose type ``_flag_type`` builds, in each command that takes
     it, has a flag row that gives it the text ``abc`` and expects the flag's own
-    ``argument --FLAG: …`` line, so no checked flag ships without one."""
-    adapter = _flag_type(int).__code__
+    ``argument --FLAG: expected …, got 'abc'`` line, so no checked flag ships
+    without one."""
+    adapter = _flag_type(int, "an integer").__code__
     parser = _build_parser()
     commands = [
         sub for action in _actions(parser) if isinstance(action, argparse._SubParsersAction)
@@ -1544,8 +1541,9 @@ def test_every_checked_flag_has_a_non_numeric_row():
             if getattr(action.type, "__code__", None) is not adapter:
                 continue
             for flag in action.option_strings:
-                line = f"{command.prog}: error: argument {flag}: "
+                line = f"{command.prog}: error: argument {flag}: expected "
                 assert any(
-                    (flag, "abc") in zip(argv, argv[1:]) and message.startswith(line)
+                    (flag, "abc") in zip(argv, argv[1:])
+                    and message.startswith(line) and message.endswith(", got 'abc'")
                     for argv, message in _FLAG_ROWS
                 ), line
